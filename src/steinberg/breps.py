@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import comb
 
 from .weights import A2, RootDatum, Weight
 
@@ -429,9 +428,3 @@ def build_rep(expr: RepExpr | str, datum: RootDatum = A2) -> WeightMultiset:
 
 def weight_multiplicity(rep: WeightMultiset, mu: Weight) -> int:
     return rep.multiplicity(mu)
-
-
-def binomial_dim_checks(rep: WeightMultiset, j: int, k: int) -> tuple[int, int]:
-    """(expected wedge dim, expected sym dim) for sanity assertions."""
-    d = rep.dimension
-    return comb(d, j), comb(d + k - 1, k)

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .breps import WeightMultiset, build_rep, parse_rep
+from .breps import WeightMultiset, build_rep
 from .weights import A2, Located, OutsideLocus, RootDatum, Singular, Weight
 
 
@@ -208,6 +208,15 @@ class TableRow:
     # cohomology claims per degree 0..3; GrothendieckElement or UNKNOWN
     claims: tuple
 
+    def alternating_sum(self) -> GrothendieckElement | None:
+        """sum_i (-1)^i H^i of the claims; None when the row has an UNKNOWN."""
+        if any(c == UNKNOWN for c in self.claims):
+            return None
+        total = GrothendieckElement.zero()
+        for i, c in enumerate(self.claims):
+            total = total + c.scale((-1) ** i)
+        return total
+
 
 @dataclass(frozen=True)
 class CohomologyTable:
@@ -316,14 +325,13 @@ def verify_table(table: CohomologyTable, l: int, datum: RootDatum = A2) -> list[
     """
     out: list[TableCheck] = []
     for row in table.rows:
-        rep = build_rep(parse_rep(row.rep_text), datum)
+        rep = build_rep(row.rep_text, datum)
         rid = f"{table.name}.{row.family}.j{row.j}"
         good, witnesses = bwb_good(rep, l, datum)
         if not good:
             out.append(TableCheck(f"{rid}.bwb-good", False, expected="all weights in locus",
                                   actual=f"witnesses {witnesses}"))
             continue
-        has_unknown = any(c == UNKNOWN for c in row.claims)
         for i in range(MAX_DEGREE + 1):
             claim = row.claims[i]
             if claim == UNKNOWN:
@@ -345,13 +353,10 @@ def verify_table(table: CohomologyTable, l: int, datum: RootDatum = A2) -> list[
                                   expected=f"claims within psupp^{i} = {support}",
                                   actual=_print_claim(claim) if claim != UNKNOWN else UNKNOWN,
                                   note=detail))
-        if has_unknown:
+        total = row.alternating_sum()
+        if total is None:
             out.append(TableCheck(f"{rid}.chi", True, skipped=True, note="row has unknown entries"))
         else:
-            total = GrothendieckElement.zero()
-            for i in range(MAX_DEGREE + 1):
-                term = row.claims[i]
-                total = total + (term.scale((-1) ** i))
             chi = euler_char(rep, datum)
             out.append(TableCheck(f"{rid}.chi", total == chi,
                                   expected=str(chi), actual=str(total)))

@@ -8,11 +8,11 @@ from __future__ import annotations
 
 from . import bwb, liealg
 from .breps import WeightMultiset, build_rep
-from .cases import (IdealCase, build_case, chart_symbolic_check, commutator_layer_check,
-                    gl_specialization_check, hilbert_cross_check, make_ideal, map_poly,
-                    mat_mul, multiplicity, parametrization_check, span17_check)
-from .polyalg import IdealBasis, TruncationError, groebner, hilbert_function, krull_dim, \
-    min_gen_degrees, normal_form
+from .cases import (IdealCase, build_case, case_basis, case_hilbert, chart_symbolic_check,
+                    commutator_layer_check, gl_specialization_check, hilbert_cross_check,
+                    map_poly, mat_mul, multiplicity, parametrization_check, span17_check)
+from .polyalg import IdealBasis, TruncationError, groebner, krull_dim, min_gen_degrees, \
+    normal_form
 from .report import Emitter, load_data_text
 from .weights import A2, ClassGroupElement, class_reduce, iota, self_dual_classes
 
@@ -38,6 +38,11 @@ def bwb_tables_campaign(em: Emitter, l: int) -> None:
             em.add(f"{pre}.{check.check_id}", check.passed, check.expected, check.actual,
                    anchor="tab1" if name == "tab1" else ("tab2" if name == "tab2" else "calc1-2"),
                    skipped=check.skipped)
+    # alternating sums of every table row against euler_char, stated directly
+    rows_ok = all(total == bwb.euler_char(build_rep(row.rep_text))
+                  for table in tables.values() for row in table.rows
+                  if (total := row.alternating_sum()) is not None)
+    em.add(f"{pre}.chi.rows", rows_ok, "alternating sums equal chi", str(rows_ok), anchor="tab1")
     # Euler characteristic spot values
     chi_bxb = bwb.euler_char(build_rep("b*b"))
     em.add(f"{pre}.chi.bxb", str(chi_bxb) == "-[V(0,0)]", "-[V(0,0)]", str(chi_bxb), anchor="calc1")
@@ -69,22 +74,6 @@ def bwb_tables_campaign(em: Emitter, l: int) -> None:
     h2 = bwb.line_cohomology((-2, 1), l)
     em.add(f"{pre}.line.salpha", h2 == {1: bwb.GrothendieckElement.of((0, 0))},
            "{1: [V(0,0)]}", str({k: str(v) for k, v in h2.items()}), anchor="thm:BWB")
-
-
-def _chi_alternating_rows_entry(em: Emitter, l: int) -> None:
-    # alternating sums of every table row against euler_char, stated directly
-    tables = bwb.parse_tables(load_data_text("tables.txt"))
-    ok = True
-    for name, table in tables.items():
-        for row in table.rows:
-            if any(c == bwb.UNKNOWN for c in row.claims):
-                continue
-            total = bwb.GrothendieckElement.zero()
-            for i, c in enumerate(row.claims):
-                total = total + c.scale((-1) ** i)
-            if total != bwb.euler_char(build_rep(row.rep_text)):
-                ok = False
-    em.add(f"bwb.l{l}.chi.rows", ok, "alternating sums equal chi", str(ok), anchor="tab1")
 
 
 # -- identities / span ---------------------------------------------------------------
@@ -152,7 +141,7 @@ def ideal_campaign(em: Emitter, tag: str, char: int, bound: int, trials: int, se
         return
 
     if tag in ("n2", "n3-z"):
-        gb = groebner(make_ideal(case), bound)
+        gb = case_basis(case, bound)
         mg = min_gen_degrees(gb, min(bound, 5))
     if tag == "n2":
         em.add(f"{pre}.mingens", tuple(mg.dims) == (0, 0, 6, 0, 0, 0)[: len(mg.dims)],
@@ -178,12 +167,8 @@ def ideal_campaign(em: Emitter, tag: str, char: int, bound: int, trials: int, se
         em.add(f"{pre}.hilbert-cross", hc.passed,
                f"section counts {hc.character_dims}", str(hc.groebner_dims), anchor=anchor)
         if char == 0:
-            dims0 = hilbert_function(gb, bound)
-            same = all(
-                hilbert_function(groebner(make_ideal(IdealCase(tag, l)), bound), bound).dims
-                == dims0.dims
-                for l in (5, 7)
-            )
+            dims0 = case_hilbert(case, bound)
+            same = all(case_hilbert(IdealCase(tag, l), bound).dims == dims0.dims for l in (5, 7))
             em.add(f"{pre}.flatness", same,
                    "graded dimensions agree over Q, F5, F7", str(dims0), anchor="lem:ZYproperties")
     elif tag == "n3-x":
@@ -270,13 +255,18 @@ def dims_campaign(em: Emitter, char: int = 7) -> None:
             em.add(f"{pre}.{name}", False, expected, str(e), anchor=anchor, skipped=True)
 
 
-def multiplicities_campaign(em: Emitter) -> None:
+def _multiplicity_rows():
+    """(coordinate text, name, tabulated value, weight) per line of multiplicities.txt."""
     for line in load_data_text("multiplicities.txt").splitlines():
         line = line.strip()
         if not line or line.startswith("#"):
             continue
         coord, name, expected = line.split()
-        lam = tuple(int(x) for x in coord.strip("()").split(","))
+        yield coord, name, expected, tuple(int(x) for x in coord.strip("()").split(","))
+
+
+def multiplicities_campaign(em: Emitter) -> None:
+    for _, name, expected, lam in _multiplicity_rows():
         got = multiplicity(lam)
         em.add(f"multiplicity.{name}", got == int(expected), expected, got, anchor="tab3")
 
@@ -325,7 +315,6 @@ def classgroup_campaign(em: Emitter) -> None:
 def verify_all(em: Emitter, seed: int = 0, trials: int = 200) -> None:
     for l in (5, 7):
         bwb_tables_campaign(em, l)
-        _chi_alternating_rows_entry(em, l)
     for char in (0, 5, 7):
         identities_campaign(em, char)
     for char in (0, 5):
@@ -354,17 +343,9 @@ def tables_markdown() -> str:
         out.append("| j | H^0 | H^1 | H^2 | H^3 | claimed chi | computed chi |")
         out.append("|---|---|---|---|---|---|---|")
         for row in table.rows:
-            cells = []
-            total = bwb.GrothendieckElement.zero()
-            known = True
-            for i, c in enumerate(row.claims):
-                if c == bwb.UNKNOWN:
-                    cells.append("?")
-                    known = False
-                else:
-                    cells.append(str(c))
-                    total = total + c.scale((-1) ** i)
-            claimed = str(total) if known else "n/a"
+            cells = ["?" if c == bwb.UNKNOWN else str(c) for c in row.claims]
+            total = row.alternating_sum()
+            claimed = "n/a" if total is None else str(total)
             computed = str(bwb.euler_char(build_rep(row.rep_text)))
             out.append(f"| {row.j} ({row.rep_text}) | " + " | ".join(cells)
                        + f" | {claimed} | {computed} |")
@@ -373,12 +354,7 @@ def tables_markdown() -> str:
     out.append("")
     out.append("| weight | name | tabulated | computed |")
     out.append("|---|---|---|---|")
-    for line in load_data_text("multiplicities.txt").splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        coord, name, expected = line.split()
-        lam = tuple(int(x) for x in coord.strip("()").split(","))
+    for coord, name, expected, lam in _multiplicity_rows():
         out.append(f"| {coord} | {name} | {expected} | {multiplicity(lam)} |")
     out.append("")
     return "\n".join(out)

@@ -28,6 +28,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from . import breps, bwb
 from .fieldops import Echelon, field_of
@@ -279,6 +280,19 @@ def make_ideal(case: IdealCase) -> IdealBasis:
     return build_case(case).ideal()
 
 
+@lru_cache(maxsize=None)
+def case_basis(case: IdealCase, bound: int | None) -> IdealBasis:
+    """Groebner basis of the named case up to `bound`, computed once per
+    (case, bound).  The result is shared between callers: do not mutate it."""
+    return groebner(make_ideal(case), bound)
+
+
+@lru_cache(maxsize=None)
+def case_hilbert(case: IdealCase, bound: int) -> GradedDims:
+    """dim (S/I)_k for k <= bound of the named case, computed once per (case, bound)."""
+    return hilbert_function(case_basis(case, bound), bound)
+
+
 # -- randomized parametrization containment ------------------------------------------
 
 
@@ -497,19 +511,14 @@ def character_section_dims(tag: str, bound: int, twist: Weight | None = None) ->
     return GradedDims(tuple(dims))
 
 
-def hilbert_cross_check(case: IdealCase, bound: int, _gb_cache: dict = {}) -> HilbertCross:
+def hilbert_cross_check(case: IdealCase, bound: int) -> HilbertCross:
     """dim (S/I)_k from the truncated Groebner basis versus the character side."""
     if case.tag not in ("n2", "n3-z"):
         raise UnsupportedCase("hilbert cross check covers n2 and n3-z")
     if case.char not in (0,) and case.char < 5:
         raise UnsupportedCase("needs characteristic 0 or l >= 5")
-    key = (case.tag, case.char, bound)
-    if key not in _gb_cache:
-        _gb_cache[key] = groebner(make_ideal(case), bound)
-    gb = _gb_cache[key]
-    gdims = hilbert_function(gb, bound)
-    cdims = character_section_dims(case.tag, bound)
-    return HilbertCross(case, bound, gdims, cdims)
+    return HilbertCross(case, bound, case_hilbert(case, bound),
+                        character_section_dims(case.tag, bound))
 
 
 # -- the degree-3 span and its integer invariant factors -------------------------------
@@ -550,13 +559,16 @@ def _prime_divisors(factors) -> set:
 
 def _degree3_rows(ring, polys):
     monos = sorted({m for p in polys for m in p}, key=lambda m: (sum(m), m))
-    assert all(sum(m) == 3 for m in monos)
+    if any(sum(m) != 3 for m in monos):
+        raise ValueError("degree-3 rows need homogeneous cubic polynomials")
     index = {m: i for i, m in enumerate(monos)}
     rows = []
     for p in polys:
         row = [0] * len(monos)
         for m, c in p.items():
-            row[index[m]] = int(c) if not isinstance(c, Fraction) else int(c)
+            if Fraction(c).denominator != 1:
+                raise ValueError(f"non-integral coefficient {c} in a degree-3 row")
+            row[index[m]] = int(c)
         rows.append(row)
     return rows
 

@@ -1,6 +1,6 @@
 """Command-line driver.
 
-    steinberg verify all [--format json] [--seed S] [--trials T] [--jobs N]
+    steinberg verify all [--format json] [--seed S] [--trials T]
     steinberg verify bwb-tables --l 5
     steinberg verify identities --char 0
     steinberg verify span --char 5
@@ -19,13 +19,12 @@ from __future__ import annotations
 
 import argparse
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from . import bwb, campaigns
-from .breps import RepParseError, build_rep, parse_rep
-from .cases import CASE_TAGS, IdealCase, UnsupportedCase, make_ideal
+from .breps import RepParseError, build_rep
+from .cases import CASE_TAGS, IdealCase, UnsupportedCase, case_hilbert
 from .liealg import CharacteristicError
-from .polyalg import DomainError, IntMatrix, TruncationError, groebner, hilbert_function, snf
+from .polyalg import DomainError, IntMatrix, TruncationError, snf
 from .report import Emitter, Report
 
 
@@ -33,7 +32,6 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("json", "markdown"), default="markdown")
     common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--jobs", type=int, default=1, help="worker threads for verify all")
     common.add_argument("--timings", action="store_true",
                         help="fill elapsed_ms (non-reproducible output)")
 
@@ -77,13 +75,9 @@ def build_parser() -> argparse.ArgumentParser:
 def _verify(args) -> int:
     em = Emitter(timings=args.timings)
     if args.campaign == "all":
-        if args.jobs > 1:
-            _verify_all_parallel(em, args)
-        else:
-            campaigns.verify_all(em, seed=args.seed, trials=args.trials)
+        campaigns.verify_all(em, seed=args.seed, trials=args.trials)
     elif args.campaign == "bwb-tables":
         campaigns.bwb_tables_campaign(em, args.l)
-        campaigns._chi_alternating_rows_entry(em, args.l)
     elif args.campaign == "identities":
         campaigns.identities_campaign(em, args.char)
     elif args.campaign == "span":
@@ -97,7 +91,7 @@ def _verify(args) -> int:
         campaigns.multiplicities_campaign(em)
     elif args.campaign == "classgroup":
         campaigns.classgroup_campaign(em)
-    report = Report(em.entries, seed=args.seed, jobs=args.jobs)
+    report = Report(em.entries, seed=args.seed)
     if args.format == "json":
         sys.stdout.write(report.to_json())
     else:
@@ -107,54 +101,20 @@ def _verify(args) -> int:
     return report.exit_code
 
 
-def _verify_all_parallel(em: Emitter, args) -> None:
-    jobs = [
-        lambda e: [campaigns.bwb_tables_campaign(e, 5), campaigns._chi_alternating_rows_entry(e, 5)],
-        lambda e: [campaigns.bwb_tables_campaign(e, 7), campaigns._chi_alternating_rows_entry(e, 7)],
-        lambda e: campaigns.identities_campaign(e, 0),
-        lambda e: campaigns.identities_campaign(e, 5),
-        lambda e: campaigns.identities_campaign(e, 7),
-        lambda e: campaigns.span_campaign(e, 0),
-        lambda e: campaigns.span_campaign(e, 5),
-        lambda e: campaigns.ideal_campaign(e, "n2", 0, 6, args.trials, args.seed),
-        lambda e: campaigns.ideal_campaign(e, "n2", 5, 6, args.trials, args.seed),
-        lambda e: campaigns.ideal_campaign(e, "n3-z", 0, 5, args.trials, args.seed),
-        lambda e: campaigns.ideal_campaign(e, "n3-z", 5, 5, args.trials, args.seed),
-        lambda e: campaigns.ideal_campaign(e, "n3-z", 7, 5, args.trials, args.seed),
-        lambda e: campaigns.ideal_campaign(e, "n3-x", 5, 5, args.trials, args.seed),
-        lambda e: campaigns.ideal_campaign(e, "gl-n2", 5, 4, args.trials, args.seed, True),
-        lambda e: campaigns.ideal_campaign(e, "gl-n3", 5, 4, args.trials, args.seed, True),
-        lambda e: campaigns.ideal_campaign(e, "cnil", 0, 4, args.trials, args.seed),
-        lambda e: campaigns.dims_campaign(e),
-        lambda e: campaigns.multiplicities_campaign(e),
-        lambda e: campaigns.classgroup_campaign(e),
-    ]
-
-    def run(job):
-        local = Emitter(timings=args.timings)
-        job(local)
-        return local.entries
-
-    with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-        for entries in pool.map(run, jobs):
-            em.entries.extend(entries)
-
-
 def _compute(args) -> int:
     if args.computation == "chi":
-        rep = build_rep(parse_rep(args.rep))
+        rep = build_rep(args.rep)
         sys.stdout.write(str(bwb.euler_char(rep)) + "\n")
         return 0
     if args.computation == "psupp":
-        rep = build_rep(parse_rep(args.rep))
+        rep = build_rep(args.rep)
         ms = bwb.psupp(rep, args.i, args.l)
         sys.stdout.write(campaigns.fmt_multiset(ms) + "\n")
         return 0
     if args.computation == "hilbert":
         case = IdealCase(args.case_tag, args.char,
                          q=1 if args.case_tag.startswith("gl") else None)
-        gb = groebner(make_ideal(case), args.degree_bound)
-        sys.stdout.write(str(hilbert_function(gb, args.degree_bound)) + "\n")
+        sys.stdout.write(str(case_hilbert(case, args.degree_bound)) + "\n")
         return 0
     if args.computation == "snf":
         with open(args.file, "r", encoding="utf-8") as fh:

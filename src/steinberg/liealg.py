@@ -110,10 +110,6 @@ class BasedRep:
         return f.one
 
 
-def act(rep: BasedRep, op: str, v: dict) -> dict:
-    return rep.act(op, v)
-
-
 # -- the Borel atom -----------------------------------------------------------
 
 _B_LABELS = ("ta", "tb", "fa", "fb", "fr")

@@ -183,14 +183,6 @@ class PolyRing:
             out = self.add(out, term)
         return out
 
-    def change_domain(self, a: Poly, other: "PolyRing") -> Poly:
-        out = {}
-        for m, c in a.items():
-            v = other.domain.of(c)
-            if v != other.domain.zero:
-                out[m] = v
-        return out
-
     # -- degrees and leading data ----------------------------------------------
 
     @staticmethod

@@ -80,7 +80,6 @@ def load_data_text(name: str) -> str:
 class Report:
     entries: list[CheckEntry]
     seed: int = 0
-    jobs: int = 1
 
     def __post_init__(self):
         self.entries = sorted(self.entries, key=lambda e: e.check_id)

@@ -1,10 +1,14 @@
+from fractions import Fraction
+
 import pytest
 
+from steinberg import campaigns, cases
 from steinberg.cases import (IdealCase, UnsupportedCase, build_case, chart_symbolic_check,
                              character_section_dims, commutator_layer_check,
                              gl_specialization_check, hilbert_cross_check, make_ideal,
                              multiplicity, parametrization_check, span17_check)
-from steinberg.polyalg import groebner, hilbert_function, min_gen_degrees
+from steinberg.polyalg import PolyRing, groebner, hilbert_function, min_gen_degrees
+from steinberg.report import FAIL, Emitter
 
 
 def test_case_descriptors():
@@ -135,3 +139,49 @@ def test_multiplicity_euler_characteristic_oracle():
         assert multiplicity(lam) == euler_char(WeightMultiset([lam])).dimension()
     # the alpha case: minus the Euler characteristic of the twisted pair
     assert multiplicity((2, -1)) == -euler_char(build_rep("tw(2,-1)(b + b)")).dimension()
+
+
+def test_degree3_rows_rejects_non_integral_and_non_cubic():
+    ring = PolyRing(("x", "y"), 0)
+    assert cases._degree3_rows(ring, [{(3, 0): 2, (1, 2): -1}]) == [[-1, 2]]
+    with pytest.raises(ValueError, match="non-integral"):
+        cases._degree3_rows(ring, [{(3, 0): Fraction(1, 2)}])
+    with pytest.raises(ValueError, match="cubic"):
+        cases._degree3_rows(ring, [{(2, 0): 1}])
+
+
+@pytest.fixture
+def groebner_calls(monkeypatch):
+    """Empty the per-case memo and count the Groebner bases built afterwards."""
+    calls = []
+
+    def counting(ideal, bound=None):
+        calls.append(bound)
+        return groebner(ideal, bound)
+
+    monkeypatch.setattr(cases, "groebner", counting)
+    monkeypatch.setattr(campaigns, "groebner", counting)
+    cases.case_basis.cache_clear()
+    cases.case_hilbert.cache_clear()
+    yield calls
+    cases.case_basis.cache_clear()
+    cases.case_hilbert.cache_clear()
+
+
+def test_ideal_campaign_builds_its_basis_once(groebner_calls):
+    em = Emitter()
+    campaigns.ideal_campaign(em, "n2", 0, 3, trials=5, seed=0)
+    assert len(groebner_calls) == 1
+    assert {e.check_id for e in em.entries} >= {"ideal.n2.c0.mingens", "ideal.n2.c0.hilbert-cross"}
+    assert all(e.status != FAIL for e in em.entries)
+
+
+def test_n3z_flatness_reuses_the_c5_and_c7_bases(groebner_calls):
+    em = Emitter()
+    for char in (5, 7, 0):
+        campaigns.ideal_campaign(em, "n3-z", char, 3, trials=5, seed=0)
+    # one basis per characteristic: the hilbert cross check and the char-0
+    # flatness check read the bases the campaigns already built
+    assert len(groebner_calls) == 3
+    assert "ideal.n3-z.c0.flatness" in {e.check_id for e in em.entries}
+    assert all(e.status != FAIL for e in em.entries)

@@ -54,6 +54,9 @@ def test_usage_errors_exit_2():
     with pytest.raises(SystemExit) as info:
         run_cli(["verify", "ideal", "--case", "n3-z", "--degree-bound"])
     assert info.value.code == 2
+    with pytest.raises(SystemExit) as info:
+        run_cli(["verify", "all", "--jobs", "2"])
+    assert info.value.code == 2
 
 
 def test_unsupported_combination_exits_2():
