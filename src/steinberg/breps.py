@@ -103,7 +103,9 @@ class WeightMultiset:
             raise ValueError("sym power must be nonnegative")
         basis = self.weights_list()
         acc: dict[Weight, int] = {}
-        for combo in itertools.combinations_with_replacement(basis_indices(basis), k):
+        # combinations over indices, not weights: repeated equal weights are
+        # distinct basis slots
+        for combo in itertools.combinations_with_replacement(range(len(basis)), k):
             key = _wsum([basis[i] for i in combo], self._rank())
             acc[key] = acc.get(key, 0) + 1
         return WeightMultiset(acc)
@@ -116,12 +118,6 @@ class WeightMultiset:
 
     def _rank(self) -> int:
         return len(self.items[0][0]) if self.items else 0
-
-
-def basis_indices(basis):
-    # combinations_with_replacement over indices, not weights: repeated equal
-    # weights are distinct basis slots
-    return range(len(basis))
 
 
 def _wsum(weights, rank: int) -> Weight:

@@ -31,7 +31,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import breps, bwb
-from .fieldops import Echelon, field_of
+from .fieldops import Echelon, field_of, mat_add, mat_det, mat_mul, mat_sub, mat_trace
 from .polyalg import (GradedDims, IdealBasis, IntMatrix, PolyRing, groebner,
                       hilbert_function, homogenize_by_elimination, normal_form,
                       quotient_invariant_factors, snf)
@@ -72,35 +72,8 @@ def _zeros(ring, n):
     return [[ring.zero() for _ in range(n)] for _ in range(n)]
 
 
-def mat_mul(ring, a, b):
-    n = len(a)
-    out = _zeros(ring, n)
-    for i in range(n):
-        for j in range(n):
-            acc = ring.zero()
-            for k in range(n):
-                acc = ring.add(acc, ring.mul(a[i][k], b[k][j]))
-            out[i][j] = acc
-    return out
-
-
-def mat_sub(ring, a, b):
-    return [[ring.sub(x, y) for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def mat_add(ring, a, b):
-    return [[ring.add(x, y) for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
 def mat_scale(ring, a, c):
     return [[ring.scale(x, c) for x in row] for row in a]
-
-
-def mat_trace(ring, a):
-    t = ring.zero()
-    for i in range(len(a)):
-        t = ring.add(t, a[i][i])
-    return t
 
 
 def mat_identity(ring, n, c=1):
@@ -108,20 +81,6 @@ def mat_identity(ring, n, c=1):
     for i in range(n):
         out[i][i] = ring.const(c)
     return out
-
-
-def mat_det(ring, a):
-    n = len(a)
-    if n == 2:
-        return ring.sub(ring.mul(a[0][0], a[1][1]), ring.mul(a[0][1], a[1][0]))
-    if n == 3:
-        acc = ring.zero()
-        for (i, j, k), sgn in (((0, 1, 2), 1), ((1, 2, 0), 1), ((2, 0, 1), 1),
-                               ((2, 1, 0), -1), ((1, 0, 2), -1), ((0, 2, 1), -1)):
-            term = ring.mul(ring.mul(a[0][i], a[1][j]), a[2][k])
-            acc = ring.add(acc, ring.scale(term, sgn))
-        return acc
-    raise ValueError("determinant modelled for n <= 3 only")
 
 
 def mat_e2(ring, a):
@@ -332,18 +291,9 @@ def _rand_matrix(rng, n, p=EVAL_PRIME):
     return [[rng.randrange(p) for _ in range(n)] for _ in range(n)]
 
 
-def _det_mod(a, p=EVAL_PRIME):
-    n = len(a)
-    if n == 2:
-        return (a[0][0] * a[1][1] - a[0][1] * a[1][0]) % p
-    return (a[0][0] * (a[1][1] * a[2][2] - a[1][2] * a[2][1])
-            - a[0][1] * (a[1][0] * a[2][2] - a[1][2] * a[2][0])
-            + a[0][2] * (a[1][0] * a[2][1] - a[1][1] * a[2][0])) % p
-
-
 def _inv_mod(a, p=EVAL_PRIME):
     n = len(a)
-    d = _det_mod(a, p)
+    d = mat_det(field_of(p), a)
     dinv = pow(d, -1, p)
     if n == 2:
         adj = [[a[1][1], -a[0][1]], [-a[1][0], a[0][0]]]
@@ -358,19 +308,15 @@ def _inv_mod(a, p=EVAL_PRIME):
     return [[adj[i][j] * dinv % p for j in range(n)] for i in range(n)]
 
 
-def _mulm(a, b, p=EVAL_PRIME):
-    n = len(a)
-    return [[sum(a[i][k] * b[k][j] for k in range(n)) % p for j in range(n)] for i in range(n)]
-
-
 def _conj(g, m, p=EVAL_PRIME):
-    return _mulm(_mulm(g, m, p), _inv_mod(g, p), p)
+    fld = field_of(p)
+    return mat_mul(fld, mat_mul(fld, g, m), _inv_mod(g, p))
 
 
 def _rand_invertible(rng, n, p=EVAL_PRIME):
     while True:
         g = _rand_matrix(rng, n, p)
-        if _det_mod(g, p):
+        if mat_det(field_of(p), g):
             return g
 
 
@@ -440,7 +386,7 @@ def _point_for_case(case: IdealCase, rng, ring) -> list[int]:
             nil = [[0, rng.randrange(p), 0], [0, 0, rng.randrange(p)], [0, 0, 0]]
         N = _conj(g, nil)
         inv2 = pow(2, -1, p)
-        N2 = _mulm(N, N)
+        N2 = mat_mul(field_of(p), N, N)
         sigma = [[(int(i == j) + N[i][j] + (N2[i][j] * inv2 if n == 3 else 0)) % p
                   for j in range(n)] for i in range(n)]
         vals = {"q": q, "u": pow(q, -(n * (n - 1) // 2), p), "v": 1}
@@ -683,33 +629,17 @@ def gl_specialization_check(tag: str, char: int = 5) -> SpecializationReport:
             delta = target_ring.const(1 if i == j else 0)
             images[f"f{i + 1}{j + 1}"] = target_ring.add(delta, target_ring.var(f"m{i + 1}{j + 1}"))
             images[f"s{i + 1}{j + 1}"] = target_ring.add(delta, target_ring.var(f"n{i + 1}{j + 1}"))
-    specialized = [map_poly(gl.ring, g, target_ring, images) for g in gl.gens]
+    specialized = [gl.ring.substitute(g, images, target_ring) for g in gl.gens]
     specialized = [g for g in specialized if g]
     bound = max(max((target_ring.degree(g) for g in specialized), default=0),
                 max((target_ring.degree(g) for g in target_gens), default=0))
     spec_homog = homogenize_by_elimination(target_ring, specialized)
     g_spec = groebner(IdealBasis(target_ring, spec_homog), bound)
-    g_target = groebner(IdealBasis(target_ring, list(target_gens)), bound)
+    g_target = (groebner(IdealBasis(target_ring, list(target_gens)), bound) if n == 2
+                else case_basis(IdealCase("n3-x", char), bound))
     forward = all(not normal_form(g, g_target) for g in specialized)
     backward = all(not normal_form(g, g_spec) for g in target_gens)
     return SpecializationReport(tag, char, forward, backward)
-
-
-def map_poly(src: PolyRing, p, dst: PolyRing, images: dict):
-    """Push a polynomial through variable -> polynomial images in dst."""
-    out = dst.zero()
-    for mono, coeff in p.items():
-        term = dst.const(coeff)
-        for i, e in enumerate(mono):
-            if not e:
-                continue
-            img = images.get(src.names[i])
-            if img is None:
-                img = dst.var(src.names[i])
-            for _ in range(e):
-                term = dst.mul(term, img)
-        out = dst.add(out, term)
-    return out
 
 
 @dataclass
@@ -763,7 +693,7 @@ def chart_symbolic_check(tag: str) -> ChartReport:
     rel = groebner(IdealBasis(chart, [chart.sub(chart.mul(q, r), chart.const(1))]), None)
     bad = []
     for k, g in enumerate(gl.gens):
-        val = map_poly(gl.ring, g, chart, images)
+        val = gl.ring.substitute(g, images, chart)
         if normal_form(val, rel):
             bad.append(k)
     return ChartReport(tag, len(gl.gens), bad)
@@ -794,7 +724,7 @@ def commutator_layer_check(char: int = 5, bound: int = 5) -> CommutatorLayerRepo
     commuting locus is the rho-twist, generated in degree 2); the degree-2
     difference counts the commutator entries, 8 new generators.
     """
-    gJ = groebner(make_ideal(IdealCase("n3-x", char)), bound)
+    gJ = case_basis(IdealCase("n3-x", char), bound)
     hfJ = hilbert_function(gJ, bound)
     base = character_section_dims("n3-z", bound)
     tw = character_section_dims("n3-z", bound, twist=(1, 1))

@@ -2,12 +2,18 @@
 
 Vectors are dicts {index: nonzero coefficient}; subspaces are kept as row
 echelon bases with pivots at the smallest nonzero index, which makes every
-reduction and every choice of complement deterministic.
+reduction and every choice of complement deterministic.  `span_coords` is the
+one solver for coordinates in the span of independent vectors.
+
+The dense matrix helpers `mat_mul`, `mat_add`, `mat_sub`, `mat_trace` and
+`mat_det` (n <= 3) take the coefficient ring as a parameter: anything with
+`add`, `sub` and `mul`, such as a field above or a polynomial ring.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
 
 
 class RationalField:
@@ -185,39 +191,63 @@ def span_rank(field, vectors) -> int:
     return ech.rank
 
 
-def solve_dense(field, rows: list[list], rhs: list):
-    """Solve A x = b for dense square-ish A; None when inconsistent/deficient.
+def span_coords(field, vectors):
+    """Coordinates in the span of independent vectors.
 
-    Used for small startup systems only.
+    Returns w -> {k: c_k} with w = sum c_k vectors[k], or None when w lies
+    outside the span.  Raises ValueError when the vectors are dependent.
     """
-    f = field
-    m = [list(r) + [b] for r, b in zip(rows, rhs)]
-    nrows, ncols = len(m), len(m[0]) - 1
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        sel = None
-        for i in range(r, nrows):
-            if m[i][c] != f.zero:
-                sel = i
-                break
-        if sel is None:
-            continue
-        m[r], m[sel] = m[sel], m[r]
-        inv = f.inv(m[r][c])
-        m[r] = [f.mul(inv, x) for x in m[r]]
-        for i in range(nrows):
-            if i != r and m[i][c] != f.zero:
-                coef = m[i][c]
-                m[i] = [f.sub(x, f.mul(coef, y)) for x, y in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-    for i in range(r, nrows):
-        if m[i][ncols] != f.zero:
+    # augment vector k by the coordinate offset + k; the pivots sit at the
+    # smallest index, so dependent vectors leave a pivot at or past offset
+    offset = 1 + max((i for v in vectors for i in v), default=-1)
+    ech = Echelon(field)
+    for k, v in enumerate(vectors):
+        u = dict(v)
+        u[offset + k] = field.one
+        ech.insert(u)
+    if any(piv >= offset for piv in ech.rows):
+        raise ValueError("vectors must be independent")
+
+    def coords(w: dict):
+        if any(i >= offset for i in w):
             return None
-    if len(pivots) < ncols:
-        return None
-    x = [f.zero] * ncols
-    for i, c in enumerate(pivots):
-        x[c] = m[i][ncols]
-    return x
+        r = ech.reduce(w)
+        if any(i < offset for i in r):
+            return None
+        return {i - offset: field.neg(c) for i, c in r.items()}
+
+    return coords
+
+
+# -- dense matrices over a ring --------------------------------------------------
+
+
+def mat_mul(ring, a, b):
+    return [[reduce(ring.add, (ring.mul(x, y) for x, y in zip(row, col))) for col in zip(*b)]
+            for row in a]
+
+
+def mat_add(ring, a, b):
+    return [[ring.add(x, y) for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+
+
+def mat_sub(ring, a, b):
+    return [[ring.sub(x, y) for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+
+
+def mat_trace(ring, a):
+    return reduce(ring.add, (a[i][i] for i in range(len(a))))
+
+
+def mat_det(ring, a):
+    n = len(a)
+    if n == 2:
+        return ring.sub(ring.mul(a[0][0], a[1][1]), ring.mul(a[0][1], a[1][0]))
+    if n == 3:
+        def terms(perms):
+            return reduce(ring.add, (ring.mul(ring.mul(a[0][i], a[1][j]), a[2][k])
+                                     for i, j, k in perms))
+
+        return ring.sub(terms(((0, 1, 2), (1, 2, 0), (2, 0, 1))),
+                        terms(((2, 1, 0), (1, 0, 2), (0, 2, 1))))
+    raise ValueError("determinant modelled for n <= 3 only")

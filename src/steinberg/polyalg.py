@@ -18,7 +18,7 @@ import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .fieldops import field_of
+from .fieldops import Echelon, field_of
 
 Monomial = tuple[int, ...]
 Poly = dict
@@ -169,18 +169,18 @@ class PolyRing:
             out = self.mul(out, a)
         return out
 
-    def substitute(self, a: Poly, table: dict) -> Poly:
-        """Substitute polynomials for variables; table maps name -> Poly."""
-        images = []
-        for i, nm in enumerate(self.names):
-            images.append(table.get(nm, self.var(nm)))
-        out = self.zero()
+    def substitute(self, a: Poly, table: dict, dst: "PolyRing") -> Poly:
+        """Push a into dst: table maps a variable name to its image in dst;
+        a variable missing from table goes to dst's variable of that name."""
+        out = dst.zero()
         for m, c in a.items():
-            term = self.const(c)
-            for i, e in enumerate(m):
-                for _ in range(e):
-                    term = self.mul(term, images[i])
-            out = self.add(out, term)
+            term = dst.const(c)
+            for nm, e in zip(self.names, m):
+                if e:
+                    img = table[nm] if nm in table else dst.var(nm)
+                    for _ in range(e):
+                        term = dst.mul(term, img)
+            out = dst.add(out, term)
         return out
 
     # -- degrees and leading data ----------------------------------------------
@@ -617,12 +617,12 @@ def homogenize_by_elimination(ring: PolyRing, gens: list) -> list:
     (true for the specialized gl-case lists).  Raises otherwise.
     """
     homog: dict[int, list] = {}
-    ech: dict[int, Echelon0] = {}
+    ech: dict[int, Echelon] = {}  # per degree, keyed by monomials
 
     def insert_homog(p):
         deg = ring.degree(p)
         homog.setdefault(deg, []).append(p)
-        ech.setdefault(deg, Echelon0(ring)).insert(p)
+        ech.setdefault(deg, Echelon(ring.domain)).insert(p)
 
     pending = [g for g in gens if g]
     for g in list(pending):
@@ -658,43 +658,6 @@ def homogenize_by_elimination(ring: PolyRing, gens: list) -> list:
     if pending:
         raise ValueError("generators do not homogenize by constant elimination")
     return [p for deg in sorted(homog) for p in homog[deg]]
-
-
-class Echelon0:
-    """Linear echelon over the monomial coordinates of polynomials."""
-
-    def __init__(self, ring: PolyRing):
-        self.ring = ring
-        self.rows: dict[Monomial, Poly] = {}
-
-    def reduce(self, p: Poly) -> Poly:
-        d = self.ring.domain
-        out = dict(p)
-        while True:
-            hit = None
-            for m in out:
-                if m in self.rows:
-                    hit = m
-                    break
-            if hit is None:
-                return out
-            row = self.rows[hit]
-            c = d.neg(out[hit])
-            for m, x in row.items():
-                s = d.add(out.get(m, d.zero), d.mul(c, x))
-                if s == d.zero:
-                    out.pop(m, None)
-                else:
-                    out[m] = s
-
-    def insert(self, p: Poly) -> bool:
-        r = self.reduce(p)
-        if not r:
-            return False
-        piv = max(r, key=_drl_key)
-        inv = self.ring.domain.inv(r[piv])
-        self.rows[piv] = {m: self.ring.domain.mul(inv, c) for m, c in r.items()}
-        return True
 
 
 # -- integer matrices: Smith/Hermite normal forms --------------------------------

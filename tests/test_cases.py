@@ -152,11 +152,12 @@ def test_degree3_rows_rejects_non_integral_and_non_cubic():
 
 @pytest.fixture
 def groebner_calls(monkeypatch):
-    """Empty the per-case memo and count the Groebner bases built afterwards."""
+    """Empty the per-case memo and record (generators, bound) of every Groebner
+    basis built afterwards."""
     calls = []
 
     def counting(ideal, bound=None):
-        calls.append(bound)
+        calls.append((ideal.gens, bound))
         return groebner(ideal, bound)
 
     monkeypatch.setattr(cases, "groebner", counting)
@@ -185,3 +186,10 @@ def test_n3z_flatness_reuses_the_c5_and_c7_bases(groebner_calls):
     assert len(groebner_calls) == 3
     assert "ideal.n3-z.c0.flatness" in {e.check_id for e in em.entries}
     assert all(e.status != FAIL for e in em.entries)
+
+
+def test_n3x_basis_is_shared_by_containment_and_specialization(groebner_calls):
+    assert campaigns._containment_dictionary(5)
+    assert gl_specialization_check("gl-n3", 5).passed
+    n3x = make_ideal(IdealCase("n3-x", 5)).gens
+    assert [bound for gens, bound in groebner_calls if gens == n3x] == [3]

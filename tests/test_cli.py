@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 from contextlib import redirect_stdout, redirect_stderr
@@ -135,6 +136,10 @@ def test_verify_span_exit_zero():
 def test_verify_all_is_disjoint_union():
     code, out, _ = run_cli(["verify", "all", "--format", "json", "--trials", "5"])
     assert code == 0
+    # the report is the behavioural contract: a change meant to alter it
+    # updates this digest and says so in CHANGES.md
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "2d85f6e7d59a1eb7add32cbf58a7f1552bfd15e4bb98c96c4436aead697c9e62")
     doc = json.loads(out)
     ids = [e["check_id"] for e in doc["entries"]]
     assert len(ids) == len(set(ids))

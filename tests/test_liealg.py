@@ -1,6 +1,9 @@
+import random
+
 import pytest
 
-from steinberg.fieldops import field_of
+from steinberg.fieldops import (field_of, mat_det, mat_mul, span_coords, span_rank,
+                                vec_iadd_scaled)
 from steinberg.liealg import (BasedRep, CharacteristicError, UnknownAtomError, borel_rep,
                               build_based_rep, cn_ideal_reduction, identity_suite,
                               p_extend_check, pure_tensor_vector, restrict_to_span, span_check,
@@ -180,6 +183,11 @@ def test_cn_ideal_reduction_specializations():
     assert rep2.passed and not rep2.entries
     rep2s = cn_ideal_reduction(None, 2, 0)
     assert rep2s.passed and not rep2s.entries
+    # numeric q != 1 is compared with (q^2 - q)e + af - q dc at that q
+    for q, char, text in ((2, 0, "-2*c*d + 1*a*f + 2*e"), (3, 0, "-3*c*d + 1*a*f + 6*e"),
+                          (2, 5, "3*c*d + 1*a*f + 2*e")):
+        rq = cn_ideal_reduction(q, 3, char)
+        assert rq.passed and rq.generator_text == text
 
 
 def test_restrict_to_span_round_trip():
@@ -191,15 +199,75 @@ def test_restrict_to_span_round_trip():
     assert tw.weight_multiset().multiplicity((0, 0)) == 1
 
 
+def test_restrict_to_span_rejects_dependent_and_unstable_spans():
+    b = borel_rep(0)
+    fa, fb = b.basis_vector("fa"), b.basis_vector("fb")
+    with pytest.raises(ValueError, match="independent"):
+        restrict_to_span(b, [fa, fa])
+    # e_a f_b = -f_r leaves the span of f_b
+    with pytest.raises(ValueError, match="operator stable"):
+        restrict_to_span(b, [fb])
+
+
+@pytest.mark.parametrize("char", [0, 7])
+def test_span_coords_solves_and_rejects(char):
+    rng = random.Random(0)
+    fld = field_of(char)
+    solved = 0
+    for _ in range(20):
+        vecs = [{i: fld.of(rng.randrange(1, 7)) for i in rng.sample(range(8), 4)} for _ in range(3)]
+        if span_rank(fld, vecs) < 3:
+            with pytest.raises(ValueError, match="independent"):
+                span_coords(fld, vecs)
+            continue
+        coords = span_coords(fld, vecs)
+        want = {k: fld.of(rng.randrange(1, 7)) for k in rng.sample(range(3), 2)}
+        w: dict = {}
+        for k, c in want.items():
+            vec_iadd_scaled(fld, w, vecs[k], c)
+        assert coords(w) == want
+        solved += 1
+        # off the span: a unit vector outside it, alone and added to w, and
+        # a coordinate no vector uses
+        off = next(i for i in range(8) if span_rank(fld, vecs + [{i: fld.one}]) == 4)
+        assert coords({off: fld.one}) is None
+        vec_iadd_scaled(fld, w, {off: fld.one}, fld.one)
+        assert coords(w) is None
+        assert coords({8: fld.one}) is None
+    assert solved >= 10
+    u = {0: fld.one, 3: fld.of(2)}
+    with pytest.raises(ValueError, match="independent"):
+        span_coords(fld, [u, {1: fld.one}, {i: fld.mul(fld.of(3), x) for i, x in u.items()}])
+
+
+def test_matrix_helpers_mod_p_match_integer_formulas():
+    p = 2**31 - 1
+    fld = field_of(p)
+    rng = random.Random(0)
+    for n in (2, 3):
+        for _ in range(10):
+            a = [[rng.randrange(p) for _ in range(n)] for _ in range(n)]
+            b = [[rng.randrange(p) for _ in range(n)] for _ in range(n)]
+            prod = [[sum(a[i][k] * b[k][j] for k in range(n)) % p for j in range(n)]
+                    for i in range(n)]
+            assert mat_mul(fld, a, b) == prod
+            if n == 2:
+                det = a[0][0] * a[1][1] - a[0][1] * a[1][0]
+            else:
+                det = (a[0][0] * (a[1][1] * a[2][2] - a[1][2] * a[2][1])
+                       - a[0][1] * (a[1][0] * a[2][2] - a[1][2] * a[2][0])
+                       + a[0][2] * (a[1][0] * a[2][1] - a[1][1] * a[2][0]))
+            assert mat_det(fld, a) == det % p
+
+
 def test_symbolic_generator_specializes_at_q_one():
-    from steinberg.cases import map_poly
     from steinberg.polyalg import PolyRing
 
     rep = cn_ideal_reduction(None)
     src = PolyRing(("q", "r", "a", "b", "c", "d", "e", "f"), 0)
     dst = PolyRing(("a", "b", "c", "d", "e", "f"), 0)
     images = {"q": dst.const(1), "r": dst.const(1)}
-    specialized = map_poly(src, rep.entries[0][1], dst, images)
+    specialized = src.substitute(rep.entries[0][1], images, dst)
     assert specialized == dst.from_text("1*a*f - 1*c*d")
 
 
