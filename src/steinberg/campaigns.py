@@ -8,9 +8,9 @@ from __future__ import annotations
 
 from . import bwb, liealg
 from .breps import WeightMultiset, build_rep
-from .cases import (IdealCase, build_case, case_basis, case_hilbert, chart_symbolic_check,
-                    commutator_layer_check, gl_specialization_check, hilbert_cross_check,
-                    multiplicity, parametrization_check, span17_check)
+from .cases import (IdealCase, build_case, case_basis, case_hilbert, case_points,
+                    chart_symbolic_check, clear_case_memo, commutator_layer_check,
+                    gl_specialization_check, hilbert_cross_check, multiplicity, span17_check)
 from .fieldops import mat_mul, mat_sub, mat_trace
 from .polyalg import IdealBasis, TruncationError, groebner, krull_dim, min_gen_degrees, \
     normal_form
@@ -134,7 +134,7 @@ def ideal_campaign(em: Emitter, tag: str, char: int, bound: int, trials: int, se
         rep2 = liealg.cn_ideal_reduction(1, 2, char)
         em.add(f"{pre}.n2", rep2.passed and not rep2.entries, "zero ideal", str(rep2.entries),
                anchor=anchor)
-        pr = parametrization_check(IdealCase(tag, 0, q=None), trials, seed)
+        pr = case_points(IdealCase(tag, 0), trials, seed)
         em.add(f"{pre}.points", pr.passed,
                f"all generators vanish on {trials} samples; bound {pr.bound_text}",
                f"failures {len(pr.failures)}, control detected {pr.control_detected}",
@@ -193,9 +193,8 @@ def ideal_campaign(em: Emitter, tag: str, char: int, bound: int, trials: int, se
                    anchor=anchor)
     # vanishing on the parametrized points is a characteristic-free identity:
     # evaluate the char-0 generator list modulo the fixed 31-bit prime, with a
-    # fresh generic q per trial for the gl cases
-    param_case = IdealCase(tag, 0)
-    pr = parametrization_check(param_case, trials, seed)
+    # fresh generic q per trial for the gl cases; one run serves every char
+    pr = case_points(IdealCase(tag, 0), trials, seed)
     em.add(f"{pre}.points", pr.passed,
            f"all generators vanish on {trials} samples; bound {pr.bound_text}",
            f"failures {len(pr.failures)}, control detected {pr.control_detected}", anchor=anchor)
@@ -312,23 +311,27 @@ def classgroup_campaign(em: Emitter) -> None:
 
 
 def verify_all(em: Emitter, seed: int = 0, trials: int = 200) -> None:
-    for l in (5, 7):
-        bwb_tables_campaign(em, l)
-    for char in (0, 5, 7):
-        identities_campaign(em, char)
-    for char in (0, 5):
-        span_campaign(em, char)
-    ideal_campaign(em, "n2", 0, 6, trials, seed)
-    ideal_campaign(em, "n2", 5, 6, trials, seed)
-    for char in (0, 5, 7):
-        ideal_campaign(em, "n3-z", char, 5, trials, seed)
-    ideal_campaign(em, "n3-x", 5, 5, trials, seed)
-    ideal_campaign(em, "gl-n2", 5, 4, trials, seed, symbolic=True)
-    ideal_campaign(em, "gl-n3", 5, 4, trials, seed, symbolic=True)
-    ideal_campaign(em, "cnil", 0, 4, trials, seed)
-    dims_campaign(em)
-    multiplicities_campaign(em)
-    classgroup_campaign(em)
+    # the per-case memo lives for one run: its bases are freed on return
+    try:
+        for l in (5, 7):
+            bwb_tables_campaign(em, l)
+        for char in (0, 5, 7):
+            identities_campaign(em, char)
+        for char in (0, 5):
+            span_campaign(em, char)
+        ideal_campaign(em, "n2", 0, 6, trials, seed)
+        ideal_campaign(em, "n2", 5, 6, trials, seed)
+        for char in (0, 5, 7):
+            ideal_campaign(em, "n3-z", char, 5, trials, seed)
+        ideal_campaign(em, "n3-x", 5, 5, trials, seed)
+        ideal_campaign(em, "gl-n2", 5, 4, trials, seed, symbolic=True)
+        ideal_campaign(em, "gl-n3", 5, 4, trials, seed, symbolic=True)
+        ideal_campaign(em, "cnil", 0, 4, trials, seed)
+        dims_campaign(em)
+        multiplicities_campaign(em)
+        classgroup_campaign(em)
+    finally:
+        clear_case_memo()
 
 
 def tables_markdown() -> str:

@@ -323,7 +323,27 @@ def _rand_invertible(rng, n, p=EVAL_PRIME):
 def _point_for_case(case: IdealCase, rng, ring) -> list[int]:
     p = EVAL_PRIME
     tag = case.tag
-    if tag in ("n2", "n3-z", "n3-x", "cnil"):
+    if tag == "cnil":
+        # chart point of the commuting-nilpotent hypersurface at given q
+        if case.q is None:
+            q = rng.randrange(2, p - 1)
+            while q in (0, 1, p - 1):
+                q = rng.randrange(2, p - 1)
+        else:
+            q = case.q % p
+        a, b, c, d = (rng.randrange(p) for _ in range(4))
+        if q == 1:
+            while a == 0:
+                a = rng.randrange(p)
+            e = rng.randrange(p)
+            f = d * c % p * pow(a, -1, p) % p
+        else:
+            f = rng.randrange(p)
+            e = (q * d * c - a * f) % p * pow(q * q - q, -1, p) % p
+        vals = {"a": a, "b": b, "c": c, "d": d, "e": e, "f": f, "q": q,
+                "r": pow(q, -1, p)}
+        return [vals[nm] for nm in ring.names]
+    if tag in ("n2", "n3-z", "n3-x"):
         n = 2 if tag == "n2" else 3
         g = _rand_invertible(rng, n)
         if tag == "n3-x":
@@ -331,26 +351,6 @@ def _point_for_case(case: IdealCase, rng, ring) -> list[int]:
             a, d, t, b, e = (rng.randrange(p) for _ in range(5))
             m = [[0, a, b], [0, 0, t * a % p], [0, 0, 0]]
             nn = [[0, d, e], [0, 0, t * d % p], [0, 0, 0]]
-        elif tag == "cnil":
-            # chart point of the commuting-nilpotent hypersurface at given q
-            if case.q is None:
-                q = rng.randrange(2, p - 1)
-                while q in (0, 1, p - 1):
-                    q = rng.randrange(2, p - 1)
-            else:
-                q = case.q % p
-            a, b, c, d = (rng.randrange(p) for _ in range(4))
-            if q == 1:
-                while a == 0:
-                    a = rng.randrange(p)
-                e = rng.randrange(p)
-                f = d * c % p * pow(a, -1, p) % p
-            else:
-                f = rng.randrange(p)
-                e = (q * d * c - a * f) % p * pow(q * q - q, -1, p) % p
-            vals = {"a": a, "b": b, "c": c, "d": d, "e": e, "f": f, "q": q,
-                    "r": pow(q, -1, p)}
-            return [vals[nm] for nm in ring.names]
         else:
             m = [[0] * n for _ in range(n)]
             nn = [[0] * n for _ in range(n)]
@@ -427,6 +427,20 @@ def parametrization_check(case: IdealCase, trials: int = 200, seed: int = 0) -> 
     # (100 / EVAL_PRIME)^trials <= 10^-exponent
     exponent = len(str((EVAL_PRIME // 100) ** trials)) - 1
     return ParamReport(case, trials, seed, failures, control_hit, exponent)
+
+
+@lru_cache(maxsize=None)
+def case_points(case: IdealCase, trials: int, seed: int) -> ParamReport:
+    """parametrization_check of the named case, run once per (case, trials,
+    seed).  The report is shared between callers: do not mutate it."""
+    return parametrization_check(case, trials, seed)
+
+
+def clear_case_memo() -> None:
+    """Drop every memoized basis, Hilbert function and points report."""
+    case_basis.cache_clear()
+    case_hilbert.cache_clear()
+    case_points.cache_clear()
 
 
 # -- Hilbert-function bridge to the character side ------------------------------------

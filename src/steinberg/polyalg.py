@@ -10,13 +10,21 @@ processed degree by degree, pairs above the truncation bound are discarded
 at each degree are counted, which yields the graded minimal generator counts
 of the ideal as a byproduct.  Everything is deterministic for a fixed input
 order.
+
+Each basis element is stored with its leading monomial and that monomial's
+support bitmask, computed once; the mask screens out most non-divisors
+before the exponent-wise test.  Hilbert functions come from the Hilbert
+series of the leading-term ideal, whose numerator is computed by Bigatti's
+pivot recursion truncated at the requested degree.
 """
 
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, field
 from fractions import Fraction
+from math import comb
 
 from .fieldops import Echelon, field_of
 
@@ -151,7 +159,7 @@ class PolyRing:
         out: Poly = {}
         for ma, ca in a.items():
             for mb, cb in b.items():
-                m = tuple(x + y for x, y in zip(ma, mb))
+                m = tuple(map(operator.add, ma, mb))
                 s = d.add(out.get(m, d.zero), d.mul(ca, cb))
                 if s == d.zero:
                     out.pop(m, None)
@@ -161,7 +169,7 @@ class PolyRing:
 
     def mul_term(self, a: Poly, m: Monomial, c) -> Poly:
         d = self.domain
-        return {tuple(x + y for x, y in zip(ma, m)): d.mul(c, ca) for ma, ca in a.items()}
+        return {tuple(map(operator.add, ma, m)): d.mul(c, ca) for ma, ca in a.items()}
 
     def pow(self, a: Poly, k: int) -> Poly:
         out = self.const(1)
@@ -261,6 +269,21 @@ def _drl_key(m: Monomial):
     return (sum(m), tuple(-e for e in reversed(m)))
 
 
+def _mask(m: Monomial) -> int:
+    """Support of m as a bitmask: bit i is set when variable i occurs.  A
+    divisor's support lies inside the support of what it divides."""
+    out = 0
+    for i, e in enumerate(m):
+        if e:
+            out |= 1 << i
+    return out
+
+
+def _lead(ring: "PolyRing", p: Poly) -> tuple[Monomial, int, Poly]:
+    lm = ring.lm(p)
+    return (lm, _mask(lm), p)
+
+
 def _divides(a: Monomial, b: Monomial) -> bool:
     for x, y in zip(a, b):
         if x > y:
@@ -273,11 +296,7 @@ def _mlcm(a: Monomial, b: Monomial) -> Monomial:
 
 
 def _msub(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(x - y for x, y in zip(a, b))
-
-
-def _coprime(a: Monomial, b: Monomial) -> bool:
-    return all(x == 0 or y == 0 for x, y in zip(a, b))
+    return tuple(map(operator.sub, a, b))
 
 
 class TruncationError(ValueError):
@@ -293,7 +312,9 @@ class IdealBasis:
     """Generators plus (optionally) Groebner data and minimal generator counts.
 
     gb_bound is None for a complete basis and an integer when S-pairs above
-    that degree were discarded.
+    that degree were discarded.  gb_lead holds (leading monomial, support
+    mask, element) for each element of gb, in gb's order; it is filled in at
+    construction when gb is given without it.
     """
 
     ring: PolyRing
@@ -302,6 +323,11 @@ class IdealBasis:
     gb_bound: int | None = None
     mingens: dict | None = None
     gb_complete: bool = False
+    gb_lead: list | None = field(default=None, repr=False, compare=False)
+
+    def __post_init__(self):
+        if self.gb is not None and self.gb_lead is None:
+            self.gb_lead = [_lead(self.ring, g) for g in self.gb]
 
     def require_gb(self):
         if self.gb is None:
@@ -312,23 +338,25 @@ class IdealBasis:
 class _GBWorker:
     def __init__(self, ring: PolyRing):
         self.ring = ring
-        self.basis: list[tuple[Monomial, Poly]] = []  # (lm, monic poly)
+        self.basis: list[tuple[Monomial, int, Poly]] = []  # (lm, mask of lm, monic poly)
         self.pairs: list = []  # heap of (deg, lcm_key, i, j, lcm)
         self.treated: set[tuple[int, int]] = set()
 
     def reducer_index(self, m: Monomial):
-        for idx, (lm, _) in enumerate(self.basis):
-            if _divides(lm, m):
+        outside = ~_mask(m)
+        for idx, (lm, mask, _) in enumerate(self.basis):
+            if not mask & outside and _divides(lm, m):
                 return idx
         return None
 
     def normal_form(self, p: Poly) -> Poly:
         # heap-driven reduction, largest monomial first; stale entries are
         # skipped, and every fresh insertion below the current maximum gets
-        # exactly one pending heap entry
+        # exactly one pending heap entry.  The zero of every domain is falsy.
         d = self.ring.domain
+        mul, plus, heappush = d.mul, d.add, heapq.heappush
         h = dict(p)
-        heap = [(-sum(m), tuple(reversed(m)), m) for m in h]
+        heap = [(-sum(m), m[::-1], m) for m in h]
         heapq.heapify(heap)
         out: Poly = {}
         while heap:
@@ -340,33 +368,32 @@ class _GBWorker:
             if idx is None:
                 out[m] = c
                 continue
-            lm, g = self.basis[idx]
+            lm, _, g = self.basis[idx]
             shift = _msub(m, lm)
             negc = d.neg(c)
             for mg, cg in g.items():
                 if mg == lm:
                     continue
-                key = tuple(x + y for x, y in zip(mg, shift))
+                key = tuple(map(operator.add, mg, shift))
                 cur = h.get(key)
                 if cur is None:
-                    val = d.mul(negc, cg)
-                    if val != d.zero:
+                    val = mul(negc, cg)
+                    if val:
                         h[key] = val
-                        heapq.heappush(heap, (-sum(key), tuple(reversed(key)), key))
+                        heappush(heap, (-sum(key), key[::-1], key))
                 else:
-                    s = d.add(cur, d.mul(negc, cg))
-                    if s == d.zero:
-                        del h[key]
-                    else:
+                    s = plus(cur, mul(negc, cg))
+                    if s:
                         h[key] = s
+                    else:
+                        del h[key]
         return out
 
     def add_element(self, p: Poly) -> None:
         ring = self.ring
-        p = ring.monic(p)
-        lm = ring.lm(p)
+        lm, mask, p = _lead(ring, ring.monic(p))
         k = len(self.basis)
-        self.basis.append((lm, p))
+        self.basis.append((lm, mask, p))
         for i in range(k):
             lmi = self.basis[i][0]
             l = _mlcm(lmi, lm)
@@ -379,19 +406,20 @@ class _GBWorker:
 
     def spoly(self, i: int, j: int, l: Monomial) -> Poly:
         ring = self.ring
-        lmi, gi = self.basis[i]
-        lmj, gj = self.basis[j]
+        lmi, _, gi = self.basis[i]
+        lmj, _, gj = self.basis[j]
         a = ring.mul_term(gi, _msub(l, lmi), ring.domain.one)
         b = ring.mul_term(gj, _msub(l, lmj), ring.domain.one)
         return ring.sub(a, b)
 
     def chain_skip(self, i: int, j: int, l: Monomial) -> bool:
-        lmi = self.basis[i][0]
-        lmj = self.basis[j][0]
-        if _coprime(lmi, lmj):
+        lmi, maski, _ = self.basis[i]
+        lmj, maskj, _ = self.basis[j]
+        if not maski & maskj:  # coprime leading monomials
             return True
-        for k, (lmk, _) in enumerate(self.basis):
-            if k in (i, j) or not _divides(lmk, l):
+        outside = ~(maski | maskj)  # the support of l = lcm(lmi, lmj)
+        for k, (lmk, maskk, _) in enumerate(self.basis):
+            if k in (i, j) or maskk & outside or not _divides(lmk, l):
                 continue
             a = (min(i, k), max(i, k))
             b = (min(j, k), max(j, k))
@@ -448,10 +476,10 @@ def groebner(ideal: IdealBasis, bound=None) -> IdealBasis:
         d += 1
         if bound is None and d > degrees[-1] and not worker.pairs:
             break
-    gb = _interreduce(ring, [g for _, g in worker.basis])
+    lead = _interreduce(worker)
     complete = bound is None or (not worker.pairs and degrees[-1] <= bound)
-    return IdealBasis(ring, list(ideal.gens), gb=gb, gb_bound=bound,
-                      mingens=mingens, gb_complete=complete)
+    return IdealBasis(ring, list(ideal.gens), gb=[g for _, _, g in lead], gb_bound=bound,
+                      mingens=mingens, gb_complete=complete, gb_lead=lead)
 
 
 def _groebner_plain(ideal: IdealBasis, gens) -> IdealBasis:
@@ -471,40 +499,42 @@ def _groebner_plain(ideal: IdealBasis, gens) -> IdealBasis:
         r = worker.normal_form(worker.spoly(i, j, l))
         if r:
             worker.add_element(r)
-    gb = _interreduce(ring, [g for _, g in worker.basis])
-    return IdealBasis(ring, list(ideal.gens), gb=gb, gb_bound=None,
-                      mingens=None, gb_complete=True)
+    lead = _interreduce(worker)
+    return IdealBasis(ring, list(ideal.gens), gb=[g for _, _, g in lead], gb_bound=None,
+                      mingens=None, gb_complete=True, gb_lead=lead)
 
 
-def _interreduce(ring: PolyRing, polys) -> list:
-    # standard reduced-GB cleanup: drop redundant leads, tail-reduce, monic
-    polys = [p for p in polys if p]
-    lms = [ring.lm(p) for p in polys]
+def _interreduce(worker: _GBWorker) -> list:
+    """The reduced basis as (lm, mask, poly), sorted by lm: drop elements
+    whose lm another lm divides, then tail-reduce each survivor by the others.
+    The worker's elements are monic, and tail reduction leaves each leading
+    term in place, so the lms are computed once and the results stay monic."""
+    basis = worker.basis
     keep = []
-    for i, p in enumerate(polys):
-        if any(j != i and _divides(lms[j], lms[i]) and
-               (not _divides(lms[i], lms[j]) or j < i) for j in range(len(polys))):
+    for i, (lmi, maski, _) in enumerate(basis):
+        if any(j != i and not maskj & ~maski and _divides(lmj, lmi) and
+               (not _divides(lmi, lmj) or j < i) for j, (lmj, maskj, _) in enumerate(basis)):
             continue
-        keep.append(p)
-    w = _GBWorker(ring)
+        keep.append(basis[i])
+    w = _GBWorker(worker.ring)
     out = []
-    for i, p in enumerate(keep):
-        w.basis = [(ring.lm(q), q) for j, q in enumerate(keep) if j != i]
-        out.append(ring.monic(w.normal_form(p)))
-    out.sort(key=lambda p: _drl_key(ring.lm(p)))
+    for i, (lm, mask, p) in enumerate(keep):
+        w.basis = keep[:i] + keep[i + 1:]
+        out.append((lm, mask, w.normal_form(p)))
+    out.sort(key=lambda t: _drl_key(t[0]))
     return out
 
 
 def normal_form(p: Poly, ideal: IdealBasis) -> Poly:
     """Unique reduced remainder of p against the attached Groebner basis."""
     ring = ideal.ring
-    gb = ideal.require_gb()
+    ideal.require_gb()
     if ideal.gb_bound is not None and ring.degree(p) > ideal.gb_bound:
         raise TruncationError(
             f"degree {ring.degree(p)} exceeds the truncation bound {ideal.gb_bound}"
         )
     w = _GBWorker(ring)
-    w.basis = [(ring.lm(g), g) for g in gb]
+    w.basis = ideal.gb_lead
     return w.normal_form(p)
 
 
@@ -531,40 +561,72 @@ class GradedDims:
         return "[" + ", ".join(str(d) for d in self.dims) + "]"
 
 
-def _iter_monomials(n: int, k: int):
-    if n == 1:
-        yield (k,)
-        return
-    for first in range(k, -1, -1):
-        for rest in _iter_monomials(n - 1, k - first):
-            yield (first,) + rest
+def _minimal_monomials(monos) -> list[Monomial]:
+    """The minimal generators of the monomial ideal generated by monos."""
+    out: list[tuple[Monomial, int]] = []
+    for m in sorted(set(monos), key=_drl_key):
+        mask = _mask(m)
+        if not any(not omask & ~mask and _divides(o, m) for o, omask in out):
+            out.append((m, mask))
+    return [m for m, _ in out]
 
 
-def _minimal_lts(ring: PolyRing, gb) -> list[Monomial]:
-    lms = sorted({ring.lm(g) for g in gb if g}, key=_drl_key)
-    out = []
-    for m in lms:
-        if not any(_divides(o, m) for o in out if o != m):
-            out.append(m)
-    return out
+def _minimal_lts(ideal: IdealBasis, bound: int | None = None) -> list[Monomial]:
+    """Minimal leading monomials of the attached basis (of degree <= bound)."""
+    return _minimal_monomials(lm for lm, _, _ in ideal.gb_lead
+                              if bound is None or sum(lm) <= bound)
+
+
+def _series_numerator(monos: list[Monomial], top: int) -> list[int]:
+    """Coefficients N_0 .. N_top of the numerator of the Hilbert series
+    HS(S/J) = N(t) / (1 - t)^n, for J generated by the minimal monomials
+    `monos`.  Bigatti's pivot recursion (JPAA 119, 1997): for a pivot x^e,
+    N(J) = N(J + (x^e)) + t^e N(J : x^e).  Generators above degree top change
+    N only above degree top, so they are dropped on the way down."""
+    out = [0] * (top + 1)
+    if top < 0:
+        return out
+    monos = [m for m in monos if sum(m) <= top]
+    while True:
+        masks = [_mask(m) for m in monos]
+        seen = 0
+        for mask in masks:
+            if mask & seen:
+                break
+            seen |= mask
+        else:
+            # pairwise coprime generators: N = prod (1 - t^deg)
+            base = [1] + [0] * top
+            for m in monos:
+                d = sum(m)
+                for i in range(top, d - 1, -1):
+                    base[i] -= base[i - d]
+            return [a + b for a, b in zip(out, base)]
+        # pivot on the most frequent variable x, to the least exponent e it
+        # occurs with: J + (x^e) keeps the generators free of x
+        n = len(monos[0])
+        x = max(range(n), key=lambda i: sum(mask >> i & 1 for mask in masks))
+        e = min(m[x] for m in monos if m[x])
+        colon = [m[:x] + (m[x] - e,) + m[x + 1:] if m[x] else m for m in monos]
+        for i, c in enumerate(_series_numerator(_minimal_monomials(colon), top - e)):
+            out[i + e] += c
+        monos = [m for m in monos if not m[x]]
+        monos.append(tuple(e if i == x else 0 for i in range(n)))
 
 
 def hilbert_function(ideal: IdealBasis, bound: int) -> GradedDims:
-    """Dimensions of (S/I)_k for k <= bound by standard-monomial counting."""
+    """Dimensions of (S/I)_k for k <= bound, read off the Hilbert series of
+    the leading-term ideal: HF(k) = sum_i N_i C(n - 1 + k - i, n - 1).  Only
+    leading terms of degree <= k enter HF(k), so a basis truncated at the
+    bound gives the exact values."""
     ring = ideal.ring
-    gb = ideal.require_gb()
+    ideal.require_gb()
     if ideal.gb_bound is not None and bound > ideal.gb_bound:
         raise TruncationError(f"bound {bound} exceeds Groebner truncation {ideal.gb_bound}")
-    lts = _minimal_lts(ring, gb)
-    dims = []
-    for k in range(bound + 1):
-        cnt = 0
-        relevant = [m for m in lts if sum(m) <= k]
-        for mono in _iter_monomials(ring.n, k):
-            if not any(_divides(l, mono) for l in relevant):
-                cnt += 1
-        dims.append(cnt)
-    return GradedDims(tuple(dims))
+    num = _series_numerator(_minimal_lts(ideal, bound), bound)
+    n = ring.n
+    return GradedDims(tuple(sum(num[i] * comb(n - 1 + k - i, n - 1) for i in range(k + 1))
+                            for k in range(bound + 1)))
 
 
 def min_gen_degrees(ideal: IdealBasis, bound: int) -> GradedDims:
@@ -586,7 +648,7 @@ def krull_dim(ideal: IdealBasis) -> int:
     if gb and any(ring.degree(g) == 0 for g in gb):
         return -1  # unit ideal
     supports = []
-    for m in _minimal_lts(ring, gb):
+    for m in _minimal_lts(ideal):
         supports.append(frozenset(i for i, e in enumerate(m) if e))
     supports = [s for s in supports if s]
 

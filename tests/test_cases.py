@@ -162,11 +162,26 @@ def groebner_calls(monkeypatch):
 
     monkeypatch.setattr(cases, "groebner", counting)
     monkeypatch.setattr(campaigns, "groebner", counting)
-    cases.case_basis.cache_clear()
-    cases.case_hilbert.cache_clear()
+    cases.clear_case_memo()
     yield calls
-    cases.case_basis.cache_clear()
-    cases.case_hilbert.cache_clear()
+    cases.clear_case_memo()
+
+
+@pytest.fixture
+def points_calls(monkeypatch):
+    """Empty the per-case memo and record the case of every parametrization
+    check run afterwards."""
+    calls = []
+    check = cases.parametrization_check
+
+    def counting(case, trials=200, seed=0):
+        calls.append(case)
+        return check(case, trials, seed)
+
+    monkeypatch.setattr(cases, "parametrization_check", counting)
+    cases.clear_case_memo()
+    yield calls
+    cases.clear_case_memo()
 
 
 def test_ideal_campaign_builds_its_basis_once(groebner_calls):
@@ -193,3 +208,24 @@ def test_n3x_basis_is_shared_by_containment_and_specialization(groebner_calls):
     assert gl_specialization_check("gl-n3", 5).passed
     n3x = make_ideal(IdealCase("n3-x", 5)).gens
     assert [bound for gens, bound in groebner_calls if gens == n3x] == [3]
+
+
+def test_verify_all_runs_each_points_check_once_and_frees_its_memo(points_calls):
+    em = Emitter()
+    campaigns.verify_all(em, seed=0, trials=5)
+    # n2 is checked at chars 0 and 5 and n3-z at 0, 5 and 7, all on the
+    # char-0 generator list: one run per case serves them all
+    assert sorted(case.tag for case in points_calls) == sorted(cases.CASE_TAGS)
+    assert sum(e.check_id.endswith(".points") for e in em.entries) == 9
+    assert all(e.status != FAIL for e in em.entries)
+    for memo in (cases.case_basis, cases.case_hilbert, cases.case_points):
+        assert memo.cache_info().currsize == 0
+
+
+def test_cnil_points_draw_no_conjugating_matrix(monkeypatch):
+    def unused(*args):
+        raise AssertionError("cnil chart points need no random invertible matrix")
+
+    monkeypatch.setattr(cases, "_rand_invertible", unused)
+    assert parametrization_check(IdealCase("cnil"), trials=5, seed=0).passed
+    assert parametrization_check(IdealCase("cnil", q=2), trials=5, seed=0).passed

@@ -3,11 +3,15 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from steinberg.cases import IdealCase, make_ideal
 from steinberg.polyalg import (DomainError, GradedDims, IdealBasis, IntMatrix, PolyRing,
-                               TruncationError, groebner, hilbert_function,
-                               homogenize_by_elimination, hnf_rowspace, krull_dim,
-                               min_gen_degrees, normal_form, quotient_invariant_factors, snf)
+                               TruncationError, _minimal_lts, _series_numerator, groebner,
+                               hilbert_function, homogenize_by_elimination, hnf_rowspace,
+                               krull_dim, min_gen_degrees, normal_form,
+                               quotient_invariant_factors, snf)
 
 
 def ring6(char=0):
@@ -262,3 +266,110 @@ def test_graded_dims_validation():
     with pytest.raises(ValueError):
         GradedDims((1, -1))
     assert str(GradedDims((1, 2, 3))) == "[1, 2, 3]"
+
+
+# -- oracles for the Hilbert series and for groebner ------------------------------
+
+
+def _hf_by_enumeration(basis, bound):
+    """dim (S/I)_k for k <= bound by counting the monomials of degree k that
+    no leading monomial divides."""
+    lms = [basis.ring.lm(g) for g in basis.gb]
+    return tuple(sum(not any(all(a <= b for a, b in zip(lm, m)) for lm in lms)
+                     for m in _monomials(basis.ring.n, k))
+                 for k in range(bound + 1))
+
+
+@st.composite
+def monomial_ideals(draw):
+    n = draw(st.integers(1, 6))
+    # each generator as the list of its 1 to 4 variables, with repetition
+    gens = draw(st.lists(st.lists(st.integers(0, n - 1), min_size=1, max_size=4), max_size=6))
+    return n, [tuple(g.count(i) for i in range(n)) for g in gens], draw(st.integers(0, 6))
+
+
+@settings(max_examples=150, deadline=None)
+@given(monomial_ideals())
+def test_hilbert_series_matches_enumeration_on_monomial_ideals(data):
+    n, gens, bound = data
+    R = PolyRing([f"x{i}" for i in range(n)], 5)
+    basis = groebner(IdealBasis(R, [R.monomial(e) for e in gens]), bound)
+    assert hilbert_function(basis, bound).dims == _hf_by_enumeration(basis, bound)
+
+
+@pytest.mark.parametrize("tag", ["n3-z", "n3-x"])
+def test_hilbert_series_matches_enumeration_on_case_bases(tag):
+    basis = groebner(make_ideal(IdealCase(tag, 5)), 4)
+    assert hilbert_function(basis, 4).dims == _hf_by_enumeration(basis, 4)
+
+
+def _pole_order_at_one(basis):
+    """n minus the multiplicity of t = 1 as a root of the Hilbert-series
+    numerator: the order of the pole of HS(S/I) at t = 1, i.e. dim S/I."""
+    lts = _minimal_lts(basis)
+    top = sum(max((m[i] for m in lts), default=0) for i in range(basis.ring.n))
+    num = _series_numerator(lts, top)  # deg N <= deg lcm(lts) = top
+    order = basis.ring.n
+    while any(num):
+        if sum(num):
+            return order
+        # divide by (1 - t): the quotient's coefficients are partial sums
+        num = list(itertools.accumulate(num))[:-1]
+        order -= 1
+    return -1
+
+
+def test_krull_dim_equals_pole_order_of_the_series():
+    R6 = ring6(7)
+    af_cd = R6.sub(R6.mul(R6.var("a"), R6.var("f")), R6.mul(R6.var("c"), R6.var("d")))
+    nonregular = [af_cd, R6.mul(R6.var("a"), R6.var("c")), R6.mul(R6.var("d"), R6.var("f"))]
+    bases = [groebner(IdealBasis(R6, [af_cd]), None),
+             groebner(IdealBasis(R6, nonregular), None),
+             groebner(make_ideal(IdealCase("n3-x", 7)), None)]
+    assert [krull_dim(b) for b in bases] == [5, 4, 8]
+    assert [_pole_order_at_one(b) for b in bases] == [5, 4, 8]
+
+
+def _reduced_basis_set(polys, char):
+    """A basis as a set of term sets, each scaled so that its lexicographically
+    largest exponent tuple has coefficient 1; coefficients as Fractions
+    (char 0) or residues mod char."""
+    out = set()
+    for terms in polys:
+        lead = max(terms)[1]
+        if char:
+            inv = pow(int(lead) % char, -1, char)
+            out.add(frozenset((m, int(c) * inv % char) for m, c in terms))
+        else:
+            out.add(frozenset((m, Fraction(c) / Fraction(lead)) for m, c in terms))
+    return out
+
+
+@st.composite
+def homogeneous_ideals(draw):
+    n = draw(st.integers(2, 4))
+    gens = []
+    for _ in range(draw(st.integers(1, 3))):
+        degree = draw(st.integers(1, 3))
+        monos = _monomials(n, degree)
+        picked = draw(st.lists(st.sampled_from(monos), min_size=1, max_size=4, unique=True))
+        gens.append({m: draw(st.sampled_from((-3, -2, -1, 1, 2, 3))) for m in picked})
+    return n, gens
+
+
+@settings(max_examples=40, deadline=None)
+@given(homogeneous_ideals(), st.sampled_from([0, 5, 7]))
+def test_groebner_matches_sympy(data, char):
+    sympy = pytest.importorskip("sympy")
+    n, gens = data
+    R = PolyRing([f"x{i}" for i in range(n)], char)
+    got = groebner(IdealBasis(R, [{m: R.domain.of(c) for m, c in g.items()} for g in gens]), None)
+    syms = sympy.symbols(R.names)
+    exprs = [sum(c * sympy.prod(s ** e for s, e in zip(syms, m)) for m, c in g.items())
+             for g in gens]
+    opts = {"modulus": char} if char else {}
+    want = sympy.groebner(exprs, *syms, order="grevlex", **opts)
+    want_terms = [[(m, Fraction(int(c.p), int(c.q))) for m, c in sympy.Poly(g, *syms).terms()]
+                  for g in want.exprs]
+    assert _reduced_basis_set([list(g.items()) for g in got.gb], char) == \
+        _reduced_basis_set(want_terms, char)
