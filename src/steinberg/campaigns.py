@@ -8,8 +8,8 @@ from __future__ import annotations
 
 from . import bwb, liealg
 from .breps import WeightMultiset, build_rep
-from .cases import (IdealCase, build_case, case_basis, case_hilbert, case_points,
-                    chart_symbolic_check, clear_case_memo, commutator_layer_check,
+from .cases import (IdealCase, build_case, case_basis, case_cn_reduction, case_hilbert,
+                    case_points, chart_symbolic_check, clear_case_memo, commutator_layer_check,
                     gl_specialization_check, hilbert_cross_check, multiplicity, span17_check)
 from .fieldops import mat_mul, mat_sub, mat_trace
 from .polyalg import IdealBasis, TruncationError, groebner, krull_dim, min_gen_degrees, \
@@ -122,7 +122,7 @@ def ideal_campaign(em: Emitter, tag: str, char: int, bound: int, trials: int, se
     }[tag]
 
     if tag == "cnil":
-        rep = liealg.cn_ideal_reduction(None, 3, 0)
+        rep = case_cn_reduction(IdealCase(tag, 0))
         em.add(f"{pre}.symbolic", rep.principal and rep.passed,
                "single generator; normalized form q^2*e - e + a*f - d*c",
                f"raw {rep.generator_text}; normalized {rep.normalized_text}", anchor=anchor)

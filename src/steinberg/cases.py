@@ -128,9 +128,7 @@ class CaseData:
 def build_case(case: IdealCase) -> CaseData:
     tag = case.tag
     if tag == "cnil":
-        from .liealg import cn_ideal_reduction
-
-        rep = cn_ideal_reduction(case.q, 3, case.char)
+        rep = case_cn_reduction(case)
         # same variable layout as the reduction's own ring
         ring = PolyRing(("q", "r", "a", "b", "c", "d", "e", "f") if case.q is None
                         else ("a", "b", "c", "d", "e", "f"), case.char)
@@ -240,6 +238,16 @@ def make_ideal(case: IdealCase) -> IdealBasis:
 
 
 @lru_cache(maxsize=None)
+def case_cn_reduction(case: IdealCase):
+    """cn_ideal_reduction(case.q, 3, case.char) of a cnil case, computed once
+    per case: the cnil generators and the symbolic check read the same
+    report.  The report is shared between callers: do not mutate it."""
+    from .liealg import cn_ideal_reduction
+
+    return cn_ideal_reduction(case.q, 3, case.char)
+
+
+@lru_cache(maxsize=None)
 def case_basis(case: IdealCase, bound: int | None) -> IdealBasis:
     """Groebner basis of the named case up to `bound`, computed once per
     (case, bound).  The result is shared between callers: do not mutate it."""
@@ -273,18 +281,49 @@ class ParamReport:
         return f"<= 10^-{self.bound_exponent}"
 
 
-def _eval_poly(poly, point, p=EVAL_PRIME):
-    total = 0
-    for mono, coeff in poly.items():
-        c = coeff
-        if isinstance(c, Fraction):
-            c = c.numerator * pow(c.denominator, -1, p)
-        term = c % p
-        for i, e in enumerate(mono):
-            if e:
-                term = term * pow(point[i], e, p) % p
-        total = (total + term) % p
-    return total
+class _Compiled:
+    """Polynomials over Q compiled for evaluation mod p at many points.
+
+    Each polynomial becomes [(coefficient mod p, (slot, ...))], with Fraction
+    coefficients inverted once.  A slot indexes the power table of a point:
+    the tables of x_0, x_1, ..., each up to the largest exponent its variable
+    has in the polynomials, laid end to end, so a term's value is its
+    coefficient times the table entries of its slots."""
+
+    def __init__(self, polys, n: int, p: int = EVAL_PRIME):
+        self.p = p
+        self.top = [max((m[i] for poly in polys for m in poly), default=0) for i in range(n)]
+        offset = [0]
+        for e in self.top:
+            offset.append(offset[-1] + e + 1)
+        self.polys = []
+        for poly in polys:
+            terms = []
+            for mono, c in poly.items():
+                if isinstance(c, Fraction):
+                    c = c.numerator * pow(c.denominator, -1, p)
+                terms.append((c % p, tuple(offset[i] + e for i, e in enumerate(mono) if e)))
+            self.polys.append(terms)
+
+    def values(self, point) -> list[int]:
+        """Every compiled polynomial's value at point, mod p."""
+        p = self.p
+        table = []
+        for x, top in zip(point, self.top):
+            power = 1
+            table.append(power)
+            for _ in range(top):
+                power = power * x % p
+                table.append(power)
+        out = []
+        for terms in self.polys:
+            total = 0
+            for c, slots in terms:
+                for j in slots:
+                    c *= table[j]
+                total += c
+            out.append(total % p)
+        return out
 
 
 def _rand_matrix(rng, n, p=EVAL_PRIME):
@@ -308,9 +347,9 @@ def _inv_mod(a, p=EVAL_PRIME):
     return [[adj[i][j] * dinv % p for j in range(n)] for i in range(n)]
 
 
-def _conj(g, m, p=EVAL_PRIME):
+def _conj(g, ginv, m, p=EVAL_PRIME):
     fld = field_of(p)
-    return mat_mul(fld, mat_mul(fld, g, m), _inv_mod(g, p))
+    return mat_mul(fld, mat_mul(fld, g, m), ginv)
 
 
 def _rand_invertible(rng, n, p=EVAL_PRIME):
@@ -346,6 +385,7 @@ def _point_for_case(case: IdealCase, rng, ring) -> list[int]:
     if tag in ("n2", "n3-z", "n3-x"):
         n = 2 if tag == "n2" else 3
         g = _rand_invertible(rng, n)
+        ginv = _inv_mod(g)
         if tag == "n3-x":
             # commuting pair: upper-triangular (a, b, c=t*a) and (d, e, f=t*d)
             a, d, t, b, e = (rng.randrange(p) for _ in range(5))
@@ -358,8 +398,8 @@ def _point_for_case(case: IdealCase, rng, ring) -> list[int]:
                 for j in range(i + 1, n):
                     m[i][j] = rng.randrange(p)
                     nn[i][j] = rng.randrange(p)
-        M = _conj(g, m)
-        N = _conj(g, nn)
+        M = _conj(g, ginv, m)
+        N = _conj(g, ginv, nn)
         vals = {}
         for prefix, mat in (("m", M), ("n", N)):
             for i in range(n):
@@ -378,13 +418,14 @@ def _point_for_case(case: IdealCase, rng, ring) -> list[int]:
                 raise UnsupportedCase(
                     "parametrized points need a generic q; use the symbolic descriptor")
         g = _rand_invertible(rng, n)
+        ginv = _inv_mod(g)
         diag = [[pow(q, n - 1 - i, p) if i == j else 0 for j in range(n)] for i in range(n)]
-        phi = _conj(g, diag)
+        phi = _conj(g, ginv, diag)
         if n == 2:
             nil = [[0, rng.randrange(p)], [0, 0]]
         else:
             nil = [[0, rng.randrange(p), 0], [0, 0, rng.randrange(p)], [0, 0, 0]]
-        N = _conj(g, nil)
+        N = _conj(g, ginv, nil)
         inv2 = pow(2, -1, p)
         N2 = mat_mul(field_of(p), N, N)
         sigma = [[(int(i == j) + N[i][j] + (N2[i][j] * inv2 if n == 3 else 0)) % p
@@ -405,6 +446,12 @@ def parametrization_check(case: IdealCase, trials: int = 200, seed: int = 0) -> 
     deliberately non-member control polynomial must be detected.  The
     reported bound is the Schwartz-Zippel probability that a nonzero
     polynomial of (conservative) degree 100 vanishes at every trial.
+
+    The generators and the control are compiled once (`_Compiled`):
+    coefficients reduced mod EVAL_PRIME, Fraction coefficients inverted
+    once.  Each trial point then gets one power table per variable, up to
+    that variable's largest exponent, and every term is a product of table
+    entries.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -417,12 +464,12 @@ def parametrization_check(case: IdealCase, trials: int = 200, seed: int = 0) -> 
             data.ring.mul(data.ring.var(data.ring.names[0]), data.ring.var(data.ring.names[1])),
             data.ring.const(1))
     control_hit = False
+    compiled = _Compiled(data.gens + ([control] if control is not None else []), data.ring.n)
+    k_gens = len(data.gens)
     for t in range(trials):
-        point = _point_for_case(case, rng, data.ring)
-        for k, gen in enumerate(data.gens):
-            if _eval_poly(gen, point):
-                failures.append((t, k))
-        if control is not None and _eval_poly(control, point):
+        values = compiled.values(_point_for_case(case, rng, data.ring))
+        failures += [(t, k) for k, v in enumerate(values[:k_gens]) if v]
+        if control is not None and values[k_gens]:
             control_hit = True
     # (100 / EVAL_PRIME)^trials <= 10^-exponent
     exponent = len(str((EVAL_PRIME // 100) ** trials)) - 1
@@ -437,7 +484,9 @@ def case_points(case: IdealCase, trials: int, seed: int) -> ParamReport:
 
 
 def clear_case_memo() -> None:
-    """Drop every memoized basis, Hilbert function and points report."""
+    """Drop every memoized cnil reduction, basis, Hilbert function and points
+    report."""
+    case_cn_reduction.cache_clear()
     case_basis.cache_clear()
     case_hilbert.cache_clear()
     case_points.cache_clear()
@@ -678,9 +727,7 @@ def chart_symbolic_check(tag: str) -> ChartReport:
     chart check is the symbolic reduction itself.
     """
     if tag == "cnil":
-        from .liealg import cn_ideal_reduction
-
-        rep = cn_ideal_reduction(None)
+        rep = case_cn_reduction(IdealCase("cnil"))
         return ChartReport(tag, len(rep.entries) + 1, [] if rep.passed else ["normalized-generator"])
     if tag not in ("gl-n2", "gl-n3"):
         raise UnsupportedCase(tag)

@@ -13,7 +13,13 @@ order.
 
 Each basis element is stored with its leading monomial and that monomial's
 support bitmask, computed once; the mask screens out most non-divisors
-before the exponent-wise test.  Hilbert functions come from the Hilbert
+before the exponent-wise test.  The element itself is kept in an integer
+form (monic residues over GF(p); over Q the primitive integer polynomial
+with positive leading coefficient), and reduction is fraction-free: the
+input's denominators are cleared once, every step runs on Python ints, and
+the remainder is rescaled only when a reducer's leading coefficient is not
+1.  Over Q the exact remainder is the integer one divided by the tracked
+scale, once, at the end.  Hilbert functions come from the Hilbert
 series of the leading-term ideal, whose numerator is computed by Bigatti's
 pivot recursion truncated at the requested degree.
 """
@@ -24,7 +30,7 @@ import heapq
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb
+from math import comb, gcd, lcm
 
 from .fieldops import Echelon, field_of
 
@@ -207,15 +213,6 @@ class PolyRing:
     def lm(self, a: Poly) -> Monomial:
         return max(a, key=_drl_key)
 
-    def lc(self, a: Poly):
-        return a[self.lm(a)]
-
-    def monic(self, a: Poly) -> Poly:
-        if not a:
-            return a
-        inv = self.domain.inv(self.lc(a))
-        return {m: self.domain.mul(inv, c) for m, c in a.items()}
-
     def homogeneous_components(self, a: Poly) -> dict[int, Poly]:
         out: dict[int, Poly] = {}
         for m, c in a.items():
@@ -279,9 +276,43 @@ def _mask(m: Monomial) -> int:
     return out
 
 
+def _integral(ring: "PolyRing", p: Poly) -> tuple[Poly, int]:
+    """(h, s) with h = s * p an integer polynomial: over Q, s is the lcm of
+    the denominators; over GF(p), h is p's residues and s = 1."""
+    if ring.domain.characteristic:
+        return dict(p), 1
+    s = lcm(*(c.denominator for c in p.values()))
+    return {m: c.numerator * (s // c.denominator) for m, c in p.items()}, s
+
+
+def _basis_form(modulus: int, h: Poly, lm: Monomial) -> Poly:
+    """The integer form a basis element is kept in, from any nonzero integer
+    multiple h of it: over GF(modulus) the monic residues, over Q
+    (modulus 0) the primitive polynomial with positive leading coefficient."""
+    a = h[lm]
+    if modulus:
+        if a == 1:
+            return h
+        inv = pow(a, -1, modulus)
+        return {m: c * inv % modulus for m, c in h.items()}
+    g = gcd(*h.values())
+    if a < 0:
+        g = -g
+    return h if g == 1 else {m: c // g for m, c in h.items()}
+
+
+def _field_form(modulus: int, g: Poly, lm: Monomial) -> Poly:
+    """The monic polynomial over the coefficient field that the basis form g
+    stands for: over Q, Fraction coefficients."""
+    if modulus:
+        return g
+    a = g[lm]
+    return {m: Fraction(c, a) for m, c in g.items()}
+
+
 def _lead(ring: "PolyRing", p: Poly) -> tuple[Monomial, int, Poly]:
     lm = ring.lm(p)
-    return (lm, _mask(lm), p)
+    return (lm, _mask(lm), _basis_form(ring.domain.characteristic, _integral(ring, p)[0], lm))
 
 
 def _divides(a: Monomial, b: Monomial) -> bool:
@@ -303,6 +334,10 @@ class TruncationError(ValueError):
     """Operation needs Groebner data beyond the computed bound."""
 
 
+class InvariantError(ValueError):
+    """A computed result broke an invariant that the certification relies on."""
+
+
 class DomainError(TypeError):
     """Operation not available over this coefficient domain."""
 
@@ -312,9 +347,12 @@ class IdealBasis:
     """Generators plus (optionally) Groebner data and minimal generator counts.
 
     gb_bound is None for a complete basis and an integer when S-pairs above
-    that degree were discarded.  gb_lead holds (leading monomial, support
-    mask, element) for each element of gb, in gb's order; it is filled in at
-    construction when gb is given without it.
+    that degree were discarded.  gb holds monic polynomials.  gb_lead holds
+    (leading monomial, support mask, basis form) for each element of gb, in
+    gb's order, where the basis form is the element's integer form: over
+    GF(p) its monic residues, over Q the primitive integer polynomial with
+    positive leading coefficient.  gb_lead is filled in at construction when
+    gb is given without it.
     """
 
     ring: PolyRing
@@ -338,7 +376,8 @@ class IdealBasis:
 class _GBWorker:
     def __init__(self, ring: PolyRing):
         self.ring = ring
-        self.basis: list[tuple[Monomial, int, Poly]] = []  # (lm, mask of lm, monic poly)
+        self.modulus = ring.domain.characteristic  # 0 over Q
+        self.basis: list[tuple[Monomial, int, Poly]] = []  # (lm, mask of lm, basis form)
         self.pairs: list = []  # heap of (deg, lcm_key, i, j, lcm)
         self.treated: set[tuple[int, int]] = set()
 
@@ -349,51 +388,74 @@ class _GBWorker:
                 return idx
         return None
 
-    def normal_form(self, p: Poly) -> Poly:
-        # heap-driven reduction, largest monomial first; stale entries are
-        # skipped, and every fresh insertion below the current maximum gets
-        # exactly one pending heap entry.  The zero of every domain is falsy.
-        d = self.ring.domain
-        mul, plus, heappush = d.mul, d.add, heapq.heappush
-        h = dict(p)
+    def reduce(self, h: Poly) -> tuple[Poly, int]:
+        """Fraction-free reduction of the integer polynomial h, which is
+        consumed.  Returns (r, s): r = s * (the remainder of h), s a positive
+        int; over GF(p), s = 1 and r holds residues.
+
+        The largest monomial c*x^m of h is reduced by the first basis element
+        g whose lm divides it, as h <- a*h - c*x^(m - lm)*g, where a is g's
+        leading coefficient and a, c are first divided by their gcd: h and
+        the remainder are rescaled only when a != 1, which never happens over
+        GF(p).  So r is s times the remainder of the computation over the
+        field, step by step.  Every monomial of h has exactly one heap entry;
+        coefficients that cancel stay in h as zeros until they are popped."""
+        p, basis, reducer_index = self.modulus, self.basis, self.reducer_index
+        heappop, heappush, add = heapq.heappop, heapq.heappush, operator.add
         heap = [(-sum(m), m[::-1], m) for m in h]
         heapq.heapify(heap)
         out: Poly = {}
+        scale = 1
         while heap:
-            _, _, m = heapq.heappop(heap)
-            c = h.pop(m, None)
-            if c is None:
+            m = heappop(heap)[2]
+            c = h.pop(m)
+            if p:
+                c %= p
+            if not c:
                 continue
-            idx = self.reducer_index(m)
+            idx = reducer_index(m)
             if idx is None:
                 out[m] = c
                 continue
-            lm, _, g = self.basis[idx]
+            lm, _, g = basis[idx]
+            a = g[lm]
+            if a != 1:
+                d = gcd(a, c)
+                a //= d
+                c //= d
+                if a != 1:
+                    scale *= a
+                    for k in h:
+                        h[k] *= a
+                    for k in out:
+                        out[k] *= a
             shift = _msub(m, lm)
-            negc = d.neg(c)
             for mg, cg in g.items():
                 if mg == lm:
                     continue
-                key = tuple(map(operator.add, mg, shift))
+                key = tuple(map(add, mg, shift))
                 cur = h.get(key)
                 if cur is None:
-                    val = mul(negc, cg)
-                    if val:
-                        h[key] = val
-                        heappush(heap, (-sum(key), key[::-1], key))
+                    h[key] = -c * cg
+                    heappush(heap, (-sum(key), key[::-1], key))
                 else:
-                    s = plus(cur, mul(negc, cg))
-                    if s:
-                        h[key] = s
-                    else:
-                        del h[key]
-        return out
+                    h[key] = cur - c * cg
+        return out, scale
 
-    def add_element(self, p: Poly) -> None:
-        ring = self.ring
-        lm, mask, p = _lead(ring, ring.monic(p))
+    def normal_form(self, p: Poly) -> Poly:
+        """The remainder of p, with coefficients in the ring's domain."""
+        h, scale = _integral(self.ring, p)
+        r, s = self.reduce(h)
+        if self.modulus:
+            return r
+        scale *= s
+        return {m: Fraction(c, scale) for m, c in r.items()}
+
+    def add_element(self, h: Poly) -> None:
+        """Append the element with the nonzero integer multiple h."""
+        lm = self.ring.lm(h)
         k = len(self.basis)
-        self.basis.append((lm, mask, p))
+        self.basis.append((lm, _mask(lm), _basis_form(self.modulus, h, lm)))
         for i in range(k):
             lmi = self.basis[i][0]
             l = _mlcm(lmi, lm)
@@ -405,12 +467,20 @@ class _GBWorker:
             yield heapq.heappop(self.pairs)
 
     def spoly(self, i: int, j: int, l: Monomial) -> Poly:
-        ring = self.ring
+        """An integer multiple of the S-polynomial of elements i and j; its
+        cancelled leading term stays in as a zero."""
         lmi, _, gi = self.basis[i]
         lmj, _, gj = self.basis[j]
-        a = ring.mul_term(gi, _msub(l, lmi), ring.domain.one)
-        b = ring.mul_term(gj, _msub(l, lmj), ring.domain.one)
-        return ring.sub(a, b)
+        ai, aj = gi[lmi], gj[lmj]
+        d = gcd(ai, aj)
+        bi, bj = aj // d, ai // d
+        add = operator.add
+        si, sj = _msub(l, lmi), _msub(l, lmj)
+        out = {tuple(map(add, m, si)): bi * c for m, c in gi.items()}
+        for m, c in gj.items():
+            key = tuple(map(add, m, sj))
+            out[key] = out.get(key, 0) - bj * c
+        return out
 
     def chain_skip(self, i: int, j: int, l: Monomial) -> bool:
         lmi, maski, _ = self.basis[i]
@@ -464,13 +534,15 @@ def groebner(ideal: IdealBasis, bound=None) -> IdealBasis:
                 worker.treated.add(key)
                 continue
             worker.treated.add(key)
-            r = worker.normal_form(worker.spoly(i, j, l))
+            r, _ = worker.reduce(worker.spoly(i, j, l))
             if r:
                 worker.add_element(r)
         for g in by_degree.get(d, ()):
-            r = worker.normal_form(g)
+            r, _ = worker.reduce(_integral(ring, g)[0])
             if r:
-                assert ring.degree(r) == d
+                if ring.degree(r) != d:
+                    raise InvariantError(f"a degree-{d} generator reduced to degree "
+                                         f"{ring.degree(r)}")
                 mingens[d] = mingens.get(d, 0) + 1
                 worker.add_element(r)
         d += 1
@@ -478,7 +550,7 @@ def groebner(ideal: IdealBasis, bound=None) -> IdealBasis:
             break
     lead = _interreduce(worker)
     complete = bound is None or (not worker.pairs and degrees[-1] <= bound)
-    return IdealBasis(ring, list(ideal.gens), gb=[g for _, _, g in lead], gb_bound=bound,
+    return IdealBasis(ring, list(ideal.gens), gb=_field_forms(worker, lead), gb_bound=bound,
                       mingens=mingens, gb_complete=complete, gb_lead=lead)
 
 
@@ -486,7 +558,7 @@ def _groebner_plain(ideal: IdealBasis, gens) -> IdealBasis:
     ring = ideal.ring
     worker = _GBWorker(ring)
     for g in sorted(gens, key=lambda g: (ring.degree(g), _drl_key(ring.lm(g)))):
-        r = worker.normal_form(g)
+        r, _ = worker.reduce(_integral(ring, g)[0])
         if r:
             worker.add_element(r)
     while worker.pairs:
@@ -496,19 +568,23 @@ def _groebner_plain(ideal: IdealBasis, gens) -> IdealBasis:
             worker.treated.add(key)
             continue
         worker.treated.add(key)
-        r = worker.normal_form(worker.spoly(i, j, l))
+        r, _ = worker.reduce(worker.spoly(i, j, l))
         if r:
             worker.add_element(r)
     lead = _interreduce(worker)
-    return IdealBasis(ring, list(ideal.gens), gb=[g for _, _, g in lead], gb_bound=None,
+    return IdealBasis(ring, list(ideal.gens), gb=_field_forms(worker, lead), gb_bound=None,
                       mingens=None, gb_complete=True, gb_lead=lead)
 
 
+def _field_forms(worker: _GBWorker, lead: list) -> list:
+    return [_field_form(worker.modulus, g, lm) for lm, _, g in lead]
+
+
 def _interreduce(worker: _GBWorker) -> list:
-    """The reduced basis as (lm, mask, poly), sorted by lm: drop elements
-    whose lm another lm divides, then tail-reduce each survivor by the others.
-    The worker's elements are monic, and tail reduction leaves each leading
-    term in place, so the lms are computed once and the results stay monic."""
+    """The reduced basis as (lm, mask, basis form), sorted by lm: drop
+    elements whose lm another lm divides, then tail-reduce each survivor by
+    the others.  Tail reduction leaves each leading term in place, so the lms
+    are computed once."""
     basis = worker.basis
     keep = []
     for i, (lmi, maski, _) in enumerate(basis):
@@ -518,9 +594,9 @@ def _interreduce(worker: _GBWorker) -> list:
         keep.append(basis[i])
     w = _GBWorker(worker.ring)
     out = []
-    for i, (lm, mask, p) in enumerate(keep):
+    for i, (lm, mask, g) in enumerate(keep):
         w.basis = keep[:i] + keep[i + 1:]
-        out.append((lm, mask, w.normal_form(p)))
+        out.append((lm, mask, _basis_form(w.modulus, w.reduce(dict(g))[0], lm)))
     out.sort(key=lambda t: _drl_key(t[0]))
     return out
 
@@ -854,7 +930,8 @@ def quotient_invariant_factors(gens: list[list[int]], sub: list[list[int]]) -> t
     coords = []
     for row in [list(r) for r in sub]:
         c = _int_coords(row, big)
-        assert c is not None, "sub not inside the big lattice"
+        if c is None:
+            raise InvariantError("sub not inside the big lattice")
         coords.append(c)
     r = len(big)
     if not coords:

@@ -1,14 +1,32 @@
+import random
 from fractions import Fraction
 
 import pytest
 
-from steinberg import campaigns, cases
-from steinberg.cases import (IdealCase, UnsupportedCase, build_case, chart_symbolic_check,
+from steinberg import campaigns, cases, polyalg
+from steinberg.cases import (EVAL_PRIME, IdealCase, UnsupportedCase, build_case,
+                             chart_symbolic_check,
                              character_section_dims, commutator_layer_check,
                              gl_specialization_check, hilbert_cross_check, make_ideal,
                              multiplicity, parametrization_check, span17_check)
 from steinberg.polyalg import PolyRing, groebner, hilbert_function, min_gen_degrees
 from steinberg.report import FAIL, Emitter
+
+
+def _eval_poly(poly, point, p=EVAL_PRIME):
+    """Term-by-term value of poly at point mod p: the oracle for the compiled
+    evaluation of parametrization_check."""
+    total = 0
+    for mono, coeff in poly.items():
+        c = coeff
+        if isinstance(c, Fraction):
+            c = c.numerator * pow(c.denominator, -1, p)
+        term = c % p
+        for i, e in enumerate(mono):
+            if e:
+                term = term * pow(point[i], e, p) % p
+        total = (total + term) % p
+    return total
 
 
 def test_case_descriptors():
@@ -115,9 +133,26 @@ def test_gl_ideal_members_vanish_on_unipotent_pairs():
     point = {"f11": 1, "f12": 0, "f21": 0, "f22": 1,
              "s11": 1, "s12": 0, "s21": 0, "s22": 1, "u": 1, "v": 1}
     vals = [point[nm] for nm in data.ring.names]
-    from steinberg.cases import _eval_poly
-
     assert all(_eval_poly(g, vals) == 0 for g in data.gens)
+
+
+@pytest.mark.parametrize("tag", cases.CASE_TAGS)
+def test_compiled_evaluation_matches_term_by_term(tag):
+    # the case's generators (gl-n3 has coefficients 1/2) and the control, at
+    # seeded random points, where they do not vanish, and at the
+    # parametrized points of the check itself, where the generators do
+    data = build_case(IdealCase(tag))
+    ring = data.ring
+    control = ring.add(ring.mul(ring.var(ring.names[0]), ring.var(ring.names[1])), ring.const(1))
+    polys = data.gens + [control]
+    compiled = cases._Compiled(polys, ring.n)
+    rng = random.Random(f"compiled/{tag}")
+    points = [[rng.randrange(EVAL_PRIME) for _ in range(ring.n)] for _ in range(10)]
+    points.append([0] * ring.n)
+    points += [cases._point_for_case(IdealCase(tag), rng, ring) for _ in range(5)]
+    for point in points:
+        assert compiled.values(point) == [_eval_poly(g, point) for g in polys]
+    assert any(v for v in compiled.values(points[0])[:-1])
 
 
 def test_generators_reduce_to_zero_in_their_ideals():
@@ -153,7 +188,8 @@ def test_degree3_rows_rejects_non_integral_and_non_cubic():
 @pytest.fixture
 def groebner_calls(monkeypatch):
     """Empty the per-case memo and record (generators, bound) of every Groebner
-    basis built afterwards."""
+    basis built afterwards, including those of liealg, which looks groebner up
+    in polyalg at each call."""
     calls = []
 
     def counting(ideal, bound=None):
@@ -162,6 +198,7 @@ def groebner_calls(monkeypatch):
 
     monkeypatch.setattr(cases, "groebner", counting)
     monkeypatch.setattr(campaigns, "groebner", counting)
+    monkeypatch.setattr(polyalg, "groebner", counting)
     cases.clear_case_memo()
     yield calls
     cases.clear_case_memo()
@@ -220,6 +257,17 @@ def test_verify_all_runs_each_points_check_once_and_frees_its_memo(points_calls)
     assert all(e.status != FAIL for e in em.entries)
     for memo in (cases.case_basis, cases.case_hilbert, cases.case_points):
         assert memo.cache_info().currsize == 0
+
+
+def test_verify_all_builds_each_groebner_basis_once(groebner_calls):
+    em = Emitter()
+    campaigns.verify_all(em, seed=0, trials=5)
+    # the cnil symbolic check and the cnil points check read one reduction
+    inputs = {(tuple(tuple(sorted(g.items())) for g in gens), bound)
+              for gens, bound in groebner_calls}
+    assert len(groebner_calls) == len(inputs) == 18
+    assert all(e.status != FAIL for e in em.entries)
+    assert cases.case_cn_reduction.cache_info().currsize == 0
 
 
 def test_cnil_points_draw_no_conjugating_matrix(monkeypatch):

@@ -151,3 +151,13 @@ def test_verify_all_is_disjoint_union():
                 "multiplicity.", "classgroup."}
     for p in prefixes:
         assert any(i.startswith(p) for i in ids), p
+
+
+def test_verify_ideal_does_not_depend_on_assert(run_python):
+    # python -O strips assert statements: certification must not live in them
+    argv = ["-m", "steinberg.cli", "verify", "ideal", "--case", "n3-z", "--char", "0",
+            "--degree-bound", "3", "--trials", "5", "--format", "json"]
+    plain, optimized = run_python(*argv), run_python("-O", *argv)
+    assert (plain.returncode, optimized.returncode) == (0, 0), (plain.stderr, optimized.stderr)
+    assert json.loads(plain.stdout)["summary"]["fail"] == 0
+    assert optimized.stdout == plain.stdout

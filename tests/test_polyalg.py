@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 from fractions import Fraction
@@ -6,11 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from steinberg import polyalg
 from steinberg.cases import IdealCase, make_ideal
-from steinberg.polyalg import (DomainError, GradedDims, IdealBasis, IntMatrix, PolyRing,
-                               TruncationError, _minimal_lts, _series_numerator, groebner,
-                               hilbert_function, homogenize_by_elimination, hnf_rowspace,
-                               krull_dim, min_gen_degrees, normal_form,
+from steinberg.polyalg import (DomainError, GradedDims, IdealBasis, IntMatrix, InvariantError,
+                               PolyRing, TruncationError, _minimal_lts, _series_numerator,
+                               groebner, hilbert_function, homogenize_by_elimination,
+                               hnf_rowspace, krull_dim, min_gen_degrees, normal_form,
                                quotient_invariant_factors, snf)
 
 
@@ -373,3 +375,115 @@ def test_groebner_matches_sympy(data, char):
                   for g in want.exprs]
     assert _reduced_basis_set([list(g.items()) for g in got.gb], char) == \
         _reduced_basis_set(want_terms, char)
+
+
+def test_quotient_rejects_sub_outside_the_lattice(monkeypatch, run_python):
+    # an echelon basis that misses a row of sub must be caught by an error,
+    # not by an assert that python -O strips
+    def faulty(rows):
+        return [[2, 0], [0, 1]]
+
+    monkeypatch.setattr(polyalg, "hnf_rowspace", faulty)
+    with pytest.raises(InvariantError, match="sub not inside the big lattice"):
+        quotient_invariant_factors([[1, 0], [0, 1]], [[1, 0]])
+    script = ("from steinberg import polyalg\n"
+              "polyalg.hnf_rowspace = lambda rows: [[2, 0], [0, 1]]\n"
+              "try:\n"
+              "    polyalg.quotient_invariant_factors([[1, 0], [0, 1]], [[1, 0]])\n"
+              "except polyalg.InvariantError as e:\n"
+              "    print(type(e).__name__, e)\n")
+    done = run_python("-O", "-c", script)
+    assert done.stdout == "InvariantError sub not inside the big lattice\n", done.stderr
+
+
+# -- normal forms over Q against sympy.reduced ----------------------------------------
+
+RATIONALS = [Fraction(a, b) for a in (-3, -1, 1, 2) for b in (1, 2, 3, 5)]
+
+
+def _sympy_remainder(sympy, ring, p, basis):
+    """The remainder of p on division by the elements of basis.gb, by sympy."""
+    syms = sympy.symbols(ring.names)
+
+    def expr(q):
+        return sum(sympy.Rational(c.numerator, c.denominator) *
+                   sympy.prod(s ** e for s, e in zip(syms, m)) for m, c in q.items())
+
+    _, rem = sympy.reduced(expr(p), [expr(g) for g in basis.gb], *syms, order="grevlex")
+    return {m: Fraction(int(c.p), int(c.q))
+            for m, c in sympy.Poly(rem, *syms, domain="QQ").terms() if c}
+
+
+def _check_normal_form_over_q(sympy, ring, p, basis):
+    got = normal_form(p, basis)
+    assert all(type(c) is Fraction for c in got.values())
+    assert got == _sympy_remainder(sympy, ring, p, basis)
+
+
+@st.composite
+def _rational_polys(draw, ring, gens, top):
+    """A polynomial of degree <= top over Q: terms with denominators 2, 3, 5,
+    plus multiples of gens by monomials, so that reduction has work to do."""
+    p = {}
+    for m in draw(st.lists(st.sampled_from([m for k in range(top + 1)
+                                            for m in _monomials(ring.n, k)]), max_size=4)):
+        p = ring.add(p, ring.monomial(m, draw(st.sampled_from(RATIONALS))))
+    for _ in range(draw(st.integers(0, 3))):
+        g = draw(st.sampled_from(gens))
+        if ring.degree(g) > top:
+            continue
+        shift = draw(st.sampled_from(_monomials(ring.n, top - ring.degree(g))))
+        p = ring.add(p, ring.mul_term(g, shift, draw(st.sampled_from(RATIONALS))))
+    return p
+
+
+@st.composite
+def _rational_ideals_and_polys(draw):
+    n = draw(st.integers(2, 4))
+    ring = PolyRing([f"x{i}" for i in range(n)], 0)
+    gens = []
+    for _ in range(draw(st.integers(1, 3))):
+        picked = draw(st.lists(st.sampled_from(_monomials(n, draw(st.integers(1, 3)))),
+                               min_size=1, max_size=4, unique=True))
+        gens.append({m: draw(st.sampled_from(RATIONALS)) for m in picked})
+    return ring, gens, draw(_rational_polys(ring, gens, 4))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_rational_ideals_and_polys())
+def test_normal_form_over_q_matches_sympy(data):
+    sympy = pytest.importorskip("sympy")
+    ring, gens, p = data
+    _check_normal_form_over_q(sympy, ring, p, groebner(IdealBasis(ring, gens), None))
+
+
+@functools.lru_cache(maxsize=None)
+def _n3z_q_bound3():
+    ideal = make_ideal(IdealCase("n3-z", 0))
+    basis = groebner(ideal, 3)
+    # the integer forms of some elements have leading coefficient 2
+    assert {g[lm] for lm, _, g in basis.gb_lead} == {1, 2}
+    return ideal, basis
+
+
+@st.composite
+def _n3z_polys(draw):
+    ideal, basis = _n3z_q_bound3()
+    ring, top = ideal.ring, draw(st.integers(2, 3))
+    p = draw(_rational_polys(ring, ideal.gens, top))
+    # multiples of leading monomials: each is reduced by a basis element,
+    # among them those whose integer form has leading coefficient 2
+    lms = [lm for lm, _, _ in basis.gb_lead if sum(lm) <= top]
+    for lm in draw(st.lists(st.sampled_from(lms), min_size=1, max_size=3)):
+        shift = draw(st.sampled_from(_monomials(ring.n, top - sum(lm))))
+        m = tuple(a + b for a, b in zip(lm, shift))
+        p = ring.add(p, ring.monomial(m, draw(st.sampled_from(RATIONALS))))
+    return p
+
+
+@settings(max_examples=15, deadline=None)
+@given(_n3z_polys())
+def test_normal_form_over_q_matches_sympy_on_the_n3z_basis(p):
+    sympy = pytest.importorskip("sympy")
+    ideal, basis = _n3z_q_bound3()
+    _check_normal_form_over_q(sympy, ideal.ring, p, basis)
