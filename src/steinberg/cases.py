@@ -32,7 +32,7 @@ from functools import lru_cache
 
 from . import breps, bwb
 from .fieldops import Echelon, field_of, mat_add, mat_det, mat_mul, mat_sub, mat_trace
-from .polyalg import (GradedDims, IdealBasis, IntMatrix, PolyRing, groebner,
+from .polyalg import (ZZ, GradedDims, IdealBasis, IntMatrix, PolyRing, groebner,
                       hilbert_function, homogenize_by_elimination, normal_form,
                       quotient_invariant_factors, snf)
 from .weights import A1, A2, Weight
@@ -332,8 +332,7 @@ def _rand_matrix(rng, n, p=EVAL_PRIME):
 
 def _inv_mod(a, p=EVAL_PRIME):
     n = len(a)
-    d = mat_det(field_of(p), a)
-    dinv = pow(d, -1, p)
+    dinv = pow(mat_det(ZZ, a), -1, p)
     if n == 2:
         adj = [[a[1][1], -a[0][1]], [-a[1][0], a[0][0]]]
     else:
@@ -347,15 +346,19 @@ def _inv_mod(a, p=EVAL_PRIME):
     return [[adj[i][j] * dinv % p for j in range(n)] for i in range(n)]
 
 
+def _mod(a, p=EVAL_PRIME):
+    return [[x % p for x in row] for row in a]
+
+
 def _conj(g, ginv, m, p=EVAL_PRIME):
-    fld = field_of(p)
-    return mat_mul(fld, mat_mul(fld, g, m), ginv)
+    """g m ginv mod p: products over the integers, one reduction per entry."""
+    return _mod(mat_mul(ZZ, mat_mul(ZZ, g, m), ginv), p)
 
 
 def _rand_invertible(rng, n, p=EVAL_PRIME):
     while True:
         g = _rand_matrix(rng, n, p)
-        if mat_det(field_of(p), g):
+        if mat_det(ZZ, g) % p:
             return g
 
 
@@ -427,7 +430,7 @@ def _point_for_case(case: IdealCase, rng, ring) -> list[int]:
             nil = [[0, rng.randrange(p), 0], [0, 0, rng.randrange(p)], [0, 0, 0]]
         N = _conj(g, ginv, nil)
         inv2 = pow(2, -1, p)
-        N2 = mat_mul(field_of(p), N, N)
+        N2 = mat_mul(ZZ, N, N)
         sigma = [[(int(i == j) + N[i][j] + (N2[i][j] * inv2 if n == 3 else 0)) % p
                   for j in range(n)] for i in range(n)]
         vals = {"q": q, "u": pow(q, -(n * (n - 1) // 2), p), "v": 1}

@@ -180,9 +180,6 @@ class Echelon:
     def contains(self, v: dict) -> bool:
         return not self.reduce(v)
 
-    def pivot_indices(self) -> list[int]:
-        return sorted(self.rows)
-
 
 def span_rank(field, vectors) -> int:
     ech = Echelon(field)

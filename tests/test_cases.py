@@ -9,6 +9,7 @@ from steinberg.cases import (EVAL_PRIME, IdealCase, UnsupportedCase, build_case,
                              character_section_dims, commutator_layer_check,
                              gl_specialization_check, hilbert_cross_check, make_ideal,
                              multiplicity, parametrization_check, span17_check)
+from steinberg.fieldops import field_of
 from steinberg.polyalg import PolyRing, groebner, hilbert_function, min_gen_degrees
 from steinberg.report import FAIL, Emitter
 
@@ -153,6 +154,23 @@ def test_compiled_evaluation_matches_term_by_term(tag):
     for point in points:
         assert compiled.values(point) == [_eval_poly(g, point) for g in polys]
     assert any(v for v in compiled.values(points[0])[:-1])
+
+
+@pytest.mark.parametrize("tag", cases.CASE_TAGS)
+def test_integer_point_matrices_match_the_prime_field_route(tag, monkeypatch):
+    # _point_for_case multiplies its matrices over ZZ and reduces each entry
+    # once; with ZZ swapped for GF(EVAL_PRIME) every step reduces.  The
+    # residues, the random draws and so the points must agree
+    ring = build_case(IdealCase(tag)).ring
+
+    def points():
+        rng = random.Random(f"points/{tag}")
+        out = [cases._point_for_case(IdealCase(tag), rng, ring) for _ in range(25)]
+        return out, rng.random()
+
+    by_integers = points()
+    monkeypatch.setattr(cases, "ZZ", field_of(EVAL_PRIME))
+    assert points() == by_integers
 
 
 def test_generators_reduce_to_zero_in_their_ideals():

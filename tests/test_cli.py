@@ -8,6 +8,10 @@ import pytest
 from steinberg.cli import main
 
 
+# sha256 of `verify all --format json --trials 5`
+VERIFY_ALL_TRIALS5_SHA256 = "2d85f6e7d59a1eb7add32cbf58a7f1552bfd15e4bb98c96c4436aead697c9e62"
+
+
 def run_cli(argv):
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
@@ -138,8 +142,7 @@ def test_verify_all_is_disjoint_union():
     assert code == 0
     # the report is the behavioural contract: a change meant to alter it
     # updates this digest and says so in CHANGES.md
-    assert hashlib.sha256(out.encode()).hexdigest() == (
-        "2d85f6e7d59a1eb7add32cbf58a7f1552bfd15e4bb98c96c4436aead697c9e62")
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_ALL_TRIALS5_SHA256
     doc = json.loads(out)
     ids = [e["check_id"] for e in doc["entries"]]
     assert len(ids) == len(set(ids))
@@ -161,3 +164,11 @@ def test_verify_ideal_does_not_depend_on_assert(run_python):
     assert (plain.returncode, optimized.returncode) == (0, 0), (plain.stderr, optimized.stderr)
     assert json.loads(plain.stdout)["summary"]["fail"] == 0
     assert optimized.stdout == plain.stdout
+
+
+def test_verify_all_does_not_depend_on_assert(run_python):
+    argv = ["-m", "steinberg.cli", "verify", "all", "--trials", "5", "--format", "json"]
+    plain, optimized = run_python(*argv), run_python("-O", *argv)
+    assert (plain.returncode, optimized.returncode) == (0, 0), (plain.stderr, optimized.stderr)
+    for done in (plain, optimized):
+        assert hashlib.sha256(done.stdout.encode()).hexdigest() == VERIFY_ALL_TRIALS5_SHA256

@@ -487,3 +487,120 @@ def test_normal_form_over_q_matches_sympy_on_the_n3z_basis(p):
     sympy = pytest.importorskip("sympy")
     ideal, basis = _n3z_q_bound3()
     _check_normal_form_over_q(sympy, ideal.ring, p, basis)
+
+
+# -- the packed monomial kernel against its exponent-tuple counterparts ---------------
+
+CAP = polyalg._CAP
+
+
+@st.composite
+def _exponents(draw, n, top=CAP):
+    """An exponent vector in n variables of total degree at most top."""
+    total = draw(st.integers(0, top))
+    cuts = sorted(draw(st.lists(st.integers(0, total), min_size=n - 1, max_size=n - 1)))
+    return tuple(b - a for a, b in zip([0] + cuts, cuts + [total]))
+
+
+@st.composite
+def _monomial_pairs(draw):
+    """(n, a, b) in n variables; about half the time b is a multiple of a."""
+    n = draw(st.integers(1, 24))
+    a = draw(_exponents(n))
+    if draw(st.booleans()):
+        c = draw(_exponents(n, CAP - sum(a)))
+        return n, a, tuple(x + y for x, y in zip(a, c))
+    return n, a, draw(_exponents(n))
+
+
+def _sign(x, y):
+    return (x > y) - (x < y)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_monomial_pairs())
+def test_packed_monomials_match_exponent_tuples(data):
+    n, a, b = data
+    pk = polyalg._Packing(n)
+    pa, pb = pk.pack(a), pk.pack(b)
+    assert (pk.unpack(pa), pk.unpack(pb)) == (a, b)
+    # x ^ exps orders as degrevlex; x orders as S-pairs are treated
+    assert _sign(pa ^ pk.exps, pb ^ pk.exps) == _sign(polyalg._drl_key(a), polyalg._drl_key(b))
+    assert _sign(pa, pb) == _sign((sum(a), a[::-1]), (sum(b), b[::-1]))
+    assert pk.divides(pa, pb) == polyalg._divides(a, b)
+    assert pk.divides(pb, pa) == polyalg._divides(b, a)
+    lcm = tuple(map(max, a, b))
+    if sum(lcm) <= CAP:
+        assert pk.lcm(pa, pb) == pk.lcm(pb, pa) == pk.pack(lcm)
+    else:
+        with pytest.raises(InvariantError):
+            pk.lcm(pa, pb)
+    product = tuple(x + y for x, y in zip(a, b))
+    if sum(product) <= CAP:
+        assert pa + pb == pk.pack(product)
+
+
+def test_monomials_outside_the_packed_range_raise(run_python):
+    pk = polyalg._Packing(3)
+    for m in ((CAP + 1, 0, 0), (CAP, 1, 0), (0, -1, 0)):
+        with pytest.raises(InvariantError, match="outside the packed range"):
+            pk.pack(m)
+    with pytest.raises(InvariantError, match="outside the packed range"):
+        pk.lcm(pk.pack((CAP, 0, 0)), pk.pack((0, 1, 0)))
+    ring = PolyRing(("x", "y"), 5)
+    with pytest.raises(InvariantError, match="outside the packed range"):
+        groebner(IdealBasis(ring, [ring.monomial((CAP + 1, 0))]), None)
+    script = ("from steinberg import polyalg\n"
+              "pk = polyalg._Packing(3)\n"
+              f"for call in (lambda: pk.pack(({CAP + 1}, 0, 0)),\n"
+              f"             lambda: pk.lcm(pk.pack(({CAP}, 0, 0)), pk.pack((0, 1, 0)))):\n"
+              "    try:\n"
+              "        call()\n"
+              "    except polyalg.InvariantError:\n"
+              "        print('raised')\n")
+    done = run_python("-O", "-c", script)
+    assert done.stdout == "raised\nraised\n", done.stderr
+
+
+# -- certificates read back through the reference reducer -----------------------------
+
+N3X_NUMERATOR = [1, -2, -10, 20, 83, -302, 204, 600, -1545, 1634, -874, 148, 85, -50, 8]
+
+
+def _s_polynomial(ring, gi, lmi, gj, lmj, l):
+    shift = [tuple(x - y for x, y in zip(l, lm)) for lm in (lmi, lmj)]
+    return ring.sub(ring.mul_term(gi, shift[0], 1), ring.mul_term(gj, shift[1], 1))
+
+
+def _assert_buchberger_criterion(basis, bound):
+    """Every generator and every S-polynomial of non-coprime leading
+    monomials (of lcm degree <= bound) has normal form 0."""
+    ring = basis.ring
+    for g in basis.gens:
+        assert normal_form(g, basis) == {}
+    lead = basis.gb_lead
+    pairs = 0
+    for i, j in itertools.combinations(range(len(lead)), 2):
+        (lmi, maski, _), (lmj, maskj, _) = lead[i], lead[j]
+        l = tuple(map(max, lmi, lmj))
+        if not maski & maskj or (bound is not None and sum(l) > bound):
+            continue
+        pairs += 1
+        s = _s_polynomial(ring, basis.gb[i], lmi, basis.gb[j], lmj, l)
+        assert normal_form(s, basis) == {}, (lmi, lmj)
+    return pairs
+
+
+@pytest.mark.parametrize("char", [0, 5, 7])
+def test_complete_n3x_basis_is_a_certified_groebner_basis(char):
+    basis = groebner(make_ideal(IdealCase("n3-x", char)), None)
+    assert basis.gb_complete and len(basis.gb) == 53
+    assert krull_dim(basis) == 8
+    assert _series_numerator(_minimal_lts(basis), 20) == N3X_NUMERATOR + [0] * 6
+    assert _assert_buchberger_criterion(basis, None) > 0
+
+
+def test_truncated_n3z_basis_passes_the_criterion_within_its_bound():
+    basis = groebner(make_ideal(IdealCase("n3-z", 5)), 4)
+    assert not basis.gb_complete and len(basis.gb) == 80
+    assert _assert_buchberger_criterion(basis, 4) > 0
