@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .breps import WeightMultiset, build_rep
+from .fieldops import InvariantError
 from .weights import A2, Located, OutsideLocus, RootDatum, Singular, Weight
 
 
@@ -120,7 +121,8 @@ def weyl_dim(lam: Weight, datum: RootDatum = A2) -> int:
     for c in datum.positive_coroots:
         num *= datum.pairing(shifted, c)
         den *= datum.pairing(datum.rho, c)
-    assert num % den == 0
+    if num % den:
+        raise InvariantError(f"Weyl's dimension formula gives {num}/{den} at {lam}")
     return num // den
 
 
@@ -135,7 +137,8 @@ def euler_char(rep: WeightMultiset, datum: RootDatum = A2) -> GrothendieckElemen
         res = datum.locate(mu, 0)
         if isinstance(res, Singular):
             continue
-        assert isinstance(res, Located)
+        if not isinstance(res, Located):
+            raise InvariantError(f"locate({mu}, 0) returned {res}")
         terms.append((res.lam, (-1) ** res.w.length * mult))
     return GrothendieckElement(terms)
 
@@ -162,7 +165,8 @@ def line_cohomology(mu: Weight, l: int, datum: RootDatum = A2) -> dict[int, Grot
         raise NotDecidable(f"singular weight {mu} outside the bounded region at l={l}")
     if isinstance(res, OutsideLocus):
         raise NotDecidable(f"regular weight {mu} outside the bounded region at l={l}")
-    assert isinstance(res, Located)
+    if not isinstance(res, Located):
+        raise InvariantError(f"locate({mu}, {l}) returned {res}")
     return {res.w.length: GrothendieckElement.of(res.lam)}
 
 
@@ -189,8 +193,8 @@ def psupp(rep: WeightMultiset, i: int, l: int, datum: RootDatum = A2) -> WeightM
     length_i = [w for w in datum.weyl if w.length == i]
     for mu, mult in rep:
         for w in length_i:
-            lam = datum.dot_action(datum.inverse(w), mu)
-            if datum.in_c0(lam, l):
+            lam = datum.c0_preimage(w, mu, l)
+            if lam is not None:
                 acc[lam] = acc.get(lam, 0) + mult
     return WeightMultiset(acc)
 

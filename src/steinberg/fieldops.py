@@ -16,6 +16,13 @@ from fractions import Fraction
 from functools import reduce
 
 
+class InvariantError(ValueError):
+    """A computed result broke an invariant that the certification relies on.
+
+    Raised instead of `assert`, so that the check also runs under `python -O`.
+    """
+
+
 class RationalField:
     name = "QQ"
     characteristic = 0

@@ -18,20 +18,22 @@ e_{-nu}(t_mu) = delta_{nu,mu} f_nu; the defining linear system is singular
 exactly in characteristic 3.
 
 Derived representations (wedge powers, tensor products, twists, subquotients)
-carry the three lowering operators functorially; every constructor asserts
+carry the three lowering operators functorially; every constructor checks
 the weight grading.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from types import MappingProxyType
 
 from . import breps
 from .breps import Atom, Dual, FAtom, RepExpr, Sum, SymPow, Tensor, Twist, Wedge, WeightMultiset, parse_rep
-from .fieldops import (Echelon, apply_op, field_of, mat_mul, mat_sub, span_coords, span_rank,
-                       vec_iadd_scaled, vec_scale, vec_sub)
+from .fieldops import (Echelon, InvariantError, apply_op, field_of, mat_mul, mat_sub, span_coords,
+                       span_rank, vec_iadd_scaled, vec_scale, vec_sub)
 from .weights import A2, Located, Weight
 
 # negatives of the positive roots: the weight shifts of the lowering operators
@@ -87,9 +89,8 @@ class BasedRep:
             for j, col in enumerate(cols):
                 target = A2.add(self.weights[j], shift)
                 for i in col:
-                    assert self.weights[i] == target, (
-                        f"{name} breaks the weight grading at {self.labels[j]}"
-                    )
+                    if self.weights[i] != target:
+                        raise InvariantError(f"{name} breaks the weight grading at {self.labels[j]}")
 
     def bracket_constant(self) -> object:
         """The unit c with [e_a, e_b] = c * e_r, recorded for reproducibility."""
@@ -121,8 +122,15 @@ def _mat3(entries) -> tuple:
     return tuple(tuple(entries[i][j] for j in range(3)) for i in range(3))
 
 
+@functools.lru_cache(maxsize=None)
 def borel_rep(char=0) -> BasedRep:
-    """The 5-dimensional Borel subalgebra as a representation of itself."""
+    """The 5-dimensional Borel subalgebra as a representation of itself.
+
+    A constant of the field, built once per characteristic and shared by
+    every model built from it, so its operators are read-only mappings:
+    derived constructions copy or re-index the columns.  Characteristic 3
+    raises CharacteristicError on every call (lru_cache keeps no exceptions).
+    """
     fld = field_of(char)
     z, o = fld.zero, fld.one
     E12 = _mat3([[z, o, z], [z, z, z], [z, z, z]])
@@ -160,11 +168,15 @@ def borel_rep(char=0) -> BasedRep:
 
     ops = {}
     for name, gen in (("ea", fa), ("eb", fb), ("er", fr)):
-        ops[name] = tuple(coords_of(mat_sub(fld, mat_mul(fld, gen, bv), mat_mul(fld, bv, gen)))
+        # read-only columns: every caller gets this same object
+        ops[name] = tuple(MappingProxyType(coords_of(mat_sub(fld, mat_mul(fld, gen, bv),
+                                                             mat_mul(fld, bv, gen))))
                           for bv in basis)
-    rep = BasedRep(fld, _B_LABELS, _B_WEIGHTS, ops)
+    rep = BasedRep(fld, _B_LABELS, _B_WEIGHTS, MappingProxyType(ops))
     rep.check_grading()
-    assert rep.bracket_constant() == fld.neg(fld.one)
+    if rep.bracket_constant() != fld.neg(fld.one):
+        raise InvariantError(f"[e_a, e_b] = {rep.bracket_constant()} * e_r over {fld.name}, "
+                             "not the recorded unit -1")
     return rep
 
 
@@ -293,7 +305,8 @@ def build_based_rep(expr: RepExpr | str, char=0) -> BasedRep:
 
     rep = go(expr)
     # the explicit model must agree with the character-level computation
-    assert rep.weight_multiset() == breps.build_rep(expr), "weight multiset mismatch"
+    if rep.weight_multiset() != breps.build_rep(expr):
+        raise InvariantError(f"the model of {expr} does not have the weights of its character")
     return rep
 
 

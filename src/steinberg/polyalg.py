@@ -46,7 +46,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, gcd, lcm
 
-from .fieldops import Echelon, field_of
+from .fieldops import Echelon, InvariantError, field_of
 
 Monomial = tuple[int, ...]
 Poly = dict
@@ -338,10 +338,6 @@ def _msub(a: Monomial, b: Monomial) -> Monomial:
 
 class TruncationError(ValueError):
     """Operation needs Groebner data beyond the computed bound."""
-
-
-class InvariantError(ValueError):
-    """A computed result broke an invariant that the certification relies on."""
 
 
 class DomainError(TypeError):

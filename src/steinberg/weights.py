@@ -28,6 +28,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .fieldops import InvariantError
+
 Weight = tuple[int, ...]
 
 
@@ -55,6 +57,11 @@ def _mat_mul(a, b):
     return tuple(tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n)) for i in range(n))
 
 
+def _pad(v: tuple) -> tuple[int, int]:
+    """A row or linear form of rank <= 2 as a coefficient pair."""
+    return (v[0], v[1] if len(v) > 1 else 0)
+
+
 class RootDatum:
     """Rank-1 or rank-2 (type A) root datum with its full Weyl group.
 
@@ -62,8 +69,16 @@ class RootDatum:
         rank: 1 for SL2, 2 for SL3.
         rho: the half-sum of positive roots, in fundamental-weight coordinates.
         simple_roots: (alpha,) or (alpha, beta).
-        positive_coroots: pairing vectors; <lam, c> = dot(lam, c).
+        positive_coroots: pairing vectors; <lam, c> = dot(lam, c).  The
+            simple coroots come first.
         weyl: all Weyl elements, sorted by (length, name).
+
+    The Weyl group's fixed data is tabulated once, here, so that the dot-action
+    queries below are straight-line integer code: the inverse of each w, the
+    rows of w^{-1}, and the positive coroots composed with w^{-1}.  Tables act
+    on x = mu + rho padded to a pair (x0, x1) (x1 = 0 in rank 1): a row or a
+    composed coroot is a pair (p, q), and p*x0 + q*x1 is the coordinate of
+    w^{-1}(x), or its pairing with the coroot.
     """
 
     def __init__(self, rank: int):
@@ -86,7 +101,21 @@ class RootDatum:
             )
         self.weyl = self._generate(refl)
         self._by_name = {w.name: w for w in self.weyl}
+        ident = self.identity.matrix
+        self._inverse = {w.name: v for w in self.weyl for v in self.weyl
+                         if _mat_mul(w.matrix, v.matrix) == ident}
+        self._coroots = tuple(_pad(c) for c in self.positive_coroots)
+        # w.name -> (rows of w^{-1}, positive coroots composed with w^{-1}),
+        # in the order of self.weyl
+        self._dot_forms = {w.name: self._forms(self._inverse[w.name]) for w in self.weyl}
         self._check_tables()
+
+    def _forms(self, v: WeylElement) -> tuple[tuple, tuple]:
+        """The rows of v and the positive coroots composed with v, padded."""
+        m = v.matrix
+        composed = tuple(tuple(sum(c[i] * m[i][j] for i in range(self.rank))
+                               for j in range(self.rank)) for c in self.positive_coroots)
+        return tuple(_pad(row) for row in m), tuple(_pad(c) for c in composed)
 
     def _generate(self, refl: tuple[WeylElement, ...]) -> tuple[WeylElement, ...]:
         n = self.rank
@@ -110,17 +139,33 @@ class RootDatum:
         return tuple(elems)
 
     def _check_tables(self) -> None:
-        # coordinate identities promised by the stored root table
+        """Coordinate identities promised by the stored root and Weyl tables;
+        raises InvariantError when one fails."""
+        # rho = (1, ..., 1): the tables shift by it without reading it
         for root, coroot in zip(self.simple_roots, self.positive_coroots):
-            assert self.pairing(root, coroot) == 2
-            assert self.pairing(self.rho, coroot) == 1
+            if self.pairing(root, coroot) != 2 or self.pairing(self.rho, coroot) != 1:
+                raise InvariantError(f"simple root {root} and coroot {coroot} do not pair "
+                                     f"as 2, or rho {self.rho} does not pair with it as 1")
         if self.rank == 1:
-            assert self.simple_roots[0] == (2,)
+            if self.simple_roots[0] != (2,):
+                raise InvariantError(f"the A1 simple root is {self.simple_roots[0]}, not (2,)")
         else:
             alpha, beta = self.simple_roots
-            assert self.add(alpha, beta) == self.rho
+            if self.add(alpha, beta) != self.rho:
+                raise InvariantError(f"alpha + beta = {self.add(alpha, beta)} != rho {self.rho}")
         lengths = sorted(w.length for w in self.weyl)
-        assert lengths == ([0, 1] if self.rank == 1 else [0, 1, 1, 2, 2, 3])
+        if lengths != ([0, 1] if self.rank == 1 else [0, 1, 1, 2, 2, 3]):
+            raise InvariantError(f"Weyl group element lengths {lengths}")
+        ident = self.identity.matrix
+        for w in self.weyl:
+            inv = self._inverse.get(w.name)
+            if inv is None or _mat_mul(w.matrix, inv.matrix) != ident:
+                raise InvariantError(f"stored inverse of {w} is {inv}")
+        # the simple coroots come first and pair as coordinates, so the first
+        # composed coroots are the rows of w^{-1}; c0_preimage relies on it
+        for name, (rows, composed) in self._dot_forms.items():
+            if rows != composed[:self.rank]:
+                raise InvariantError(f"the simple coroots composed with {name}^-1 are not its rows")
 
     # -- basic weight arithmetic ------------------------------------------
 
@@ -143,6 +188,10 @@ class RootDatum:
     def dominant(self, lam: Weight) -> bool:
         return all(x >= 0 for x in lam)
 
+    def _shift(self, mu: Weight) -> tuple[int, int]:
+        """mu + rho as the pair (x0, x1) that the tables act on."""
+        return (mu[0] + 1, mu[1] + 1) if self.rank == 2 else (mu[0] + 1, 0)
+
     # -- Weyl group --------------------------------------------------------
 
     def element(self, name: str) -> WeylElement:
@@ -164,10 +213,7 @@ class RootDatum:
         raise AssertionError("Weyl group not closed under composition")
 
     def inverse(self, w: WeylElement) -> WeylElement:
-        for v in self.weyl:
-            if _mat_mul(w.matrix, v.matrix) == self.identity.matrix:
-                return v
-        raise AssertionError("Weyl element without inverse")
+        return self._inverse[w.name]
 
     def dot_action(self, w: WeylElement, lam: Weight) -> Weight:
         """The rho-shifted action w . lam = w(lam + rho) - rho."""
@@ -177,20 +223,44 @@ class RootDatum:
 
     def singular(self, mu: Weight) -> bool:
         """True iff mu + rho lies on some wall <. , kappa_vee> = 0."""
-        shifted = self.add(mu, self.rho)
-        return any(self.pairing(shifted, c) == 0 for c in self.positive_coroots)
+        x0, x1 = self._shift(mu)
+        return any(p * x0 + q * x1 == 0 for p, q in self._coroots)
 
     def in_cbar(self, lam: Weight, l: int) -> bool:
         """Membership in the closed bottom alcove Cbar(l)."""
-        shifted = self.add(lam, self.rho)
-        return all(0 <= self.pairing(shifted, c) <= l for c in self.positive_coroots)
+        x0, x1 = self._shift(lam)
+        return all(0 <= p * x0 + q * x1 <= l for p, q in self._coroots)
 
     def in_c0(self, lam: Weight, l: int) -> bool:
-        return self.dominant(lam) and self.in_cbar(lam, l)
+        """Membership in C0(l): dominant and in Cbar(l)."""
+        return self.c0_preimage(self.identity, lam, l) is not None
+
+    def c0_preimage(self, w: WeylElement, mu: Weight, l: int) -> Weight | None:
+        """w^{-1} . mu when it lies in C0(l), else None.
+
+        In C0(l) every pairing of lam + rho with a positive coroot lies in
+        [1, l]: at least 1 on the simple coroots (dominance), hence on all.
+        """
+        x0, x1 = self._shift(mu)
+        rows, composed = self._dot_forms[w.name]
+        for p, q in composed:
+            y = p * x0 + q * x1
+            if y < 1 or y > l:
+                return None
+        return tuple(p * x0 + q * x1 - 1 for p, q in rows)
 
     def in_bwb_locus(self, mu: Weight, l: int) -> bool:
-        """Membership in the union of dot translates of Cbar(l)."""
-        return any(self.in_cbar(self.dot_action(self.inverse(w), mu), l) for w in self.weyl)
+        """Membership in the union of dot translates of Cbar(l): some w has
+        every pairing of w^{-1}(mu + rho) with a positive coroot in [0, l]."""
+        x0, x1 = self._shift(mu)
+        for _, composed in self._dot_forms.values():
+            for p, q in composed:
+                y = p * x0 + q * x1
+                if y < 0 or y > l:
+                    break
+            else:
+                return True
+        return False
 
     def locate(self, mu: Weight, l: int):
         """Place mu relative to the dot-Weyl chambers and the bound l.
@@ -204,14 +274,20 @@ class RootDatum:
             raise ValueError(f"l must be 0 or a prime, got {l}")
         if self.singular(mu):
             return Singular()
+        x0, x1 = self._shift(mu)
         hits = []
         for w in self.weyl:
-            lam = self.dot_action(self.inverse(w), mu)
-            if self.dominant(lam):
-                hits.append((w, lam))
-        assert len(hits) == 1, f"regular weight {mu} with {len(hits)} dominant representatives"
-        w, lam = hits[0]
-        if l > 0 and not self.in_cbar(lam, l):
+            rows, composed = self._dot_forms[w.name]
+            for p, q in rows:
+                if p * x0 + q * x1 <= 0:
+                    break
+            else:
+                hits.append((w, rows, composed))
+        if len(hits) != 1:
+            raise InvariantError(f"regular weight {mu} with {len(hits)} dominant representatives")
+        w, rows, composed = hits[0]
+        lam = tuple(p * x0 + q * x1 - 1 for p, q in rows)
+        if l > 0 and any(p * x0 + q * x1 > l for p, q in composed):
             return OutsideLocus(w, lam)
         return Located(w, lam)
 
@@ -255,8 +331,16 @@ RHO: Weight = A2.rho
 ALPHA: Weight = A2.simple_roots[0]
 BETA: Weight = A2.simple_roots[1]
 
-assert A2.sub(L1, L2) == ALPHA and A2.sub(L2, L3) == BETA and A2.sub(L1, L3) == RHO
-assert A2.add(A2.add(L1, L2), L3) == (0, 0)
+
+def _check_named_weights() -> None:
+    """L1 - L2 = alpha, L2 - L3 = beta, L1 - L3 = rho and L1 + L2 + L3 = 0."""
+    if (A2.sub(L1, L2), A2.sub(L2, L3), A2.sub(L1, L3)) != (ALPHA, BETA, RHO):
+        raise InvariantError("the named weights L1, L2, L3 do not give alpha, beta, rho")
+    if A2.add(A2.add(L1, L2), L3) != (0, 0):
+        raise InvariantError("L1 + L2 + L3 is not 0")
+
+
+_check_named_weights()
 
 
 # -- divisor class group of the special fibre (n = 3) ------------------------

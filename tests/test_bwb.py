@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -196,3 +197,41 @@ def test_alpha_twist_euler_characteristic():
     assert chi == GrothendieckElement.of((1, 1), -1)
     chi2 = euler_char(build_rep("tw(2,-1)(b + b)"))
     assert chi2 == GrothendieckElement.of((1, 1), -2)
+
+
+# sha256 of the character-side answers below; recorded with the search-based
+# Weyl-group code that the tabulated RootDatum replaced
+CHARACTER_SIDE_SHA256 = "f4cd9e0430053865c831200fccbc8677e4c9afbd8f27656e50b158732233d5a4"
+
+
+def _character_side_text() -> str:
+    """euler_char, bwb_good and psupp^0..3 of every tables.txt row, and locate
+    and line_cohomology on the weights with |a|, |b| <= 12, at l = 5 and 7."""
+    tables = parse_tables(load_data_text("tables.txt"))
+    lines = []
+    for l in (5, 7):
+        for table in tables.values():
+            for row in table.rows:
+                rep = build_rep(row.rep_text)
+                good, witnesses = bwb_good(rep, l)
+                lines.append(f"l={l} {row.rep_text} chi={euler_char(rep)} good={good} "
+                             f"witnesses={witnesses!r}")
+                if good:
+                    lines += [f"  psupp^{i}={psupp(rep, i, l)!r}" for i in range(4)]
+        for a in range(-12, 13):
+            for b in range(-12, 13):
+                res = A2.locate((a, b), l)
+                w = getattr(res, "w", None)
+                try:
+                    h = repr(sorted((k, str(v)) for k, v in line_cohomology((a, b), l).items()))
+                except NotDecidable:
+                    h = "not-decidable"
+                lines.append(f"l={l} ({a},{b}) {type(res).__name__}:{w.name if w else ''}:"
+                             f"{getattr(res, 'lam', '')} {h}")
+    return "\n".join(lines) + "\n"
+
+
+def test_character_side_pinned():
+    text = _character_side_text()
+    assert len(text.splitlines()) == 1380
+    assert hashlib.sha256(text.encode()).hexdigest() == CHARACTER_SIDE_SHA256

@@ -42,6 +42,23 @@ def test_characteristic_three_rejected():
         build_based_rep("wedge^2(b)", 3)
 
 
+def test_borel_atom_is_shared_and_never_mutated():
+    for char in (0, 5, 7, 11):
+        atom = borel_rep(char)
+        assert borel_rep(char) is atom
+        for expr in ("b*b", "wedge^2(b)", "tw(1,0)(b)", "b + b"):
+            build_based_rep(expr, char)
+        fresh = borel_rep.__wrapped__(char)
+        assert atom is not fresh and atom.ops == fresh.ops
+        assert (atom.labels, atom.weights) == (fresh.labels, fresh.weights)
+        with pytest.raises(TypeError):
+            atom.ops["ea"][2][0] = atom.fld.one
+    # exceptions are not cached: characteristic 3 fails on every call
+    for _ in range(3):
+        with pytest.raises(CharacteristicError):
+            borel_rep(3)
+
+
 def test_unknown_atom_rejected():
     with pytest.raises(UnknownAtomError):
         build_based_rep("g")

@@ -1,7 +1,11 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from steinberg.breps import WeightMultiset
+from steinberg.bwb import NotBWBGood, bwb_good, psupp
 from steinberg.weights import (A1, A2, ALPHA, BETA, L1, L2, L3, RHO, ClassGroupElement,
                                Located, OutsideLocus, Singular, class_reduce, iota,
                                self_dual_classes)
@@ -151,3 +155,142 @@ def test_self_dual_classes():
                 c = class_reduce((a, b))
                 found.add((c.free_part, c.torsion_part))
     assert found == {(1, 0), (1, 1), (1, 2)}
+
+
+def test_corrupted_tables_raise_without_assert(run_python):
+    # the table checks raise InvariantError, so they also run under -O
+    script = (
+        "from steinberg.fieldops import InvariantError\n"
+        "from steinberg.weights import RootDatum\n"
+        "def corrupt(name, edit, probe):\n"
+        "    d = RootDatum(2)\n"
+        "    edit(d)\n"
+        "    try:\n"
+        "        probe(d)\n"
+        "    except InvariantError:\n"
+        "        print(name, 'raised')\n"
+        "def swap_inverses(d):\n"
+        "    d._inverse['sa.sb'], d._inverse['sb.sa'] = d._inverse['sb.sa'], d._inverse['sa.sb']\n"
+        "def shift_rho(d):\n"
+        "    d.rho = (1, 2)\n"
+        "def copy_identity(d):\n"
+        "    d._dot_forms['sa'] = d._dot_forms['e']\n"
+        "corrupt('inverse', swap_inverses, RootDatum._check_tables)\n"
+        "corrupt('rho', shift_rho, RootDatum._check_tables)\n"
+        "corrupt('locate', copy_identity, lambda d: d.locate((0, 0), 5))\n"
+    )
+    done = run_python("-O", "-c", script)
+    assert done.stdout == "inverse raised\nrho raised\nlocate raised\n", done.stderr
+
+
+# -- brute-force reference for the Weyl tables ---------------------------------
+# Built from WeylElement.matrix and the definitions in the weights module
+# docstring only: rho = (1, ..., 1), the positive coroots pair as a, b and
+# a + b (as a in rank 1), w . lam = w(lam + rho) - rho, and Cbar(l) bounds
+# every pairing of lam + rho by [0, l].
+
+
+def _ref_coroots(datum):
+    return ((1,),) if datum.rank == 1 else ((1, 0), (0, 1), (1, 1))
+
+
+def _ref_act(matrix, v):
+    return tuple(sum(m * x for m, x in zip(row, v)) for row in matrix)
+
+
+def _ref_inverse(datum, w):
+    n = datum.rank
+    ident = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+    hits = [v for v in datum.weyl
+            if tuple(tuple(sum(w.matrix[i][k] * v.matrix[k][j] for k in range(n))
+                           for j in range(n)) for i in range(n)) == ident]
+    assert len(hits) == 1
+    return hits[0]
+
+
+def _ref_dot(datum, w, lam):
+    shifted = _ref_act(w.matrix, tuple(x + 1 for x in lam))
+    return tuple(x - 1 for x in shifted)
+
+
+def _ref_pairings(datum, lam):
+    return [sum(c * (x + 1) for c, x in zip(cor, lam)) for cor in _ref_coroots(datum)]
+
+
+def _ref_in_cbar(datum, lam, l):
+    return all(0 <= y <= l for y in _ref_pairings(datum, lam))
+
+
+def _ref_in_c0(datum, lam, l):
+    return all(x >= 0 for x in lam) and _ref_in_cbar(datum, lam, l)
+
+
+def _ref_preimages(datum, mu):
+    return [(w, _ref_dot(datum, _ref_inverse(datum, w), mu)) for w in datum.weyl]
+
+
+def _ref_locate(datum, mu, l):
+    if 0 in _ref_pairings(datum, mu):
+        return Singular()
+    [(w, lam)] = [(w, lam) for w, lam in _ref_preimages(datum, mu) if all(x >= 0 for x in lam)]
+    if l > 0 and not _ref_in_cbar(datum, lam, l):
+        return OutsideLocus(w, lam)
+    return Located(w, lam)
+
+
+def _ref_psupp(datum, weights, i, l):
+    acc = {}
+    for mu, mult in weights:
+        for w, lam in _ref_preimages(datum, mu):
+            if w.length == i and _ref_in_c0(datum, lam, l):
+                acc[lam] = acc.get(lam, 0) + mult
+    return WeightMultiset(acc)
+
+
+_DATA = st.sampled_from([A1, A2])
+_PRIMES = st.sampled_from([0, 5, 7, 11, 13])
+_COORD = st.integers(-40, 40)
+
+
+def _weight(datum, coords):
+    return tuple(coords[:datum.rank])
+
+
+@settings(max_examples=400, deadline=None)
+@given(_DATA, st.tuples(_COORD, _COORD), _PRIMES)
+def test_weyl_tables_match_brute_force(datum, coords, l):
+    mu = _weight(datum, coords)
+    for w in datum.weyl:
+        assert datum.inverse(w) == _ref_inverse(datum, w)
+        assert datum.dot_action(w, mu) == _ref_dot(datum, w, mu)
+    assert datum.locate(mu, l) == _ref_locate(datum, mu, l)
+    assert datum.in_bwb_locus(mu, l) == any(_ref_in_cbar(datum, lam, l)
+                                            for _, lam in _ref_preimages(datum, mu))
+    assert datum.in_cbar(mu, l) == _ref_in_cbar(datum, mu, l)
+    assert datum.in_c0(mu, l) == _ref_in_c0(datum, mu, l)
+    assert datum.singular(mu) == (0 in _ref_pairings(datum, mu))
+
+
+@st.composite
+def _psupp_inputs(draw):
+    datum, l = draw(_DATA), draw(_PRIMES)
+    # the whole box, or the box |<mu + rho, c>| <= l around the bounded region
+    lo, hi = draw(st.sampled_from([(-40, 40), (-l - 1, l - 1)]))
+    coord = st.integers(lo, hi)
+    coords = draw(st.lists(st.tuples(coord, coord), min_size=1, max_size=4))
+    return datum, WeightMultiset([_weight(datum, c) for c in coords]), l
+
+
+@settings(max_examples=200, deadline=None)
+@given(_psupp_inputs())
+def test_psupp_matches_brute_force(inputs):
+    datum, weights, l = inputs
+    good = all(any(_ref_in_cbar(datum, lam, l) for _, lam in _ref_preimages(datum, mu))
+               for mu, _ in weights)
+    assert bwb_good(weights, l, datum)[0] == good
+    for i in range(max(w.length for w in datum.weyl) + 1):
+        if good:
+            assert psupp(weights, i, l, datum) == _ref_psupp(datum, weights, i, l)
+        else:
+            with pytest.raises(NotBWBGood):
+                psupp(weights, i, l, datum)
