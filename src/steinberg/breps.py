@@ -14,8 +14,9 @@ whitespace-insensitive and the printer round-trips through the parser.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
+from math import comb
+from operator import add
 
 from .weights import A2, RootDatum, Weight
 
@@ -65,13 +66,6 @@ class WeightMultiset:
                 return m
         return 0
 
-    def weights_list(self) -> list[Weight]:
-        """The multiset expanded to a sorted list of length ``dimension``."""
-        out: list[Weight] = []
-        for w, m in self.items:
-            out.extend([w] * m)
-        return out
-
     # -- constructions -----------------------------------------------------
 
     def add(self, other: "WeightMultiset") -> "WeightMultiset":
@@ -89,26 +83,45 @@ class WeightMultiset:
         return WeightMultiset(acc)
 
     def wedge(self, j: int) -> "WeightMultiset":
+        """The t^j coefficient of prod (1 + t x^w)^m over the weights w of
+        multiplicity m."""
         if j < 0:
             raise ValueError("wedge power must be nonnegative")
-        basis = self.weights_list()
-        acc: dict[Weight, int] = {}
-        for combo in itertools.combinations(basis, j):
-            key = _wsum(combo, self._rank())
-            acc[key] = acc.get(key, 0) + 1
-        return WeightMultiset(acc)
+        return self._power(j, lambda m, a: comb(m, a))
 
     def sym(self, k: int) -> "WeightMultiset":
+        """The t^k coefficient of prod (1 - t x^w)^(-m) over the weights w of
+        multiplicity m."""
         if k < 0:
             raise ValueError("sym power must be nonnegative")
-        basis = self.weights_list()
-        acc: dict[Weight, int] = {}
-        # combinations over indices, not weights: repeated equal weights are
-        # distinct basis slots
-        for combo in itertools.combinations_with_replacement(range(len(basis)), k):
-            key = _wsum([basis[i] for i in combo], self._rank())
-            acc[key] = acc.get(key, 0) + 1
-        return WeightMultiset(acc)
+        return self._power(k, lambda m, a: comb(m + a - 1, a))
+
+    def _power(self, j: int, coeff) -> "WeightMultiset":
+        """The t^j coefficient of prod over (w, m) of sum_a coeff(m, a) t^a x^{a w}
+        (Macdonald, Symmetric Functions and Hall Polynomials, I.2).
+
+        layers[k] holds the t^k coefficient of the product so far; folding in
+        one factor updates the layers from the top down, so each reads the
+        lower layers before they change.
+        """
+        layers: list[dict] = [{(0,) * self._rank(): 1}] + [{} for _ in range(j)]
+        for w, m in self.items:
+            # the factor's terms c t^a x^{a w}, a >= 1, up to the first c = 0
+            terms = []
+            for a in range(1, j + 1):
+                c = coeff(m, a)
+                if not c:
+                    break
+                terms.append((a, c, tuple(a * x for x in w)))
+            for k in range(j, 0, -1):
+                acc = layers[k]
+                for a, c, shift in terms:
+                    if a > k:
+                        break
+                    for v, n in layers[k - a].items():
+                        key = tuple(map(add, v, shift))
+                        acc[key] = acc.get(key, 0) + c * n
+        return WeightMultiset(layers[j])
 
     def dual(self) -> "WeightMultiset":
         return WeightMultiset({tuple(-x for x in w): m for w, m in self.items})
@@ -118,12 +131,6 @@ class WeightMultiset:
 
     def _rank(self) -> int:
         return len(self.items[0][0]) if self.items else 0
-
-
-def _wsum(weights, rank: int) -> Weight:
-    if not weights:
-        return (0,) * rank
-    return tuple(sum(w[i] for w in weights) for i in range(len(weights[0])))
 
 
 # -- expression trees ---------------------------------------------------------
@@ -370,15 +377,15 @@ def irreducible_multiset(highest: Weight, datum: RootDatum) -> WeightMultiset:
     if not datum.dominant(highest):
         raise ValueError(f"F({highest}): highest weight must be dominant")
     acc: dict[Weight, int] = {}
+    rho = datum.rho
+    # the signed w(highest + rho), once per highest weight
+    images = [(w.act(datum.add(highest, rho)), (-1) ** w.length) for w in datum.weyl]
     # candidate weights lie under highest in the root order
-    lam_rho = datum.add(highest, datum.rho)
-    candidates = _weights_under(highest, datum)
-    for mu in candidates:
+    for mu in _weights_under(highest, datum):
+        mu_rho = tuple(map(add, mu, rho))
         mult = 0
-        mu_rho = datum.add(mu, datum.rho)
-        for w in datum.weyl:
-            diff = datum.sub(w.act(lam_rho), mu_rho)
-            mult += (-1) ** w.length * _kostant_partition(diff, datum)
+        for img, sign in images:
+            mult += sign * _kostant_partition(tuple(x - y for x, y in zip(img, mu_rho)), datum)
         if mult:
             acc[mu] = mult
     return WeightMultiset(acc)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from .breps import WeightMultiset, build_rep
 from .fieldops import InvariantError
-from .weights import A2, Located, OutsideLocus, RootDatum, Singular, Weight
+from .weights import A2, Located, OutsideLocus, RootDatum, Singular, Weight, check_bound
 
 
 class NotDecidable(Exception):
@@ -132,14 +132,12 @@ def euler_char(rep: WeightMultiset, datum: RootDatum = A2) -> GrothendieckElemen
     Characteristic independent and total: this is the Weyl/Bott algorithm in
     the Grothendieck group.
     """
+    place = datum.place
     terms = []
     for mu, mult in rep:
-        res = datum.locate(mu, 0)
-        if isinstance(res, Singular):
-            continue
-        if not isinstance(res, Located):
-            raise InvariantError(f"locate({mu}, 0) returned {res}")
-        terms.append((res.lam, (-1) ** res.w.length * mult))
+        _, length, lam = place(mu)
+        if lam is not None:
+            terms.append((lam, -mult if length & 1 else mult))
     return GrothendieckElement(terms)
 
 
@@ -171,31 +169,39 @@ def line_cohomology(mu: Weight, l: int, datum: RootDatum = A2) -> dict[int, Grot
 
 
 def bwb_good(rep: WeightMultiset, l: int, datum: RootDatum = A2) -> tuple[bool, WeightMultiset]:
-    """Whether every weight lies in the BWB locus; witnesses on failure."""
-    bad = {}
-    for mu, mult in rep:
-        if not datum.in_bwb_locus(mu, l):
-            bad[mu] = mult
-    witnesses = WeightMultiset(bad)
-    return (not bad, witnesses)
+    """Whether every weight lies in the BWB locus; witnesses on failure.
+
+    Raises ValueError unless l is 0 or a prime, as `locate` does.
+    """
+    check_bound(l)
+    place = datum.place
+    bad = {mu: mult for mu, mult in rep if place(mu)[0] > l}
+    return (not bad, WeightMultiset(bad))
 
 
 def psupp(rep: WeightMultiset, i: int, l: int, datum: RootDatum = A2) -> WeightMultiset:
     """Potential support in cohomological degree i for a BWB-good multiset.
 
     The multiplicity of a dominant lam in the bounded region is the sum of
-    the multiplicities of w . lam over all w of length i.
+    the multiplicities of w . lam over all w of length i.  One pass over the
+    weights both checks the locus and sums the regular mu of length i.
+    Raises ValueError for an l that `locate` rejects or an i outside
+    0..max l(w), and NotBWBGood when a weight leaves the locus.
     """
-    good, witnesses = bwb_good(rep, l, datum)
-    if not good:
-        raise NotBWBGood(witnesses)
+    check_bound(l)
+    if not 0 <= i <= datum.weyl[-1].length:
+        raise ValueError(f"degree i must lie in 0..{datum.weyl[-1].length}, got {i}")
+    place = datum.place
     acc: dict[Weight, int] = {}
-    length_i = [w for w in datum.weyl if w.length == i]
+    bad: dict[Weight, int] = {}
     for mu, mult in rep:
-        for w in length_i:
-            lam = datum.c0_preimage(w, mu, l)
-            if lam is not None:
-                acc[lam] = acc.get(lam, 0) + mult
+        top, length, lam = place(mu)
+        if top > l:
+            bad[mu] = mult
+        elif length == i:
+            acc[lam] = acc.get(lam, 0) + mult
+    if bad:
+        raise NotBWBGood(WeightMultiset(bad))
     return WeightMultiset(acc)
 
 

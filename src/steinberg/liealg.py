@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from types import MappingProxyType
@@ -84,12 +85,14 @@ class BasedRep:
         return [i for i, wt in enumerate(self.weights) if wt == w]
 
     def check_grading(self) -> None:
+        weights = self.weights
         for name, cols in self.ops.items():
-            shift = OP_WEIGHTS[name]
+            s0, s1 = OP_WEIGHTS[name]
+            targets = [(w0 + s0, w1 + s1) for w0, w1 in weights]
             for j, col in enumerate(cols):
-                target = A2.add(self.weights[j], shift)
+                target = targets[j]
                 for i in col:
-                    if self.weights[i] != target:
+                    if weights[i] != target:
                         raise InvariantError(f"{name} breaks the weight grading at {self.labels[j]}")
 
     def bracket_constant(self) -> object:
@@ -183,55 +186,46 @@ def borel_rep(char=0) -> BasedRep:
 # -- derived constructions ------------------------------------------------------
 
 
+def _reducer(fld):
+    """The map that brings a column summed with plain + back into the field
+    and drops its zeros: mod p over GF(p), zeros only over Q."""
+    p = getattr(fld, "p", None)
+    if p is None:
+        return lambda col: {k: x for k, x in col.items() if x}
+    return lambda col: {k: r for k, x in col.items() if (r := x % p)}
+
+
 def tensor_rep(a: BasedRep, b: BasedRep) -> BasedRep:
-    fld = a.fld
     labels = tuple(f"{la}(x){lb}" for la in a.labels for lb in b.labels)
-    weights = tuple(A2.add(wa, wb) for wa in a.weights for wb in b.weights)
+    weights = tuple((wa[0] + wb[0], wa[1] + wb[1]) for wa in a.weights for wb in b.weights)
     nb = b.dim
-
-    def pair(i, j):
-        return i * nb + j
-
+    reduce = _reducer(a.fld)
     ops = {}
     for name in ("ea", "eb", "er"):
         cols = []
-        for i in range(a.dim):
-            for j in range(b.dim):
-                col: dict = {}
-                for i2, c in a.ops[name][i].items():
-                    col[pair(i2, j)] = c
-                for j2, c in b.ops[name][j].items():
-                    prev = col.get(pair(i, j2), fld.zero)
-                    s = fld.add(prev, c)
-                    if s == fld.zero:
-                        col.pop(pair(i, j2), None)
-                    else:
-                        col[pair(i, j2)] = s
-                cols.append(col)
+        bcols = b.ops[name]
+        for i, acol in enumerate(a.ops[name]):
+            base = i * nb
+            for j, bcol in enumerate(bcols):
+                # e(x (x) y) = e(x) (x) y + x (x) e(y), entry by entry
+                col = {i2 * nb + j: c for i2, c in acol.items()}
+                for j2, c in bcol.items():
+                    k = base + j2
+                    col[k] = col.get(k, 0) + c
+                cols.append(reduce(col))
         ops[name] = tuple(cols)
-    rep = BasedRep(fld, labels, weights, ops)
+    rep = BasedRep(a.fld, labels, weights, ops)
     rep.check_grading()
     return rep
 
 
 def wedge_rep(a: BasedRep, j: int) -> BasedRep:
-    fld = a.fld
     combos = list(itertools.combinations(range(a.dim), j))
     index = {c: k for k, c in enumerate(combos)}
     labels = tuple("^".join(a.labels[i] for i in c) if c else "1" for c in combos)
-    weights = tuple(
-        tuple(sum(a.weights[i][t] for i in c) for t in (0, 1)) if c else (0, 0)
-        for c in combos
-    )
-
-    def insert(combo_rest: tuple, m: int):
-        # sign of sorting m into the increasing tuple; None if a repeat
-        if m in combo_rest:
-            return None, 0
-        pos = sum(1 for x in combo_rest if x < m)
-        new = tuple(sorted(combo_rest + (m,)))
-        return new, (-1) ** pos
-
+    aw = a.weights
+    weights = tuple((sum(aw[i][0] for i in c), sum(aw[i][1] for i in c)) for c in combos)
+    reduce = _reducer(a.fld)
     ops = {}
     for name in ("ea", "eb", "er"):
         cols = []
@@ -240,21 +234,17 @@ def wedge_rep(a: BasedRep, j: int) -> BasedRep:
             col: dict = {}
             for slot, i in enumerate(c):
                 rest = c[:slot] + c[slot + 1:]
-                sign_rest = (-1) ** slot  # move slot to front
                 for m, coeff in acols[i].items():
-                    new, sgn = insert(rest, m)
-                    if new is None:
+                    # moving slot to the front and sorting m into rest at pos
+                    # gives the sign (-1)^(slot + pos); a repeat gives 0
+                    pos = bisect_left(rest, m)
+                    if pos < len(rest) and rest[pos] == m:
                         continue
-                    total = fld.mul(coeff, fld.of(sign_rest * sgn))
-                    k = index[new]
-                    s = fld.add(col.get(k, fld.zero), total)
-                    if s == fld.zero:
-                        col.pop(k, None)
-                    else:
-                        col[k] = s
-            cols.append(col)
+                    k = index[rest[:pos] + (m,) + rest[pos:]]
+                    col[k] = col.get(k, 0) + (-coeff if (slot + pos) & 1 else coeff)
+            cols.append(reduce(col))
         ops[name] = tuple(cols)
-    rep = BasedRep(fld, labels, weights, ops)
+    rep = BasedRep(a.fld, labels, weights, ops)
     rep.check_grading()
     return rep
 
@@ -331,7 +321,8 @@ class QuotientRep:
         pos = {c: k for k, c in enumerate(self.coords)}
         out = {}
         for i, x in red.items():
-            assert i in pos, "reduction left a pivot coordinate"
+            if i not in pos:
+                raise InvariantError(f"reduction left the pivot coordinate {i}")
             out[pos[i]] = x
         return out
 
@@ -363,7 +354,8 @@ def quotient_rep(rep: BasedRep, sub: Echelon, name_prefix: str = "q") -> Quotien
     # stability check
     for piv, row in sub.rows.items():
         for op in ("ea", "eb", "er"):
-            assert sub.contains(rep.act(op, row)), "subspace not operator-stable"
+            if not sub.contains(rep.act(op, row)):
+                raise InvariantError(f"subspace not operator-stable: {op} moves row {piv} out")
     coords = tuple(i for i in range(rep.dim) if i not in sub.rows)
     pos = {c: k for k, c in enumerate(coords)}
     labels = tuple(rep.labels[c] for c in coords)
@@ -416,7 +408,8 @@ def wedge4_quotient(char=0, big: BasedRep | None = None) -> QuotientRep:
         for k in keep:
             col = {}
             for i, x in q.rep.ops[op][k].items():
-                assert i in pos, "W2 not stable modulo W1"
+                if i not in pos:
+                    raise InvariantError(f"W2 not stable modulo W1: {op} reaches coordinate {i}")
                 col[pos[i]] = x
             cols.append(col)
         ops[op] = tuple(cols)
@@ -507,7 +500,8 @@ def identity_variants():
                              _map_terms(vx, _sigma_pure)))
             variants += conj
         out += variants
-    assert len(out) == 17
+    if len(out) != 17:
+        raise InvariantError(f"{len(out)} identity variants, not 17")
     return out
 
 

@@ -78,7 +78,9 @@ class RootDatum:
     rows of w^{-1}, and the positive coroots composed with w^{-1}.  Tables act
     on x = mu + rho padded to a pair (x0, x1) (x1 = 0 in rank 1): a row or a
     composed coroot is a pair (p, q), and p*x0 + q*x1 is the coordinate of
-    w^{-1}(x), or its pairing with the coroot.
+    w^{-1}(x), or its pairing with the coroot.  `place` needs no table: it
+    reads a weight's chamber, length and alcove bound off the sorted
+    epsilon-coordinates of mu + rho, and `_check_tables` ties it to the tables.
     """
 
     def __init__(self, rank: int):
@@ -162,10 +164,20 @@ class RootDatum:
             if inv is None or _mat_mul(w.matrix, inv.matrix) != ident:
                 raise InvariantError(f"stored inverse of {w} is {inv}")
         # the simple coroots come first and pair as coordinates, so the first
-        # composed coroots are the rows of w^{-1}; c0_preimage relies on it
+        # composed coroots are the rows of w^{-1}
         for name, (rows, composed) in self._dot_forms.items():
             if rows != composed[:self.rank]:
                 raise InvariantError(f"the simple coroots composed with {name}^-1 are not its rows")
+        # the closed-form placement agrees with the tables on each chamber and
+        # on a wall: w . lam for dominant lam sits at (<lam + rho, theta_vee>, l(w), lam)
+        for lam in ((0,) * self.rank, (2, 5)[:self.rank]):
+            top = self.pairing(self.add(lam, self.rho), self.positive_coroots[-1])
+            for w in self.weyl:
+                got = self.place(self.dot_action(w, lam))
+                if got != (top, w.length, lam):
+                    raise InvariantError(f"place({w} . {lam}) = {got}, not {(top, w.length, lam)}")
+        if self.place(self.neg(self.rho))[2] is not None:
+            raise InvariantError("place treats -rho as regular")
 
     # -- basic weight arithmetic ------------------------------------------
 
@@ -201,17 +213,6 @@ class RootDatum:
     def identity(self) -> WeylElement:
         return self._by_name["e"]
 
-    @property
-    def w0(self) -> WeylElement:
-        return max(self.weyl, key=lambda w: w.length)
-
-    def compose(self, w1: WeylElement, w2: WeylElement) -> WeylElement:
-        mat = _mat_mul(w1.matrix, w2.matrix)
-        for w in self.weyl:
-            if w.matrix == mat:
-                return w
-        raise AssertionError("Weyl group not closed under composition")
-
     def inverse(self, w: WeylElement) -> WeylElement:
         return self._inverse[w.name]
 
@@ -231,36 +232,43 @@ class RootDatum:
         x0, x1 = self._shift(lam)
         return all(0 <= p * x0 + q * x1 <= l for p, q in self._coroots)
 
-    def in_c0(self, lam: Weight, l: int) -> bool:
-        """Membership in C0(l): dominant and in Cbar(l)."""
-        return self.c0_preimage(self.identity, lam, l) is not None
+    def place(self, mu: Weight) -> tuple[int, int, Weight | None]:
+        """(top, length, lam): where mu lies among the dot-Weyl chambers.
 
-    def c0_preimage(self, w: WeylElement, mu: Weight, l: int) -> Weight | None:
-        """w^{-1} . mu when it lies in C0(l), else None.
+        top = <x, theta_vee> for the dominant element x of the W-orbit of
+        mu + rho, so mu is in the BWB locus at l iff top <= l.  For regular
+        mu, mu = w . lam with lam dominant and length = l(w); for singular
+        mu, length is -1 and lam is None.
 
-        In C0(l) every pairing of lam + rho with a positive coroot lies in
-        [1, l]: at least 1 on the simple coroots (dominance), hence on all.
+        In rank 2, W = S3 permutes the epsilon-coordinates (x0 + x1, x1, 0)
+        of mu + rho = (x0, x1): l(w) counts their inversions, the gaps of the
+        sorted triple are lam + rho, a tie is a wall, and top is max - min.
         """
-        x0, x1 = self._shift(mu)
-        rows, composed = self._dot_forms[w.name]
-        for p, q in composed:
-            y = p * x0 + q * x1
-            if y < 1 or y > l:
-                return None
-        return tuple(p * x0 + q * x1 - 1 for p, q in rows)
+        if self.rank == 1:
+            x = mu[0] + 1
+            if x > 0:
+                return x, 0, mu
+            if x < 0:
+                return -x, 1, (-x - 1,)
+            return 0, -1, None
+        x0 = mu[0] + 1
+        x1 = mu[1] + 1
+        s = x0 + x1
+        hi = s if s > x1 else x1
+        lo = s if s < x1 else x1
+        if hi < 0:
+            hi = 0
+        elif lo > 0:
+            lo = 0
+        if x0 == 0 or x1 == 0 or s == 0:
+            return hi - lo, -1, None
+        mid = s + x1 - hi - lo
+        return hi - lo, (x0 < 0) + (x1 < 0) + (s < 0), (hi - mid - 1, mid - lo - 1)
 
     def in_bwb_locus(self, mu: Weight, l: int) -> bool:
         """Membership in the union of dot translates of Cbar(l): some w has
         every pairing of w^{-1}(mu + rho) with a positive coroot in [0, l]."""
-        x0, x1 = self._shift(mu)
-        for _, composed in self._dot_forms.values():
-            for p, q in composed:
-                y = p * x0 + q * x1
-                if y < 0 or y > l:
-                    break
-            else:
-                return True
-        return False
+        return self.place(mu)[0] <= l
 
     def locate(self, mu: Weight, l: int):
         """Place mu relative to the dot-Weyl chambers and the bound l.
@@ -270,8 +278,7 @@ class RootDatum:
         l = 0 or mu is inside the locus, and as OutsideLocus when l > 0 and
         the orbit leaves the bounded region.
         """
-        if l != 0 and not _is_prime(l):
-            raise ValueError(f"l must be 0 or a prime, got {l}")
+        check_bound(l)
         if self.singular(mu):
             return Singular()
         x0, x1 = self._shift(mu)
@@ -307,6 +314,12 @@ class Located:
 class OutsideLocus:
     w: WeylElement
     lam: Weight
+
+
+def check_bound(l: int) -> None:
+    """Raise ValueError unless l is 0 (no bound) or a prime."""
+    if l != 0 and not _is_prime(l):
+        raise ValueError(f"l must be 0 or a prime, got {l}")
 
 
 def _is_prime(n: int) -> bool:

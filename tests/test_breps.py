@@ -1,7 +1,10 @@
+import itertools
 import random
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from steinberg.breps import (RepParseError, WeightMultiset, build_rep, irreducible_multiset,
                              parse_rep, print_rep, weight_multiplicity)
@@ -149,3 +152,36 @@ def test_associativity_printing():
     left = parse_rep("b*(b*b)")
     assert parse_rep(print_rep(left)) == left
     assert build_rep("b*(b*b)") == build_rep("(b*b)*b")
+
+
+# -- wedge and sym against enumeration of basis combinations -------------------
+# The reference expands the multiset into its basis and sums the weights of
+# every j-subset (wedge) or j-multiset of basis slots (sym).
+
+
+def _ref_power(ms, j, combos):
+    basis = [w for w, m in ms for _ in range(m)]
+    rank = len(basis[0]) if basis else 0
+    acc = {}
+    for combo in combos(range(len(basis)), j):
+        key = tuple(sum(basis[i][t] for i in combo) for t in range(rank))
+        acc[key] = acc.get(key, 0) + 1
+    return WeightMultiset(acc)
+
+
+@st.composite
+def _small_multisets(draw):
+    rank = draw(st.sampled_from([1, 2]))
+    coord = st.integers(-3, 3)
+    weights = draw(st.dictionaries(st.tuples(*[coord] * rank), st.integers(1, 3), max_size=4))
+    return WeightMultiset(weights)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_small_multisets(), st.integers(0, 4))
+def test_wedge_and_sym_match_enumeration(ms, j):
+    assert ms.wedge(j) == _ref_power(ms, j, itertools.combinations)
+    assert ms.sym(j) == _ref_power(ms, j, itertools.combinations_with_replacement)
+    assert ms.wedge(j).dimension == comb(ms.dimension, j)
+    if ms.dimension:
+        assert ms.sym(j).dimension == comb(ms.dimension + j - 1, j)

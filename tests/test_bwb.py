@@ -122,6 +122,20 @@ def test_psupp_multiplicity_is_summed_over_lengths():
     assert psupp(bb, 1, 5).multiplicity((0, 0)) == direct
 
 
+def test_psupp_and_bwb_good_reject_malformed_input():
+    rep = build_rep("wedge^2(b)*b")
+    for l in (1, 4, -5):
+        with pytest.raises(ValueError, match="prime"):
+            bwb_good(rep, l)
+        with pytest.raises(ValueError, match="prime"):
+            psupp(rep, 0, l)
+    for i in (-1, 4, 7):
+        with pytest.raises(ValueError, match="0..3"):
+            psupp(rep, i, 5)
+    with pytest.raises(ValueError, match="0..1"):
+        psupp(build_rep("b", A1), 2, 5, A1)
+
+
 def test_bwb_good_witnesses():
     ok, _ = bwb_good(build_rep("b*b"), 5)
     assert ok

@@ -32,6 +32,15 @@ def test_compute_psupp():
     assert code == 0 and out.strip() == "{(0,0)^14 (1,1)^2}"
 
 
+def test_compute_psupp_rejects_bad_l_and_degree():
+    # l = 4 is not a prime, and SL3 has no Weyl element of length 7 or -1
+    for l, i in ((4, 2), (5, 7), (5, -1)):
+        code, out, err = run_cli(["compute", "psupp", "--rep", "wedge^2(b)*b",
+                                  "--i", str(i), "--l", str(l)])
+        assert code == 2 and out == "", (l, i, out)
+        assert err.startswith("steinberg: ") and ("prime" in err or "0..3" in err), err
+
+
 def test_compute_hilbert():
     code, out, _ = run_cli(["compute", "hilbert", "--case", "n2", "--degree-bound", "3"])
     assert code == 0 and out.strip() == "[1, 6, 15, 28]"

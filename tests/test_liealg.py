@@ -338,3 +338,35 @@ def _wedge_index(combos, a, b):
     if a < b:
         return combos.index((a, b)), 1
     return combos.index((b, a)), -1
+
+
+@pytest.mark.parametrize("char", [5, 7, 11])
+def test_models_mod_p_reduce_the_rational_model(char):
+    # tensor_rep and wedge_rep sum each column with plain + and reduce it once;
+    # over GF(p) every entry must be the rational entry mod p, in 1..p-1, with
+    # the entries that vanish mod p dropped
+    fld = field_of(char)
+    for text in ("wedge^2(b*b)", "wedge^2(b)*wedge^2(b)", "wedge^3(b) + tw(1,0)(b*b)"):
+        over_q, over_p = build_based_rep(text, 0), build_based_rep(text, char)
+        for name in ("ea", "eb", "er"):
+            for col_q, col_p in zip(over_q.ops[name], over_p.ops[name], strict=True):
+                assert all(x != 0 for x in col_q.values())
+                assert col_p == {k: r for k, x in col_q.items() if (r := fld.of(x))}
+                assert all(0 < x < char for x in col_p.values())
+
+
+def test_unstable_quotient_raises_without_assert(run_python):
+    # span(t_alpha) is not stable, since e_a t_alpha = f_alpha; the check is an
+    # InvariantError, so it also runs under -O
+    script = (
+        "from steinberg.fieldops import InvariantError\n"
+        "from steinberg.liealg import borel_rep, quotient_rep, subspace_span\n"
+        "b = borel_rep(0)\n"
+        "sub = subspace_span(b, [{0: b.fld.one}])\n"
+        "try:\n"
+        "    quotient_rep(b, sub)\n"
+        "except InvariantError as e:\n"
+        "    print('raised', e)\n"
+    )
+    done = run_python("-O", "-c", script)
+    assert done.stdout.startswith("raised subspace not operator-stable"), done.stderr

@@ -214,6 +214,18 @@ def test_snf_divisibility_and_minor_gcd_oracle():
                 assert gcd == 0
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 5).flatmap(lambda cols: st.lists(
+    st.lists(st.integers(-9, 9), min_size=cols, max_size=cols), min_size=1, max_size=5)))
+def test_snf_matches_sympy(rows):
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import smith_normal_form
+
+    want = smith_normal_form(sympy.Matrix(rows), domain=sympy.ZZ)
+    diagonal = [abs(int(want[i, i])) for i in range(min(want.shape))]
+    assert snf(IntMatrix(rows)) == [d for d in diagonal if d]
+
+
 def _det_int(m):
     n = len(m)
     if n == 1:
