@@ -3,7 +3,8 @@
 Vectors are dicts {index: nonzero coefficient}; subspaces are kept as row
 echelon bases with pivots at the smallest nonzero index, which makes every
 reduction and every choice of complement deterministic.  `span_coords` is the
-one solver for coordinates in the span of independent vectors.
+one solver for coordinates in the span of independent vectors.  A field's
+`reduce_col` brings a vector summed with plain `+` back into the field.
 
 The dense matrix helpers `mat_mul`, `mat_add`, `mat_sub`, `mat_trace` and
 `mat_det` (n <= 3) take the coefficient ring as a parameter: anything with
@@ -54,6 +55,11 @@ class RationalField:
     def inv(a):
         return 1 / a
 
+    @staticmethod
+    def reduce_col(col: dict) -> dict:
+        """A vector summed with plain +, with its zeros dropped."""
+        return {k: x for k, x in col.items() if x}
+
     def __repr__(self):
         return "QQ"
 
@@ -90,6 +96,12 @@ class PrimeField:
 
     def inv(self, a):
         return pow(a, -1, self.p)
+
+    def reduce_col(self, col: dict) -> dict:
+        """A vector of integers summed with plain +, reduced mod p with its
+        zeros dropped."""
+        p = self.p
+        return {k: r for k, x in col.items() if (r := x % p)}
 
     def __repr__(self):
         return self.name

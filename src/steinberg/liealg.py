@@ -186,20 +186,11 @@ def borel_rep(char=0) -> BasedRep:
 # -- derived constructions ------------------------------------------------------
 
 
-def _reducer(fld):
-    """The map that brings a column summed with plain + back into the field
-    and drops its zeros: mod p over GF(p), zeros only over Q."""
-    p = getattr(fld, "p", None)
-    if p is None:
-        return lambda col: {k: x for k, x in col.items() if x}
-    return lambda col: {k: r for k, x in col.items() if (r := x % p)}
-
-
 def tensor_rep(a: BasedRep, b: BasedRep) -> BasedRep:
     labels = tuple(f"{la}(x){lb}" for la in a.labels for lb in b.labels)
     weights = tuple((wa[0] + wb[0], wa[1] + wb[1]) for wa in a.weights for wb in b.weights)
     nb = b.dim
-    reduce = _reducer(a.fld)
+    reduce = a.fld.reduce_col
     ops = {}
     for name in ("ea", "eb", "er"):
         cols = []
@@ -225,7 +216,7 @@ def wedge_rep(a: BasedRep, j: int) -> BasedRep:
     labels = tuple("^".join(a.labels[i] for i in c) if c else "1" for c in combos)
     aw = a.weights
     weights = tuple((sum(aw[i][0] for i in c), sum(aw[i][1] for i in c)) for c in combos)
-    reduce = _reducer(a.fld)
+    reduce = a.fld.reduce_col
     ops = {}
     for name in ("ea", "eb", "er"):
         cols = []

@@ -73,14 +73,12 @@ class RootDatum:
             simple coroots come first.
         weyl: all Weyl elements, sorted by (length, name).
 
-    The Weyl group's fixed data is tabulated once, here, so that the dot-action
-    queries below are straight-line integer code: the inverse of each w, the
-    rows of w^{-1}, and the positive coroots composed with w^{-1}.  Tables act
-    on x = mu + rho padded to a pair (x0, x1) (x1 = 0 in rank 1): a row or a
-    composed coroot is a pair (p, q), and p*x0 + q*x1 is the coordinate of
-    w^{-1}(x), or its pairing with the coroot.  `place` needs no table: it
+    The Weyl group's fixed data is tabulated once, here: the positive
+    coroots as pairs (p, q) acting on x = mu + rho padded to (x0, x1)
+    (x1 = 0 in rank 1), so that p*x0 + q*x1 is a pairing, and the Weyl
+    element of each chamber, keyed by the signs of those pairings.  `place`
     reads a weight's chamber, length and alcove bound off the sorted
-    epsilon-coordinates of mu + rho, and `_check_tables` ties it to the tables.
+    epsilon-coordinates of mu + rho, and `locate` adds the Weyl element.
     """
 
     def __init__(self, rank: int):
@@ -103,21 +101,12 @@ class RootDatum:
             )
         self.weyl = self._generate(refl)
         self._by_name = {w.name: w for w in self.weyl}
-        ident = self.identity.matrix
-        self._inverse = {w.name: v for w in self.weyl for v in self.weyl
-                         if _mat_mul(w.matrix, v.matrix) == ident}
         self._coroots = tuple(_pad(c) for c in self.positive_coroots)
-        # w.name -> (rows of w^{-1}, positive coroots composed with w^{-1}),
-        # in the order of self.weyl
-        self._dot_forms = {w.name: self._forms(self._inverse[w.name]) for w in self.weyl}
+        # the signs of the pairings of mu + rho with the positive coroots name
+        # the chamber of a regular mu; w . 0 lies in the chamber of w
+        zero = (0,) * rank
+        self._chamber = {self._signs(self.dot_action(w, zero)): w for w in self.weyl}
         self._check_tables()
-
-    def _forms(self, v: WeylElement) -> tuple[tuple, tuple]:
-        """The rows of v and the positive coroots composed with v, padded."""
-        m = v.matrix
-        composed = tuple(tuple(sum(c[i] * m[i][j] for i in range(self.rank))
-                               for j in range(self.rank)) for c in self.positive_coroots)
-        return tuple(_pad(row) for row in m), tuple(_pad(c) for c in composed)
 
     def _generate(self, refl: tuple[WeylElement, ...]) -> tuple[WeylElement, ...]:
         n = self.rank
@@ -158,24 +147,21 @@ class RootDatum:
         lengths = sorted(w.length for w in self.weyl)
         if lengths != ([0, 1] if self.rank == 1 else [0, 1, 1, 2, 2, 3]):
             raise InvariantError(f"Weyl group element lengths {lengths}")
-        ident = self.identity.matrix
-        for w in self.weyl:
-            inv = self._inverse.get(w.name)
-            if inv is None or _mat_mul(w.matrix, inv.matrix) != ident:
-                raise InvariantError(f"stored inverse of {w} is {inv}")
-        # the simple coroots come first and pair as coordinates, so the first
-        # composed coroots are the rows of w^{-1}
-        for name, (rows, composed) in self._dot_forms.items():
-            if rows != composed[:self.rank]:
-                raise InvariantError(f"the simple coroots composed with {name}^-1 are not its rows")
-        # the closed-form placement agrees with the tables on each chamber and
-        # on a wall: w . lam for dominant lam sits at (<lam + rho, theta_vee>, l(w), lam)
+        if len(self._chamber) != len(self.weyl):
+            raise InvariantError(f"{len(self._chamber)} sign chambers for "
+                                 f"{len(self.weyl)} Weyl elements")
+        # the closed-form placement and the chamber table agree with the Weyl
+        # group on each chamber and on a wall: w . lam for dominant lam sits
+        # at (<lam + rho, theta_vee>, l(w), lam) and is located at (w, lam)
         for lam in ((0,) * self.rank, (2, 5)[:self.rank]):
             top = self.pairing(self.add(lam, self.rho), self.positive_coroots[-1])
             for w in self.weyl:
-                got = self.place(self.dot_action(w, lam))
+                mu = self.dot_action(w, lam)
+                got = self.place(mu)
                 if got != (top, w.length, lam):
                     raise InvariantError(f"place({w} . {lam}) = {got}, not {(top, w.length, lam)}")
+                if self.locate(mu, 0) != Located(w, lam):
+                    raise InvariantError(f"locate({w} . {lam}) = {self.locate(mu, 0)}")
         if self.place(self.neg(self.rho))[2] is not None:
             raise InvariantError("place treats -rho as regular")
 
@@ -204,6 +190,11 @@ class RootDatum:
         """mu + rho as the pair (x0, x1) that the tables act on."""
         return (mu[0] + 1, mu[1] + 1) if self.rank == 2 else (mu[0] + 1, 0)
 
+    def _signs(self, mu: Weight) -> tuple[bool, ...]:
+        """Which pairings of mu + rho with the positive coroots are negative."""
+        x0, x1 = self._shift(mu)
+        return tuple(p * x0 + q * x1 < 0 for p, q in self._coroots)
+
     # -- Weyl group --------------------------------------------------------
 
     def element(self, name: str) -> WeylElement:
@@ -213,19 +204,11 @@ class RootDatum:
     def identity(self) -> WeylElement:
         return self._by_name["e"]
 
-    def inverse(self, w: WeylElement) -> WeylElement:
-        return self._inverse[w.name]
-
     def dot_action(self, w: WeylElement, lam: Weight) -> Weight:
         """The rho-shifted action w . lam = w(lam + rho) - rho."""
         return self.sub(w.act(self.add(lam, self.rho)), self.rho)
 
-    # -- singularity and the bounded alcove region --------------------------
-
-    def singular(self, mu: Weight) -> bool:
-        """True iff mu + rho lies on some wall <. , kappa_vee> = 0."""
-        x0, x1 = self._shift(mu)
-        return any(p * x0 + q * x1 == 0 for p, q in self._coroots)
+    # -- the bounded alcove region -------------------------------------------
 
     def in_cbar(self, lam: Weight, l: int) -> bool:
         """Membership in the closed bottom alcove Cbar(l)."""
@@ -276,25 +259,18 @@ class RootDatum:
         Returns Singular() when mu + rho lies on a wall; otherwise the unique
         (w, lam) with lam dominant and w . lam = mu, wrapped as Located when
         l = 0 or mu is inside the locus, and as OutsideLocus when l > 0 and
-        the orbit leaves the bounded region.
+        the orbit leaves the bounded region.  lam and l(w) come from `place`,
+        and w is the element of mu's sign chamber.
         """
         check_bound(l)
-        if self.singular(mu):
+        top, length, lam = self.place(mu)
+        if lam is None:
             return Singular()
-        x0, x1 = self._shift(mu)
-        hits = []
-        for w in self.weyl:
-            rows, composed = self._dot_forms[w.name]
-            for p, q in rows:
-                if p * x0 + q * x1 <= 0:
-                    break
-            else:
-                hits.append((w, rows, composed))
-        if len(hits) != 1:
-            raise InvariantError(f"regular weight {mu} with {len(hits)} dominant representatives")
-        w, rows, composed = hits[0]
-        lam = tuple(p * x0 + q * x1 - 1 for p, q in rows)
-        if l > 0 and any(p * x0 + q * x1 > l for p, q in composed):
+        w = self._chamber[self._signs(mu)]
+        if w.length != length:
+            raise InvariantError(f"the chamber of {mu} names {w}, of length {w.length}, "
+                                 f"but place gives length {length}")
+        if l > 0 and top > l:
             return OutsideLocus(w, lam)
         return Located(w, lam)
 
