@@ -260,14 +260,14 @@ class _Parser:
 
     def factor(self) -> RepExpr:
         self.skip_ws()
-        rest = self.text[self.pos:]
-        if rest.startswith("("):
+        text, pos = self.text, self.pos
+        if text.startswith("(", pos):
             self.eat("(")
             e = self.sum_expr()
             self.eat(")")
             return e
         for kw, cls in (("wedge^", Wedge), ("sym^", SymPow)):
-            if rest.startswith(kw):
+            if text.startswith(kw, pos):
                 self.eat(kw)
                 power = self.integer()
                 self.eat("(")
@@ -275,27 +275,27 @@ class _Parser:
                 self.eat(")")
                 return cls(power, arg)
         for kw in ("twist", "tw"):
-            if rest.startswith(kw):
+            if text.startswith(kw, pos):
                 self.eat(kw)
                 shift = self.int_tuple()
                 self.eat("(")
                 arg = self.sum_expr()
                 self.eat(")")
                 return Twist(shift, arg)
-        if rest.startswith("dual"):
+        if text.startswith("dual", pos):
             self.eat("dual")
             self.eat("(")
             arg = self.sum_expr()
             self.eat(")")
             return Dual(arg)
-        if rest.startswith("F"):
+        if text.startswith("F", pos):
             self.eat("F")
             return FAtom(self.int_tuple())
-        if rest.startswith("g/b"):
+        if text.startswith("g/b", pos):
             self.eat("g/b")
             return Atom("g/b")
         for name in ("b", "n", "g"):
-            if rest.startswith(name):
+            if text.startswith(name, pos):
                 self.eat(name)
                 return Atom(name)
         self.error("expected an atom or operator")

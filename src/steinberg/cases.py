@@ -487,12 +487,13 @@ def case_points(case: IdealCase, trials: int, seed: int) -> ParamReport:
 
 
 def clear_case_memo() -> None:
-    """Drop every memoized cnil reduction, basis, Hilbert function and points
-    report."""
+    """Drop every memoized cnil reduction, basis, Hilbert function, points
+    report and span lattice."""
     case_cn_reduction.cache_clear()
     case_basis.cache_clear()
     case_hilbert.cache_clear()
     case_points.cache_clear()
+    span_lattice.cache_clear()
 
 
 # -- Hilbert-function bridge to the character side ------------------------------------
@@ -594,37 +595,49 @@ def _field_rank(char, int_rows) -> int:
     return ech.rank
 
 
+@lru_cache(maxsize=None)
+def span_lattice(ambient: str):
+    """The integer side of span17_check in one ambient, built once per
+    ambient: it does not depend on the characteristic.  Returns the degree-3
+    rows of the span entries and of the reducers, the free rank and torsion
+    of the quotient lattice, and the invariant factors of all rows, as
+    tuples."""
+    traceless = ambient == "traceless"
+    ring = PolyRing(_matrix_names("m", 3, traceless) + _matrix_names("n", 3, traceless), "ZZ")
+    M = _var_matrix(ring, "m", 3, traceless)
+    N = _var_matrix(ring, "n", 3, traceless)
+    M2 = mat_mul(ring, M, M)
+    span_polys = []
+    for prod in (mat_mul(ring, M2, N), mat_mul(ring, N, M2)):
+        span_polys += [prod[i][j] for i in range(3) for j in range(3)]
+    trmn = mat_trace(ring, mat_mul(ring, M, N))
+    trm2 = mat_trace(ring, M2)
+    reducers = []
+    reducers += [ring.mul(M[i][j], trmn) for i in range(3) for j in range(3) if M[i][j]]
+    reducers += [ring.mul(N[i][j], trm2) for i in range(3) for j in range(3) if N[i][j]]
+    if not traceless:
+        trm_sq = ring.mul(mat_trace(ring, M), mat_trace(ring, M))
+        reducers += [ring.mul(N[i][j], trm_sq) for i in range(3) for j in range(3) if N[i][j]]
+    arow = _degree3_rows(ring, span_polys + reducers)
+    a_part = arow[: len(span_polys)]
+    b_part = arow[len(span_polys):]
+    free, torsion = quotient_invariant_factors(a_part, b_part)
+    factors = snf(IntMatrix([list(r) for r in arow]))
+    return (tuple(map(tuple, a_part)), tuple(map(tuple, b_part)), free, tuple(torsion),
+            tuple(factors))
+
+
 def span17_check(char: int = 0) -> dict:
     """Rank of the span of the M^2N and NM^2 entries modulo the listed
     degree-3 reducers, in both ambients, plus the invariant factors of the
     integer quotient lattice."""
     out = {}
     for ambient in ("traceless", "full-matrix"):
-        traceless = ambient == "traceless"
-        ring = PolyRing(_matrix_names("m", 3, traceless) + _matrix_names("n", 3, traceless), "ZZ")
-        M = _var_matrix(ring, "m", 3, traceless)
-        N = _var_matrix(ring, "n", 3, traceless)
-        M2 = mat_mul(ring, M, M)
-        span_polys = []
-        for prod in (mat_mul(ring, M2, N), mat_mul(ring, N, M2)):
-            span_polys += [prod[i][j] for i in range(3) for j in range(3)]
-        trmn = mat_trace(ring, mat_mul(ring, M, N))
-        trm2 = mat_trace(ring, M2)
-        reducers = []
-        reducers += [ring.mul(M[i][j], trmn) for i in range(3) for j in range(3) if M[i][j]]
-        reducers += [ring.mul(N[i][j], trm2) for i in range(3) for j in range(3) if N[i][j]]
-        if not traceless:
-            trm_sq = ring.mul(mat_trace(ring, M), mat_trace(ring, M))
-            reducers += [ring.mul(N[i][j], trm_sq) for i in range(3) for j in range(3) if N[i][j]]
-        arow = _degree3_rows(ring, span_polys + reducers)
-        a_part = arow[: len(span_polys)]
-        b_part = arow[len(span_polys):]
+        a_part, b_part, free, torsion, factors = span_lattice(ambient)
         rk_all = _field_rank(char, a_part + b_part)
         rk_red = _field_rank(char, b_part)
-        free, torsion = quotient_invariant_factors(a_part, b_part)
-        factors = snf(IntMatrix([list(r) for r in arow]))
-        out[ambient] = Span17Report(ambient, char, rk_all - rk_red, rk_red, free, torsion,
-                                    factors, _prime_divisors(factors))
+        out[ambient] = Span17Report(ambient, char, rk_all - rk_red, rk_red, free, list(torsion),
+                                    list(factors), _prime_divisors(factors))
     return out
 
 

@@ -239,8 +239,9 @@ def span_coords(field, vectors):
 
 
 def mat_mul(ring, a, b):
-    return [[reduce(ring.add, (ring.mul(x, y) for x, y in zip(row, col))) for col in zip(*b)]
-            for row in a]
+    add, mul = ring.add, ring.mul
+    cols = list(zip(*b))
+    return [[reduce(add, map(mul, row, col)) for col in cols] for row in a]
 
 
 def mat_add(ring, a, b):

@@ -345,6 +345,21 @@ class DomainError(TypeError):
 
 
 @dataclass
+class GroebnerStats:
+    """Work counters of one `groebner` run: S-pairs popped, those skipped by
+    the coprime criterion and by the chain criterion, those whose
+    S-polynomial reduced to zero, and the returned basis's element count per
+    degree.  Pairs are counted, not reduction steps, so the counts cost
+    nothing inside the reduction loop."""
+
+    pairs: int = 0
+    coprime_skips: int = 0
+    chain_skips: int = 0
+    zero_reductions: int = 0
+    per_degree: dict = field(default_factory=dict)
+
+
+@dataclass
 class IdealBasis:
     """Generators plus (optionally) Groebner data and minimal generator counts.
 
@@ -354,7 +369,8 @@ class IdealBasis:
     gb's order, where the basis form is the element's integer form: over
     GF(p) its monic residues, over Q the primitive integer polynomial with
     positive leading coefficient.  gb_lead is filled in at construction when
-    gb is given without it.
+    gb is given without it.  stats holds the work counters of the `groebner`
+    run that built the basis; no report reads them.
     """
 
     ring: PolyRing
@@ -364,6 +380,7 @@ class IdealBasis:
     mingens: dict | None = None
     gb_complete: bool = False
     gb_lead: list | None = field(default=None, repr=False, compare=False)
+    stats: GroebnerStats | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if self.gb is not None and self.gb_lead is None:
@@ -444,23 +461,37 @@ class _GBWorker:
     """Buchberger's algorithm on packed monomials.
 
     Polynomials are {packed monomial: int} in the integer form of
-    `_basis_form`; `lms[k]` and `forms[k]` are basis element k's leading
-    monomial and form.  Leading monomials are pairwise distinct, since an
-    element is added only after full reduction."""
+    `_basis_form`; `lms[k]` is basis element k's leading monomial and
+    `lead[lms[k]]` its form.  Leading monomials are pairwise distinct, since
+    an element is added only after full reduction.
+
+    A lm divides a monomial of its own degree only when the two are equal,
+    and never one of lower degree.  So the divisor search for a degree-d
+    monomial scans the lms of degree below d (`lms_below`) and then looks the
+    monomial itself up in `lead`."""
 
     def __init__(self, ring: PolyRing):
         self.ring = ring
         self.modulus = ring.domain.characteristic  # 0 over Q
         self.pk = _Packing(ring.n)
         self.lms: list[int] = []
-        self.forms: list[Poly] = []
+        self.lead: dict[int, Poly] = {}
+        self.below: dict[int, list[int]] = {}  # d -> lms of degree < d, in index order
         self.pairs: list = []  # heap of (lcm, i, j)
         self.treated: set[tuple[int, int]] = set()
+        self.stats = GroebnerStats()
 
     def pack(self, p: Poly) -> Poly:
         """The packed integer multiple of p that reduction starts from."""
         pack = self.pk.pack
         return {pack(m): c for m, c in _integral(self.ring, p)[0].items()}
+
+    def lms_below(self, d: int) -> list[int]:
+        low = self.below.get(d)
+        if low is None:
+            limit = d << self.pk.top  # the packed ints of degree < d lie below it
+            low = self.below[d] = [lm for lm in self.lms if lm < limit]
+        return low
 
     def reduce(self, h: Poly) -> Poly:
         """Fraction-free reduction of the packed integer polynomial h, which
@@ -468,20 +499,24 @@ class _GBWorker:
         h; over GF(p), its residues.
 
         The largest monomial c*x^m of h is reduced by the first basis element
-        g whose lm divides it, as h <- a*h - c*x^(m - lm)*g, where a is g's
-        leading coefficient and a, c are first divided by their gcd: h and
-        the remainder are rescaled only when a != 1, which never happens over
-        GF(p).  So the result is a multiple of the remainder of the
-        computation over the field, step by step.  Every monomial of h has
-        exactly one heap entry, m ^ ~exps, so the heap's minimum is the
-        degrevlex maximum; coefficients that cancel stay in h as zeros until
-        they are popped."""
-        p, lms, forms = self.modulus, self.lms, self.forms
+        g, in index order, whose lm has lower degree and divides it, else by
+        the element whose lm is m, as h <- a*h - c*x^(m - lm)*g, where a is
+        g's leading coefficient and a, c are first divided by their gcd: h
+        and the remainder are rescaled only when a != 1, which never happens
+        over GF(p).  So the result is a multiple of the remainder of the
+        computation over the field, step by step.  When lms are added in
+        nondecreasing degree, as in the homogeneous run, that element is the
+        first divisor in index order.  Every monomial of h has exactly one
+        heap entry, m ^ ~exps, so the heap's minimum is the degrevlex
+        maximum; coefficients that cancel stay in h as zeros until they are
+        popped."""
+        p, lead, top = self.modulus, self.lead, self.pk.top
         guards, flip = self.pk.guards, ~self.pk.exps
         heappop, heappush = heapq.heappop, heapq.heappush
         heap = [m ^ flip for m in h]
         heapq.heapify(heap)
         out: Poly = {}
+        d, low = -1, []
         while heap:
             m = heappop(heap) ^ flip
             c = h.pop(m)
@@ -489,18 +524,23 @@ class _GBWorker:
                 c %= p
             if not c:
                 continue
-            for idx, lm in enumerate(lms):
+            if m >> top != d:
+                d = m >> top
+                low = self.lms_below(d)
+            for lm in low:
                 if not (m - lm) & guards:
                     break
             else:
-                out[m] = c
-                continue
-            g = forms[idx]
+                if m not in lead:
+                    out[m] = c
+                    continue
+                lm = m
+            g = lead[lm]
             a = g[lm]
             if a != 1:
-                d = gcd(a, c)
-                a //= d
-                c //= d
+                gd = gcd(a, c)
+                a //= gd
+                c //= gd
                 if a != 1:
                     for k in h:
                         h[k] *= a
@@ -519,6 +559,14 @@ class _GBWorker:
                     h[key] = cur - c * cg
         return out
 
+    def enter(self, lm: int, form: Poly) -> None:
+        """Make the element with leading monomial lm and basis form `form` a
+        reducer, without S-pairs."""
+        self.lms.append(lm)
+        self.lead[lm] = form
+        d = lm >> self.pk.top
+        self.below = {e: low for e, low in self.below.items() if e <= d}
+
     def add_element(self, h: Poly) -> None:
         """Append the element with the nonzero integer multiple h."""
         x = self.pk.exps
@@ -527,8 +575,7 @@ class _GBWorker:
         lcm = self.pk.lcm
         for i, lmi in enumerate(self.lms):
             heapq.heappush(self.pairs, (lcm(lmi, lm), i, k))
-        self.lms.append(lm)
-        self.forms.append(_basis_form(self.modulus, h, lm))
+        self.enter(lm, _basis_form(self.modulus, h, lm))
 
     def pop_pairs_up_to(self, dmax):
         """Yield pairs of lcm degree <= dmax in deterministic order."""
@@ -536,11 +583,28 @@ class _GBWorker:
         while self.pairs and self.pairs[0][0] < limit:
             yield heapq.heappop(self.pairs)
 
+    def treat(self, l: int, i: int, j: int) -> None:
+        """Skip the pair (i, j) with lcm l by Buchberger's coprime or chain
+        criterion, or add the remainder of its S-polynomial when nonzero."""
+        self.treated.add((i, j))
+        stats = self.stats
+        stats.pairs += 1
+        if l == self.lms[i] + self.lms[j]:
+            stats.coprime_skips += 1
+        elif self.chain_skip(i, j, l):
+            stats.chain_skips += 1
+        else:
+            r = self.reduce(self.spoly(i, j, l))
+            if r:
+                self.add_element(r)
+            else:
+                stats.zero_reductions += 1
+
     def spoly(self, i: int, j: int, l: int) -> Poly:
         """An integer multiple of the S-polynomial of elements i and j; its
         cancelled leading term stays in as a zero."""
-        lmi, gi = self.lms[i], self.forms[i]
-        lmj, gj = self.lms[j], self.forms[j]
+        lmi, lmj = self.lms[i], self.lms[j]
+        gi, gj = self.lead[lmi], self.lead[lmj]
         ai, aj = gi[lmi], gj[lmj]
         d = gcd(ai, aj)
         bi, bj = aj // d, ai // d
@@ -552,8 +616,8 @@ class _GBWorker:
         return out
 
     def chain_skip(self, i: int, j: int, l: int) -> bool:
-        if l == self.lms[i] + self.lms[j]:  # coprime leading monomials
-            return True
+        """Whether some other element k with lm_k | l has both of its pairs
+        with i and j treated."""
         guards, treated = self.pk.guards, self.treated
         for k, lmk in enumerate(self.lms):
             if (l - lmk) & guards or k == i or k == j:
@@ -589,19 +653,15 @@ def groebner(ideal: IdealBasis, bound=None) -> IdealBasis:
     mingens: dict[int, int] = {}
     degrees = sorted(by_degree)
     if not degrees:
-        return IdealBasis(ring, [], gb=[], gb_bound=bound, mingens={}, gb_complete=True)
+        return IdealBasis(ring, [], gb=[], gb_bound=bound, mingens={}, gb_complete=True,
+                          stats=worker.stats)
     d = degrees[0]
     while True:
         if bound is not None and d > bound:
             break
         # S-pairs of this degree first: they never contribute minimal generators
         for l, i, j in worker.pop_pairs_up_to(d):
-            worker.treated.add((i, j))
-            if worker.chain_skip(i, j, l):
-                continue
-            r = worker.reduce(worker.spoly(i, j, l))
-            if r:
-                worker.add_element(r)
+            worker.treat(l, i, j)
         for g in by_degree.get(d, ()):
             r = worker.reduce(worker.pack(g))
             if r:
@@ -613,10 +673,10 @@ def groebner(ideal: IdealBasis, bound=None) -> IdealBasis:
         d += 1
         if bound is None and d > degrees[-1] and not worker.pairs:
             break
-    lead = _interreduce(worker)
+    lead = _interreduce(worker, graded=True)
     complete = bound is None or (not worker.pairs and degrees[-1] <= bound)
     return IdealBasis(ring, list(ideal.gens), gb=_field_forms(worker, lead), gb_bound=bound,
-                      mingens=mingens, gb_complete=complete, gb_lead=lead)
+                      mingens=mingens, gb_complete=complete, gb_lead=lead, stats=worker.stats)
 
 
 def _groebner_plain(ideal: IdealBasis, gens) -> IdealBasis:
@@ -627,42 +687,51 @@ def _groebner_plain(ideal: IdealBasis, gens) -> IdealBasis:
         if r:
             worker.add_element(r)
     while worker.pairs:
-        l, i, j = heapq.heappop(worker.pairs)
-        worker.treated.add((i, j))
-        if worker.chain_skip(i, j, l):
-            continue
-        r = worker.reduce(worker.spoly(i, j, l))
-        if r:
-            worker.add_element(r)
-    lead = _interreduce(worker)
+        worker.treat(*heapq.heappop(worker.pairs))
+    lead = _interreduce(worker, graded=False)
     return IdealBasis(ring, list(ideal.gens), gb=_field_forms(worker, lead), gb_bound=None,
-                      mingens=None, gb_complete=True, gb_lead=lead)
+                      mingens=None, gb_complete=True, gb_lead=lead, stats=worker.stats)
 
 
 def _field_forms(worker: _GBWorker, lead: list) -> list:
     return [_field_form(worker.modulus, g, lm) for lm, _, g in lead]
 
 
-def _interreduce(worker: _GBWorker) -> list:
+def _interreduce(worker: _GBWorker, graded: bool) -> list:
     """The reduced basis as gb_lead triples (lm, mask, basis form) in tuple
-    form, sorted by lm: drop elements whose lm another lm divides, then
-    tail-reduce each survivor by the others.  Tail reduction leaves each
-    leading term in place, so the lms are computed once."""
-    lms, forms, pk = worker.lms, worker.forms, worker.pk
-    keep = [i for i, lmi in enumerate(lms)
-            if not any(j != i and pk.divides(lmj, lmi) and (lmj != lmi or j < i)
-                       for j, lmj in enumerate(lms))]
+    form, sorted by lm, with the worker's element count per degree recorded
+    in its stats.
+
+    Elements whose lm another lm divides are dropped.  The survivors are
+    tail-reduced in increasing lm order, each by the reduced forms of those
+    before it: a lm dividing a monomial below lm_i is itself below lm_i, so
+    that is full tail reduction in any order.  Tail reduction leaves each
+    leading term in place, so the lms are computed once.
+
+    In a graded run (homogeneous input, degree by degree) each element was
+    reduced, when it was added, by every element of lower degree and every
+    earlier one of its own degree.  So no lm divides another, and a tail
+    monomial can be divisible only by a lm of its own degree, that is, equal
+    to it: the reducers need no divisor scan, only the lookup of `lead`."""
+    pk = worker.pk
+    order = sorted(worker.lms, key=lambda lm: lm ^ pk.exps)
+    if not graded:
+        order = [lm for i, lm in enumerate(order)
+                 if not any(pk.divides(lmj, lm) for lmj in order[:i])]
     w = _GBWorker(worker.ring)
-    reduced = []
-    for i in keep:
-        w.lms = [lms[j] for j in keep if j != i]
-        w.forms = [forms[j] for j in keep if j != i]
-        reduced.append((lms[i], _basis_form(w.modulus, w.reduce(dict(forms[i])), lms[i])))
-    reduced.sort(key=lambda t: t[0] ^ pk.exps)
     out = []
-    for lm, g in reduced:
+    for lm in order:
+        g = _basis_form(w.modulus, w.reduce(dict(worker.lead[lm])), lm)
+        if graded:
+            w.lead[lm] = g
+        else:
+            w.enter(lm, g)
         m = pk.unpack(lm)
         out.append((m, _mask(m), {pk.unpack(x): c for x, c in g.items()}))
+    per_degree: dict[int, int] = {}
+    for m, _, _ in out:
+        per_degree[sum(m)] = per_degree.get(sum(m), 0) + 1
+    worker.stats.per_degree = per_degree
     return out
 
 

@@ -277,6 +277,25 @@ def test_verify_all_runs_each_points_check_once_and_frees_its_memo(points_calls)
         assert memo.cache_info().currsize == 0
 
 
+def test_verify_all_builds_each_span_lattice_once_and_frees_its_memo(monkeypatch):
+    calls = []  # the row length of each lattice built: one per ambient
+    quotient = cases.quotient_invariant_factors
+
+    def counting(gens, sub):
+        calls.append(len(gens[0]))
+        return quotient(gens, sub)
+
+    monkeypatch.setattr(cases, "quotient_invariant_factors", counting)
+    cases.clear_case_memo()
+    em = Emitter()
+    campaigns.verify_all(em, seed=0, trials=5)
+    # the span campaigns at chars 0 and 5 share one lattice per ambient
+    assert len(calls) == len(set(calls)) == 2
+    assert sum(".groebner-side." in e.check_id for e in em.entries) == 4
+    assert all(e.status != FAIL for e in em.entries)
+    assert cases.span_lattice.cache_info().currsize == 0
+
+
 def test_verify_all_builds_each_groebner_basis_once(groebner_calls):
     em = Emitter()
     campaigns.verify_all(em, seed=0, trials=5)

@@ -360,19 +360,25 @@ def _reduced_basis_set(polys, char):
 
 
 @st.composite
-def homogeneous_ideals(draw):
+def ideals(draw, homogeneous):
+    """Up to three generators in 2 to 4 variables, each with 1 to 4 terms of
+    degree <= 3: of one degree each when homogeneous, of mixed degrees (a
+    constant term included) otherwise, so that the inhomogeneous path runs."""
     n = draw(st.integers(2, 4))
     gens = []
     for _ in range(draw(st.integers(1, 3))):
-        degree = draw(st.integers(1, 3))
-        monos = _monomials(n, degree)
+        if homogeneous:
+            monos = _monomials(n, draw(st.integers(1, 3)))
+        else:
+            monos = [m for k in range(4) for m in _monomials(n, k)]
         picked = draw(st.lists(st.sampled_from(monos), min_size=1, max_size=4, unique=True))
         gens.append({m: draw(st.sampled_from((-3, -2, -1, 1, 2, 3))) for m in picked})
     return n, gens
 
 
-@settings(max_examples=40, deadline=None)
-@given(homogeneous_ideals(), st.sampled_from([0, 5, 7]))
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(ideals(homogeneous=True), ideals(homogeneous=False)),
+       st.sampled_from([0, 5, 7]))
 def test_groebner_matches_sympy(data, char):
     sympy = pytest.importorskip("sympy")
     n, gens = data
@@ -616,3 +622,47 @@ def test_truncated_n3z_basis_passes_the_criterion_within_its_bound():
     basis = groebner(make_ideal(IdealCase("n3-z", 5)), 4)
     assert not basis.gb_complete and len(basis.gb) == 80
     assert _assert_buchberger_criterion(basis, 4) > 0
+
+
+def test_groebner_stats_count_pairs_criteria_and_degrees():
+    R6 = ring6()
+    af_cd = R6.from_text("1*a*f - 1*c*d")
+    hypersurface = groebner(IdealBasis(R6, [af_cd]), None).stats
+    assert hypersurface == polyalg.GroebnerStats(per_degree={2: 1})
+    nonregular = groebner(IdealBasis(R6, [af_cd, R6.from_text("1*a*c"),
+                                          R6.from_text("1*d*f")]), None).stats
+    assert nonregular == polyalg.GroebnerStats(pairs=10, coprime_skips=3, chain_skips=0,
+                                               zero_reductions=5, per_degree={2: 3, 3: 2})
+    # the inhomogeneous path counts the same way
+    R = PolyRing(("q", "r", "x"), 0)
+    plain = groebner(IdealBasis(R, [R.from_text("1*q*r - 1"), R.from_text("1*x^2 - 1*q")]),
+                     None).stats
+    assert plain == polyalg.GroebnerStats(pairs=1, coprime_skips=1, per_degree={2: 2})
+    n3z = groebner(make_ideal(IdealCase("n3-z", 5)), 5)
+    assert n3z.stats == polyalg.GroebnerStats(pairs=994, coprime_skips=65, chain_skips=490,
+                                              zero_reductions=366,
+                                              per_degree={2: 3, 3: 38, 4: 39, 5: 32})
+    assert sum(n3z.stats.per_degree.values()) == len(n3z.gb)
+    # the counters are no part of the basis's value or its repr
+    again = IdealBasis(n3z.ring, n3z.gens, gb=n3z.gb, gb_bound=5, mingens=n3z.mingens)
+    assert again == n3z and "stats" not in repr(n3z)
+
+
+def test_graded_interreduction_matches_the_general_rule(monkeypatch):
+    """The homogeneous run tail-reduces by same-degree lookups only; the rule
+    of the inhomogeneous path, a divisor search over every smaller lm, must
+    give the same reduced basis from the same worker."""
+    interreduce = polyalg._interreduce
+    sizes = []
+
+    def both(worker, graded):
+        assert graded
+        out = interreduce(worker, graded)
+        assert out == interreduce(worker, graded=False)
+        sizes.append(len(out))
+        return out
+
+    monkeypatch.setattr(polyalg, "_interreduce", both)
+    groebner(make_ideal(IdealCase("n3-x", 5)), 4)
+    groebner(make_ideal(IdealCase("n3-z", 0)), 4)
+    assert sizes == [46, 80]
