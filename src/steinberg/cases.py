@@ -125,7 +125,14 @@ class CaseData:
         return IdealBasis(self.ring, list(self.gens))
 
 
+@lru_cache(maxsize=None)
 def build_case(case: IdealCase) -> CaseData:
+    """Ring, generators and matrices of the named case, built once per case.
+    The result is shared between callers: do not mutate it."""
+    return _build_case(case)
+
+
+def _build_case(case: IdealCase) -> CaseData:
     tag = case.tag
     if tag == "cnil":
         rep = case_cn_reduction(case)
@@ -487,8 +494,9 @@ def case_points(case: IdealCase, trials: int, seed: int) -> ParamReport:
 
 
 def clear_case_memo() -> None:
-    """Drop every memoized cnil reduction, basis, Hilbert function, points
-    report and span lattice."""
+    """Drop every memoized case, cnil reduction, basis, Hilbert function,
+    points report and span lattice."""
+    build_case.cache_clear()
     case_cn_reduction.cache_clear()
     case_basis.cache_clear()
     case_hilbert.cache_clear()
@@ -589,9 +597,9 @@ def _degree3_rows(ring, polys):
 def _field_rank(char, int_rows) -> int:
     fld = field_of(char)
     ech = Echelon(fld)
+    of, zero = fld.of, fld.zero
     for row in int_rows:
-        vec = {i: fld.of(x) for i, x in enumerate(row) if fld.of(x) != fld.zero}
-        ech.insert(vec)
+        ech.insert({i: y for i, x in enumerate(row) if x and (y := of(x)) != zero})
     return ech.rank
 
 

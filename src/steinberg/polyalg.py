@@ -463,12 +463,16 @@ class _GBWorker:
     Polynomials are {packed monomial: int} in the integer form of
     `_basis_form`; `lms[k]` is basis element k's leading monomial and
     `lead[lms[k]]` its form.  Leading monomials are pairwise distinct, since
-    an element is added only after full reduction.
+    an element is added only after full reduction.  `tails[lm]` holds the
+    same element as a reducer: its leading coefficient and the pairs
+    (m - lm, c) of its other terms, built once, when it is entered.
 
     A lm divides a monomial of its own degree only when the two are equal,
     and never one of lower degree.  So the divisor search for a degree-d
     monomial scans the lms of degree below d (`lms_below`) and then looks the
-    monomial itself up in `lead`."""
+    monomial itself up in `tails`.  The scan's answer is memoized per degree
+    beside its list, and both are dropped together when a lm of lower degree
+    is entered, so the memo is exact."""
 
     def __init__(self, ring: PolyRing):
         self.ring = ring
@@ -476,7 +480,9 @@ class _GBWorker:
         self.pk = _Packing(ring.n)
         self.lms: list[int] = []
         self.lead: dict[int, Poly] = {}
-        self.below: dict[int, list[int]] = {}  # d -> lms of degree < d, in index order
+        self.tails: dict[int, tuple[int, list]] = {}  # lm -> (lead coefficient, tail pairs)
+        # d -> (lms of degree < d in index order, {m: first of them dividing m, else m})
+        self.below: dict[int, tuple[list[int], dict[int, int]]] = {}
         self.pairs: list = []  # heap of (lcm, i, j)
         self.treated: set[tuple[int, int]] = set()
         self.stats = GroebnerStats()
@@ -486,11 +492,11 @@ class _GBWorker:
         pack = self.pk.pack
         return {pack(m): c for m, c in _integral(self.ring, p)[0].items()}
 
-    def lms_below(self, d: int) -> list[int]:
+    def lms_below(self, d: int) -> tuple[list[int], dict[int, int]]:
         low = self.below.get(d)
         if low is None:
             limit = d << self.pk.top  # the packed ints of degree < d lie below it
-            low = self.below[d] = [lm for lm in self.lms if lm < limit]
+            low = self.below[d] = ([lm for lm in self.lms if lm < limit], {})
         return low
 
     def reduce(self, h: Poly) -> Poly:
@@ -510,13 +516,13 @@ class _GBWorker:
         heap entry, m ^ ~exps, so the heap's minimum is the degrevlex
         maximum; coefficients that cancel stay in h as zeros until they are
         popped."""
-        p, lead, top = self.modulus, self.lead, self.pk.top
+        p, tails, top = self.modulus, self.tails, self.pk.top
         guards, flip = self.pk.guards, ~self.pk.exps
         heappop, heappush = heapq.heappop, heapq.heappush
         heap = [m ^ flip for m in h]
         heapq.heapify(heap)
         out: Poly = {}
-        d, low = -1, []
+        d, low, first = -1, [], {}
         while heap:
             m = heappop(heap) ^ flip
             c = h.pop(m)
@@ -526,17 +532,20 @@ class _GBWorker:
                 continue
             if m >> top != d:
                 d = m >> top
-                low = self.lms_below(d)
-            for lm in low:
-                if not (m - lm) & guards:
-                    break
-            else:
-                if m not in lead:
-                    out[m] = c
-                    continue
-                lm = m
-            g = lead[lm]
-            a = g[lm]
+                low, first = self.lms_below(d)
+            lm = first.get(m)
+            if lm is None:
+                for lm in low:
+                    if not (m - lm) & guards:
+                        break
+                else:
+                    lm = m
+                first[m] = lm
+            reducer = tails.get(lm)
+            if reducer is None:  # no lm of lower degree divides m, and m is no lm
+                out[m] = c
+                continue
+            a, tail = reducer
             if a != 1:
                 gd = gcd(a, c)
                 a //= gd
@@ -546,11 +555,8 @@ class _GBWorker:
                         h[k] *= a
                     for k in out:
                         out[k] *= a
-            shift = m - lm
-            for mg, cg in g.items():
-                if mg == lm:
-                    continue
-                key = mg + shift
+            for step, cg in tail:
+                key = m + step
                 cur = h.get(key)
                 if cur is None:
                     h[key] = -c * cg
@@ -559,13 +565,16 @@ class _GBWorker:
                     h[key] = cur - c * cg
         return out
 
-    def enter(self, lm: int, form: Poly) -> None:
+    def enter(self, lm: int, form: Poly, scanned: bool = True) -> None:
         """Make the element with leading monomial lm and basis form `form` a
-        reducer, without S-pairs."""
-        self.lms.append(lm)
+        reducer, without S-pairs.  An element entered with scanned=False
+        reduces only the monomial lm itself: the divisor scan never sees it."""
         self.lead[lm] = form
-        d = lm >> self.pk.top
-        self.below = {e: low for e, low in self.below.items() if e <= d}
+        self.tails[lm] = (form[lm], [(mg - lm, cg) for mg, cg in form.items() if mg != lm])
+        if scanned:
+            self.lms.append(lm)
+            d = lm >> self.pk.top
+            self.below = {e: low for e, low in self.below.items() if e <= d}
 
     def add_element(self, h: Poly) -> None:
         """Append the element with the nonzero integer multiple h."""
@@ -712,7 +721,7 @@ def _interreduce(worker: _GBWorker, graded: bool) -> list:
     reduced, when it was added, by every element of lower degree and every
     earlier one of its own degree.  So no lm divides another, and a tail
     monomial can be divisible only by a lm of its own degree, that is, equal
-    to it: the reducers need no divisor scan, only the lookup of `lead`."""
+    to it: the reducers need no divisor scan, only the lookup of `tails`."""
     pk = worker.pk
     order = sorted(worker.lms, key=lambda lm: lm ^ pk.exps)
     if not graded:
@@ -722,10 +731,7 @@ def _interreduce(worker: _GBWorker, graded: bool) -> list:
     out = []
     for lm in order:
         g = _basis_form(w.modulus, w.reduce(dict(worker.lead[lm])), lm)
-        if graded:
-            w.lead[lm] = g
-        else:
-            w.enter(lm, g)
+        w.enter(lm, g, scanned=not graded)
         m = pk.unpack(lm)
         out.append((m, _mask(m), {pk.unpack(x): c for x, c in g.items()}))
     per_degree: dict[int, int] = {}
@@ -1032,68 +1038,62 @@ class IntMatrix:
 
 
 def snf(matrix: IntMatrix | list) -> list[int]:
-    """Invariant factors d_1 | d_2 | ... (positive, divisibility chain)."""
+    """Invariant factors d_1 | d_2 | ... (positive, divisibility chain).
+
+    Runs on sparse rows {column: nonzero entry}.  Each pivot is an entry of
+    least absolute value among the nonzeros.  Row operations clear its
+    column; as the column is then zero off the pivot, a column operation
+    changes the pivot row only, and clearing that row leaves the pivot
+    alone in its row and column.  A nonzero remainder is smaller than the
+    pivot, so the search restarts from it.  The diagonal this leaves is
+    brought into divisibility order by diag(a, b) ~ diag(gcd, lcm)."""
     rows = matrix.rows if isinstance(matrix, IntMatrix) else matrix
-    a = [list(r) for r in rows]
-    if not a or not a[0]:
-        return []
-    m, n = len(a), len(a[0])
-    invariants = []
-    top = 0
-    left = 0
-    while top < m and left < n:
-        # smallest nonzero pivot to limit growth
-        piv = None
-        for i in range(top, m):
-            for j in range(left, n):
-                if a[i][j] != 0 and (piv is None or abs(a[i][j]) < abs(a[piv[0]][piv[1]])):
-                    piv = (i, j)
-        if piv is None:
-            break
-        i0, j0 = piv
-        a[top], a[i0] = a[i0], a[top]
-        for r in a:
-            r[left], r[j0] = r[j0], r[left]
-        while True:
-            dirty = False
-            for i in range(top + 1, m):
-                if a[i][left]:
-                    q = a[i][left] // a[top][left]
-                    for j in range(left, n):
-                        a[i][j] -= q * a[top][j]
-                    if a[i][left]:
-                        a[top], a[i] = a[i], a[top]
-                        dirty = True
-            for j in range(left + 1, n):
-                if a[top][j]:
-                    q = a[top][j] // a[top][left]
-                    if q:
-                        for i in range(top, m):
-                            a[i][j] -= q * a[i][left]
-                    if a[top][j]:
-                        for i in range(top, m):
-                            a[i][left], a[i][j] = a[i][j], a[i][left]
-                        dirty = True
-            if not dirty:
+    live = [r for r in ({j: x for j, x in enumerate(row) if x} for row in rows) if r]
+    diagonal = []
+    while live:
+        least = None
+        for r in live:
+            for j, x in r.items():
+                if least is None or abs(x) < least:
+                    least, prow, c = abs(x), r, j
+            if least == 1:
                 break
-        # ensure pivot divides the remaining block
-        p = abs(a[top][left])
-        fixed = True
-        for i in range(top + 1, m):
-            for j in range(left + 1, n):
-                if a[i][j] % p:
-                    for jj in range(left, n):
-                        a[top][jj] += a[i][jj]
-                    fixed = False
-                    break
-            if not fixed:
-                break
-        if not fixed:
-            continue
-        invariants.append(p)
-        top += 1
-        left += 1
-    return invariants
+        p = prow[c]
+        rest = []
+        restart = False
+        for r in live:
+            if r is prow:
+                continue
+            x = r.get(c)
+            if x is not None:
+                q = x // p
+                for j, y in prow.items():
+                    z = r.get(j, 0) - q * y
+                    if z:
+                        r[j] = z
+                    else:
+                        del r[j]
+                restart = restart or c in r
+            if r:
+                rest.append(r)
+        if not restart:
+            for j in [j for j in prow if j != c]:
+                z = prow[j] % p
+                if z:
+                    prow[j] = z
+                    restart = True
+                else:
+                    del prow[j]
+        if restart:
+            rest.append(prow)
+        else:
+            diagonal.append(least)
+        live = rest
+    for i in range(len(diagonal)):
+        for j in range(i + 1, len(diagonal)):
+            g = gcd(diagonal[i], diagonal[j])
+            diagonal[i], diagonal[j] = g, diagonal[i] // g * diagonal[j]
+    return diagonal
 
 
 def hnf_rowspace(rows: list[list[int]]) -> list[list[int]]:
@@ -1133,9 +1133,10 @@ def quotient_invariant_factors(gens: list[list[int]], sub: list[list[int]]) -> t
     big = hnf_rowspace([list(r) for r in gens] + [list(r) for r in sub])
     if not big:
         return (0, [])
+    basis = [[(j, x) for j, x in enumerate(b) if x] for b in big]
     coords = []
-    for row in [list(r) for r in sub]:
-        c = _int_coords(row, big)
+    for row in sub:
+        c = _int_coords(row, basis)
         if c is None:
             raise InvariantError("sub not inside the big lattice")
         coords.append(c)
@@ -1148,19 +1149,20 @@ def quotient_invariant_factors(gens: list[list[int]], sub: list[list[int]]) -> t
     return (free, torsion)
 
 
-def _int_coords(row: list[int], basis: list[list[int]]):
-    """Integer coordinates of row in an echelon integer basis, or None."""
+def _int_coords(row: list[int], basis: list[list[tuple[int, int]]]):
+    """Integer coordinates of row in an echelon integer basis, or None.  Each
+    basis row is given by its nonzero (column, entry) pairs, lead first."""
     rem = list(row)
     coords = []
-    n = len(row)
-    for b in basis:
-        lead = next(j for j in range(n) if b[j] != 0)
-        if rem[lead] % b[lead] != 0:
+    for support in basis:
+        lead, a = support[0]
+        q, r = divmod(rem[lead], a)
+        if r:
             return None
-        q = rem[lead] // b[lead]
         coords.append(q)
-        for j in range(n):
-            rem[j] -= q * b[j]
+        if q:
+            for j, x in support:
+                rem[j] -= q * x
     if any(rem):
         return None
     return coords

@@ -104,6 +104,27 @@ def test_span17():
     assert f5.rank == 17 and f5.passed
 
 
+def test_span_lattices_are_free_of_rank_17_with_invariant_factors_1_and_2():
+    for ambient, twos in (("traceless", 8), ("full-matrix", 9)):
+        a_part, b_part, free, torsion, factors = cases.span_lattice(ambient)
+        assert (free, torsion) == (17, ())
+        assert factors == (1,) * (len(factors) - twos) + (2,) * twos
+        assert len(factors) == cases._field_rank(0, a_part + b_part)
+
+
+@pytest.mark.parametrize("ambient", ["traceless", "full-matrix"])
+def test_field_rank_matches_sympy_on_the_span_rows(ambient):
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.matrices import DomainMatrix
+
+    a_part, b_part, *_ = cases.span_lattice(ambient)
+    for rows in (a_part + b_part, b_part):
+        matrix = sympy.Matrix([list(r) for r in rows])
+        assert cases._field_rank(0, rows) == matrix.rank()
+        gf5 = DomainMatrix.from_Matrix(matrix).convert_to(sympy.GF(5))
+        assert cases._field_rank(5, rows) == gf5.rank()
+
+
 def test_multiplicities():
     assert [multiplicity(w) for w in ((1, 0), (0, 1), (2, -1), (1, 1))] == [3, 3, 16, 8]
     with pytest.raises(UnsupportedCase):
@@ -294,6 +315,24 @@ def test_verify_all_builds_each_span_lattice_once_and_frees_its_memo(monkeypatch
     assert sum(".groebner-side." in e.check_id for e in em.entries) == 4
     assert all(e.status != FAIL for e in em.entries)
     assert cases.span_lattice.cache_info().currsize == 0
+
+
+def test_verify_all_builds_each_case_once_and_frees_its_memo(monkeypatch):
+    calls = []
+    build = cases._build_case
+
+    def counting(case):
+        calls.append(case)
+        return build(case)
+
+    monkeypatch.setattr(cases, "_build_case", counting)
+    cases.clear_case_memo()
+    em = Emitter()
+    campaigns.verify_all(em, seed=0, trials=5)
+    # gl-n3, n3-x at char 5 and n3-z at char 0 are each asked for more than once
+    assert len(calls) == len(set(calls)) == 13
+    assert all(e.status != FAIL for e in em.entries)
+    assert cases.build_case.cache_info().currsize == 0
 
 
 def test_verify_all_builds_each_groebner_basis_once(groebner_calls):

@@ -175,6 +175,14 @@ def test_verify_ideal_does_not_depend_on_assert(run_python):
     assert optimized.stdout == plain.stdout
 
 
+def test_verify_span_does_not_depend_on_assert(run_python):
+    argv = ["-m", "steinberg.cli", "verify", "span", "--format", "json"]
+    plain, optimized = run_python(*argv), run_python("-O", *argv)
+    assert (plain.returncode, optimized.returncode) == (0, 0), (plain.stderr, optimized.stderr)
+    assert json.loads(plain.stdout)["summary"]["fail"] == 0
+    assert optimized.stdout == plain.stdout
+
+
 def test_verify_all_does_not_depend_on_assert(run_python):
     argv = ["-m", "steinberg.cli", "verify", "all", "--trials", "5", "--format", "json"]
     plain, optimized = run_python(*argv), run_python("-O", *argv)

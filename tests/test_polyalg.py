@@ -214,9 +214,23 @@ def test_snf_divisibility_and_minor_gcd_oracle():
                 assert gcd == 0
 
 
-@settings(max_examples=150, deadline=None)
-@given(st.integers(1, 5).flatmap(lambda cols: st.lists(
-    st.lists(st.integers(-9, 9), min_size=cols, max_size=cols), min_size=1, max_size=5)))
+@st.composite
+def sparse_wide_matrices(draw):
+    """Up to 8 x 16 with at most 30% nonzeros in each row, entries in -3..3,
+    zero and duplicate rows allowed: the shape of the degree-3 span rows."""
+    n = draw(st.integers(1, 16))
+    row = st.dictionaries(st.integers(0, n - 1), st.sampled_from((-3, -2, -1, 1, 2, 3)),
+                          max_size=3 * n // 10).map(lambda r: [r.get(j, 0) for j in range(n)])
+    distinct = draw(st.lists(row, min_size=1, max_size=8))
+    picks = draw(st.lists(st.integers(0, len(distinct) - 1), min_size=1, max_size=8))
+    return [list(distinct[i]) for i in picks]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(
+    st.integers(1, 5).flatmap(lambda cols: st.lists(
+        st.lists(st.integers(-9, 9), min_size=cols, max_size=cols), min_size=1, max_size=5)),
+    sparse_wide_matrices()))
 def test_snf_matches_sympy(rows):
     sympy = pytest.importorskip("sympy")
     from sympy.matrices.normalforms import smith_normal_form
@@ -224,6 +238,16 @@ def test_snf_matches_sympy(rows):
     want = smith_normal_form(sympy.Matrix(rows), domain=sympy.ZZ)
     diagonal = [abs(int(want[i, i])) for i in range(min(want.shape))]
     assert snf(IntMatrix(rows)) == [d for d in diagonal if d]
+
+
+def test_snf_keeps_its_entries_small_on_a_dense_matrix():
+    # an elimination that swaps remainders in without restarting from the
+    # least nonzero entry grows the entries of this matrix to millions of bits
+    rows = [[-6, 0, -9, -9, 0, -3, 0, 0, 5], [0, 2, -2, 0, 0, 0, 8, 0, 0],
+            [1, 0, 0, 4, -3, 9, 0, 7, -8], [3, -4, 2, 7, -4, 3, -9, 0, 9],
+            [-4, -2, 0, 0, 8, 7, 9, -1, -9], [7, 0, 8, -8, 2, -3, 0, 2, -9],
+            [1, -9, 0, 8, -7, 0, 0, 0, -7], [-9, -1, -6, 0, 0, -4, -4, 0, 1]]
+    assert snf(IntMatrix(rows)) == [1] * 7 + [2]
 
 
 def _det_int(m):
@@ -646,6 +670,37 @@ def test_groebner_stats_count_pairs_criteria_and_degrees():
     # the counters are no part of the basis's value or its repr
     again = IdealBasis(n3z.ring, n3z.gens, gb=n3z.gb, gb_bound=5, mingens=n3z.mingens)
     assert again == n3z and "stats" not in repr(n3z)
+
+
+def test_divisor_memo_is_dropped_when_a_lower_degree_reducer_enters():
+    """reduce memoizes, per degree, each monomial's first divisor among the
+    lms of lower degree; entering a reducer of lower degree must drop that
+    memo.  Each remainder is read against the reference reducer, which keeps
+    no memo."""
+    ring = PolyRing(("x", "y", "z", "w"), 7)
+    worker = polyalg._GBWorker(ring)
+    pack, unpack = worker.pk.pack, worker.pk.unpack
+    entered = []  # gb_lead triples in index order
+
+    def enter(text):
+        p = ring.from_text(text)
+        lm = ring.lm(p)
+        form = polyalg._basis_form(7, p, lm)
+        worker.enter(pack(lm), {pack(m): c for m, c in form.items()})
+        entered.append((lm, polyalg._mask(lm), form))
+
+    def remainder(text):
+        p = ring.from_text(text)
+        got = {unpack(m): c for m, c in worker.reduce(worker.pack(p)).items()}
+        want, scale = polyalg._ReferenceReducer(ring, entered).reduce(dict(p))
+        assert got == want and scale == 1
+        return ring.to_text(got)
+
+    cubic = "1*x^3 + 1*y^3 + 1*x*y*z"
+    enter("1*x*y*z - 1*w^3")
+    assert remainder(cubic) == "1*x^3 + 1*y^3 + 1*w^3"  # x^3 and y^3: no divisor of degree < 3
+    enter("1*x^2 - 1*z*w")
+    assert remainder(cubic) == "1*y^3 + 1*x*z*w + 1*w^3"
 
 
 def test_graded_interreduction_matches_the_general_rule(monkeypatch):
