@@ -26,7 +26,7 @@ invariant factors for the degree-3 span.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 
@@ -254,11 +254,26 @@ def case_cn_reduction(case: IdealCase):
     return cn_ideal_reduction(case.q, 3, case.char)
 
 
+# The char-0 bases case_basis holds, by (case, bound): a basis over GF(l) of
+# the same (tag, q, bound) is guided by one (see polyalg.groebner) only when
+# it is already here, so no basis over Q is built just to guide.
+_char0_bases: dict = {}
+
+# The cases whose generator list over GF(l) is the char-0 list reduced mod l.
+_GUIDED_TAGS = ("n2", "n3-z", "n3-x")
+
+
 @lru_cache(maxsize=None)
 def case_basis(case: IdealCase, bound: int | None) -> IdealBasis:
     """Groebner basis of the named case up to `bound`, computed once per
     (case, bound).  The result is shared between callers: do not mutate it."""
-    return groebner(make_ideal(case), bound)
+    guide = None
+    if case.char and case.tag in _GUIDED_TAGS:
+        guide = _char0_bases.get((replace(case, char=0), bound))
+    basis = groebner(make_ideal(case), bound, guide=guide)
+    if not case.char:
+        _char0_bases[case, bound] = basis
+    return basis
 
 
 @lru_cache(maxsize=None)
@@ -499,6 +514,7 @@ def clear_case_memo() -> None:
     build_case.cache_clear()
     case_cn_reduction.cache_clear()
     case_basis.cache_clear()
+    _char0_bases.clear()
     case_hilbert.cache_clear()
     case_points.cache_clear()
     span_lattice.cache_clear()

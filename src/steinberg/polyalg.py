@@ -12,11 +12,11 @@ of the ideal as a byproduct.  Everything is deterministic for a fixed input
 order.
 
 Inside the Groebner worker every monomial is one Python int (`_Packing`):
-8-bit fields, each with a guard bit above it, hold the exponents of the
+7-bit fields, each with a guard bit above it, hold the exponents of the
 variables, and the top field holds the total degree.  A product is one
 addition, a divisibility test one subtraction and a guard-bit mask, an lcm
 a few word operations, and the int with its exponent fields complemented
-compares as degrevlex.  An exponent or degree above 255 raises
+compares as degrevlex.  An exponent or degree above 127 raises
 InvariantError instead of wrapping.  Generators are packed once on entry,
 and the reduced basis is unpacked once on exit, into `IdealBasis.gb` and
 `gb_lead`; outside the worker monomials are tuples.
@@ -27,6 +27,34 @@ and reduction is fraction-free: the input's denominators are cleared once,
 every step runs on Python ints, and the remainder is rescaled only when a
 reducer's leading coefficient is not 1.  Over Q the exact remainder is the
 integer one divided by the tracked scale, once, at the end.
+
+Every run records its trace: per degree, the leading-monomial pairs of the
+S-pairs whose remainder entered the basis.  A run over GF(l) may be guided
+by a basis over Q of the ideal whose generators reduce mod l to its own (an
+l-integral list), complete through the run's bound.  Let I_Z be the ideal
+over Z_(l) those generators span and I_l its image mod l.  Each (S/I_Z)_d
+is a finitely generated Z_(l)-module, so HF_l(d) >= HF_Q(d) and
+dim (I_l)_d <= target(d) = dim S_d - HF_Q(d).  In a degree d above the top
+generator degree, LT(G)_d lies in LT(I_l)_d at every point of the run.  So
+once |LT(G)_d| = target(d), G is a Groebner basis in degree d and every
+remaining pair of that degree reduces to zero: the guided run drops them,
+marked treated for the chain criterion.  |LT(G)_d| is what the lms of lower
+degree span plus the elements added in degree d; when those lms are the
+guide's own they span target(d) less the guide's lms of degree d, and
+otherwise a Hilbert series counts them.  Pairs in the guide's trace are
+reduced first.  The pair order changes only which intermediate elements
+appear: the lms added in each degree are the minimal generators of LT(I_l)
+in that degree, so the returned basis is the unguided one.  If the count
+never reaches the target, nothing is dropped: HF_l > HF_Q in that degree,
+and a comparison of the Hilbert functions fails as it should.  A count above
+the target contradicts the bound and raises InvariantError.
+
+The stop trusts the guide: a basis over Q missing an element of degree d
+lowers target(d) by one, the guided runs stop one element short, and their
+Hilbert functions agree with the faulty one.  So agreement of HF over Q, F5
+and F7 certifies flatness only together with a check of the Q side against
+an independent count, as the Hilbert cross check against the character side
+does.
 
 Module-level `normal_form` reduces by `gb_lead` on exponent tuples, with its
 own small reducer that shares no logic with the packed kernel.  The tests
@@ -348,15 +376,17 @@ class DomainError(TypeError):
 class GroebnerStats:
     """Work counters of one `groebner` run: S-pairs popped, those skipped by
     the coprime criterion and by the chain criterion, those whose
-    S-polynomial reduced to zero, and the returned basis's element count per
-    degree.  Pairs are counted, not reduction steps, so the counts cost
-    nothing inside the reduction loop."""
+    S-polynomial reduced to zero, the returned basis's element count per
+    degree, and, in a guided run, the pairs dropped untreated by the Hilbert
+    stop (which `pairs` does not count).  Pairs are counted, not reduction
+    steps, so the counts cost nothing inside the reduction loop."""
 
     pairs: int = 0
     coprime_skips: int = 0
     chain_skips: int = 0
     zero_reductions: int = 0
     per_degree: dict = field(default_factory=dict)
+    stop_drops: int = 0
 
 
 @dataclass
@@ -370,7 +400,9 @@ class IdealBasis:
     GF(p) its monic residues, over Q the primitive integer polynomial with
     positive leading coefficient.  gb_lead is filled in at construction when
     gb is given without it.  stats holds the work counters of the `groebner`
-    run that built the basis; no report reads them.
+    run that built the basis, and trace its productive S-pairs: for each lcm
+    degree, the set of (lm_i, lm_j), as packed ints with lm_i < lm_j, of the
+    pairs whose remainder entered the basis.  No report reads either.
     """
 
     ring: PolyRing
@@ -381,6 +413,7 @@ class IdealBasis:
     gb_complete: bool = False
     gb_lead: list | None = field(default=None, repr=False, compare=False)
     stats: GroebnerStats | None = field(default=None, repr=False, compare=False)
+    trace: dict | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if self.gb is not None and self.gb_lead is None:
@@ -394,14 +427,16 @@ class IdealBasis:
 
 # -- the Groebner worker's kernel: packed monomials ------------------------------
 
-# Bits per field.  On the complete n3-z basis over GF(5) (16 variables),
-# 16-bit fields ran as fast as 8-bit ones within the noise of a shared
-# 2-core host (median of 6 runs 0.71 s against 0.70 s) and took 6% more
-# traced memory (3.02 MB against 2.85 MB).  The largest leading monomial of
-# any basis the certifier builds has degree 8, far below the cap of 255.
-_W = 8
+# Bits per field.  A field and its guard bit fill one byte, so a monomial
+# packs and unpacks as the little-endian bytes (e_0, ..., e_{n-1}, degree):
+# on 16 variables unpack took 0.6 us against 2.7 us with 8-bit fields and a
+# shift per field, and pack 1.6 us against 3.1 us.  On the complete n3-z
+# basis over GF(5), 16-bit fields had run as fast as 8-bit ones.  The largest
+# leading monomial of any basis the certifier builds has degree 8, far below
+# the cap of 127.
+_W = 7
 _CAP = (1 << _W) - 1  # the largest exponent and the largest degree
-_F = _W + 1  # a field and its guard bit
+_F = _W + 1  # a field and its guard bit: one byte
 
 
 class _Packing:
@@ -432,13 +467,10 @@ class _Packing:
         if d > _CAP or min(m, default=0) < 0:
             raise InvariantError(f"monomial {m} is outside the packed range: "
                                  f"exponents and degree must lie in 0..{_CAP}")
-        x = d << self.top
-        for i, e in enumerate(m):
-            x |= e << (i * _F)
-        return x
+        return int.from_bytes(bytes((*m, d)), "little")
 
     def unpack(self, x: int) -> Monomial:
-        return tuple(x >> (i * _F) & _CAP for i in range(self.n))
+        return tuple(x.to_bytes(self.n + 1, "little")[:self.n])
 
     def divides(self, a: int, b: int) -> bool:
         return not (b - a) & self.guards
@@ -448,8 +480,8 @@ class _Packing:
         ge = ((a | self.guards) - b) & self.exp_guards  # guard i set iff a_i >= b_i
         take_a = ge - (ge >> _W)  # all ones in the fields where a_i >= b_i
         e = (a & take_a) | (b & (self.exps ^ take_a))
-        # field n-1 of e * ones is sum(e_i); the partial sums below it are
-        # at most 2 * cap < 2^F, so no carry crosses a field
+        # field n-1 of e * ones is sum(e_i); every partial sum is at most
+        # sum(a_i) + sum(b_i) <= 2 * cap = 254 < 2^F, so no carry crosses a field
         d = (e * self.ones) >> (max(self.n - 1, 0) * _F) & ((1 << _F) - 1)
         if d > _CAP:
             raise InvariantError(f"an S-pair lcm of degree {d} is outside the packed range "
@@ -486,6 +518,7 @@ class _GBWorker:
         self.pairs: list = []  # heap of (lcm, i, j)
         self.treated: set[tuple[int, int]] = set()
         self.stats = GroebnerStats()
+        self.trace: dict[int, set[tuple[int, int]]] = {}  # see IdealBasis.trace
 
     def pack(self, p: Poly) -> Poly:
         """The packed integer multiple of p that reduction starts from."""
@@ -592,22 +625,54 @@ class _GBWorker:
         while self.pairs and self.pairs[0][0] < limit:
             yield heapq.heappop(self.pairs)
 
-    def treat(self, l: int, i: int, j: int) -> None:
+    def treat(self, l: int, i: int, j: int, criteria: bool = True) -> None:
         """Skip the pair (i, j) with lcm l by Buchberger's coprime or chain
-        criterion, or add the remainder of its S-polynomial when nonzero."""
+        criterion, or add the remainder of its S-polynomial when nonzero.
+        With criteria=False the pair is reduced unconditionally."""
         self.treated.add((i, j))
         stats = self.stats
         stats.pairs += 1
-        if l == self.lms[i] + self.lms[j]:
+        if criteria and l == self.lms[i] + self.lms[j]:
             stats.coprime_skips += 1
-        elif self.chain_skip(i, j, l):
+        elif criteria and self.chain_skip(i, j, l):
             stats.chain_skips += 1
         else:
             r = self.reduce(self.spoly(i, j, l))
             if r:
+                self.trace.setdefault(l >> self.pk.top, set()).add(self.pair_key(i, j))
                 self.add_element(r)
             else:
                 stats.zero_reductions += 1
+
+    def pair_key(self, i: int, j: int) -> tuple[int, int]:
+        a, b = self.lms[i], self.lms[j]
+        return (a, b) if a < b else (b, a)
+
+    def treat_guided(self, d: int, guide: "_Guide") -> None:
+        """Treat the pairs of degree d, first those in the guide's trace,
+        reduced without the criteria, then the others as `treat` does, each
+        batch in lcm order.  Once degree d has added the guide's quota of
+        elements, the remaining pairs are dropped and marked treated.  Sound
+        only above the top generator degree: see the module docstring."""
+        pairs = list(self.pop_pairs_up_to(d))
+        if not pairs:
+            return
+        unpack = self.pk.unpack
+        quota = guide.quota(d, {unpack(lm) for lm in self.lms_below(d)[0]})
+        traced = guide.trace.get(d, ())
+        first, rest = [], []
+        for p in pairs:
+            (first if self.pair_key(p[1], p[2]) in traced else rest).append(p)
+        lms = self.lms
+        for criteria, batch in ((False, first), (True, rest)):
+            for l, i, j in batch:
+                if not quota:
+                    self.treated.add((i, j))
+                    self.stats.stop_drops += 1
+                    continue
+                k = len(lms)
+                self.treat(l, i, j, criteria)
+                quota -= len(lms) - k
 
     def spoly(self, i: int, j: int, l: int) -> Poly:
         """An integer multiple of the S-polynomial of elements i and j; its
@@ -638,17 +703,24 @@ class _GBWorker:
         return False
 
 
-def groebner(ideal: IdealBasis, bound=None) -> IdealBasis:
+def groebner(ideal: IdealBasis, bound=None, guide: IdealBasis | None = None) -> IdealBasis:
     """Reduced Groebner basis, complete up to `bound` (None = complete).
 
     Homogeneous input is processed degree by degree; the returned IdealBasis
     carries the graded minimal-generator counts.  Inhomogeneous input is
     accepted only without a bound.
+
+    `guide`, for an ideal over GF(l), is a basis over Q, complete through the
+    bound, of the ideal whose generators reduce mod l to this ideal's: see
+    the module docstring.  It changes the work, never the result; an
+    unsuitable guide raises ValueError.
     """
     ring = ideal.ring
     if not ring.is_field:
         raise DomainError("groebner needs field coefficients, not ZZ")
     gens = [g for g in ideal.gens if g]
+    if guide is not None:
+        guide = _Guide(ideal, bound, guide)
     homogeneous = all(ring.is_homogeneous(g) for g in gens)
     if not homogeneous:
         if bound is not None:
@@ -663,12 +735,14 @@ def groebner(ideal: IdealBasis, bound=None) -> IdealBasis:
     degrees = sorted(by_degree)
     if not degrees:
         return IdealBasis(ring, [], gb=[], gb_bound=bound, mingens={}, gb_complete=True,
-                          stats=worker.stats)
+                          stats=worker.stats, trace={})
     d = degrees[0]
     while True:
         if bound is not None and d > bound:
             break
         # S-pairs of this degree first: they never contribute minimal generators
+        if guide is not None and d > degrees[-1]:
+            worker.treat_guided(d, guide)
         for l, i, j in worker.pop_pairs_up_to(d):
             worker.treat(l, i, j)
         for g in by_degree.get(d, ()):
@@ -685,7 +759,69 @@ def groebner(ideal: IdealBasis, bound=None) -> IdealBasis:
     lead = _interreduce(worker, graded=True)
     complete = bound is None or (not worker.pairs and degrees[-1] <= bound)
     return IdealBasis(ring, list(ideal.gens), gb=_field_forms(worker, lead), gb_bound=bound,
-                      mingens=mingens, gb_complete=complete, gb_lead=lead, stats=worker.stats)
+                      mingens=mingens, gb_complete=complete, gb_lead=lead, stats=worker.stats,
+                      trace=worker.trace)
+
+
+class _Guide:
+    """What a run over GF(l) reads from its guide, a basis over Q complete
+    through the run's bound (see the module docstring): the trace, and per
+    degree d the quota, the number of elements degree d adds before the
+    leading monomials span target(d) = dim S_d - HF_Q(d) monomials of
+    degree d.  Raises ValueError when the guide is unsuitable."""
+
+    def __init__(self, ideal: IdealBasis, bound, guide: IdealBasis):
+        ring, qring = ideal.ring, guide.ring
+        l = ring.domain.characteristic
+        if qring.domain.characteristic or not l or qring.names != ring.names:
+            raise ValueError("a guide is a basis over Q of an ideal over GF(l) "
+                             "in the same variables")
+        # the ideal's generators, checked below to be these mod l, are then
+        # homogeneous too
+        if not all(qring.is_homogeneous(g) for g in guide.gens):
+            raise ValueError("a guided run needs homogeneous generators")
+        if guide.gb is None or guide.trace is None or not (
+                guide.gb_complete or bound is not None and guide.gb_bound is not None
+                and guide.gb_bound >= bound):
+            raise ValueError("the guide must be a traced Groebner basis complete through "
+                             "the bound")
+        try:
+            reduced = [{m: r for m, c in g.items() if (r := ring.domain.of(c))}
+                       for g in guide.gens]
+        except ZeroDivisionError:
+            raise ValueError(f"the guide's generators are not {l}-integral") from None
+        if reduced != [dict(g) for g in ideal.gens]:
+            raise ValueError(f"the ideal's generators are not the guide's reduced mod {l}")
+        self.n, self.bound, self.trace = ring.n, bound, guide.trace
+        self.lts = _minimal_lts(guide, bound)
+        self.num = None
+
+    def target(self, d: int) -> int:
+        if self.num is None:
+            # without a bound, read the whole numerator: its degree is at
+            # most that of the lcm of the generators (Taylor's resolution)
+            lts = self.lts
+            top = self.bound if self.bound is not None else sum(map(max, zip(*lts), default=0))
+            self.num = _series_numerator(lts, top)
+        n = self.n
+        return comb(n - 1 + d, n - 1) - _numerator_value(self.num, n, d)
+
+    def quota(self, d: int, low: set) -> int:
+        """The quota of degree d for a run whose lms of degree < d are `low`.
+        When they are the guide's own, they span target(d) less the guide's
+        lms of degree d, which are the minimal generators of LT(I_Q) in that
+        degree; otherwise a Hilbert series counts what they span.  A negative
+        quota contradicts dim (I_l)_d <= target(d): InvariantError."""
+        same = [m for m in self.lts if sum(m) < d]
+        if len(same) == len(low) and low.issuperset(same):
+            return sum(sum(m) == d for m in self.lts)
+        n = self.n
+        spanned = comb(n - 1 + d, n - 1) - _numerator_value(_series_numerator(list(low), d), n, d)
+        quota = self.target(d) - spanned
+        if quota < 0:
+            raise InvariantError(f"the lms of degree < {d} span {spanned} monomials of degree "
+                                 f"{d}, more than the guide's bound {self.target(d)}")
+        return quota
 
 
 def _groebner_plain(ideal: IdealBasis, gens) -> IdealBasis:
@@ -699,7 +835,8 @@ def _groebner_plain(ideal: IdealBasis, gens) -> IdealBasis:
         worker.treat(*heapq.heappop(worker.pairs))
     lead = _interreduce(worker, graded=False)
     return IdealBasis(ring, list(ideal.gens), gb=_field_forms(worker, lead), gb_bound=None,
-                      mingens=None, gb_complete=True, gb_lead=lead, stats=worker.stats)
+                      mingens=None, gb_complete=True, gb_lead=lead, stats=worker.stats,
+                      trace=worker.trace)
 
 
 def _field_forms(worker: _GBWorker, lead: list) -> list:
@@ -912,9 +1049,14 @@ def hilbert_function(ideal: IdealBasis, bound: int) -> GradedDims:
     if ideal.gb_bound is not None and bound > ideal.gb_bound:
         raise TruncationError(f"bound {bound} exceeds Groebner truncation {ideal.gb_bound}")
     num = _series_numerator(_minimal_lts(ideal, bound), bound)
-    n = ring.n
-    return GradedDims(tuple(sum(num[i] * comb(n - 1 + k - i, n - 1) for i in range(k + 1))
-                            for k in range(bound + 1)))
+    return GradedDims(tuple(_numerator_value(num, ring.n, k) for k in range(bound + 1)))
+
+
+def _numerator_value(num: list[int], n: int, k: int) -> int:
+    """HF(k) = sum_i N_i C(n - 1 + k - i, n - 1) from the numerator N_0, N_1,
+    ... of a Hilbert series over n variables, given at least through degree
+    k or in full."""
+    return sum(num[i] * comb(n - 1 + k - i, n - 1) for i in range(min(k + 1, len(num))))
 
 
 def min_gen_degrees(ideal: IdealBasis, bound: int) -> GradedDims:

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -226,14 +227,14 @@ def test_degree3_rows_rejects_non_integral_and_non_cubic():
 
 @pytest.fixture
 def groebner_calls(monkeypatch):
-    """Empty the per-case memo and record (generators, bound) of every Groebner
-    basis built afterwards, including those of liealg, which looks groebner up
-    in polyalg at each call."""
+    """Empty the per-case memo and record (generators, bound, guide) of every
+    Groebner basis built afterwards, including those of liealg, which looks
+    groebner up in polyalg at each call."""
     calls = []
 
-    def counting(ideal, bound=None):
-        calls.append((ideal.gens, bound))
-        return groebner(ideal, bound)
+    def counting(ideal, bound=None, guide=None):
+        calls.append((ideal.gens, bound, guide))
+        return groebner(ideal, bound, guide=guide)
 
     monkeypatch.setattr(cases, "groebner", counting)
     monkeypatch.setattr(campaigns, "groebner", counting)
@@ -283,7 +284,7 @@ def test_n3x_basis_is_shared_by_containment_and_specialization(groebner_calls):
     assert campaigns._containment_dictionary(5)
     assert gl_specialization_check("gl-n3", 5).passed
     n3x = make_ideal(IdealCase("n3-x", 5)).gens
-    assert [bound for gens, bound in groebner_calls if gens == n3x] == [3]
+    assert [bound for gens, bound, _ in groebner_calls if gens == n3x] == [3]
 
 
 def test_verify_all_runs_each_points_check_once_and_frees_its_memo(points_calls):
@@ -335,15 +336,51 @@ def test_verify_all_builds_each_case_once_and_frees_its_memo(monkeypatch):
     assert cases.build_case.cache_info().currsize == 0
 
 
+def _gens_key(gens):
+    return tuple(tuple(sorted(g.items())) for g in gens)
+
+
 def test_verify_all_builds_each_groebner_basis_once(groebner_calls):
     em = Emitter()
     campaigns.verify_all(em, seed=0, trials=5)
     # the cnil symbolic check and the cnil points check read one reduction
-    inputs = {(tuple(tuple(sorted(g.items())) for g in gens), bound)
-              for gens, bound in groebner_calls}
+    inputs = {(_gens_key(gens), bound) for gens, bound, _ in groebner_calls}
     assert len(groebner_calls) == len(inputs) == 18
     assert all(e.status != FAIL for e in em.entries)
     assert cases.case_cn_reduction.cache_info().currsize == 0
+    # the n2 basis over GF(5) and the n3-z bases over GF(5) and GF(7) are
+    # guided by the char-0 bases the run already holds; no other basis is
+    guided = {(_gens_key(gens), bound, _gens_key(guide.gens))
+              for gens, bound, guide in groebner_calls if guide is not None}
+    assert guided == {(_gens_key(make_ideal(IdealCase(tag, l)).gens), bound,
+                       _gens_key(make_ideal(IdealCase(tag, 0)).gens))
+                      for tag, l, bound in (("n2", 5, 6), ("n3-z", 5, 5), ("n3-z", 7, 5))}
+
+
+def test_a_faulty_char0_basis_fails_the_hilbert_cross_check(monkeypatch):
+    """Drop one degree-5 element from the char-0 n3-z basis.  The guided runs
+    over GF(5) and GF(7) then stop one element short, so their Hilbert
+    functions agree with the faulty one and the flatness check passes; the
+    cross check of the char-0 Hilbert function against the character side
+    must fail."""
+    def faulty(ideal, bound=None, guide=None):
+        basis = groebner(ideal, bound, guide=guide)
+        if ideal.ring.domain.characteristic:
+            return basis
+        k = next(k for k, (lm, _, _) in enumerate(basis.gb_lead) if sum(lm) == 5)
+        return dataclasses.replace(basis, gb=basis.gb[:k] + basis.gb[k + 1:],
+                                   gb_lead=basis.gb_lead[:k] + basis.gb_lead[k + 1:])
+
+    monkeypatch.setattr(cases, "groebner", faulty)
+    cases.clear_case_memo()
+    try:
+        em = Emitter()
+        campaigns.ideal_campaign(em, "n3-z", 0, 5, trials=5, seed=0)
+        status = {e.check_id: e.status for e in em.entries}
+        assert status["ideal.n3-z.c0.flatness"] != FAIL
+        assert status["ideal.n3-z.c0.hilbert-cross"] == FAIL
+    finally:
+        cases.clear_case_memo()
 
 
 def test_cnil_points_draw_no_conjugating_matrix(monkeypatch):

@@ -175,6 +175,17 @@ def test_verify_ideal_does_not_depend_on_assert(run_python):
     assert optimized.stdout == plain.stdout
 
 
+def test_verify_ideal_guided_runs_do_not_depend_on_assert(run_python):
+    # at bound 5 the flatness check builds the GF(5) and GF(7) bases guided
+    # by the char-0 basis, which stops their degrees 4 and 5 early
+    argv = ["-m", "steinberg.cli", "verify", "ideal", "--case", "n3-z", "--char", "0",
+            "--degree-bound", "5", "--trials", "5", "--format", "json"]
+    plain, optimized = run_python(*argv), run_python("-O", *argv)
+    assert (plain.returncode, optimized.returncode) == (0, 0), (plain.stderr, optimized.stderr)
+    assert json.loads(plain.stdout)["summary"]["fail"] == 0
+    assert optimized.stdout == plain.stdout
+
+
 def test_verify_span_does_not_depend_on_assert(run_python):
     argv = ["-m", "steinberg.cli", "verify", "span", "--format", "json"]
     plain, optimized = run_python(*argv), run_python("-O", *argv)

@@ -384,10 +384,11 @@ def _reduced_basis_set(polys, char):
 
 
 @st.composite
-def ideals(draw, homogeneous):
+def ideals(draw, homogeneous, coefficients=(-3, -2, -1, 1, 2, 3)):
     """Up to three generators in 2 to 4 variables, each with 1 to 4 terms of
-    degree <= 3: of one degree each when homogeneous, of mixed degrees (a
-    constant term included) otherwise, so that the inhomogeneous path runs."""
+    degree <= 3 and coefficients drawn from `coefficients`: of one degree
+    each when homogeneous, of mixed degrees (a constant term included)
+    otherwise, so that the inhomogeneous path runs."""
     n = draw(st.integers(2, 4))
     gens = []
     for _ in range(draw(st.integers(1, 3))):
@@ -396,7 +397,7 @@ def ideals(draw, homogeneous):
         else:
             monos = [m for k in range(4) for m in _monomials(n, k)]
         picked = draw(st.lists(st.sampled_from(monos), min_size=1, max_size=4, unique=True))
-        gens.append({m: draw(st.sampled_from((-3, -2, -1, 1, 2, 3))) for m in picked})
+        gens.append({m: draw(st.sampled_from(coefficients)) for m in picked})
     return n, gens
 
 
@@ -721,3 +722,136 @@ def test_graded_interreduction_matches_the_general_rule(monkeypatch):
     groebner(make_ideal(IdealCase("n3-x", 5)), 4)
     groebner(make_ideal(IdealCase("n3-z", 0)), 4)
     assert sizes == [46, 80]
+
+
+# -- runs over GF(l) guided by a basis over Q --------------------------------------------
+
+
+def _mod(ring_l, polys):
+    """The polynomials over Q reduced into ring_l, zeros dropped."""
+    of = ring_l.domain.of
+    return [{m: r for m, c in g.items() if (r := of(c))} for g in polys]
+
+
+def _assert_same_basis(guided, unguided):
+    assert guided == unguided  # gens, gb, gb_bound, mingens, gb_complete
+    assert guided.gb_lead == unguided.gb_lead
+
+
+@settings(max_examples=80, deadline=None)
+@given(ideals(homogeneous=True, coefficients=(-7, -5, -3, -2, -1, 1, 2, 3, 5, 7)),
+       st.sampled_from([5, 7]), st.integers(2, 4))
+def test_guided_basis_equals_the_unguided_one(data, l, bound):
+    n, gens = data
+    names = [f"x{i}" for i in range(n)]
+    R0, Rl = PolyRing(names, 0), PolyRing(names, l)
+    q = groebner(IdealBasis(R0, [{m: Fraction(c) for m, c in g.items()} for g in gens]), bound)
+    ideal = IdealBasis(Rl, _mod(Rl, q.gens))
+    unguided = groebner(ideal, bound)
+    _assert_same_basis(groebner(ideal, bound, guide=q), unguided)
+    # the semicontinuity the stop rests on: HF over GF(l) never below HF over Q
+    assert all(a >= b for a, b in zip(hilbert_function(unguided, bound).dims,
+                                      hilbert_function(q, bound).dims))
+
+
+@pytest.fixture(scope="module")
+def n3z_q5():
+    return groebner(make_ideal(IdealCase("n3-z", 0)), 5)
+
+
+@pytest.mark.parametrize("l", [5, 7])
+def test_guided_n3z_bases_equal_the_unguided_ones(n3z_q5, l):
+    ideal = make_ideal(IdealCase("n3-z", l))
+    guided, unguided = groebner(ideal, 5, guide=n3z_q5), groebner(ideal, 5)
+    _assert_same_basis(guided, unguided)
+    assert guided.stats.per_degree == unguided.stats.per_degree
+    assert unguided.stats.stop_drops == 0 < guided.stats.stop_drops
+    assert guided.stats.zero_reductions < unguided.stats.zero_reductions
+    if l == 7:  # the F7 run follows the Q trace exactly
+        assert guided.stats.zero_reductions == 0
+
+
+def test_guided_run_over_a_torsion_prime_is_the_unguided_run():
+    # over Z_(5), y * x^2 - x * (x*y + 5*y^2) + 5*y*(x*y + 5*y^2) = 25*y^3: the
+    # quotient has 5-torsion in degree 3, so y^3 is a leading term over Q only
+    R0, R5 = PolyRing(("x", "y", "z"), 0), PolyRing(("x", "y", "z"), 5)
+    gens = [R0.from_text(t) for t in ("1*x^2", "1*x*y + 5*y^2", "1*z^2")]
+    q = groebner(IdealBasis(R0, gens), 4)
+    ideal = IdealBasis(R5, _mod(R5, gens))
+    guided, unguided = groebner(ideal, 4, guide=q), groebner(ideal, 4)
+    _assert_same_basis(guided, unguided)
+    assert hilbert_function(q, 4).dims != hilbert_function(unguided, 4).dims
+    assert (0, 3, 0) in {lm for lm, _, _ in q.gb_lead}
+    assert (0, 3, 0) not in {lm for lm, _, _ in unguided.gb_lead}
+    assert guided.stats.stop_drops == 0  # the Q count is never reached
+
+
+def test_guided_run_stops_when_the_leading_terms_differ_mod_l():
+    # flat over Z_(5) (two quadrics cutting a curve over Q and over GF(5)),
+    # but x^2 leads over Q and x*y over GF(5): the run's lms of lower degree
+    # are not the guide's, so the stop counts what they span
+    R0, R5 = PolyRing(("x", "y", "z"), 0), PolyRing(("x", "y", "z"), 5)
+    gens = [R0.from_text(t) for t in ("5*x^2 + 1*x*y + 1*y^2", "1*x*z + 1*y^2 + 1*z^2")]
+    q = groebner(IdealBasis(R0, gens), 5)
+    ideal = IdealBasis(R5, _mod(R5, gens))
+    guided, unguided = groebner(ideal, 5, guide=q), groebner(ideal, 5)
+    _assert_same_basis(guided, unguided)
+    assert hilbert_function(q, 5).dims == hilbert_function(unguided, 5).dims
+    assert {lm for lm, _, _ in q.gb_lead} != {lm for lm, _, _ in unguided.gb_lead}
+    assert guided.stats.stop_drops > 0
+
+
+def _spanned(monos, n, d):
+    """Brute force: the degree-d monomials in n variables that some monomial
+    of monos divides."""
+    return sum(any(all(a <= b for a, b in zip(m, e)) for m in monos)
+               for e in itertools.product(range(d + 1), repeat=n) if sum(e) == d)
+
+
+def test_guide_quota_matches_a_monomial_count():
+    """quota(d, low) = dim S_d - HF_Q(d) - |<low>_d|, in both of its ways:
+    from the guide's own lms of degree d when low are the guide's lms of
+    lower degree, and from a Hilbert series otherwise."""
+    R0, R5 = PolyRing(("x", "y", "z"), 0), PolyRing(("x", "y", "z"), 5)
+    gens = [R0.from_text(t) for t in ("1*x^2", "1*x*y + 5*y^2", "1*z^2")]
+    q = groebner(IdealBasis(R0, gens), 5)
+    guide = polyalg._Guide(IdealBasis(R5, _mod(R5, gens)), 5, q)
+    hf = hilbert_function(q, 5).dims
+    lms = [lm for lm, _, _ in q.gb_lead]
+    for d in (3, 4, 5):
+        target = _spanned(lms, 3, d)
+        assert guide.target(d) == target == len([e for e in itertools.product(
+            range(d + 1), repeat=3) if sum(e) == d]) - hf[d]
+        for low in ({m for m in lms if sum(m) < d}, {(2, 0, 0), (1, 1, 0), (0, 0, 2)}):
+            assert guide.quota(d, low) == target - _spanned(low, 3, d)
+
+
+def test_a_guide_outside_its_bound_raises_invariant_error():
+    # a guide that claims a leading monomial the run never gets: the run's
+    # lower lms then span more of degree d than the guide allows
+    R0, R5 = PolyRing(("x", "y"), 0), PolyRing(("x", "y"), 5)
+    q = groebner(IdealBasis(R0, [R0.from_text("1*x^2"), R0.from_text("1*x*y")]), 4)
+    guide = polyalg._Guide(IdealBasis(R5, _mod(R5, q.gens)), 4, q)
+    with pytest.raises(InvariantError, match="more than the guide's bound"):
+        guide.quota(4, {(2, 0), (1, 1), (0, 2)})
+
+
+def test_unsuitable_guides_raise_value_error(n3z_q5):
+    f5 = make_ideal(IdealCase("n3-z", 5))
+    f7_basis = groebner(make_ideal(IdealCase("n3-z", 7)), 3)
+    shuffled = IdealBasis(f5.ring, f5.gens[1:] + f5.gens[:1])
+    R0, R5 = PolyRing(("x", "y"), 0), PolyRing(("x", "y"), 5)
+    fifth = groebner(IdealBasis(R0, [R0.from_text("1/5*x^2")]), 3)
+    cases = [
+        (shuffled, 5, n3z_q5, "not the guide's reduced mod 5"),
+        (f5, 5, f7_basis, "basis over Q"),
+        (f5, None, n3z_q5, "complete through the bound"),
+        (f5, 5, groebner(make_ideal(IdealCase("n3-z", 0)), 4), "complete through the bound"),
+        (make_ideal(IdealCase("n3-x", 5)), 5, n3z_q5, "same variables"),
+        (IdealBasis(R5, [R5.from_text("1*x^2")]), 3, fifth, "not 5-integral"),
+        (IdealBasis(R5, [R5.from_text("1*x^2 + 1*y")]), None,
+         groebner(IdealBasis(R0, [R0.from_text("1*x^2 + 1*y")]), None), "homogeneous"),
+    ]
+    for ideal, bound, guide, message in cases:
+        with pytest.raises(ValueError, match=message):
+            groebner(ideal, bound, guide=guide)
