@@ -9,7 +9,7 @@ expression language naming the standard constructions:
                 dual(.),  tw(a,b)(.)         (twist by a character)
 
 ASCII input also accepts the unicode aliases ``⊗`` and ``⊕``.  Parsing is
-whitespace-insensitive and the printer round-trips through the parser.
+whitespace-insensitive.
 """
 
 from __future__ import annotations
@@ -305,34 +305,6 @@ def parse_rep(text: str) -> RepExpr:
     return _Parser(text).parse()
 
 
-def print_rep(expr: RepExpr) -> str:
-    """Canonical printer; ``parse_rep(print_rep(e)) == e``."""
-
-    def go(e: RepExpr, level: int) -> str:
-        # level 0 = sum context, 1 = tensor context
-        if isinstance(e, Atom):
-            return e.name
-        if isinstance(e, FAtom):
-            return "F(" + ",".join(str(c) for c in e.highest) + ")"
-        if isinstance(e, Sum):
-            s = go(e.left, 0) + " + " + go(e.right, 1)
-            return "(" + s + ")" if level >= 1 else s
-        if isinstance(e, Tensor):
-            s = go(e.left, 1) + "*" + go(e.right, 2)
-            return "(" + s + ")" if level >= 2 else s
-        if isinstance(e, Wedge):
-            return f"wedge^{e.power}(" + go(e.arg, 0) + ")"
-        if isinstance(e, SymPow):
-            return f"sym^{e.power}(" + go(e.arg, 0) + ")"
-        if isinstance(e, Dual):
-            return "dual(" + go(e.arg, 0) + ")"
-        if isinstance(e, Twist):
-            return "tw(" + ",".join(str(c) for c in e.shift) + ")(" + go(e.arg, 0) + ")"
-        raise TypeError(f"not a rep expression: {e!r}")
-
-    return go(expr, 0)
-
-
 # -- atoms and evaluation ------------------------------------------------------
 
 
@@ -428,6 +400,3 @@ def build_rep(expr: RepExpr | str, datum: RootDatum = A2) -> WeightMultiset:
         return build_rep(expr.arg, datum).twist(expr.shift)
     raise TypeError(f"not a rep expression: {expr!r}")
 
-
-def weight_multiplicity(rep: WeightMultiset, mu: Weight) -> int:
-    return rep.multiplicity(mu)

@@ -78,12 +78,6 @@ class GrothendieckElement:
     def scale(self, n: int) -> "GrothendieckElement":
         return GrothendieckElement([(l, n * c) for l, c in self.terms])
 
-    def coefficient(self, lam: Weight) -> int:
-        for l, c in self.terms:
-            if l == lam:
-                return c
-        return 0
-
     def dimension(self, datum: RootDatum = A2) -> int:
         return sum(c * weyl_dim(lam, datum) for lam, c in self.terms)
 

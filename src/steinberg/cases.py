@@ -31,10 +31,10 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import breps, bwb
-from .fieldops import Echelon, field_of, mat_add, mat_det, mat_mul, mat_sub, mat_trace
-from .polyalg import (ZZ, GradedDims, IdealBasis, IntMatrix, PolyRing, groebner,
-                      hilbert_function, homogenize_by_elimination, normal_form,
-                      quotient_invariant_factors, snf)
+from .fieldops import (ZZ, field_of, mat_add, mat_det, mat_mul, mat_sub, mat_trace,
+                       span_rank)
+from .polyalg import (GradedDims, IdealBasis, PolyRing, groebner, hilbert_function,
+                      homogenize_by_elimination, normal_form, quotient_invariant_factors, snf)
 from .weights import A1, A2, Weight
 
 CASE_TAGS = ("n2", "n3-z", "n3-x", "gl-n2", "gl-n3", "cnil")
@@ -60,27 +60,12 @@ class IdealCase:
         if self.tag.startswith("gl") and self.char in (2, 3):
             raise UnsupportedCase("gl cases need characteristic 0 or l > 3")
 
-    @property
-    def ambient(self) -> str:
-        return "traceless" if self.tag in ("n2", "n3-z") else "full-matrix"
-
 
 # -- polynomial matrices ----------------------------------------------------------
 
 
 def _zeros(ring, n):
     return [[ring.zero() for _ in range(n)] for _ in range(n)]
-
-
-def mat_scale(ring, a, c):
-    return [[ring.scale(x, c) for x in row] for row in a]
-
-
-def mat_identity(ring, n, c=1):
-    out = _zeros(ring, n)
-    for i in range(n):
-        out[i][i] = ring.const(c)
-    return out
 
 
 def mat_e2(ring, a):
@@ -187,10 +172,11 @@ def _build_case(case: IdealCase) -> CaseData:
             return ring.const(ring.domain.of(case.q) ** k if k else 1)
 
         qpoly = qp(1)
-        Nmat = mat_sub(ring, Sigma, mat_identity(ring, n))
+        one = mat_identity_poly(ring, n, ring.const(1))
+        Nmat = mat_sub(ring, Sigma, one)
         gens = []
         if n == 2:
-            sigma_q = mat_add(ring, mat_identity(ring, n), mat_scale_poly(ring, Nmat, qpoly))
+            sigma_q = mat_add(ring, one, mat_scale_poly(ring, Nmat, qpoly))
             comm = mat_sub(ring, mat_mul(ring, Phi, Sigma), mat_mul(ring, sigma_q, Phi))
             gens += [comm[i][j] for i in range(n) for j in range(n)]
             gens.append(ring.sub(mat_trace(ring, Phi), ring.add(ring.const(1), qp(1))))
@@ -202,9 +188,8 @@ def _build_case(case: IdealCase) -> CaseData:
             # Sigma^q = I + q(Sigma - I) + C(q,2)(Sigma - I)^2; needs 1/2
             N2 = mat_mul(ring, Nmat, Nmat)
             cq2 = ring.scale(ring.mul(qpoly, ring.sub(qpoly, ring.const(1))), Fraction(1, 2))
-            sigma_q = mat_add(ring, mat_identity(ring, n),
-                              mat_add(ring, mat_scale_poly(ring, Nmat, qpoly),
-                                      mat_scale_poly(ring, N2, cq2)))
+            sigma_q = mat_add(ring, one, mat_add(ring, mat_scale_poly(ring, Nmat, qpoly),
+                                                 mat_scale_poly(ring, N2, cq2)))
             comm = mat_sub(ring, mat_mul(ring, Phi, Sigma), mat_mul(ring, sigma_q, Phi))
             gens += [comm[i][j] for i in range(n) for j in range(n)]
             gens.append(ring.sub(mat_trace(ring, Phi),
@@ -312,8 +297,8 @@ class _Compiled:
     has in the polynomials, laid end to end, so a term's value is its
     coefficient times the table entries of its slots."""
 
-    def __init__(self, polys, n: int, p: int = EVAL_PRIME):
-        self.p = p
+    def __init__(self, polys, n: int):
+        self.p = p = EVAL_PRIME
         self.top = [max((m[i] for poly in polys for m in poly), default=0) for i in range(n)]
         offset = [0]
         for e in self.top:
@@ -348,12 +333,12 @@ class _Compiled:
         return out
 
 
-def _rand_matrix(rng, n, p=EVAL_PRIME):
-    return [[rng.randrange(p) for _ in range(n)] for _ in range(n)]
+def _rand_matrix(rng, n):
+    return [[rng.randrange(EVAL_PRIME) for _ in range(n)] for _ in range(n)]
 
 
-def _inv_mod(a, p=EVAL_PRIME):
-    n = len(a)
+def _inv_mod(a):
+    n, p = len(a), EVAL_PRIME
     dinv = pow(mat_det(ZZ, a), -1, p)
     if n == 2:
         adj = [[a[1][1], -a[0][1]], [-a[1][0], a[0][0]]]
@@ -368,19 +353,19 @@ def _inv_mod(a, p=EVAL_PRIME):
     return [[adj[i][j] * dinv % p for j in range(n)] for i in range(n)]
 
 
-def _mod(a, p=EVAL_PRIME):
-    return [[x % p for x in row] for row in a]
+def _mod(a):
+    return [[x % EVAL_PRIME for x in row] for row in a]
 
 
-def _conj(g, ginv, m, p=EVAL_PRIME):
+def _conj(g, ginv, m):
     """g m ginv mod p: products over the integers, one reduction per entry."""
-    return _mod(mat_mul(ZZ, mat_mul(ZZ, g, m), ginv), p)
+    return _mod(mat_mul(ZZ, mat_mul(ZZ, g, m), ginv))
 
 
-def _rand_invertible(rng, n, p=EVAL_PRIME):
+def _rand_invertible(rng, n):
     while True:
-        g = _rand_matrix(rng, n, p)
-        if mat_det(ZZ, g) % p:
+        g = _rand_matrix(rng, n)
+        if mat_det(ZZ, g) % EVAL_PRIME:
             return g
 
 
@@ -391,8 +376,6 @@ def _point_for_case(case: IdealCase, rng, ring) -> list[int]:
         # chart point of the commuting-nilpotent hypersurface at given q
         if case.q is None:
             q = rng.randrange(2, p - 1)
-            while q in (0, 1, p - 1):
-                q = rng.randrange(2, p - 1)
         else:
             q = case.q % p
         a, b, c, d = (rng.randrange(p) for _ in range(4))
@@ -435,8 +418,6 @@ def _point_for_case(case: IdealCase, rng, ring) -> list[int]:
         n = 2 if tag == "gl-n2" else 3
         if case.q is None:
             q = rng.randrange(2, p - 1)
-            while q in (0, 1, p - 1):
-                q = rng.randrange(2, p - 1)
         else:
             q = case.q % p
             if q in (0, 1, p - 1):
@@ -612,24 +593,25 @@ def _degree3_rows(ring, polys):
 
 def _field_rank(char, int_rows) -> int:
     fld = field_of(char)
-    ech = Echelon(fld)
     of, zero = fld.of, fld.zero
-    for row in int_rows:
-        ech.insert({i: y for i, x in enumerate(row) if x and (y := of(x)) != zero})
-    return ech.rank
+    return span_rank(fld, ({i: y for i, x in enumerate(row) if x and (y := of(x)) != zero}
+                           for row in int_rows))
+
+
+# The char-0 case whose ring and matrices each span17_check ambient uses.
+_SPAN_CASES = {"traceless": IdealCase("n3-z"), "full-matrix": IdealCase("n3-x")}
 
 
 @lru_cache(maxsize=None)
 def span_lattice(ambient: str):
     """The integer side of span17_check in one ambient, built once per
-    ambient: it does not depend on the characteristic.  Returns the degree-3
-    rows of the span entries and of the reducers, the free rank and torsion
-    of the quotient lattice, and the invariant factors of all rows, as
-    tuples."""
-    traceless = ambient == "traceless"
-    ring = PolyRing(_matrix_names("m", 3, traceless) + _matrix_names("n", 3, traceless), "ZZ")
-    M = _var_matrix(ring, "m", 3, traceless)
-    N = _var_matrix(ring, "n", 3, traceless)
+    ambient: it does not depend on the characteristic.  The polynomials are
+    built over Q from the matrices of the ambient's case, whose coefficients
+    are integers.  Returns the degree-3 rows of the span entries and of the
+    reducers, the free rank and torsion of the quotient lattice, and the
+    invariant factors of all rows, as tuples."""
+    data = build_case(_SPAN_CASES[ambient])
+    ring, M, N = data.ring, data.mats["M"], data.mats["N"]
     M2 = mat_mul(ring, M, M)
     span_polys = []
     for prod in (mat_mul(ring, M2, N), mat_mul(ring, N, M2)):
@@ -639,14 +621,14 @@ def span_lattice(ambient: str):
     reducers = []
     reducers += [ring.mul(M[i][j], trmn) for i in range(3) for j in range(3) if M[i][j]]
     reducers += [ring.mul(N[i][j], trm2) for i in range(3) for j in range(3) if N[i][j]]
-    if not traceless:
+    if ambient == "full-matrix":
         trm_sq = ring.mul(mat_trace(ring, M), mat_trace(ring, M))
         reducers += [ring.mul(N[i][j], trm_sq) for i in range(3) for j in range(3) if N[i][j]]
     arow = _degree3_rows(ring, span_polys + reducers)
     a_part = arow[: len(span_polys)]
     b_part = arow[len(span_polys):]
     free, torsion = quotient_invariant_factors(a_part, b_part)
-    factors = snf(IntMatrix([list(r) for r in arow]))
+    factors = snf(arow)
     return (tuple(map(tuple, a_part)), tuple(map(tuple, b_part)), free, tuple(torsion),
             tuple(factors))
 
@@ -763,12 +745,8 @@ def chart_symbolic_check(tag: str) -> ChartReport:
     allowed-position nilpotent (x E12 [+ y E23]), Sigma the truncated
     exponential, u = r^{n(n-1)/2}, v = 1, inside Q[q, r, params]/(qr - 1).
     Every generator must reduce to zero; conjugation covariance of the
-    generator list transports the identity off the chart.  For cnil the
-    chart check is the symbolic reduction itself.
+    generator list transports the identity off the chart.
     """
-    if tag == "cnil":
-        rep = case_cn_reduction(IdealCase("cnil"))
-        return ChartReport(tag, len(rep.entries) + 1, [] if rep.passed else ["normalized-generator"])
     if tag not in ("gl-n2", "gl-n3"):
         raise UnsupportedCase(tag)
     n = 2 if tag == "gl-n2" else 3
@@ -782,10 +760,9 @@ def chart_symbolic_check(tag: str) -> ChartReport:
     if n == 3:
         nil[1][2] = chart.var("y")
     nil2 = mat_mul(chart, nil, nil)
-    sigma = mat_identity(chart, n)
-    sigma = mat_add(chart, sigma, nil)
+    sigma = mat_add(chart, mat_identity_poly(chart, n, chart.const(1)), nil)
     if n == 3:
-        sigma = mat_add(chart, sigma, mat_scale(chart, nil2, Fraction(1, 2)))
+        sigma = mat_add(chart, sigma, mat_scale_poly(chart, nil2, chart.const(Fraction(1, 2))))
     images = {"q": q, "u": chart.pow(r, n * (n - 1) // 2), "v": chart.const(1)}
     for i in range(n):
         for j in range(n):

@@ -24,8 +24,19 @@ from . import bwb, campaigns
 from .breps import RepParseError, build_rep
 from .cases import CASE_TAGS, IdealCase, UnsupportedCase, case_hilbert
 from .liealg import CharacteristicError
-from .polyalg import DomainError, IntMatrix, TruncationError, snf
+from .polyalg import IntMatrix, TruncationError, snf
 from .report import Emitter, Report
+
+
+def _degree_bound(text: str) -> int:
+    """A --degree-bound value: a nonnegative integer."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, not {value}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -49,7 +60,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = verify.add_parser("ideal", parents=[common])
     p.add_argument("--case", dest="case_tag", choices=CASE_TAGS, required=True)
     p.add_argument("--char", type=int, default=0)
-    p.add_argument("--degree-bound", type=int, default=5)
+    p.add_argument("--degree-bound", type=_degree_bound, default=5)
     p.add_argument("--trials", type=int, default=200)
     p.add_argument("--symbolic", action="store_true")
     verify.add_parser("dims", parents=[common])
@@ -65,7 +76,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--l", type=int, required=True)
     p = compute.add_parser("hilbert", parents=[common])
     p.add_argument("--case", dest="case_tag", choices=CASE_TAGS, required=True)
-    p.add_argument("--degree-bound", type=int, required=True)
+    p.add_argument("--degree-bound", type=_degree_bound, required=True)
     p.add_argument("--char", type=int, default=0)
     p = compute.add_parser("snf", parents=[common])
     p.add_argument("--file", required=True)
@@ -135,7 +146,7 @@ def main(argv=None) -> int:
         sys.stderr.write(f"steinberg: bad rep expression: {e}\n")
         return 2
     except (UnsupportedCase, CharacteristicError, bwb.NotBWBGood, bwb.NotDecidable,
-            DomainError, TruncationError) as e:
+            TruncationError) as e:
         sys.stderr.write(f"steinberg: {type(e).__name__}: {e}\n")
         return 2
     except (OSError, ValueError) as e:

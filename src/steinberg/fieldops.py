@@ -8,13 +8,16 @@ one solver for coordinates in the span of independent vectors.  A field's
 
 The dense matrix helpers `mat_mul`, `mat_add`, `mat_sub`, `mat_trace` and
 `mat_det` (n <= 3) take the coefficient ring as a parameter: anything with
-`add`, `sub` and `mul`, such as a field above or a polynomial ring.
+`add`, `sub` and `mul`, such as a field above, the integers `ZZ` or a
+polynomial ring.
 """
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from functools import reduce
+from types import SimpleNamespace
 
 
 class InvariantError(ValueError):
@@ -109,6 +112,9 @@ class PrimeField:
 
 _GF_CACHE: dict[int, PrimeField] = {}
 QQ = RationalField()
+
+# The integers, as a coefficient ring of the dense matrix helpers only.
+ZZ = SimpleNamespace(add=operator.add, sub=operator.sub, mul=operator.mul)
 
 
 def field_of(char) -> RationalField | PrimeField:

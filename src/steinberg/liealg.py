@@ -73,9 +73,6 @@ class BasedRep:
     def weight_multiset(self) -> WeightMultiset:
         return WeightMultiset(self.weights)
 
-    def basis_vector(self, label: str) -> dict:
-        return {self.labels.index(label): self.fld.one}
-
     def act(self, op: str, v: dict) -> dict:
         """Exact image of v under e_{-alpha} ('ea'), e_{-beta} ('eb') or
         e_{-rho} ('er')."""
@@ -340,7 +337,7 @@ def coordinate_subspace(rep: BasedRep, weight_set) -> Echelon:
     return subspace_span(rep, [{i: rep.fld.one} for i in idx])
 
 
-def quotient_rep(rep: BasedRep, sub: Echelon, name_prefix: str = "q") -> QuotientRep:
+def quotient_rep(rep: BasedRep, sub: Echelon) -> QuotientRep:
     fld = rep.fld
     # stability check
     for piv, row in sub.rows.items():
@@ -653,13 +650,12 @@ class CampaignEntry:
     note: str = ""
 
 
-def wedge4_campaign(char=0, l: int | None = None) -> list[CampaignEntry]:
+def wedge4_campaign(char=0) -> list[CampaignEntry]:
     """Mechanizable checks behind the vanishing of H^3 on the wedge-square
     tensor square: the V^beta / V^alpha chain decompositions, the extension
     certificates after the unit twist, the 17-dimensional span equality, and
     the coinvariant 3-chains with the coefficient-2 lowering identity."""
-    if l is None:
-        l = 7 if char == 0 else char
+    l = 7 if char == 0 else char
     entries: list[CampaignEntry] = []
     big = build_based_rep("wedge^2(b)*wedge^2(b)", char)
     fld = big.fld

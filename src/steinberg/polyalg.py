@@ -1,8 +1,7 @@
 """Exact multivariate polynomial algebra: Buchberger, Hilbert data, SNF.
 
 Monomials are exponent tuples ordered by degrevlex.  Polynomials are sparse
-{monomial: coefficient} dicts over Q, a prime field, or Z (Z admits ring
-arithmetic only; Groebner computations require a field).
+{monomial: coefficient} dicts over Q or a prime field.
 
 The Groebner driver is degree-stratified for homogeneous input: S-pairs are
 processed degree by degree, pairs above the truncation bound are discarded
@@ -39,15 +38,18 @@ generator degree, LT(G)_d lies in LT(I_l)_d at every point of the run.  So
 once |LT(G)_d| = target(d), G is a Groebner basis in degree d and every
 remaining pair of that degree reduces to zero: the guided run drops them,
 marked treated for the chain criterion.  |LT(G)_d| is what the lms of lower
-degree span plus the elements added in degree d; when those lms are the
-guide's own they span target(d) less the guide's lms of degree d, and
-otherwise a Hilbert series counts them.  Pairs in the guide's trace are
-reduced first.  The pair order changes only which intermediate elements
+degree span plus the elements added in degree d.  The run counts it only
+when those lms are the guide's own: they then span target(d) less the
+guide's lms of degree d, so degree d stops once it has added as many
+elements as the guide has lms of that degree.  Pairs in the guide's trace
+are reduced first.  The pair order changes only which intermediate elements
 appear: the lms added in each degree are the minimal generators of LT(I_l)
-in that degree, so the returned basis is the unguided one.  If the count
-never reaches the target, nothing is dropped: HF_l > HF_Q in that degree,
-and a comparison of the Hilbert functions fails as it should.  A count above
-the target contradicts the bound and raises InvariantError.
+in that degree, so the returned basis is the unguided one.  When the lms of
+lower degree are not the guide's, they stay so in every later degree, and
+the run treats the rest unguided.  A run that never stops is the unguided
+run, so a faulty guide whose lms differ yields an honestly computed basis.
+If the count never reaches the target, nothing is dropped: HF_l > HF_Q in
+that degree, and a comparison of the Hilbert functions fails as it should.
 
 The stop trusts the guide: a basis over Q missing an element of degree d
 lowers target(d) by one, the guided runs stop one element short, and their
@@ -80,72 +82,19 @@ Monomial = tuple[int, ...]
 Poly = dict
 
 
-class ZZDomain:
-    """The integers: ring ops for construction, no inverses."""
-
-    name = "ZZ"
-    characteristic = 0
-    zero = 0
-    one = 1
-
-    @staticmethod
-    def of(n):
-        if isinstance(n, Fraction):
-            if n.denominator != 1:
-                raise ValueError("not an integer")
-            return n.numerator
-        return int(n)
-
-    @staticmethod
-    def add(a, b):
-        return a + b
-
-    @staticmethod
-    def sub(a, b):
-        return a - b
-
-    @staticmethod
-    def mul(a, b):
-        return a * b
-
-    @staticmethod
-    def neg(a):
-        return -a
-
-    @staticmethod
-    def inv(a):
-        raise ZeroDivisionError("no inverses over ZZ")
-
-    def __repr__(self):
-        return "ZZ"
-
-
-ZZ = ZZDomain()
-
-
-def domain_of(spec):
-    if spec == "ZZ" or spec is ZZ:
-        return ZZ
-    return field_of(spec)
-
-
 class PolyRing:
-    """Ordered variable list over an exact domain; degrevlex throughout."""
+    """Ordered variable list over Q or a prime field; degrevlex throughout."""
 
     def __init__(self, names, domain=0):
         self.names = tuple(names)
         if len(set(self.names)) != len(self.names):
             raise ValueError("variable names must be unique")
         self.n = len(self.names)
-        self.domain = domain_of(domain)
+        self.domain = field_of(domain)
         self._index = {nm: i for i, nm in enumerate(self.names)}
 
     def __repr__(self):
         return f"PolyRing({self.domain!r}, {','.join(self.names)})"
-
-    @property
-    def is_field(self) -> bool:
-        return self.domain is not ZZ
 
     # -- element constructors ------------------------------------------------
 
@@ -188,10 +137,6 @@ class PolyRing:
             else:
                 out[m] = s
         return out
-
-    def neg(self, a: Poly) -> Poly:
-        d = self.domain
-        return {m: d.neg(c) for m, c in a.items()}
 
     def scale(self, a: Poly, c) -> Poly:
         d = self.domain
@@ -348,11 +293,6 @@ def _field_form(modulus: int, g: Poly, lm: Monomial) -> Poly:
     return {m: Fraction(c, a) for m, c in g.items()}
 
 
-def _lead(ring: "PolyRing", p: Poly) -> tuple[Monomial, int, Poly]:
-    lm = ring.lm(p)
-    return (lm, _mask(lm), _basis_form(ring.domain.characteristic, _integral(ring, p)[0], lm))
-
-
 def _divides(a: Monomial, b: Monomial) -> bool:
     for x, y in zip(a, b):
         if x > y:
@@ -366,10 +306,6 @@ def _msub(a: Monomial, b: Monomial) -> Monomial:
 
 class TruncationError(ValueError):
     """Operation needs Groebner data beyond the computed bound."""
-
-
-class DomainError(TypeError):
-    """Operation not available over this coefficient domain."""
 
 
 @dataclass
@@ -398,11 +334,11 @@ class IdealBasis:
     (leading monomial, support mask, basis form) for each element of gb, in
     gb's order, where the basis form is the element's integer form: over
     GF(p) its monic residues, over Q the primitive integer polynomial with
-    positive leading coefficient.  gb_lead is filled in at construction when
-    gb is given without it.  stats holds the work counters of the `groebner`
-    run that built the basis, and trace its productive S-pairs: for each lcm
-    degree, the set of (lm_i, lm_j), as packed ints with lm_i < lm_j, of the
-    pairs whose remainder entered the basis.  No report reads either.
+    positive leading coefficient.  stats holds the work counters of the
+    `groebner` run that built the basis, and trace its productive S-pairs:
+    for each lcm degree, the set of (lm_i, lm_j), as packed ints with
+    lm_i < lm_j, of the pairs whose remainder entered the basis.  No report
+    reads either.
     """
 
     ring: PolyRing
@@ -414,10 +350,6 @@ class IdealBasis:
     gb_lead: list | None = field(default=None, repr=False, compare=False)
     stats: GroebnerStats | None = field(default=None, repr=False, compare=False)
     trace: dict | None = field(default=None, repr=False, compare=False)
-
-    def __post_init__(self):
-        if self.gb is not None and self.gb_lead is None:
-            self.gb_lead = [_lead(self.ring, g) for g in self.gb]
 
     def require_gb(self):
         if self.gb is None:
@@ -652,13 +584,14 @@ class _GBWorker:
         """Treat the pairs of degree d, first those in the guide's trace,
         reduced without the criteria, then the others as `treat` does, each
         batch in lcm order.  Once degree d has added the guide's quota of
-        elements, the remaining pairs are dropped and marked treated.  Sound
-        only above the top generator degree: see the module docstring."""
-        pairs = list(self.pop_pairs_up_to(d))
-        if not pairs:
-            return
+        elements, the remaining pairs are dropped and marked treated.  Without
+        a quota the pairs are left to the caller, which treats them all.
+        Sound only above the top generator degree: see the module docstring."""
         unpack = self.pk.unpack
         quota = guide.quota(d, {unpack(lm) for lm in self.lms_below(d)[0]})
+        if quota is None:
+            return
+        pairs = list(self.pop_pairs_up_to(d))
         traced = guide.trace.get(d, ())
         first, rest = [], []
         for p in pairs:
@@ -716,8 +649,6 @@ def groebner(ideal: IdealBasis, bound=None, guide: IdealBasis | None = None) -> 
     unsuitable guide raises ValueError.
     """
     ring = ideal.ring
-    if not ring.is_field:
-        raise DomainError("groebner needs field coefficients, not ZZ")
     gens = [g for g in ideal.gens if g]
     if guide is not None:
         guide = _Guide(ideal, bound, guide)
@@ -735,7 +666,7 @@ def groebner(ideal: IdealBasis, bound=None, guide: IdealBasis | None = None) -> 
     degrees = sorted(by_degree)
     if not degrees:
         return IdealBasis(ring, [], gb=[], gb_bound=bound, mingens={}, gb_complete=True,
-                          stats=worker.stats, trace={})
+                          gb_lead=[], stats=worker.stats, trace={})
     d = degrees[0]
     while True:
         if bound is not None and d > bound:
@@ -768,7 +699,8 @@ class _Guide:
     through the run's bound (see the module docstring): the trace, and per
     degree d the quota, the number of elements degree d adds before the
     leading monomials span target(d) = dim S_d - HF_Q(d) monomials of
-    degree d.  Raises ValueError when the guide is unsuitable."""
+    degree d, when the lms of lower degree are the guide's.  Raises
+    ValueError when the guide is unsuitable."""
 
     def __init__(self, ideal: IdealBasis, bound, guide: IdealBasis):
         ring, qring = ideal.ring, guide.ring
@@ -792,36 +724,19 @@ class _Guide:
             raise ValueError(f"the guide's generators are not {l}-integral") from None
         if reduced != [dict(g) for g in ideal.gens]:
             raise ValueError(f"the ideal's generators are not the guide's reduced mod {l}")
-        self.n, self.bound, self.trace = ring.n, bound, guide.trace
+        self.trace = guide.trace
         self.lts = _minimal_lts(guide, bound)
-        self.num = None
 
-    def target(self, d: int) -> int:
-        if self.num is None:
-            # without a bound, read the whole numerator: its degree is at
-            # most that of the lcm of the generators (Taylor's resolution)
-            lts = self.lts
-            top = self.bound if self.bound is not None else sum(map(max, zip(*lts), default=0))
-            self.num = _series_numerator(lts, top)
-        n = self.n
-        return comb(n - 1 + d, n - 1) - _numerator_value(self.num, n, d)
-
-    def quota(self, d: int, low: set) -> int:
-        """The quota of degree d for a run whose lms of degree < d are `low`.
-        When they are the guide's own, they span target(d) less the guide's
-        lms of degree d, which are the minimal generators of LT(I_Q) in that
-        degree; otherwise a Hilbert series counts what they span.  A negative
-        quota contradicts dim (I_l)_d <= target(d): InvariantError."""
+    def quota(self, d: int, low: set) -> int | None:
+        """The quota of degree d for a run whose lms of degree < d are `low`,
+        or None when they are not the guide's own.  The guide's lms span
+        target(d) monomials of degree d, and its lms of degree d are the
+        minimal generators of LT(I_Q) in that degree: the quota is their
+        number."""
         same = [m for m in self.lts if sum(m) < d]
-        if len(same) == len(low) and low.issuperset(same):
-            return sum(sum(m) == d for m in self.lts)
-        n = self.n
-        spanned = comb(n - 1 + d, n - 1) - _numerator_value(_series_numerator(list(low), d), n, d)
-        quota = self.target(d) - spanned
-        if quota < 0:
-            raise InvariantError(f"the lms of degree < {d} span {spanned} monomials of degree "
-                                 f"{d}, more than the guide's bound {self.target(d)}")
-        return quota
+        if len(same) != len(low) or not low.issuperset(same):
+            return None
+        return sum(sum(m) == d for m in self.lts)
 
 
 def _groebner_plain(ideal: IdealBasis, gens) -> IdealBasis:
@@ -978,9 +893,6 @@ class GradedDims:
 
     def __getitem__(self, k: int) -> int:
         return self.dims[k]
-
-    def __len__(self):
-        return len(self.dims)
 
     def __str__(self):
         return "[" + ", ".join(str(d) for d in self.dims) + "]"
@@ -1159,10 +1071,6 @@ def homogenize_by_elimination(ring: PolyRing, gens: list) -> list:
 class IntMatrix:
     rows: list[list[int]]
 
-    @property
-    def shape(self) -> tuple[int, int]:
-        return (len(self.rows), len(self.rows[0]) if self.rows else 0)
-
     @classmethod
     def from_text(cls, text: str) -> "IntMatrix":
         rows = []
@@ -1174,9 +1082,6 @@ class IntMatrix:
         if rows and any(len(r) != len(rows[0]) for r in rows):
             raise ValueError("ragged matrix")
         return cls(rows)
-
-    def to_text(self) -> str:
-        return "\n".join(" ".join(str(x) for x in row) for row in self.rows) + "\n"
 
 
 def snf(matrix: IntMatrix | list) -> list[int]:

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .fieldops import InvariantError
+from .fieldops import ZZ, InvariantError, mat_mul
 
 Weight = tuple[int, ...]
 
@@ -50,11 +50,6 @@ class WeylElement:
 
     def __repr__(self) -> str:
         return f"W({self.name})"
-
-
-def _mat_mul(a, b):
-    n = len(a)
-    return tuple(tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n)) for i in range(n))
 
 
 def _pad(v: tuple) -> tuple[int, int]:
@@ -100,7 +95,6 @@ class RootDatum:
                 WeylElement("sb", 1, ((1, 1), (0, -1))),
             )
         self.weyl = self._generate(refl)
-        self._by_name = {w.name: w for w in self.weyl}
         self._coroots = tuple(_pad(c) for c in self.positive_coroots)
         # the signs of the pairings of mu + rho with the positive coroots name
         # the chamber of a regular mu; w . 0 lies in the chamber of w
@@ -118,7 +112,7 @@ class RootDatum:
             for mat in frontier:
                 name, length = seen[mat]
                 for s in refl:
-                    m2 = _mat_mul(mat, s.matrix)
+                    m2 = tuple(map(tuple, mat_mul(ZZ, mat, s.matrix)))
                     if m2 not in seen:
                         # reduced word grows on the right
                         nm = s.name if name == "e" else name + "." + s.name
@@ -196,13 +190,6 @@ class RootDatum:
         return tuple(p * x0 + q * x1 < 0 for p, q in self._coroots)
 
     # -- Weyl group --------------------------------------------------------
-
-    def element(self, name: str) -> WeylElement:
-        return self._by_name[name]
-
-    @property
-    def identity(self) -> WeylElement:
-        return self._by_name["e"]
 
     def dot_action(self, w: WeylElement, lam: Weight) -> Weight:
         """The rho-shifted action w . lam = w(lam + rho) - rho."""

@@ -10,6 +10,8 @@ from steinberg.cli import main
 
 # sha256 of `verify all --format json --trials 5`
 VERIFY_ALL_TRIALS5_SHA256 = "2d85f6e7d59a1eb7add32cbf58a7f1552bfd15e4bb98c96c4436aead697c9e62"
+# sha256 of the canonical report, `verify all --format json` (seed 0, default trials)
+VERIFY_ALL_SHA256 = "51b9ccb0cdc818a41908cbc1d9c75144570db11f5cd559f3577d16cffd5db4fa"
 
 
 def run_cli(argv):
@@ -62,15 +64,21 @@ def test_malformed_rep_exits_2():
 
 
 def test_usage_errors_exit_2():
-    with pytest.raises(SystemExit) as info:
-        run_cli(["verify", "ideal", "--case", "nope"])
-    assert info.value.code == 2
-    with pytest.raises(SystemExit) as info:
-        run_cli(["verify", "ideal", "--case", "n3-z", "--degree-bound"])
-    assert info.value.code == 2
-    with pytest.raises(SystemExit) as info:
-        run_cli(["verify", "all", "--jobs", "2"])
-    assert info.value.code == 2
+    for argv, message in (
+        (["verify", "ideal", "--case", "nope"], "invalid choice"),
+        (["verify", "ideal", "--case", "n3-z", "--degree-bound"], "expected one argument"),
+        (["verify", "all", "--jobs", "2"], "unrecognized arguments"),
+        # a negative bound certifies nothing: it must not reach a check
+        (["verify", "ideal", "--case", "n2", "--char", "0", "--degree-bound", "-1"],
+         "--degree-bound: must be >= 0"),
+        (["compute", "hilbert", "--case", "n3-z", "--degree-bound", "-1"],
+         "--degree-bound: must be >= 0"),
+    ):
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err), pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2 and out.getvalue() == "", argv
+        assert message in err.getvalue() and "Traceback" not in err.getvalue(), err.getvalue()
 
 
 def test_unsupported_combination_exits_2():
@@ -163,6 +171,13 @@ def test_verify_all_is_disjoint_union():
                 "multiplicity.", "classgroup."}
     for p in prefixes:
         assert any(i.startswith(p) for i in ids), p
+
+
+def test_canonical_report_is_pinned():
+    # the behavioural contract itself: seed 0, default trials
+    code, out, _ = run_cli(["verify", "all", "--format", "json"])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_ALL_SHA256
 
 
 def test_verify_ideal_does_not_depend_on_assert(run_python):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from steinberg import polyalg
 from steinberg.cases import IdealCase, make_ideal
-from steinberg.polyalg import (DomainError, GradedDims, IdealBasis, IntMatrix, InvariantError,
+from steinberg.polyalg import (GradedDims, IdealBasis, IntMatrix, InvariantError,
                                PolyRing, TruncationError, _minimal_lts, _series_numerator,
                                groebner, hilbert_function, homogenize_by_elimination,
                                hnf_rowspace, krull_dim, min_gen_degrees, normal_form,
@@ -35,8 +35,8 @@ def test_groebner_determinism_five_runs():
     texts = set()
     for _ in range(5):
         R = PolyRing(("m11", "m12", "m21", "n11", "n12", "n21"), 0)
-        M = [[R.var("m11"), R.var("m12")], [R.var("m21"), R.neg(R.var("m11"))]]
-        N = [[R.var("n11"), R.var("n12")], [R.var("n21"), R.neg(R.var("n11"))]]
+        M = [[R.var("m11"), R.var("m12")], [R.var("m21"), R.scale(R.var("m11"), -1)]]
+        N = [[R.var("n11"), R.var("n12")], [R.var("n21"), R.scale(R.var("n11"), -1)]]
 
         def mul(A, B):
             return [[R.add(R.mul(A[i][0], B[0][j]), R.mul(A[i][1], B[1][j]))
@@ -164,12 +164,6 @@ def test_krull_dim_examples():
         krull_dim(groebner(IdealBasis(R6, [af_cd]), 1))
 
 
-def test_groebner_rejects_zz():
-    RZ = PolyRing(("x", "y"), "ZZ")
-    with pytest.raises(DomainError):
-        groebner(IdealBasis(RZ, [RZ.var("x")]), None)
-
-
 def test_truncation_errors():
     R6 = ring6()
     g = groebner(IdealBasis(R6, [R6.from_text("1*a*f - 1*c*d")]), 3)
@@ -284,8 +278,9 @@ def test_text_round_trip():
 
 
 def test_int_matrix_text_round_trip():
-    m = IntMatrix([[1, -2, 3], [0, 5, -6]])
-    assert IntMatrix.from_text(m.to_text()).rows == m.rows
+    rows = [[1, -2, 3], [0, 5, -6]]
+    text = "# a comment\n" + "\n".join(" ".join(map(str, r)) for r in rows) + "\n\n"
+    assert IntMatrix.from_text(text).rows == rows
     with pytest.raises(ValueError):
         IntMatrix.from_text("1 2\n3\n")
 
@@ -786,10 +781,10 @@ def test_guided_run_over_a_torsion_prime_is_the_unguided_run():
     assert guided.stats.stop_drops == 0  # the Q count is never reached
 
 
-def test_guided_run_stops_when_the_leading_terms_differ_mod_l():
+def test_guided_run_is_the_unguided_run_when_the_leading_terms_differ_mod_l():
     # flat over Z_(5) (two quadrics cutting a curve over Q and over GF(5)),
     # but x^2 leads over Q and x*y over GF(5): the run's lms of lower degree
-    # are not the guide's, so the stop counts what they span
+    # are not the guide's, so it has no quota and drops nothing
     R0, R5 = PolyRing(("x", "y", "z"), 0), PolyRing(("x", "y", "z"), 5)
     gens = [R0.from_text(t) for t in ("5*x^2 + 1*x*y + 1*y^2", "1*x*z + 1*y^2 + 1*z^2")]
     q = groebner(IdealBasis(R0, gens), 5)
@@ -798,7 +793,7 @@ def test_guided_run_stops_when_the_leading_terms_differ_mod_l():
     _assert_same_basis(guided, unguided)
     assert hilbert_function(q, 5).dims == hilbert_function(unguided, 5).dims
     assert {lm for lm, _, _ in q.gb_lead} != {lm for lm, _, _ in unguided.gb_lead}
-    assert guided.stats.stop_drops > 0
+    assert guided.stats.stop_drops == 0
 
 
 def _spanned(monos, n, d):
@@ -809,9 +804,8 @@ def _spanned(monos, n, d):
 
 
 def test_guide_quota_matches_a_monomial_count():
-    """quota(d, low) = dim S_d - HF_Q(d) - |<low>_d|, in both of its ways:
-    from the guide's own lms of degree d when low are the guide's lms of
-    lower degree, and from a Hilbert series otherwise."""
+    """quota(d, low) = dim S_d - HF_Q(d) - |<low>_d| when low are the guide's
+    lms of lower degree, and None for any other low."""
     R0, R5 = PolyRing(("x", "y", "z"), 0), PolyRing(("x", "y", "z"), 5)
     gens = [R0.from_text(t) for t in ("1*x^2", "1*x*y + 5*y^2", "1*z^2")]
     q = groebner(IdealBasis(R0, gens), 5)
@@ -820,20 +814,11 @@ def test_guide_quota_matches_a_monomial_count():
     lms = [lm for lm, _, _ in q.gb_lead]
     for d in (3, 4, 5):
         target = _spanned(lms, 3, d)
-        assert guide.target(d) == target == len([e for e in itertools.product(
+        assert target == len([e for e in itertools.product(
             range(d + 1), repeat=3) if sum(e) == d]) - hf[d]
-        for low in ({m for m in lms if sum(m) < d}, {(2, 0, 0), (1, 1, 0), (0, 0, 2)}):
-            assert guide.quota(d, low) == target - _spanned(low, 3, d)
-
-
-def test_a_guide_outside_its_bound_raises_invariant_error():
-    # a guide that claims a leading monomial the run never gets: the run's
-    # lower lms then span more of degree d than the guide allows
-    R0, R5 = PolyRing(("x", "y"), 0), PolyRing(("x", "y"), 5)
-    q = groebner(IdealBasis(R0, [R0.from_text("1*x^2"), R0.from_text("1*x*y")]), 4)
-    guide = polyalg._Guide(IdealBasis(R5, _mod(R5, q.gens)), 4, q)
-    with pytest.raises(InvariantError, match="more than the guide's bound"):
-        guide.quota(4, {(2, 0), (1, 1), (0, 2)})
+        low = {m for m in lms if sum(m) < d}
+        assert guide.quota(d, low) == target - _spanned(low, 3, d)
+        assert guide.quota(d, {(2, 0, 0), (0, 2, 0), (0, 0, 2)}) is None
 
 
 def test_unsuitable_guides_raise_value_error(n3z_q5):

@@ -11,6 +11,11 @@ from steinberg.weights import (A1, A2, ALPHA, BETA, L1, L2, L3, RHO, ClassGroupE
                                self_dual_classes)
 
 
+def element(datum, name):
+    """The Weyl element of datum with the given reduced word ("e" for 1)."""
+    return next(w for w in datum.weyl if w.name == name)
+
+
 def test_root_table_identities():
     assert RHO == (1, 1)
     assert ALPHA == (2, -1)
@@ -33,10 +38,10 @@ def test_weyl_group_structure():
 
 
 def test_dot_action_examples():
-    e = A2.identity
+    e = element(A2, "e")
     assert A2.dot_action(e, (4, -7)) == (4, -7)
     # s_alpha . 0 = -alpha, since s_alpha(rho) = rho - alpha
-    sa = A2.element("sa")
+    sa = element(A2, "sa")
     assert sa.act(RHO) == A2.sub(RHO, ALPHA)
     assert A2.dot_action(sa, (0, 0)) == (-2, 1)
     # w0 . (-2 rho) = 0: oracle by enumerating all six elements
@@ -55,7 +60,7 @@ def test_dot_action_group_law():
 
 
 def test_locate_examples():
-    assert A2.locate((0, 0), 5) == Located(A2.identity, (0, 0))
+    assert A2.locate((0, 0), 5) == Located(element(A2, "e"), (0, 0))
     assert isinstance(A2.locate((-1, -1), 5), Singular)
     res = A2.locate((-2, 1), 5)
     assert isinstance(res, Located) and res.w.name == "sa" and res.lam == (0, 0)
@@ -102,7 +107,7 @@ def test_bwb_locus_membership():
 def test_sl2_datum():
     assert A1.rho == (1,)
     assert sorted(w.length for w in A1.weyl) == [0, 1]
-    assert A1.dot_action(A1.element("sa"), (-2,)) == (0,)
+    assert A1.dot_action(element(A1, "sa"), (-2,)) == (0,)
     assert isinstance(A1.locate((-1,), 0), Singular)
 
 
@@ -175,7 +180,8 @@ def test_corrupted_tables_raise_without_assert(run_python):
         "    d.rho = (1, 2)\n"
         "def swap_chambers(d):\n"
         "    key = {w.name: signs for signs, w in d._chamber.items()}\n"
-        "    d._chamber[key['e']], d._chamber[key['sa']] = d.element('sa'), d.identity\n"
+        "    a, b = key['e'], key['sa']\n"
+        "    d._chamber[a], d._chamber[b] = d._chamber[b], d._chamber[a]\n"
         "corrupt('length', lengthen_sa, RootDatum._check_tables)\n"
         "corrupt('rho', shift_rho, RootDatum._check_tables)\n"
         "corrupt('locate', swap_chambers, lambda d: d.locate((0, 0), 5))\n"
