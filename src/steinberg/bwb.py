@@ -50,8 +50,8 @@ class GrothendieckElement:
         )
 
     @classmethod
-    def of(cls, lam: Weight, c: int = 1) -> "GrothendieckElement":
-        return cls([(lam, c)])
+    def of(cls, lam: Weight) -> "GrothendieckElement":
+        return cls([(lam, 1)])
 
     @classmethod
     def zero(cls) -> "GrothendieckElement":
@@ -135,7 +135,7 @@ def euler_char(rep: WeightMultiset, datum: RootDatum = A2) -> GrothendieckElemen
     return GrothendieckElement(terms)
 
 
-def line_cohomology(mu: Weight, l: int, datum: RootDatum = A2) -> dict[int, GrothendieckElement]:
+def line_cohomology(mu: Weight, l: int) -> dict[int, GrothendieckElement]:
     """H^i(G/B, O(mu)) as {degree: class}, omitting zero groups.
 
     l = 0 is Bott's theorem.  For prime l the answer is asserted only when
@@ -143,16 +143,16 @@ def line_cohomology(mu: Weight, l: int, datum: RootDatum = A2) -> dict[int, Grot
     vanishing) or the dot orbit of mu meets the closed bottom alcove;
     otherwise NotDecidable is raised.
     """
-    res = datum.locate(mu, l)
+    res = A2.locate(mu, l)
     if isinstance(res, Singular):
         if l == 0:
             return {}
-        shifted = datum.add(mu, datum.rho)
-        simple = datum.positive_coroots[: datum.rank]
-        if any(datum.pairing(shifted, c) == 0 for c in simple):
+        shifted = A2.add(mu, A2.rho)
+        simple = A2.positive_coroots[: A2.rank]
+        if any(A2.pairing(shifted, c) == 0 for c in simple):
             return {}
         # singular only for a non-simple wall: decidable only inside the locus
-        if datum.in_bwb_locus(mu, l):
+        if A2.in_bwb_locus(mu, l):
             return {}
         raise NotDecidable(f"singular weight {mu} outside the bounded region at l={l}")
     if isinstance(res, OutsideLocus):
@@ -162,18 +162,18 @@ def line_cohomology(mu: Weight, l: int, datum: RootDatum = A2) -> dict[int, Grot
     return {res.w.length: GrothendieckElement.of(res.lam)}
 
 
-def bwb_good(rep: WeightMultiset, l: int, datum: RootDatum = A2) -> tuple[bool, WeightMultiset]:
+def bwb_good(rep: WeightMultiset, l: int) -> tuple[bool, WeightMultiset]:
     """Whether every weight lies in the BWB locus; witnesses on failure.
 
     Raises ValueError unless l is 0 or a prime, as `locate` does.
     """
     check_bound(l)
-    place = datum.place
+    place = A2.place
     bad = {mu: mult for mu, mult in rep if place(mu)[0] > l}
     return (not bad, WeightMultiset(bad))
 
 
-def psupp(rep: WeightMultiset, i: int, l: int, datum: RootDatum = A2) -> WeightMultiset:
+def psupp(rep: WeightMultiset, i: int, l: int) -> WeightMultiset:
     """Potential support in cohomological degree i for a BWB-good multiset.
 
     The multiplicity of a dominant lam in the bounded region is the sum of
@@ -183,9 +183,9 @@ def psupp(rep: WeightMultiset, i: int, l: int, datum: RootDatum = A2) -> WeightM
     0..max l(w), and NotBWBGood when a weight leaves the locus.
     """
     check_bound(l)
-    if not 0 <= i <= datum.weyl[-1].length:
-        raise ValueError(f"degree i must lie in 0..{datum.weyl[-1].length}, got {i}")
-    place = datum.place
+    if not 0 <= i <= A2.weyl[-1].length:
+        raise ValueError(f"degree i must lie in 0..{A2.weyl[-1].length}, got {i}")
+    place = A2.place
     acc: dict[Weight, int] = {}
     bad: dict[Weight, int] = {}
     for mu, mult in rep:
@@ -319,7 +319,7 @@ class TableCheck:
     note: str = ""
 
 
-def verify_table(table: CohomologyTable, l: int, datum: RootDatum = A2) -> list[TableCheck]:
+def verify_table(table: CohomologyTable, l: int) -> list[TableCheck]:
     """Consistency checks for a claimed cohomology table at characteristic l.
 
     Per entry: (a) a vanishing psupp forces a vanishing claim; (b) claimed
@@ -329,9 +329,9 @@ def verify_table(table: CohomologyTable, l: int, datum: RootDatum = A2) -> list[
     """
     out: list[TableCheck] = []
     for row in table.rows:
-        rep = build_rep(row.rep_text, datum)
+        rep = build_rep(row.rep_text)
         rid = f"{table.name}.{row.family}.j{row.j}"
-        good, witnesses = bwb_good(rep, l, datum)
+        good, witnesses = bwb_good(rep, l)
         if not good:
             out.append(TableCheck(f"{rid}.bwb-good", False, expected="all weights in locus",
                                   actual=f"witnesses {witnesses}"))
@@ -341,7 +341,7 @@ def verify_table(table: CohomologyTable, l: int, datum: RootDatum = A2) -> list[
             if claim == UNKNOWN:
                 out.append(TableCheck(f"{rid}.i{i}", True, skipped=True, note="marked unknown"))
                 continue
-            support = psupp(rep, i, l, datum)
+            support = psupp(rep, i, l)
             ok = True
             detail = ""
             if support.dimension == 0 and claim:
@@ -361,7 +361,7 @@ def verify_table(table: CohomologyTable, l: int, datum: RootDatum = A2) -> list[
         if total is None:
             out.append(TableCheck(f"{rid}.chi", True, skipped=True, note="row has unknown entries"))
         else:
-            chi = euler_char(rep, datum)
+            chi = euler_char(rep)
             out.append(TableCheck(f"{rid}.chi", total == chi,
                                   expected=str(chi), actual=str(total)))
     return out

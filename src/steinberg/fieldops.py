@@ -17,6 +17,7 @@ from __future__ import annotations
 import operator
 from fractions import Fraction
 from functools import reduce
+from math import isqrt
 from types import SimpleNamespace
 
 
@@ -67,9 +68,14 @@ class RationalField:
         return "QQ"
 
 
+def is_prime(n: int) -> bool:
+    """Trial division up to the square root."""
+    return n >= 2 and all(n % d for d in range(2, isqrt(n) + 1))
+
+
 class PrimeField:
     def __init__(self, p: int):
-        if p < 2 or any(p % d == 0 for d in range(2, int(p ** 0.5) + 1)):
+        if not is_prime(p):
             raise ValueError(f"{p} is not prime")
         self.p = p
         self.name = f"GF({p})"

@@ -3,12 +3,14 @@
 Monomials are exponent tuples ordered by degrevlex.  Polynomials are sparse
 {monomial: coefficient} dicts over Q or a prime field.
 
-The Groebner driver is degree-stratified for homogeneous input: S-pairs are
-processed degree by degree, pairs above the truncation bound are discarded
-(sound for homogeneous ideals), and the input generators surviving reduction
-at each degree are counted, which yields the graded minimal generator counts
-of the ideal as a byproduct.  Everything is deterministic for a fixed input
-order.
+Groebner input is homogeneous; `groebner` raises TruncationError on anything
+else.  The driver is degree-stratified: S-pairs are processed degree by
+degree, pairs above the truncation bound are discarded (sound for
+homogeneous ideals), and the input generators surviving reduction at each
+degree are counted, which yields the graded minimal generator counts of the
+ideal as a byproduct.  Everything is deterministic for a fixed input order.
+The one inhomogeneous ideal the certifier reduces by, (x*y - 1) for the
+Laurent ring of a chart, has `normal_form_mod_unit` as its direct rule.
 
 Inside the Groebner worker every monomial is one Python int (`_Packing`):
 7-bit fields, each with a guard bit above it, hold the exponents of the
@@ -404,9 +406,6 @@ class _Packing:
     def unpack(self, x: int) -> Monomial:
         return tuple(x.to_bytes(self.n + 1, "little")[:self.n])
 
-    def divides(self, a: int, b: int) -> bool:
-        return not (b - a) & self.guards
-
     def lcm(self, a: int, b: int) -> int:
         """Fieldwise maximum; raises when its degree passes the cap."""
         ge = ((a | self.guards) - b) & self.exp_guards  # guard i set iff a_i >= b_i
@@ -475,12 +474,11 @@ class _GBWorker:
         g's leading coefficient and a, c are first divided by their gcd: h
         and the remainder are rescaled only when a != 1, which never happens
         over GF(p).  So the result is a multiple of the remainder of the
-        computation over the field, step by step.  When lms are added in
-        nondecreasing degree, as in the homogeneous run, that element is the
-        first divisor in index order.  Every monomial of h has exactly one
-        heap entry, m ^ ~exps, so the heap's minimum is the degrevlex
-        maximum; coefficients that cancel stay in h as zeros until they are
-        popped."""
+        computation over the field, step by step.  As lms are added in
+        nondecreasing degree, that element is the first divisor in index
+        order.  Every monomial of h has exactly one heap entry, m ^ ~exps, so
+        the heap's minimum is the degrevlex maximum; coefficients that cancel
+        stay in h as zeros until they are popped."""
         p, tails, top = self.modulus, self.tails, self.pk.top
         guards, flip = self.pk.guards, ~self.pk.exps
         heappop, heappush = heapq.heappop, heapq.heappush
@@ -530,19 +528,16 @@ class _GBWorker:
                     h[key] = cur - c * cg
         return out
 
-    def enter(self, lm: int, form: Poly, scanned: bool = True) -> None:
+    def enter(self, lm: int, form: Poly) -> None:
         """Make the element with leading monomial lm and basis form `form` a
-        reducer, without S-pairs.  An element entered with scanned=False
-        reduces only the monomial lm itself: the divisor scan never sees it."""
+        reducer of the monomial lm itself, outside the divisor scan and
+        without S-pairs."""
         self.lead[lm] = form
         self.tails[lm] = (form[lm], [(mg - lm, cg) for mg, cg in form.items() if mg != lm])
-        if scanned:
-            self.lms.append(lm)
-            d = lm >> self.pk.top
-            self.below = {e: low for e, low in self.below.items() if e <= d}
 
     def add_element(self, h: Poly) -> None:
-        """Append the element with the nonzero integer multiple h."""
+        """Append the element with the nonzero integer multiple h: a
+        reducer in the divisor scan, with its S-pairs."""
         x = self.pk.exps
         lm = max(m ^ x for m in h) ^ x
         k = len(self.lms)
@@ -550,6 +545,9 @@ class _GBWorker:
         for i, lmi in enumerate(self.lms):
             heapq.heappush(self.pairs, (lcm(lmi, lm), i, k))
         self.enter(lm, _basis_form(self.modulus, h, lm))
+        self.lms.append(lm)
+        d = lm >> self.pk.top
+        self.below = {e: low for e, low in self.below.items() if e <= d}
 
     def pop_pairs_up_to(self, dmax):
         """Yield pairs of lcm degree <= dmax in deterministic order."""
@@ -639,9 +637,8 @@ class _GBWorker:
 def groebner(ideal: IdealBasis, bound=None, guide: IdealBasis | None = None) -> IdealBasis:
     """Reduced Groebner basis, complete up to `bound` (None = complete).
 
-    Homogeneous input is processed degree by degree; the returned IdealBasis
-    carries the graded minimal-generator counts.  Inhomogeneous input is
-    accepted only without a bound.
+    The generators must be homogeneous; they are processed degree by degree,
+    and the returned IdealBasis carries the graded minimal-generator counts.
 
     `guide`, for an ideal over GF(l), is a basis over Q, complete through the
     bound, of the ideal whose generators reduce mod l to this ideal's: see
@@ -650,14 +647,10 @@ def groebner(ideal: IdealBasis, bound=None, guide: IdealBasis | None = None) -> 
     """
     ring = ideal.ring
     gens = [g for g in ideal.gens if g]
+    if not all(ring.is_homogeneous(g) for g in gens):
+        raise TruncationError("degree truncation requires homogeneous generators")
     if guide is not None:
         guide = _Guide(ideal, bound, guide)
-    homogeneous = all(ring.is_homogeneous(g) for g in gens)
-    if not homogeneous:
-        if bound is not None:
-            raise TruncationError("degree truncation requires homogeneous generators")
-        return _groebner_plain(ideal, gens)
-
     worker = _GBWorker(ring)
     by_degree: dict[int, list] = {}
     for g in sorted(gens, key=lambda g: (ring.degree(g), _drl_key(ring.lm(g)))):
@@ -687,7 +680,7 @@ def groebner(ideal: IdealBasis, bound=None, guide: IdealBasis | None = None) -> 
         d += 1
         if bound is None and d > degrees[-1] and not worker.pairs:
             break
-    lead = _interreduce(worker, graded=True)
+    lead = _interreduce(worker)
     complete = bound is None or (not worker.pairs and degrees[-1] <= bound)
     return IdealBasis(ring, list(ideal.gens), gb=_field_forms(worker, lead), gb_bound=bound,
                       mingens=mingens, gb_complete=complete, gb_lead=lead, stats=worker.stats,
@@ -708,10 +701,6 @@ class _Guide:
         if qring.domain.characteristic or not l or qring.names != ring.names:
             raise ValueError("a guide is a basis over Q of an ideal over GF(l) "
                              "in the same variables")
-        # the ideal's generators, checked below to be these mod l, are then
-        # homogeneous too
-        if not all(qring.is_homogeneous(g) for g in guide.gens):
-            raise ValueError("a guided run needs homogeneous generators")
         if guide.gb is None or guide.trace is None or not (
                 guide.gb_complete or bound is not None and guide.gb_bound is not None
                 and guide.gb_bound >= bound):
@@ -739,51 +728,29 @@ class _Guide:
         return sum(sum(m) == d for m in self.lts)
 
 
-def _groebner_plain(ideal: IdealBasis, gens) -> IdealBasis:
-    ring = ideal.ring
-    worker = _GBWorker(ring)
-    for g in sorted(gens, key=lambda g: (ring.degree(g), _drl_key(ring.lm(g)))):
-        r = worker.reduce(worker.pack(g))
-        if r:
-            worker.add_element(r)
-    while worker.pairs:
-        worker.treat(*heapq.heappop(worker.pairs))
-    lead = _interreduce(worker, graded=False)
-    return IdealBasis(ring, list(ideal.gens), gb=_field_forms(worker, lead), gb_bound=None,
-                      mingens=None, gb_complete=True, gb_lead=lead, stats=worker.stats,
-                      trace=worker.trace)
-
-
 def _field_forms(worker: _GBWorker, lead: list) -> list:
     return [_field_form(worker.modulus, g, lm) for lm, _, g in lead]
 
 
-def _interreduce(worker: _GBWorker, graded: bool) -> list:
+def _interreduce(worker: _GBWorker) -> list:
     """The reduced basis as gb_lead triples (lm, mask, basis form) in tuple
     form, sorted by lm, with the worker's element count per degree recorded
     in its stats.
 
-    Elements whose lm another lm divides are dropped.  The survivors are
+    The run went degree by degree, so each element was reduced, when it was
+    added, by every element of lower degree and every earlier one of its own
+    degree.  So no lm divides another, and a tail monomial can be divisible
+    only by a lm of its own degree, that is, equal to it.  The elements are
     tail-reduced in increasing lm order, each by the reduced forms of those
-    before it: a lm dividing a monomial below lm_i is itself below lm_i, so
-    that is full tail reduction in any order.  Tail reduction leaves each
-    leading term in place, so the lms are computed once.
-
-    In a graded run (homogeneous input, degree by degree) each element was
-    reduced, when it was added, by every element of lower degree and every
-    earlier one of its own degree.  So no lm divides another, and a tail
-    monomial can be divisible only by a lm of its own degree, that is, equal
-    to it: the reducers need no divisor scan, only the lookup of `tails`."""
+    before it, entered as reducers of their lm alone: no divisor scan, only
+    the lookup of `tails`.  Tail reduction leaves each leading term in
+    place, so the lms are computed once."""
     pk = worker.pk
-    order = sorted(worker.lms, key=lambda lm: lm ^ pk.exps)
-    if not graded:
-        order = [lm for i, lm in enumerate(order)
-                 if not any(pk.divides(lmj, lm) for lmj in order[:i])]
     w = _GBWorker(worker.ring)
     out = []
-    for lm in order:
+    for lm in sorted(worker.lms, key=lambda lm: lm ^ pk.exps):
         g = _basis_form(w.modulus, w.reduce(dict(worker.lead[lm])), lm)
-        w.enter(lm, g, scanned=not graded)
+        w.enter(lm, g)
         m = pk.unpack(lm)
         out.append((m, _mask(m), {pk.unpack(x): c for x, c in g.items()}))
     per_degree: dict[int, int] = {}
@@ -876,6 +843,25 @@ def normal_form(p: Poly, ideal: IdealBasis) -> Poly:
         )
     w = _ReferenceReducer(ring, ideal.gb_lead)
     return w.normal_form(p)
+
+
+def normal_form_mod_unit(ring: PolyRing, p: Poly, x: str, y: str) -> Poly:
+    """The remainder of p modulo x*y - 1.  The single generator is its own
+    Groebner basis with degrevlex leading term x*y, so the remainder is the
+    sum over the terms of p with each x^a y^b turned into x^(a-k) y^(b-k),
+    k = min(a, b)."""
+    i, j = ring.names.index(x), ring.names.index(y)
+    d = ring.domain
+    out: Poly = {}
+    for m, c in p.items():
+        k = min(m[i], m[j])
+        m = tuple(e - k if v in (i, j) else e for v, e in enumerate(m))
+        s = d.add(out.get(m, d.zero), c)
+        if s == d.zero:
+            out.pop(m, None)
+        else:
+            out[m] = s
+    return out
 
 
 # -- graded dimension data -----------------------------------------------------
@@ -972,13 +958,12 @@ def _numerator_value(num: list[int], n: int, k: int) -> int:
 
 
 def min_gen_degrees(ideal: IdealBasis, bound: int) -> GradedDims:
-    """dim (I / S_+ I)_k for k <= bound, from the stratified Groebner run."""
-    data = ideal
-    if data.mingens is None or (data.gb_bound is not None and data.gb_bound < bound):
-        data = groebner(ideal, bound)
-    if data.mingens is None:
-        raise TruncationError("minimal generators need homogeneous input")
-    return GradedDims(tuple(data.mingens.get(k, 0) for k in range(bound + 1)))
+    """dim (I / S_+ I)_k for k <= bound, counted by the stratified Groebner
+    run that built the attached basis."""
+    ideal.require_gb()
+    if ideal.gb_bound is not None and bound > ideal.gb_bound:
+        raise TruncationError(f"bound {bound} exceeds Groebner truncation {ideal.gb_bound}")
+    return GradedDims(tuple(ideal.mingens.get(k, 0) for k in range(bound + 1)))
 
 
 def krull_dim(ideal: IdealBasis) -> int:

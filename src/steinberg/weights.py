@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .fieldops import ZZ, InvariantError, mat_mul
+from .fieldops import ZZ, InvariantError, is_prime, mat_mul
 
 Weight = tuple[int, ...]
 
@@ -281,19 +281,8 @@ class OutsideLocus:
 
 def check_bound(l: int) -> None:
     """Raise ValueError unless l is 0 (no bound) or a prime."""
-    if l != 0 and not _is_prime(l):
+    if l != 0 and not is_prime(l):
         raise ValueError(f"l must be 0 or a prime, got {l}")
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
 
 
 A1 = RootDatum(1)

@@ -178,7 +178,7 @@ def test_criterion_08_parametrization_containment():
 def test_criterion_09_dimensions():
     start = time.monotonic()
     em = Emitter()
-    dims_campaign(em, 7)
+    dims_campaign(em)
     by_id = {e.check_id: e for e in em.entries}
     ok = all(e.status == "pass" for e in em.entries)
     expected = {"dims.c7.hypersurface": "5", "dims.c7.nonregular-locus": "4",

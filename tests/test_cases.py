@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from steinberg import campaigns, cases, polyalg
+from steinberg import campaigns, cases
 from steinberg.cases import (EVAL_PRIME, IdealCase, UnsupportedCase, build_case,
                              chart_symbolic_check,
                              character_section_dims, commutator_layer_check,
@@ -227,8 +227,7 @@ def test_degree3_rows_rejects_non_integral_and_non_cubic():
 @pytest.fixture
 def groebner_calls(monkeypatch):
     """Empty the per-case memo and record (generators, bound, guide) of every
-    Groebner basis built afterwards, including those of liealg, which looks
-    groebner up in polyalg at each call."""
+    Groebner basis built afterwards."""
     calls = []
 
     def counting(ideal, bound=None, guide=None):
@@ -237,7 +236,6 @@ def groebner_calls(monkeypatch):
 
     monkeypatch.setattr(cases, "groebner", counting)
     monkeypatch.setattr(campaigns, "groebner", counting)
-    monkeypatch.setattr(polyalg, "groebner", counting)
     cases.clear_case_memo()
     yield calls
     cases.clear_case_memo()
@@ -344,7 +342,7 @@ def test_verify_all_builds_each_groebner_basis_once(groebner_calls):
     campaigns.verify_all(em, seed=0, trials=5)
     # the cnil symbolic check and the cnil points check read one reduction
     inputs = {(_gens_key(gens), bound) for gens, bound, _ in groebner_calls}
-    assert len(groebner_calls) == len(inputs) == 18
+    assert len(groebner_calls) == len(inputs) == 15
     assert all(e.status != FAIL for e in em.entries)
     assert cases.case_cn_reduction.cache_info().currsize == 0
     # the n2 basis over GF(5) and the n3-z bases over GF(5) and GF(7) are

@@ -87,6 +87,16 @@ def test_unsupported_combination_exits_2():
     assert code == 2 and "UnsupportedCase" in err
 
 
+def test_lie_side_campaigns_refuse_characteristics_2_and_3():
+    # one rule for the identity and span campaigns: characteristic 0 or >= 5
+    for campaign in ("identities", "span"):
+        for char in ("2", "3"):
+            code, out, err = run_cli(["verify", campaign, "--char", char])
+            assert code == 2 and out == "", (campaign, char, out)
+            assert err.startswith("steinberg: CharacteristicError:"), err
+            assert "Traceback" not in err and len(err.splitlines()) == 1, err
+
+
 def test_verify_multiplicities_json():
     code, out, _ = run_cli(["verify", "multiplicities", "--format", "json"])
     assert code == 0

@@ -1,9 +1,11 @@
-"""Every function of the library is reached by the library or the benchmark.
+"""Every function of the library, and every defaulted parameter, is reached
+by the library or the benchmark.
 
 A function or method that only the tests name is code no check and no CLI
 path runs: it goes, or it moves into the tests that use it.  The sweep is by
 name, so it is coarse: a method counts as reached when anything of the same
-name is named anywhere outside its own body.
+name is named anywhere outside its own body.  Likewise a defaulted parameter
+counts as set when some call of a function or method of that name passes it.
 """
 
 import ast
@@ -44,3 +46,82 @@ def test_every_library_function_is_named_outside_the_tests():
                        for where, names in uses.items() for used, line in names):
                 unreached.append(f"{path.name}:{node.lineno} {name}")
     assert not unreached, unreached
+
+
+# Defaulted parameters kept although no call in the library or the benchmark
+# sets them, as (function, parameter): reason.
+UNSET_ALLOWED = {
+    ("identity_suite", "corrupt"): "the negative control of the identity tests",
+    ("main", "argv"): "the command-line entry point, called with argv by the tests",
+    ("add", "not_decidable"): "the status ROADMAP item 2 gives the undecidable BWB rows",
+}
+
+
+def _defined(tree):
+    """(node, name callers use, kind) of every function in tree, where kind
+    is 'method' for one called on an object or class, 'nested' for one
+    defined inside another function, and 'function' otherwise.  An
+    __init__ is called by its class's name."""
+    def visit(node, kind):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                yield from visit(child, "method")
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                if kind == "method" and child.name == "__init__":
+                    yield child, node.name, "function"
+                else:
+                    yield child, child.name, kind
+                yield from visit(child, "nested")
+            else:
+                yield from visit(child, kind)
+    yield from visit(tree, "function")
+
+
+def _calls(tree):
+    """(called name, whether called as an attribute, call node) of every call."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            if isinstance(node.func, ast.Name):
+                yield node.func.id, False, node
+            elif isinstance(node.func, ast.Attribute):
+                yield node.func.attr, True, node
+
+
+def _sets(call, params, name, offset):
+    """Whether a call passes the parameter `name` of a function whose
+    positional parameters are `params`, the first `offset` of them bound
+    before the call (self or cls)."""
+    if any(isinstance(a, ast.Starred) for a in call.args) or \
+            any(k.arg is None or k.arg == name for k in call.keywords):
+        return True
+    return name in params[offset:offset + len(call.args)]
+
+
+def test_every_defaulted_parameter_is_set_by_some_call():
+    """A defaulted parameter that no call in the library or the benchmark
+    passes is a knob nothing turns: it goes, with the code it selects."""
+    library = sorted((ROOT / "src" / "steinberg").glob("*.py"))
+    bench = sorted((ROOT / "perfbench").glob("*.py"))
+    trees = {path: ast.parse(path.read_text(encoding="utf-8"), str(path))
+             for path in library + bench}
+    calls = [c for tree in trees.values() for c in _calls(tree)]
+    unset = {}
+    for path in library:
+        for node, called_as, kind in _defined(trees[path]):
+            args = node.args
+            params = [a.arg for a in args.posonlyargs + args.args]
+            defaulted = params[len(params) - len(args.defaults):] + \
+                [a.arg for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+            decorators = {d.id for d in node.decorator_list if isinstance(d, ast.Name)}
+            offset = 1 if kind == "method" and "staticmethod" not in decorators or \
+                node.name == "__init__" else 0
+            for name in defaulted:
+                if not any(called == called_as and _sets(call, params, name, offset)
+                           and (kind == "function" or attr == (kind == "method"))
+                           for called, attr, call in calls):
+                    unset[called_as, name] = f"{path.name}:{node.lineno}"
+    stale = sorted(set(UNSET_ALLOWED) - set(unset))
+    assert not stale, f"allowed but set by some call, or gone: {stale}"
+    knobs = sorted(f"{where} {fn}({name})" for (fn, name), where in unset.items()
+                   if (fn, name) not in UNSET_ALLOWED)
+    assert not knobs, knobs
