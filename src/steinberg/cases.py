@@ -102,7 +102,6 @@ def _var_matrix(ring, prefix: str, n: int, traceless: bool):
 
 @dataclass
 class CaseData:
-    case: IdealCase
     ring: PolyRing
     gens: list
     mats: dict
@@ -122,10 +121,7 @@ def _build_case(case: IdealCase) -> CaseData:
     tag = case.tag
     if tag == "cnil":
         rep = case_cn_reduction(case)
-        # same variable layout as the reduction's own ring
-        ring = PolyRing(("q", "r", "a", "b", "c", "d", "e", "f") if case.q is None
-                        else ("a", "b", "c", "d", "e", "f"), case.char)
-        return CaseData(case, ring, [e for _, e in rep.entries], {"report": rep})
+        return CaseData(rep.ring, [e for _, e in rep.entries], {})
     if tag == "n2":
         ring = PolyRing(_matrix_names("m", 2, True) + _matrix_names("n", 2, True), case.char)
         M = _var_matrix(ring, "m", 2, True)
@@ -133,7 +129,7 @@ def _build_case(case: IdealCase) -> CaseData:
         comm = mat_sub(ring, mat_mul(ring, M, N), mat_mul(ring, N, M))
         gens = [mat_det(ring, M), mat_det(ring, N), mat_trace(ring, mat_mul(ring, M, N))]
         gens += [comm[i][j] for i in range(2) for j in range(2) if comm[i][j]]
-        return CaseData(case, ring, gens, {"M": M, "N": N})
+        return CaseData(ring, gens, {"M": M, "N": N})
     if tag == "n3-z":
         ring = PolyRing(_matrix_names("m", 3, True) + _matrix_names("n", 3, True), case.char)
         M = _var_matrix(ring, "m", 3, True)
@@ -144,7 +140,7 @@ def _build_case(case: IdealCase) -> CaseData:
         for prod in (mat_mul(ring, M2, N), mat_mul(ring, N2, M),
                      mat_mul(ring, N, M2), mat_mul(ring, M, N2)):
             gens += [prod[i][j] for i in range(3) for j in range(3)]
-        return CaseData(case, ring, gens, {"M": M, "N": N})
+        return CaseData(ring, gens, {"M": M, "N": N})
     if tag == "n3-x":
         ring = PolyRing(_matrix_names("m", 3, False) + _matrix_names("n", 3, False), case.char)
         M = _var_matrix(ring, "m", 3, False)
@@ -157,7 +153,7 @@ def _build_case(case: IdealCase) -> CaseData:
         gens += [mat_trace(ring, mat_mul(ring, M2, M)), mat_trace(ring, mat_mul(ring, N2, N))]
         for prod in (mat_mul(ring, M2, N), mat_mul(ring, M, N2)):
             gens += [prod[i][j] for i in range(3) for j in range(3)]
-        return CaseData(case, ring, gens, {"M": M, "N": N})
+        return CaseData(ring, gens, {"M": M, "N": N})
     if tag in ("gl-n2", "gl-n3"):
         n = 2 if tag == "gl-n2" else 3
         symbolic = case.q is None
@@ -210,7 +206,7 @@ def _build_case(case: IdealCase) -> CaseData:
             gens += [rel2[i][j] for i in range(n) for j in range(n)]
         gens.append(ring.sub(ring.mul(ring.var("u"), mat_det(ring, Phi)), ring.const(1)))
         gens.append(ring.sub(ring.mul(ring.var("v"), mat_det(ring, Sigma)), ring.const(1)))
-        return CaseData(case, ring, gens, {"Phi": Phi, "Sigma": Sigma})
+        return CaseData(ring, gens, {})
     raise UnsupportedCase(case.tag)
 
 
@@ -273,7 +269,6 @@ def case_hilbert(case: IdealCase, bound: int) -> GradedDims:
 
 @dataclass
 class ParamReport:
-    case: IdealCase
     trials: int
     seed: int
     failures: list
@@ -480,7 +475,7 @@ def parametrization_check(case: IdealCase, trials: int = 200, seed: int = 0) -> 
             control_hit = True
     # (100 / EVAL_PRIME)^trials <= 10^-exponent
     exponent = len(str((EVAL_PRIME // 100) ** trials)) - 1
-    return ParamReport(case, trials, seed, failures, control_hit, exponent)
+    return ParamReport(trials, seed, failures, control_hit, exponent)
 
 
 @lru_cache(maxsize=None)
@@ -507,7 +502,6 @@ def clear_case_memo() -> None:
 
 @dataclass
 class HilbertCross:
-    case: IdealCase
     bound: int
     groebner_dims: GradedDims
     character_dims: GradedDims
@@ -536,7 +530,7 @@ def hilbert_cross_check(case: IdealCase, bound: int) -> HilbertCross:
         raise UnsupportedCase("hilbert cross check covers n2 and n3-z")
     if case.char not in (0,) and case.char < 5:
         raise UnsupportedCase("needs characteristic 0 or l >= 5")
-    return HilbertCross(case, bound, case_hilbert(case, bound),
+    return HilbertCross(bound, case_hilbert(case, bound),
                         character_section_dims(case.tag, bound))
 
 
@@ -548,10 +542,8 @@ class Span17Report:
     ambient: str
     char: int
     rank: int
-    rank_reducers: int
     quotient_free_rank: int
     quotient_torsion: list
-    snf_factors: list
     snf_primes: set
 
     @property
@@ -643,8 +635,8 @@ def span17_check(char: int = 0) -> dict:
         a_part, b_part, free, torsion, factors = span_lattice(ambient)
         rk_all = _field_rank(char, a_part + b_part)
         rk_red = _field_rank(char, b_part)
-        out[ambient] = Span17Report(ambient, char, rk_all - rk_red, rk_red, free, list(torsion),
-                                    list(factors), _prime_divisors(factors))
+        out[ambient] = Span17Report(ambient, char, rk_all - rk_red, free, list(torsion),
+                                    _prime_divisors(factors))
     return out
 
 

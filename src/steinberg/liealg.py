@@ -300,30 +300,6 @@ def build_based_rep(expr: RepExpr | str, char=0) -> BasedRep:
 # -- subspaces and quotients -----------------------------------------------------
 
 
-@dataclass
-class QuotientRep:
-    """Quotient of a BasedRep by an operator-stable subspace.
-
-    The complement basis is the set of non-pivot coordinates of the echelon
-    basis of the subspace (lexicographic, hence deterministic).
-    """
-
-    ambient: BasedRep
-    sub: Echelon
-    rep: BasedRep
-    coords: tuple[int, ...]  # ambient index per quotient basis vector
-
-    def project(self, v: dict) -> dict:
-        red = self.sub.reduce(v)
-        pos = {c: k for k, c in enumerate(self.coords)}
-        out = {}
-        for i, x in red.items():
-            if i not in pos:
-                raise InvariantError(f"reduction left the pivot coordinate {i}")
-            out[pos[i]] = x
-        return out
-
-
 def subspace_span(rep: BasedRep, vectors, close_under_ops: bool = False) -> Echelon:
     ech = Echelon(rep.fld)
     frontier = []
@@ -341,12 +317,10 @@ def subspace_span(rep: BasedRep, vectors, close_under_ops: bool = False) -> Eche
     return ech
 
 
-def coordinate_subspace(rep: BasedRep, weight_set) -> Echelon:
-    idx = [i for i, w in enumerate(rep.weights) if w in weight_set]
-    return subspace_span(rep, [{i: rep.fld.one} for i in idx])
-
-
-def quotient_rep(rep: BasedRep, sub: Echelon) -> QuotientRep:
+def quotient_rep(rep: BasedRep, sub: Echelon) -> BasedRep:
+    """Quotient of rep by an operator-stable subspace.  Its basis is the set
+    of non-pivot coordinates of the echelon basis of the subspace
+    (lexicographic, hence deterministic)."""
     fld = rep.fld
     # stability check
     for piv, row in sub.rows.items():
@@ -366,7 +340,7 @@ def quotient_rep(rep: BasedRep, sub: Echelon) -> QuotientRep:
         ops[op] = tuple(cols)
     q = BasedRep(fld, labels, weights, ops)
     q.check_grading()
-    return QuotientRep(rep, sub, q, coords)
+    return q
 
 
 # -- the Lambda^2 b (x) Lambda^2 b subquotient --------------------------------------
@@ -385,35 +359,59 @@ W1_WEIGHTS = frozenset(
 W2_EXTRA_WEIGHTS = frozenset({(-2, -2), A2.add(NEG_RHO, NEG_ALPHA), A2.add(NEG_RHO, NEG_BETA)})
 
 
-def wedge4_quotient(char=0, big: BasedRep | None = None) -> QuotientRep:
+@dataclass(frozen=True)
+class QuotientRep:
+    """V = W2/W1 as a BasedRep, with the ambient Lambda^2 b (x) Lambda^2 b.
+
+    W1 and W2 are spans of weight-basis vectors, so V is a coordinate
+    subquotient: coords[k] is the ambient index of the k-th basis vector.
+    """
+
+    ambient: BasedRep
+    rep: BasedRep
+    coords: tuple[int, ...]
+
+    def project(self, v: dict) -> dict:
+        """The image in V of a vector of W2: its W1 coordinates drop out."""
+        pos = {c: k for k, c in enumerate(self.coords)}
+        out = {}
+        for i, x in v.items():
+            if i in pos:
+                out[pos[i]] = x
+            elif self.ambient.weights[i] not in W1_WEIGHTS:
+                raise InvariantError(f"coordinate {i} lies outside W2")
+        return out
+
+
+@functools.lru_cache(maxsize=None)
+def wedge4_quotient(char=0) -> QuotientRep:
     """V = W2/W1 inside Lambda^2 b (x) Lambda^2 b, the subquotient carrying
-    the 17-dimensional weight space in degree -2rho."""
-    if big is None:
-        big = build_based_rep("wedge^2(b)*wedge^2(b)", char)
-    w1 = coordinate_subspace(big, W1_WEIGHTS)
-    q = quotient_rep(big, w1)
-    w2_idx = {i for i, w in enumerate(big.weights) if w in W1_WEIGHTS | W2_EXTRA_WEIGHTS}
-    keep = [k for k, c in enumerate(q.coords) if c in w2_idx]
-    # restrict the quotient to the W2/W1 part (operator-stable: W2 is stable mod W1)
-    fld = big.fld
-    labels = tuple(q.rep.labels[k] for k in keep)
-    weights = tuple(q.rep.weights[k] for k in keep)
-    pos = {k: t for t, k in enumerate(keep)}
+    the 17-dimensional weight space in degree -2rho.
+
+    Its basis is the ambient coordinates of weight in W2_EXTRA_WEIGHTS, and
+    its columns are the ambient columns with the W1 coordinates dropped.
+    Built once per characteristic and shared by the identity, span and chain
+    checks: do not mutate it.
+    """
+    big = build_based_rep("wedge^2(b)*wedge^2(b)", char)
+    w1 = {i for i, w in enumerate(big.weights) if w in W1_WEIGHTS}
+    coords = tuple(i for i, w in enumerate(big.weights) if w in W2_EXTRA_WEIGHTS)
+    pos = {c: k for k, c in enumerate(coords)}
+    for op, cols in big.ops.items():
+        for c in w1:
+            if not cols[c].keys() <= w1:
+                raise InvariantError(f"W1 not operator-stable: {op} moves coordinate {c} out")
+    w2 = w1 | pos.keys()
     ops = {}
-    for op in ("ea", "eb", "er"):
-        cols = []
-        for k in keep:
-            col = {}
-            for i, x in q.rep.ops[op][k].items():
-                if i not in pos:
-                    raise InvariantError(f"W2 not stable modulo W1: {op} reaches coordinate {i}")
-                col[pos[i]] = x
-            cols.append(col)
-        ops[op] = tuple(cols)
-    small = BasedRep(fld, labels, weights, ops)
+    for op, cols in big.ops.items():
+        for c in coords:
+            if not cols[c].keys() <= w2:
+                raise InvariantError(f"W2 not stable modulo W1: {op} moves coordinate {c} out")
+        ops[op] = tuple({pos[i]: x for i, x in cols[c].items() if i in pos} for c in coords)
+    small = BasedRep(big.fld, tuple(big.labels[c] for c in coords),
+                     tuple(big.weights[c] for c in coords), ops)
     small.check_grading()
-    coords = tuple(q.coords[k] for k in keep)
-    return QuotientRep(big, w1, small, coords)
+    return QuotientRep(big, small, coords)
 
 
 # -- displayed identities in V = W2/W1 --------------------------------------------
@@ -502,10 +500,6 @@ def identity_variants():
     return out
 
 
-def _coeff_value(fld, c):
-    return fld.of(Fraction(c))
-
-
 def pure_tensor_vector(big: BasedRep, t: PureTensor) -> dict:
     """Vector of (x1 ^ x2) (x) (x3 ^ x4) in the wedge-tensor basis, with the
     sorting sign."""
@@ -523,7 +517,7 @@ def pure_tensor_vector(big: BasedRep, t: PureTensor) -> dict:
     combos = list(itertools.combinations(range(5), 2))
     il = combos.index(pair_indices[0])
     ir = combos.index(pair_indices[1])
-    return {il * 10 + ir: _coeff_value(fld, sign)}
+    return {il * 10 + ir: fld.of(sign)}
 
 
 @dataclass
@@ -548,7 +542,7 @@ def identity_suite(char=0, corrupt: str | None = None) -> list[IdentityResult]:
     fld = big.fld
     results = []
     for name, lsign, lhs, op, coeff, bracket, extra in identity_variants():
-        cval = _coeff_value(fld, coeff)
+        cval = fld.of(coeff)
         if corrupt is not None and name == corrupt:
             cval = fld.mul(cval, fld.of(2))
         lvec = vec_scale(fld, pure_tensor_vector(big, lhs), fld.of(lsign))
@@ -610,7 +604,6 @@ def span_check(char=0) -> SpanReport:
 class ExtendCertificate:
     ok: bool
     reason: str = ""
-    top_label: str = ""
     chain: tuple = ()
 
 
@@ -646,7 +639,7 @@ def p_extend_check(rep: BasedRep, l: int, chain_root: str = "a") -> ExtendCertif
                 break
             chain.append(v)
         if good and ech.rank == n:
-            return ExtendCertificate(True, "", rep.labels[j], tuple(chain))
+            return ExtendCertificate(True, "", tuple(chain))
     return ExtendCertificate(False, f"no chain generator of pairing {n - 1}")
 
 
@@ -665,10 +658,9 @@ def wedge4_campaign(char=0) -> list[CampaignEntry]:
     the coinvariant 3-chains with the coefficient-2 lowering identity."""
     l = 7 if char == 0 else char
     entries: list[CampaignEntry] = []
-    big = build_based_rep("wedge^2(b)*wedge^2(b)", char)
+    quo = wedge4_quotient(char)
+    big, V = quo.ambient, quo.rep
     fld = big.fld
-    quo = wedge4_quotient(char, big)
-    V = quo.rep
 
     def add(check_id, passed, expected, actual):
         entries.append(CampaignEntry(check_id, bool(passed), str(expected), str(actual)))
@@ -685,30 +677,10 @@ def wedge4_campaign(char=0) -> list[CampaignEntry]:
     direct = span_rank(fld, [{i: fld.one} for i in idx_rb] + imgs)
     add("wedge4.vbeta-shape", gen.rank == direct,
         "V^beta = V_{-rho-beta} + e_a V_{-rho-beta}", f"rank {gen.rank} vs {direct}")
-    # chain tops: basis vectors whose e_a images are independent
-    ech = Echelon(fld)
-    tops = [{i: fld.one} for i in idx_rb if ech.insert(V.act("ea", {i: fld.one}))]
-    ok_chains = True
-    for k, v in enumerate(tops):
-        chain = restrict_to_span(V, [v, V.act("ea", v)], labels=(f"c{k}", f"ea.c{k}"))
-        cert = p_extend_check(twist_rep(chain, (1, 0)), l, chain_root="a")
-        ok_chains = ok_chains and cert.ok
-    add("wedge4.vbeta-chains", ok_chains,
-        f"{len(tops)} two-chains extend after tw(1,0)", "all certified" if ok_chains else "failure")
-
+    entries.append(_two_chains_entry("wedge4.vbeta-chains", V, w_rb, "ea", (1, 0), l))
     # V^alpha inside V / V^beta, with the roles of the two directions swapped
-    quo2 = quotient_rep(V, gen)
-    w_ra = A2.add(NEG_RHO, NEG_ALPHA)
-    idx_ra = quo2.rep.indices_of_weight(w_ra)
-    ech = Echelon(fld)
-    tops2 = [{i: fld.one} for i in idx_ra if ech.insert(quo2.rep.act("eb", {i: fld.one}))]
-    ok_chains2 = True
-    for k, v in enumerate(tops2):
-        chain = restrict_to_span(quo2.rep, [v, quo2.rep.act("eb", v)], labels=(f"d{k}", f"eb.d{k}"))
-        cert = p_extend_check(twist_rep(chain, (0, 1)), l, chain_root="b")
-        ok_chains2 = ok_chains2 and cert.ok
-    add("wedge4.valpha-chains", ok_chains2,
-        f"{len(tops2)} two-chains extend after tw(0,1)", "all certified" if ok_chains2 else "failure")
+    entries.append(_two_chains_entry("wedge4.valpha-chains", quotient_rep(V, gen),
+                                     A2.add(NEG_RHO, NEG_ALPHA), "eb", (0, 1), l))
 
     # span equality: V_{-2rho} = e_a V_{-rho-beta} + e_b V_{-rho-alpha}
     sr = span_check(char)
@@ -740,10 +712,10 @@ def wedge4_campaign(char=0) -> list[CampaignEntry]:
         # coordinates in the span are the columns of sub's operators
         co = quotient_rep(sub, subspace_span(sub, [sub.ops[op][k] for k in range(sub.dim)
                                                    for op in ("eb", "er") if sub.ops[op][k]]))
-        cert = p_extend_check(twist_rep(co.rep, (1, 0)), l, chain_root="a")
-        add(f"wedge4.coinvariants({tag})", cert.ok and co.rep.dim == 3,
+        cert = p_extend_check(twist_rep(co, (1, 0)), l, chain_root="a")
+        add(f"wedge4.coinvariants({tag})", cert.ok and co.dim == 3,
             "3-dimensional chain rep extending after tw(1,0)",
-            f"dim {co.rep.dim}, certificate {'ok' if cert.ok else cert.reason}")
+            f"dim {co.dim}, certificate {'ok' if cert.ok else cert.reason}")
         tilde_entries.append(span)
         # degree -3rho part of the kernel of the coinvariant map has no
         # length-3 potential support
@@ -765,7 +737,23 @@ def wedge4_campaign(char=0) -> list[CampaignEntry]:
     return entries
 
 
-def restrict_to_span(rep: BasedRep, vectors: list[dict], labels=None) -> BasedRep:
+def _two_chains_entry(check_id: str, rep: BasedRep, top: Weight, op: str, shift: Weight,
+                      l: int) -> CampaignEntry:
+    """Every 2-chain v, op v extends after the twist by shift, for v the
+    chain tops: the weight-top basis vectors whose op-images are independent."""
+    fld = rep.fld
+    ech = Echelon(fld)
+    tops = [{i: fld.one} for i in rep.indices_of_weight(top)
+            if ech.insert(rep.act(op, {i: fld.one}))]
+    root = {"ea": "a", "eb": "b"}[op]
+    ok = all(p_extend_check(twist_rep(restrict_to_span(rep, [v, rep.act(op, v)]), shift), l,
+                            chain_root=root).ok for v in tops)
+    return CampaignEntry(check_id, ok,
+                         f"{len(tops)} two-chains extend after tw({shift[0]},{shift[1]})",
+                         "all certified" if ok else "failure")
+
+
+def restrict_to_span(rep: BasedRep, vectors: list[dict]) -> BasedRep:
     """The span of weight-homogeneous vectors as a BasedRep (must be stable)."""
     fld = rep.fld
     vecs = list(vectors)
@@ -775,8 +763,6 @@ def restrict_to_span(rep: BasedRep, vectors: list[dict], labels=None) -> BasedRe
         if len(ws) != 1:
             raise ValueError("basis vectors must be weight homogeneous")
         weights.append(ws.pop())
-    if labels is None:
-        labels = tuple(f"v{k}" for k in range(len(vecs)))
     coords = span_coords(fld, vecs)
     ops = {}
     for op in ("ea", "eb", "er"):
@@ -787,7 +773,7 @@ def restrict_to_span(rep: BasedRep, vectors: list[dict], labels=None) -> BasedRe
                 raise ValueError("span is not operator stable")
             cols.append(c)
         ops[op] = tuple(cols)
-    out = BasedRep(fld, tuple(labels), tuple(weights), ops)
+    out = BasedRep(fld, tuple(f"v{k}" for k in range(len(vecs))), tuple(weights), ops)
     out.check_grading()
     return out
 
@@ -802,15 +788,17 @@ class CnReport:
     raw is the single nonzero entry (n = 3); normalized is its form after the
     recorded unit substitution e -> (q+1)/q * e, c -> c/q, which matches the
     usual presentation (q^2-1)e + af - dc.  For n = 2 the entry list is empty.
+    The entries are polynomials of ring: q, r = 1/q (symbolic q only), then
+    the upper entries a, b, c of M and d, e, f of N.
     """
 
     n: int
     q: object  # None for symbolic
+    ring: object
     entries: list
     principal: bool
     generator_text: str
     normalized_text: str
-    substitution: str
     passed: bool
 
 
@@ -852,10 +840,9 @@ def cn_ideal_reduction(q=None, n: int = 3, char=0) -> CnReport:
     principal = len(entries) <= 1
     gen_text = norm_text = ""
     passed = False
-    substitution = "e -> (q+1)*r*e, c -> r*c  (r = 1/q)"
     if n == 2:
         passed = not entries
-        return CnReport(n, q, entries, principal, "0", "0", substitution, passed)
+        return CnReport(n, q, ring, entries, principal, "0", "0", passed)
     if principal and entries:
         gen = entries[0][1]
         gen_text = ring.to_text(gen)
@@ -881,4 +868,4 @@ def cn_ideal_reduction(q=None, n: int = 3, char=0) -> CnReport:
             expect = sym.substitute(sym.from_text("q^2*e - 1*q*e + a*f - 1*q*d*c"),
                                     {"q": ring.const(q)}, ring)
             passed = gen == expect
-    return CnReport(n, q, entries, principal, gen_text, norm_text, substitution, passed)
+    return CnReport(n, q, ring, entries, principal, gen_text, norm_text, passed)

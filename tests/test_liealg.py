@@ -2,13 +2,16 @@ import random
 
 import pytest
 
-from steinberg.fieldops import (field_of, mat_det, mat_mul, span_coords, span_rank,
-                                vec_iadd_scaled)
-from steinberg.liealg import (BasedRep, CharacteristicError, UnknownAtomError, borel_rep,
-                              build_based_rep, cn_ideal_reduction, identity_suite,
-                              p_extend_check, pure_tensor_vector, restrict_to_span, span_check,
-                              twist_rep, wedge4_campaign, wedge4_quotient)
+from steinberg import campaigns, liealg
+from steinberg.fieldops import (InvariantError, field_of, mat_det, mat_mul, span_coords,
+                                span_rank, vec_iadd_scaled)
+from steinberg.liealg import (W1_WEIGHTS, W2_EXTRA_WEIGHTS, BasedRep, CharacteristicError,
+                              UnknownAtomError, borel_rep, build_based_rep, cn_ideal_reduction,
+                              identity_suite, p_extend_check, pure_tensor_vector, quotient_rep,
+                              restrict_to_span, span_check, subspace_span, twist_rep,
+                              wedge4_campaign, wedge4_quotient)
 from steinberg.breps import build_rep
+from steinberg.report import Emitter
 
 
 def basis_vector(rep, label):
@@ -184,6 +187,90 @@ def test_quotient_weights():
     assert ms.multiplicity((0, -3)) == 14
     assert ms.multiplicity((-3, 0)) == 14
     assert ms.dimension == 45
+
+
+def _wedge4_quotient_by_echelon(char):
+    """V = W2/W1 by the general route: the quotient of the ambient by the
+    echelon span of the W1 coordinates, restricted to its W2 part.  Returns
+    the ambient, the W1 echelon, V's ambient coordinates and V."""
+    big = build_based_rep("wedge^2(b)*wedge^2(b)", char)
+    w1 = subspace_span(big, [{i: big.fld.one} for i, w in enumerate(big.weights)
+                             if w in W1_WEIGHTS])
+    q = quotient_rep(big, w1)
+    q_coords = [i for i in range(big.dim) if i not in w1.rows]
+    keep = [k for k, c in enumerate(q_coords) if big.weights[c] in W1_WEIGHTS | W2_EXTRA_WEIGHTS]
+    pos = {k: t for t, k in enumerate(keep)}
+    ops = {}
+    for op in ("ea", "eb", "er"):
+        # W2 is stable modulo W1: no column leaves the kept part
+        assert all(i in pos for k in keep for i in q.ops[op][k])
+        ops[op] = tuple({pos[i]: x for i, x in q.ops[op][k].items()} for k in keep)
+    small = BasedRep(big.fld, tuple(q.labels[k] for k in keep),
+                     tuple(q.weights[k] for k in keep), ops)
+    return big, w1, tuple(q_coords[k] for k in keep), small
+
+
+@pytest.mark.parametrize("char", [0, 5, 7])
+def test_wedge4_quotient_matches_the_echelon_route(char):
+    big, w1, coords, oracle = _wedge4_quotient_by_echelon(char)
+    quo = wedge4_quotient(char)
+    assert quo.coords == coords
+    assert (quo.rep.labels, quo.rep.weights) == (oracle.labels, oracle.weights)
+    assert quo.rep.ops == oracle.ops
+    assert quo.ambient.ops == big.ops
+    # project reads coordinates where the oracle reduces modulo the W1 echelon
+    rng = random.Random(char)
+    fld = big.fld
+    w2 = [i for i, w in enumerate(big.weights) if w in W1_WEIGHTS | W2_EXTRA_WEIGHTS]
+    pos = {c: k for k, c in enumerate(coords)}
+    for _ in range(20):
+        v = {i: fld.of(rng.randrange(1, 5)) for i in rng.sample(w2, 6)}
+        assert quo.project(v) == {pos[i]: x for i, x in w1.reduce(v).items()}
+    outside = next(i for i, w in enumerate(big.weights) if w == (-4, 2))
+    with pytest.raises(InvariantError, match="outside W2"):
+        quo.project({outside: fld.one})
+
+
+def test_wedge4_quotient_stability_checks_run_under_optimize(run_python):
+    # without -3rho, W1 is not stable (e_a maps -2rho-beta there); without
+    # -rho-2alpha, W2 is not stable modulo W1 (e_a maps -rho-alpha there)
+    script = (
+        "from steinberg import liealg\n"
+        "from steinberg.fieldops import InvariantError\n"
+        "full = liealg.W1_WEIGHTS\n"
+        "for drop in ((-3, -3), (-5, 1)):\n"
+        "    liealg.W1_WEIGHTS = full - {drop}\n"
+        "    try:\n"
+        "        liealg.wedge4_quotient.__wrapped__(0)\n"
+        "        print('built')\n"
+        "    except InvariantError as e:\n"
+        "        print('raised', e)\n"
+    )
+    done = run_python("-O", "-c", script)
+    lines = done.stdout.splitlines()
+    assert len(lines) == 2, done.stderr
+    assert lines[0].startswith("raised W1 not operator-stable")
+    assert lines[1].startswith("raised W2 not stable modulo W1")
+
+
+def test_identity_span_and_chain_checks_share_one_model_per_characteristic(monkeypatch):
+    builds = []
+    build = liealg.build_based_rep
+
+    def counting(expr, char=0):
+        if expr == "wedge^2(b)*wedge^2(b)":
+            builds.append(char)
+        return build(expr, char)
+
+    monkeypatch.setattr(liealg, "build_based_rep", counting)
+    wedge4_quotient.cache_clear()
+    em = Emitter()
+    for char in (0, 5, 7):
+        campaigns.identities_campaign(em, char)
+    for char in (0, 5):
+        campaigns.span_campaign(em, char)
+    assert builds == [0, 5, 7]
+    assert wedge4_quotient(5) is wedge4_quotient(5)
 
 
 def test_cn_ideal_reduction_symbolic():

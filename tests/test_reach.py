@@ -125,3 +125,39 @@ def test_every_defaulted_parameter_is_set_by_some_call():
     knobs = sorted(f"{where} {fn}({name})" for (fn, name), where in unset.items()
                    if (fn, name) not in UNSET_ALLOWED)
     assert not knobs, knobs
+
+
+# Dataclass fields kept although only the tests read them, as
+# (class, field): reason.
+FIELDS_ALLOWED = {
+    ("TableCheck", "note"): "why a BWB table cell failed, asserted by the table tests",
+    ("ExtendCertificate", "chain"): "the certified chain, asserted by the extension tests",
+}
+
+
+def test_every_dataclass_field_is_read_outside_the_tests():
+    """A dataclass field that nothing in the library or the benchmark names
+    as an attribute is data no check and no report reads: it goes.  The
+    sweep is by name, so it is coarse: any attribute of the same name,
+    read or assigned, anywhere in the library or the benchmark counts."""
+    library = sorted((ROOT / "src" / "steinberg").glob("*.py"))
+    bench = sorted((ROOT / "perfbench").glob("*.py"))
+    trees = {path: ast.parse(path.read_text(encoding="utf-8"), str(path))
+             for path in library + bench}
+    named = {node.attr for tree in trees.values() for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute)}
+    unread = {}
+    for path in library:
+        for cls in ast.walk(trees[path]):
+            if not isinstance(cls, ast.ClassDef) or not any(
+                    isinstance(d, ast.Name) and d.id == "dataclass"
+                    for d in (getattr(d, "func", d) for d in cls.decorator_list)):
+                continue
+            for stmt in cls.body:
+                if isinstance(stmt, ast.AnnAssign) and stmt.target.id not in named:
+                    unread[cls.name, stmt.target.id] = f"{path.name}:{stmt.lineno}"
+    stale = sorted(set(FIELDS_ALLOWED) - set(unread))
+    assert not stale, f"allowed but read outside the tests, or gone: {stale}"
+    fields = sorted(f"{where} {cls}.{name}" for (cls, name), where in unread.items()
+                    if (cls, name) not in FIELDS_ALLOWED)
+    assert not fields, fields
