@@ -109,7 +109,7 @@ def span_campaign(em: Emitter, char: int) -> None:
 def ideal_campaign(em: Emitter, tag: str, char: int, bound: int, trials: int, seed: int,
                    symbolic: bool = False) -> None:
     pre = f"ideal.{tag}.c{char}"
-    case = IdealCase(tag, char, q=1 if tag.startswith("gl") else None)
+    case = IdealCase(tag, char)
     anchor = {
         "n2": "thm:gl2-eqns", "n3-z": "thm:Z-ideal-sl3", "n3-x": "thm:X-ideal-sl3",
         "gl-n2": "cor:Xc-eqns-sl2", "gl-n3": "cor:Xc-equations-sl3", "cnil": "lem:ZYproperties",

@@ -17,6 +17,10 @@ the last diagonal entry of each matrix and write it as minus the others).
             and the two extra cubic matrix relations.
     cnil    the commuting-nilpotent chart equation (see liealg).
 
+In the gl and cnil cases q is a variable of the ring, the first one; a
+check that needs a value of q substitutes it (q = 1 in
+gl_specialization_check, a random q in each parametrized point).
+
 The verification campaigns pair the Groebner side against independent
 oracles: pseudorandom parametrized points (Schwartz-Zippel bounded), the
 character-level section counts of the flag-variety bundles, and integer
@@ -26,9 +30,9 @@ invariant factors for the degree-3 span.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import wraps
 
 from . import breps, bwb
 from .fieldops import (ZZ, field_of, mat_add, mat_det, mat_mul, mat_sub, mat_trace,
@@ -49,17 +53,44 @@ class UnsupportedCase(ValueError):
 
 @dataclass(frozen=True)
 class IdealCase:
-    """Descriptor: which named ideal, over which characteristic, which q."""
+    """Descriptor: which named ideal, over which characteristic."""
 
     tag: str
     char: int = 0
-    q: object = None  # None = symbolic (gl and cnil cases only)
 
     def __post_init__(self):
         if self.tag not in CASE_TAGS:
             raise UnsupportedCase(f"unknown case tag {self.tag!r}")
         if self.tag.startswith("gl") and self.char in (2, 3):
             raise UnsupportedCase("gl cases need characteristic 0 or l > 3")
+
+
+# -- the per-run store ----------------------------------------------------------------
+
+# (function name, *positional arguments) -> result of a memoized function.
+# A call that raises stores nothing, so it raises again when repeated.
+_memo: dict = {}
+
+
+def _memoized(fn):
+    """fn computed once per tuple of positional arguments, in _memo.  The
+    result is shared between callers: do not mutate it."""
+    name = fn.__name__
+
+    @wraps(fn)
+    def memoized(*args):
+        key = (name, *args)
+        if key not in _memo:
+            _memo[key] = fn(*args)
+        return _memo[key]
+
+    return memoized
+
+
+def clear_case_memo() -> None:
+    """Drop every memoized case, cnil reduction, basis, Hilbert function,
+    points report and span lattice."""
+    _memo.clear()
 
 
 # -- polynomial matrices ----------------------------------------------------------
@@ -110,14 +141,9 @@ class CaseData:
         return IdealBasis(self.ring, list(self.gens))
 
 
-@lru_cache(maxsize=None)
+@_memoized
 def build_case(case: IdealCase) -> CaseData:
-    """Ring, generators and matrices of the named case, built once per case.
-    The result is shared between callers: do not mutate it."""
-    return _build_case(case)
-
-
-def _build_case(case: IdealCase) -> CaseData:
+    """Ring, generators and matrices of the named case, built once per case."""
     tag = case.tag
     if tag == "cnil":
         rep = case_cn_reduction(case)
@@ -156,17 +182,13 @@ def _build_case(case: IdealCase) -> CaseData:
         return CaseData(ring, gens, {"M": M, "N": N})
     if tag in ("gl-n2", "gl-n3"):
         n = 2 if tag == "gl-n2" else 3
-        symbolic = case.q is None
-        names = (("q",) if symbolic else ()) + tuple(
-            _matrix_names("f", n, False) + _matrix_names("s", n, False) + ["u", "v"])
+        names = ["q"] + _matrix_names("f", n, False) + _matrix_names("s", n, False) + ["u", "v"]
         ring = PolyRing(names, case.char)
         Phi = _var_matrix(ring, "f", n, False)
         Sigma = _var_matrix(ring, "s", n, False)
 
         def qp(k):
-            if symbolic:
-                return ring.pow(ring.var("q"), k)
-            return ring.const(ring.domain.of(case.q) ** k if k else 1)
+            return ring.pow(ring.var("q"), k)
 
         qpoly = qp(1)
         one = mat_identity_poly(ring, n, ring.const(1))
@@ -226,39 +248,33 @@ def make_ideal(case: IdealCase) -> IdealBasis:
     return build_case(case).ideal()
 
 
-@lru_cache(maxsize=None)
+@_memoized
 def case_cn_reduction(case: IdealCase):
-    """cn_ideal_reduction(case.q, 3, case.char) of a cnil case, computed once
-    per case: the cnil generators and the symbolic check read the same
-    report.  The report is shared between callers: do not mutate it."""
+    """The symbolic cn_ideal_reduction(None, 3, case.char) of a cnil case,
+    computed once per case: the cnil generators and the symbolic check read
+    the same report."""
     from .liealg import cn_ideal_reduction
 
-    return cn_ideal_reduction(case.q, 3, case.char)
+    return cn_ideal_reduction(None, 3, case.char)
 
-
-# The char-0 bases case_basis holds, by (case, bound): a basis over GF(l) of
-# the same (tag, q, bound) is guided by one (see polyalg.groebner) only when
-# it is already here, so no basis over Q is built just to guide.
-_char0_bases: dict = {}
 
 # The cases whose generator list over GF(l) is the char-0 list reduced mod l.
 _GUIDED_TAGS = ("n2", "n3-z", "n3-x")
 
 
-@lru_cache(maxsize=None)
+@_memoized
 def case_basis(case: IdealCase, bound: int | None) -> IdealBasis:
     """Groebner basis of the named case up to `bound`, computed once per
-    (case, bound).  The result is shared between callers: do not mutate it."""
+    (case, bound).  A basis over GF(l) is guided (see polyalg.groebner) by
+    the char-0 basis of the same (tag, bound) only when the store already
+    holds it, so no basis over Q is built just to guide."""
     guide = None
     if case.char and case.tag in _GUIDED_TAGS:
-        guide = _char0_bases.get((replace(case, char=0), bound))
-    basis = groebner(make_ideal(case), bound, guide=guide)
-    if not case.char:
-        _char0_bases[case, bound] = basis
-    return basis
+        guide = _memo.get(("case_basis", IdealCase(case.tag), bound))
+    return groebner(make_ideal(case), bound, guide=guide)
 
 
-@lru_cache(maxsize=None)
+@_memoized
 def case_hilbert(case: IdealCase, bound: int) -> GradedDims:
     """dim (S/I)_k for k <= bound of the named case, computed once per (case, bound)."""
     return hilbert_function(case_basis(case, bound), bound)
@@ -369,20 +385,10 @@ def _point_for_case(case: IdealCase, rng, ring) -> list[int]:
     p = EVAL_PRIME
     tag = case.tag
     if tag == "cnil":
-        # chart point of the commuting-nilpotent hypersurface at given q
-        if case.q is None:
-            q = rng.randrange(2, p - 1)
-        else:
-            q = case.q % p
-        a, b, c, d = (rng.randrange(p) for _ in range(4))
-        if q == 1:
-            while a == 0:
-                a = rng.randrange(p)
-            e = rng.randrange(p)
-            f = d * c % p * pow(a, -1, p) % p
-        else:
-            f = rng.randrange(p)
-            e = (q * d * c - a * f) % p * pow(q * q - q, -1, p) % p
+        # chart point of the commuting-nilpotent hypersurface at a generic q
+        q = rng.randrange(2, p - 1)
+        a, b, c, d, f = (rng.randrange(p) for _ in range(5))
+        e = (q * d * c - a * f) % p * pow(q * q - q, -1, p) % p
         vals = {"a": a, "b": b, "c": c, "d": d, "e": e, "f": f, "q": q,
                 "r": pow(q, -1, p)}
         return [vals[nm] for nm in ring.names]
@@ -412,13 +418,7 @@ def _point_for_case(case: IdealCase, rng, ring) -> list[int]:
         return [vals[nm] for nm in ring.names]
     if tag in ("gl-n2", "gl-n3"):
         n = 2 if tag == "gl-n2" else 3
-        if case.q is None:
-            q = rng.randrange(2, p - 1)
-        else:
-            q = case.q % p
-            if q in (0, 1, p - 1):
-                raise UnsupportedCase(
-                    "parametrized points need a generic q; use the symbolic descriptor")
+        q = rng.randrange(2, p - 1)
         g = _rand_invertible(rng, n)
         ginv = _inv_mod(g)
         diag = [[pow(q, n - 1 - i, p) if i == j else 0 for j in range(n)] for i in range(n)]
@@ -478,23 +478,11 @@ def parametrization_check(case: IdealCase, trials: int = 200, seed: int = 0) -> 
     return ParamReport(trials, seed, failures, control_hit, exponent)
 
 
-@lru_cache(maxsize=None)
+@_memoized
 def case_points(case: IdealCase, trials: int, seed: int) -> ParamReport:
     """parametrization_check of the named case, run once per (case, trials,
-    seed).  The report is shared between callers: do not mutate it."""
+    seed)."""
     return parametrization_check(case, trials, seed)
-
-
-def clear_case_memo() -> None:
-    """Drop every memoized case, cnil reduction, basis, Hilbert function,
-    points report and span lattice."""
-    build_case.cache_clear()
-    case_cn_reduction.cache_clear()
-    case_basis.cache_clear()
-    _char0_bases.clear()
-    case_hilbert.cache_clear()
-    case_points.cache_clear()
-    span_lattice.cache_clear()
 
 
 # -- Hilbert-function bridge to the character side ------------------------------------
@@ -595,7 +583,7 @@ def _field_rank(char, int_rows) -> int:
 _SPAN_CASES = {"traceless": IdealCase("n3-z"), "full-matrix": IdealCase("n3-x")}
 
 
-@lru_cache(maxsize=None)
+@_memoized
 def span_lattice(ambient: str):
     """The integer side of span17_check in one ambient, built once per
     ambient: it does not depend on the characteristic.  The polynomials are
@@ -687,7 +675,7 @@ def gl_specialization_check(tag: str, char: int = 5) -> SpecializationReport:
     if tag not in ("gl-n2", "gl-n3"):
         raise UnsupportedCase(tag)
     n = 2 if tag == "gl-n2" else 3
-    gl = build_case(IdealCase(tag, char, q=1))
+    gl = build_case(IdealCase(tag, char))
     if n == 2:
         target_ring = PolyRing(_matrix_names("m", 2, False) + _matrix_names("n", 2, False), char)
         M = _var_matrix(target_ring, "m", 2, False)
@@ -700,8 +688,8 @@ def gl_specialization_check(tag: str, char: int = 5) -> SpecializationReport:
     else:
         target = build_case(IdealCase("n3-x", char))
         target_ring, target_gens = target.ring, target.gens
-    # substitute f_ij -> delta_ij + m_ij, s_ij -> delta_ij + n_ij, u = v = 1
-    images = {"u": target_ring.const(1), "v": target_ring.const(1)}
+    # substitute q = 1, f_ij -> delta_ij + m_ij, s_ij -> delta_ij + n_ij, u = v = 1
+    images = {nm: target_ring.const(1) for nm in ("q", "u", "v")}
     for i in range(n):
         for j in range(n):
             delta = target_ring.const(1 if i == j else 0)
@@ -743,7 +731,7 @@ def chart_symbolic_check(tag: str) -> ChartReport:
     if tag not in ("gl-n2", "gl-n3"):
         raise UnsupportedCase(tag)
     n = 2 if tag == "gl-n2" else 3
-    gl = build_case(IdealCase(tag, 0, q=None))
+    gl = build_case(IdealCase(tag, 0))
     names = ("q", "r", "x", "y")[: 2 + (n - 1)]
     chart = PolyRing(names, 0)
     q = chart.var("q")

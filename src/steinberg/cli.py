@@ -43,8 +43,6 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("json", "markdown"), default="markdown")
     common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--timings", action="store_true",
-                        help="fill elapsed_ms (non-reproducible output)")
 
     top = argparse.ArgumentParser(prog="steinberg")
     sub = top.add_subparsers(dest="command", required=True)
@@ -84,7 +82,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _verify(args) -> int:
-    em = Emitter(timings=args.timings)
+    em = Emitter()
     if args.campaign == "all":
         campaigns.verify_all(em, seed=args.seed, trials=args.trials)
     elif args.campaign == "bwb-tables":
@@ -123,8 +121,7 @@ def _compute(args) -> int:
         sys.stdout.write(campaigns.fmt_multiset(ms) + "\n")
         return 0
     if args.computation == "hilbert":
-        case = IdealCase(args.case_tag, args.char,
-                         q=1 if args.case_tag.startswith("gl") else None)
+        case = IdealCase(args.case_tag, args.char)
         sys.stdout.write(str(case_hilbert(case, args.degree_bound)) + "\n")
         return 0
     if args.computation == "snf":

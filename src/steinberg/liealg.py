@@ -793,7 +793,6 @@ class CnReport:
     """
 
     n: int
-    q: object  # None for symbolic
     ring: object
     entries: list
     principal: bool
@@ -842,7 +841,7 @@ def cn_ideal_reduction(q=None, n: int = 3, char=0) -> CnReport:
     passed = False
     if n == 2:
         passed = not entries
-        return CnReport(n, q, ring, entries, principal, "0", "0", passed)
+        return CnReport(n, ring, entries, principal, "0", "0", passed)
     if principal and entries:
         gen = entries[0][1]
         gen_text = ring.to_text(gen)
@@ -868,4 +867,4 @@ def cn_ideal_reduction(q=None, n: int = 3, char=0) -> CnReport:
             expect = sym.substitute(sym.from_text("q^2*e - 1*q*e + a*f - 1*q*d*c"),
                                     {"q": ring.const(q)}, ring)
             passed = gen == expect
-    return CnReport(n, q, ring, entries, principal, gen_text, norm_text, passed)
+    return CnReport(n, ring, entries, principal, gen_text, norm_text, passed)

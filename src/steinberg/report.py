@@ -3,15 +3,14 @@
 A report is a flat list of check entries; the exit status of the tool derives
 solely from the entry statuses.  JSON output is canonical (sorted keys,
 entries ordered by check_id) so that identical invocations with identical
-seeds are byte-identical; elapsed_ms is zero unless timing collection was
-requested, keeping timings out of any comparison or hash.
+seeds are byte-identical.  Each entry's elapsed_ms is written as 0, which
+keeps the schema-1 layout and keeps timings out of any comparison or hash.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import time
 from dataclasses import dataclass
 from importlib import resources
 
@@ -30,29 +29,23 @@ class CheckEntry:
     expected: str = ""
     actual: str = ""
     paper_anchor: str = ""
-    elapsed_ms: int = 0
 
 
 class Emitter:
-    """Collects entries; timestamps the gap between entries when enabled."""
+    """Collects entries."""
 
-    def __init__(self, timings: bool = False):
+    def __init__(self):
         self.entries: list[CheckEntry] = []
-        self.timings = timings
-        self._last = time.monotonic()
 
     def add(self, check_id: str, ok, expected="", actual="", anchor="", skipped=False,
             not_decidable=False) -> None:
-        now = time.monotonic()
-        ms = int((now - self._last) * 1000) if self.timings else 0
-        self._last = now
         if skipped:
             status = SKIPPED
         elif not_decidable:
             status = NOT_DECIDABLE
         else:
             status = PASS if ok else FAIL
-        self.entries.append(CheckEntry(check_id, status, str(expected), str(actual), anchor, ms))
+        self.entries.append(CheckEntry(check_id, status, str(expected), str(actual), anchor))
 
 
 def data_file_hashes() -> dict[str, str]:
@@ -110,7 +103,7 @@ class Report:
                     "expected": e.expected,
                     "actual": e.actual,
                     "paper_anchor": e.paper_anchor,
-                    "elapsed_ms": e.elapsed_ms,
+                    "elapsed_ms": 0,
                 }
                 for e in self.entries
             ],

@@ -1,5 +1,6 @@
 import dataclasses
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -11,7 +12,8 @@ from steinberg.cases import (EVAL_PRIME, IdealCase, UnsupportedCase, build_case,
                              gl_specialization_check, hilbert_cross_check, make_ideal,
                              multiplicity, parametrization_check, span17_check)
 from steinberg.fieldops import field_of
-from steinberg.polyalg import PolyRing, groebner, hilbert_function, min_gen_degrees
+from steinberg.polyalg import (PolyRing, TruncationError, groebner, hilbert_function,
+                               min_gen_degrees)
 from steinberg.report import FAIL, Emitter
 
 
@@ -46,8 +48,7 @@ def test_generator_counts():
     assert zn.ring.n == 16 and len(zn.gens) == 41
     xn = make_ideal(IdealCase("n3-x"))
     assert xn.ring.n == 18 and len(xn.gens) == 34
-    assert make_ideal(IdealCase("gl-n3", 0, q=1)).ring.n == 20
-    assert make_ideal(IdealCase("gl-n3", 0, q=None)).ring.n == 21
+    assert make_ideal(IdealCase("gl-n3", 0)).ring.n == 21
 
 
 def test_n2_presentation():
@@ -150,9 +151,9 @@ def test_commutator_layer_quick():
 
 
 def test_gl_ideal_members_vanish_on_unipotent_pairs():
-    # direct spot check: the q = 1 gl-n2 generators vanish at Phi = Sigma = I
-    data = build_case(IdealCase("gl-n2", 0, q=1))
-    point = {"f11": 1, "f12": 0, "f21": 0, "f22": 1,
+    # direct spot check: at q = 1 the gl-n2 generators vanish at Phi = Sigma = I
+    data = build_case(IdealCase("gl-n2", 0))
+    point = {"q": 1, "f11": 1, "f12": 0, "f21": 0, "f22": 1,
              "s11": 1, "s12": 0, "s21": 0, "s22": 1, "u": 1, "v": 1}
     vals = [point[nm] for nm in data.ring.names]
     assert all(_eval_poly(g, vals) == 0 for g in data.gens)
@@ -292,8 +293,7 @@ def test_verify_all_runs_each_points_check_once_and_frees_its_memo(points_calls)
     assert sorted(case.tag for case in points_calls) == sorted(cases.CASE_TAGS)
     assert sum(e.check_id.endswith(".points") for e in em.entries) == 9
     assert all(e.status != FAIL for e in em.entries)
-    for memo in (cases.case_basis, cases.case_hilbert, cases.case_points):
-        assert memo.cache_info().currsize == 0
+    assert not cases._memo
 
 
 def test_verify_all_builds_each_span_lattice_once_and_frees_its_memo(monkeypatch):
@@ -312,25 +312,29 @@ def test_verify_all_builds_each_span_lattice_once_and_frees_its_memo(monkeypatch
     assert len(calls) == len(set(calls)) == 2
     assert sum(".groebner-side." in e.check_id for e in em.entries) == 4
     assert all(e.status != FAIL for e in em.entries)
-    assert cases.span_lattice.cache_info().currsize == 0
+    assert not cases._memo
 
 
 def test_verify_all_builds_each_case_once_and_frees_its_memo(monkeypatch):
-    calls = []
-    build = cases._build_case
+    misses = []  # the key of every result computed and stored
 
-    def counting(case):
-        calls.append(case)
-        return build(case)
+    class Recording(dict):
+        def __setitem__(self, key, value):
+            misses.append(key)
+            super().__setitem__(key, value)
 
-    monkeypatch.setattr(cases, "_build_case", counting)
-    cases.clear_case_memo()
+    monkeypatch.setattr(cases, "_memo", Recording())
     em = Emitter()
     campaigns.verify_all(em, seed=0, trials=5)
     # gl-n3, n3-x at char 5 and n3-z at char 0 are each asked for more than once
-    assert len(calls) == len(set(calls)) == 13
+    built = [key for key in misses if key[0] == "build_case"]
+    assert len(built) == len(set(built)) == 13
+    assert len(misses) == len(set(misses))
+    assert Counter(key[0] for key in misses) == {
+        "build_case": 13, "case_basis": 8, "case_points": 6, "case_hilbert": 5,
+        "span_lattice": 2, "case_cn_reduction": 1}
     assert all(e.status != FAIL for e in em.entries)
-    assert cases.build_case.cache_info().currsize == 0
+    assert not cases._memo
 
 
 def _gens_key(gens):
@@ -344,7 +348,7 @@ def test_verify_all_builds_each_groebner_basis_once(groebner_calls):
     inputs = {(_gens_key(gens), bound) for gens, bound, _ in groebner_calls}
     assert len(groebner_calls) == len(inputs) == 15
     assert all(e.status != FAIL for e in em.entries)
-    assert cases.case_cn_reduction.cache_info().currsize == 0
+    assert not cases._memo
     # the n2 basis over GF(5) and the n3-z bases over GF(5) and GF(7) are
     # guided by the char-0 bases the run already holds; no other basis is
     guided = {(_gens_key(gens), bound, _gens_key(guide.gens))
@@ -386,4 +390,15 @@ def test_cnil_points_draw_no_conjugating_matrix(monkeypatch):
 
     monkeypatch.setattr(cases, "_rand_invertible", unused)
     assert parametrization_check(IdealCase("cnil"), trials=5, seed=0).passed
-    assert parametrization_check(IdealCase("cnil", q=2), trials=5, seed=0).passed
+
+
+def test_the_memo_keeps_no_exceptions():
+    # gl-n2 is not homogeneous, so a truncated basis raises; like
+    # lru_cache, the store keeps nothing and the next call raises again
+    cases.clear_case_memo()
+    case = IdealCase("gl-n2", 0)
+    for _ in range(2):
+        with pytest.raises(TruncationError):
+            cases.case_basis(case, 3)
+        assert ("case_basis", case, 3) not in cases._memo
+    cases.clear_case_memo()

@@ -68,6 +68,7 @@ def test_usage_errors_exit_2():
         (["verify", "ideal", "--case", "nope"], "invalid choice"),
         (["verify", "ideal", "--case", "n3-z", "--degree-bound"], "expected one argument"),
         (["verify", "all", "--jobs", "2"], "unrecognized arguments"),
+        (["verify", "all", "--timings"], "unrecognized arguments"),
         # a negative bound certifies nothing: it must not reach a check
         (["verify", "ideal", "--case", "n2", "--char", "0", "--degree-bound", "-1"],
          "--degree-bound: must be >= 0"),
