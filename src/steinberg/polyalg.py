@@ -5,10 +5,11 @@ Monomials are exponent tuples ordered by degrevlex.  Polynomials are sparse
 
 Groebner input is homogeneous; `groebner` raises TruncationError on anything
 else.  The driver is degree-stratified: S-pairs are processed degree by
-degree, pairs above the truncation bound are discarded (sound for
-homogeneous ideals), and the input generators surviving reduction at each
-degree are counted, which yields the graded minimal generator counts of the
-ideal as a byproduct.  Everything is deterministic for a fixed input order.
+degree, pairs above the truncation bound are never built (sound for
+homogeneous ideals; one left unbuilt marks the basis incomplete), and the
+input generators surviving reduction at each degree are counted, which
+yields the graded minimal generator counts of the ideal as a byproduct.
+Everything is deterministic for a fixed input order.
 The one inhomogeneous ideal the certifier reduces by, (x*y - 1) for the
 Laurent ring of a chart, has `normal_form_mod_unit` as its direct rule.
 
@@ -17,7 +18,10 @@ Inside the Groebner worker every monomial is one Python int (`_Packing`):
 variables, and the top field holds the total degree.  A product is one
 addition, a divisibility test one subtraction and a guard-bit mask, an lcm
 a few word operations, and the int with its exponent fields complemented
-compares as degrevlex.  An exponent or degree above 127 raises
+compares as degrevlex.  Every polynomial the worker reduces is homogeneous,
+and within one degree the smallest packed int is the degrevlex maximum, so
+the reduction heap holds the packed ints themselves.  An exponent or degree
+above 127 raises
 InvariantError instead of wrapping.  Generators are packed once on entry,
 and the reduced basis is unpacked once on exit, into `IdealBasis.gb` and
 `gb_lead`; outside the worker monomials are tuples.
@@ -53,12 +57,31 @@ run, so a faulty guide whose lms differ yields an honestly computed basis.
 If the count never reaches the target, nothing is dropped: HF_l > HF_Q in
 that degree, and a comparison of the Hilbert functions fails as it should.
 
-The stop trusts the guide: a basis over Q missing an element of degree d
-lowers target(d) by one, the guided runs stop one element short, and their
-Hilbert functions agree with the faulty one.  So agreement of HF over Q, F5
-and F7 certifies flatness only together with a check of the Q side against
-an independent count, as the Hilbert cross check against the character side
-does.
+A run over Q records its divisors (`IdealBasis.divisors`): for each
+generator the lcm of its denominators and the leading coefficient of its
+integer form, and for each element entered, during the run and in the
+interreduction, the content `_basis_form` divides out and the leading
+coefficient it keeps.  Every other multiplier of the run, in an S-pair or a
+reduction step, divides a recorded leading coefficient.  Let l divide no
+recorded integer: l is then a lucky prime for the run (trace lifting:
+Traverso, ISSAC 1988; Arnold, JSC 35, 2003).  Every multiplier is an l-unit,
+so at every step the state of the unguided run over GF(l) is a unit times
+the state of the run over Q mod l: a coefficient that is 0 mod l is a step
+the GF(l) run skips, and a nonzero remainder stays nonzero mod l with the
+same leading monomial, as l divides neither its content nor its leading
+coefficient.  So the two runs have the same leading monomials, skip and
+reduce the same pairs, and count the same minimal generators and the same
+trace, and each element over GF(l) is the basis form over Q times the
+inverse of its leading coefficient mod l.  A guided run whose guide has the
+run's bound and such an l returns that basis, read off the guide with no
+pair treated; any other guided run stops as described above.
+
+The stop and the lift trust the guide: a basis over Q missing an element of
+degree d lowers target(d) by one, the guided runs stop one element short or
+read the faulty basis off, and their Hilbert functions agree with the faulty
+one.  So agreement of HF over Q, F5 and F7 certifies flatness only together
+with a check of the Q side against an independent count, as the Hilbert
+cross check against the character side does.
 
 Module-level `normal_form` reduces by `gb_lead` on exponent tuples, with its
 own small reducer that shares no logic with the packed kernel.  The tests
@@ -67,7 +90,7 @@ behind its own reader.
 
 Hilbert functions come from the Hilbert series of the leading-term ideal,
 whose numerator is computed by Bigatti's pivot recursion truncated at the
-requested degree.
+requested degree, each monomial carried down it with its support mask.
 """
 
 from __future__ import annotations
@@ -317,7 +340,8 @@ class GroebnerStats:
     S-polynomial reduced to zero, the returned basis's element count per
     degree, and, in a guided run, the pairs dropped untreated by the Hilbert
     stop (which `pairs` does not count).  Pairs are counted, not reduction
-    steps, so the counts cost nothing inside the reduction loop."""
+    steps, so the counts cost nothing inside the reduction loop.  A basis
+    read off its guide treated no pair and has only the counts per degree."""
 
     pairs: int = 0
     coprime_skips: int = 0
@@ -340,7 +364,9 @@ class IdealBasis:
     `groebner` run that built the basis, and trace its productive S-pairs:
     for each lcm degree, the set of (lm_i, lm_j), as packed ints with
     lm_i < lm_j, of the pairs whose remainder entered the basis.  No report
-    reads either.
+    reads either.  divisors is, over Q, the set of integers > 1 that the run
+    needed to be units mod l for the run over GF(l) to be its image (see the
+    module docstring), and None over GF(p).
     """
 
     ring: PolyRing
@@ -352,6 +378,7 @@ class IdealBasis:
     gb_lead: list | None = field(default=None, repr=False, compare=False)
     stats: GroebnerStats | None = field(default=None, repr=False, compare=False)
     trace: dict | None = field(default=None, repr=False, compare=False)
+    divisors: frozenset | None = field(default=None, repr=False, compare=False)
 
     def require_gb(self):
         if self.gb is None:
@@ -437,7 +464,7 @@ class _GBWorker:
     beside its list, and both are dropped together when a lm of lower degree
     is entered, so the memo is exact."""
 
-    def __init__(self, ring: PolyRing):
+    def __init__(self, ring: PolyRing, bound: int | None = None):
         self.ring = ring
         self.modulus = ring.domain.characteristic  # 0 over Q
         self.pk = _Packing(ring.n)
@@ -447,14 +474,37 @@ class _GBWorker:
         # d -> (lms of degree < d in index order, {m: first of them dividing m, else m})
         self.below: dict[int, tuple[list[int], dict[int, int]]] = {}
         self.pairs: list = []  # heap of (lcm, i, j)
+        # the packed ints of degree <= bound lie below limit; without a bound,
+        # every packed int does
+        top = self.pk.top
+        self.limit = (bound + 1) << top if bound is not None else 1 << (top + _F)
+        self.dropped = False  # whether a pair above the bound went unbuilt
         self.treated: set[tuple[int, int]] = set()
         self.stats = GroebnerStats()
         self.trace: dict[int, set[tuple[int, int]]] = {}  # see IdealBasis.trace
+        self.divisors: set[int] | None = None if self.modulus else set()  # see IdealBasis
+
+    def record(self, *ints: int) -> None:
+        """Over Q, add each |x| > 1 of ints to the divisors."""
+        if self.divisors is not None:
+            self.divisors.update(a for x in ints if (a := abs(x)) > 1)
 
     def pack(self, p: Poly) -> Poly:
-        """The packed integer multiple of p that reduction starts from."""
+        """The packed integer multiple of the homogeneous p that reduction
+        starts from.  Records the lcm of p's denominators and the leading
+        coefficient of the multiple."""
         pack = self.pk.pack
-        return {pack(m): c for m, c in _integral(self.ring, p)[0].items()}
+        h, s = _integral(self.ring, p)
+        out = {pack(m): c for m, c in h.items()}
+        self.record(s, out[min(out)])
+        return out
+
+    def basis_form(self, h: Poly, lm: int) -> Poly:
+        """`_basis_form` of h, recording the content it divides out and its
+        leading coefficient."""
+        g = _basis_form(self.modulus, h, lm)
+        self.record(h[lm] // g[lm], g[lm])
+        return g
 
     def lms_below(self, d: int) -> tuple[list[int], dict[int, int]]:
         low = self.below.get(d)
@@ -464,9 +514,9 @@ class _GBWorker:
         return low
 
     def reduce(self, h: Poly) -> Poly:
-        """Fraction-free reduction of the packed integer polynomial h, which
-        is consumed.  Returns a positive integer multiple of the remainder of
-        h; over GF(p), its residues.
+        """Fraction-free reduction of the packed homogeneous integer
+        polynomial h, which is consumed.  Returns a positive integer multiple
+        of the remainder of h; over GF(p), its residues.
 
         The largest monomial c*x^m of h is reduced by the first basis element
         g, in index order, whose lm has lower degree and divides it, else by
@@ -476,26 +526,26 @@ class _GBWorker:
         over GF(p).  So the result is a multiple of the remainder of the
         computation over the field, step by step.  As lms are added in
         nondecreasing degree, that element is the first divisor in index
-        order.  Every monomial of h has exactly one heap entry, m ^ ~exps, so
-        the heap's minimum is the degrevlex maximum; coefficients that cancel
-        stay in h as zeros until they are popped."""
-        p, tails, top = self.modulus, self.tails, self.pk.top
-        guards, flip = self.pk.guards, ~self.pk.exps
+        order.  Every monomial of h has one degree d and exactly one heap
+        entry, the packed int itself: within one degree the smallest int is
+        the degrevlex maximum, so the heap's minimum is the next monomial to
+        treat, and the lms of degree < d are read once.  Coefficients that
+        cancel stay in h as zeros until they are popped."""
+        if not h:
+            return {}
+        p, tails, guards = self.modulus, self.tails, self.pk.guards
         heappop, heappush = heapq.heappop, heapq.heappush
-        heap = [m ^ flip for m in h]
+        heap = list(h)
         heapq.heapify(heap)
+        low, first = self.lms_below(heap[0] >> self.pk.top)
         out: Poly = {}
-        d, low, first = -1, [], {}
         while heap:
-            m = heappop(heap) ^ flip
+            m = heappop(heap)
             c = h.pop(m)
             if p:
                 c %= p
             if not c:
                 continue
-            if m >> top != d:
-                d = m >> top
-                low, first = self.lms_below(d)
             lm = first.get(m)
             if lm is None:
                 for lm in low:
@@ -523,7 +573,7 @@ class _GBWorker:
                 cur = h.get(key)
                 if cur is None:
                     h[key] = -c * cg
-                    heappush(heap, key ^ flip)
+                    heappush(heap, key)
                 else:
                     h[key] = cur - c * cg
         return out
@@ -536,15 +586,20 @@ class _GBWorker:
         self.tails[lm] = (form[lm], [(mg - lm, cg) for mg, cg in form.items() if mg != lm])
 
     def add_element(self, h: Poly) -> None:
-        """Append the element with the nonzero integer multiple h: a
-        reducer in the divisor scan, with its S-pairs."""
-        x = self.pk.exps
-        lm = max(m ^ x for m in h) ^ x
+        """Append the element with the nonzero homogeneous integer multiple
+        h: a reducer in the divisor scan, with its S-pairs of lcm degree up
+        to the bound.  A pair above the bound is never built; it sets
+        `dropped`."""
+        lm = min(h)  # the degrevlex maximum of one degree
         k = len(self.lms)
-        lcm = self.pk.lcm
+        lcm, limit, pairs, push = self.pk.lcm, self.limit, self.pairs, heapq.heappush
         for i, lmi in enumerate(self.lms):
-            heapq.heappush(self.pairs, (lcm(lmi, lm), i, k))
-        self.enter(lm, _basis_form(self.modulus, h, lm))
+            l = lcm(lmi, lm)
+            if l < limit:
+                push(pairs, (l, i, k))
+            else:
+                self.dropped = True
+        self.enter(lm, self.basis_form(h, lm))
         self.lms.append(lm)
         d = lm >> self.pk.top
         self.below = {e: low for e, low in self.below.items() if e <= d}
@@ -642,8 +697,9 @@ def groebner(ideal: IdealBasis, bound=None, guide: IdealBasis | None = None) -> 
 
     `guide`, for an ideal over GF(l), is a basis over Q, complete through the
     bound, of the ideal whose generators reduce mod l to this ideal's: see
-    the module docstring.  It changes the work, never the result; an
-    unsuitable guide raises ValueError.
+    the module docstring.  When it has the run's bound and l divides none of
+    its divisors, the basis is read off it.  It changes the work, never the
+    result; an unsuitable guide raises ValueError.
     """
     ring = ideal.ring
     gens = [g for g in ideal.gens if g]
@@ -651,15 +707,22 @@ def groebner(ideal: IdealBasis, bound=None, guide: IdealBasis | None = None) -> 
         raise TruncationError("degree truncation requires homogeneous generators")
     if guide is not None:
         guide = _Guide(ideal, bound, guide)
-    worker = _GBWorker(ring)
+        lifted = guide.lift(ideal, bound)
+        if lifted is not None:
+            return lifted
+    worker = _GBWorker(ring, bound)
+    top, exps = worker.pk.top, worker.pk.exps
     by_degree: dict[int, list] = {}
-    for g in sorted(gens, key=lambda g: (ring.degree(g), _drl_key(ring.lm(g)))):
-        by_degree.setdefault(ring.degree(g), []).append(g)
+    # every generator is packed, and so recorded, even above the bound; in
+    # degrevlex order of its lm, min(h) ^ exps
+    for h in sorted(map(worker.pack, gens), key=lambda h: min(h) ^ exps):
+        by_degree.setdefault(min(h) >> top, []).append(h)
     mingens: dict[int, int] = {}
     degrees = sorted(by_degree)
     if not degrees:
-        return IdealBasis(ring, [], gb=[], gb_bound=bound, mingens={}, gb_complete=True,
-                          gb_lead=[], stats=worker.stats, trace={})
+        return IdealBasis(ring, list(ideal.gens), gb=[], gb_bound=bound, mingens={},
+                          gb_complete=True, gb_lead=[], stats=worker.stats, trace={},
+                          divisors=_frozen(worker.divisors))
     d = degrees[0]
     while True:
         if bound is not None and d > bound:
@@ -669,31 +732,36 @@ def groebner(ideal: IdealBasis, bound=None, guide: IdealBasis | None = None) -> 
             worker.treat_guided(d, guide)
         for l, i, j in worker.pop_pairs_up_to(d):
             worker.treat(l, i, j)
-        for g in by_degree.get(d, ()):
-            r = worker.reduce(worker.pack(g))
+        for h in by_degree.get(d, ()):
+            r = worker.reduce(h)
             if r:
-                if max(r) >> worker.pk.top != d:  # the degree field of r's largest int
+                if max(r) >> top != d:  # the degree field of r's largest int
                     raise InvariantError(f"a degree-{d} generator reduced to degree "
-                                         f"{max(r) >> worker.pk.top}")
+                                         f"{max(r) >> top}")
                 mingens[d] = mingens.get(d, 0) + 1
                 worker.add_element(r)
         d += 1
         if bound is None and d > degrees[-1] and not worker.pairs:
             break
     lead = _interreduce(worker)
-    complete = bound is None or (not worker.pairs and degrees[-1] <= bound)
+    complete = bound is None or (not worker.dropped and degrees[-1] <= bound)
     return IdealBasis(ring, list(ideal.gens), gb=_field_forms(worker, lead), gb_bound=bound,
                       mingens=mingens, gb_complete=complete, gb_lead=lead, stats=worker.stats,
-                      trace=worker.trace)
+                      trace=worker.trace, divisors=_frozen(worker.divisors))
+
+
+def _frozen(divisors: set | None) -> frozenset | None:
+    return None if divisors is None else frozenset(divisors)
 
 
 class _Guide:
     """What a run over GF(l) reads from its guide, a basis over Q complete
-    through the run's bound (see the module docstring): the trace, and per
-    degree d the quota, the number of elements degree d adds before the
-    leading monomials span target(d) = dim S_d - HF_Q(d) monomials of
-    degree d, when the lms of lower degree are the guide's.  Raises
-    ValueError when the guide is unsuitable."""
+    through the run's bound (see the module docstring): the basis itself
+    when l is lucky for it, else the trace, and per degree d the quota,
+    the number of elements degree d adds before the leading monomials span
+    target(d) = dim S_d - HF_Q(d) monomials of degree d, when the lms of
+    lower degree are the guide's.  Raises ValueError when the guide is
+    unsuitable."""
 
     def __init__(self, ideal: IdealBasis, bound, guide: IdealBasis):
         ring, qring = ideal.ring, guide.ring
@@ -713,8 +781,27 @@ class _Guide:
             raise ValueError(f"the guide's generators are not {l}-integral") from None
         if reduced != [dict(g) for g in ideal.gens]:
             raise ValueError(f"the ideal's generators are not the guide's reduced mod {l}")
+        self.basis = guide
         self.trace = guide.trace
         self.lts = _minimal_lts(guide, bound)
+
+    def lift(self, ideal: IdealBasis, bound) -> IdealBasis | None:
+        """The run's basis read off the guide, or None unless the guide has
+        the run's bound and l divides none of its divisors: then the run is
+        the guide's run mod l step for step (see the module docstring).
+        Each basis form becomes its residues times the inverse of its
+        leading coefficient, zeros dropped."""
+        q, l = self.basis, ideal.ring.domain.characteristic
+        if q.gb_bound != bound or q.divisors is None or any(x % l == 0 for x in q.divisors):
+            return None
+        lead = []
+        for lm, mask, g in q.gb_lead:
+            inv = pow(g[lm], -1, l)
+            lead.append((lm, mask, {m: r for m, c in g.items() if (r := c * inv % l)}))
+        return IdealBasis(ideal.ring, list(ideal.gens), gb=[g for _, _, g in lead],
+                          gb_bound=bound, mingens=dict(q.mingens), gb_complete=q.gb_complete,
+                          gb_lead=lead, stats=GroebnerStats(per_degree=dict(q.stats.per_degree)),
+                          trace=q.trace)
 
     def quota(self, d: int, low: set) -> int | None:
         """The quota of degree d for a run whose lms of degree < d are `low`,
@@ -744,12 +831,13 @@ def _interreduce(worker: _GBWorker) -> list:
     tail-reduced in increasing lm order, each by the reduced forms of those
     before it, entered as reducers of their lm alone: no divisor scan, only
     the lookup of `tails`.  Tail reduction leaves each leading term in
-    place, so the lms are computed once."""
+    place, so the lms are computed once.  Each reduced form's content and
+    leading coefficient go to the worker's divisors."""
     pk = worker.pk
     w = _GBWorker(worker.ring)
     out = []
     for lm in sorted(worker.lms, key=lambda lm: lm ^ pk.exps):
-        g = _basis_form(w.modulus, w.reduce(dict(worker.lead[lm])), lm)
+        g = worker.basis_form(w.reduce(dict(worker.lead[lm])), lm)
         w.enter(lm, g)
         m = pk.unpack(lm)
         out.append((m, _mask(m), {pk.unpack(x): c for x, c in g.items()}))
@@ -884,57 +972,72 @@ class GradedDims:
         return "[" + ", ".join(str(d) for d in self.dims) + "]"
 
 
-def _minimal_monomials(monos) -> list[Monomial]:
-    """The minimal generators of the monomial ideal generated by monos."""
+def _minimal_masked(masked) -> list[tuple[Monomial, int]]:
+    """The minimal generators of the monomial ideal generated by the
+    distinct (monomial, support mask) pairs `masked`, as pairs, ordered by
+    degree and then by exponent tuple."""
     out: list[tuple[Monomial, int]] = []
-    for m in sorted(set(monos), key=_drl_key):
-        mask = _mask(m)
+    for m, mask in sorted(masked, key=lambda t: (sum(t[0]), t[0])):
         if not any(not omask & ~mask and _divides(o, m) for o, omask in out):
             out.append((m, mask))
-    return [m for m, _ in out]
+    return out
 
 
 def _minimal_lts(ideal: IdealBasis, bound: int | None = None) -> list[Monomial]:
     """Minimal leading monomials of the attached basis (of degree <= bound)."""
-    return _minimal_monomials(lm for lm, _, _ in ideal.gb_lead
-                              if bound is None or sum(lm) <= bound)
+    return [m for m, _ in _minimal_masked({(lm, mask) for lm, mask, _ in ideal.gb_lead
+                                           if bound is None or sum(lm) <= bound})]
 
 
 def _series_numerator(monos: list[Monomial], top: int) -> list[int]:
     """Coefficients N_0 .. N_top of the numerator of the Hilbert series
     HS(S/J) = N(t) / (1 - t)^n, for J generated by the minimal monomials
-    `monos`.  Bigatti's pivot recursion (JPAA 119, 1997): for a pivot x^e,
+    `monos`: see `_masked_numerator`."""
+    return _masked_numerator([(m, _mask(m)) for m in monos], top)
+
+
+def _masked_numerator(masked: list[tuple[Monomial, int]], top: int) -> list[int]:
+    """`_series_numerator` on (monomial, support mask) pairs.  Bigatti's
+    pivot recursion (JPAA 119, 1997): for a pivot x^e,
     N(J) = N(J + (x^e)) + t^e N(J : x^e).  Generators above degree top change
-    N only above degree top, so they are dropped on the way down."""
+    N only above degree top, so they are dropped on the way down.  Each
+    monomial's mask is computed once, where the monomial is made."""
     out = [0] * (top + 1)
     if top < 0:
         return out
-    monos = [m for m in monos if sum(m) <= top]
+    masked = [(m, mask) for m, mask in masked if sum(m) <= top]
     while True:
-        masks = [_mask(m) for m in monos]
         seen = 0
-        for mask in masks:
+        for _, mask in masked:
             if mask & seen:
                 break
             seen |= mask
         else:
             # pairwise coprime generators: N = prod (1 - t^deg)
             base = [1] + [0] * top
-            for m in monos:
+            for m, _ in masked:
                 d = sum(m)
                 for i in range(top, d - 1, -1):
                     base[i] -= base[i - d]
             return [a + b for a, b in zip(out, base)]
         # pivot on the most frequent variable x, to the least exponent e it
         # occurs with: J + (x^e) keeps the generators free of x
-        n = len(monos[0])
-        x = max(range(n), key=lambda i: sum(mask >> i & 1 for mask in masks))
-        e = min(m[x] for m in monos if m[x])
-        colon = [m[:x] + (m[x] - e,) + m[x + 1:] if m[x] else m for m in monos]
-        for i, c in enumerate(_series_numerator(_minimal_monomials(colon), top - e)):
+        n = len(masked[0][0])
+        counts = [0] * n
+        for _, mask in masked:
+            while mask:
+                low = mask & -mask
+                counts[low.bit_length() - 1] += 1
+                mask ^= low
+        x = max(range(n), key=counts.__getitem__)
+        bit = 1 << x
+        e = min(m[x] for m, mask in masked if mask & bit)
+        colon = {(m[:x] + (m[x] - e,) + m[x + 1:], mask if m[x] > e else mask ^ bit)
+                 if mask & bit else (m, mask) for m, mask in masked}
+        for i, c in enumerate(_masked_numerator(_minimal_masked(colon), top - e)):
             out[i + e] += c
-        monos = [m for m in monos if not m[x]]
-        monos.append(tuple(e if i == x else 0 for i in range(n)))
+        masked = [(m, mask) for m, mask in masked if not mask & bit]
+        masked.append((tuple(e if i == x else 0 for i in range(n)), bit))
 
 
 def hilbert_function(ideal: IdealBasis, bound: int) -> GradedDims:

@@ -815,10 +815,13 @@ def test_guided_n3z_bases_equal_the_unguided_ones(n3z_q5, l):
     guided, unguided = groebner(ideal, 5, guide=n3z_q5), groebner(ideal, 5)
     _assert_same_basis(guided, unguided)
     assert guided.stats.per_degree == unguided.stats.per_degree
-    assert unguided.stats.stop_drops == 0 < guided.stats.stop_drops
-    assert guided.stats.zero_reductions < unguided.stats.zero_reductions
-    if l == 7:  # the F7 run follows the Q trace exactly
-        assert guided.stats.zero_reductions == 0
+    assert unguided.stats.stop_drops == 0
+    if l == 7:  # 7 divides no recorded integer: the basis is read off the Q run
+        assert guided.stats.pairs == 0 < unguided.stats.pairs
+        assert guided.trace == unguided.trace == n3z_q5.trace
+    else:  # the Q run divides out contents 10 and 20: a guided run
+        assert 0 < guided.stats.stop_drops
+        assert guided.stats.zero_reductions < unguided.stats.zero_reductions
 
 
 def test_guided_run_over_a_torsion_prime_is_the_unguided_run():
@@ -893,3 +896,110 @@ def test_unsuitable_guides_raise_value_error(n3z_q5):
     for ideal, bound, guide, message in cases:
         with pytest.raises(ValueError, match=message):
             groebner(ideal, bound, guide=guide)
+
+
+# -- runs over GF(l) read off the run over Q -------------------------------------------
+
+TORSION = ("1*x^2", "1*x*y + 5*y^2", "1*z^2")
+LEADS_DIFFER = ("5*x^2 + 1*x*y + 1*y^2", "1*x*z + 1*y^2 + 1*z^2")
+
+
+def _runs_mod(l, gens, bound):
+    """(guide over Q, guided run over GF(l), unguided run over GF(l)) for
+    the generators over Q in x, y, z given as text."""
+    R0, Rl = PolyRing(("x", "y", "z"), 0), PolyRing(("x", "y", "z"), l)
+    gens = [R0.from_text(t) if isinstance(t, str) else t for t in gens]
+    q = groebner(IdealBasis(R0, gens), bound)
+    ideal = IdealBasis(Rl, _mod(Rl, gens))
+    return q, groebner(ideal, bound, guide=q), groebner(ideal, bound)
+
+
+def _cofactor(x):
+    """x with every factor 2 and 3 divided out."""
+    for p in (2, 3):
+        while x % p == 0:
+            x //= p
+    return x
+
+
+def test_the_q_runs_record_the_prime_5_for_n3z_only(n3z_q5):
+    assert {_cofactor(x) for x in n3z_q5.divisors} == {1, 5}
+    for tag, bound in (("n2", 6), ("n3-x", None)):
+        q = groebner(make_ideal(IdealCase(tag, 0)), bound)
+        assert q.divisors and {_cofactor(x) for x in q.divisors} == {1}
+    assert groebner(make_ideal(IdealCase("n3-z", 5)), 3).divisors is None
+
+
+def test_a_lucky_prime_reads_the_basis_off_the_q_run():
+    q = groebner(make_ideal(IdealCase("n2", 0)), 6)
+    ideal = make_ideal(IdealCase("n2", 5))
+    lifted = groebner(ideal, 6, guide=q)
+    assert lifted.stats == polyalg.GroebnerStats(per_degree=q.stats.per_degree)
+    _assert_same_basis(lifted, groebner(ideal, 6))
+    # a guide complete beyond the run's bound guides it, but is not lifted
+    q = groebner(make_ideal(IdealCase("n3-x", 0)), None)
+    ideal = make_ideal(IdealCase("n3-x", 7))
+    guided = groebner(ideal, 3, guide=q)
+    assert guided.stats.pairs > 0
+    _assert_same_basis(guided, groebner(ideal, 3))
+
+
+@pytest.mark.parametrize("gens, bound, divisor", [(TORSION, 4, 25), (LEADS_DIFFER, 5, 5)])
+def test_a_prime_dividing_a_recorded_integer_is_not_lifted(gens, bound, divisor):
+    q, guided, unguided = _runs_mod(5, gens, bound)
+    assert divisor in q.divisors
+    assert guided.stats.pairs > 0
+    _assert_same_basis(guided, unguided)
+
+
+def test_a_generator_scaled_by_7_blocks_the_lift_at_7_only():
+    R0 = PolyRing(("x", "y", "z"), 0)
+    first, *rest = (R0.from_text(t) for t in ("1*x^2 - 1*y*z", "1*x*y - 1*z^2",
+                                              "1*y^2 - 1*x*z"))
+    for scale in (1, 7):
+        for l in (5, 7):
+            q, guided, unguided = _runs_mod(l, [R0.scale(first, scale), *rest], 4)
+            assert unguided.stats.pairs > 0
+            assert (guided.stats.pairs == 0) == (scale == 1 or l == 5), (scale, l)
+            _assert_same_basis(guided, unguided)
+
+
+def test_a_record_without_contents_lifts_the_torsion_case_wrongly(monkeypatch):
+    """The mutation check of the record: a run over Q that divides out the
+    content 25 without recording it makes 5 look lucky, and the basis read
+    off it keeps y^3, which is no leading term over GF(5)."""
+    def no_contents(self, h, lm):
+        g = polyalg._basis_form(self.modulus, h, lm)
+        self.record(g[lm])
+        return g
+
+    monkeypatch.setattr(polyalg._GBWorker, "basis_form", no_contents)
+    q, guided, unguided = _runs_mod(5, TORSION, 4)
+    assert guided.stats.pairs == 0
+    assert guided.gb_lead != unguided.gb_lead
+
+
+# -- bounded runs build only the pairs they can treat -----------------------------------
+
+
+def test_a_pair_above_the_bound_leaves_the_basis_incomplete():
+    R = PolyRing(("x", "y", "z"), 0)
+    gens = [R.from_text("1*x*y"), R.from_text("1*x*z")]  # one pair, lcm x*y*z
+    at2 = groebner(IdealBasis(R, gens), 2)
+    assert not at2.gb_complete and at2.stats.pairs == 0
+    at3 = groebner(IdealBasis(R, gens), 3)
+    assert at3.gb_complete and at3.stats.pairs == 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(ideals(), st.sampled_from([0, 5, 7]), st.integers(1, 7))
+def test_a_bounded_run_is_the_unbounded_one_through_its_bound(data, char, bound):
+    n, gens = data
+    R = PolyRing([f"x{i}" for i in range(n)], char)
+    ideal = IdealBasis(R, [{m: R.domain.of(c) for m, c in g.items()} for g in gens])
+    full, cut = groebner(ideal, None), groebner(ideal, bound)
+    if cut.gb_complete:
+        assert (cut.gb, cut.gb_lead, cut.mingens) == (full.gb, full.gb_lead, full.mingens)
+    else:
+        assert cut.gb_lead == [t for t in full.gb_lead if sum(t[0]) <= bound]
+        assert cut.mingens == {d: k for d, k in full.mingens.items() if d <= bound}
