@@ -10,7 +10,8 @@ from . import bwb, liealg
 from .breps import WeightMultiset, build_rep
 from .cases import (IdealCase, build_case, case_basis, case_cn_reduction, case_hilbert,
                     case_points, chart_symbolic_check, clear_case_memo, commutator_layer_check,
-                    gl_specialization_check, hilbert_cross_check, multiplicity, span17_check)
+                    gl_specialization_check, hilbert_cross_check, look_ahead, multiplicity,
+                    span17_check)
 from .fieldops import mat_mul, mat_sub, mat_trace
 from .polyalg import IdealBasis, groebner, krull_dim, min_gen_degrees, normal_form
 from .report import Emitter, load_data_text
@@ -305,6 +306,28 @@ def classgroup_campaign(em: Emitter) -> None:
 def verify_all(em: Emitter, seed: int = 0, trials: int = 200) -> None:
     # the per-case memo lives for one run: its bases are freed on return
     try:
+        # computed ahead, in the order the campaigns first ask for them: the
+        # six points checks and the two unguided n3-x bases, each after the
+        # cases it builds (see the cases docstring)
+        look_ahead([
+            ("build_case", IdealCase("n3-z")),
+            ("build_case", IdealCase("n3-x")),
+            ("build_case", IdealCase("n2")),
+            ("case_points", IdealCase("n2"), trials, seed),
+            ("case_points", IdealCase("n3-z"), trials, seed),
+            ("build_case", IdealCase("n3-x", 5)),
+            ("case_basis", IdealCase("n3-x", 5), 5),
+            ("case_points", IdealCase("n3-x"), trials, seed),
+            ("build_case", IdealCase("gl-n2")),
+            ("case_points", IdealCase("gl-n2"), trials, seed),
+            ("build_case", IdealCase("gl-n3")),
+            ("case_points", IdealCase("gl-n3"), trials, seed),
+            ("case_cn_reduction", IdealCase("cnil")),
+            ("build_case", IdealCase("cnil")),
+            ("case_points", IdealCase("cnil"), trials, seed),
+            ("build_case", IdealCase("n3-x", 7)),
+            ("case_basis", IdealCase("n3-x", 7), None),
+        ])
         for l in (5, 7):
             bwb_tables_campaign(em, l)
         for char in (0, 5, 7):

@@ -1,4 +1,5 @@
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -21,3 +22,38 @@ def run_python():
                               timeout=600)
 
     return run
+
+
+class SharedLog:
+    """A list that this process and the processes forked from it append to:
+    each record is one pickle, appended to a file by one write.  A
+    verify_all computes part of its store in a helper process
+    (cases.look_ahead), so a count over the whole run is kept here."""
+
+    def __init__(self, path):
+        self.path = path
+        path.write_bytes(b"")
+
+    def append(self, item) -> None:
+        fd = os.open(self.path, os.O_WRONLY | os.O_APPEND)
+        try:
+            os.write(fd, pickle.dumps(item))
+        finally:
+            os.close(fd)
+
+    def __iter__(self):
+        with open(self.path, "rb") as f:
+            while True:
+                try:
+                    yield pickle.load(f)
+                except EOFError:
+                    return
+
+    def __len__(self):
+        return sum(1 for _ in self)
+
+
+@pytest.fixture
+def shared_log(tmp_path):
+    """SharedLog(name): a fresh shared list in a file of tmp_path."""
+    return lambda name: SharedLog(tmp_path / name)

@@ -226,10 +226,10 @@ def test_degree3_rows_rejects_non_integral_and_non_cubic():
 
 
 @pytest.fixture
-def groebner_calls(monkeypatch):
+def groebner_calls(monkeypatch, shared_log):
     """Empty the per-case memo and record (generators, bound, guide) of every
-    Groebner basis built afterwards."""
-    calls = []
+    Groebner basis built afterwards, in this process or a forked helper."""
+    calls = shared_log("groebner")
 
     def counting(ideal, bound=None, guide=None):
         calls.append((ideal.gens, bound, guide))
@@ -243,10 +243,10 @@ def groebner_calls(monkeypatch):
 
 
 @pytest.fixture
-def points_calls(monkeypatch):
+def points_calls(monkeypatch, shared_log):
     """Empty the per-case memo and record the case of every parametrization
-    check run afterwards."""
-    calls = []
+    check run afterwards, in this process or a forked helper."""
+    calls = shared_log("points")
     check = cases.parametrization_check
 
     def counting(case, trials=200, seed=0):
@@ -315,8 +315,11 @@ def test_verify_all_builds_each_span_lattice_once_and_frees_its_memo(monkeypatch
     assert not cases._memo
 
 
-def test_verify_all_builds_each_case_once_and_frees_its_memo(monkeypatch):
-    misses = []  # the key of every result computed and stored
+def test_verify_all_builds_each_case_once_and_frees_its_memo(monkeypatch, shared_log):
+    # the key of every result computed and stored, in either process; the
+    # results the helper sends are stored with update, which Recording does
+    # not see, so each counts once, where it is computed
+    misses = shared_log("misses")
 
     class Recording(dict):
         def __setitem__(self, key, value):

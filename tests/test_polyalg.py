@@ -600,6 +600,15 @@ def _sign(x, y):
     return (x > y) - (x < y)
 
 
+def _pair_of(ring, bound, first, second):
+    """(S-pair heap, dropped) of a worker over ring, truncated at bound,
+    after the monomials first and then second (packed) are added."""
+    worker = polyalg._GBWorker(ring, bound)
+    worker.add_element({first: 1})
+    worker.add_element({second: 1})
+    return worker.pairs, worker.dropped
+
+
 @settings(max_examples=300, deadline=None)
 @given(_monomial_pairs())
 def test_packed_monomials_match_exponent_tuples(data):
@@ -614,11 +623,16 @@ def test_packed_monomials_match_exponent_tuples(data):
     assert (not (pb - pa) & pk.guards) == polyalg._divides(a, b)
     assert (not (pa - pb) & pk.guards) == polyalg._divides(b, a)
     lcm = tuple(map(max, a, b))
-    if sum(lcm) <= CAP:
-        assert pk.lcm(pa, pb) == pk.lcm(pb, pa) == pk.pack(lcm)
-    else:
-        with pytest.raises(InvariantError):
-            pk.lcm(pa, pb)
+    ring = PolyRing([f"x{i}" for i in range(n)], 5)
+    for first, second in ((pa, pb), (pb, pa)):
+        if sum(lcm) > CAP:
+            with pytest.raises(InvariantError):
+                _pair_of(ring, None, first, second)
+            continue
+        # the S-pair add_element builds, with the lcm it computes inline
+        assert _pair_of(ring, None, first, second) == ([(pk.pack(lcm), 0, 1)], False)
+        # one degree lower the pair is left unbuilt, and the basis incomplete
+        assert _pair_of(ring, sum(lcm) - 1, first, second) == ([], True)
     product = tuple(x + y for x, y in zip(a, b))
     if sum(product) <= CAP:
         assert pa + pb == pk.pack(product)
@@ -629,15 +643,18 @@ def test_monomials_outside_the_packed_range_raise(run_python):
     for m in ((CAP + 1, 0, 0), (CAP, 1, 0), (0, -1, 0)):
         with pytest.raises(InvariantError, match="outside the packed range"):
             pk.pack(m)
+    ring = PolyRing(("x", "y", "z"), 5)
     with pytest.raises(InvariantError, match="outside the packed range"):
-        pk.lcm(pk.pack((CAP, 0, 0)), pk.pack((0, 1, 0)))
+        _pair_of(ring, None, pk.pack((CAP, 0, 0)), pk.pack((0, 1, 0)))
     ring = PolyRing(("x", "y"), 5)
     with pytest.raises(InvariantError, match="outside the packed range"):
         groebner(IdealBasis(ring, [ring.monomial((CAP + 1, 0))]), None)
     script = ("from steinberg import polyalg\n"
               "pk = polyalg._Packing(3)\n"
+              "w = polyalg._GBWorker(polyalg.PolyRing(('x', 'y', 'z'), 5))\n"
+              f"w.add_element({{pk.pack(({CAP}, 0, 0)): 1}})\n"
               f"for call in (lambda: pk.pack(({CAP + 1}, 0, 0)),\n"
-              f"             lambda: pk.lcm(pk.pack(({CAP}, 0, 0)), pk.pack((0, 1, 0)))):\n"
+              f"             lambda: w.add_element({{pk.pack((0, 1, 0)): 1}})):\n"
               "    try:\n"
               "        call()\n"
               "    except polyalg.InvariantError:\n"
