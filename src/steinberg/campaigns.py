@@ -6,14 +6,19 @@ aggregate run is exactly the disjoint union of the individual campaigns.
 
 from __future__ import annotations
 
+import os
+import pickle
+import signal
+import threading
+from contextlib import suppress
+
 from . import bwb, liealg
 from .breps import WeightMultiset, build_rep
 from .cases import (IdealCase, build_case, case_basis, case_cn_reduction, case_hilbert,
                     case_points, chart_symbolic_check, clear_case_memo, commutator_layer_check,
-                    gl_specialization_check, hilbert_cross_check, look_ahead, multiplicity,
-                    span17_check)
+                    gl_specialization_check, hilbert_cross_check, multiplicity, span17_check)
 from .fieldops import mat_mul, mat_sub, mat_trace
-from .polyalg import IdealBasis, groebner, krull_dim, min_gen_degrees, normal_form
+from .polyalg import IdealBasis, PolyRing, groebner, krull_dim, min_gen_degrees, normal_form
 from .report import Emitter, load_data_text
 from .weights import A2, ClassGroupElement, class_reduce, iota, self_dual_classes
 
@@ -216,8 +221,6 @@ def _containment_dictionary(char: int) -> bool:
 
 
 def dims_campaign(em: Emitter) -> None:
-    from .polyalg import PolyRing
-
     char = 7
     pre = f"dims.c{char}"
     anchor = "lem:YtoF"
@@ -303,50 +306,91 @@ def classgroup_campaign(em: Emitter) -> None:
 # -- aggregate -----------------------------------------------------------------------
 
 
+def _run(em: Emitter, calls) -> None:
+    for campaign, *args in calls:
+        campaign(em, *args)
+
+
+def _start_helper(calls):
+    """(pid, read end of its pipe) of one forked helper that runs calls into
+    its own Emitter and writes the entries once, pickled, to the pipe; None
+    without os.fork, with fewer than 2 CPUs in the affinity set, with other
+    threads alive (forking them is unsafe), or when the fork fails.  The
+    helper ends in os._exit on every path: it never returns into the
+    caller's stack, runs no atexit handler, flushes no inherited stdio."""
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+            and len(os.sched_getaffinity(0)) >= 2 and threading.active_count() == 1):
+        return None
+    read, write = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read)
+        os.close(write)
+        return None
+    if not pid:
+        status = 1
+        try:
+            os.close(read)
+            em = Emitter()
+            _run(em, calls)
+            with open(write, "wb") as out:
+                pickle.dump(em.entries, out, pickle.HIGHEST_PROTOCOL)
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write)
+    return pid, open(read, "rb")
+
+
 def verify_all(em: Emitter, seed: int = 0, trials: int = 200) -> None:
+    """Every campaign, from two lists: a forked helper runs its list while
+    the caller runs the other, and the helper's entries join em; Report
+    sorts them by check id.  Each process has its own per-run store, so a
+    campaign may go on either list: the split balances the two sides' times.
+    When no helper is forked, or it dies or its pipe ends early, the caller
+    runs the helper's whole list itself."""
+    helper_calls = [
+        (ideal_campaign, "n3-x", 5, 5, trials, seed),
+        (ideal_campaign, "gl-n2", 5, 4, trials, seed, True),
+        (ideal_campaign, "gl-n3", 5, 4, trials, seed, True),
+        (ideal_campaign, "cnil", 0, 4, trials, seed),
+        (dims_campaign,),
+    ]
+    calls = [
+        (bwb_tables_campaign, 5), (bwb_tables_campaign, 7),
+        (identities_campaign, 0), (identities_campaign, 5), (identities_campaign, 7),
+        (span_campaign, 0), (span_campaign, 5),
+        (ideal_campaign, "n2", 0, 6, trials, seed),
+        (ideal_campaign, "n2", 5, 6, trials, seed),
+        (ideal_campaign, "n3-z", 0, 5, trials, seed),
+        (ideal_campaign, "n3-z", 5, 5, trials, seed),
+        (ideal_campaign, "n3-z", 7, 5, trials, seed),
+        (multiplicities_campaign,), (classgroup_campaign,),
+    ]
+    helper = None
     # the per-case memo lives for one run: its bases are freed on return
     try:
-        # computed ahead, in the order the campaigns first ask for them: the
-        # six points checks and the two unguided n3-x bases, each after the
-        # cases it builds (see the cases docstring)
-        look_ahead([
-            ("build_case", IdealCase("n3-z")),
-            ("build_case", IdealCase("n3-x")),
-            ("build_case", IdealCase("n2")),
-            ("case_points", IdealCase("n2"), trials, seed),
-            ("case_points", IdealCase("n3-z"), trials, seed),
-            ("build_case", IdealCase("n3-x", 5)),
-            ("case_basis", IdealCase("n3-x", 5), 5),
-            ("case_points", IdealCase("n3-x"), trials, seed),
-            ("build_case", IdealCase("gl-n2")),
-            ("case_points", IdealCase("gl-n2"), trials, seed),
-            ("build_case", IdealCase("gl-n3")),
-            ("case_points", IdealCase("gl-n3"), trials, seed),
-            ("case_cn_reduction", IdealCase("cnil")),
-            ("build_case", IdealCase("cnil")),
-            ("case_points", IdealCase("cnil"), trials, seed),
-            ("build_case", IdealCase("n3-x", 7)),
-            ("case_basis", IdealCase("n3-x", 7), None),
-        ])
-        for l in (5, 7):
-            bwb_tables_campaign(em, l)
-        for char in (0, 5, 7):
-            identities_campaign(em, char)
-        for char in (0, 5):
-            span_campaign(em, char)
-        ideal_campaign(em, "n2", 0, 6, trials, seed)
-        ideal_campaign(em, "n2", 5, 6, trials, seed)
-        for char in (0, 5, 7):
-            ideal_campaign(em, "n3-z", char, 5, trials, seed)
-        ideal_campaign(em, "n3-x", 5, 5, trials, seed)
-        ideal_campaign(em, "gl-n2", 5, 4, trials, seed, symbolic=True)
-        ideal_campaign(em, "gl-n3", 5, 4, trials, seed, symbolic=True)
-        ideal_campaign(em, "cnil", 0, 4, trials, seed)
-        dims_campaign(em)
-        multiplicities_campaign(em)
-        classgroup_campaign(em)
+        helper = _start_helper(helper_calls)
+        _run(em, calls)
+        entries = None
+        if helper:
+            pid, pipe = helper
+            with pipe, suppress(EOFError, pickle.UnpicklingError):
+                entries = pickle.load(pipe)
+            os.waitpid(pid, 0)
+            helper = None
+        if entries is None:
+            _run(em, helper_calls)
+        else:
+            em.entries.extend(entries)
     finally:
         clear_case_memo()
+        if helper:
+            pid, pipe = helper
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            pipe.close()
 
 
 def tables_markdown() -> str:

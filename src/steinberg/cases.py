@@ -29,34 +29,12 @@ invariant factors for the degree-3 span.
 Cases, the cnil reduction, bases, Hilbert functions, points reports and
 span lattices are memoized in one per-run store, `_memo`, keyed by
 (function name, *positional arguments); `clear_case_memo` empties it at the
-end of a `verify_all`.  A run may declare keys to compute ahead
-(`look_ahead`): one forked helper process computes them in the order given,
-with the same memoized functions, and pipes each result back as soon as it
-is stored.  A miss on a key the helper still owes waits for it instead of
-computing it; every check reads its results in the caller, as before.
-- Only a key whose work does not depend on what the store holds qualifies:
-  the helper's store is the caller's at the start of the run, empty.  So an
-  unguided basis qualifies, and a basis over GF(l) that the run's char-0
-  basis would guide does not.
-- Every key that a listed call stores on the way (its case, the cnil
-  reduction) is listed too, before the call.  So the helper stores no key
-  outside the list, and each key is computed once per run, in one process.
-- When the helper dies or its pipe ends early, the caller forgets what it
-  owed and computes it.  `clear_case_memo` kills and reaps a helper still
-  running, so the `finally` of `verify_all` ends it on every path.
-- Without os.fork, with fewer than 2 CPUs in the affinity set, or with other
-  threads alive (forking them is unsafe), nothing is forked and the store
-  computes on demand.
+end of a `verify_all`.
 """
 
 from __future__ import annotations
 
-import os
-import pickle
 import random
-import signal
-import threading
-from contextlib import suppress
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import wraps
@@ -97,118 +75,26 @@ class IdealCase:
 # (function name, *positional arguments) -> result of a memoized function.
 # A call that raises stores nothing, so it raises again when repeated.
 _memo: dict = {}
-_memoized_fns: dict = {}  # function name -> the memoized function
-_ahead = None  # the running _LookAhead, or None
 
 
 def _memoized(fn):
     """fn computed once per tuple of positional arguments, in _memo.  The
-    result is shared between callers: do not mutate it.  A key the
-    look-ahead owes is waited for, not computed."""
+    result is shared between callers: do not mutate it."""
     name = fn.__name__
 
     @wraps(fn)
     def memoized(*args):
         key = (name, *args)
         if key not in _memo:
-            if _ahead is not None and key in _ahead.owed:
-                _ahead.wait(key)
-            if key not in _memo:
-                _memo[key] = fn(*args)
+            _memo[key] = fn(*args)
         return _memo[key]
 
-    _memoized_fns[name] = memoized
     return memoized
 
 
-class _LookAhead:
-    """One helper process, forked from the caller, that computes the store's
-    keys in the order given and pipes each (key, result) back, pickled, as
-    soon as it is stored.  `owed` holds the keys still to come."""
-
-    def __init__(self, keys):
-        self.owed = set(keys)
-        read, write = os.pipe()
-        # room for every result (about 180 kB in a verify_all), so the helper
-        # runs ahead without waiting for reads; only Linux resizes pipes
-        with suppress(AttributeError, OSError):
-            import fcntl
-
-            fcntl.fcntl(write, fcntl.F_SETPIPE_SZ, 1 << 20)
-        try:
-            self.pid = os.fork()
-        except OSError:
-            os.close(read)
-            os.close(write)
-            raise
-        if not self.pid:
-            os.close(read)
-            self.serve(keys, write)
-        os.close(write)
-        self.pipe = open(read, "rb")
-
-    @staticmethod
-    def serve(keys, fd) -> None:
-        """The helper's whole life.  It ends in os._exit on every path, so it
-        never returns into the caller's stack, runs no atexit handler and
-        flushes no stdio it inherited."""
-        status = 1
-        try:
-            with open(fd, "wb") as out:
-                for name, *args in keys:
-                    pickle.dump(((name, *args), _memoized_fns[name](*args)), out,
-                                pickle.HIGHEST_PROTOCOL)
-                    out.flush()
-            status = 0
-        finally:
-            os._exit(status)
-
-    def wait(self, key) -> None:
-        """Store the helper's results up to and including key's.  A pipe that
-        ends early or cannot be read means a dead helper: it is stopped, and
-        what it still owed is computed by the caller."""
-        got = {}
-        try:
-            while key not in got:
-                sent, result = pickle.load(self.pipe)
-                got[sent] = result
-        except (EOFError, pickle.UnpicklingError):
-            self.stop()
-        self.owed.difference_update(got)
-        _memo.update(got)
-
-    def stop(self) -> None:
-        """Kill the helper if it still runs, reap it, and forget what it owes."""
-        self.owed.clear()
-        if self.pid:
-            os.kill(self.pid, signal.SIGKILL)
-            os.waitpid(self.pid, 0)
-            self.pid = 0
-            self.pipe.close()
-
-
-def look_ahead(keys) -> None:
-    """Start computing the store's keys, (function name, *arguments), in one
-    helper process while the caller goes on.  Only keys whose work does not
-    depend on what the store holds qualify, and every key such a call stores
-    on the way is listed too, before it: see the module docstring.  Without
-    os.fork, with fewer than 2 CPUs to run on, with other threads alive, with
-    a look-ahead already running, or when the fork fails, nothing starts and
-    the store computes on demand."""
-    global _ahead
-    if (_ahead is None and hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
-            and len(os.sched_getaffinity(0)) >= 2 and threading.active_count() == 1):
-        with suppress(OSError):
-            _ahead = _LookAhead(keys)
-
-
 def clear_case_memo() -> None:
-    """Stop the look-ahead, and drop every memoized case, cnil reduction,
-    basis, Hilbert function, points report and span lattice."""
-    global _ahead
-    if _ahead is not None:
-        _ahead.stop()
-        _ahead = None
+    """Drop every memoized case, cnil reduction, basis, Hilbert function,
+    points report and span lattice."""
     _memo.clear()
 
 

@@ -28,15 +28,18 @@ from .polyalg import IntMatrix, TruncationError, snf
 from .report import Emitter, Report
 
 
-def _degree_bound(text: str) -> int:
-    """A --degree-bound value: a nonnegative integer."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, not {value}")
-    return value
+def _int_at_least(low: int):
+    """The argparse type of an integer >= low (--degree-bound, --trials)."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, not {value}")
+        return value
+
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -48,7 +51,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = top.add_subparsers(dest="command", required=True)
 
     verify = sub.add_parser("verify").add_subparsers(dest="campaign", required=True)
-    verify.add_parser("all", parents=[common]).add_argument("--trials", type=int, default=200)
+    p = verify.add_parser("all", parents=[common])
+    p.add_argument("--trials", type=_int_at_least(1), default=200)
     p = verify.add_parser("bwb-tables", parents=[common])
     p.add_argument("--l", type=int, required=True)
     p = verify.add_parser("identities", parents=[common])
@@ -58,8 +62,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = verify.add_parser("ideal", parents=[common])
     p.add_argument("--case", dest="case_tag", choices=CASE_TAGS, required=True)
     p.add_argument("--char", type=int, default=0)
-    p.add_argument("--degree-bound", type=_degree_bound, default=5)
-    p.add_argument("--trials", type=int, default=200)
+    p.add_argument("--degree-bound", type=_int_at_least(0), default=5)
+    p.add_argument("--trials", type=_int_at_least(1), default=200)
     p.add_argument("--symbolic", action="store_true")
     verify.add_parser("dims", parents=[common])
     verify.add_parser("multiplicities", parents=[common])
@@ -74,7 +78,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--l", type=int, required=True)
     p = compute.add_parser("hilbert", parents=[common])
     p.add_argument("--case", dest="case_tag", choices=CASE_TAGS, required=True)
-    p.add_argument("--degree-bound", type=_degree_bound, required=True)
+    p.add_argument("--degree-bound", type=_int_at_least(0), required=True)
     p.add_argument("--char", type=int, default=0)
     p = compute.add_parser("snf", parents=[common])
     p.add_argument("--file", required=True)

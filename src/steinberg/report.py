@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from importlib import resources
 
 from . import __version__
+from .fieldops import InvariantError
 
 PASS = "pass"
 FAIL = "fail"
@@ -76,6 +77,10 @@ class Report:
 
     def __post_init__(self):
         self.entries = sorted(self.entries, key=lambda e: e.check_id)
+        # merged from two processes, a repeated id would make the order matter
+        for a, b in zip(self.entries, self.entries[1:]):
+            if a.check_id == b.check_id:
+                raise InvariantError(f"check id {a.check_id} is reported twice")
 
     @property
     def summary(self) -> dict[str, int]:

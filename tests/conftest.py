@@ -27,8 +27,8 @@ def run_python():
 class SharedLog:
     """A list that this process and the processes forked from it append to:
     each record is one pickle, appended to a file by one write.  A
-    verify_all computes part of its store in a helper process
-    (cases.look_ahead), so a count over the whole run is kept here."""
+    verify_all runs part of its campaigns in a forked helper process
+    (campaigns.verify_all), so a count over the whole run is kept here."""
 
     def __init__(self, path):
         self.path = path
@@ -57,3 +57,9 @@ class SharedLog:
 def shared_log(tmp_path):
     """SharedLog(name): a fresh shared list in a file of tmp_path."""
     return lambda name: SharedLog(tmp_path / name)
+
+
+@pytest.fixture
+def two_cpus(monkeypatch):
+    """Let verify_all fork its helper whatever the host's CPU count."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)

@@ -1,4 +1,5 @@
 import dataclasses
+import os
 import random
 from collections import Counter
 from fractions import Fraction
@@ -285,7 +286,7 @@ def test_n3x_basis_is_shared_by_containment_and_specialization(groebner_calls):
     assert [bound for gens, bound, _ in groebner_calls if gens == n3x] == [3]
 
 
-def test_verify_all_runs_each_points_check_once_and_frees_its_memo(points_calls):
+def test_verify_all_runs_each_points_check_once_and_frees_its_memo(points_calls, two_cpus):
     em = Emitter()
     campaigns.verify_all(em, seed=0, trials=5)
     # n2 is checked at chars 0 and 5 and n3-z at 0, 5 and 7, all on the
@@ -315,25 +316,33 @@ def test_verify_all_builds_each_span_lattice_once_and_frees_its_memo(monkeypatch
     assert not cases._memo
 
 
-def test_verify_all_builds_each_case_once_and_frees_its_memo(monkeypatch, shared_log):
-    # the key of every result computed and stored, in either process; the
-    # results the helper sends are stored with update, which Recording does
-    # not see, so each counts once, where it is computed
+def test_verify_all_builds_each_case_once_and_frees_its_memo(monkeypatch, shared_log,
+                                                              two_cpus):
+    # (pid, key) of every result computed and stored, in the caller or the helper
     misses = shared_log("misses")
 
     class Recording(dict):
         def __setitem__(self, key, value):
-            misses.append(key)
+            misses.append((os.getpid(), key))
             super().__setitem__(key, value)
 
     monkeypatch.setattr(cases, "_memo", Recording())
     em = Emitter()
     campaigns.verify_all(em, seed=0, trials=5)
-    # gl-n3, n3-x at char 5 and n3-z at char 0 are each asked for more than once
-    built = [key for key in misses if key[0] == "build_case"]
-    assert len(built) == len(set(built)) == 13
-    assert len(misses) == len(set(misses))
-    assert Counter(key[0] for key in misses) == {
+    by_pid = {}
+    for pid, key in misses:
+        by_pid.setdefault(pid, []).append(key)
+    assert len(by_pid) == 2 and os.getpid() in by_pid
+    # no key twice in one process; gl-n3, n3-x at char 5 and n3-z at char 0
+    # are each asked for more than once
+    assert all(len(keys) == len(set(keys)) for keys in by_pid.values())
+    # two cheap cases are built on both sides: the helper's containment
+    # dictionary and the caller's n3-z campaign at char 5 both need the n3-z
+    # case over GF(5), and the helper's n3-x points and the caller's span
+    # lattice both need the n3-x case over Q
+    both = set.intersection(*(set(keys) for keys in by_pid.values()))
+    assert both == {("build_case", IdealCase("n3-z", 5)), ("build_case", IdealCase("n3-x"))}
+    assert Counter(key[0] for key in {key for _, key in misses}) == {
         "build_case": 13, "case_basis": 8, "case_points": 6, "case_hilbert": 5,
         "span_lattice": 2, "case_cn_reduction": 1}
     assert all(e.status != FAIL for e in em.entries)
@@ -344,7 +353,8 @@ def _gens_key(gens):
     return tuple(tuple(sorted(g.items())) for g in gens)
 
 
-def test_verify_all_builds_each_groebner_basis_once(groebner_calls):
+def test_verify_all_builds_each_groebner_basis_once(groebner_calls, two_cpus):
+    # with the helper forked: no basis is built in both processes
     em = Emitter()
     campaigns.verify_all(em, seed=0, trials=5)
     # the cnil symbolic check and the cnil points check read one reduction

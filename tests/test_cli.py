@@ -74,6 +74,9 @@ def test_usage_errors_exit_2():
          "--degree-bound: must be >= 0"),
         (["compute", "hilbert", "--case", "n3-z", "--degree-bound", "-1"],
          "--degree-bound: must be >= 0"),
+        # zero trials certify nothing: refused before any campaign runs
+        (["verify", "all", "--trials", "0"], "--trials: must be >= 1"),
+        (["verify", "ideal", "--case", "n2", "--trials", "0"], "--trials: must be >= 1"),
     ):
         out, err = io.StringIO(), io.StringIO()
         with redirect_stdout(out), redirect_stderr(err), pytest.raises(SystemExit) as info:
