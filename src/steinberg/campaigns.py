@@ -279,7 +279,7 @@ def classgroup_campaign(em: Emitter) -> None:
                 kernel_ok = False
             other = ((a * 7 + 3) % 61 - 30, (b * 5 + 7) % 61 - 30)
             s = class_reduce((a + other[0], b + other[1]))
-            t = class_reduce((a, b)), class_reduce(other)
+            t = cls, class_reduce(other)
             if (s.free_part != t[0].free_part + t[1].free_part
                     or s.torsion_part != (t[0].torsion_part + t[1].torsion_part) % 3):
                 hom_ok = False

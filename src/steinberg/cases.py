@@ -308,11 +308,11 @@ class ParamReport:
 class _Compiled:
     """Polynomials over Q compiled for evaluation mod p at many points.
 
-    Each polynomial becomes [(coefficient mod p, (slot, ...))], with Fraction
-    coefficients inverted once.  A slot indexes the power table of a point:
-    the tables of x_0, x_1, ..., each up to the largest exponent its variable
-    has in the polynomials, laid end to end, so a term's value is its
-    coefficient times the table entries of its slots."""
+    Each polynomial becomes [(coefficient mod p, (slot, ...))]; a Fraction
+    coefficient has its denominator inverted once.  A slot indexes the power
+    table of a point: the tables of x_0, x_1, ..., each up to the largest
+    exponent its variable has in the polynomials, laid end to end, so a
+    term's value is its coefficient times the table entries of its slots."""
 
     def __init__(self, polys, n: int):
         self.p = p = EVAL_PRIME
@@ -355,19 +355,19 @@ def _rand_matrix(rng, n):
 
 
 def _inv_mod(a):
-    n, p = len(a), EVAL_PRIME
-    dinv = pow(mat_det(ZZ, a), -1, p)
-    if n == 2:
-        adj = [[a[1][1], -a[0][1]], [-a[1][0], a[0][0]]]
+    """The inverse mod p of an invertible 2x2 or 3x3 integer matrix: its
+    adjugate (a closed-form cofactor table) over its determinant."""
+    p = EVAL_PRIME
+    if len(a) == 2:
+        (a0, a1), (b0, b1) = a
+        adj = [[b1, -a1], [-b0, a0]]
     else:
-        adj = [[0] * 3 for _ in range(3)]
-        for i in range(3):
-            for j in range(3):
-                r = [k for k in range(3) if k != j]
-                c = [k for k in range(3) if k != i]
-                minor = a[r[0]][c[0]] * a[r[1]][c[1]] - a[r[0]][c[1]] * a[r[1]][c[0]]
-                adj[i][j] = (-1) ** (i + j) * minor
-    return [[adj[i][j] * dinv % p for j in range(n)] for i in range(n)]
+        (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = a
+        adj = [[b1 * c2 - b2 * c1, a2 * c1 - a1 * c2, a1 * b2 - a2 * b1],
+               [b2 * c0 - b0 * c2, a0 * c2 - a2 * c0, a2 * b0 - a0 * b2],
+               [b0 * c1 - b1 * c0, a1 * c0 - a0 * c1, a0 * b1 - a1 * b0]]
+    dinv = pow(mat_det(ZZ, a), -1, p)
+    return [[x * dinv % p for x in row] for row in adj]
 
 
 def _mod(a):
@@ -386,7 +386,16 @@ def _rand_invertible(rng, n):
             return g
 
 
-def _point_for_case(case: IdealCase, rng, ring) -> list[int]:
+def _point_slots(ring) -> list[tuple[str, int, int]]:
+    """Each variable of a case's ring as (matrix name, row, column): m12 is
+    ("m", 0, 1), and a scalar such as q is the 1x1 matrix ("q", 0, 0)."""
+    return [(nm, 0, 0) if len(nm) == 1 else (nm[0], int(nm[1]) - 1, int(nm[2]) - 1)
+            for nm in ring.names]
+
+
+def _point_for_case(case: IdealCase, rng, slots) -> list[int]:
+    """A random point of the case's parametrization, as values of the
+    variables in the order of `slots` (from `_point_slots`)."""
     p = EVAL_PRIME
     tag = case.tag
     if tag == "cnil":
@@ -394,10 +403,8 @@ def _point_for_case(case: IdealCase, rng, ring) -> list[int]:
         q = rng.randrange(2, p - 1)
         a, b, c, d, f = (rng.randrange(p) for _ in range(5))
         e = (q * d * c - a * f) % p * pow(q * q - q, -1, p) % p
-        vals = {"a": a, "b": b, "c": c, "d": d, "e": e, "f": f, "q": q,
-                "r": pow(q, -1, p)}
-        return [vals[nm] for nm in ring.names]
-    if tag in ("n2", "n3-z", "n3-x"):
+        vals = {k: [[x]] for k, x in zip("abcdefqr", (a, b, c, d, e, f, q, pow(q, -1, p)))}
+    elif tag in ("n2", "n3-z", "n3-x"):
         n = 2 if tag == "n2" else 3
         g = _rand_invertible(rng, n)
         ginv = _inv_mod(g)
@@ -413,15 +420,8 @@ def _point_for_case(case: IdealCase, rng, ring) -> list[int]:
                 for j in range(i + 1, n):
                     m[i][j] = rng.randrange(p)
                     nn[i][j] = rng.randrange(p)
-        M = _conj(g, ginv, m)
-        N = _conj(g, ginv, nn)
-        vals = {}
-        for prefix, mat in (("m", M), ("n", N)):
-            for i in range(n):
-                for j in range(n):
-                    vals[f"{prefix}{i + 1}{j + 1}"] = mat[i][j]
-        return [vals[nm] for nm in ring.names]
-    if tag in ("gl-n2", "gl-n3"):
+        vals = {"m": _conj(g, ginv, m), "n": _conj(g, ginv, nn)}
+    elif tag in ("gl-n2", "gl-n3"):
         n = 2 if tag == "gl-n2" else 3
         q = rng.randrange(2, p - 1)
         g = _rand_invertible(rng, n)
@@ -437,13 +437,11 @@ def _point_for_case(case: IdealCase, rng, ring) -> list[int]:
         N2 = mat_mul(ZZ, N, N)
         sigma = [[(int(i == j) + N[i][j] + (N2[i][j] * inv2 if n == 3 else 0)) % p
                   for j in range(n)] for i in range(n)]
-        vals = {"q": q, "u": pow(q, -(n * (n - 1) // 2), p), "v": 1}
-        for prefix, mat in (("f", phi), ("s", sigma)):
-            for i in range(n):
-                for j in range(n):
-                    vals[f"{prefix}{i + 1}{j + 1}"] = mat[i][j]
-        return [vals[nm] for nm in ring.names]
-    raise UnsupportedCase(tag)
+        vals = {"q": [[q]], "u": [[pow(q, -(n * (n - 1) // 2), p)]], "v": [[1]],
+                "f": phi, "s": sigma}
+    else:
+        raise UnsupportedCase(tag)
+    return [vals[k][i][j] for k, i, j in slots]
 
 
 def parametrization_check(case: IdealCase, trials: int = 200, seed: int = 0) -> ParamReport:
@@ -473,8 +471,9 @@ def parametrization_check(case: IdealCase, trials: int = 200, seed: int = 0) -> 
     control_hit = False
     compiled = _Compiled(data.gens + ([control] if control is not None else []), data.ring.n)
     k_gens = len(data.gens)
+    slots = _point_slots(data.ring)
     for t in range(trials):
-        values = compiled.values(_point_for_case(case, rng, data.ring))
+        values = compiled.values(_point_for_case(case, rng, slots))
         failures += [(t, k) for k, v in enumerate(values[:k_gens]) if v]
         if control is not None and values[k_gens]:
             control_hit = True

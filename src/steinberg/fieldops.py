@@ -6,10 +6,16 @@ reduction and every choice of complement deterministic.  `span_coords` is the
 one solver for coordinates in the span of independent vectors.  A field's
 `reduce_col` brings a vector summed with plain `+` back into the field.
 
+An element of Q is an `int` when it is integral and a `Fraction` otherwise:
+`QQ.of` and `QQ.inv` return that form, and sums and products follow Python's
+numeric tower (an integral `Fraction` that they leave equals, and hashes
+like, its `int`).
+
 The dense matrix helpers `mat_mul`, `mat_add`, `mat_sub`, `mat_trace` and
 `mat_det` (n <= 3) take the coefficient ring as a parameter: anything with
 `add`, `sub` and `mul`, such as a field above, the integers `ZZ` or a
-polynomial ring.
+polynomial ring.  `mat_mul` and `mat_det` are straight-line for n = 2 and 3,
+with the same order of ring operations as the general formulas.
 """
 
 from __future__ import annotations
@@ -32,12 +38,14 @@ class RationalField:
     name = "QQ"
     characteristic = 0
 
-    zero = Fraction(0)
-    one = Fraction(1)
+    zero = 0
+    one = 1
 
     @staticmethod
-    def of(n) -> Fraction:
-        return Fraction(n)
+    def of(n) -> int | Fraction:
+        """n as an int when it is integral, else as a Fraction."""
+        q = Fraction(n)
+        return q.numerator if q.denominator == 1 else q
 
     @staticmethod
     def add(a, b):
@@ -57,7 +65,7 @@ class RationalField:
 
     @staticmethod
     def inv(a):
-        return 1 / a
+        return RationalField.of(Fraction(1) / a)
 
     @staticmethod
     def reduce_col(col: dict) -> dict:
@@ -252,6 +260,15 @@ def span_coords(field, vectors):
 
 def mat_mul(ring, a, b):
     add, mul = ring.add, ring.mul
+    if len(a) == len(b) == len(b[0]) == 2:
+        (x0, x1), (y0, y1) = b
+        return [[add(mul(r0, x0), mul(r1, y0)), add(mul(r0, x1), mul(r1, y1))]
+                for r0, r1 in a]
+    if len(a) == len(b) == len(b[0]) == 3:
+        (x0, x1, x2), (y0, y1, y2), (z0, z1, z2) = b
+        return [[add(add(mul(r0, x0), mul(r1, y0)), mul(r2, z0)),
+                 add(add(mul(r0, x1), mul(r1, y1)), mul(r2, z1)),
+                 add(add(mul(r0, x2), mul(r1, y2)), mul(r2, z2))] for r0, r1, r2 in a]
     cols = list(zip(*b))
     return [[reduce(add, map(mul, row, col)) for col in cols] for row in a]
 
@@ -269,14 +286,13 @@ def mat_trace(ring, a):
 
 
 def mat_det(ring, a):
+    add, sub, mul = ring.add, ring.sub, ring.mul
     n = len(a)
     if n == 2:
-        return ring.sub(ring.mul(a[0][0], a[1][1]), ring.mul(a[0][1], a[1][0]))
+        (a0, a1), (b0, b1) = a
+        return sub(mul(a0, b1), mul(a1, b0))
     if n == 3:
-        def terms(perms):
-            return reduce(ring.add, (ring.mul(ring.mul(a[0][i], a[1][j]), a[2][k])
-                                     for i, j, k in perms))
-
-        return ring.sub(terms(((0, 1, 2), (1, 2, 0), (2, 0, 1))),
-                        terms(((2, 1, 0), (1, 0, 2), (0, 2, 1))))
+        (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = a
+        return sub(add(add(mul(mul(a0, b1), c2), mul(mul(a1, b2), c0)), mul(mul(a2, b0), c1)),
+                   add(add(mul(mul(a2, b1), c0), mul(mul(a1, b0), c2)), mul(mul(a0, b2), c1)))
     raise ValueError("determinant modelled for n <= 3 only")

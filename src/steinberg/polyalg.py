@@ -311,11 +311,12 @@ def _basis_form(modulus: int, h: Poly, lm: Monomial) -> Poly:
 
 def _field_form(modulus: int, g: Poly, lm: Monomial) -> Poly:
     """The monic polynomial over the coefficient field that the basis form g
-    stands for: over Q, Fraction coefficients."""
-    if modulus:
-        return g
+    stands for: over Q, g divided by its leading coefficient, each quotient
+    an int where it is integral (see `fieldops`)."""
     a = g[lm]
-    return {m: Fraction(c, a) for m, c in g.items()}
+    if modulus or a == 1:
+        return g
+    return {m: c // a if c % a == 0 else Fraction(c, a) for m, c in g.items()}
 
 
 def _divides(a: Monomial, b: Monomial) -> bool:

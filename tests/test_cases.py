@@ -173,7 +173,8 @@ def test_compiled_evaluation_matches_term_by_term(tag):
     rng = random.Random(f"compiled/{tag}")
     points = [[rng.randrange(EVAL_PRIME) for _ in range(ring.n)] for _ in range(10)]
     points.append([0] * ring.n)
-    points += [cases._point_for_case(IdealCase(tag), rng, ring) for _ in range(5)]
+    slots = cases._point_slots(ring)
+    points += [cases._point_for_case(IdealCase(tag), rng, slots) for _ in range(5)]
     for point in points:
         assert compiled.values(point) == [_eval_poly(g, point) for g in polys]
     assert any(v for v in compiled.values(points[0])[:-1])
@@ -184,11 +185,11 @@ def test_integer_point_matrices_match_the_prime_field_route(tag, monkeypatch):
     # _point_for_case multiplies its matrices over ZZ and reduces each entry
     # once; with ZZ swapped for GF(EVAL_PRIME) every step reduces.  The
     # residues, the random draws and so the points must agree
-    ring = build_case(IdealCase(tag)).ring
+    slots = cases._point_slots(build_case(IdealCase(tag)).ring)
 
     def points():
         rng = random.Random(f"points/{tag}")
-        out = [cases._point_for_case(IdealCase(tag), rng, ring) for _ in range(25)]
+        out = [cases._point_for_case(IdealCase(tag), rng, slots) for _ in range(25)]
         return out, rng.random()
 
     by_integers = points()

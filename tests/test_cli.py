@@ -194,6 +194,30 @@ def test_canonical_report_is_pinned():
     assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_ALL_SHA256
 
 
+# sha256 of outputs that the `verify all` digest does not cover: the gl-n3
+# symbolic chart, the cnil case, a Hilbert function and the char-0 span and
+# identity campaigns, whose texts print coefficients over Q
+OTHER_OUTPUT_SHA256 = {
+    "verify ideal --case gl-n3 --char 5 --degree-bound 4 --symbolic --format json":
+        "ea420ab640c6447075b0f5fe96443be1e5dec0b05f60fe11d268086e0055c025",
+    "verify ideal --case cnil --format json":
+        "5c4c21cfafc4561d23cd9d1ea6e54ed3e56eedafccd1be5c493dbdc0275c6b52",
+    "compute hilbert --case n3-z --degree-bound 4 --format json":
+        "defe5dd14ff315c2fc5cc664582ced366204c4431ba0f80d3a2de70868b5a24d",
+    "verify span --char 0 --format json":
+        "2efd1b093bf0f735299421ba0a800ac88a5ac7217038a2af33ef095995b9685a",
+    "verify identities --char 0 --format json":
+        "c1f0a001962846c2c9c7403ebd9f25425919718931f9b9b82b58b764e928a331",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(OTHER_OUTPUT_SHA256))
+def test_other_outputs_are_pinned(argv):
+    code, out, _ = run_cli(argv.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == OTHER_OUTPUT_SHA256[argv]
+
+
 def test_verify_ideal_does_not_depend_on_assert(run_python):
     # python -O strips assert statements: certification must not live in them
     argv = ["-m", "steinberg.cli", "verify", "ideal", "--case", "n3-z", "--char", "0",
