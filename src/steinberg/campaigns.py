@@ -209,9 +209,8 @@ def _containment_dictionary(char: int) -> bool:
     commutator = mat_sub(ring, mat_mul(ring, M, N), mat_mul(ring, N, M))
     comm = [commutator[i][j] for i in range(3) for j in range(3)]
     traces = [mat_trace(ring, M), mat_trace(ring, N)]
-    bound = 3
-    gx = case_basis(IdealCase("n3-x", char), bound)
-    ga = groebner(IdealBasis(ring, mapped + traces + comm), bound)
+    gx = case_basis(IdealCase("n3-x", char), None)
+    ga = groebner(IdealBasis(ring, mapped + traces + comm), 3)
     forward = all(not normal_form(g, gx) for g in mapped + traces + comm)
     backward = all(not normal_form(g, ga) for g in xcase.gens)
     return forward and backward

@@ -26,10 +26,10 @@ oracles: pseudorandom parametrized points (Schwartz-Zippel bounded), the
 character-level section counts of the flag-variety bundles, and integer
 invariant factors for the degree-3 span.
 
-Cases, the cnil reduction, bases, Hilbert functions, points reports and
-span lattices are memoized in one per-run store, `_memo`, keyed by
-(function name, *positional arguments); `clear_case_memo` empties it at the
-end of a `verify_all`.
+Cases, the cnil reduction, bases, Hilbert functions (per case and per
+staircase), points reports and span lattices are memoized in one per-run
+store, `_memo`, keyed by (function name, *positional arguments);
+`clear_case_memo` empties it at the end of a `verify_all`.
 """
 
 from __future__ import annotations
@@ -43,8 +43,8 @@ from . import breps, bwb
 from .fieldops import (ZZ, field_of, mat_add, mat_det, mat_mul, mat_sub, mat_trace,
                        span_rank)
 from .polyalg import (GradedDims, IdealBasis, PolyRing, groebner, hilbert_function,
-                      homogenize_by_elimination, normal_form, normal_form_mod_unit,
-                      quotient_invariant_factors, snf)
+                      homogenize_by_elimination, leading_staircase, normal_form,
+                      normal_form_mod_unit, quotient_invariant_factors, snf)
 from .weights import A1, A2, Weight
 
 CASE_TAGS = ("n2", "n3-z", "n3-x", "gl-n2", "gl-n3", "cnil")
@@ -93,8 +93,8 @@ def _memoized(fn):
 
 
 def clear_case_memo() -> None:
-    """Drop every memoized case, cnil reduction, basis, Hilbert function,
-    points report and span lattice."""
+    """Drop every memoized case, cnil reduction, basis, Hilbert function
+    (per case and per staircase), points report and span lattice."""
     _memo.clear()
 
 
@@ -233,6 +233,10 @@ def build_case(case: IdealCase) -> CaseData:
             gens += [rel2[i][j] for i in range(n) for j in range(n)]
         gens.append(ring.sub(ring.mul(ring.var("u"), mat_det(ring, Phi)), ring.const(1)))
         gens.append(ring.sub(ring.mul(ring.var("v"), mat_det(ring, Sigma)), ring.const(1)))
+        # sums and products of Fractions stay Fractions when integral (see
+        # fieldops): each integral coefficient goes back to its int, once
+        gens = [{m: c.numerator if type(c) is Fraction and c.denominator == 1 else c
+                 for m, c in g.items()} for g in gens]
         return CaseData(ring, gens, {})
     raise UnsupportedCase(case.tag)
 
@@ -270,19 +274,29 @@ _GUIDED_TAGS = ("n2", "n3-z", "n3-x")
 @_memoized
 def case_basis(case: IdealCase, bound: int | None) -> IdealBasis:
     """Groebner basis of the named case up to `bound`, computed once per
-    (case, bound).  A basis over GF(l) is guided (see polyalg.groebner) by
-    the char-0 basis of the same (tag, bound) only when the store already
-    holds it, so no basis over Q is built just to guide."""
+    (case, bound).  A basis over GF(l) of a case in _GUIDED_TAGS is a
+    reading of the char-0 basis of the same (tag, bound), which is built
+    first when the store lacks it: the elements that run could vouch for
+    are read off it, and only the others are computed (see
+    polyalg.groebner).  So the order of the campaigns asking for bases does
+    not change the work."""
     guide = None
     if case.char and case.tag in _GUIDED_TAGS:
-        guide = _memo.get(("case_basis", IdealCase(case.tag), bound))
+        guide = case_basis(IdealCase(case.tag), bound)
     return groebner(make_ideal(case), bound, guide=guide)
 
 
 @_memoized
 def case_hilbert(case: IdealCase, bound: int) -> GradedDims:
-    """dim (S/I)_k for k <= bound of the named case, computed once per (case, bound)."""
-    return hilbert_function(case_basis(case, bound), bound)
+    """dim (S/I)_k for k <= bound of the named case, computed once per (case,
+    bound).  HF(k <= bound) depends only on the basis's staircase, so bases
+    with the same staircase share one computation, stored under
+    ("hilbert_function", number of variables, bound, minimal monomials)."""
+    basis = case_basis(case, bound)
+    key = ("hilbert_function", basis.ring.n, bound, leading_staircase(basis, bound))
+    if key not in _memo:
+        _memo[key] = hilbert_function(basis, bound)
+    return _memo[key]
 
 
 # -- randomized parametrization containment ------------------------------------------
@@ -675,7 +689,9 @@ def gl_specialization_check(tag: str, char: int = 5) -> SpecializationReport:
     """At q = 1 the gl-case ideal, written with Phi = I + M, Sigma = I + N and
     the inverse variables set to 1, coincides with the nilpotent-side ideal
     (n2 with trace generators, resp. n3-x).  Both containments are certified
-    by mutual normal-form reduction against degree-complete bases."""
+    by mutual normal-form reduction against bases complete through the
+    generators' degrees; for gl-n3 that is the complete n3-x basis, which
+    the commutator layer and the containment dictionary read too."""
     if tag not in ("gl-n2", "gl-n3"):
         raise UnsupportedCase(tag)
     n = 2 if tag == "gl-n2" else 3
@@ -706,7 +722,7 @@ def gl_specialization_check(tag: str, char: int = 5) -> SpecializationReport:
     spec_homog = homogenize_by_elimination(target_ring, specialized)
     g_spec = groebner(IdealBasis(target_ring, spec_homog), bound)
     g_target = (groebner(IdealBasis(target_ring, list(target_gens)), bound) if n == 2
-                else case_basis(IdealCase("n3-x", char), bound))
+                else case_basis(IdealCase("n3-x", char), None))
     forward = all(not normal_form(g, g_target) for g in specialized)
     backward = all(not normal_form(g, g_spec) for g in target_gens)
     return SpecializationReport(tag, char, forward, backward)
@@ -784,9 +800,10 @@ def commutator_layer_check(char: int = 5, bound: int = 5) -> CommutatorLayerRepo
     Degreewise, dim (S/J)_k must equal the section count of the structure
     sheaf minus that of its rho-twist shifted by two (the ideal sheaf of the
     commuting locus is the rho-twist, generated in degree 2); the degree-2
-    difference counts the commutator entries, 8 new generators.
+    difference counts the commutator entries, 8 new generators.  The
+    Hilbert function is read through `bound` off the complete n3-x basis.
     """
-    gJ = case_basis(IdealCase("n3-x", char), bound)
+    gJ = case_basis(IdealCase("n3-x", char), None)
     hfJ = hilbert_function(gJ, bound)
     base = character_section_dims("n3-z", bound)
     tw = character_section_dims("n3-z", bound, twist=(1, 1))

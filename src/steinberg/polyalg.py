@@ -34,7 +34,8 @@ reducer's leading coefficient is not 1.  Over Q the exact remainder is the
 integer one divided by the tracked scale, once, at the end.
 
 Every run records its trace: per degree, the leading-monomial pairs of the
-S-pairs whose remainder entered the basis.  A run over GF(l) may be guided
+S-pairs whose remainder entered the basis, each with the lm of the element
+it entered.  A run over GF(l) may be guided
 by a basis over Q of the ideal whose generators reduce mod l to its own (an
 l-integral list), complete through the run's bound.  Let I_Z be the ideal
 over Z_(l) those generators span and I_l its image mod l.  Each (S/I_Z)_d
@@ -57,24 +58,39 @@ run, so a faulty guide whose lms differ yields an honestly computed basis.
 If the count never reaches the target, nothing is dropped: HF_l > HF_Q in
 that degree, and a comparison of the Hilbert functions fails as it should.
 
-A run over Q records its divisors (`IdealBasis.divisors`): for each
-generator the lcm of its denominators and the leading coefficient of its
-integer form, and for each element entered, during the run and in the
-interreduction, the content `_basis_form` divides out and the leading
-coefficient it keeps.  Every other multiplier of the run, in an S-pair or a
-reduction step, divides a recorded leading coefficient.  Let l divide no
-recorded integer: l is then a lucky prime for the run (trace lifting:
-Traverso, ISSAC 1988; Arnold, JSC 35, 2003).  Every multiplier is an l-unit,
-so at every step the state of the unguided run over GF(l) is a unit times
-the state of the run over Q mod l: a coefficient that is 0 mod l is a step
-the GF(l) run skips, and a nonzero remainder stays nonzero mod l with the
-same leading monomial, as l divides neither its content nor its leading
-coefficient.  So the two runs have the same leading monomials, skip and
-reduce the same pairs, and count the same minimal generators and the same
-trace, and each element over GF(l) is the basis form over Q times the
-inverse of its leading coefficient mod l.  A guided run whose guide has the
-run's bound and such an l returns that basis, read off the guide with no
-pair treated; any other guided run stops as described above.
+A run over Q records, for each element, the integers its derivation
+divided by (`IdealBasis.divisors`, as their lcm): the content `_basis_form`
+divides out and the leading coefficient it keeps, when the element is
+entered and again in the interreduction; the records of its S-pair parents;
+and those of every reducer `reduce` uses, during the run and, in the
+interreduction, among the tail reducers.  Every other multiplier of the
+derivation, in an S-pair or a reduction step, divides a leading
+coefficient so recorded.  Let l divide none of an element's integers (trace
+lifting: Traverso, ISSAC 1988; Arnold, JSC 35, 2003): the element is clean
+for l.  By induction along its derivation, a clean element lies in I_Z
+with an l-unit leading coefficient, so its image mod l, made monic, is an
+element of I_l with the same leading monomial.
+
+A guided run whose guide has the run's bound reads the clean elements off
+the guide.  In a degree d above the top generator degree where the lms of
+lower degree are the guide's, it enters the clean elements of degree d
+before the pairs of that degree and counts them against the quota: their
+lms are the guide's, none divisible by a lower one, so the argument above
+holds, and degree d computes only the elements the guide could not vouch
+for, from the traced pairs whose element was not entered first.  The
+degrees up to the top generator degree are read off only when every guide
+element in them is clean.  Every multiplier of the run over Q through them
+is then an l-unit, so at every step the state of the unguided run over
+GF(l) is a unit times the state of the run over Q mod l: a coefficient that
+is 0 mod l is a step the GF(l) run skips, a reduction to zero stays one,
+and a nonzero remainder stays nonzero mod l with the same leading monomial.
+So the two runs count the same minimal generators there, and the guided
+run takes the guide's counts and skips the generators.  Otherwise no
+element is read off, and the run is guided as above.  A generator over Q
+that vanishes mod l counts as a tainted element of its degree.  When no
+element is tainted, the whole run over GF(l) is the run over Q mod l step
+for step, with the same pairs skipped and reduced and the same trace, and
+its basis is read off the guide with no worker built.
 
 The stop and the lift trust the guide: a basis over Q missing an element of
 degree d lowers target(d) by one, the guided runs stop one element short or
@@ -340,9 +356,10 @@ class GroebnerStats:
     the coprime criterion and by the chain criterion, those whose
     S-polynomial reduced to zero, the returned basis's element count per
     degree, and, in a guided run, the pairs dropped untreated by the Hilbert
-    stop (which `pairs` does not count).  Pairs are counted, not reduction
-    steps, so the counts cost nothing inside the reduction loop.  A basis
-    read off its guide treated no pair and has only the counts per degree."""
+    stop (which `pairs` does not count) and the elements read off the guide.
+    Pairs are counted, not reduction steps, so the counts cost nothing
+    inside the reduction loop.  A basis read off its guide as a whole
+    treated no pair and has only the counts per degree."""
 
     pairs: int = 0
     coprime_skips: int = 0
@@ -350,6 +367,7 @@ class GroebnerStats:
     zero_reductions: int = 0
     per_degree: dict = field(default_factory=dict)
     stop_drops: int = 0
+    lifted: int = 0
 
 
 @dataclass
@@ -363,10 +381,12 @@ class IdealBasis:
     GF(p) its monic residues, over Q the primitive integer polynomial with
     positive leading coefficient.  stats holds the work counters of the
     `groebner` run that built the basis, and trace its productive S-pairs:
-    for each lcm degree, the set of (lm_i, lm_j), as packed ints with
-    lm_i < lm_j, of the pairs whose remainder entered the basis.  No report
-    reads either.  divisors is, over Q, the set of integers > 1 that the run
-    needed to be units mod l for the run over GF(l) to be its image (see the
+    for each lcm degree, a dict from (lm_i, lm_j), as packed ints with
+    lm_i < lm_j, of each pair whose remainder entered the basis to the lm
+    of the element it entered.  No report reads either.  divisors is, over
+    Q, for each element of gb_lead in order, the lcm of the integers its
+    derivation needed to be units mod l for its image mod l to be an
+    element of the ideal over GF(l) with the same leading monomial (see the
     module docstring), and None over GF(p).
     """
 
@@ -379,7 +399,7 @@ class IdealBasis:
     gb_lead: list | None = field(default=None, repr=False, compare=False)
     stats: GroebnerStats | None = field(default=None, repr=False, compare=False)
     trace: dict | None = field(default=None, repr=False, compare=False)
-    divisors: frozenset | None = field(default=None, repr=False, compare=False)
+    divisors: tuple | None = field(default=None, repr=False, compare=False)
 
     def require_gb(self):
         if self.gb is None:
@@ -462,7 +482,8 @@ class _GBWorker:
         self.pk = _Packing(ring.n)
         self.lms: list[int] = []
         self.lead: dict[int, Poly] = {}
-        self.tails: dict[int, tuple[int, list]] = {}  # lm -> (lead coefficient, tail pairs)
+        # lm -> (lead coefficient, tail pairs, the lcm of its recorded integers)
+        self.tails: dict[int, tuple[int, list, int]] = {}
         # d -> (lms of degree < d in index order, {m: first of them dividing m, else m})
         self.below: dict[int, tuple[list[int], dict[int, int]]] = {}
         self.pairs: list = []  # heap of (lcm, i, j)
@@ -472,23 +493,23 @@ class _GBWorker:
         self.dropped = False  # whether a pair above the bound went unbuilt
         self.treated: set[tuple[int, int]] = set()
         self.stats = GroebnerStats()
-        self.trace: dict[int, set[tuple[int, int]]] = {}  # see IdealBasis.trace
-        self.divisors: set[int] | None = None if self.modulus else set()  # see IdealBasis
+        self.trace: dict[int, dict[tuple[int, int], int]] = {}  # see IdealBasis.trace
+        # over Q, the lcm of the integers the derivation under way has
+        # recorded (see IdealBasis.divisors); 1 over GF(p)
+        self.taint = 1
+        self.divisors: tuple | None = None  # see IdealBasis; set by _interreduce
 
     def record(self, *ints: int) -> None:
-        """Over Q, add each |x| > 1 of ints to the divisors."""
-        if self.divisors is not None:
-            self.divisors.update(a for x in ints if (a := abs(x)) > 1)
+        """Over Q, take ints into the record of the derivation under way."""
+        if not self.modulus:
+            self.taint = lcm(self.taint, *ints)
 
     def pack(self, p: Poly) -> Poly:
         """The packed integer multiple of the homogeneous p that reduction
-        starts from.  Records the lcm of p's denominators and the leading
-        coefficient of the multiple."""
+        starts from."""
         pack = self.pk.pack
-        h, s = _integral(self.ring, p)
-        out = {pack(m): c for m, c in h.items()}
-        self.record(s, out[min(out)])
-        return out
+        h, _ = _integral(self.ring, p)
+        return {pack(m): c for m, c in h.items()}
 
     def basis_form(self, h: Poly, lm: int) -> Poly:
         """`_basis_form` of h, recording the content it divides out and its
@@ -549,7 +570,9 @@ class _GBWorker:
             if reducer is None:  # no lm of lower degree divides m, and m is no lm
                 out[m] = c
                 continue
-            a, tail = reducer
+            a, tail, dep = reducer
+            if dep != 1:
+                self.taint = lcm(self.taint, dep)
             if a != 1:
                 gd = gcd(a, c)
                 a //= gd
@@ -569,18 +592,19 @@ class _GBWorker:
                     h[key] = cur - c * cg
         return out
 
-    def enter(self, lm: int, form: Poly) -> None:
-        """Make the element with leading monomial lm and basis form `form` a
-        reducer of the monomial lm itself, outside the divisor scan and
-        without S-pairs."""
+    def enter(self, lm: int, form: Poly, dep: int) -> None:
+        """Make the element with leading monomial lm, basis form `form` and
+        record `dep` a reducer of the monomial lm itself, outside the
+        divisor scan and without S-pairs."""
         self.lead[lm] = form
-        self.tails[lm] = (form[lm], [(mg - lm, cg) for mg, cg in form.items() if mg != lm])
+        self.tails[lm] = (form[lm], [(mg - lm, cg) for mg, cg in form.items() if mg != lm], dep)
 
     def add_element(self, h: Poly) -> None:
         """Append the element with the nonzero homogeneous integer multiple
-        h: a reducer in the divisor scan, with its S-pairs of lcm degree up
-        to the bound.  A pair above the bound is never built; it sets
-        `dropped`.  An lcm of degree above the cap raises InvariantError.
+        h: a reducer in the divisor scan, with the record of the derivation
+        under way and its S-pairs of lcm degree up to the bound.  A pair
+        above the bound is never built; it sets `dropped`.  An lcm of degree
+        above the cap raises InvariantError.
         Each lcm is computed inline as `_Packing` describes: a method call
         per pair took about 1.5 us against 0.9 us inline."""
         lm = min(h)  # the degrevlex maximum of one degree
@@ -603,7 +627,8 @@ class _GBWorker:
                                      f"packed range 0..{_CAP}")
             else:
                 self.dropped = True
-        self.enter(lm, self.basis_form(h, lm))
+        g = self.basis_form(h, lm)
+        self.enter(lm, g, self.taint)
         self.lms.append(lm)
         d = lm >> self.pk.top
         self.below = {e: low for e, low in self.below.items() if e <= d}
@@ -628,7 +653,7 @@ class _GBWorker:
         else:
             r = self.reduce(self.spoly(i, j, l))
             if r:
-                self.trace.setdefault(l >> self.pk.top, set()).add(self.pair_key(i, j))
+                self.trace.setdefault(l >> self.pk.top, {})[self.pair_key(i, j)] = min(r)
                 self.add_element(r)
             else:
                 stats.zero_reductions += 1
@@ -637,22 +662,33 @@ class _GBWorker:
         a, b = self.lms[i], self.lms[j]
         return (a, b) if a < b else (b, a)
 
-    def treat_guided(self, d: int, guide: "_Guide") -> None:
-        """Treat the pairs of degree d, first those in the guide's trace,
-        reduced without the criteria, then the others as `treat` does, each
-        batch in lcm order.  Once degree d has added the guide's quota of
-        elements, the remaining pairs are dropped and marked treated.  Without
-        a quota the pairs are left to the caller, which treats them all.
-        Sound only above the top generator degree: see the module docstring."""
-        unpack = self.pk.unpack
-        quota = guide.quota(d, {unpack(lm) for lm in self.lms_below(d)[0]})
+    def treat_guided(self, d: int, guide: "_Guide", lifted) -> None:
+        """Enter `lifted`, the guide's clean elements of degree d (tuple
+        form, monic residues), then treat the pairs of degree d: first those
+        in the guide's trace whose element was not entered, reduced without
+        the criteria, then the others as `treat` does, each batch in lcm
+        order.  Once degree d has added the guide's quota of elements, the
+        entered ones included, the remaining pairs are dropped and marked
+        treated.  Without a quota nothing is entered and the pairs are left
+        to the caller, which treats them all.  Sound above the top generator
+        degree, and through it when every guide element there is clean: see
+        the module docstring."""
+        pk = self.pk
+        quota = guide.quota(d, {pk.unpack(lm) for lm in self.lms_below(d)[0]})
         if quota is None:
             return
-        pairs = list(self.pop_pairs_up_to(d))
-        traced = guide.trace.get(d, ())
+        # the guide's run packed these monomials, so they lie in range
+        frombytes = int.from_bytes
+        for g in lifted:
+            self.add_element({frombytes(bytes((*m, d)), "little"): c for m, c in g.items()})
+        self.stats.lifted += len(lifted)
+        quota -= len(lifted)
+        entered = set(self.lms[len(self.lms) - len(lifted):])
+        traced = guide.trace.get(d, {})
         first, rest = [], []
-        for p in pairs:
-            (first if self.pair_key(p[1], p[2]) in traced else rest).append(p)
+        for p in self.pop_pairs_up_to(d):
+            lm = traced.get(self.pair_key(p[1], p[2]))
+            (first if lm is not None and lm not in entered else rest).append(p)
         lms = self.lms
         for criteria, batch in ((False, first), (True, rest)):
             for l, i, j in batch:
@@ -666,8 +702,10 @@ class _GBWorker:
 
     def spoly(self, i: int, j: int, l: int) -> Poly:
         """An integer multiple of the S-polynomial of elements i and j; its
-        cancelled leading term stays in as a zero."""
+        cancelled leading term stays in as a zero.  Starts the derivation of
+        its remainder from the records of i and j."""
         lmi, lmj = self.lms[i], self.lms[j]
+        self.taint = lcm(self.tails[lmi][2], self.tails[lmj][2])
         gi, gj = self.lead[lmi], self.lead[lmj]
         ai, aj = gi[lmi], gj[lmj]
         d = gcd(ai, aj)
@@ -701,9 +739,10 @@ def groebner(ideal: IdealBasis, bound=None, guide: IdealBasis | None = None) -> 
 
     `guide`, for an ideal over GF(l), is a basis over Q, complete through the
     bound, of the ideal whose generators reduce mod l to this ideal's: see
-    the module docstring.  When it has the run's bound and l divides none of
-    its divisors, the basis is read off it.  It changes the work, never the
-    result; an unsuitable guide raises ValueError.
+    the module docstring.  When it has the run's bound, its elements clean
+    for l are read off it, and with no element tainted the whole basis is.
+    It changes the work, never the result; an unsuitable guide raises
+    ValueError.
     """
     ring = ideal.ring
     gens = [g for g in ideal.gens if g]
@@ -711,14 +750,12 @@ def groebner(ideal: IdealBasis, bound=None, guide: IdealBasis | None = None) -> 
         raise TruncationError("degree truncation requires homogeneous generators")
     if guide is not None:
         guide = _Guide(ideal, bound, guide)
-        lifted = guide.lift(ideal, bound)
-        if lifted is not None:
-            return lifted
+        if guide.clean is not None and not guide.tainted:
+            return guide.lift(ideal, bound)
     worker = _GBWorker(ring, bound)
     top, exps = worker.pk.top, worker.pk.exps
     by_degree: dict[int, list] = {}
-    # every generator is packed, and so recorded, even above the bound; in
-    # degrevlex order of its lm, min(h) ^ exps
+    # in degrevlex order of its lm, min(h) ^ exps
     for h in sorted(map(worker.pack, gens), key=lambda h: min(h) ^ exps):
         by_degree.setdefault(min(h) >> top, []).append(h)
     mingens: dict[int, int] = {}
@@ -726,17 +763,25 @@ def groebner(ideal: IdealBasis, bound=None, guide: IdealBasis | None = None) -> 
     if not degrees:
         return IdealBasis(ring, list(ideal.gens), gb=[], gb_bound=bound, mingens={},
                           gb_complete=True, gb_lead=[], stats=worker.stats, trace={},
-                          divisors=_frozen(worker.divisors))
+                          divisors=None if ring.domain.characteristic else ())
+    # the degrees through the top generator degree are read off the guide
+    # only when every guide element in them is clean, and with them its
+    # minimal generator counts; otherwise no element is read off
+    read = guide is not None and guide.reads_through(degrees[-1])
+    if read:
+        mingens = {e: k for e, k in guide.basis.mingens.items() if e <= degrees[-1]}
+    lifted = guide.clean if read else {}
     d = degrees[0]
     while True:
         if bound is not None and d > bound:
             break
         # S-pairs of this degree first: they never contribute minimal generators
-        if guide is not None and d > degrees[-1]:
-            worker.treat_guided(d, guide)
+        if guide is not None and (read or d > degrees[-1]):
+            worker.treat_guided(d, guide, lifted.get(d, ()))
         for l, i, j in worker.pop_pairs_up_to(d):
             worker.treat(l, i, j)
-        for h in by_degree.get(d, ()):
+        for h in () if read else by_degree.get(d, ()):
+            worker.taint = 1
             r = worker.reduce(h)
             if r:
                 if max(r) >> top != d:  # the degree field of r's largest int
@@ -751,21 +796,18 @@ def groebner(ideal: IdealBasis, bound=None, guide: IdealBasis | None = None) -> 
     complete = bound is None or (not worker.dropped and degrees[-1] <= bound)
     return IdealBasis(ring, list(ideal.gens), gb=_field_forms(worker, lead), gb_bound=bound,
                       mingens=mingens, gb_complete=complete, gb_lead=lead, stats=worker.stats,
-                      trace=worker.trace, divisors=_frozen(worker.divisors))
-
-
-def _frozen(divisors: set | None) -> frozenset | None:
-    return None if divisors is None else frozenset(divisors)
+                      trace=worker.trace, divisors=worker.divisors)
 
 
 class _Guide:
     """What a run over GF(l) reads from its guide, a basis over Q complete
-    through the run's bound (see the module docstring): the basis itself
-    when l is lucky for it, else the trace, and per degree d the quota,
-    the number of elements degree d adds before the leading monomials span
-    target(d) = dim S_d - HF_Q(d) monomials of degree d, when the lms of
-    lower degree are the guide's.  Raises ValueError when the guide is
-    unsuitable."""
+    through the run's bound (see the module docstring): the trace; per
+    degree d the quota, the number of elements degree d adds before the
+    leading monomials span target(d) = dim S_d - HF_Q(d) monomials of degree
+    d, when the lms of lower degree are the guide's; and, when the guide has
+    the run's bound, its clean elements mod l, made monic, per degree
+    (`clean`), and the degrees of the others (`tainted`).  Raises ValueError
+    when the guide is unsuitable."""
 
     def __init__(self, ideal: IdealBasis, bound, guide: IdealBasis):
         ring, qring = ideal.ring, guide.ring
@@ -788,23 +830,38 @@ class _Guide:
         self.basis = guide
         self.trace = guide.trace
         self.lts = _minimal_lts(guide, bound)
+        self.clean: dict[int, list] | None = None
+        self.tainted: set[int] = set()
+        if guide.gb_bound == bound:
+            # a generator that vanishes mod l counts as a tainted element:
+            # the runs over Q and GF(l) start from different degrees
+            self.tainted = {sum(next(iter(g))) for g, r in zip(guide.gens, reduced) if g and not r}
+            self.clean = {}
+            for (lm, mask, g), x in zip(guide.gb_lead, guide.divisors):
+                if x % l == 0:
+                    self.tainted.add(sum(lm))
+                    continue
+                inv = pow(g[lm], -1, l)
+                self.clean.setdefault(sum(lm), []).append(
+                    {m: r for m, c in g.items() if (r := c * inv % l)})
 
-    def lift(self, ideal: IdealBasis, bound) -> IdealBasis | None:
-        """The run's basis read off the guide, or None unless the guide has
-        the run's bound and l divides none of its divisors: then the run is
-        the guide's run mod l step for step (see the module docstring).
-        Each basis form becomes its residues times the inverse of its
-        leading coefficient, zeros dropped."""
-        q, l = self.basis, ideal.ring.domain.characteristic
-        if q.gb_bound != bound or q.divisors is None or any(x % l == 0 for x in q.divisors):
-            return None
-        lead = []
-        for lm, mask, g in q.gb_lead:
-            inv = pow(g[lm], -1, l)
-            lead.append((lm, mask, {m: r for m, c in g.items() if (r := c * inv % l)}))
-        return IdealBasis(ideal.ring, list(ideal.gens), gb=[g for _, _, g in lead],
-                          gb_bound=bound, mingens=dict(q.mingens), gb_complete=q.gb_complete,
-                          gb_lead=lead, stats=GroebnerStats(per_degree=dict(q.stats.per_degree)),
+    def reads_through(self, top: int) -> bool:
+        """Whether the guide has the run's bound and every element of degree
+        <= top is clean."""
+        return self.clean is not None and all(e > top for e in self.tainted)
+
+    def lift(self, ideal: IdealBasis, bound) -> IdealBasis:
+        """The run's basis read off a guide with the run's bound and no
+        tainted element: the run is then the guide's run mod l step for step
+        (see the module docstring).  Each element is its basis form's
+        residues times the inverse of its leading coefficient, zeros
+        dropped."""
+        q = self.basis
+        gb = [g for d in sorted(self.clean) for g in self.clean[d]]
+        lead = [(lm, mask, g) for (lm, mask, _), g in zip(q.gb_lead, gb)]
+        return IdealBasis(ideal.ring, list(ideal.gens), gb=gb, gb_bound=bound,
+                          mingens=dict(q.mingens), gb_complete=q.gb_complete, gb_lead=lead,
+                          stats=GroebnerStats(per_degree=dict(q.stats.per_degree)),
                           trace=q.trace)
 
     def quota(self, d: int, low: set) -> int | None:
@@ -826,7 +883,8 @@ def _field_forms(worker: _GBWorker, lead: list) -> list:
 def _interreduce(worker: _GBWorker) -> list:
     """The reduced basis as gb_lead triples (lm, mask, basis form) in tuple
     form, sorted by lm, with the worker's element count per degree recorded
-    in its stats.
+    in its stats and, over Q, the record of each element, in the same
+    order, in its `divisors` (see IdealBasis).
 
     The run went degree by degree, so each element was reduced, when it was
     added, by every element of lower degree and every earlier one of its own
@@ -834,21 +892,30 @@ def _interreduce(worker: _GBWorker) -> list:
     only by a lm of its own degree, that is, equal to it.  The elements are
     tail-reduced in increasing lm order, each by the reduced forms of those
     before it, entered as reducers of their lm alone: no divisor scan, only
-    the lookup of `tails`.  Tail reduction leaves each leading term in
-    place, so the lms are computed once.  Each reduced form's content and
-    leading coefficient go to the worker's divisors."""
+    the lookup of `tails`, and none at all for an element none of whose
+    monomials is such a lm.  Tail reduction leaves each leading term in
+    place, so the lms are computed once.  Each reduced form's record is the
+    element's record from the run, those of its tail reducers, and its
+    content and leading coefficient."""
     pk = worker.pk
     w = _GBWorker(worker.ring)
-    out = []
+    tails = w.tails
+    out, deps = [], []
     for lm in sorted(worker.lms, key=lambda lm: lm ^ pk.exps):
-        g = worker.basis_form(w.reduce(dict(worker.lead[lm])), lm)
-        w.enter(lm, g)
+        w.taint = worker.tails[lm][2]
+        h = worker.lead[lm]
+        if any(x in tails for x in h):
+            h = w.reduce(dict(h))
+        g = w.basis_form(h, lm)
+        w.enter(lm, g, w.taint)
         m = pk.unpack(lm)
         out.append((m, _mask(m), {pk.unpack(x): c for x, c in g.items()}))
+        deps.append(w.taint)
     per_degree: dict[int, int] = {}
     for m, _, _ in out:
         per_degree[sum(m)] = per_degree.get(sum(m), 0) + 1
     worker.stats.per_degree = per_degree
+    worker.divisors = None if worker.modulus else tuple(deps)
     return out
 
 
@@ -1049,12 +1116,17 @@ def hilbert_function(ideal: IdealBasis, bound: int) -> GradedDims:
     the leading-term ideal: HF(k) = sum_i N_i C(n - 1 + k - i, n - 1).  Only
     leading terms of degree <= k enter HF(k), so a basis truncated at the
     bound gives the exact values."""
-    ring = ideal.ring
+    num = _series_numerator(list(leading_staircase(ideal, bound)), bound)
+    return GradedDims(tuple(_numerator_value(num, ideal.ring.n, k) for k in range(bound + 1)))
+
+
+def leading_staircase(ideal: IdealBasis, bound: int) -> tuple[Monomial, ...]:
+    """The minimal leading monomials of degree <= bound of the attached
+    basis: all that HF(k) for k <= bound depends on."""
     ideal.require_gb()
     if ideal.gb_bound is not None and bound > ideal.gb_bound:
         raise TruncationError(f"bound {bound} exceeds Groebner truncation {ideal.gb_bound}")
-    num = _series_numerator(_minimal_lts(ideal, bound), bound)
-    return GradedDims(tuple(_numerator_value(num, ring.n, k) for k in range(bound + 1)))
+    return tuple(_minimal_lts(ideal, bound))
 
 
 def _numerator_value(num: list[int], n: int, k: int) -> int:

@@ -283,8 +283,11 @@ def test_n3z_flatness_reuses_the_c5_and_c7_bases(groebner_calls):
 def test_n3x_basis_is_shared_by_containment_and_specialization(groebner_calls):
     assert campaigns._containment_dictionary(5)
     assert gl_specialization_check("gl-n3", 5).passed
-    n3x = make_ideal(IdealCase("n3-x", 5)).gens
-    assert [bound for gens, bound, _ in groebner_calls if gens == n3x] == [3]
+    # one complete basis over GF(5), read off the complete basis over Q
+    n3x, n3x_q = (make_ideal(IdealCase("n3-x", char)).gens for char in (5, 0))
+    assert [(bound, guide.gens) for gens, bound, guide in groebner_calls
+            if gens == n3x] == [(None, n3x_q)]
+    assert [bound for gens, bound, _ in groebner_calls if gens == n3x_q] == [None]
 
 
 def test_verify_all_runs_each_points_check_once_and_frees_its_memo(points_calls, two_cpus):
@@ -343,9 +346,11 @@ def test_verify_all_builds_each_case_once_and_frees_its_memo(monkeypatch, shared
     # lattice both need the n3-x case over Q
     both = set.intersection(*(set(keys) for keys in by_pid.values()))
     assert both == {("build_case", IdealCase("n3-z", 5)), ("build_case", IdealCase("n3-x"))}
+    # the n2 bases over Q and GF(5) share one staircase, and so do the n3-z
+    # bases over Q, GF(5) and GF(7): one Hilbert function of each
     assert Counter(key[0] for key in {key for _, key in misses}) == {
         "build_case": 13, "case_basis": 8, "case_points": 6, "case_hilbert": 5,
-        "span_lattice": 2, "case_cn_reduction": 1}
+        "hilbert_function": 2, "span_lattice": 2, "case_cn_reduction": 1}
     assert all(e.status != FAIL for e in em.entries)
     assert not cases._memo
 
@@ -363,13 +368,43 @@ def test_verify_all_builds_each_groebner_basis_once(groebner_calls, two_cpus):
     assert len(groebner_calls) == len(inputs) == 15
     assert all(e.status != FAIL for e in em.entries)
     assert not cases._memo
-    # the n2 basis over GF(5) and the n3-z bases over GF(5) and GF(7) are
-    # guided by the char-0 bases the run already holds; no other basis is
+    # the n2 basis over GF(5), the n3-z bases over GF(5) and GF(7) and the
+    # complete n3-x bases over GF(5) and GF(7) are guided by the char-0
+    # basis of the same bound; no other basis is.  The helper builds the
+    # complete n3-x basis over Q to guide its two; as the one n3-x basis
+    # per characteristic, they replace the bounded n3-x bases over GF(5)
+    # (bounds 5 and 3) the helper built before, so the count stays 15
     guided = {(_gens_key(gens), bound, _gens_key(guide.gens))
               for gens, bound, guide in groebner_calls if guide is not None}
     assert guided == {(_gens_key(make_ideal(IdealCase(tag, l)).gens), bound,
                        _gens_key(make_ideal(IdealCase(tag, 0)).gens))
-                      for tag, l, bound in (("n2", 5, 6), ("n3-z", 5, 5), ("n3-z", 7, 5))}
+                      for tag, l, bound in (("n2", 5, 6), ("n3-z", 5, 5), ("n3-z", 7, 5),
+                                            ("n3-x", 5, None), ("n3-x", 7, None))}
+
+
+def test_verify_all_reads_every_guided_case_basis_off_its_char0_basis(groebner_calls, two_cpus):
+    # in both processes: every basis over GF(l) of n2, n3-x and n3-z is
+    # guided, and equals its unguided run; n3-z over GF(5) reads 108 of its
+    # 112 elements off the basis over Q, and the others are read off whole
+    em = Emitter()
+    campaigns.verify_all(em, seed=0, trials=5)
+    assert all(e.status != FAIL for e in em.entries)
+    over_fl = {_gens_key(make_ideal(IdealCase(tag, l)).gens): (tag, l)
+               for tag in cases._GUIDED_TAGS for l in (5, 7)}
+    counts = {}
+    for gens, bound, guide in groebner_calls:
+        if _gens_key(gens) not in over_fl:
+            continue
+        tag, l = over_fl[_gens_key(gens)]
+        assert guide is not None, (tag, l, bound)
+        ideal = make_ideal(IdealCase(tag, l))
+        guided, unguided = groebner(ideal, bound, guide=guide), groebner(ideal, bound)
+        assert guided == unguided and guided.gb_lead == unguided.gb_lead
+        counts[tag, l, bound] = (guided.stats.lifted, guided.stats.pairs, len(guided.gb))
+    assert counts == {("n2", 5, 6): (0, 0, 6), ("n3-z", 5, 5): (108, 4, 112),
+                      ("n3-z", 7, 5): (0, 0, 112), ("n3-x", 5, None): (0, 0, 53),
+                      ("n3-x", 7, None): (0, 0, 53)}
+    cases.clear_case_memo()
 
 
 def test_a_faulty_char0_basis_fails_the_hilbert_cross_check(monkeypatch):

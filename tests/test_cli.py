@@ -208,6 +208,15 @@ OTHER_OUTPUT_SHA256 = {
         "2efd1b093bf0f735299421ba0a800ac88a5ac7217038a2af33ef095995b9685a",
     "verify identities --char 0 --format json":
         "c1f0a001962846c2c9c7403ebd9f25425919718931f9b9b82b58b764e928a331",
+    # the n3-x checks read one complete basis per characteristic
+    "verify ideal --case n3-x --char 5 --format json":
+        "f781c1cc461caa69c3be0150a8ed0c3722660be9f6940af92cbe43f6f05182e0",
+    "verify ideal --case n3-x --char 7 --degree-bound 4 --format json":
+        "bec89002fba3999c23d4af286028564fb0a0b3e1e8c56a567fd79ee33c1fd557",
+    "verify ideal --case gl-n3 --char 7 --format json":
+        "d60d90b7e354e3c381dc018e7175e1257ac5155cd40831531e7e19673f5c5179",
+    "verify dims --format json":
+        "489aca23167e9271caa2ee1f12a0269485a96c357e069c19e785b123894803bc",
 }
 
 

@@ -56,6 +56,18 @@ def test_qq_of_is_an_int_exactly_when_integral(x):
     assert (type(got) is int) == (Fraction(x).denominator == 1)
 
 
+def test_every_case_keeps_its_integral_generator_coefficients_as_ints():
+    # gl-n3 is built through Fraction(1, 2) multiples, whose integral sums
+    # and products stay Fractions until build_case brings them back
+    for tag in CASE_TAGS:
+        for char in (0, 5, 7):
+            for poly in build_case(IdealCase(tag, char)).gens:
+                for c in poly.values():
+                    assert type(c) is int or type(c) is Fraction and c.denominator != 1, (
+                        tag, char, c)
+    cases.clear_case_memo()
+
+
 def test_no_case_or_basis_over_q_has_a_float_coefficient(monkeypatch):
     for tag in CASE_TAGS:
         for poly in build_case(IdealCase(tag)).gens:
@@ -71,13 +83,14 @@ def test_no_case_or_basis_over_q_has_a_float_coefficient(monkeypatch):
 
     monkeypatch.setattr(polyalg, "_field_forms", recording)
     monkeypatch.delattr(os, "fork")  # every Groebner run in this process
+    cases.clear_case_memo()
     campaigns.verify_all(Emitter(), seed=0, trials=5)
     cases.clear_case_memo()
-    assert len(bases) == 2  # n2 and n3-z over Q
+    assert len(bases) == 3  # n2, n3-z and n3-x over Q
     for tag in ("n2", "n3-z", "n3-x"):
         polyalg.groebner(make_ideal(IdealCase(tag)), 4)
     cases.clear_case_memo()
-    assert len(bases) == 5
+    assert len(bases) == 6
     for gb in bases:
         for poly in gb:
             for c in poly.values():

@@ -805,11 +805,29 @@ def _assert_same_basis(guided, unguided):
     assert guided.gb_lead == unguided.gb_lead
 
 
-@settings(max_examples=80, deadline=None)
-@given(ideals(coefficients=(-7, -5, -3, -2, -1, 1, 2, 3, 5, 7)),
-       st.sampled_from([5, 7]), st.integers(2, 4))
+@st.composite
+def quadrics_with_multiples_of(draw, l):
+    """Two to four quadrics in three variables, each with 2 to 4 terms and
+    coefficients in -3..3, some of whose terms other than the leading one
+    are multiplied by l.  Their leading coefficients stay units mod l, but
+    in about half of the draws a run over Q divides out a content divisible
+    by l above degree 2, as for TORSION below: the guided run over GF(l)
+    reads the clean elements off and computes the rest."""
+    monos = _monomials(3, 2)
+    gens = []
+    for _ in range(draw(st.integers(2, 4))):
+        picked = draw(st.lists(st.sampled_from(monos), min_size=2, max_size=4, unique=True))
+        lead = max(picked, key=polyalg._drl_key)
+        gens.append({m: draw(st.sampled_from((-3, -2, -1, 1, 2, 3)))
+                     * (l if m != lead and draw(st.booleans()) else 1) for m in picked})
+    return 3, gens
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data(), st.sampled_from([5, 7]), st.integers(2, 4))
 def test_guided_basis_equals_the_unguided_one(data, l, bound):
-    n, gens = data
+    n, gens = data.draw(st.one_of(ideals(coefficients=(-7, -5, -3, -2, -1, 1, 2, 3, 5, 7)),
+                                  quadrics_with_multiples_of(l)))
     names = [f"x{i}" for i in range(n)]
     R0, Rl = PolyRing(names, 0), PolyRing(names, l)
     q = groebner(IdealBasis(R0, [{m: Fraction(c) for m, c in g.items()} for g in gens]), bound)
@@ -836,9 +854,10 @@ def test_guided_n3z_bases_equal_the_unguided_ones(n3z_q5, l):
     if l == 7:  # 7 divides no recorded integer: the basis is read off the Q run
         assert guided.stats.pairs == 0 < unguided.stats.pairs
         assert guided.trace == unguided.trace == n3z_q5.trace
-    else:  # the Q run divides out contents 10 and 20: a guided run
-        assert 0 < guided.stats.stop_drops
-        assert guided.stats.zero_reductions < unguided.stats.zero_reductions
+    else:  # the Q run divides out contents 10, 20 and -10 in degree 5: 4 of
+        # the 112 elements are tainted, and the others are read off
+        assert guided.stats.lifted == 108 and len(guided.gb) == 112
+        assert 0 < guided.stats.pairs <= 10 and unguided.stats.pairs == 994
 
 
 def test_guided_run_over_a_torsion_prime_is_the_unguided_run():
@@ -979,6 +998,20 @@ def test_a_generator_scaled_by_7_blocks_the_lift_at_7_only():
             assert unguided.stats.pairs > 0
             assert (guided.stats.pairs == 0) == (scale == 1 or l == 5), (scale, l)
             _assert_same_basis(guided, unguided)
+
+
+def test_an_element_reduced_by_a_tainted_one_is_computed_not_read_off():
+    """Over Q the degree-3 element x*z^2 divides out a content 5 and then
+    reduces the S-polynomial that gives z^3, whose own content and leading
+    coefficient are units mod 5: z^3 is tainted through its reducer alone.
+    Over GF(5) degree 3 has one element, x*z^2 + 2*z^3, so neither degree-3
+    element over Q may be read off."""
+    q, guided, unguided = _runs_mod(5, ("1*x^2 + 2*x*y + 2*x*z", "1*x^2 + 1*z^2", "2*y*z"), 4)
+    record = {lm: x for (lm, _, _), x in zip(q.gb_lead, q.divisors)}
+    assert record[(1, 0, 2)] % 5 == 0 and record[(0, 0, 3)] % 5 == 0
+    assert guided.stats.lifted == 3  # degree 2 only
+    _assert_same_basis(guided, unguided)
+    assert [lm for lm, _, _ in unguided.gb_lead if sum(lm) == 3] == [(1, 0, 2)]
 
 
 def test_a_record_without_contents_lifts_the_torsion_case_wrongly(monkeypatch):
