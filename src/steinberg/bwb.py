@@ -69,12 +69,6 @@ class GrothendieckElement:
     def __add__(self, other):
         return GrothendieckElement(list(self.terms) + list(other.terms))
 
-    def __sub__(self, other):
-        return GrothendieckElement(list(self.terms) + [(l, -c) for l, c in other.terms])
-
-    def __neg__(self):
-        return GrothendieckElement([(l, -c) for l, c in self.terms])
-
     def scale(self, n: int) -> "GrothendieckElement":
         return GrothendieckElement([(l, n * c) for l, c in self.terms])
 

@@ -134,13 +134,6 @@ def ideal_campaign(em: Emitter, tag: str, char: int, bound: int, trials: int, se
         rep2 = liealg.cn_ideal_reduction(1, 2, char)
         em.add(f"{pre}.n2", rep2.passed and not rep2.entries, "zero ideal", str(rep2.entries),
                anchor=anchor)
-        pr = case_points(IdealCase(tag, 0), trials, seed)
-        em.add(f"{pre}.points", pr.passed,
-               f"all generators vanish on {trials} samples; bound {pr.bound_text}",
-               f"failures {len(pr.failures)}, control detected {pr.control_detected}",
-               anchor=anchor)
-        return
-
     if tag in ("n2", "n3-z"):
         gb = case_basis(case, bound)
         mg = min_gen_degrees(gb, min(bound, 5))

@@ -70,17 +70,17 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_parser("classgroup", parents=[common])
 
     compute = sub.add_parser("compute").add_subparsers(dest="computation", required=True)
-    p = compute.add_parser("chi", parents=[common])
+    p = compute.add_parser("chi")
     p.add_argument("--rep", required=True)
-    p = compute.add_parser("psupp", parents=[common])
+    p = compute.add_parser("psupp")
     p.add_argument("--rep", required=True)
     p.add_argument("--i", type=int, required=True)
     p.add_argument("--l", type=int, required=True)
-    p = compute.add_parser("hilbert", parents=[common])
+    p = compute.add_parser("hilbert")
     p.add_argument("--case", dest="case_tag", choices=CASE_TAGS, required=True)
     p.add_argument("--degree-bound", type=_int_at_least(0), required=True)
     p.add_argument("--char", type=int, default=0)
-    p = compute.add_parser("snf", parents=[common])
+    p = compute.add_parser("snf")
     p.add_argument("--file", required=True)
     return top
 

@@ -35,11 +35,11 @@ integer one divided by the tracked scale, once, at the end.
 
 Every run records its trace: per degree, the leading-monomial pairs of the
 S-pairs whose remainder entered the basis, each with the lm of the element
-it entered.  A run over GF(l) may be guided
-by a basis over Q of the ideal whose generators reduce mod l to its own (an
-l-integral list), complete through the run's bound.  Let I_Z be the ideal
-over Z_(l) those generators span and I_l its image mod l.  Each (S/I_Z)_d
-is a finitely generated Z_(l)-module, so HF_l(d) >= HF_Q(d) and
+it entered.  A run over GF(l) may be guided by a basis over Q, with the
+run's bound, of the ideal whose generators reduce mod l to its own (an
+l-integral list).  Let I_Z be the ideal over Z_(l) those generators span
+and I_l its image mod l.  Each (S/I_Z)_d is a finitely generated
+Z_(l)-module, so HF_l(d) >= HF_Q(d) and
 dim (I_l)_d <= target(d) = dim S_d - HF_Q(d).  In a degree d above the top
 generator degree, LT(G)_d lies in LT(I_l)_d at every point of the run.  So
 once |LT(G)_d| = target(d), G is a Groebner basis in degree d and every
@@ -71,26 +71,29 @@ for l.  By induction along its derivation, a clean element lies in I_Z
 with an l-unit leading coefficient, so its image mod l, made monic, is an
 element of I_l with the same leading monomial.
 
-A guided run whose guide has the run's bound reads the clean elements off
-the guide.  In a degree d above the top generator degree where the lms of
-lower degree are the guide's, it enters the clean elements of degree d
-before the pairs of that degree and counts them against the quota: their
-lms are the guide's, none divisible by a lower one, so the argument above
-holds, and degree d computes only the elements the guide could not vouch
-for, from the traced pairs whose element was not entered first.  The
-degrees up to the top generator degree are read off only when every guide
-element in them is clean.  Every multiplier of the run over Q through them
-is then an l-unit, so at every step the state of the unguided run over
-GF(l) is a unit times the state of the run over Q mod l: a coefficient that
-is 0 mod l is a step the GF(l) run skips, a reduction to zero stays one,
-and a nonzero remainder stays nonzero mod l with the same leading monomial.
-So the two runs count the same minimal generators there, and the guided
-run takes the guide's counts and skips the generators.  Otherwise no
-element is read off, and the run is guided as above.  A generator over Q
-that vanishes mod l counts as a tainted element of its degree.  When no
-element is tainted, the whole run over GF(l) is the run over Q mod l step
-for step, with the same pairs skipped and reduced and the same trace, and
-its basis is read off the guide with no worker built.
+A guided run reads the clean elements off its guide.  Through a degree in
+which every guide element is clean, every multiplier of the run over Q is
+an l-unit, so at every step the state of the unguided run over GF(l) is a
+unit times the state of the run over Q mod l: a coefficient that is 0 mod l
+is a step the GF(l) run skips, a reduction to zero stays one, and a nonzero
+remainder stays nonzero mod l with the same leading monomial.  A generator
+over Q that vanishes mod l counts as a tainted element of its degree: the
+two runs then start from different generators.  So a guided run takes one
+of three paths:
+- With no element tainted, the whole run over GF(l) is the run over Q mod l
+  step for step, with the same pairs skipped and reduced and the same
+  trace, and its basis is read off the guide with no worker built.
+- With every tainted element above the top generator degree, the two runs
+  count the same minimal generators: the guided run takes the guide's
+  counts, skips the generators and reads the elements through the top
+  generator degree off.  In each higher degree d where the lms of lower
+  degree are the guide's, it enters the clean elements of degree d before
+  the pairs of that degree and counts them against the quota: their lms
+  are the guide's, none divisible by a lower one, so the stop's argument
+  holds, and degree d computes only the elements the guide could not vouch
+  for, from the traced pairs whose element was not entered first.
+- With a tainted element at or below the top generator degree, the run
+  drops the guide and runs unguided.
 
 The stop and the lift trust the guide: a basis over Q missing an element of
 degree d lowers target(d) by one, the guided runs stop one element short or
@@ -354,18 +357,16 @@ class TruncationError(ValueError):
 class GroebnerStats:
     """Work counters of one `groebner` run: S-pairs popped, those skipped by
     the coprime criterion and by the chain criterion, those whose
-    S-polynomial reduced to zero, the returned basis's element count per
-    degree, and, in a guided run, the pairs dropped untreated by the Hilbert
-    stop (which `pairs` does not count) and the elements read off the guide.
-    Pairs are counted, not reduction steps, so the counts cost nothing
-    inside the reduction loop.  A basis read off its guide as a whole
-    treated no pair and has only the counts per degree."""
+    S-polynomial reduced to zero, and, in a guided run, the pairs dropped
+    untreated by the Hilbert stop (which `pairs` does not count) and the
+    elements read off the guide.  Pairs are counted, not reduction steps, so
+    the counts cost nothing inside the reduction loop.  A basis read off its
+    guide as a whole treated no pair: every counter is 0."""
 
     pairs: int = 0
     coprime_skips: int = 0
     chain_skips: int = 0
     zero_reductions: int = 0
-    per_degree: dict = field(default_factory=dict)
     stop_drops: int = 0
     lifted: int = 0
 
@@ -662,21 +663,22 @@ class _GBWorker:
         a, b = self.lms[i], self.lms[j]
         return (a, b) if a < b else (b, a)
 
-    def treat_guided(self, d: int, guide: "_Guide", lifted) -> None:
-        """Enter `lifted`, the guide's clean elements of degree d (tuple
-        form, monic residues), then treat the pairs of degree d: first those
-        in the guide's trace whose element was not entered, reduced without
-        the criteria, then the others as `treat` does, each batch in lcm
-        order.  Once degree d has added the guide's quota of elements, the
-        entered ones included, the remaining pairs are dropped and marked
-        treated.  Without a quota nothing is entered and the pairs are left
-        to the caller, which treats them all.  Sound above the top generator
-        degree, and through it when every guide element there is clean: see
-        the module docstring."""
+    def treat_guided(self, d: int, guide: "_Guide") -> None:
+        """Enter the guide's clean elements of degree d (tuple form, monic
+        residues), then treat the pairs of degree d: first those in the
+        guide's trace whose element was not entered, reduced without the
+        criteria, then the others as `treat` does, each batch in lcm order.
+        Once degree d has added the guide's quota of elements, the entered
+        ones included, the remaining pairs are dropped and marked treated.
+        Without a quota nothing is entered and the pairs are left to the
+        caller, which treats them all.  Sound when every guide element of
+        degree up to the top generator degree is clean: see the module
+        docstring."""
         pk = self.pk
         quota = guide.quota(d, {pk.unpack(lm) for lm in self.lms_below(d)[0]})
         if quota is None:
             return
+        lifted = guide.clean.get(d, ())
         # the guide's run packed these monomials, so they lie in range
         frombytes = int.from_bytes
         for g in lifted:
@@ -737,12 +739,14 @@ def groebner(ideal: IdealBasis, bound=None, guide: IdealBasis | None = None) -> 
     The generators must be homogeneous; they are processed degree by degree,
     and the returned IdealBasis carries the graded minimal-generator counts.
 
-    `guide`, for an ideal over GF(l), is a basis over Q, complete through the
-    bound, of the ideal whose generators reduce mod l to this ideal's: see
-    the module docstring.  When it has the run's bound, its elements clean
-    for l are read off it, and with no element tainted the whole basis is.
-    It changes the work, never the result; an unsuitable guide raises
-    ValueError.
+    `guide`, for an ideal over GF(l), is a traced basis over Q with the
+    run's bound of the ideal whose generators reduce mod l to this ideal's
+    (see the module docstring).  With no element tainted for l the basis is
+    read off it whole.  With every tainted element above the top generator
+    degree, the degrees through it are read off, and the others enter their
+    clean elements and compute the tainted ones under the Hilbert stop.
+    Otherwise the run drops the guide and runs unguided.  The guide changes
+    the work, never the result; an unsuitable guide raises ValueError.
     """
     ring = ideal.ring
     gens = [g for g in ideal.gens if g]
@@ -750,7 +754,7 @@ def groebner(ideal: IdealBasis, bound=None, guide: IdealBasis | None = None) -> 
         raise TruncationError("degree truncation requires homogeneous generators")
     if guide is not None:
         guide = _Guide(ideal, bound, guide)
-        if guide.clean is not None and not guide.tainted:
+        if not guide.tainted:
             return guide.lift(ideal, bound)
     worker = _GBWorker(ring, bound)
     top, exps = worker.pk.top, worker.pk.exps
@@ -764,23 +768,23 @@ def groebner(ideal: IdealBasis, bound=None, guide: IdealBasis | None = None) -> 
         return IdealBasis(ring, list(ideal.gens), gb=[], gb_bound=bound, mingens={},
                           gb_complete=True, gb_lead=[], stats=worker.stats, trace={},
                           divisors=None if ring.domain.characteristic else ())
-    # the degrees through the top generator degree are read off the guide
-    # only when every guide element in them is clean, and with them its
-    # minimal generator counts; otherwise no element is read off
-    read = guide is not None and guide.reads_through(degrees[-1])
-    if read:
+    if guide is not None and min(guide.tainted) <= degrees[-1]:
+        guide = None  # a tainted element at or below the top generator degree
+    if guide is not None:
+        # the degrees through the top generator degree are read off the
+        # guide, and with them its minimal generator counts; a generator
+        # over Q above them vanishes mod l
         mingens = {e: k for e, k in guide.basis.mingens.items() if e <= degrees[-1]}
-    lifted = guide.clean if read else {}
     d = degrees[0]
     while True:
         if bound is not None and d > bound:
             break
         # S-pairs of this degree first: they never contribute minimal generators
-        if guide is not None and (read or d > degrees[-1]):
-            worker.treat_guided(d, guide, lifted.get(d, ()))
+        if guide is not None:
+            worker.treat_guided(d, guide)
         for l, i, j in worker.pop_pairs_up_to(d):
             worker.treat(l, i, j)
-        for h in () if read else by_degree.get(d, ()):
+        for h in () if guide is not None else by_degree.get(d, ()):
             worker.taint = 1
             r = worker.reduce(h)
             if r:
@@ -800,14 +804,13 @@ def groebner(ideal: IdealBasis, bound=None, guide: IdealBasis | None = None) -> 
 
 
 class _Guide:
-    """What a run over GF(l) reads from its guide, a basis over Q complete
-    through the run's bound (see the module docstring): the trace; per
-    degree d the quota, the number of elements degree d adds before the
-    leading monomials span target(d) = dim S_d - HF_Q(d) monomials of degree
-    d, when the lms of lower degree are the guide's; and, when the guide has
-    the run's bound, its clean elements mod l, made monic, per degree
-    (`clean`), and the degrees of the others (`tainted`).  Raises ValueError
-    when the guide is unsuitable."""
+    """What a run over GF(l) reads from its guide, a traced basis over Q
+    with the run's bound (see the module docstring): the trace; per degree
+    d the quota, the number of elements degree d adds before the leading
+    monomials span target(d) = dim S_d - HF_Q(d) monomials of degree d,
+    when the lms of lower degree are the guide's; the clean elements mod l,
+    made monic, per degree (`clean`); and the degrees of the others
+    (`tainted`).  Raises ValueError when the guide is unsuitable."""
 
     def __init__(self, ideal: IdealBasis, bound, guide: IdealBasis):
         ring, qring = ideal.ring, guide.ring
@@ -815,54 +818,41 @@ class _Guide:
         if qring.domain.characteristic or not l or qring.names != ring.names:
             raise ValueError("a guide is a basis over Q of an ideal over GF(l) "
                              "in the same variables")
-        if guide.gb is None or guide.trace is None or not (
-                guide.gb_complete or bound is not None and guide.gb_bound is not None
-                and guide.gb_bound >= bound):
-            raise ValueError("the guide must be a traced Groebner basis complete through "
-                             "the bound")
+        if guide.gb is None or guide.trace is None or guide.gb_bound != bound:
+            raise ValueError("the guide must be a traced Groebner basis with the run's bound")
         try:
             reduced = [{m: r for m, c in g.items() if (r := ring.domain.of(c))}
                        for g in guide.gens]
         except ZeroDivisionError:
             raise ValueError(f"the guide's generators are not {l}-integral") from None
-        if reduced != [dict(g) for g in ideal.gens]:
+        if [r for r in reduced if r] != [dict(g) for g in ideal.gens if g]:
             raise ValueError(f"the ideal's generators are not the guide's reduced mod {l}")
         self.basis = guide
         self.trace = guide.trace
-        self.lts = _minimal_lts(guide, bound)
-        self.clean: dict[int, list] | None = None
-        self.tainted: set[int] = set()
-        if guide.gb_bound == bound:
-            # a generator that vanishes mod l counts as a tainted element:
-            # the runs over Q and GF(l) start from different degrees
-            self.tainted = {sum(next(iter(g))) for g, r in zip(guide.gens, reduced) if g and not r}
-            self.clean = {}
-            for (lm, mask, g), x in zip(guide.gb_lead, guide.divisors):
-                if x % l == 0:
-                    self.tainted.add(sum(lm))
-                    continue
-                inv = pow(g[lm], -1, l)
-                self.clean.setdefault(sum(lm), []).append(
-                    {m: r for m, c in g.items() if (r := c * inv % l)})
-
-    def reads_through(self, top: int) -> bool:
-        """Whether the guide has the run's bound and every element of degree
-        <= top is clean."""
-        return self.clean is not None and all(e > top for e in self.tainted)
+        self.lts = _minimal_lts(guide)
+        # a generator that vanishes mod l counts as a tainted element: the
+        # runs over Q and GF(l) start from different generators
+        self.tainted = {sum(next(iter(g))) for g, r in zip(guide.gens, reduced) if g and not r}
+        self.clean: dict[int, list] = {}
+        for (lm, mask, g), x in zip(guide.gb_lead, guide.divisors):
+            if x % l == 0:
+                self.tainted.add(sum(lm))
+                continue
+            inv = pow(g[lm], -1, l)
+            self.clean.setdefault(sum(lm), []).append(
+                {m: r for m, c in g.items() if (r := c * inv % l)})
 
     def lift(self, ideal: IdealBasis, bound) -> IdealBasis:
-        """The run's basis read off a guide with the run's bound and no
-        tainted element: the run is then the guide's run mod l step for step
-        (see the module docstring).  Each element is its basis form's
-        residues times the inverse of its leading coefficient, zeros
-        dropped."""
+        """The run's basis read off a guide with no tainted element: the run
+        is then the guide's run mod l step for step (see the module
+        docstring).  Each element is its basis form's residues times the
+        inverse of its leading coefficient, zeros dropped."""
         q = self.basis
         gb = [g for d in sorted(self.clean) for g in self.clean[d]]
         lead = [(lm, mask, g) for (lm, mask, _), g in zip(q.gb_lead, gb)]
         return IdealBasis(ideal.ring, list(ideal.gens), gb=gb, gb_bound=bound,
                           mingens=dict(q.mingens), gb_complete=q.gb_complete, gb_lead=lead,
-                          stats=GroebnerStats(per_degree=dict(q.stats.per_degree)),
-                          trace=q.trace)
+                          stats=GroebnerStats(), trace=q.trace)
 
     def quota(self, d: int, low: set) -> int | None:
         """The quota of degree d for a run whose lms of degree < d are `low`,
@@ -882,9 +872,8 @@ def _field_forms(worker: _GBWorker, lead: list) -> list:
 
 def _interreduce(worker: _GBWorker) -> list:
     """The reduced basis as gb_lead triples (lm, mask, basis form) in tuple
-    form, sorted by lm, with the worker's element count per degree recorded
-    in its stats and, over Q, the record of each element, in the same
-    order, in its `divisors` (see IdealBasis).
+    form, sorted by lm, with, over Q, the record of each element, in the
+    same order, in the worker's `divisors` (see IdealBasis).
 
     The run went degree by degree, so each element was reduced, when it was
     added, by every element of lower degree and every earlier one of its own
@@ -911,10 +900,6 @@ def _interreduce(worker: _GBWorker) -> list:
         m = pk.unpack(lm)
         out.append((m, _mask(m), {pk.unpack(x): c for x, c in g.items()}))
         deps.append(w.taint)
-    per_degree: dict[int, int] = {}
-    for m, _, _ in out:
-        per_degree[sum(m)] = per_degree.get(sum(m), 0) + 1
-    worker.stats.per_degree = per_degree
     worker.divisors = None if worker.modulus else tuple(deps)
     return out
 

@@ -55,7 +55,7 @@ def test_criterion_01_bwb_table_consistency():
     w2bxb = build_rep("wedge^2(b)*b")
     lhs = build_rep("wedge^3(b + b)")
     ok = ok and lhs == w3b.add(w3b).add(w2bxb).add(w2bxb)
-    forced = bwb.euler_char(lhs) - bwb.euler_char(w3b).scale(2)
+    forced = bwb.euler_char(lhs) + bwb.euler_char(w3b).scale(-2)
     chi = bwb.euler_char(w2bxb)
     ok = ok and forced == chi.scale(2)
     ok = ok and str(chi) == "2[V(1,1)] + [V(0,0)]"

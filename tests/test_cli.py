@@ -46,6 +46,11 @@ def test_compute_psupp_rejects_bad_l_and_degree():
 def test_compute_hilbert():
     code, out, _ = run_cli(["compute", "hilbert", "--case", "n2", "--degree-bound", "3"])
     assert code == 0 and out.strip() == "[1, 6, 15, 28]"
+    # over GF(2) the commutator entries with coefficient 2 vanish: the run
+    # over Q cannot guide this one, which runs unguided
+    code, out, _ = run_cli(["compute", "hilbert", "--case", "n2", "--char", "2",
+                            "--degree-bound", "3"])
+    assert code == 0 and out.strip() == "[1, 6, 18, 38]"
 
 
 def test_compute_snf(tmp_path):
@@ -69,6 +74,10 @@ def test_usage_errors_exit_2():
         (["verify", "ideal", "--case", "n3-z", "--degree-bound"], "expected one argument"),
         (["verify", "all", "--jobs", "2"], "unrecognized arguments"),
         (["verify", "all", "--timings"], "unrecognized arguments"),
+        # compute prints one value: it has no report format and draws nothing
+        (["compute", "chi", "--rep", "b", "--format", "json"], "unrecognized arguments"),
+        (["compute", "hilbert", "--case", "n2", "--degree-bound", "3", "--seed", "1"],
+         "unrecognized arguments"),
         # a negative bound certifies nothing: it must not reach a check
         (["verify", "ideal", "--case", "n2", "--char", "0", "--degree-bound", "-1"],
          "--degree-bound: must be >= 0"),
@@ -202,7 +211,7 @@ OTHER_OUTPUT_SHA256 = {
         "ea420ab640c6447075b0f5fe96443be1e5dec0b05f60fe11d268086e0055c025",
     "verify ideal --case cnil --format json":
         "5c4c21cfafc4561d23cd9d1ea6e54ed3e56eedafccd1be5c493dbdc0275c6b52",
-    "compute hilbert --case n3-z --degree-bound 4 --format json":
+    "compute hilbert --case n3-z --degree-bound 4":
         "defe5dd14ff315c2fc5cc664582ced366204c4431ba0f80d3a2de70868b5a24d",
     "verify span --char 0 --format json":
         "2efd1b093bf0f735299421ba0a800ac88a5ac7217038a2af33ef095995b9685a",

@@ -1,6 +1,7 @@
 import functools
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -711,16 +712,15 @@ def test_groebner_stats_count_pairs_criteria_and_degrees():
     R6 = ring6()
     af_cd = R6.from_text("1*a*f - 1*c*d")
     hypersurface = groebner(IdealBasis(R6, [af_cd]), None).stats
-    assert hypersurface == polyalg.GroebnerStats(per_degree={2: 1})
+    assert hypersurface == polyalg.GroebnerStats()
     nonregular = groebner(IdealBasis(R6, [af_cd, R6.from_text("1*a*c"),
                                           R6.from_text("1*d*f")]), None).stats
     assert nonregular == polyalg.GroebnerStats(pairs=10, coprime_skips=3, chain_skips=0,
-                                               zero_reductions=5, per_degree={2: 3, 3: 2})
+                                               zero_reductions=5)
     n3z = groebner(make_ideal(IdealCase("n3-z", 5)), 5)
     assert n3z.stats == polyalg.GroebnerStats(pairs=994, coprime_skips=65, chain_skips=490,
-                                              zero_reductions=366,
-                                              per_degree={2: 3, 3: 38, 4: 39, 5: 32})
-    assert sum(n3z.stats.per_degree.values()) == len(n3z.gb)
+                                              zero_reductions=366)
+    assert Counter(sum(lm) for lm, _, _ in n3z.gb_lead) == {2: 3, 3: 38, 4: 39, 5: 32}
     # the counters are no part of the basis's value or its repr
     again = IdealBasis(n3z.ring, n3z.gens, gb=n3z.gb, gb_bound=5, mingens=n3z.mingens)
     assert again == n3z and "stats" not in repr(n3z)
@@ -849,7 +849,6 @@ def test_guided_n3z_bases_equal_the_unguided_ones(n3z_q5, l):
     ideal = make_ideal(IdealCase("n3-z", l))
     guided, unguided = groebner(ideal, 5, guide=n3z_q5), groebner(ideal, 5)
     _assert_same_basis(guided, unguided)
-    assert guided.stats.per_degree == unguided.stats.per_degree
     assert unguided.stats.stop_drops == 0
     if l == 7:  # 7 divides no recorded integer: the basis is read off the Q run
         assert guided.stats.pairs == 0 < unguided.stats.pairs
@@ -877,8 +876,9 @@ def test_guided_run_over_a_torsion_prime_is_the_unguided_run():
 
 def test_guided_run_is_the_unguided_run_when_the_leading_terms_differ_mod_l():
     # flat over Z_(5) (two quadrics cutting a curve over Q and over GF(5)),
-    # but x^2 leads over Q and x*y over GF(5): the run's lms of lower degree
-    # are not the guide's, so it has no quota and drops nothing
+    # but x^2 leads over Q and x*y over GF(5): the leading coefficient 5
+    # taints a degree-2 element, so the run drops the guide and its work is
+    # the unguided run's
     R0, R5 = PolyRing(("x", "y", "z"), 0), PolyRing(("x", "y", "z"), 5)
     gens = [R0.from_text(t) for t in ("5*x^2 + 1*x*y + 1*y^2", "1*x*z + 1*y^2 + 1*z^2")]
     q = groebner(IdealBasis(R0, gens), 5)
@@ -887,7 +887,7 @@ def test_guided_run_is_the_unguided_run_when_the_leading_terms_differ_mod_l():
     _assert_same_basis(guided, unguided)
     assert hilbert_function(q, 5).dims == hilbert_function(unguided, 5).dims
     assert {lm for lm, _, _ in q.gb_lead} != {lm for lm, _, _ in unguided.gb_lead}
-    assert guided.stats.stop_drops == 0
+    assert guided.stats == unguided.stats
 
 
 def _spanned(monos, n, d):
@@ -924,8 +924,11 @@ def test_unsuitable_guides_raise_value_error(n3z_q5):
     cases = [
         (shuffled, 5, n3z_q5, "not the guide's reduced mod 5"),
         (f5, 5, f7_basis, "basis over Q"),
-        (f5, None, n3z_q5, "complete through the bound"),
-        (f5, 5, groebner(make_ideal(IdealCase("n3-z", 0)), 4), "complete through the bound"),
+        (f5, None, n3z_q5, "with the run's bound"),
+        (f5, 5, groebner(make_ideal(IdealCase("n3-z", 0)), 4), "with the run's bound"),
+        # a guide complete beyond the run's bound
+        (make_ideal(IdealCase("n3-x", 7)), 3, groebner(make_ideal(IdealCase("n3-x", 0)), None),
+         "with the run's bound"),
         (make_ideal(IdealCase("n3-x", 5)), 5, n3z_q5, "same variables"),
         (IdealBasis(R5, [R5.from_text("1*x^2")]), 3, fifth, "not 5-integral"),
     ]
@@ -970,14 +973,8 @@ def test_a_lucky_prime_reads_the_basis_off_the_q_run():
     q = groebner(make_ideal(IdealCase("n2", 0)), 6)
     ideal = make_ideal(IdealCase("n2", 5))
     lifted = groebner(ideal, 6, guide=q)
-    assert lifted.stats == polyalg.GroebnerStats(per_degree=q.stats.per_degree)
+    assert lifted.stats == polyalg.GroebnerStats()
     _assert_same_basis(lifted, groebner(ideal, 6))
-    # a guide complete beyond the run's bound guides it, but is not lifted
-    q = groebner(make_ideal(IdealCase("n3-x", 0)), None)
-    ideal = make_ideal(IdealCase("n3-x", 7))
-    guided = groebner(ideal, 3, guide=q)
-    assert guided.stats.pairs > 0
-    _assert_same_basis(guided, groebner(ideal, 3))
 
 
 @pytest.mark.parametrize("gens, bound, divisor", [(TORSION, 4, 25), (LEADS_DIFFER, 5, 5)])
@@ -998,6 +995,16 @@ def test_a_generator_scaled_by_7_blocks_the_lift_at_7_only():
             assert unguided.stats.pairs > 0
             assert (guided.stats.pairs == 0) == (scale == 1 or l == 5), (scale, l)
             _assert_same_basis(guided, unguided)
+
+
+def test_a_generator_vanishing_mod_l_above_the_top_degree_counts_over_q_only():
+    """The cubic generator vanishes mod 5 and taints degree 3 only, above the
+    top generator degree 2 over GF(5): the guided run reads degree 2 off
+    and must not take the guide's minimal generator of degree 3."""
+    q, guided, unguided = _runs_mod(5, ("1*x^2 - 1*y*z", "5*x^3 + 5*y^3"), 4)
+    assert q.mingens == {2: 1, 3: 1} and unguided.mingens == {2: 1}
+    assert guided.stats.lifted == 1
+    _assert_same_basis(guided, unguided)
 
 
 def test_an_element_reduced_by_a_tainted_one_is_computed_not_read_off():

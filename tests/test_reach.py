@@ -130,25 +130,33 @@ def test_every_defaulted_parameter_is_set_by_some_call():
     assert not knobs, knobs
 
 
+COUNTERS = "work counters pinned by the Groebner tests, for ROADMAP item 8's profile"
+
 # Dataclass fields kept although only the tests read them, as
 # (class, field): reason.
 FIELDS_ALLOWED = {
     ("TableCheck", "note"): "why a BWB table cell failed, asserted by the table tests",
     ("ExtendCertificate", "chain"): "the certified chain, asserted by the extension tests",
+    ("GroebnerStats", "coprime_skips"): COUNTERS,
+    ("GroebnerStats", "chain_skips"): COUNTERS,
+    ("GroebnerStats", "zero_reductions"): COUNTERS,
+    ("GroebnerStats", "stop_drops"): COUNTERS,
+    ("GroebnerStats", "lifted"): COUNTERS,
 }
 
 
 def test_every_dataclass_field_is_read_outside_the_tests():
-    """A dataclass field that nothing in the library or the benchmark names
+    """A dataclass field that nothing in the library or the benchmark reads
     as an attribute is data no check and no report reads: it goes.  The
-    sweep is by name, so it is coarse: any attribute of the same name,
-    read or assigned, anywhere in the library or the benchmark counts."""
+    sweep is by name, so it is coarse: any attribute of the same name read
+    anywhere in the library or the benchmark counts.  An assignment, plain
+    or augmented, is no read."""
     library = sorted((ROOT / "src" / "steinberg").glob("*.py"))
     bench = sorted((ROOT / "perfbench").glob("*.py"))
     trees = {path: ast.parse(path.read_text(encoding="utf-8"), str(path))
              for path in library + bench}
     named = {node.attr for tree in trees.values() for node in ast.walk(tree)
-             if isinstance(node, ast.Attribute)}
+             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
     unread = {}
     for path in library:
         for cls in ast.walk(trees[path]):
