@@ -344,9 +344,7 @@ def verify_all(em: Emitter, seed: int = 0, trials: int = 200) -> None:
     runs the helper's whole list itself."""
     helper_calls = [
         (ideal_campaign, "n3-x", 5, 5, trials, seed),
-        (ideal_campaign, "gl-n2", 5, 4, trials, seed, True),
         (ideal_campaign, "gl-n3", 5, 4, trials, seed, True),
-        (ideal_campaign, "cnil", 0, 4, trials, seed),
         (dims_campaign,),
     ]
     calls = [
@@ -358,6 +356,8 @@ def verify_all(em: Emitter, seed: int = 0, trials: int = 200) -> None:
         (ideal_campaign, "n3-z", 0, 5, trials, seed),
         (ideal_campaign, "n3-z", 5, 5, trials, seed),
         (ideal_campaign, "n3-z", 7, 5, trials, seed),
+        (ideal_campaign, "gl-n2", 5, 4, trials, seed, True),
+        (ideal_campaign, "cnil", 0, 4, trials, seed),
         (multiplicities_campaign,), (classgroup_campaign,),
     ]
     helper = None

@@ -44,7 +44,7 @@ from .fieldops import (ZZ, field_of, mat_add, mat_det, mat_mul, mat_sub, mat_tra
                        span_rank)
 from .polyalg import (GradedDims, IdealBasis, PolyRing, groebner, hilbert_function,
                       homogenize_by_elimination, leading_staircase, normal_form,
-                      normal_form_mod_unit, quotient_invariant_factors, snf)
+                      normal_form_mod_unit, quotient_invariant_factors, reduce_mod, snf)
 from .weights import A1, A2, Weight
 
 CASE_TAGS = ("n2", "n3-z", "n3-x", "gl-n2", "gl-n3", "cnil")
@@ -279,11 +279,15 @@ def case_basis(case: IdealCase, bound: int | None) -> IdealBasis:
     first when the store lacks it: the elements that run could vouch for
     are read off it, and only the others are computed (see
     polyalg.groebner).  So the order of the campaigns asking for bases does
-    not change the work."""
-    guide = None
+    not change the work.  When a char-0 generator vanishes mod l at or below
+    the top generator degree, the run would drop that guide: none is built."""
+    ideal, guide = make_ideal(case), None
     if case.char and case.tag in _GUIDED_TAGS:
-        guide = case_basis(IdealCase(case.tag), bound)
-    return groebner(make_ideal(case), bound, guide=guide)
+        _, vanishing = reduce_mod(ideal.ring, make_ideal(IdealCase(case.tag)).gens)
+        top = max(map(ideal.ring.degree, ideal.gens))
+        if all(e > top for e in vanishing):
+            guide = case_basis(IdealCase(case.tag), bound)
+    return groebner(ideal, bound, guide=guide)
 
 
 @_memoized

@@ -58,12 +58,14 @@ run, so a faulty guide whose lms differ yields an honestly computed basis.
 If the count never reaches the target, nothing is dropped: HF_l > HF_Q in
 that degree, and a comparison of the Hilbert functions fails as it should.
 
+Each degree is interreduced at its end, before the pairs of the next
+degree start from its forms, so the run ends with the reduced basis.
 A run over Q records, for each element, the integers its derivation
 divided by (`IdealBasis.divisors`, as their lcm): the content `_basis_form`
 divides out and the leading coefficient it keeps, when the element is
-entered and again in the interreduction; the records of its S-pair parents;
-and those of every reducer `reduce` uses, during the run and, in the
-interreduction, among the tail reducers.  Every other multiplier of the
+entered and again when its degree is interreduced; the records of its
+S-pair parents; and those of every reducer `reduce` uses, the tail
+reducers of the interreduction included.  Every other multiplier of the
 derivation, in an S-pair or a reduction step, divides a leading
 coefficient so recorded.  Let l divide none of an element's integers (trace
 lifting: Traverso, ISSAC 1988; Arnold, JSC 35, 2003): the element is clean
@@ -468,7 +470,8 @@ class _GBWorker:
     `lead[lms[k]]` its form.  Leading monomials are pairwise distinct, since
     an element is added only after full reduction.  `tails[lm]` holds the
     same element as a reducer: its leading coefficient and the pairs
-    (m - lm, c) of its other terms, built once, when it is entered.
+    (m - lm, c) of its other terms, built when it is entered and again when
+    its degree is interreduced.
 
     A lm divides a monomial of its own degree only when the two are equal,
     and never one of lower degree.  So the divisor search for a degree-d
@@ -492,13 +495,12 @@ class _GBWorker:
         cap = _CAP if bound is None else min(bound, _CAP)
         self.limit = (cap + 1) << self.pk.top
         self.dropped = False  # whether a pair above the bound went unbuilt
-        self.treated: set[tuple[int, int]] = set()
+        self.treated: list[set[int]] = []  # [i]: the j whose pair with i is treated
         self.stats = GroebnerStats()
         self.trace: dict[int, dict[tuple[int, int], int]] = {}  # see IdealBasis.trace
         # over Q, the lcm of the integers the derivation under way has
         # recorded (see IdealBasis.divisors); 1 over GF(p)
         self.taint = 1
-        self.divisors: tuple | None = None  # see IdealBasis; set by _interreduce
 
     def record(self, *ints: int) -> None:
         """Over Q, take ints into the record of the derivation under way."""
@@ -600,6 +602,21 @@ class _GBWorker:
         self.lead[lm] = form
         self.tails[lm] = (form[lm], [(mg - lm, cg) for mg, cg in form.items() if mg != lm], dep)
 
+    def interreduce(self, new: list[int]) -> None:
+        """Tail-reduce the elements of one degree, with lms `new`, in
+        increasing lm order, each by the reduced forms of those before it.
+        Each was fully reduced when it entered, so a tail monomial that is a
+        lm is a smaller one of its own degree, which `reduce` looks up in
+        `tails`; the element itself is taken out of `tails` meanwhile.  The
+        record is the element's own, its tail reducers', and its content and
+        leading coefficient."""
+        tails = self.tails
+        for lm in sorted(new, reverse=True):  # within one degree, increasing lm
+            h = self.lead[lm]
+            if any(m in tails for m in h if m != lm):
+                self.taint = tails.pop(lm)[2]
+                self.enter(lm, self.basis_form(self.reduce(dict(h)), lm), self.taint)
+
     def add_element(self, h: Poly) -> None:
         """Append the element with the nonzero homogeneous integer multiple
         h: a reducer in the divisor scan, with the record of the derivation
@@ -631,6 +648,7 @@ class _GBWorker:
         g = self.basis_form(h, lm)
         self.enter(lm, g, self.taint)
         self.lms.append(lm)
+        self.treated.append(set())
         d = lm >> self.pk.top
         self.below = {e: low for e, low in self.below.items() if e <= d}
 
@@ -640,11 +658,15 @@ class _GBWorker:
         while self.pairs and self.pairs[0][0] < limit:
             yield heapq.heappop(self.pairs)
 
+    def mark_treated(self, i: int, j: int) -> None:
+        self.treated[i].add(j)
+        self.treated[j].add(i)
+
     def treat(self, l: int, i: int, j: int, criteria: bool = True) -> None:
         """Skip the pair (i, j) with lcm l by Buchberger's coprime or chain
         criterion, or add the remainder of its S-polynomial when nonzero.
         With criteria=False the pair is reduced unconditionally."""
-        self.treated.add((i, j))
+        self.mark_treated(i, j)
         stats = self.stats
         stats.pairs += 1
         if criteria and l == self.lms[i] + self.lms[j]:
@@ -695,7 +717,7 @@ class _GBWorker:
         for criteria, batch in ((False, first), (True, rest)):
             for l, i, j in batch:
                 if not quota:
-                    self.treated.add((i, j))
+                    self.mark_treated(i, j)
                     self.stats.stop_drops += 1
                     continue
                 k = len(lms)
@@ -722,22 +744,16 @@ class _GBWorker:
     def chain_skip(self, i: int, j: int, l: int) -> bool:
         """Whether some other element k with lm_k | l has both of its pairs
         with i and j treated."""
-        guards, treated = self.pk.guards, self.treated
-        for k, lmk in enumerate(self.lms):
-            if (l - lmk) & guards or k == i or k == j:
-                continue
-            a = (min(i, k), max(i, k))
-            b = (min(j, k), max(j, k))
-            if a in treated and b in treated:
-                return True
-        return False
+        guards, lms = self.pk.guards, self.lms
+        return any(not (l - lms[k]) & guards for k in self.treated[i] & self.treated[j])
 
 
 def groebner(ideal: IdealBasis, bound=None, guide: IdealBasis | None = None) -> IdealBasis:
     """Reduced Groebner basis, complete up to `bound` (None = complete).
 
     The generators must be homogeneous; they are processed degree by degree,
-    and the returned IdealBasis carries the graded minimal-generator counts.
+    each degree interreduced at its end, and the returned IdealBasis carries
+    the graded minimal-generator counts.
 
     `guide`, for an ideal over GF(l), is a traced basis over Q with the
     run's bound of the ideal whose generators reduce mod l to this ideal's
@@ -779,6 +795,7 @@ def groebner(ideal: IdealBasis, bound=None, guide: IdealBasis | None = None) -> 
     while True:
         if bound is not None and d > bound:
             break
+        start = len(worker.lms)
         # S-pairs of this degree first: they never contribute minimal generators
         if guide is not None:
             worker.treat_guided(d, guide)
@@ -793,14 +810,15 @@ def groebner(ideal: IdealBasis, bound=None, guide: IdealBasis | None = None) -> 
                                          f"{max(r) >> top}")
                 mingens[d] = mingens.get(d, 0) + 1
                 worker.add_element(r)
+        worker.interreduce(worker.lms[start:])
         d += 1
         if bound is None and d > degrees[-1] and not worker.pairs:
             break
-    lead = _interreduce(worker)
+    lead, divisors = _reduced_basis(worker)
     complete = bound is None or (not worker.dropped and degrees[-1] <= bound)
     return IdealBasis(ring, list(ideal.gens), gb=_field_forms(worker, lead), gb_bound=bound,
                       mingens=mingens, gb_complete=complete, gb_lead=lead, stats=worker.stats,
-                      trace=worker.trace, divisors=worker.divisors)
+                      trace=worker.trace, divisors=divisors)
 
 
 class _Guide:
@@ -820,19 +838,12 @@ class _Guide:
                              "in the same variables")
         if guide.gb is None or guide.trace is None or guide.gb_bound != bound:
             raise ValueError("the guide must be a traced Groebner basis with the run's bound")
-        try:
-            reduced = [{m: r for m, c in g.items() if (r := ring.domain.of(c))}
-                       for g in guide.gens]
-        except ZeroDivisionError:
-            raise ValueError(f"the guide's generators are not {l}-integral") from None
+        reduced, self.tainted = reduce_mod(ring, guide.gens)
         if [r for r in reduced if r] != [dict(g) for g in ideal.gens if g]:
             raise ValueError(f"the ideal's generators are not the guide's reduced mod {l}")
         self.basis = guide
         self.trace = guide.trace
         self.lts = _minimal_lts(guide)
-        # a generator that vanishes mod l counts as a tainted element: the
-        # runs over Q and GF(l) start from different generators
-        self.tainted = {sum(next(iter(g))) for g, r in zip(guide.gens, reduced) if g and not r}
         self.clean: dict[int, list] = {}
         for (lm, mask, g), x in zip(guide.gb_lead, guide.divisors):
             if x % l == 0:
@@ -866,42 +877,34 @@ class _Guide:
         return sum(sum(m) == d for m in self.lts)
 
 
+def reduce_mod(ring: PolyRing, gens: list) -> tuple[list, set[int]]:
+    """The generators over Q `gens` reduced into ring's prime field GF(l),
+    zeros dropped, and the degrees of the nonzero ones that vanish there,
+    tainted in a run guided by a basis of gens: the runs over Q and GF(l)
+    start from different generators.  ValueError if not l-integral."""
+    try:
+        reduced = [{m: r for m, c in g.items() if (r := ring.domain.of(c))} for g in gens]
+    except ZeroDivisionError:
+        l = ring.domain.characteristic
+        raise ValueError(f"the guide's generators are not {l}-integral") from None
+    return reduced, {sum(next(iter(g))) for g, r in zip(gens, reduced) if g and not r}
+
+
 def _field_forms(worker: _GBWorker, lead: list) -> list:
     return [_field_form(worker.modulus, g, lm) for lm, _, g in lead]
 
 
-def _interreduce(worker: _GBWorker) -> list:
+def _reduced_basis(worker: _GBWorker) -> tuple[list, tuple | None]:
     """The reduced basis as gb_lead triples (lm, mask, basis form) in tuple
-    form, sorted by lm, with, over Q, the record of each element, in the
-    same order, in the worker's `divisors` (see IdealBasis).
-
-    The run went degree by degree, so each element was reduced, when it was
-    added, by every element of lower degree and every earlier one of its own
-    degree.  So no lm divides another, and a tail monomial can be divisible
-    only by a lm of its own degree, that is, equal to it.  The elements are
-    tail-reduced in increasing lm order, each by the reduced forms of those
-    before it, entered as reducers of their lm alone: no divisor scan, only
-    the lookup of `tails`, and none at all for an element none of whose
-    monomials is such a lm.  Tail reduction leaves each leading term in
-    place, so the lms are computed once.  Each reduced form's record is the
-    element's record from the run, those of its tail reducers, and its
-    content and leading coefficient."""
+    form, sorted by lm, and, over Q, the record of each element in the same
+    order (see IdealBasis.divisors); None over GF(p).  Each degree was
+    interreduced at its end, and a lm never divides a monomial of lower
+    degree, so the worker's forms are already reduced."""
     pk = worker.pk
-    w = _GBWorker(worker.ring)
-    tails = w.tails
-    out, deps = [], []
-    for lm in sorted(worker.lms, key=lambda lm: lm ^ pk.exps):
-        w.taint = worker.tails[lm][2]
-        h = worker.lead[lm]
-        if any(x in tails for x in h):
-            h = w.reduce(dict(h))
-        g = w.basis_form(h, lm)
-        w.enter(lm, g, w.taint)
-        m = pk.unpack(lm)
-        out.append((m, _mask(m), {pk.unpack(x): c for x, c in g.items()}))
-        deps.append(w.taint)
-    worker.divisors = None if worker.modulus else tuple(deps)
-    return out
+    lms = sorted(worker.lms, key=lambda lm: lm ^ pk.exps)
+    out = [(m, _mask(m), {pk.unpack(x): c for x, c in worker.lead[lm].items()})
+           for lm, m in zip(lms, map(pk.unpack, lms))]
+    return out, None if worker.modulus else tuple(worker.tails[lm][2] for lm in lms)
 
 
 class _ReferenceReducer:

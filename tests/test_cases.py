@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from steinberg import campaigns, cases
+from steinberg import campaigns, cases, cli
 from steinberg.cases import (EVAL_PRIME, IdealCase, UnsupportedCase, build_case,
                              chart_symbolic_check,
                              character_section_dims, commutator_layer_check,
@@ -384,8 +384,8 @@ def test_verify_all_builds_each_groebner_basis_once(groebner_calls, two_cpus):
 
 def test_verify_all_reads_every_guided_case_basis_off_its_char0_basis(groebner_calls, two_cpus):
     # in both processes: every basis over GF(l) of n2, n3-x and n3-z is
-    # guided, and equals its unguided run; n3-z over GF(5) reads 108 of its
-    # 112 elements off the basis over Q, and the others are read off whole
+    # guided, equals its unguided run, and is read off the basis over Q
+    # whole, with no pair treated
     em = Emitter()
     campaigns.verify_all(em, seed=0, trials=5)
     assert all(e.status != FAIL for e in em.entries)
@@ -401,15 +401,24 @@ def test_verify_all_reads_every_guided_case_basis_off_its_char0_basis(groebner_c
         guided, unguided = groebner(ideal, bound, guide=guide), groebner(ideal, bound)
         assert guided == unguided and guided.gb_lead == unguided.gb_lead
         counts[tag, l, bound] = (guided.stats.lifted, guided.stats.pairs, len(guided.gb))
-    assert counts == {("n2", 5, 6): (0, 0, 6), ("n3-z", 5, 5): (108, 4, 112),
+    assert counts == {("n2", 5, 6): (0, 0, 6), ("n3-z", 5, 5): (0, 0, 112),
                       ("n3-z", 7, 5): (0, 0, 112), ("n3-x", 5, None): (0, 0, 53),
                       ("n3-x", 7, None): (0, 0, 53)}
     cases.clear_case_memo()
 
 
+def test_no_char0_basis_is_built_for_a_guide_the_run_would_drop(groebner_calls, capsys):
+    """Over GF(2) the n2 commutator entries with coefficient 2 vanish in
+    degree 2, the top generator degree: the run over GF(2) would drop a
+    guide, so the basis over Q is not built."""
+    argv = ["compute", "hilbert", "--case", "n2", "--char", "2", "--degree-bound", "3"]
+    assert cli.main(argv) == 0 and capsys.readouterr().out == "[1, 6, 18, 38]\n"
+    assert [(bound, guide) for _, bound, guide in groebner_calls] == [(3, None)]
+
+
 def test_a_faulty_char0_basis_fails_the_hilbert_cross_check(monkeypatch):
     """Drop one degree-5 element from the char-0 n3-z basis.  The guided runs
-    over GF(5) and GF(7) then stop one element short, so their Hilbert
+    over GF(5) and GF(7) then read the faulty basis off, so their Hilbert
     functions agree with the faulty one and the flatness check passes; the
     cross check of the char-0 Hilbert function against the character side
     must fail."""

@@ -247,8 +247,8 @@ def test_verify_ideal_does_not_depend_on_assert(run_python):
 
 
 def test_verify_ideal_guided_runs_do_not_depend_on_assert(run_python):
-    # at bound 5 the flatness check builds the GF(5) and GF(7) bases guided
-    # by the char-0 basis, which stops their degrees 4 and 5 early
+    # at bound 5 the flatness check reads the GF(5) and GF(7) bases off the
+    # char-0 basis whole
     argv = ["-m", "steinberg.cli", "verify", "ideal", "--case", "n3-z", "--char", "0",
             "--degree-bound", "5", "--trials", "5", "--format", "json"]
     plain, optimized = run_python(*argv), run_python("-O", *argv)

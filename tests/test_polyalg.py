@@ -1,5 +1,6 @@
 import functools
 import itertools
+import math
 import random
 from collections import Counter
 from fractions import Fraction
@@ -773,19 +774,19 @@ def _general_interreduction(worker):
 
 
 def test_graded_interreduction_matches_the_general_rule(monkeypatch):
-    """The run tail-reduces by same-degree lookups only; the general rule,
-    a divisor search over every smaller lm, must give the same reduced basis
-    from the same worker."""
-    interreduce = polyalg._interreduce
+    """The run tail-reduces each degree at its end by same-degree lookups
+    only; the general rule, a divisor search over every smaller lm, must
+    find nothing left to reduce in the basis the worker returns."""
+    reduced_basis = polyalg._reduced_basis
     sizes = []
 
     def both(worker):
-        out = interreduce(worker)
-        assert out == _general_interreduction(worker)
-        sizes.append(len(out))
+        out = reduced_basis(worker)
+        assert out[0] == _general_interreduction(worker)
+        sizes.append(len(out[0]))
         return out
 
-    monkeypatch.setattr(polyalg, "_interreduce", both)
+    monkeypatch.setattr(polyalg, "_reduced_basis", both)
     groebner(make_ideal(IdealCase("n3-x", 5)), 4)
     groebner(make_ideal(IdealCase("n3-z", 0)), 4)
     assert sizes == [46, 80]
@@ -844,19 +845,22 @@ def n3z_q5():
     return groebner(make_ideal(IdealCase("n3-z", 0)), 5)
 
 
+@pytest.fixture(scope="module")
+def n3z_q():
+    return groebner(make_ideal(IdealCase("n3-z", 0)), None)
+
+
 @pytest.mark.parametrize("l", [5, 7])
 def test_guided_n3z_bases_equal_the_unguided_ones(n3z_q5, l):
     ideal = make_ideal(IdealCase("n3-z", l))
     guided, unguided = groebner(ideal, 5, guide=n3z_q5), groebner(ideal, 5)
     _assert_same_basis(guided, unguided)
     assert unguided.stats.stop_drops == 0
-    if l == 7:  # 7 divides no recorded integer: the basis is read off the Q run
-        assert guided.stats.pairs == 0 < unguided.stats.pairs
-        assert guided.trace == unguided.trace == n3z_q5.trace
-    else:  # the Q run divides out contents 10, 20 and -10 in degree 5: 4 of
-        # the 112 elements are tainted, and the others are read off
-        assert guided.stats.lifted == 108 and len(guided.gb) == 112
-        assert 0 < guided.stats.pairs <= 10 and unguided.stats.pairs == 994
+    # l divides no recorded integer: the basis is read off the Q run whole,
+    # and the unguided run over GF(l) retraces the Q run pair for pair
+    assert guided.stats == polyalg.GroebnerStats() and len(guided.gb) == 112
+    assert unguided.stats.pairs == 994
+    assert guided.trace == unguided.trace == n3z_q5.trace
 
 
 def test_guided_run_over_a_torsion_prime_is_the_unguided_run():
@@ -961,12 +965,25 @@ def _cofactor(x):
     return x
 
 
-def test_the_q_runs_record_the_prime_5_for_n3z_only(n3z_q5):
-    assert {_cofactor(x) for x in n3z_q5.divisors} == {1, 5}
-    for tag, bound in (("n2", 6), ("n3-x", None)):
-        q = groebner(make_ideal(IdealCase(tag, 0)), bound)
-        assert q.divisors and {_cofactor(x) for x in q.divisors} == {1}
+def test_the_q_runs_record_no_prime_above_3(n3z_q5, n3z_q):
+    """Each degree is interreduced at its end, before the pairs of the next
+    degree start from its forms: no run over Q of n2, n3-z or n3-x divides
+    by a prime above 3, so every run over GF(l), l >= 5, of these cases is
+    read off whole."""
+    for q in (n3z_q5, n3z_q, groebner(make_ideal(IdealCase("n2", 0)), 6),
+              groebner(make_ideal(IdealCase("n3-x", 0)), None)):
+        assert q.divisors and max(q.divisors) > 1
+        assert {_cofactor(x) for x in q.divisors} == {1}
     assert groebner(make_ideal(IdealCase("n3-z", 5)), 3).divisors is None
+
+
+@pytest.mark.parametrize("l", [5, 7])
+def test_complete_n3z_bases_are_read_off_the_complete_q_basis(n3z_q, l):
+    ideal = make_ideal(IdealCase("n3-z", l))
+    guided, unguided = groebner(ideal, None, guide=n3z_q), groebner(ideal, None)
+    _assert_same_basis(guided, unguided)
+    assert guided.gb_complete and len(guided.gb) == 138
+    assert guided.stats == polyalg.GroebnerStats() and unguided.stats.pairs == 9453
 
 
 def test_a_lucky_prime_reads_the_basis_off_the_q_run():
@@ -1007,18 +1024,43 @@ def test_a_generator_vanishing_mod_l_above_the_top_degree_counts_over_q_only():
     _assert_same_basis(guided, unguided)
 
 
+TAINTED_REDUCER = ("1*x^2 + 2*x*y + 2*x*z", "1*x^2 + 1*z^2", "2*y*z")
+
+
 def test_an_element_reduced_by_a_tainted_one_is_computed_not_read_off():
-    """Over Q the degree-3 element x*z^2 divides out a content 5 and then
-    reduces the S-polynomial that gives z^3, whose own content and leading
-    coefficient are units mod 5: z^3 is tainted through its reducer alone.
-    Over GF(5) degree 3 has one element, x*z^2 + 2*z^3, so neither degree-3
-    element over Q may be read off."""
-    q, guided, unguided = _runs_mod(5, ("1*x^2 + 2*x*y + 2*x*z", "1*x^2 + 1*z^2", "2*y*z"), 4)
+    """Over Q degree 3 first enters x*z^2 + 2*z^3, whose record is a unit
+    mod 5, then z^3, which divides out a content 5; the interreduction of
+    degree 3 then tail-reduces x*z^2 + 2*z^3 by z^3 to x*z^2, tainted
+    through its reducer alone.  Over GF(5) degree 3 has one element,
+    x*z^2 + 2*z^3, so neither degree-3 element over Q may be read off."""
+    q, guided, unguided = _runs_mod(5, TAINTED_REDUCER, 4)
     record = {lm: x for (lm, _, _), x in zip(q.gb_lead, q.divisors)}
     assert record[(1, 0, 2)] % 5 == 0 and record[(0, 0, 3)] % 5 == 0
     assert guided.stats.lifted == 3  # degree 2 only
     _assert_same_basis(guided, unguided)
     assert [lm for lm, _, _ in unguided.gb_lead if sum(lm) == 3] == [(1, 0, 2)]
+
+
+def test_an_interreduction_without_its_reducers_records_lifts_wrongly(monkeypatch):
+    """The mutation check of the per-degree interreduction: one that keeps
+    only the element's own record and its leading coefficient, dropping its
+    tail reducers' records and its content, makes x*z^2 above look clean
+    for 5.  The guided run then reads it off, and the basis over GF(5) it
+    returns is not the unguided one."""
+    def careless(self, new):
+        for lm in sorted(new, reverse=True):
+            h = self.lead[lm]
+            if any(m in self.tails for m in h if m != lm):
+                own = self.tails.pop(lm)[2]
+                g = polyalg._basis_form(self.modulus, self.reduce(dict(h)), lm)
+                self.enter(lm, g, math.lcm(own, g[lm]))
+
+    q, guided, unguided = _runs_mod(5, TAINTED_REDUCER, 4)
+    assert guided.stats.lifted == 3 and guided.gb_lead == unguided.gb_lead
+    monkeypatch.setattr(polyalg._GBWorker, "interreduce", careless)
+    q, guided, unguided = _runs_mod(5, TAINTED_REDUCER, 4)
+    assert guided.stats.lifted == 4  # degree 2 and x*z^2
+    assert guided.gb_lead != unguided.gb_lead
 
 
 def test_a_record_without_contents_lifts_the_torsion_case_wrongly(monkeypatch):
