@@ -274,18 +274,17 @@ _GUIDED_TAGS = ("n2", "n3-z", "n3-x")
 @_memoized
 def case_basis(case: IdealCase, bound: int | None) -> IdealBasis:
     """Groebner basis of the named case up to `bound`, computed once per
-    (case, bound).  A basis over GF(l) of a case in _GUIDED_TAGS is a
-    reading of the char-0 basis of the same (tag, bound), which is built
-    first when the store lacks it: the elements that run could vouch for
-    are read off it, and only the others are computed (see
+    (case, bound).  A basis over GF(l) of a case in _GUIDED_TAGS is guided
+    by the char-0 basis of the same (tag, bound), which is built first when
+    the store lacks it: the run reads its basis off that one when l divides
+    nothing it recorded, and runs unguided otherwise (see
     polyalg.groebner).  So the order of the campaigns asking for bases does
-    not change the work.  When a char-0 generator vanishes mod l at or below
-    the top generator degree, the run would drop that guide: none is built."""
+    not change the work.  When a char-0 generator vanishes mod l, the run
+    would drop that guide: none is built."""
     ideal, guide = make_ideal(case), None
     if case.char and case.tag in _GUIDED_TAGS:
         _, vanishing = reduce_mod(ideal.ring, make_ideal(IdealCase(case.tag)).gens)
-        top = max(map(ideal.ring.degree, ideal.gens))
-        if all(e > top for e in vanishing):
+        if not vanishing:
             guide = case_basis(IdealCase(case.tag), bound)
     return groebner(ideal, bound, guide=guide)
 

@@ -33,76 +33,38 @@ every step runs on Python ints, and the remainder is rescaled only when a
 reducer's leading coefficient is not 1.  Over Q the exact remainder is the
 integer one divided by the tracked scale, once, at the end.
 
-Every run records its trace: per degree, the leading-monomial pairs of the
-S-pairs whose remainder entered the basis, each with the lm of the element
-it entered.  A run over GF(l) may be guided by a basis over Q, with the
-run's bound, of the ideal whose generators reduce mod l to its own (an
-l-integral list).  Let I_Z be the ideal over Z_(l) those generators span
-and I_l its image mod l.  Each (S/I_Z)_d is a finitely generated
-Z_(l)-module, so HF_l(d) >= HF_Q(d) and
-dim (I_l)_d <= target(d) = dim S_d - HF_Q(d).  In a degree d above the top
-generator degree, LT(G)_d lies in LT(I_l)_d at every point of the run.  So
-once |LT(G)_d| = target(d), G is a Groebner basis in degree d and every
-remaining pair of that degree reduces to zero: the guided run drops them,
-marked treated for the chain criterion.  |LT(G)_d| is what the lms of lower
-degree span plus the elements added in degree d.  The run counts it only
-when those lms are the guide's own: they then span target(d) less the
-guide's lms of degree d, so degree d stops once it has added as many
-elements as the guide has lms of that degree.  Pairs in the guide's trace
-are reduced first.  The pair order changes only which intermediate elements
-appear: the lms added in each degree are the minimal generators of LT(I_l)
-in that degree, so the returned basis is the unguided one.  When the lms of
-lower degree are not the guide's, they stay so in every later degree, and
-the run treats the rest unguided.  A run that never stops is the unguided
-run, so a faulty guide whose lms differ yields an honestly computed basis.
-If the count never reaches the target, nothing is dropped: HF_l > HF_Q in
-that degree, and a comparison of the Hilbert functions fails as it should.
-
 Each degree is interreduced at its end, before the pairs of the next
 degree start from its forms, so the run ends with the reduced basis.
-A run over Q records, for each element, the integers its derivation
-divided by (`IdealBasis.divisors`, as their lcm): the content `_basis_form`
-divides out and the leading coefficient it keeps, when the element is
-entered and again when its degree is interreduced; the records of its
-S-pair parents; and those of every reducer `reduce` uses, the tail
-reducers of the interreduction included.  Every other multiplier of the
-derivation, in an S-pair or a reduction step, divides a leading
-coefficient so recorded.  Let l divide none of an element's integers (trace
-lifting: Traverso, ISSAC 1988; Arnold, JSC 35, 2003): the element is clean
-for l.  By induction along its derivation, a clean element lies in I_Z
-with an l-unit leading coefficient, so its image mod l, made monic, is an
-element of I_l with the same leading monomial.
 
-A guided run reads the clean elements off its guide.  Through a degree in
-which every guide element is clean, every multiplier of the run over Q is
-an l-unit, so at every step the state of the unguided run over GF(l) is a
-unit times the state of the run over Q mod l: a coefficient that is 0 mod l
-is a step the GF(l) run skips, a reduction to zero stays one, and a nonzero
-remainder stays nonzero mod l with the same leading monomial.  A generator
-over Q that vanishes mod l counts as a tainted element of its degree: the
-two runs then start from different generators.  So a guided run takes one
-of three paths:
-- With no element tainted, the whole run over GF(l) is the run over Q mod l
-  step for step, with the same pairs skipped and reduced and the same
-  trace, and its basis is read off the guide with no worker built.
-- With every tainted element above the top generator degree, the two runs
-  count the same minimal generators: the guided run takes the guide's
-  counts, skips the generators and reads the elements through the top
-  generator degree off.  In each higher degree d where the lms of lower
-  degree are the guide's, it enters the clean elements of degree d before
-  the pairs of that degree and counts them against the quota: their lms
-  are the guide's, none divisible by a lower one, so the stop's argument
-  holds, and degree d computes only the elements the guide could not vouch
-  for, from the traced pairs whose element was not entered first.
-- With a tainted element at or below the top generator degree, the run
-  drops the guide and runs unguided.
+A run over Q records the integers it divided by (`IdealBasis.divisors`, as
+their lcm): the content `_basis_form` divides out and the leading
+coefficient it keeps, each time an element is entered and each time its
+degree is interreduced.  Every other multiplier of the run, in an S-pair
+or a reduction step, divides a leading coefficient so recorded.  Let l
+divide none of these integers and no generator over Q vanish mod l (a
+lucky prime: Traverso, ISSAC 1988; Arnold, JSC 35, 2003).  Then every
+multiplier of the run over Q is an l-unit, so at every step the state of
+the unguided run over GF(l), on the generators reduced mod l, is a unit
+times the state of the run over Q mod l: a coefficient that is 0 mod l is
+a step the GF(l) run skips, a reduction to zero stays one, and a nonzero
+remainder stays nonzero mod l with the same leading monomial.  So the
+whole run over GF(l) is the run over Q mod l step for step, with the same
+pairs skipped and reduced, and its basis is the basis over Q mod l, each
+element made monic.  A generator that vanishes mod l breaks this: the two
+runs then start from different generators.
 
-The stop and the lift trust the guide: a basis over Q missing an element of
-degree d lowers target(d) by one, the guided runs stop one element short or
-read the faulty basis off, and their Hilbert functions agree with the faulty
-one.  So agreement of HF over Q, F5 and F7 certifies flatness only together
-with a check of the Q side against an independent count, as the Hilbert
-cross check against the character side does.
+A run over GF(l) may be guided by a basis over Q, with the run's bound, of
+the ideal whose generators reduce mod l to its own (an l-integral list).
+When l divides nothing that run recorded and no generator vanishes mod l,
+the basis is read off the guide with no worker built; otherwise the guide
+is dropped and the run is unguided.
+
+The lift trusts the guide: a basis over Q missing an element of degree d
+is read off as it is, and the Hilbert function of the basis read off
+agrees with the faulty one.  So agreement of HF over Q, F5 and F7
+certifies flatness only together with a check of the Q side against an
+independent count, as the Hilbert cross check against the character side
+does.
 
 Module-level `normal_form` reduces by `gb_lead` on exponent tuples, with its
 own small reducer that shares no logic with the packed kernel.  The tests
@@ -358,19 +320,15 @@ class TruncationError(ValueError):
 @dataclass
 class GroebnerStats:
     """Work counters of one `groebner` run: S-pairs popped, those skipped by
-    the coprime criterion and by the chain criterion, those whose
-    S-polynomial reduced to zero, and, in a guided run, the pairs dropped
-    untreated by the Hilbert stop (which `pairs` does not count) and the
-    elements read off the guide.  Pairs are counted, not reduction steps, so
-    the counts cost nothing inside the reduction loop.  A basis read off its
-    guide as a whole treated no pair: every counter is 0."""
+    the coprime criterion and by the chain criterion, and those whose
+    S-polynomial reduced to zero.  Pairs are counted, not reduction steps,
+    so the counts cost nothing inside the reduction loop.  A basis read off
+    its guide treated no pair: every counter is 0."""
 
     pairs: int = 0
     coprime_skips: int = 0
     chain_skips: int = 0
     zero_reductions: int = 0
-    stop_drops: int = 0
-    lifted: int = 0
 
 
 @dataclass
@@ -383,14 +341,11 @@ class IdealBasis:
     gb's order, where the basis form is the element's integer form: over
     GF(p) its monic residues, over Q the primitive integer polynomial with
     positive leading coefficient.  stats holds the work counters of the
-    `groebner` run that built the basis, and trace its productive S-pairs:
-    for each lcm degree, a dict from (lm_i, lm_j), as packed ints with
-    lm_i < lm_j, of each pair whose remainder entered the basis to the lm
-    of the element it entered.  No report reads either.  divisors is, over
-    Q, for each element of gb_lead in order, the lcm of the integers its
-    derivation needed to be units mod l for its image mod l to be an
-    element of the ideal over GF(l) with the same leading monomial (see the
-    module docstring), and None over GF(p).
+    `groebner` run that built the basis; no report reads them.  divisors
+    is, over Q, the lcm of the integers the run divided by: a run over
+    GF(l) reads its basis off this one when l does not divide it and no
+    generator vanishes mod l (see the module docstring).  It is None over
+    GF(p).
     """
 
     ring: PolyRing
@@ -401,8 +356,7 @@ class IdealBasis:
     gb_complete: bool = False
     gb_lead: list | None = field(default=None, repr=False, compare=False)
     stats: GroebnerStats | None = field(default=None, repr=False, compare=False)
-    trace: dict | None = field(default=None, repr=False, compare=False)
-    divisors: tuple | None = field(default=None, repr=False, compare=False)
+    divisors: int | None = field(default=None, repr=False, compare=False)
 
     def require_gb(self):
         if self.gb is None:
@@ -486,8 +440,7 @@ class _GBWorker:
         self.pk = _Packing(ring.n)
         self.lms: list[int] = []
         self.lead: dict[int, Poly] = {}
-        # lm -> (lead coefficient, tail pairs, the lcm of its recorded integers)
-        self.tails: dict[int, tuple[int, list, int]] = {}
+        self.tails: dict[int, tuple[int, list]] = {}  # lm -> (lead coefficient, tail pairs)
         # d -> (lms of degree < d in index order, {m: first of them dividing m, else m})
         self.below: dict[int, tuple[list[int], dict[int, int]]] = {}
         self.pairs: list = []  # heap of (lcm, i, j)
@@ -497,15 +450,12 @@ class _GBWorker:
         self.dropped = False  # whether a pair above the bound went unbuilt
         self.treated: list[set[int]] = []  # [i]: the j whose pair with i is treated
         self.stats = GroebnerStats()
-        self.trace: dict[int, dict[tuple[int, int], int]] = {}  # see IdealBasis.trace
-        # over Q, the lcm of the integers the derivation under way has
-        # recorded (see IdealBasis.divisors); 1 over GF(p)
-        self.taint = 1
+        self.divisors = 1  # over Q, see IdealBasis.divisors; 1 over GF(p)
 
     def record(self, *ints: int) -> None:
-        """Over Q, take ints into the record of the derivation under way."""
+        """Over Q, take ints into the run's record."""
         if not self.modulus:
-            self.taint = lcm(self.taint, *ints)
+            self.divisors = lcm(self.divisors, *ints)
 
     def pack(self, p: Poly) -> Poly:
         """The packed integer multiple of the homogeneous p that reduction
@@ -573,9 +523,7 @@ class _GBWorker:
             if reducer is None:  # no lm of lower degree divides m, and m is no lm
                 out[m] = c
                 continue
-            a, tail, dep = reducer
-            if dep != 1:
-                self.taint = lcm(self.taint, dep)
+            a, tail = reducer
             if a != 1:
                 gd = gcd(a, c)
                 a //= gd
@@ -595,12 +543,12 @@ class _GBWorker:
                     h[key] = cur - c * cg
         return out
 
-    def enter(self, lm: int, form: Poly, dep: int) -> None:
-        """Make the element with leading monomial lm, basis form `form` and
-        record `dep` a reducer of the monomial lm itself, outside the
-        divisor scan and without S-pairs."""
+    def enter(self, lm: int, form: Poly) -> None:
+        """Make the element with leading monomial lm and basis form `form` a
+        reducer of the monomial lm itself, outside the divisor scan and
+        without S-pairs."""
         self.lead[lm] = form
-        self.tails[lm] = (form[lm], [(mg - lm, cg) for mg, cg in form.items() if mg != lm], dep)
+        self.tails[lm] = (form[lm], [(mg - lm, cg) for mg, cg in form.items() if mg != lm])
 
     def interreduce(self, new: list[int]) -> None:
         """Tail-reduce the elements of one degree, with lms `new`, in
@@ -608,21 +556,19 @@ class _GBWorker:
         Each was fully reduced when it entered, so a tail monomial that is a
         lm is a smaller one of its own degree, which `reduce` looks up in
         `tails`; the element itself is taken out of `tails` meanwhile.  The
-        record is the element's own, its tail reducers', and its content and
-        leading coefficient."""
+        new form's content and leading coefficient are recorded."""
         tails = self.tails
         for lm in sorted(new, reverse=True):  # within one degree, increasing lm
             h = self.lead[lm]
             if any(m in tails for m in h if m != lm):
-                self.taint = tails.pop(lm)[2]
-                self.enter(lm, self.basis_form(self.reduce(dict(h)), lm), self.taint)
+                del tails[lm]
+                self.enter(lm, self.basis_form(self.reduce(dict(h)), lm))
 
     def add_element(self, h: Poly) -> None:
         """Append the element with the nonzero homogeneous integer multiple
-        h: a reducer in the divisor scan, with the record of the derivation
-        under way and its S-pairs of lcm degree up to the bound.  A pair
-        above the bound is never built; it sets `dropped`.  An lcm of degree
-        above the cap raises InvariantError.
+        h: a reducer in the divisor scan, with its S-pairs of lcm degree up
+        to the bound.  A pair above the bound is never built; it sets
+        `dropped`.  An lcm of degree above the cap raises InvariantError.
         Each lcm is computed inline as `_Packing` describes: a method call
         per pair took about 1.5 us against 0.9 us inline."""
         lm = min(h)  # the degrevlex maximum of one degree
@@ -645,8 +591,7 @@ class _GBWorker:
                                      f"packed range 0..{_CAP}")
             else:
                 self.dropped = True
-        g = self.basis_form(h, lm)
-        self.enter(lm, g, self.taint)
+        self.enter(lm, self.basis_form(h, lm))
         self.lms.append(lm)
         self.treated.append(set())
         d = lm >> self.pk.top
@@ -658,78 +603,28 @@ class _GBWorker:
         while self.pairs and self.pairs[0][0] < limit:
             yield heapq.heappop(self.pairs)
 
-    def mark_treated(self, i: int, j: int) -> None:
+    def treat(self, l: int, i: int, j: int) -> None:
+        """Skip the pair (i, j) with lcm l by Buchberger's coprime or chain
+        criterion, or add the remainder of its S-polynomial when nonzero."""
         self.treated[i].add(j)
         self.treated[j].add(i)
-
-    def treat(self, l: int, i: int, j: int, criteria: bool = True) -> None:
-        """Skip the pair (i, j) with lcm l by Buchberger's coprime or chain
-        criterion, or add the remainder of its S-polynomial when nonzero.
-        With criteria=False the pair is reduced unconditionally."""
-        self.mark_treated(i, j)
         stats = self.stats
         stats.pairs += 1
-        if criteria and l == self.lms[i] + self.lms[j]:
+        if l == self.lms[i] + self.lms[j]:
             stats.coprime_skips += 1
-        elif criteria and self.chain_skip(i, j, l):
+        elif self.chain_skip(i, j, l):
             stats.chain_skips += 1
         else:
             r = self.reduce(self.spoly(i, j, l))
             if r:
-                self.trace.setdefault(l >> self.pk.top, {})[self.pair_key(i, j)] = min(r)
                 self.add_element(r)
             else:
                 stats.zero_reductions += 1
 
-    def pair_key(self, i: int, j: int) -> tuple[int, int]:
-        a, b = self.lms[i], self.lms[j]
-        return (a, b) if a < b else (b, a)
-
-    def treat_guided(self, d: int, guide: "_Guide") -> None:
-        """Enter the guide's clean elements of degree d (tuple form, monic
-        residues), then treat the pairs of degree d: first those in the
-        guide's trace whose element was not entered, reduced without the
-        criteria, then the others as `treat` does, each batch in lcm order.
-        Once degree d has added the guide's quota of elements, the entered
-        ones included, the remaining pairs are dropped and marked treated.
-        Without a quota nothing is entered and the pairs are left to the
-        caller, which treats them all.  Sound when every guide element of
-        degree up to the top generator degree is clean: see the module
-        docstring."""
-        pk = self.pk
-        quota = guide.quota(d, {pk.unpack(lm) for lm in self.lms_below(d)[0]})
-        if quota is None:
-            return
-        lifted = guide.clean.get(d, ())
-        # the guide's run packed these monomials, so they lie in range
-        frombytes = int.from_bytes
-        for g in lifted:
-            self.add_element({frombytes(bytes((*m, d)), "little"): c for m, c in g.items()})
-        self.stats.lifted += len(lifted)
-        quota -= len(lifted)
-        entered = set(self.lms[len(self.lms) - len(lifted):])
-        traced = guide.trace.get(d, {})
-        first, rest = [], []
-        for p in self.pop_pairs_up_to(d):
-            lm = traced.get(self.pair_key(p[1], p[2]))
-            (first if lm is not None and lm not in entered else rest).append(p)
-        lms = self.lms
-        for criteria, batch in ((False, first), (True, rest)):
-            for l, i, j in batch:
-                if not quota:
-                    self.mark_treated(i, j)
-                    self.stats.stop_drops += 1
-                    continue
-                k = len(lms)
-                self.treat(l, i, j, criteria)
-                quota -= len(lms) - k
-
     def spoly(self, i: int, j: int, l: int) -> Poly:
         """An integer multiple of the S-polynomial of elements i and j; its
-        cancelled leading term stays in as a zero.  Starts the derivation of
-        its remainder from the records of i and j."""
+        cancelled leading term stays in as a zero."""
         lmi, lmj = self.lms[i], self.lms[j]
-        self.taint = lcm(self.tails[lmi][2], self.tails[lmj][2])
         gi, gj = self.lead[lmi], self.lead[lmj]
         ai, aj = gi[lmi], gj[lmj]
         d = gcd(ai, aj)
@@ -755,23 +650,21 @@ def groebner(ideal: IdealBasis, bound=None, guide: IdealBasis | None = None) -> 
     each degree interreduced at its end, and the returned IdealBasis carries
     the graded minimal-generator counts.
 
-    `guide`, for an ideal over GF(l), is a traced basis over Q with the
-    run's bound of the ideal whose generators reduce mod l to this ideal's
-    (see the module docstring).  With no element tainted for l the basis is
-    read off it whole.  With every tainted element above the top generator
-    degree, the degrees through it are read off, and the others enter their
-    clean elements and compute the tainted ones under the Hilbert stop.
-    Otherwise the run drops the guide and runs unguided.  The guide changes
-    the work, never the result; an unsuitable guide raises ValueError.
+    `guide`, for an ideal over GF(l), is a basis over Q with the run's bound
+    of the ideal whose generators reduce mod l to this ideal's (see the
+    module docstring).  When l divides none of the guide's divisors and no
+    generator vanishes mod l, the basis is read off the guide; otherwise the
+    guide is dropped and the run is unguided.  The guide changes the work,
+    never the result; an unsuitable guide raises ValueError.
     """
     ring = ideal.ring
     gens = [g for g in ideal.gens if g]
     if not all(ring.is_homogeneous(g) for g in gens):
         raise TruncationError("degree truncation requires homogeneous generators")
     if guide is not None:
-        guide = _Guide(ideal, bound, guide)
-        if not guide.tainted:
-            return guide.lift(ideal, bound)
+        read = _lift(ideal, bound, guide)
+        if read is not None:
+            return read
     worker = _GBWorker(ring, bound)
     top, exps = worker.pk.top, worker.pk.exps
     by_degree: dict[int, list] = {}
@@ -782,27 +675,17 @@ def groebner(ideal: IdealBasis, bound=None, guide: IdealBasis | None = None) -> 
     degrees = sorted(by_degree)
     if not degrees:
         return IdealBasis(ring, list(ideal.gens), gb=[], gb_bound=bound, mingens={},
-                          gb_complete=True, gb_lead=[], stats=worker.stats, trace={},
-                          divisors=None if ring.domain.characteristic else ())
-    if guide is not None and min(guide.tainted) <= degrees[-1]:
-        guide = None  # a tainted element at or below the top generator degree
-    if guide is not None:
-        # the degrees through the top generator degree are read off the
-        # guide, and with them its minimal generator counts; a generator
-        # over Q above them vanishes mod l
-        mingens = {e: k for e, k in guide.basis.mingens.items() if e <= degrees[-1]}
+                          gb_complete=True, gb_lead=[], stats=worker.stats,
+                          divisors=None if worker.modulus else worker.divisors)
     d = degrees[0]
     while True:
         if bound is not None and d > bound:
             break
         start = len(worker.lms)
         # S-pairs of this degree first: they never contribute minimal generators
-        if guide is not None:
-            worker.treat_guided(d, guide)
         for l, i, j in worker.pop_pairs_up_to(d):
             worker.treat(l, i, j)
-        for h in () if guide is not None else by_degree.get(d, ()):
-            worker.taint = 1
+        for h in by_degree.get(d, ()):
             r = worker.reduce(h)
             if r:
                 if max(r) >> top != d:  # the degree field of r's largest int
@@ -814,97 +697,66 @@ def groebner(ideal: IdealBasis, bound=None, guide: IdealBasis | None = None) -> 
         d += 1
         if bound is None and d > degrees[-1] and not worker.pairs:
             break
-    lead, divisors = _reduced_basis(worker)
+    lead = _reduced_basis(worker)
     complete = bound is None or (not worker.dropped and degrees[-1] <= bound)
     return IdealBasis(ring, list(ideal.gens), gb=_field_forms(worker, lead), gb_bound=bound,
                       mingens=mingens, gb_complete=complete, gb_lead=lead, stats=worker.stats,
-                      trace=worker.trace, divisors=divisors)
+                      divisors=None if worker.modulus else worker.divisors)
 
 
-class _Guide:
-    """What a run over GF(l) reads from its guide, a traced basis over Q
-    with the run's bound (see the module docstring): the trace; per degree
-    d the quota, the number of elements degree d adds before the leading
-    monomials span target(d) = dim S_d - HF_Q(d) monomials of degree d,
-    when the lms of lower degree are the guide's; the clean elements mod l,
-    made monic, per degree (`clean`); and the degrees of the others
-    (`tainted`).  Raises ValueError when the guide is unsuitable."""
-
-    def __init__(self, ideal: IdealBasis, bound, guide: IdealBasis):
-        ring, qring = ideal.ring, guide.ring
-        l = ring.domain.characteristic
-        if qring.domain.characteristic or not l or qring.names != ring.names:
-            raise ValueError("a guide is a basis over Q of an ideal over GF(l) "
-                             "in the same variables")
-        if guide.gb is None or guide.trace is None or guide.gb_bound != bound:
-            raise ValueError("the guide must be a traced Groebner basis with the run's bound")
-        reduced, self.tainted = reduce_mod(ring, guide.gens)
-        if [r for r in reduced if r] != [dict(g) for g in ideal.gens if g]:
-            raise ValueError(f"the ideal's generators are not the guide's reduced mod {l}")
-        self.basis = guide
-        self.trace = guide.trace
-        self.lts = _minimal_lts(guide)
-        self.clean: dict[int, list] = {}
-        for (lm, mask, g), x in zip(guide.gb_lead, guide.divisors):
-            if x % l == 0:
-                self.tainted.add(sum(lm))
-                continue
-            inv = pow(g[lm], -1, l)
-            self.clean.setdefault(sum(lm), []).append(
-                {m: r for m, c in g.items() if (r := c * inv % l)})
-
-    def lift(self, ideal: IdealBasis, bound) -> IdealBasis:
-        """The run's basis read off a guide with no tainted element: the run
-        is then the guide's run mod l step for step (see the module
-        docstring).  Each element is its basis form's residues times the
-        inverse of its leading coefficient, zeros dropped."""
-        q = self.basis
-        gb = [g for d in sorted(self.clean) for g in self.clean[d]]
-        lead = [(lm, mask, g) for (lm, mask, _), g in zip(q.gb_lead, gb)]
-        return IdealBasis(ideal.ring, list(ideal.gens), gb=gb, gb_bound=bound,
-                          mingens=dict(q.mingens), gb_complete=q.gb_complete, gb_lead=lead,
-                          stats=GroebnerStats(), trace=q.trace)
-
-    def quota(self, d: int, low: set) -> int | None:
-        """The quota of degree d for a run whose lms of degree < d are `low`,
-        or None when they are not the guide's own.  The guide's lms span
-        target(d) monomials of degree d, and its lms of degree d are the
-        minimal generators of LT(I_Q) in that degree: the quota is their
-        number."""
-        same = [m for m in self.lts if sum(m) < d]
-        if len(same) != len(low) or not low.issuperset(same):
-            return None
-        return sum(sum(m) == d for m in self.lts)
+def _lift(ideal: IdealBasis, bound, guide: IdealBasis) -> IdealBasis | None:
+    """The basis over GF(l) of ideal read off its guide, a basis over Q with
+    the run's bound (see the module docstring), or None when l divides the
+    guide's divisors or a generator over Q vanishes mod l.  Each element is
+    its basis form's residues times the inverse of its leading coefficient,
+    zeros dropped.  Raises ValueError when the guide is unsuitable."""
+    ring, qring = ideal.ring, guide.ring
+    l = ring.domain.characteristic
+    if qring.domain.characteristic or not l or qring.names != ring.names:
+        raise ValueError("a guide is a basis over Q of an ideal over GF(l) "
+                         "in the same variables")
+    if guide.gb is None or guide.divisors is None or guide.gb_bound != bound:
+        raise ValueError("the guide must be a recorded Groebner basis with the run's bound")
+    reduced, vanishing = reduce_mod(ring, guide.gens)
+    if reduced != [dict(g) for g in ideal.gens if g]:
+        raise ValueError(f"the ideal's generators are not the guide's reduced mod {l}")
+    if vanishing or guide.divisors % l == 0:
+        return None
+    lead = []
+    for lm, mask, g in guide.gb_lead:
+        inv = pow(g[lm], -1, l)
+        lead.append((lm, mask, {m: r for m, c in g.items() if (r := c * inv % l)}))
+    return IdealBasis(ring, list(ideal.gens), gb=[g for _, _, g in lead], gb_bound=bound,
+                      mingens=dict(guide.mingens), gb_complete=guide.gb_complete,
+                      gb_lead=lead, stats=GroebnerStats())
 
 
-def reduce_mod(ring: PolyRing, gens: list) -> tuple[list, set[int]]:
+def reduce_mod(ring: PolyRing, gens: list) -> tuple[list, bool]:
     """The generators over Q `gens` reduced into ring's prime field GF(l),
-    zeros dropped, and the degrees of the nonzero ones that vanish there,
-    tainted in a run guided by a basis of gens: the runs over Q and GF(l)
-    start from different generators.  ValueError if not l-integral."""
+    zeros dropped, and whether a nonzero one vanishes there: the runs over
+    Q and GF(l) then start from different generators, and no basis over
+    GF(l) is read off a basis of gens.  ValueError if not l-integral."""
     try:
-        reduced = [{m: r for m, c in g.items() if (r := ring.domain.of(c))} for g in gens]
+        reduced = [{m: r for m, c in g.items() if (r := ring.domain.of(c))} for g in gens if g]
     except ZeroDivisionError:
         l = ring.domain.characteristic
         raise ValueError(f"the guide's generators are not {l}-integral") from None
-    return reduced, {sum(next(iter(g))) for g, r in zip(gens, reduced) if g and not r}
+    return [r for r in reduced if r], not all(reduced)
 
 
 def _field_forms(worker: _GBWorker, lead: list) -> list:
     return [_field_form(worker.modulus, g, lm) for lm, _, g in lead]
 
 
-def _reduced_basis(worker: _GBWorker) -> tuple[list, tuple | None]:
+def _reduced_basis(worker: _GBWorker) -> list:
     """The reduced basis as gb_lead triples (lm, mask, basis form) in tuple
-    form, sorted by lm, and, over Q, the record of each element in the same
-    order (see IdealBasis.divisors); None over GF(p).  Each degree was
-    interreduced at its end, and a lm never divides a monomial of lower
-    degree, so the worker's forms are already reduced."""
+    form, sorted by lm.  Each degree was interreduced at its end, and a lm
+    never divides a monomial of lower degree, so the worker's forms are
+    already reduced."""
     pk = worker.pk
     lms = sorted(worker.lms, key=lambda lm: lm ^ pk.exps)
-    out = [(m, _mask(m), {pk.unpack(x): c for x, c in worker.lead[lm].items()})
-           for lm, m in zip(lms, map(pk.unpack, lms))]
-    return out, None if worker.modulus else tuple(worker.tails[lm][2] for lm in lms)
+    return [(m, _mask(m), {pk.unpack(x): c for x, c in worker.lead[lm].items()})
+            for lm, m in zip(lms, map(pk.unpack, lms))]
 
 
 class _ReferenceReducer:

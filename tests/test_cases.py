@@ -13,8 +13,8 @@ from steinberg.cases import (EVAL_PRIME, IdealCase, UnsupportedCase, build_case,
                              gl_specialization_check, hilbert_cross_check, make_ideal,
                              multiplicity, parametrization_check, span17_check)
 from steinberg.fieldops import field_of
-from steinberg.polyalg import (PolyRing, TruncationError, groebner, hilbert_function,
-                               min_gen_degrees)
+from steinberg.polyalg import (GroebnerStats, PolyRing, TruncationError, groebner,
+                               hilbert_function, min_gen_degrees)
 from steinberg.report import FAIL, Emitter
 
 
@@ -400,10 +400,10 @@ def test_verify_all_reads_every_guided_case_basis_off_its_char0_basis(groebner_c
         ideal = make_ideal(IdealCase(tag, l))
         guided, unguided = groebner(ideal, bound, guide=guide), groebner(ideal, bound)
         assert guided == unguided and guided.gb_lead == unguided.gb_lead
-        counts[tag, l, bound] = (guided.stats.lifted, guided.stats.pairs, len(guided.gb))
-    assert counts == {("n2", 5, 6): (0, 0, 6), ("n3-z", 5, 5): (0, 0, 112),
-                      ("n3-z", 7, 5): (0, 0, 112), ("n3-x", 5, None): (0, 0, 53),
-                      ("n3-x", 7, None): (0, 0, 53)}
+        assert guided.stats == GroebnerStats(), (tag, l, bound)
+        counts[tag, l, bound] = len(guided.gb)
+    assert counts == {("n2", 5, 6): 6, ("n3-z", 5, 5): 112, ("n3-z", 7, 5): 112,
+                      ("n3-x", 5, None): 53, ("n3-x", 7, None): 53}
     cases.clear_case_memo()
 
 
@@ -414,6 +414,22 @@ def test_no_char0_basis_is_built_for_a_guide_the_run_would_drop(groebner_calls, 
     argv = ["compute", "hilbert", "--case", "n2", "--char", "2", "--degree-bound", "3"]
     assert cli.main(argv) == 0 and capsys.readouterr().out == "[1, 6, 18, 38]\n"
     assert [(bound, guide) for _, bound, guide in groebner_calls] == [(3, None)]
+
+
+@pytest.mark.parametrize("tag, l, guided", [("n2", 2, False), ("n3-z", 2, False),
+                                            ("n3-z", 3, False), ("n3-x", 2, True),
+                                            ("n3-x", 3, True)])
+def test_a_case_basis_over_gf2_or_gf3_is_the_unguided_run(groebner_calls, tag, l, guided):
+    """The real cases whose bases over GF(l) are not read off: a char-0
+    generator of n2 and of n3-z vanishes mod l, so no guide is built, and
+    the char-0 run of n3-x records l, so its guide is dropped.  Either way
+    the basis is the unguided run's, work counters included."""
+    ideal = make_ideal(IdealCase(tag, l))
+    basis, unguided = cases.case_basis(IdealCase(tag, l), 4), groebner(ideal, 4)
+    assert basis == unguided and basis.gb_lead == unguided.gb_lead
+    assert basis.stats == unguided.stats and unguided.stats.pairs > 0
+    assert [guide is not None for gens, _, guide in groebner_calls if gens == ideal.gens] == \
+        [guided]
 
 
 def test_a_faulty_char0_basis_fails_the_hilbert_cross_check(monkeypatch):

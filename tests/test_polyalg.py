@@ -782,8 +782,8 @@ def test_graded_interreduction_matches_the_general_rule(monkeypatch):
 
     def both(worker):
         out = reduced_basis(worker)
-        assert out[0] == _general_interreduction(worker)
-        sizes.append(len(out[0]))
+        assert out == _general_interreduction(worker)
+        sizes.append(len(out))
         return out
 
     monkeypatch.setattr(polyalg, "_reduced_basis", both)
@@ -812,8 +812,8 @@ def quadrics_with_multiples_of(draw, l):
     coefficients in -3..3, some of whose terms other than the leading one
     are multiplied by l.  Their leading coefficients stay units mod l, but
     in about half of the draws a run over Q divides out a content divisible
-    by l above degree 2, as for TORSION below: the guided run over GF(l)
-    reads the clean elements off and computes the rest."""
+    by l above degree 2, as for TORSION below: the run over GF(l) then
+    drops its guide and runs unguided."""
     monos = _monomials(3, 2)
     gens = []
     for _ in range(draw(st.integers(2, 4))):
@@ -833,9 +833,14 @@ def test_guided_basis_equals_the_unguided_one(data, l, bound):
     R0, Rl = PolyRing(names, 0), PolyRing(names, l)
     q = groebner(IdealBasis(R0, [{m: Fraction(c) for m, c in g.items()} for g in gens]), bound)
     ideal = IdealBasis(Rl, _mod(Rl, q.gens))
-    unguided = groebner(ideal, bound)
-    _assert_same_basis(groebner(ideal, bound, guide=q), unguided)
-    # the semicontinuity the stop rests on: HF over GF(l) never below HF over Q
+    guided, unguided = groebner(ideal, bound, guide=q), groebner(ideal, bound)
+    _assert_same_basis(guided, unguided)
+    # the read-off decision: the basis is read off, with no pair treated,
+    # exactly when l divides nothing the run over Q recorded and no
+    # generator vanishes mod l; otherwise the run is the unguided one
+    read = q.divisors % l != 0 and not polyalg.reduce_mod(Rl, q.gens)[1]
+    assert guided.stats == (polyalg.GroebnerStats() if read else unguided.stats)
+    # upper semicontinuity over Z_(l): HF over GF(l) never below HF over Q
     assert all(a >= b for a, b in zip(hilbert_function(unguided, bound).dims,
                                       hilbert_function(q, bound).dims))
 
@@ -855,12 +860,11 @@ def test_guided_n3z_bases_equal_the_unguided_ones(n3z_q5, l):
     ideal = make_ideal(IdealCase("n3-z", l))
     guided, unguided = groebner(ideal, 5, guide=n3z_q5), groebner(ideal, 5)
     _assert_same_basis(guided, unguided)
-    assert unguided.stats.stop_drops == 0
     # l divides no recorded integer: the basis is read off the Q run whole,
     # and the unguided run over GF(l) retraces the Q run pair for pair
     assert guided.stats == polyalg.GroebnerStats() and len(guided.gb) == 112
-    assert unguided.stats.pairs == 994
-    assert guided.trace == unguided.trace == n3z_q5.trace
+    assert unguided.stats == n3z_q5.stats == polyalg.GroebnerStats(
+        pairs=994, coprime_skips=65, chain_skips=490, zero_reductions=366)
 
 
 def test_guided_run_over_a_torsion_prime_is_the_unguided_run():
@@ -875,7 +879,7 @@ def test_guided_run_over_a_torsion_prime_is_the_unguided_run():
     assert hilbert_function(q, 4).dims != hilbert_function(unguided, 4).dims
     assert (0, 3, 0) in {lm for lm, _, _ in q.gb_lead}
     assert (0, 3, 0) not in {lm for lm, _, _ in unguided.gb_lead}
-    assert guided.stats.stop_drops == 0  # the Q count is never reached
+    assert guided.stats == unguided.stats
 
 
 def test_guided_run_is_the_unguided_run_when_the_leading_terms_differ_mod_l():
@@ -892,31 +896,6 @@ def test_guided_run_is_the_unguided_run_when_the_leading_terms_differ_mod_l():
     assert hilbert_function(q, 5).dims == hilbert_function(unguided, 5).dims
     assert {lm for lm, _, _ in q.gb_lead} != {lm for lm, _, _ in unguided.gb_lead}
     assert guided.stats == unguided.stats
-
-
-def _spanned(monos, n, d):
-    """Brute force: the degree-d monomials in n variables that some monomial
-    of monos divides."""
-    return sum(any(all(a <= b for a, b in zip(m, e)) for m in monos)
-               for e in itertools.product(range(d + 1), repeat=n) if sum(e) == d)
-
-
-def test_guide_quota_matches_a_monomial_count():
-    """quota(d, low) = dim S_d - HF_Q(d) - |<low>_d| when low are the guide's
-    lms of lower degree, and None for any other low."""
-    R0, R5 = PolyRing(("x", "y", "z"), 0), PolyRing(("x", "y", "z"), 5)
-    gens = [R0.from_text(t) for t in ("1*x^2", "1*x*y + 5*y^2", "1*z^2")]
-    q = groebner(IdealBasis(R0, gens), 5)
-    guide = polyalg._Guide(IdealBasis(R5, _mod(R5, gens)), 5, q)
-    hf = hilbert_function(q, 5).dims
-    lms = [lm for lm, _, _ in q.gb_lead]
-    for d in (3, 4, 5):
-        target = _spanned(lms, 3, d)
-        assert target == len([e for e in itertools.product(
-            range(d + 1), repeat=3) if sum(e) == d]) - hf[d]
-        low = {m for m in lms if sum(m) < d}
-        assert guide.quota(d, low) == target - _spanned(low, 3, d)
-        assert guide.quota(d, {(2, 0, 0), (0, 2, 0), (0, 0, 2)}) is None
 
 
 def test_unsuitable_guides_raise_value_error(n3z_q5):
@@ -945,6 +924,9 @@ def test_unsuitable_guides_raise_value_error(n3z_q5):
 
 TORSION = ("1*x^2", "1*x*y + 5*y^2", "1*z^2")
 LEADS_DIFFER = ("5*x^2 + 1*x*y + 1*y^2", "1*x*z + 1*y^2 + 1*z^2")
+# over Q degree 3 first enters x*z^2 + 2*z^3, then z^3, which divides out a
+# content 5; over GF(5) degree 3 has the one element x*z^2 + 2*z^3
+TAINTED_REDUCER = ("1*x^2 + 2*x*y + 2*x*z", "1*x^2 + 1*z^2", "2*y*z")
 
 
 def _runs_mod(l, gens, bound):
@@ -972,8 +954,7 @@ def test_the_q_runs_record_no_prime_above_3(n3z_q5, n3z_q):
     read off whole."""
     for q in (n3z_q5, n3z_q, groebner(make_ideal(IdealCase("n2", 0)), 6),
               groebner(make_ideal(IdealCase("n3-x", 0)), None)):
-        assert q.divisors and max(q.divisors) > 1
-        assert {_cofactor(x) for x in q.divisors} == {1}
+        assert q.divisors > 1 and _cofactor(q.divisors) == 1
     assert groebner(make_ideal(IdealCase("n3-z", 5)), 3).divisors is None
 
 
@@ -994,11 +975,12 @@ def test_a_lucky_prime_reads_the_basis_off_the_q_run():
     _assert_same_basis(lifted, groebner(ideal, 6))
 
 
-@pytest.mark.parametrize("gens, bound, divisor", [(TORSION, 4, 25), (LEADS_DIFFER, 5, 5)])
+@pytest.mark.parametrize("gens, bound, divisor", [(TORSION, 4, 25), (LEADS_DIFFER, 5, 5),
+                                                   (TAINTED_REDUCER, 4, 5)])
 def test_a_prime_dividing_a_recorded_integer_is_not_lifted(gens, bound, divisor):
     q, guided, unguided = _runs_mod(5, gens, bound)
-    assert divisor in q.divisors
-    assert guided.stats.pairs > 0
+    assert q.divisors % divisor == 0
+    assert guided.stats == unguided.stats and guided.stats.pairs > 0
     _assert_same_basis(guided, unguided)
 
 
@@ -1015,52 +997,39 @@ def test_a_generator_scaled_by_7_blocks_the_lift_at_7_only():
 
 
 def test_a_generator_vanishing_mod_l_above_the_top_degree_counts_over_q_only():
-    """The cubic generator vanishes mod 5 and taints degree 3 only, above the
-    top generator degree 2 over GF(5): the guided run reads degree 2 off
-    and must not take the guide's minimal generator of degree 3."""
+    """The cubic generator vanishes mod 5, above the top generator degree 2
+    over GF(5): the run over GF(5) drops its guide, and so does not take
+    the guide's minimal generator of degree 3."""
     q, guided, unguided = _runs_mod(5, ("1*x^2 - 1*y*z", "5*x^3 + 5*y^3"), 4)
     assert q.mingens == {2: 1, 3: 1} and unguided.mingens == {2: 1}
-    assert guided.stats.lifted == 1
+    assert guided.stats == unguided.stats
     _assert_same_basis(guided, unguided)
 
 
-TAINTED_REDUCER = ("1*x^2 + 2*x*y + 2*x*z", "1*x^2 + 1*z^2", "2*y*z")
-
-
-def test_an_element_reduced_by_a_tainted_one_is_computed_not_read_off():
-    """Over Q degree 3 first enters x*z^2 + 2*z^3, whose record is a unit
-    mod 5, then z^3, which divides out a content 5; the interreduction of
-    degree 3 then tail-reduces x*z^2 + 2*z^3 by z^3 to x*z^2, tainted
-    through its reducer alone.  Over GF(5) degree 3 has one element,
-    x*z^2 + 2*z^3, so neither degree-3 element over Q may be read off."""
-    q, guided, unguided = _runs_mod(5, TAINTED_REDUCER, 4)
-    record = {lm: x for (lm, _, _), x in zip(q.gb_lead, q.divisors)}
-    assert record[(1, 0, 2)] % 5 == 0 and record[(0, 0, 3)] % 5 == 0
-    assert guided.stats.lifted == 3  # degree 2 only
+def test_a_generator_vanishing_mod_l_blocks_a_read_the_record_allows():
+    """5*x^3 - 5*x*y*z = 5*x*(x^2 - y*z) vanishes mod 5 and reduces to zero
+    over Q, so the record stays clean for 5; the run over GF(5) still
+    drops its guide, because the two runs start from different generators."""
+    q, guided, unguided = _runs_mod(5, ("1*x^2 - 1*y*z", "1*x*y - 1*z^2",
+                                        "5*x^3 - 5*x*y*z"), 4)
+    assert q.divisors % 5 != 0 and unguided.stats.pairs > 0
+    assert guided.stats == unguided.stats
     _assert_same_basis(guided, unguided)
-    assert [lm for lm, _, _ in unguided.gb_lead if sum(lm) == 3] == [(1, 0, 2)]
 
 
-def test_an_interreduction_without_its_reducers_records_lifts_wrongly(monkeypatch):
-    """The mutation check of the per-degree interreduction: one that keeps
-    only the element's own record and its leading coefficient, dropping its
-    tail reducers' records and its content, makes x*z^2 above look clean
-    for 5.  The guided run then reads it off, and the basis over GF(5) it
-    returns is not the unguided one."""
-    def careless(self, new):
-        for lm in sorted(new, reverse=True):
-            h = self.lead[lm]
-            if any(m in self.tails for m in h if m != lm):
-                own = self.tails.pop(lm)[2]
-                g = polyalg._basis_form(self.modulus, self.reduce(dict(h)), lm)
-                self.enter(lm, g, math.lcm(own, g[lm]))
+def test_a_record_without_leading_coefficients_cannot_lift_leads_differ(monkeypatch):
+    """The mutation check of the leading-coefficient record: a run over Q
+    that records only the contents it divides out makes 5 look lucky for
+    LEADS_DIFFER, whose leading coefficient 5 is no unit mod 5.  The lift
+    must then not pass silently: it fails to invert that coefficient."""
+    def contents_only(self, h, lm):
+        g = polyalg._basis_form(self.modulus, h, lm)
+        self.record(h[lm] // g[lm])
+        return g
 
-    q, guided, unguided = _runs_mod(5, TAINTED_REDUCER, 4)
-    assert guided.stats.lifted == 3 and guided.gb_lead == unguided.gb_lead
-    monkeypatch.setattr(polyalg._GBWorker, "interreduce", careless)
-    q, guided, unguided = _runs_mod(5, TAINTED_REDUCER, 4)
-    assert guided.stats.lifted == 4  # degree 2 and x*z^2
-    assert guided.gb_lead != unguided.gb_lead
+    monkeypatch.setattr(polyalg._GBWorker, "basis_form", contents_only)
+    with pytest.raises(ValueError, match="not invertible"):
+        _runs_mod(5, LEADS_DIFFER, 5)
 
 
 def test_a_record_without_contents_lifts_the_torsion_case_wrongly(monkeypatch):

@@ -140,8 +140,6 @@ FIELDS_ALLOWED = {
     ("GroebnerStats", "coprime_skips"): COUNTERS,
     ("GroebnerStats", "chain_skips"): COUNTERS,
     ("GroebnerStats", "zero_reductions"): COUNTERS,
-    ("GroebnerStats", "stop_drops"): COUNTERS,
-    ("GroebnerStats", "lifted"): COUNTERS,
 }
 
 
