@@ -142,9 +142,6 @@ class CaseData:
     gens: list
     mats: dict
 
-    def ideal(self) -> IdealBasis:
-        return IdealBasis(self.ring, list(self.gens))
-
 
 @_memoized
 def build_case(case: IdealCase) -> CaseData:
@@ -254,7 +251,8 @@ def mat_identity_poly(ring, n, p):
 
 def make_ideal(case: IdealCase) -> IdealBasis:
     """The literal generator list of the named case, in ambient coordinates."""
-    return build_case(case).ideal()
+    data = build_case(case)
+    return IdealBasis(data.ring, list(data.gens))
 
 
 @_memoized
@@ -294,7 +292,8 @@ def case_hilbert(case: IdealCase, bound: int) -> GradedDims:
     """dim (S/I)_k for k <= bound of the named case, computed once per (case,
     bound).  HF(k <= bound) depends only on the basis's staircase, so bases
     with the same staircase share one computation, stored under
-    ("hilbert_function", number of variables, bound, minimal monomials)."""
+    ("hilbert_function", number of variables, bound, the minimal (leading
+    monomial, support mask) pairs of `leading_staircase`)."""
     basis = case_basis(case, bound)
     key = ("hilbert_function", basis.ring.n, bound, leading_staircase(basis, bound))
     if key not in _memo:

@@ -24,7 +24,7 @@ from . import bwb, campaigns
 from .breps import RepParseError, build_rep
 from .cases import CASE_TAGS, IdealCase, UnsupportedCase, case_hilbert
 from .liealg import CharacteristicError
-from .polyalg import IntMatrix, TruncationError, snf
+from .polyalg import TruncationError, int_rows, snf
 from .report import Emitter, Report
 
 
@@ -130,8 +130,8 @@ def _compute(args) -> int:
         return 0
     if args.computation == "snf":
         with open(args.file, "r", encoding="utf-8") as fh:
-            matrix = IntMatrix.from_text(fh.read())
-        sys.stdout.write("[" + ", ".join(str(d) for d in snf(matrix)) + "]\n")
+            rows = int_rows(fh.read())
+        sys.stdout.write("[" + ", ".join(str(d) for d in snf(rows)) + "]\n")
         return 0
     raise AssertionError
 

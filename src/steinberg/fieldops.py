@@ -69,7 +69,7 @@ class RationalField:
 
     @staticmethod
     def reduce_col(col: dict) -> dict:
-        """A vector summed with plain +, with its zeros dropped."""
+        """A vector summed with plain +, with its zeros removed."""
         return {k: x for k, x in col.items() if x}
 
     def __repr__(self):
@@ -116,7 +116,7 @@ class PrimeField:
 
     def reduce_col(self, col: dict) -> dict:
         """A vector of integers summed with plain +, reduced mod p with its
-        zeros dropped."""
+        zeros removed."""
         p = self.p
         return {k: r for k, x in col.items() if (r := x % p)}
 
@@ -132,8 +132,8 @@ ZZ = SimpleNamespace(add=operator.add, sub=operator.sub, mul=operator.mul)
 
 
 def field_of(char) -> RationalField | PrimeField:
-    """char 0 or 'QQ' gives Q; a prime gives GF(p)."""
-    if char in (0, "QQ", None):
+    """char 0 gives Q; a prime gives GF(p)."""
+    if char == 0:
         return QQ
     p = int(char)
     if p not in _GF_CACHE:

@@ -389,7 +389,7 @@ def wedge4_quotient(char=0) -> QuotientRep:
     the 17-dimensional weight space in degree -2rho.
 
     Its basis is the ambient coordinates of weight in W2_EXTRA_WEIGHTS, and
-    its columns are the ambient columns with the W1 coordinates dropped.
+    its columns are the ambient columns with the W1 coordinates removed.
     Built once per characteristic and shared by the identity, span and chain
     checks: do not mutate it.
     """

@@ -6,9 +6,10 @@ Monomials are exponent tuples ordered by degrevlex.  Polynomials are sparse
 Groebner input is homogeneous; `groebner` raises TruncationError on anything
 else.  The driver is degree-stratified: S-pairs are processed degree by
 degree, pairs above the truncation bound are never built (sound for
-homogeneous ideals; one left unbuilt marks the basis incomplete), and the
-input generators surviving reduction at each degree are counted, which
-yields the graded minimal generator counts of the ideal as a byproduct.
+homogeneous ideals: the basis is exact through its bound, and complete
+only when built with bound None), and the input generators surviving
+reduction at each degree are counted, which yields the graded minimal
+generator counts of the ideal as a byproduct.
 Everything is deterministic for a fixed input order.
 The one inhomogeneous ideal the certifier reduces by, (x*y - 1) for the
 Laurent ring of a chart, has `normal_form_mod_unit` as its direct rule.
@@ -57,7 +58,7 @@ A run over GF(l) may be guided by a basis over Q, with the run's bound, of
 the ideal whose generators reduce mod l to its own (an l-integral list).
 When l divides nothing that run recorded and no generator vanishes mod l,
 the basis is read off the guide with no worker built; otherwise the guide
-is dropped and the run is unguided.
+is set aside and the run is unguided.
 
 The lift trusts the guide: a basis over Q missing an element of degree d
 is read off as it is, and the Hilbert function of the basis read off
@@ -71,9 +72,11 @@ own small reducer that shares no logic with the packed kernel.  The tests
 read every certificate back through it, so a kernel fault cannot hide
 behind its own reader.
 
-Hilbert functions come from the Hilbert series of the leading-term ideal,
-whose numerator is computed by Bigatti's pivot recursion truncated at the
-requested degree, each monomial carried down it with its support mask.
+Graded data come from the leading staircase, the minimal (leading monomial,
+support mask) pairs of the basis, through the numerator N(t) of the Hilbert
+series N(t) / (1 - t)^n of S/LT(I), computed by Bigatti's pivot recursion.
+S/I has the same series: HF is read off N, and the Krull dimension is the
+order of the pole at t = 1.
 """
 
 from __future__ import annotations
@@ -82,6 +85,7 @@ import heapq
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import accumulate
 from math import comb, gcd, lcm
 
 from .fieldops import Echelon, InvariantError, field_of
@@ -336,16 +340,17 @@ class IdealBasis:
     """Generators plus (optionally) Groebner data and minimal generator counts.
 
     gb_bound is None for a complete basis and an integer when S-pairs above
-    that degree were discarded.  gb holds monic polynomials.  gb_lead holds
-    (leading monomial, support mask, basis form) for each element of gb, in
-    gb's order, where the basis form is the element's integer form: over
-    GF(p) its monic residues, over Q the primitive integer polynomial with
-    positive leading coefficient.  stats holds the work counters of the
-    `groebner` run that built the basis; no report reads them.  divisors
-    is, over Q, the lcm of the integers the run divided by: a run over
-    GF(l) reads its basis off this one when l does not divide it and no
-    generator vanishes mod l (see the module docstring).  It is None over
-    GF(p).
+    that degree were never built: the basis is then exact through that
+    degree only, even when no pair was left out.  gb holds monic
+    polynomials.  gb_lead holds (leading monomial, support mask, basis form)
+    for each element of gb, in gb's order, where the basis form is the
+    element's integer form: over GF(p) its monic residues, over Q the
+    primitive integer polynomial with positive leading coefficient.  stats
+    holds the work counters of the `groebner` run that built the basis; no
+    report reads them.  divisors is, over Q, the lcm of the integers the run
+    divided by: a run over GF(l) reads its basis off this one when l does
+    not divide it and no generator vanishes mod l (see the module
+    docstring).  It is None over GF(p).
     """
 
     ring: PolyRing
@@ -353,7 +358,6 @@ class IdealBasis:
     gb: list | None = None
     gb_bound: int | None = None
     mingens: dict | None = None
-    gb_complete: bool = False
     gb_lead: list | None = field(default=None, repr=False, compare=False)
     stats: GroebnerStats | None = field(default=None, repr=False, compare=False)
     divisors: int | None = field(default=None, repr=False, compare=False)
@@ -431,8 +435,8 @@ class _GBWorker:
     and never one of lower degree.  So the divisor search for a degree-d
     monomial scans the lms of degree below d (`lms_below`) and then looks the
     monomial itself up in `tails`.  The scan's answer is memoized per degree
-    beside its list, and both are dropped together when a lm of lower degree
-    is entered, so the memo is exact."""
+    beside its list, and both are discarded together when a lm of lower
+    degree is entered, so the memo is exact."""
 
     def __init__(self, ring: PolyRing, bound: int | None = None):
         self.ring = ring
@@ -447,7 +451,6 @@ class _GBWorker:
         # the packed ints of degree <= bound, and <= the cap, lie below limit
         cap = _CAP if bound is None else min(bound, _CAP)
         self.limit = (cap + 1) << self.pk.top
-        self.dropped = False  # whether a pair above the bound went unbuilt
         self.treated: list[set[int]] = []  # [i]: the j whose pair with i is treated
         self.stats = GroebnerStats()
         self.divisors = 1  # over Q, see IdealBasis.divisors; 1 over GF(p)
@@ -567,8 +570,8 @@ class _GBWorker:
     def add_element(self, h: Poly) -> None:
         """Append the element with the nonzero homogeneous integer multiple
         h: a reducer in the divisor scan, with its S-pairs of lcm degree up
-        to the bound.  A pair above the bound is never built; it sets
-        `dropped`.  An lcm of degree above the cap raises InvariantError.
+        to the bound.  A pair above the bound is never built.  An lcm of
+        degree above the cap raises InvariantError.
         Each lcm is computed inline as `_Packing` describes: a method call
         per pair took about 1.5 us against 0.9 us inline."""
         lm = min(h)  # the degrevlex maximum of one degree
@@ -589,8 +592,6 @@ class _GBWorker:
             elif l >> top > _CAP:
                 raise InvariantError(f"an S-pair lcm of degree {l >> top} is outside the "
                                      f"packed range 0..{_CAP}")
-            else:
-                self.dropped = True
         self.enter(lm, self.basis_form(h, lm))
         self.lms.append(lm)
         self.treated.append(set())
@@ -654,7 +655,7 @@ def groebner(ideal: IdealBasis, bound=None, guide: IdealBasis | None = None) -> 
     of the ideal whose generators reduce mod l to this ideal's (see the
     module docstring).  When l divides none of the guide's divisors and no
     generator vanishes mod l, the basis is read off the guide; otherwise the
-    guide is dropped and the run is unguided.  The guide changes the work,
+    guide is set aside and the run is unguided.  The guide changes the work,
     never the result; an unsuitable guide raises ValueError.
     """
     ring = ideal.ring
@@ -672,11 +673,7 @@ def groebner(ideal: IdealBasis, bound=None, guide: IdealBasis | None = None) -> 
     for h in sorted(map(worker.pack, gens), key=lambda h: min(h) ^ exps):
         by_degree.setdefault(min(h) >> top, []).append(h)
     mingens: dict[int, int] = {}
-    degrees = sorted(by_degree)
-    if not degrees:
-        return IdealBasis(ring, list(ideal.gens), gb=[], gb_bound=bound, mingens={},
-                          gb_complete=True, gb_lead=[], stats=worker.stats,
-                          divisors=None if worker.modulus else worker.divisors)
+    degrees = sorted(by_degree) or [0]  # no generators: one empty pass at degree 0
     d = degrees[0]
     while True:
         if bound is not None and d > bound:
@@ -698,9 +695,8 @@ def groebner(ideal: IdealBasis, bound=None, guide: IdealBasis | None = None) -> 
         if bound is None and d > degrees[-1] and not worker.pairs:
             break
     lead = _reduced_basis(worker)
-    complete = bound is None or (not worker.dropped and degrees[-1] <= bound)
     return IdealBasis(ring, list(ideal.gens), gb=_field_forms(worker, lead), gb_bound=bound,
-                      mingens=mingens, gb_complete=complete, gb_lead=lead, stats=worker.stats,
+                      mingens=mingens, gb_lead=lead, stats=worker.stats,
                       divisors=None if worker.modulus else worker.divisors)
 
 
@@ -709,7 +705,7 @@ def _lift(ideal: IdealBasis, bound, guide: IdealBasis) -> IdealBasis | None:
     the run's bound (see the module docstring), or None when l divides the
     guide's divisors or a generator over Q vanishes mod l.  Each element is
     its basis form's residues times the inverse of its leading coefficient,
-    zeros dropped.  Raises ValueError when the guide is unsuitable."""
+    zeros omitted.  Raises ValueError when the guide is unsuitable."""
     ring, qring = ideal.ring, guide.ring
     l = ring.domain.characteristic
     if qring.domain.characteristic or not l or qring.names != ring.names:
@@ -727,13 +723,12 @@ def _lift(ideal: IdealBasis, bound, guide: IdealBasis) -> IdealBasis | None:
         inv = pow(g[lm], -1, l)
         lead.append((lm, mask, {m: r for m, c in g.items() if (r := c * inv % l)}))
     return IdealBasis(ring, list(ideal.gens), gb=[g for _, _, g in lead], gb_bound=bound,
-                      mingens=dict(guide.mingens), gb_complete=guide.gb_complete,
-                      gb_lead=lead, stats=GroebnerStats())
+                      mingens=dict(guide.mingens), gb_lead=lead, stats=GroebnerStats())
 
 
 def reduce_mod(ring: PolyRing, gens: list) -> tuple[list, bool]:
     """The generators over Q `gens` reduced into ring's prime field GF(l),
-    zeros dropped, and whether a nonzero one vanishes there: the runs over
+    zeros omitted, and whether a nonzero one vanishes there: the runs over
     Q and GF(l) then start from different generators, and no basis over
     GF(l) is read off a basis of gens.  ValueError if not l-integral."""
     try:
@@ -894,25 +889,13 @@ def _minimal_masked(masked) -> list[tuple[Monomial, int]]:
     return out
 
 
-def _minimal_lts(ideal: IdealBasis, bound: int | None = None) -> list[Monomial]:
-    """Minimal leading monomials of the attached basis (of degree <= bound)."""
-    return [m for m, _ in _minimal_masked({(lm, mask) for lm, mask, _ in ideal.gb_lead
-                                           if bound is None or sum(lm) <= bound})]
-
-
-def _series_numerator(monos: list[Monomial], top: int) -> list[int]:
-    """Coefficients N_0 .. N_top of the numerator of the Hilbert series
-    HS(S/J) = N(t) / (1 - t)^n, for J generated by the minimal monomials
-    `monos`: see `_masked_numerator`."""
-    return _masked_numerator([(m, _mask(m)) for m in monos], top)
-
-
 def _masked_numerator(masked: list[tuple[Monomial, int]], top: int) -> list[int]:
-    """`_series_numerator` on (monomial, support mask) pairs.  Bigatti's
-    pivot recursion (JPAA 119, 1997): for a pivot x^e,
-    N(J) = N(J + (x^e)) + t^e N(J : x^e).  Generators above degree top change
-    N only above degree top, so they are dropped on the way down.  Each
-    monomial's mask is computed once, where the monomial is made."""
+    """Coefficients N_0 .. N_top of the numerator N(t) of the Hilbert series
+    N(t) / (1 - t)^n of S/J, J generated by the minimal (monomial, support
+    mask) pairs `masked`.  Bigatti's pivot recursion (JPAA 119, 1997): for a
+    pivot x^e, N(J) = N(J + (x^e)) + t^e N(J : x^e).  Generators above degree
+    top change N only above degree top, so they are left out on the way
+    down.  Each monomial's mask is computed once, where it is made."""
     out = [0] * (top + 1)
     if top < 0:
         return out
@@ -951,29 +934,26 @@ def _masked_numerator(masked: list[tuple[Monomial, int]], top: int) -> list[int]
         masked.append((tuple(e if i == x else 0 for i in range(n)), bit))
 
 
+def leading_staircase(ideal: IdealBasis, bound: int | None) -> tuple[tuple[Monomial, int], ...]:
+    """The minimal (leading monomial, support mask) pairs of degree <= bound
+    of the basis: all that HF(k <= bound) depends on.  bound None asks for
+    the whole staircase, which only a complete basis (gb_bound None) has."""
+    ideal.require_gb()
+    if ideal.gb_bound is not None and (bound is None or bound > ideal.gb_bound):
+        raise TruncationError(f"bound {bound} exceeds Groebner truncation {ideal.gb_bound}")
+    return tuple(_minimal_masked({(lm, mask) for lm, mask, _ in ideal.gb_lead
+                                  if bound is None or sum(lm) <= bound}))
+
+
 def hilbert_function(ideal: IdealBasis, bound: int) -> GradedDims:
     """Dimensions of (S/I)_k for k <= bound, read off the Hilbert series of
     the leading-term ideal: HF(k) = sum_i N_i C(n - 1 + k - i, n - 1).  Only
     leading terms of degree <= k enter HF(k), so a basis truncated at the
     bound gives the exact values."""
-    num = _series_numerator(list(leading_staircase(ideal, bound)), bound)
-    return GradedDims(tuple(_numerator_value(num, ideal.ring.n, k) for k in range(bound + 1)))
-
-
-def leading_staircase(ideal: IdealBasis, bound: int) -> tuple[Monomial, ...]:
-    """The minimal leading monomials of degree <= bound of the attached
-    basis: all that HF(k) for k <= bound depends on."""
-    ideal.require_gb()
-    if ideal.gb_bound is not None and bound > ideal.gb_bound:
-        raise TruncationError(f"bound {bound} exceeds Groebner truncation {ideal.gb_bound}")
-    return tuple(_minimal_lts(ideal, bound))
-
-
-def _numerator_value(num: list[int], n: int, k: int) -> int:
-    """HF(k) = sum_i N_i C(n - 1 + k - i, n - 1) from the numerator N_0, N_1,
-    ... of a Hilbert series over n variables, given at least through degree
-    k or in full."""
-    return sum(num[i] * comb(n - 1 + k - i, n - 1) for i in range(min(k + 1, len(num))))
+    num = _masked_numerator(list(leading_staircase(ideal, bound)), bound)
+    n = ideal.ring.n
+    return GradedDims(tuple(sum(num[i] * comb(n - 1 + k - i, n - 1) for i in range(k + 1))
+                            for k in range(bound + 1)))
 
 
 def min_gen_degrees(ideal: IdealBasis, bound: int) -> GradedDims:
@@ -986,34 +966,24 @@ def min_gen_degrees(ideal: IdealBasis, bound: int) -> GradedDims:
 
 
 def krull_dim(ideal: IdealBasis) -> int:
-    """Krull dimension of S/I from the staircase of a complete basis."""
-    ring = ideal.ring
-    gb = ideal.require_gb()
-    if not ideal.gb_complete:
-        raise TruncationError("krull_dim needs an untruncated Groebner basis")
-    if gb and any(ring.degree(g) == 0 for g in gb):
-        return -1  # unit ideal
-    supports = []
-    for m in _minimal_lts(ideal):
-        supports.append(frozenset(i for i, e in enumerate(m) if e))
-    supports = [s for s in supports if s]
-
-    # dim = max size of a variable set containing no staircase support, i.e.
-    # n - (minimum hitting set of the supports)
-    def min_cover(idx: int, chosen: frozenset, best_so_far: int) -> int:
-        if len(chosen) >= best_so_far:
-            return best_so_far
-        while idx < len(supports) and supports[idx] & chosen:
-            idx += 1
-        if idx == len(supports):
-            return len(chosen)
-        best_local = best_so_far
-        for v in sorted(supports[idx]):
-            best_local = min(best_local, min_cover(idx + 1, chosen | {v}, best_local))
-        return best_local
-
-    cover = min_cover(0, frozenset(), ring.n + 1) if supports else 0
-    return ring.n - cover
+    """Krull dimension of S/I from the staircase of a complete basis (else
+    TruncationError): the order of the pole at t = 1 of HS(S/I) = N(t) /
+    (1 - t)^n (Bruns-Herzog, Cohen-Macaulay Rings, 4.1), n minus the
+    multiplicity of the root t = 1 of N.  N is computed through the degree of
+    the staircase's lcm, which bounds its degree, and divided by 1 - t while
+    N(1) = 0.  N = 0 only for the unit ideal, whose dimension is -1."""
+    staircase = leading_staircase(ideal, None)
+    n = ideal.ring.n
+    top = sum(max((m[i] for m, _ in staircase), default=0) for i in range(n))
+    num = _masked_numerator(list(staircase), top)
+    order = n
+    while any(num):
+        if sum(num):
+            return order
+        # N = (1 - t) Q, and Q's coefficients are the partial sums of N's
+        num = list(accumulate(num))[:-1]
+        order -= 1
+    return -1
 
 
 def homogenize_by_elimination(ring: PolyRing, gens: list) -> list:
@@ -1071,24 +1041,20 @@ def homogenize_by_elimination(ring: PolyRing, gens: list) -> list:
 # -- integer matrices: Smith/Hermite normal forms --------------------------------
 
 
-@dataclass
-class IntMatrix:
-    rows: list[list[int]]
-
-    @classmethod
-    def from_text(cls, text: str) -> "IntMatrix":
-        rows = []
-        for line in text.strip().splitlines():
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
+def int_rows(text: str) -> list[list[int]]:
+    """Rows of an integer matrix written one a line, blank lines and lines
+    starting with # skipped; ValueError on a non-integer or ragged row."""
+    rows = []
+    for line in text.splitlines():
+        line = line.strip()
+        if line and not line.startswith("#"):
             rows.append([int(tok) for tok in line.split()])
-        if rows and any(len(r) != len(rows[0]) for r in rows):
-            raise ValueError("ragged matrix")
-        return cls(rows)
+    if rows and any(len(r) != len(rows[0]) for r in rows):
+        raise ValueError("ragged matrix")
+    return rows
 
 
-def snf(matrix: IntMatrix | list) -> list[int]:
+def snf(rows: list[list[int]]) -> list[int]:
     """Invariant factors d_1 | d_2 | ... (positive, divisibility chain).
 
     Runs on sparse rows {column: nonzero entry}.  Each pivot is an entry of
@@ -1098,7 +1064,6 @@ def snf(matrix: IntMatrix | list) -> list[int]:
     alone in its row and column.  A nonzero remainder is smaller than the
     pivot, so the search restarts from it.  The diagonal this leaves is
     brought into divisibility order by diag(a, b) ~ diag(gcd, lcm)."""
-    rows = matrix.rows if isinstance(matrix, IntMatrix) else matrix
     live = [r for r in ({j: x for j, x in enumerate(row) if x} for row in rows) if r]
     diagonal = []
     while live:

@@ -60,6 +60,11 @@ def test_compute_snf(tmp_path):
     assert code == 0 and out.strip() == "[2, 4]"
     code, _, err = run_cli(["compute", "snf", "--file", str(tmp_path / "missing.txt")])
     assert code == 2 and "missing" in err
+    # malformed files exit 2 with a message, never a traceback
+    for text, message in (("1 2\n3\n", "ragged matrix"), ("1 2\n3 x\n", "'x'")):
+        f.write_text(text)
+        code, out, err = run_cli(["compute", "snf", "--file", str(f)])
+        assert code == 2 and not out and err.startswith("steinberg: ") and message in err
 
 
 def test_malformed_rep_exits_2():

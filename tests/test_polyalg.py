@@ -10,11 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from steinberg import polyalg
-from steinberg.cases import IdealCase, make_ideal
-from steinberg.polyalg import (GradedDims, IdealBasis, IntMatrix, InvariantError,
-                               PolyRing, TruncationError, _minimal_lts, _series_numerator,
-                               groebner, hilbert_function, homogenize_by_elimination,
-                               hnf_rowspace, krull_dim, min_gen_degrees, normal_form,
+from steinberg.cases import IdealCase, build_case, make_ideal
+from steinberg.fieldops import mat_mul
+from steinberg.polyalg import (GradedDims, IdealBasis, InvariantError, PolyRing,
+                               TruncationError, groebner, hilbert_function,
+                               homogenize_by_elimination, hnf_rowspace, int_rows, krull_dim,
+                               leading_staircase, min_gen_degrees, normal_form,
                                quotient_invariant_factors, snf)
 
 
@@ -29,7 +30,7 @@ def test_groebner_trivial_cases():
     R6 = ring6()
     af_cd = R6.from_text("1*a*f - 1*c*d")
     g = groebner(IdealBasis(R6, [af_cd]), None)
-    assert len(g.gb) == 1 and g.gb_complete
+    assert len(g.gb) == 1 and g.gb_bound is None
     assert R6.scale(g.gb[0], -1) == af_cd or g.gb[0] == af_cd
 
 
@@ -229,9 +230,9 @@ def test_normal_form_mod_unit_matches_sympy(data):
 
 
 def test_snf_examples():
-    assert snf(IntMatrix([[1, 0, 0], [0, 1, 0], [0, 0, 1]])) == [1, 1, 1]
-    assert snf(IntMatrix([[2, 0], [0, 4]])) == [2, 4]
-    assert snf(IntMatrix([[0, 0], [0, 0]])) == []
+    assert snf([[1, 0, 0], [0, 1, 0], [0, 0, 1]]) == [1, 1, 1]
+    assert snf([[2, 0], [0, 4]]) == [2, 4]
+    assert snf([[0, 0], [0, 0]]) == []
 
 
 def test_snf_divisibility_and_minor_gcd_oracle():
@@ -242,7 +243,7 @@ def test_snf_divisibility_and_minor_gcd_oracle():
         rows = rng.randrange(1, 4)
         cols = rng.randrange(1, 4)
         a = [[rng.randrange(-6, 7) for _ in range(cols)] for _ in range(rows)]
-        invs = snf(IntMatrix([list(r) for r in a]))
+        invs = snf([list(r) for r in a])
         for x, y in zip(invs, invs[1:]):
             assert y % x == 0
         # product of the first k invariant factors = gcd of all k x k minors
@@ -283,7 +284,7 @@ def test_snf_matches_sympy(rows):
 
     want = smith_normal_form(sympy.Matrix(rows), domain=sympy.ZZ)
     diagonal = [abs(int(want[i, i])) for i in range(min(want.shape))]
-    assert snf(IntMatrix(rows)) == [d for d in diagonal if d]
+    assert snf(rows) == [d for d in diagonal if d]
 
 
 def test_snf_keeps_its_entries_small_on_a_dense_matrix():
@@ -293,7 +294,7 @@ def test_snf_keeps_its_entries_small_on_a_dense_matrix():
             [1, 0, 0, 4, -3, 9, 0, 7, -8], [3, -4, 2, 7, -4, 3, -9, 0, 9],
             [-4, -2, 0, 0, 8, 7, 9, -1, -9], [7, 0, 8, -8, 2, -3, 0, 2, -9],
             [1, -9, 0, 8, -7, 0, 0, 0, -7], [-9, -1, -6, 0, 0, -4, -4, 0, 1]]
-    assert snf(IntMatrix(rows)) == [1] * 7 + [2]
+    assert snf(rows) == [1] * 7 + [2]
 
 
 def _det_int(m):
@@ -332,9 +333,11 @@ def test_text_round_trip():
 def test_int_matrix_text_round_trip():
     rows = [[1, -2, 3], [0, 5, -6]]
     text = "# a comment\n" + "\n".join(" ".join(map(str, r)) for r in rows) + "\n\n"
-    assert IntMatrix.from_text(text).rows == rows
+    assert int_rows(text) == rows
+    with pytest.raises(ValueError, match="ragged"):
+        int_rows("1 2\n3\n")
     with pytest.raises(ValueError):
-        IntMatrix.from_text("1 2\n3\n")
+        int_rows("1 x\n")
 
 
 def test_homogenize_by_elimination():
@@ -388,31 +391,48 @@ def test_hilbert_series_matches_enumeration_on_case_bases(tag):
     assert hilbert_function(basis, 4).dims == _hf_by_enumeration(basis, 4)
 
 
-def _pole_order_at_one(basis):
-    """n minus the multiplicity of t = 1 as a root of the Hilbert-series
-    numerator: the order of the pole of HS(S/I) at t = 1, i.e. dim S/I."""
-    lts = _minimal_lts(basis)
-    top = sum(max((m[i] for m in lts), default=0) for i in range(basis.ring.n))
-    num = _series_numerator(lts, top)  # deg N <= deg lcm(lts) = top
-    order = basis.ring.n
-    while any(num):
-        if sum(num):
-            return order
-        # divide by (1 - t): the quotient's coefficients are partial sums
-        num = list(itertools.accumulate(num))[:-1]
-        order -= 1
-    return -1
+def _dim_by_hitting_set(basis):
+    """dim S/I of a complete basis from the supports of its leading
+    monomials: S/LT(I) has the dimension of S/I, and a coordinate subspace
+    lies in V(LT(I)) iff every support meets the variables outside it, so
+    dim = n - (the least number of variables meeting every support).  -1
+    when a leading monomial is 1.  Exponential, and independent of the
+    Hilbert series."""
+    ring = basis.ring
+    supports = [frozenset(i for i, e in enumerate(ring.lm(g)) if e) for g in basis.gb]
+    if frozenset() in supports:
+        return -1
+
+    def min_cover(idx, chosen, best):
+        if len(chosen) >= best:
+            return best
+        while idx < len(supports) and supports[idx] & chosen:
+            idx += 1
+        if idx == len(supports):
+            return len(chosen)
+        for v in sorted(supports[idx]):
+            best = min(best, min_cover(idx + 1, chosen | {v}, best))
+        return best
+
+    return ring.n - min_cover(0, frozenset(), ring.n + 1)
 
 
-def test_krull_dim_equals_pole_order_of_the_series():
+def test_krull_dim_matches_the_hitting_set_oracle():
+    """The four inputs of dims_campaign, the zero ideal and the unit ideal."""
     R6 = ring6(7)
     af_cd = R6.sub(R6.mul(R6.var("a"), R6.var("f")), R6.mul(R6.var("c"), R6.var("d")))
     nonregular = [af_cd, R6.mul(R6.var("a"), R6.var("c")), R6.mul(R6.var("d"), R6.var("f"))]
+    data = build_case(IdealCase("n3-x", 7))
+    ring, mats = data.ring, data.mats
+    squares = [x for A in (mats["M"], mats["N"]) for row in mat_mul(ring, A, A) for x in row]
     bases = [groebner(IdealBasis(R6, [af_cd]), None),
              groebner(IdealBasis(R6, nonregular), None),
-             groebner(make_ideal(IdealCase("n3-x", 7)), None)]
-    assert [krull_dim(b) for b in bases] == [5, 4, 8]
-    assert [_pole_order_at_one(b) for b in bases] == [5, 4, 8]
+             groebner(make_ideal(IdealCase("n3-x", 7)), None),
+             groebner(IdealBasis(ring, list(data.gens) + squares), None),
+             groebner(IdealBasis(R6, []), None),
+             groebner(IdealBasis(R6, [R6.const(3)]), None)]
+    assert [krull_dim(b) for b in bases] == [5, 4, 8, 6, 6, -1]
+    assert [_dim_by_hitting_set(b) for b in bases] == [5, 4, 8, 6, 6, -1]
 
 
 def _reduced_basis_set(polys, char):
@@ -460,6 +480,16 @@ def test_groebner_matches_sympy(data, char):
                   for g in want.exprs]
     assert _reduced_basis_set([list(g.items()) for g in got.gb], char) == \
         _reduced_basis_set(want_terms, char)
+
+
+@settings(max_examples=60, deadline=None)
+@given(ideals(), st.sampled_from([0, 5, 7]))
+def test_krull_dim_matches_the_hitting_set_oracle_on_random_ideals(data, char):
+    n, gens = data
+    R = PolyRing([f"x{i}" for i in range(n)], char)
+    basis = groebner(IdealBasis(R, [{m: R.domain.of(c) for m, c in g.items()} for g in gens]),
+                     None)
+    assert krull_dim(basis) == _dim_by_hitting_set(basis)
 
 
 def test_quotient_rejects_sub_outside_the_lattice(monkeypatch, run_python):
@@ -603,12 +633,12 @@ def _sign(x, y):
 
 
 def _pair_of(ring, bound, first, second):
-    """(S-pair heap, dropped) of a worker over ring, truncated at bound,
-    after the monomials first and then second (packed) are added."""
+    """The S-pair heap of a worker over ring, truncated at bound, after the
+    monomials first and then second (packed) are added."""
     worker = polyalg._GBWorker(ring, bound)
     worker.add_element({first: 1})
     worker.add_element({second: 1})
-    return worker.pairs, worker.dropped
+    return worker.pairs
 
 
 @settings(max_examples=300, deadline=None)
@@ -632,9 +662,9 @@ def test_packed_monomials_match_exponent_tuples(data):
                 _pair_of(ring, None, first, second)
             continue
         # the S-pair add_element builds, with the lcm it computes inline
-        assert _pair_of(ring, None, first, second) == ([(pk.pack(lcm), 0, 1)], False)
-        # one degree lower the pair is left unbuilt, and the basis incomplete
-        assert _pair_of(ring, sum(lcm) - 1, first, second) == ([], True)
+        assert _pair_of(ring, None, first, second) == [(pk.pack(lcm), 0, 1)]
+        # one degree lower the pair is left unbuilt
+        assert _pair_of(ring, sum(lcm) - 1, first, second) == []
     product = tuple(x + y for x, y in zip(a, b))
     if sum(product) <= CAP:
         assert pa + pb == pk.pack(product)
@@ -697,15 +727,16 @@ def _assert_buchberger_criterion(basis, bound):
 @pytest.mark.parametrize("char", [0, 5, 7])
 def test_complete_n3x_basis_is_a_certified_groebner_basis(char):
     basis = groebner(make_ideal(IdealCase("n3-x", char)), None)
-    assert basis.gb_complete and len(basis.gb) == 53
+    assert basis.gb_bound is None and len(basis.gb) == 53
     assert krull_dim(basis) == 8
-    assert _series_numerator(_minimal_lts(basis), 20) == N3X_NUMERATOR + [0] * 6
+    staircase = list(leading_staircase(basis, None))
+    assert polyalg._masked_numerator(staircase, 20) == N3X_NUMERATOR + [0] * 6
     assert _assert_buchberger_criterion(basis, None) > 0
 
 
 def test_truncated_n3z_basis_passes_the_criterion_within_its_bound():
     basis = groebner(make_ideal(IdealCase("n3-z", 5)), 4)
-    assert not basis.gb_complete and len(basis.gb) == 80
+    assert basis.gb_bound == 4 and len(basis.gb) == 80
     assert _assert_buchberger_criterion(basis, 4) > 0
 
 
@@ -802,7 +833,7 @@ def _mod(ring_l, polys):
 
 
 def _assert_same_basis(guided, unguided):
-    assert guided == unguided  # gens, gb, gb_bound, mingens, gb_complete
+    assert guided == unguided  # gens, gb, gb_bound, mingens
     assert guided.gb_lead == unguided.gb_lead
 
 
@@ -963,7 +994,7 @@ def test_complete_n3z_bases_are_read_off_the_complete_q_basis(n3z_q, l):
     ideal = make_ideal(IdealCase("n3-z", l))
     guided, unguided = groebner(ideal, None, guide=n3z_q), groebner(ideal, None)
     _assert_same_basis(guided, unguided)
-    assert guided.gb_complete and len(guided.gb) == 138
+    assert guided.gb_bound is None and len(guided.gb) == 138
     assert guided.stats == polyalg.GroebnerStats() and unguided.stats.pairs == 9453
 
 
@@ -1054,9 +1085,13 @@ def test_a_pair_above_the_bound_leaves_the_basis_incomplete():
     R = PolyRing(("x", "y", "z"), 0)
     gens = [R.from_text("1*x*y"), R.from_text("1*x*z")]  # one pair, lcm x*y*z
     at2 = groebner(IdealBasis(R, gens), 2)
-    assert not at2.gb_complete and at2.stats.pairs == 0
+    assert at2.stats.pairs == 0
     at3 = groebner(IdealBasis(R, gens), 3)
-    assert at3.gb_complete and at3.stats.pairs == 1
+    assert at3.stats.pairs == 1
+    # a basis built with a bound is incomplete, even one that built every pair
+    for basis in (at2, at3):
+        with pytest.raises(TruncationError):
+            krull_dim(basis)
 
 
 @settings(max_examples=60, deadline=None)
@@ -1066,8 +1101,6 @@ def test_a_bounded_run_is_the_unbounded_one_through_its_bound(data, char, bound)
     R = PolyRing([f"x{i}" for i in range(n)], char)
     ideal = IdealBasis(R, [{m: R.domain.of(c) for m, c in g.items()} for g in gens])
     full, cut = groebner(ideal, None), groebner(ideal, bound)
-    if cut.gb_complete:
-        assert (cut.gb, cut.gb_lead, cut.mingens) == (full.gb, full.gb_lead, full.mingens)
-    else:
-        assert cut.gb_lead == [t for t in full.gb_lead if sum(t[0]) <= bound]
-        assert cut.mingens == {d: k for d, k in full.mingens.items() if d <= bound}
+    assert cut.gb_lead == [t for t in full.gb_lead if sum(t[0]) <= bound]
+    assert cut.gb == [g for (lm, _, _), g in zip(full.gb_lead, full.gb) if sum(lm) <= bound]
+    assert cut.mingens == {d: k for d, k in full.mingens.items() if d <= bound}
