@@ -3,8 +3,7 @@
 Vectors are dicts {index: nonzero coefficient}; subspaces are kept as row
 echelon bases with pivots at the smallest nonzero index, which makes every
 reduction and every choice of complement deterministic.  `span_coords` is the
-one solver for coordinates in the span of independent vectors.  A field's
-`reduce_col` brings a vector summed with plain `+` back into the field.
+one solver for coordinates in the span of independent vectors.
 
 An element of Q is an `int` when it is integral and a `Fraction` otherwise:
 `QQ.of` and `QQ.inv` return that form, and sums and products follow Python's
@@ -67,11 +66,6 @@ class RationalField:
     def inv(a):
         return RationalField.of(Fraction(1) / a)
 
-    @staticmethod
-    def reduce_col(col: dict) -> dict:
-        """A vector summed with plain +, with its zeros removed."""
-        return {k: x for k, x in col.items() if x}
-
     def __repr__(self):
         return "QQ"
 
@@ -113,12 +107,6 @@ class PrimeField:
 
     def inv(self, a):
         return pow(a, -1, self.p)
-
-    def reduce_col(self, col: dict) -> dict:
-        """A vector of integers summed with plain +, reduced mod p with its
-        zeros removed."""
-        p = self.p
-        return {k: r for k, x in col.items() if (r := x % p)}
 
     def __repr__(self):
         return self.name

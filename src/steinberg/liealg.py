@@ -19,7 +19,10 @@ exactly in characteristic 3.
 
 Derived representations (wedge powers, tensor products, twists, subquotients)
 carry the three lowering operators functorially; every constructor checks
-the weight grading.
+the weight grading.  A tensor or wedge column writes each entry once, a
+factor's entry or its negation: two of its terms could meet only through a
+weight-preserving entry of a factor, and the term written there is then a
+weight-preserving entry of the result, which the grading check rejects.
 """
 
 from __future__ import annotations
@@ -196,7 +199,6 @@ def tensor_rep(a: BasedRep, b: BasedRep) -> BasedRep:
     labels = tuple(f"{la}(x){lb}" for la in a.labels for lb in b.labels)
     weights = tuple((wa[0] + wb[0], wa[1] + wb[1]) for wa in a.weights for wb in b.weights)
     nb = b.dim
-    reduce = a.fld.reduce_col
     ops = {}
     for name in ("ea", "eb", "er"):
         cols = []
@@ -204,12 +206,11 @@ def tensor_rep(a: BasedRep, b: BasedRep) -> BasedRep:
         for i, acol in enumerate(a.ops[name]):
             base = i * nb
             for j, bcol in enumerate(bcols):
-                # e(x (x) y) = e(x) (x) y + x (x) e(y), entry by entry
+                # e(x (x) y) = e(x) (x) y + x (x) e(y), each entry written once
                 col = {i2 * nb + j: c for i2, c in acol.items()}
                 for j2, c in bcol.items():
-                    k = base + j2
-                    col[k] = col.get(k, 0) + c
-                cols.append(reduce(col))
+                    col[base + j2] = c
+                cols.append(col)
         ops[name] = tuple(cols)
     rep = BasedRep(a.fld, labels, weights, ops)
     rep.check_grading()
@@ -222,7 +223,7 @@ def wedge_rep(a: BasedRep, j: int) -> BasedRep:
     labels = tuple("^".join(a.labels[i] for i in c) if c else "1" for c in combos)
     aw = a.weights
     weights = tuple((sum(aw[i][0] for i in c), sum(aw[i][1] for i in c)) for c in combos)
-    reduce = a.fld.reduce_col
+    neg = a.fld.neg
     ops = {}
     for name in ("ea", "eb", "er"):
         cols = []
@@ -238,8 +239,8 @@ def wedge_rep(a: BasedRep, j: int) -> BasedRep:
                     if pos < len(rest) and rest[pos] == m:
                         continue
                     k = index[rest[:pos] + (m,) + rest[pos:]]
-                    col[k] = col.get(k, 0) + (-coeff if (slot + pos) & 1 else coeff)
-            cols.append(reduce(col))
+                    col[k] = neg(coeff) if (slot + pos) & 1 else coeff
+            cols.append(col)
         ops[name] = tuple(cols)
     rep = BasedRep(a.fld, labels, weights, ops)
     rep.check_grading()

@@ -695,7 +695,8 @@ def groebner(ideal: IdealBasis, bound=None, guide: IdealBasis | None = None) -> 
         if bound is None and d > degrees[-1] and not worker.pairs:
             break
     lead = _reduced_basis(worker)
-    return IdealBasis(ring, list(ideal.gens), gb=_field_forms(worker, lead), gb_bound=bound,
+    gb = [_field_form(worker.modulus, g, lm) for lm, _, g in lead]
+    return IdealBasis(ring, list(ideal.gens), gb=gb, gb_bound=bound,
                       mingens=mingens, gb_lead=lead, stats=worker.stats,
                       divisors=None if worker.modulus else worker.divisors)
 
@@ -737,10 +738,6 @@ def reduce_mod(ring: PolyRing, gens: list) -> tuple[list, bool]:
         l = ring.domain.characteristic
         raise ValueError(f"the guide's generators are not {l}-integral") from None
     return [r for r in reduced if r], not all(reduced)
-
-
-def _field_forms(worker: _GBWorker, lead: list) -> list:
-    return [_field_form(worker.modulus, g, lm) for lm, _, g in lead]
 
 
 def _reduced_basis(worker: _GBWorker) -> list:
@@ -936,13 +933,16 @@ def _masked_numerator(masked: list[tuple[Monomial, int]], top: int) -> list[int]
 
 def leading_staircase(ideal: IdealBasis, bound: int | None) -> tuple[tuple[Monomial, int], ...]:
     """The minimal (leading monomial, support mask) pairs of degree <= bound
-    of the basis: all that HF(k <= bound) depends on.  bound None asks for
-    the whole staircase, which only a complete basis (gb_bound None) has."""
+    of the basis, ordered by degree and then by exponent tuple: all that
+    HF(k <= bound) depends on.  They are the basis's own pairs, since no
+    leading monomial of a reduced basis divides another.  bound None asks
+    for the whole staircase, which only a complete basis (gb_bound None) has."""
     ideal.require_gb()
     if ideal.gb_bound is not None and (bound is None or bound > ideal.gb_bound):
         raise TruncationError(f"bound {bound} exceeds Groebner truncation {ideal.gb_bound}")
-    return tuple(_minimal_masked({(lm, mask) for lm, mask, _ in ideal.gb_lead
-                                  if bound is None or sum(lm) <= bound}))
+    return tuple(sorted(((lm, mask) for lm, mask, _ in ideal.gb_lead
+                         if bound is None or sum(lm) <= bound),
+                        key=lambda t: (sum(t[0]), t[0])))
 
 
 def hilbert_function(ideal: IdealBasis, bound: int) -> GradedDims:

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -380,63 +381,105 @@ def test_symbolic_generator_specializes_at_q_one():
     assert specialized == dst.from_text("1*a*f - 1*c*d")
 
 
+def _oracle_tensor(fld, a, b):
+    """Dense columns of e (x) 1 + 1 (x) e on A (x) B, basis index i * dim B + j,
+    from dense columns a and b of the factors' operators."""
+    na, nb = len(a), len(b)
+    out = []
+    for k in range(na):
+        for m in range(nb):
+            col = [fld.zero] * (na * nb)
+            for i in range(na):
+                col[i * nb + m] = fld.add(col[i * nb + m], a[k][i])
+            for j in range(nb):
+                col[k * nb + j] = fld.add(col[k * nb + j], b[m][j])
+            out.append(col)
+    return out
+
+
+def _oracle_wedge(fld, a, power):
+    """Dense columns of the derivation on wedge^power(A), basis the increasing
+    index tuples in lexicographic order: each factor in turn is replaced by its
+    image, and the wedge is sorted with the sign of its inversion count."""
+    n = len(a)
+    combos = [c for c in itertools.product(range(n), repeat=power)
+              if all(x < y for x, y in zip(c, c[1:]))]
+    index = {c: k for k, c in enumerate(combos)}
+    out = []
+    for c in combos:
+        col = [fld.zero] * len(combos)
+        for s in range(power):
+            for m in range(n):
+                x = a[c[s]][m]
+                word = c[:s] + (m,) + c[s + 1:]
+                if x == fld.zero or len(set(word)) < power:
+                    continue
+                inversions = sum(word[p] > word[q] for p in range(power)
+                                 for q in range(p + 1, power))
+                r = index[tuple(sorted(word))]
+                col[r] = fld.add(col[r], fld.neg(x) if inversions % 2 else x)
+        out.append(col)
+    return out
+
+
+LEIBNIZ_ORACLES = {
+    "b*b": lambda fld, b: _oracle_tensor(fld, b, b),
+    "wedge^2(b)": lambda fld, b: _oracle_wedge(fld, b, 2),
+    "wedge^3(b)": lambda fld, b: _oracle_wedge(fld, b, 3),
+    "wedge^2(b*b)": lambda fld, b: _oracle_wedge(fld, _oracle_tensor(fld, b, b), 2),
+    "wedge^2(b)*b": lambda fld, b: _oracle_tensor(fld, _oracle_wedge(fld, b, 2), b),
+}
+
+
 def test_tensor_and_wedge_satisfy_leibniz():
-    import random
-
-    from steinberg.liealg import tensor_rep, wedge_rep
-    from steinberg.fieldops import vec_iadd_scaled, vec_sub
-
-    rng = random.Random(31)
-    b = borel_rep(0)
-    fld = b.fld
-    tt = tensor_rep(b, b)
-    for _ in range(10):
-        v = {rng.randrange(5): fld.of(rng.randrange(1, 5))}
-        w = {rng.randrange(5): fld.of(rng.randrange(1, 5))}
-        for op in ("ea", "eb", "er"):
-            vw = {i * 5 + j: fld.mul(cv, cw) for i, cv in v.items() for j, cw in w.items()}
-            lhs = tt.act(op, vw)
-            rhs = {}
-            for i, cv in b.act(op, v).items():
-                for j, cw in w.items():
-                    vec_iadd_scaled(fld, rhs, {i * 5 + j: fld.one}, fld.mul(cv, cw))
-            for i, cv in v.items():
-                for j, cw in b.act(op, w).items():
-                    vec_iadd_scaled(fld, rhs, {i * 5 + j: fld.one}, fld.mul(cv, cw))
-            assert not vec_sub(fld, lhs, rhs)
-    # wedge-square derivation against elementary wedges of images
-    w2 = wedge_rep(b, 2)
-    import itertools
-
-    combos = list(itertools.combinations(range(5), 2))
-    for op in ("ea", "eb", "er"):
-        for k, (i, j) in enumerate(combos):
-            lhs = w2.act(op, {k: fld.one})
-            rhs = {}
-            for m, c in b.act(op, {i: fld.one}).items():
-                key, sgn = _wedge_index(combos, m, j)
-                if key is not None:
-                    vec_iadd_scaled(fld, rhs, {key: fld.one}, fld.mul(c, fld.of(sgn)))
-            for m, c in b.act(op, {j: fld.one}).items():
-                key, sgn = _wedge_index(combos, i, m)
-                if key is not None:
-                    vec_iadd_scaled(fld, rhs, {key: fld.one}, fld.mul(c, fld.of(sgn)))
-            assert not vec_sub(fld, lhs, rhs)
+    # each operator of a derived model, column by column, against dense
+    # matrices built from the Borel atom by the Leibniz rule alone; over GF(p)
+    # every entry must be the field element itself, negations mod p included
+    for char in (0, 5, 7):
+        atom = borel_rep(char)
+        fld = atom.fld
+        for text, oracle in LEIBNIZ_ORACLES.items():
+            model = build_based_rep(text, char)
+            for name in ("ea", "eb", "er"):
+                dense = [[col.get(i, fld.zero) for i in range(atom.dim)]
+                         for col in atom.ops[name]]
+                want = oracle(fld, dense)
+                assert len(model.ops[name]) == len(want) == model.dim, (text, char)
+                for j, (got, col) in enumerate(zip(model.ops[name], want)):
+                    assert got == {i: x for i, x in enumerate(col) if x != fld.zero}, (
+                        text, char, name, j)
+                    if char:
+                        assert all(type(x) is int and 0 < x < char for x in got.values())
 
 
-def _wedge_index(combos, a, b):
-    if a == b:
-        return None, 0
-    if a < b:
-        return combos.index((a, b)), 1
-    return combos.index((b, a)), -1
+def test_a_weight_preserving_operator_is_rejected_by_the_grading_check(run_python):
+    # ea maps each of x, y to a multiple of itself: the model breaks the
+    # grading, so tensor and wedge columns meet on their own basis vector.  In
+    # the wedge column of x^y the two terms are 1 and -1; summed they would
+    # cancel, and the entry written there must still be rejected
+    script = (
+        "from steinberg.fieldops import InvariantError, field_of\n"
+        "from steinberg.liealg import BasedRep, tensor_rep, wedge_rep\n"
+        "rep = BasedRep(field_of(0), ('x', 'y'), ((0, 0), (0, 0)),\n"
+        "               {'ea': ({0: 1}, {1: -1}), 'eb': ({}, {}), 'er': ({}, {})})\n"
+        "for build in (lambda: tensor_rep(rep, rep), lambda: wedge_rep(rep, 2)):\n"
+        "    try:\n"
+        "        build()\n"
+        "    except InvariantError as e:\n"
+        "        print('raised', e)\n"
+    )
+    lines = ["raised ea breaks the weight grading at x(x)x",
+             "raised ea breaks the weight grading at x^y"]
+    for flags in ((), ("-O",)):
+        done = run_python(*flags, "-c", script)
+        assert done.stdout.splitlines() == lines, done.stderr
 
 
 @pytest.mark.parametrize("char", [5, 7, 11])
 def test_models_mod_p_reduce_the_rational_model(char):
-    # tensor_rep and wedge_rep sum each column with plain + and reduce it once;
-    # over GF(p) every entry must be the rational entry mod p, in 1..p-1, with
-    # the entries that vanish mod p dropped
+    # tensor_rep and wedge_rep write each column entry once, a factor's entry
+    # or its negation, so over GF(p) every entry must be the rational entry mod
+    # p, in 1..p-1, with the entries that vanish mod p dropped
     fld = field_of(char)
     for text in ("wedge^2(b*b)", "wedge^2(b)*wedge^2(b)", "wedge^3(b) + tw(1,0)(b*b)"):
         over_q, over_p = build_based_rep(text, 0), build_based_rep(text, char)

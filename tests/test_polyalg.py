@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from steinberg import polyalg
-from steinberg.cases import IdealCase, build_case, make_ideal
+from steinberg.cases import IdealCase, build_case, case_basis, clear_case_memo, make_ideal
 from steinberg.fieldops import mat_mul
 from steinberg.polyalg import (GradedDims, IdealBasis, InvariantError, PolyRing,
                                TruncationError, groebner, hilbert_function,
@@ -987,6 +987,28 @@ def test_the_q_runs_record_no_prime_above_3(n3z_q5, n3z_q):
               groebner(make_ideal(IdealCase("n3-x", 0)), None)):
         assert q.divisors > 1 and _cofactor(q.divisors) == 1
     assert groebner(make_ideal(IdealCase("n3-z", 5)), 3).divisors is None
+
+
+@pytest.mark.parametrize("char", [0, 5, 7])
+def test_the_staircase_is_every_leading_pair_of_the_basis(n3z_q, char):
+    """No leading monomial of a reduced basis divides another, so the
+    staircase keeps every (lm, mask) pair through its bound, in the order of
+    the minimal-generator filter: the case bases at their campaign bounds,
+    and the complete ones through the campaign bound and whole."""
+    ideal = make_ideal(IdealCase("n3-z", char))
+    complete_n3z = n3z_q if char == 0 else groebner(ideal, None, guide=n3z_q)
+    bases = [(case_basis(IdealCase("n2", char), 6), (6,)),
+             (case_basis(IdealCase("n2", char), None), (6, None)),
+             (case_basis(IdealCase("n3-z", char), 5), (5,)),
+             (complete_n3z, (5, None)),
+             (case_basis(IdealCase("n3-x", char), 5), (5,)),
+             (case_basis(IdealCase("n3-x", char), None), (5, None))]
+    clear_case_memo()
+    for basis, bounds in bases:
+        for bound in bounds:
+            pairs = [(lm, mask) for lm, mask, _ in basis.gb_lead
+                     if bound is None or sum(lm) <= bound]
+            assert list(leading_staircase(basis, bound)) == polyalg._minimal_masked(pairs)
 
 
 @pytest.mark.parametrize("l", [5, 7])
