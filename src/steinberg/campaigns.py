@@ -112,8 +112,7 @@ def span_campaign(em: Emitter, char: int) -> None:
 # -- per-case ideal campaigns ----------------------------------------------------------
 
 
-def ideal_campaign(em: Emitter, tag: str, char: int, bound: int, trials: int, seed: int,
-                   symbolic: bool = False) -> None:
+def ideal_campaign(em: Emitter, tag: str, char: int, bound: int, trials: int, seed: int) -> None:
     pre = f"ideal.{tag}.c{char}"
     case = IdealCase(tag, char)
     anchor = {
@@ -178,12 +177,11 @@ def ideal_campaign(em: Emitter, tag: str, char: int, bound: int, trials: int, se
         em.add(f"{pre}.q1-specialization", spec.passed,
                "ideal equals the nilpotent-side ideal after Phi = I+M, Sigma = I+N",
                f"forward {spec.forward_ok}, backward {spec.backward_ok}", anchor=anchor)
-        if symbolic:
-            chart = chart_symbolic_check(tag)
-            em.add(f"{pre}.chart-symbolic", chart.passed,
-                   f"all {chart.checked} generators vanish on the chart",
-                   "all reduce to 0" if chart.passed else f"nonzero at {chart.nonvanishing}",
-                   anchor=anchor)
+        chart = chart_symbolic_check(tag)
+        em.add(f"{pre}.chart-symbolic", chart.passed,
+               f"all {chart.checked} generators vanish on the chart",
+               "all reduce to 0" if chart.passed else f"nonzero at {chart.nonvanishing}",
+               anchor=anchor)
     # vanishing on the parametrized points is a characteristic-free identity:
     # evaluate the char-0 generator list modulo the fixed 31-bit prime, with a
     # fresh generic q per trial for the gl cases; one run serves every char
@@ -344,7 +342,7 @@ def verify_all(em: Emitter, seed: int = 0, trials: int = 200) -> None:
     runs the helper's whole list itself."""
     helper_calls = [
         (ideal_campaign, "n3-x", 5, 5, trials, seed),
-        (ideal_campaign, "gl-n3", 5, 4, trials, seed, True),
+        (ideal_campaign, "gl-n3", 5, 4, trials, seed),
         (dims_campaign,),
     ]
     calls = [
@@ -356,7 +354,7 @@ def verify_all(em: Emitter, seed: int = 0, trials: int = 200) -> None:
         (ideal_campaign, "n3-z", 0, 5, trials, seed),
         (ideal_campaign, "n3-z", 5, 5, trials, seed),
         (ideal_campaign, "n3-z", 7, 5, trials, seed),
-        (ideal_campaign, "gl-n2", 5, 4, trials, seed, True),
+        (ideal_campaign, "gl-n2", 5, 4, trials, seed),
         (ideal_campaign, "cnil", 0, 4, trials, seed),
         (multiplicities_campaign,), (classgroup_campaign,),
     ]

@@ -44,7 +44,7 @@ from .fieldops import (ZZ, field_of, mat_add, mat_det, mat_mul, mat_sub, mat_tra
                        span_rank)
 from .polyalg import (GradedDims, IdealBasis, PolyRing, groebner, hilbert_function,
                       homogenize_by_elimination, leading_staircase, normal_form,
-                      normal_form_mod_unit, quotient_invariant_factors, reduce_mod, snf)
+                      normal_form_mod_unit, quotient_invariant_factors, snf)
 from .weights import A1, A2, Weight
 
 CASE_TAGS = ("n2", "n3-z", "n3-x", "gl-n2", "gl-n3", "cnil")
@@ -265,26 +265,16 @@ def case_cn_reduction(case: IdealCase):
     return cn_ideal_reduction(None, 3, case.char)
 
 
-# The cases whose generator list over GF(l) is the char-0 list reduced mod l.
-_GUIDED_TAGS = ("n2", "n3-z", "n3-x")
-
-
 @_memoized
 def case_basis(case: IdealCase, bound: int | None) -> IdealBasis:
     """Groebner basis of the named case up to `bound`, computed once per
-    (case, bound).  A basis over GF(l) of a case in _GUIDED_TAGS is guided
-    by the char-0 basis of the same (tag, bound), which is built first when
-    the store lacks it: the run reads its basis off that one when l divides
-    nothing it recorded, and runs unguided otherwise (see
-    polyalg.groebner).  So the order of the campaigns asking for bases does
-    not change the work.  When a char-0 generator vanishes mod l, the run
-    would drop that guide: none is built."""
-    ideal, guide = make_ideal(case), None
-    if case.char and case.tag in _GUIDED_TAGS:
-        _, vanishing = reduce_mod(ideal.ring, make_ideal(IdealCase(case.tag)).gens)
-        if not vanishing:
-            guide = case_basis(IdealCase(case.tag), bound)
-    return groebner(ideal, bound, guide=guide)
+    (case, bound).  A basis over GF(l) is guided by the char-0 basis of the
+    same (tag, bound), which is built first when the store lacks it: the
+    run reads its basis off that one when l divides nothing it recorded,
+    and runs unguided otherwise (see polyalg.groebner).  So the order of the
+    campaigns asking for bases does not change the work."""
+    guide = case_basis(IdealCase(case.tag), bound) if case.char else None
+    return groebner(make_ideal(case), bound, guide=guide)
 
 
 @_memoized

@@ -4,7 +4,7 @@
     steinberg verify bwb-tables --l 5
     steinberg verify identities --char 0
     steinberg verify span --char 5
-    steinberg verify ideal --case n3-z --char 5 --degree-bound 5 [--trials T --seed S --symbolic]
+    steinberg verify ideal --case n3-z --char 5 --degree-bound 5 [--trials T --seed S]
     steinberg verify dims | multiplicities | classgroup
     steinberg compute chi --rep "wedge^2(b)*b"
     steinberg compute psupp --rep "wedge^2(b)*b" --i 2 --l 5
@@ -64,7 +64,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--char", type=int, default=0)
     p.add_argument("--degree-bound", type=_int_at_least(0), default=5)
     p.add_argument("--trials", type=_int_at_least(1), default=200)
-    p.add_argument("--symbolic", action="store_true")
     verify.add_parser("dims", parents=[common])
     verify.add_parser("multiplicities", parents=[common])
     verify.add_parser("classgroup", parents=[common])
@@ -97,7 +96,7 @@ def _verify(args) -> int:
         campaigns.span_campaign(em, args.char)
     elif args.campaign == "ideal":
         campaigns.ideal_campaign(em, args.case_tag, args.char, args.degree_bound,
-                                 args.trials, args.seed, args.symbolic)
+                                 args.trials, args.seed)
     elif args.campaign == "dims":
         campaigns.dims_campaign(em)
     elif args.campaign == "multiplicities":

@@ -42,23 +42,31 @@ their lcm): the content `_basis_form` divides out and the leading
 coefficient it keeps, each time an element is entered and each time its
 degree is interreduced.  Every other multiplier of the run, in an S-pair
 or a reduction step, divides a leading coefficient so recorded.  Let l
-divide none of these integers and no generator over Q vanish mod l (a
-lucky prime: Traverso, ISSAC 1988; Arnold, JSC 35, 2003).  Then every
-multiplier of the run over Q is an l-unit, so at every step the state of
-the unguided run over GF(l), on the generators reduced mod l, is a unit
-times the state of the run over Q mod l: a coefficient that is 0 mod l is
-a step the GF(l) run skips, a reduction to zero stays one, and a nonzero
-remainder stays nonzero mod l with the same leading monomial.  So the
-whole run over GF(l) is the run over Q mod l step for step, with the same
-pairs skipped and reduced, and its basis is the basis over Q mod l, each
-element made monic.  A generator that vanishes mod l breaks this: the two
-runs then start from different generators.
+divide none of these integers (a lucky prime: Traverso, ISSAC 1988;
+Arnold, JSC 35, 2003).  Then every multiplier of the run over Q is an
+l-unit, so at every step the state of the unguided run over GF(l), on the
+generators reduced mod l, is a unit times the state of the run over Q mod
+l: a coefficient that is 0 mod l is a step the GF(l) run skips, a
+reduction to zero stays one, and a nonzero remainder stays nonzero mod l
+with the same leading monomial.  So the whole run over GF(l) is the run
+over Q mod l step for step, with the same pairs skipped and reduced, and
+its basis is the basis over Q mod l, each element made monic.
+
+A generator g over Q that vanishes mod l is no exception.  The run
+reduces s*g, where s, the lcm of g's denominators, is an l-unit, so every
+coefficient of s*g is divisible by l.  Each reduction step multiplies by
+a/gcd(a, c) and subtracts (c/gcd(a, c)) * x^k * g_k, where a is a recorded
+leading coefficient and so an l-unit: the polynomial stays divisible by l.
+A nonzero remainder would put l into the record, through the content
+`_basis_form` divides out; so g reduces to zero.  A generator that reduces
+to zero changes neither the run's state nor its minimal-generator counts,
+and the run over GF(l) never sees g at all.
 
 A run over GF(l) may be guided by a basis over Q, with the run's bound, of
 the ideal whose generators reduce mod l to its own (an l-integral list).
-When l divides nothing that run recorded and no generator vanishes mod l,
-the basis is read off the guide with no worker built; otherwise the guide
-is set aside and the run is unguided.
+When l divides nothing that run recorded, the basis is read off the guide
+with no worker built; otherwise the guide is set aside and the run is
+unguided.
 
 The lift trusts the guide: a basis over Q missing an element of degree d
 is read off as it is, and the Hilbert function of the basis read off
@@ -349,8 +357,7 @@ class IdealBasis:
     holds the work counters of the `groebner` run that built the basis; no
     report reads them.  divisors is, over Q, the lcm of the integers the run
     divided by: a run over GF(l) reads its basis off this one when l does
-    not divide it and no generator vanishes mod l (see the module
-    docstring).  It is None over GF(p).
+    not divide it (see the module docstring).  It is None over GF(p).
     """
 
     ring: PolyRing
@@ -653,10 +660,10 @@ def groebner(ideal: IdealBasis, bound=None, guide: IdealBasis | None = None) -> 
 
     `guide`, for an ideal over GF(l), is a basis over Q with the run's bound
     of the ideal whose generators reduce mod l to this ideal's (see the
-    module docstring).  When l divides none of the guide's divisors and no
-    generator vanishes mod l, the basis is read off the guide; otherwise the
-    guide is set aside and the run is unguided.  The guide changes the work,
-    never the result; an unsuitable guide raises ValueError.
+    module docstring).  When l divides none of the guide's divisors, the
+    basis is read off the guide; otherwise the guide is set aside and the
+    run is unguided.  The guide changes the work, never the result; an
+    unsuitable guide raises ValueError.
     """
     ring = ideal.ring
     gens = [g for g in ideal.gens if g]
@@ -704,9 +711,11 @@ def groebner(ideal: IdealBasis, bound=None, guide: IdealBasis | None = None) -> 
 def _lift(ideal: IdealBasis, bound, guide: IdealBasis) -> IdealBasis | None:
     """The basis over GF(l) of ideal read off its guide, a basis over Q with
     the run's bound (see the module docstring), or None when l divides the
-    guide's divisors or a generator over Q vanishes mod l.  Each element is
-    its basis form's residues times the inverse of its leading coefficient,
-    zeros omitted.  Raises ValueError when the guide is unsuitable."""
+    guide's divisors.  Each element is its basis form's residues times the
+    inverse of its leading coefficient, zeros omitted.  Raises ValueError
+    when the guide is unsuitable: not a basis over Q in the same variables
+    with the run's bound, not l-integral, or with generators that do not
+    reduce mod l, zeros omitted, to the ideal's."""
     ring, qring = ideal.ring, guide.ring
     l = ring.domain.characteristic
     if qring.domain.characteristic or not l or qring.names != ring.names:
@@ -714,10 +723,14 @@ def _lift(ideal: IdealBasis, bound, guide: IdealBasis) -> IdealBasis | None:
                          "in the same variables")
     if guide.gb is None or guide.divisors is None or guide.gb_bound != bound:
         raise ValueError("the guide must be a recorded Groebner basis with the run's bound")
-    reduced, vanishing = reduce_mod(ring, guide.gens)
-    if reduced != [dict(g) for g in ideal.gens if g]:
+    of = ring.domain.of
+    try:
+        reduced = [{m: r for m, c in g.items() if (r := of(c))} for g in guide.gens]
+    except ZeroDivisionError:
+        raise ValueError(f"the guide's generators are not {l}-integral") from None
+    if [g for g in reduced if g] != [dict(g) for g in ideal.gens if g]:
         raise ValueError(f"the ideal's generators are not the guide's reduced mod {l}")
-    if vanishing or guide.divisors % l == 0:
+    if guide.divisors % l == 0:
         return None
     lead = []
     for lm, mask, g in guide.gb_lead:
@@ -725,19 +738,6 @@ def _lift(ideal: IdealBasis, bound, guide: IdealBasis) -> IdealBasis | None:
         lead.append((lm, mask, {m: r for m, c in g.items() if (r := c * inv % l)}))
     return IdealBasis(ring, list(ideal.gens), gb=[g for _, _, g in lead], gb_bound=bound,
                       mingens=dict(guide.mingens), gb_lead=lead, stats=GroebnerStats())
-
-
-def reduce_mod(ring: PolyRing, gens: list) -> tuple[list, bool]:
-    """The generators over Q `gens` reduced into ring's prime field GF(l),
-    zeros omitted, and whether a nonzero one vanishes there: the runs over
-    Q and GF(l) then start from different generators, and no basis over
-    GF(l) is read off a basis of gens.  ValueError if not l-integral."""
-    try:
-        reduced = [{m: r for m, c in g.items() if (r := ring.domain.of(c))} for g in gens if g]
-    except ZeroDivisionError:
-        l = ring.domain.characteristic
-        raise ValueError(f"the guide's generators are not {l}-integral") from None
-    return [r for r in reduced if r], not all(reduced)
 
 
 def _reduced_basis(worker: _GBWorker) -> list:

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from steinberg import campaigns, cases, cli
+from steinberg import campaigns, cases, cli, polyalg
 from steinberg.cases import (EVAL_PRIME, IdealCase, UnsupportedCase, build_case,
                              chart_symbolic_check,
                              character_section_dims, commutator_layer_check,
@@ -390,7 +390,7 @@ def test_verify_all_reads_every_guided_case_basis_off_its_char0_basis(groebner_c
     campaigns.verify_all(em, seed=0, trials=5)
     assert all(e.status != FAIL for e in em.entries)
     over_fl = {_gens_key(make_ideal(IdealCase(tag, l)).gens): (tag, l)
-               for tag in cases._GUIDED_TAGS for l in (5, 7)}
+               for tag in ("n2", "n3-z", "n3-x") for l in (5, 7)}
     counts = {}
     for gens, bound, guide in groebner_calls:
         if _gens_key(gens) not in over_fl:
@@ -407,29 +407,54 @@ def test_verify_all_reads_every_guided_case_basis_off_its_char0_basis(groebner_c
     cases.clear_case_memo()
 
 
-def test_no_char0_basis_is_built_for_a_guide_the_run_would_drop(groebner_calls, capsys):
+def test_a_char0_basis_that_records_l_guides_no_read(groebner_calls, capsys):
     """Over GF(2) the n2 commutator entries with coefficient 2 vanish in
-    degree 2, the top generator degree: the run over GF(2) would drop a
-    guide, so the basis over Q is not built."""
+    degree 2, the top generator degree.  The basis over Q is built first as
+    the guide; its record names 2, so nothing is read off it and the run
+    over GF(2) is the unguided one."""
     argv = ["compute", "hilbert", "--case", "n2", "--char", "2", "--degree-bound", "3"]
     assert cli.main(argv) == 0 and capsys.readouterr().out == "[1, 6, 18, 38]\n"
-    assert [(bound, guide) for _, bound, guide in groebner_calls] == [(3, None)]
+    [(q_bound, no_guide), (bound, guide)] = [(bound, guide) for _, bound, guide in groebner_calls]
+    assert (q_bound, no_guide, bound) == (3, None, 3) and guide.divisors % 2 == 0
+    ideal = make_ideal(IdealCase("n2", 2))
+    assert polyalg._lift(ideal, 3, guide) is None
+    basis, unguided = groebner(ideal, 3, guide=guide), groebner(ideal, 3)
+    assert basis == unguided and basis.gb_lead == unguided.gb_lead
 
 
-@pytest.mark.parametrize("tag, l, guided", [("n2", 2, False), ("n3-z", 2, False),
+@pytest.mark.parametrize("tag, l, intact", [("n2", 2, False), ("n3-z", 2, False),
                                             ("n3-z", 3, False), ("n3-x", 2, True),
                                             ("n3-x", 3, True)])
-def test_a_case_basis_over_gf2_or_gf3_is_the_unguided_run(groebner_calls, tag, l, guided):
-    """The real cases whose bases over GF(l) are not read off: a char-0
-    generator of n2 and of n3-z vanishes mod l, so no guide is built, and
-    the char-0 run of n3-x records l, so its guide is dropped.  Either way
-    the basis is the unguided run's, work counters included."""
+def test_a_case_basis_over_gf2_or_gf3_is_the_unguided_run(groebner_calls, tag, l, intact):
+    """The real cases whose bases over GF(l) at bound 4 are not read off:
+    each is guided by the char-0 basis, whose run records l (n2 records 2,
+    n3-z 12 and n3-x 24), so the guide is set aside, whether a char-0
+    generator vanishes mod l (n2, n3-z) or every one stays intact (n3-x).
+    The basis is the unguided run's, work counters included."""
     ideal = make_ideal(IdealCase(tag, l))
+    of = ideal.ring.domain.of
+    assert all(any(of(c) for c in g.values())
+               for g in make_ideal(IdealCase(tag)).gens) == intact
     basis, unguided = cases.case_basis(IdealCase(tag, l), 4), groebner(ideal, 4)
     assert basis == unguided and basis.gb_lead == unguided.gb_lead
     assert basis.stats == unguided.stats and unguided.stats.pairs > 0
-    assert [guide is not None for gens, _, guide in groebner_calls if gens == ideal.gens] == \
-        [guided]
+    guides = [guide for gens, _, guide in groebner_calls if gens == ideal.gens]
+    assert len(guides) == 1 and guides[0].divisors % l == 0
+
+
+@pytest.mark.parametrize("tag, l", [(tag, l) for tag in ("n2", "n3-z", "n3-x") for l in (2, 3)])
+def test_small_prime_case_bases_equal_the_unguided_runs(tag, l):
+    """The oracle grid of the lift at the primes where the read-off decision
+    goes both ways: at every bound through 5, and complete for n2 and n3-x,
+    the case basis over GF(l), guided by the char-0 basis, equals the
+    unguided run on the case's own generators over GF(l)."""
+    for bound in [*range(6), *([None] if tag != "n3-z" else [])]:
+        cases.clear_case_memo()
+        ideal = make_ideal(IdealCase(tag, l))
+        basis, unguided = cases.case_basis(IdealCase(tag, l), bound), groebner(ideal, bound)
+        assert basis == unguided, (bound, "gb, gb_bound, mingens")
+        assert basis.gb_lead == unguided.gb_lead, bound
+    cases.clear_case_memo()
 
 
 def test_a_faulty_char0_basis_fails_the_hilbert_cross_check(monkeypatch):

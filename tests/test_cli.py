@@ -209,10 +209,10 @@ def test_canonical_report_is_pinned():
 
 
 # sha256 of outputs that the `verify all` digest does not cover: the gl-n3
-# symbolic chart, the cnil case, a Hilbert function and the char-0 span and
+# symbolic chart, the cnil case, Hilbert functions and the char-0 span and
 # identity campaigns, whose texts print coefficients over Q
 OTHER_OUTPUT_SHA256 = {
-    "verify ideal --case gl-n3 --char 5 --degree-bound 4 --symbolic --format json":
+    "verify ideal --case gl-n3 --char 5 --degree-bound 4 --format json":
         "ea420ab640c6447075b0f5fe96443be1e5dec0b05f60fe11d268086e0055c025",
     "verify ideal --case cnil --format json":
         "5c4c21cfafc4561d23cd9d1ea6e54ed3e56eedafccd1be5c493dbdc0275c6b52",
@@ -228,9 +228,18 @@ OTHER_OUTPUT_SHA256 = {
     "verify ideal --case n3-x --char 7 --degree-bound 4 --format json":
         "bec89002fba3999c23d4af286028564fb0a0b3e1e8c56a567fd79ee33c1fd557",
     "verify ideal --case gl-n3 --char 7 --format json":
-        "d60d90b7e354e3c381dc018e7175e1257ac5155cd40831531e7e19673f5c5179",
+        "f6812bb98bd59026909710b7c504dbfdfb18e68968791076b141cc5c748c9fec",
     "verify dims --format json":
         "489aca23167e9271caa2ee1f12a0269485a96c357e069c19e785b123894803bc",
+    # bases over GF(2) and GF(3), where a char-0 generator vanishes mod l:
+    # read off the char-0 basis at n3-z mod 3 to bound 2, unguided in the
+    # other two, whose char-0 runs record l
+    "compute hilbert --case n3-z --char 3 --degree-bound 2":
+        "4f6d14cd327b355c8797e148a59bb07d4df40ce7b9d656a329c3d92a14f20a42",
+    "compute hilbert --case n3-z --char 2 --degree-bound 5":
+        "530c09d2dea43da4ed6e8960ad30f27a8f7ef6a3d85cde51d961ed7f36d10f8c",
+    "compute hilbert --case n2 --char 2 --degree-bound 3":
+        "0b178dd9a55de3418a88f86900ee8905cf74e530a9fe1189959ce44a95b59a83",
 }
 
 

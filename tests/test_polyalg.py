@@ -844,14 +844,27 @@ def quadrics_with_multiples_of(draw, l):
     are multiplied by l.  Their leading coefficients stay units mod l, but
     in about half of the draws a run over Q divides out a content divisible
     by l above degree 2, as for TORSION below: the run over GF(l) then
-    drops its guide and runs unguided."""
+    drops its guide and runs unguided.  A draw may append a generator that
+    vanishes mod l: l*m*g for a monomial m of degree <= 1 and a drawn
+    quadric g, which lies in the ideal and so reduces to zero over Q, or
+    l*h for a free quadric h, whose nonzero remainder over Q carries l."""
     monos = _monomials(3, 2)
-    gens = []
-    for _ in range(draw(st.integers(2, 4))):
+
+    def quadric(scale_tail):
         picked = draw(st.lists(st.sampled_from(monos), min_size=2, max_size=4, unique=True))
         lead = max(picked, key=polyalg._drl_key)
-        gens.append({m: draw(st.sampled_from((-3, -2, -1, 1, 2, 3)))
-                     * (l if m != lead and draw(st.booleans()) else 1) for m in picked})
+        return {m: draw(st.sampled_from((-3, -2, -1, 1, 2, 3)))
+                * (l if scale_tail and m != lead and draw(st.booleans()) else 1)
+                for m in picked}
+
+    gens = [quadric(True) for _ in range(draw(st.integers(2, 4)))]
+    kind = draw(st.sampled_from(("none", "ideal multiple", "free")))
+    if kind == "ideal multiple":
+        m = draw(st.sampled_from(_monomials(3, 0) + _monomials(3, 1)))
+        g = draw(st.sampled_from(gens))
+        gens.append({tuple(a + b for a, b in zip(m, mg)): l * c for mg, c in g.items()})
+    elif kind == "free":
+        gens.append({m: l * c for m, c in quadric(False).items()})
     return 3, gens
 
 
@@ -867,9 +880,9 @@ def test_guided_basis_equals_the_unguided_one(data, l, bound):
     guided, unguided = groebner(ideal, bound, guide=q), groebner(ideal, bound)
     _assert_same_basis(guided, unguided)
     # the read-off decision: the basis is read off, with no pair treated,
-    # exactly when l divides nothing the run over Q recorded and no
-    # generator vanishes mod l; otherwise the run is the unguided one
-    read = q.divisors % l != 0 and not polyalg.reduce_mod(Rl, q.gens)[1]
+    # exactly when l divides nothing the run over Q recorded; otherwise the
+    # run is the unguided one
+    read = q.divisors % l != 0
     assert guided.stats == (polyalg.GroebnerStats() if read else unguided.stats)
     # upper semicontinuity over Z_(l): HF over GF(l) never below HF over Q
     assert all(a >= b for a, b in zip(hilbert_function(unguided, bound).dims,
@@ -1059,14 +1072,15 @@ def test_a_generator_vanishing_mod_l_above_the_top_degree_counts_over_q_only():
     _assert_same_basis(guided, unguided)
 
 
-def test_a_generator_vanishing_mod_l_blocks_a_read_the_record_allows():
+def test_a_generator_vanishing_mod_l_is_read_off_when_the_record_allows():
     """5*x^3 - 5*x*y*z = 5*x*(x^2 - y*z) vanishes mod 5 and reduces to zero
-    over Q, so the record stays clean for 5; the run over GF(5) still
-    drops its guide, because the two runs start from different generators."""
+    over Q, so the record stays clean for 5, and the basis over GF(5) is
+    read off the run over Q with no pair treated: the run over GF(5), which
+    never sees that generator, makes the same steps as the run over Q."""
     q, guided, unguided = _runs_mod(5, ("1*x^2 - 1*y*z", "1*x*y - 1*z^2",
                                         "5*x^3 - 5*x*y*z"), 4)
     assert q.divisors % 5 != 0 and unguided.stats.pairs > 0
-    assert guided.stats == unguided.stats
+    assert guided.stats == polyalg.GroebnerStats()
     _assert_same_basis(guided, unguided)
 
 

@@ -130,7 +130,7 @@ def test_every_defaulted_parameter_is_set_by_some_call():
     assert not knobs, knobs
 
 
-COUNTERS = "work counters pinned by the Groebner tests, for ROADMAP item 8's profile"
+COUNTERS = "work counters pinned by the Groebner tests, for ROADMAP item 11's profile"
 
 # Dataclass fields kept although only the tests read them, as
 # (class, field): reason.
