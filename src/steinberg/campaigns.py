@@ -15,8 +15,9 @@ from contextlib import suppress
 from . import bwb, liealg
 from .breps import WeightMultiset, build_rep
 from .cases import (IdealCase, build_case, case_basis, case_cn_reduction, case_hilbert,
-                    case_points, chart_symbolic_check, clear_case_memo, commutator_layer_check,
-                    gl_specialization_check, hilbert_cross_check, multiplicity, span17_check)
+                    case_points, chart_symbolic_check, clear_case_memo, cn_ideal_reduction,
+                    commutator_layer_check, gl_specialization_check, hilbert_cross_check,
+                    multiplicity, span17_check)
 from .fieldops import mat_mul, mat_sub, mat_trace
 from .polyalg import IdealBasis, PolyRing, groebner, krull_dim, min_gen_degrees, normal_form
 from .report import Emitter, load_data_text
@@ -125,12 +126,12 @@ def ideal_campaign(em: Emitter, tag: str, char: int, bound: int, trials: int, se
         em.add(f"{pre}.symbolic", rep.principal and rep.passed,
                "single generator; normalized form q^2*e - e + a*f - d*c",
                f"raw {rep.generator_text}; normalized {rep.normalized_text}", anchor=anchor)
-        rep1 = liealg.cn_ideal_reduction(1, 3, char)
+        rep1 = cn_ideal_reduction(1, 3, char)
         em.add(f"{pre}.q1", rep1.passed, "a*f - c*d", rep1.generator_text, anchor=anchor)
-        rep5 = liealg.cn_ideal_reduction(1, 3, 5)
+        rep5 = cn_ideal_reduction(1, 3, 5)
         em.add(f"{pre}.q1-f5", rep5.passed, "a*f - c*d over GF(5)", rep5.generator_text,
                anchor=anchor)
-        rep2 = liealg.cn_ideal_reduction(1, 2, char)
+        rep2 = cn_ideal_reduction(1, 2, char)
         em.add(f"{pre}.n2", rep2.passed and not rep2.entries, "zero ideal", str(rep2.entries),
                anchor=anchor)
     if tag in ("n2", "n3-z"):

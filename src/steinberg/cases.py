@@ -15,7 +15,7 @@ the last diagonal entry of each matrix and write it as minus the others).
             two characteristic polynomials, and tr(Phi(Sigma-I)).
     gl-n3   the 3x3 analogue, with Sigma^q = I + q(Sigma-I) + C(q,2)(Sigma-I)^2
             and the two extra cubic matrix relations.
-    cnil    the commuting-nilpotent chart equation (see liealg).
+    cnil    the commuting-nilpotent chart equation (see cn_ideal_reduction).
 
 In the gl and cnil cases q is a variable of the ring, the first one; a
 check that needs a value of q substitutes it (q = 1 in
@@ -253,16 +253,6 @@ def make_ideal(case: IdealCase) -> IdealBasis:
     """The literal generator list of the named case, in ambient coordinates."""
     data = build_case(case)
     return IdealBasis(data.ring, list(data.gens))
-
-
-@_memoized
-def case_cn_reduction(case: IdealCase):
-    """The symbolic cn_ideal_reduction(None, 3, case.char) of a cnil case,
-    computed once per case: the cnil generators and the symbolic check read
-    the same report."""
-    from .liealg import cn_ideal_reduction
-
-    return cn_ideal_reduction(None, 3, case.char)
 
 
 @_memoized
@@ -767,6 +757,102 @@ def chart_symbolic_check(tag: str) -> ChartReport:
         if normal_form_mod_unit(chart, val, "q", "r"):
             bad.append(k)
     return ChartReport(tag, len(gl.gens), bad)
+
+
+# -- the commuting-nilpotent chart equation ----------------------------------------
+
+
+@dataclass
+class CnReport:
+    """Outcome of expanding (Phi0 + M) N - q N (Phi0 + M) on the chart.
+
+    raw is the single nonzero entry (n = 3); normalized is its form after the
+    recorded unit substitution e -> (q+1)/q * e, c -> c/q, which matches the
+    usual presentation (q^2-1)e + af - dc.  For n = 2 the entry list is empty.
+    The entries are polynomials of ring: q, r = 1/q (symbolic q only), then
+    the upper entries a, b, c of M and d, e, f of N.
+    """
+
+    n: int
+    ring: object
+    entries: list
+    principal: bool
+    generator_text: str
+    normalized_text: str
+    passed: bool
+
+
+def cn_ideal_reduction(q=None, n: int = 3, char=0) -> CnReport:
+    if n not in (2, 3):
+        raise ValueError("only n = 2 and n = 3 are modelled")
+    upper = {2: [("a", 0, 1)], 3: [("a", 0, 1), ("b", 0, 2), ("c", 1, 2)]}[n]
+    upper_n = {2: [("d", 0, 1)], 3: [("d", 0, 1), ("e", 0, 2), ("f", 1, 2)]}[n]
+    names = [nm for nm, _, _ in upper] + [nm for nm, _, _ in upper_n]
+    symbolic = q is None
+    ring = PolyRing((["q", "r"] if symbolic else []) + names, char)
+
+    def qpow(k: int):
+        if symbolic:
+            return ring.pow(ring.var("q"), k)
+        return ring.const(ring.domain.of(q) ** k if k else 1)
+
+    phi = _zeros(ring, n)
+    nm_mat = _zeros(ring, n)
+    for i in range(n):
+        phi[i][i] = qpow(n - 1 - i)
+    for nm, i, j in upper:
+        phi[i][j] = ring.var(nm)
+    for nm, i, j in upper_n:
+        nm_mat[i][j] = ring.var(nm)
+
+    pn = mat_mul(ring, phi, nm_mat)
+    np_ = mat_mul(ring, nm_mat, phi)
+    qfac = qpow(1)
+    entries = []
+    for i in range(n):
+        for j in range(n):
+            e = ring.sub(pn[i][j], ring.mul(qfac, np_[i][j]))
+            if e:
+                entries.append(((i, j), e))
+    principal = len(entries) <= 1
+    if n == 2:
+        return CnReport(n, ring, entries, principal, "0", "0", not entries)
+    gen_text = norm_text = ""
+    passed = False
+    if principal and entries:
+        gen = entries[0][1]
+        gen_text = ring.to_text(gen)
+        if symbolic:
+            # normalize by the unit rescaling in the Laurent ring Q[q, r]/(qr - 1)
+            subbed = ring.substitute(
+                gen,
+                {
+                    "e": ring.mul(ring.add(ring.var("q"), ring.const(1)),
+                                  ring.mul(ring.var("r"), ring.var("e"))),
+                    "c": ring.mul(ring.var("r"), ring.var("c")),
+                },
+                ring,
+            )
+            norm = normal_form_mod_unit(ring, subbed, "q", "r")
+            norm_text = ring.to_text(norm)
+            expect = ring.from_text("q^2*e - 1*e + a*f - 1*d*c")
+            passed = norm == expect
+        else:
+            norm_text = gen_text
+            # (q^2 - q)e + af - q dc, specialised at the numeric q
+            sym = PolyRing(["q"] + names, 0)
+            expect = sym.substitute(sym.from_text("q^2*e - 1*q*e + a*f - 1*q*d*c"),
+                                    {"q": ring.const(q)}, ring)
+            passed = gen == expect
+    return CnReport(n, ring, entries, principal, gen_text, norm_text, passed)
+
+
+@_memoized
+def case_cn_reduction(case: IdealCase):
+    """The symbolic cn_ideal_reduction(None, 3, case.char) of a cnil case,
+    computed once per case: the cnil generators and the symbolic check read
+    the same report."""
+    return cn_ideal_reduction(None, 3, case.char)
 
 
 # -- the commutator layer over the nilpotent-pair ring ---------------------------------

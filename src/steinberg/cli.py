@@ -53,20 +53,29 @@ def build_parser() -> argparse.ArgumentParser:
     verify = sub.add_parser("verify").add_subparsers(dest="campaign", required=True)
     p = verify.add_parser("all", parents=[common])
     p.add_argument("--trials", type=_int_at_least(1), default=200)
+    p.set_defaults(run=lambda em, a: campaigns.verify_all(em, seed=a.seed, trials=a.trials))
     p = verify.add_parser("bwb-tables", parents=[common])
     p.add_argument("--l", type=int, required=True)
+    p.set_defaults(run=lambda em, a: campaigns.bwb_tables_campaign(em, a.l))
     p = verify.add_parser("identities", parents=[common])
     p.add_argument("--char", type=int, default=0)
+    p.set_defaults(run=lambda em, a: campaigns.identities_campaign(em, a.char))
     p = verify.add_parser("span", parents=[common])
     p.add_argument("--char", type=int, default=0)
+    p.set_defaults(run=lambda em, a: campaigns.span_campaign(em, a.char))
     p = verify.add_parser("ideal", parents=[common])
     p.add_argument("--case", dest="case_tag", choices=CASE_TAGS, required=True)
     p.add_argument("--char", type=int, default=0)
     p.add_argument("--degree-bound", type=_int_at_least(0), default=5)
     p.add_argument("--trials", type=_int_at_least(1), default=200)
-    verify.add_parser("dims", parents=[common])
-    verify.add_parser("multiplicities", parents=[common])
-    verify.add_parser("classgroup", parents=[common])
+    p.set_defaults(run=lambda em, a: campaigns.ideal_campaign(
+        em, a.case_tag, a.char, a.degree_bound, a.trials, a.seed))
+    p = verify.add_parser("dims", parents=[common])
+    p.set_defaults(run=lambda em, a: campaigns.dims_campaign(em))
+    p = verify.add_parser("multiplicities", parents=[common])
+    p.set_defaults(run=lambda em, a: campaigns.multiplicities_campaign(em))
+    p = verify.add_parser("classgroup", parents=[common])
+    p.set_defaults(run=lambda em, a: campaigns.classgroup_campaign(em))
 
     compute = sub.add_parser("compute").add_subparsers(dest="computation", required=True)
     p = compute.add_parser("chi")
@@ -86,29 +95,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _verify(args) -> int:
     em = Emitter()
-    if args.campaign == "all":
-        campaigns.verify_all(em, seed=args.seed, trials=args.trials)
-    elif args.campaign == "bwb-tables":
-        campaigns.bwb_tables_campaign(em, args.l)
-    elif args.campaign == "identities":
-        campaigns.identities_campaign(em, args.char)
-    elif args.campaign == "span":
-        campaigns.span_campaign(em, args.char)
-    elif args.campaign == "ideal":
-        campaigns.ideal_campaign(em, args.case_tag, args.char, args.degree_bound,
-                                 args.trials, args.seed)
-    elif args.campaign == "dims":
-        campaigns.dims_campaign(em)
-    elif args.campaign == "multiplicities":
-        campaigns.multiplicities_campaign(em)
-    elif args.campaign == "classgroup":
-        campaigns.classgroup_campaign(em)
+    args.run(em, args)
     report = Report(em.entries, seed=args.seed)
     if args.format == "json":
         sys.stdout.write(report.to_json())
     else:
         sys.stdout.write(report.to_markdown())
-        if args.campaign in ("all", "bwb-tables"):
+        # the BWB tables accompany the report whose checks they feed
+        if any(e.check_id.startswith("bwb.") for e in report.entries):
             sys.stdout.write("\n" + campaigns.tables_markdown())
     return report.exit_code
 

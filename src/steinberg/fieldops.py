@@ -3,7 +3,10 @@
 Vectors are dicts {index: nonzero coefficient}; subspaces are kept as row
 echelon bases with pivots at the smallest nonzero index, which makes every
 reduction and every choice of complement deterministic.  `span_coords` is the
-one solver for coordinates in the span of independent vectors.
+one solver for coordinates in the span of independent vectors.  The `vec_*`
+helpers are the sparse arithmetic of vectors and polynomials alike: a
+polynomial is a vector indexed by monomials, and `PolyRing` adds, subtracts
+and scales through them.
 
 An element of Q is an `int` when it is integral and a `Fraction` otherwise:
 `QQ.of` and `QQ.inv` return that form, and sums and products follow Python's

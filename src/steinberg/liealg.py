@@ -130,10 +130,6 @@ _B_LABELS = ("ta", "tb", "fa", "fb", "fr")
 _B_WEIGHTS = ((0, 0), (0, 0), NEG_ALPHA, NEG_BETA, NEG_RHO)
 
 
-def _mat3(entries) -> tuple:
-    return tuple(tuple(entries[i][j] for j in range(3)) for i in range(3))
-
-
 @functools.lru_cache(maxsize=None)
 def borel_rep(char=0) -> BasedRep:
     """The 5-dimensional Borel subalgebra as a representation of itself.
@@ -145,11 +141,9 @@ def borel_rep(char=0) -> BasedRep:
     """
     fld = field_of(char)
     z, o = fld.zero, fld.one
-    E12 = _mat3([[z, o, z], [z, z, z], [z, z, z]])
-    E23 = _mat3([[z, z, z], [z, z, o], [z, z, z]])
-    fa, fb = E23, E12
-    E13 = _mat3([[z, z, o], [z, z, z], [z, z, z]])
-    fr = E13
+    fa = [[z, z, z], [z, z, o], [z, z, z]]  # E23
+    fb = [[z, o, z], [z, z, z], [z, z, z]]  # E12
+    fr = [[z, z, o], [z, z, z], [z, z, z]]  # E13
     # t_alpha, t_beta: dual basis to (alpha, beta) inside the traceless torus.
     # Rows: alpha(t) = z - y, beta(t) = y - x, trace = 0 for t = diag(x, y, z).
     sys_rows = [[z, fld.neg(o), o], [fld.neg(o), o, z], [o, o, o]]
@@ -163,7 +157,7 @@ def borel_rep(char=0) -> BasedRep:
         ) from e
 
     def diag(coords):
-        return _mat3([[coords.get(0, z), z, z], [z, coords.get(1, z), z], [z, z, coords.get(2, z)]])
+        return [[coords.get(0, z), z, z], [z, coords.get(1, z), z], [z, z, coords.get(2, z)]]
 
     def flat(m) -> dict:
         return {3 * i + j: x for i, row in enumerate(m) for j, x in enumerate(row) if x != z}
@@ -777,95 +771,3 @@ def restrict_to_span(rep: BasedRep, vectors: list[dict]) -> BasedRep:
     out = BasedRep(fld, tuple(f"v{k}" for k in range(len(vecs))), tuple(weights), ops)
     out.check_grading()
     return out
-
-
-# -- the commuting-nilpotent chart equation ----------------------------------------
-
-
-@dataclass
-class CnReport:
-    """Outcome of expanding (Phi0 + M) N - q N (Phi0 + M) on the chart.
-
-    raw is the single nonzero entry (n = 3); normalized is its form after the
-    recorded unit substitution e -> (q+1)/q * e, c -> c/q, which matches the
-    usual presentation (q^2-1)e + af - dc.  For n = 2 the entry list is empty.
-    The entries are polynomials of ring: q, r = 1/q (symbolic q only), then
-    the upper entries a, b, c of M and d, e, f of N.
-    """
-
-    n: int
-    ring: object
-    entries: list
-    principal: bool
-    generator_text: str
-    normalized_text: str
-    passed: bool
-
-
-def cn_ideal_reduction(q=None, n: int = 3, char=0) -> CnReport:
-    from .polyalg import PolyRing, normal_form_mod_unit
-
-    if n not in (2, 3):
-        raise ValueError("only n = 2 and n = 3 are modelled")
-    upper = {2: [("a", 0, 1)], 3: [("a", 0, 1), ("b", 0, 2), ("c", 1, 2)]}[n]
-    upper_n = {2: [("d", 0, 1)], 3: [("d", 0, 1), ("e", 0, 2), ("f", 1, 2)]}[n]
-    names = [nm for nm, _, _ in upper] + [nm for nm, _, _ in upper_n]
-    symbolic = q is None
-    ring = PolyRing((["q", "r"] if symbolic else []) + names, char)
-
-    def qpow(k: int):
-        if symbolic:
-            return ring.pow(ring.var("q"), k)
-        return ring.const(ring.domain.of(q) ** k if k else 1)
-
-    zero = ring.zero()
-    phi = [[zero for _ in range(n)] for _ in range(n)]
-    nm_mat = [[zero for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        phi[i][i] = qpow(n - 1 - i)
-    for nm, i, j in upper:
-        phi[i][j] = ring.var(nm)
-    for nm, i, j in upper_n:
-        nm_mat[i][j] = ring.var(nm)
-
-    pn = mat_mul(ring, phi, nm_mat)
-    np_ = mat_mul(ring, nm_mat, phi)
-    qfac = qpow(1)
-    entries = []
-    for i in range(n):
-        for j in range(n):
-            e = ring.sub(pn[i][j], ring.mul(qfac, np_[i][j]))
-            if e:
-                entries.append(((i, j), e))
-    principal = len(entries) <= 1
-    gen_text = norm_text = ""
-    passed = False
-    if n == 2:
-        passed = not entries
-        return CnReport(n, ring, entries, principal, "0", "0", passed)
-    if principal and entries:
-        gen = entries[0][1]
-        gen_text = ring.to_text(gen)
-        if symbolic:
-            # normalize by the unit rescaling in the Laurent ring Q[q, r]/(qr - 1)
-            subbed = ring.substitute(
-                gen,
-                {
-                    "e": ring.mul(ring.add(ring.var("q"), ring.const(1)),
-                                  ring.mul(ring.var("r"), ring.var("e"))),
-                    "c": ring.mul(ring.var("r"), ring.var("c")),
-                },
-                ring,
-            )
-            norm = normal_form_mod_unit(ring, subbed, "q", "r")
-            norm_text = ring.to_text(norm)
-            expect = ring.from_text("q^2*e - 1*e + a*f - 1*d*c")
-            passed = norm == expect
-        else:
-            norm_text = gen_text
-            # (q^2 - q)e + af - q dc, specialised at the numeric q
-            sym = PolyRing(["q"] + names, 0)
-            expect = sym.substitute(sym.from_text("q^2*e - 1*q*e + a*f - 1*q*d*c"),
-                                    {"q": ring.const(q)}, ring)
-            passed = gen == expect
-    return CnReport(n, ring, entries, principal, gen_text, norm_text, passed)

@@ -1,7 +1,8 @@
 """Exact multivariate polynomial algebra: Buchberger, Hilbert data, SNF.
 
 Monomials are exponent tuples ordered by degrevlex.  Polynomials are sparse
-{monomial: coefficient} dicts over Q or a prime field.
+{monomial: coefficient} dicts over Q or a prime field, which `PolyRing`
+adds, subtracts and scales by the vector helpers of `fieldops`.
 
 Groebner input is homogeneous; `groebner` raises TruncationError on anything
 else.  The driver is degree-stratified: S-pairs are processed degree by
@@ -96,7 +97,7 @@ from fractions import Fraction
 from itertools import accumulate
 from math import comb, gcd, lcm
 
-from .fieldops import Echelon, InvariantError, field_of
+from .fieldops import Echelon, InvariantError, field_of, vec_iadd_scaled, vec_scale, vec_sub
 
 Monomial = tuple[int, ...]
 Poly = dict
@@ -137,33 +138,15 @@ class PolyRing:
     # -- arithmetic ------------------------------------------------------------
 
     def add(self, a: Poly, b: Poly) -> Poly:
-        d = self.domain
         out = dict(a)
-        for m, c in b.items():
-            s = d.add(out.get(m, d.zero), c)
-            if s == d.zero:
-                out.pop(m, None)
-            else:
-                out[m] = s
+        vec_iadd_scaled(self.domain, out, b, self.domain.one)
         return out
 
     def sub(self, a: Poly, b: Poly) -> Poly:
-        d = self.domain
-        out = dict(a)
-        for m, c in b.items():
-            s = d.sub(out.get(m, d.zero), c)
-            if s == d.zero:
-                out.pop(m, None)
-            else:
-                out[m] = s
-        return out
+        return vec_sub(self.domain, a, b)
 
     def scale(self, a: Poly, c) -> Poly:
-        d = self.domain
-        c = d.of(c)
-        if c == d.zero:
-            return {}
-        return {m: d.mul(c, x) for m, x in a.items()}
+        return vec_scale(self.domain, a, self.domain.of(c))
 
     def mul(self, a: Poly, b: Poly) -> Poly:
         d = self.domain
@@ -842,16 +825,11 @@ def normal_form_mod_unit(ring: PolyRing, p: Poly, x: str, y: str) -> Poly:
     sum over the terms of p with each x^a y^b turned into x^(a-k) y^(b-k),
     k = min(a, b)."""
     i, j = ring.names.index(x), ring.names.index(y)
-    d = ring.domain
     out: Poly = {}
     for m, c in p.items():
         k = min(m[i], m[j])
         m = tuple(e - k if v in (i, j) else e for v, e in enumerate(m))
-        s = d.add(out.get(m, d.zero), c)
-        if s == d.zero:
-            out.pop(m, None)
-        else:
-            out[m] = s
+        vec_iadd_scaled(ring.domain, out, {m: c}, ring.domain.one)
     return out
 
 
@@ -990,52 +968,31 @@ def homogenize_by_elimination(ring: PolyRing, gens: list) -> list:
     """Equivalent homogeneous generating set, by constant-coefficient moves.
 
     Subtracting field multiples of other generators' homogeneous components
-    preserves the ideal; the routine succeeds when the lower components of
-    every inhomogeneous generator already lie in the span of homogeneous ones
-    (true for the specialized gl-case lists).  Raises otherwise.
+    preserves the ideal.  The nonzero generators are sorted, stably, by top
+    degree, the homogeneous ones of each degree first, and walked once: each
+    lower component must lie in the span of the top components stored for
+    its degree, and then the generator's top component is stored and
+    emitted.  Raises ValueError when a lower component does not (the
+    specialized gl-case lists pass).
+
+    One pass is enough.  A lower component has lower degree than its
+    generator's top, and the pieces of a degree are the top components of
+    the generators with that top degree, which all come earlier in the
+    order.  So every piece a lower component can lie in is stored when its
+    generator is reached, and no later piece could rescue a failure.
     """
-    homog: dict[int, list] = {}
     ech: dict[int, Echelon] = {}  # per degree, keyed by monomials
-
-    def insert_homog(p):
-        deg = ring.degree(p)
-        homog.setdefault(deg, []).append(p)
-        ech.setdefault(deg, Echelon(ring.domain)).insert(p)
-
-    pending = [g for g in gens if g]
-    for g in list(pending):
-        if ring.is_homogeneous(g):
-            insert_homog(g)
-            pending.remove(g)
-    progress = True
-    while pending and progress:
-        progress = False
-        for g in sorted(pending, key=ring.degree):
-            comps = ring.homogeneous_components(g)
-            top = max(comps)
-            reduced = dict(g)
-            ok = True
-            for deg in sorted(comps):
-                if deg == top:
-                    break
-                rem = ech.get(deg)
-                comp = {m: c for m, c in reduced.items() if sum(m) == deg}
-                if not comp:
-                    continue
-                rest = rem.reduce(comp) if rem else comp
-                if rest:
-                    ok = False
-                    break
-                # comp is a combination of stored degree-deg pieces; drop it
-                reduced = {m: c for m, c in reduced.items() if sum(m) != deg}
-            if ok:
-                if reduced:
-                    insert_homog(reduced)
-                pending.remove(g)
-                progress = True
-    if pending:
-        raise ValueError("generators do not homogenize by constant elimination")
-    return [p for deg in sorted(homog) for p in homog[deg]]
+    out = []
+    for g in sorted((g for g in gens if g),
+                    key=lambda g: (ring.degree(g), not ring.is_homogeneous(g))):
+        comps = ring.homogeneous_components(g)
+        top = max(comps)
+        for deg, comp in comps.items():
+            if deg != top and (deg not in ech or ech[deg].reduce(comp)):
+                raise ValueError("generators do not homogenize by constant elimination")
+        ech.setdefault(top, Echelon(ring.domain)).insert(comps[top])
+        out.append(comps[top])
+    return out
 
 
 # -- integer matrices: Smith/Hermite normal forms --------------------------------
@@ -1147,8 +1104,6 @@ def quotient_invariant_factors(gens: list[list[int]], sub: list[list[int]]) -> t
     Returns (free_rank, torsion invariant factors > 1).
     """
     big = hnf_rowspace([list(r) for r in gens] + [list(r) for r in sub])
-    if not big:
-        return (0, [])
     basis = [[(j, x) for j, x in enumerate(b) if x] for b in big]
     coords = []
     for row in sub:
@@ -1156,13 +1111,8 @@ def quotient_invariant_factors(gens: list[list[int]], sub: list[list[int]]) -> t
         if c is None:
             raise InvariantError("sub not inside the big lattice")
         coords.append(c)
-    r = len(big)
-    if not coords:
-        return (r, [])
     invs = snf(coords)
-    torsion = [d for d in invs if d > 1]
-    free = r - len(invs)
-    return (free, torsion)
+    return (len(big) - len(invs), [d for d in invs if d > 1])
 
 
 def _int_coords(row: list[int], basis: list[list[tuple[int, int]]]):

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 from dataclasses import dataclass
 from importlib import resources
 
@@ -61,8 +62,6 @@ def data_file_hashes() -> dict[str, str]:
 
 
 def load_data_text(name: str) -> str:
-    import os
-
     override = os.environ.get("STEINBERG_DATA_DIR")
     if override:
         with open(os.path.join(override, name), "r", encoding="utf-8") as fh:

@@ -16,10 +16,11 @@ from contextlib import redirect_stdout
 from steinberg import bwb, liealg
 from steinberg.breps import WeightMultiset, build_rep
 from steinberg.campaigns import bwb_tables_campaign, dims_campaign
-from steinberg.cases import (IdealCase, commutator_layer_check, hilbert_cross_check,
-                             make_ideal, multiplicity, parametrization_check, span17_check)
+from steinberg.cases import (IdealCase, cn_ideal_reduction, commutator_layer_check,
+                             hilbert_cross_check, make_ideal, multiplicity,
+                             parametrization_check, span17_check)
 from steinberg.cli import main as cli_main
-from steinberg.liealg import cn_ideal_reduction, identity_suite, span_check
+from steinberg.liealg import identity_suite, span_check
 from steinberg.polyalg import groebner, hilbert_function, min_gen_degrees, normal_form
 from steinberg.report import Emitter, load_data_text
 from steinberg.weights import A2, ClassGroupElement, class_reduce, iota, self_dual_classes

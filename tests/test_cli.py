@@ -201,6 +201,32 @@ def test_verify_all_is_disjoint_union():
         assert any(i.startswith(p) for i in ids), p
 
 
+# each verify subcommand with the arguments verify_all passes its campaign,
+# by the check-id prefix of that campaign's entries
+VERIFY_ALL_SUBCOMMANDS = {
+    "bwb.l7.": "bwb-tables --l 7",
+    "identities.c5.": "identities --char 5",
+    "span.c0.": "span --char 0",
+    "ideal.n2.c5.": "ideal --case n2 --char 5 --degree-bound 6 --trials 5",
+    "ideal.gl-n3.c5.": "ideal --case gl-n3 --char 5 --degree-bound 4 --trials 5",
+    "dims.": "dims",
+    "multiplicity.": "multiplicities",
+    "classgroup.": "classgroup",
+}
+
+
+def test_each_verify_subcommand_runs_its_own_campaign():
+    # a subcommand wired to the wrong campaign or argument emits other entries
+    code, out, _ = run_cli(["verify", "all", "--format", "json", "--trials", "5"])
+    assert code == 0
+    every = json.loads(out)["entries"]
+    for prefix, argv in VERIFY_ALL_SUBCOMMANDS.items():
+        code, out, _ = run_cli(["verify", *argv.split(), "--format", "json"])
+        assert code == 0, argv
+        want = [e for e in every if e["check_id"].startswith(prefix)]
+        assert want and json.loads(out)["entries"] == want, argv
+
+
 def test_canonical_report_is_pinned():
     # the behavioural contract itself: seed 0, default trials
     code, out, _ = run_cli(["verify", "all", "--format", "json"])

@@ -6,11 +6,12 @@ import pytest
 from steinberg import campaigns, liealg
 from steinberg.fieldops import (InvariantError, field_of, mat_det, mat_mul, span_coords,
                                 span_rank, vec_iadd_scaled)
+from steinberg.cases import cn_ideal_reduction
 from steinberg.liealg import (W1_WEIGHTS, W2_EXTRA_WEIGHTS, BasedRep, CharacteristicError,
-                              UnknownAtomError, borel_rep, build_based_rep, cn_ideal_reduction,
-                              identity_suite, p_extend_check, pure_tensor_vector, quotient_rep,
-                              restrict_to_span, span_check, subspace_span, twist_rep,
-                              wedge4_campaign, wedge4_quotient)
+                              UnknownAtomError, borel_rep, build_based_rep, identity_suite,
+                              p_extend_check, pure_tensor_vector, quotient_rep, restrict_to_span,
+                              span_check, subspace_span, twist_rep, wedge4_campaign,
+                              wedge4_quotient)
 from steinberg.breps import build_rep
 from steinberg.report import Emitter
 

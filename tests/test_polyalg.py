@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import itertools
 import math
 import random
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from steinberg import polyalg
+from steinberg import cases, polyalg
 from steinberg.cases import IdealCase, build_case, case_basis, clear_case_memo, make_ideal
 from steinberg.fieldops import mat_mul
 from steinberg.polyalg import (GradedDims, IdealBasis, InvariantError, PolyRing,
@@ -317,6 +318,10 @@ def test_hnf_and_quotient_invariants():
     assert (free, torsion) == (1, [2])
     free, torsion = quotient_invariant_factors([[1, 0]], [])
     assert (free, torsion) == (1, [])
+    # empty and all-zero lattices take the general path
+    assert quotient_invariant_factors([], []) == (0, [])
+    assert quotient_invariant_factors([[0, 0]], [[0, 0]]) == (0, [])
+    assert quotient_invariant_factors([[2, 4]], [[0, 0]]) == (1, [])
 
 
 def test_text_round_trip():
@@ -348,6 +353,99 @@ def test_homogenize_by_elimination():
     assert sorted(R.degree(p) for p in out) == [1, 2]
     with pytest.raises(ValueError):
         homogenize_by_elimination(R, [R.from_text("1*x^2 - 1*y")])
+
+
+def test_homogenize_chained_generators():
+    # x*y + x needs the stored x, and x^3 + x*y needs the top of x*y + x,
+    # although both are listed before what they need
+    R = PolyRing(("x", "y"), 0)
+    gens = [R.from_text("x^3 + x*y"), R.from_text("x*y + x"), R.var("x")]
+    assert [R.to_text(p) for p in homogenize_by_elimination(R, gens)] == \
+        ["1*x", "1*x*y", "1*x^3"]
+    # y^2 lies in no stored piece of degree 2
+    gens[0] = R.from_text("x^3 + y^2")
+    with pytest.raises(ValueError):
+        homogenize_by_elimination(R, gens)
+
+
+# sha256 of the lines of ring.to_text(p), p in the homogenized specialized
+# generators of gl_specialization_check
+GL_HOMOGENIZED_SHA256 = {
+    ("gl-n2", 5): "cb46d23d7251122d8e565e56c10fac98a402a8b8398da6514a490aba32b8d1af",
+    ("gl-n2", 7): "6123574352cb5a6d8d869795e682ce097efc470de7734a4bf3ec053a3516705b",
+    ("gl-n3", 5): "1394a7730ec5c06c53dfd5287ab5062f747032ca8af95d0d3816df50973592a7",
+    ("gl-n3", 7): "78466ac5f9488511ffb1e4b441b98e11c31b8f88b2acaa8d8fe283c217f96ef9",
+}
+
+
+@pytest.mark.parametrize("tag, char", sorted(GL_HOMOGENIZED_SHA256))
+def test_gl_specialization_homogenizes_to_pinned_lists(tag, char, monkeypatch):
+    outputs = []
+
+    def recorder(ring, gens):
+        out = homogenize_by_elimination(ring, gens)
+        outputs.append("\n".join(ring.to_text(p) for p in out))
+        return out
+
+    monkeypatch.setattr(cases, "homogenize_by_elimination", recorder)
+    assert cases.gl_specialization_check(tag, char).passed
+    assert len(outputs) == 1
+    digest = hashlib.sha256(outputs[0].encode()).hexdigest()
+    assert digest == GL_HOMOGENIZED_SHA256[tag, char]
+
+
+@st.composite
+def _arith_inputs(draw):
+    """(char, a, b, c): a, b over Q or GF(7) in x, y, b often a multiple of
+    a so that sums cancel, and a scalar c that is sometimes 0 in the field."""
+    char = draw(st.sampled_from([0, 7]))
+    R = PolyRing(("x", "y"), char)
+    monos = [m for d in range(4) for m in _monomials(2, d)]
+    coeffs = [1, -1, 2, 3, 7, Fraction(1, 2), Fraction(-5, 3)]
+
+    def poly():
+        terms = draw(st.dictionaries(st.sampled_from(monos), st.sampled_from(coeffs),
+                                     max_size=6))
+        return {m: R.domain.of(c) for m, c in terms.items() if R.domain.of(c) != R.domain.zero}
+
+    a = poly()
+    b = draw(st.one_of(st.builds(poly), st.sampled_from([-1, 1, 2, 6]).map(
+        lambda k: R.scale(a, k))))
+    return char, a, b, draw(st.sampled_from([0, 1, -1, 2, 7, Fraction(1, 2)]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_arith_inputs())
+def test_polyring_arithmetic_matches_sympy(data):
+    sympy = pytest.importorskip("sympy")
+    char, a, b, c = data
+    R = PolyRing(("x", "y"), char)
+    syms = sympy.symbols(R.names)
+    opts = {"modulus": char} if char else {"domain": "QQ"}
+
+    def rational(v):
+        v = Fraction(v)
+        return sympy.Rational(v.numerator, v.denominator)
+
+    def to_sympy(p):
+        return sympy.Poly.from_dict({m: rational(v) for m, v in p.items()}, *syms, **opts)
+
+    def from_sympy(P):
+        return {m: R.domain.of(int(v) if char else Fraction(int(v.p), int(v.q)))
+                for m, v in P.terms() if v != 0}
+
+    A, B = to_sympy(a), to_sympy(b)
+    results = {"add": (R.add(a, b), A + B), "sub": (R.sub(a, b), A - B),
+               "mul": (R.mul(a, b), A * B),
+               "scale": (R.scale(a, c), A * rational(R.domain.of(c)))}
+    for name, (got, want) in results.items():
+        assert got == from_sympy(want), name
+    cancelled = [R.add(a, R.scale(a, -1)), R.sub(a, a), R.scale(a, 0)]
+    if char:
+        cancelled.append(R.scale(a, char))
+    assert all(p == {} for p in cancelled)
+    for p in [got for got, _ in results.values()] + cancelled:
+        assert all(v != R.domain.zero for v in p.values())
 
 
 def test_graded_dims_validation():

@@ -214,3 +214,16 @@ def test_lru_cache_only_on_per_characteristic_constants():
                 if isinstance(node, ast.FunctionDef) and node.decorator_list]
     assert memoized
     assert [name for name in memoized if not inspect.isfunction(getattr(cases, name))] == []
+
+
+def test_no_import_inside_a_function():
+    """Every import sits at the top of its module, where the dependencies
+    between the library's modules can be read."""
+    sites = set()
+    for path in sorted((ROOT / "src" / "steinberg").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                sites |= {f"{path.name}:{n.lineno}" for n in ast.walk(node)
+                          if isinstance(n, (ast.Import, ast.ImportFrom))}
+    assert not sites, sorted(sites)
