@@ -14,10 +14,10 @@ whitespace-insensitive.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
 from operator import add
 
+from .fieldops import Frozen, set_field
 from .weights import A2, RootDatum, Weight
 
 
@@ -136,49 +136,57 @@ class WeightMultiset:
 # -- expression trees ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Atom:
-    name: str  # 'b', 'n', 'g', 'g/b'
+class Atom(Frozen):
+    __slots__ = ("name",)
+    def __init__(self, name: str):  # 'b', 'n', 'g', 'g/b'
+        set_field(self, "name", name)
 
 
-@dataclass(frozen=True)
-class FAtom:
-    highest: Weight
+class FAtom(Frozen):
+    __slots__ = ("highest",)
+    def __init__(self, highest: Weight):
+        set_field(self, "highest", highest)
 
 
-@dataclass(frozen=True)
-class Tensor:
-    left: "RepExpr"
-    right: "RepExpr"
+class Tensor(Frozen):
+    __slots__ = ("left", "right")
+    def __init__(self, left: RepExpr, right: RepExpr):
+        set_field(self, "left", left)
+        set_field(self, "right", right)
 
 
-@dataclass(frozen=True)
-class Sum:
-    left: "RepExpr"
-    right: "RepExpr"
+class Sum(Frozen):
+    __slots__ = ("left", "right")
+    def __init__(self, left: RepExpr, right: RepExpr):
+        set_field(self, "left", left)
+        set_field(self, "right", right)
 
 
-@dataclass(frozen=True)
-class Wedge:
-    power: int
-    arg: "RepExpr"
+class Wedge(Frozen):
+    __slots__ = ("power", "arg")
+    def __init__(self, power: int, arg: RepExpr):
+        set_field(self, "power", power)
+        set_field(self, "arg", arg)
 
 
-@dataclass(frozen=True)
-class SymPow:
-    power: int
-    arg: "RepExpr"
+class SymPow(Frozen):
+    __slots__ = ("power", "arg")
+    def __init__(self, power: int, arg: RepExpr):
+        set_field(self, "power", power)
+        set_field(self, "arg", arg)
 
 
-@dataclass(frozen=True)
-class Dual:
-    arg: "RepExpr"
+class Dual(Frozen):
+    __slots__ = ("arg",)
+    def __init__(self, arg: RepExpr):
+        set_field(self, "arg", arg)
 
 
-@dataclass(frozen=True)
-class Twist:
-    shift: Weight
-    arg: "RepExpr"
+class Twist(Frozen):
+    __slots__ = ("shift", "arg")
+    def __init__(self, shift: Weight, arg: RepExpr):
+        set_field(self, "shift", shift)
+        set_field(self, "arg", arg)
 
 
 RepExpr = Atom | FAtom | Tensor | Sum | Wedge | SymPow | Dual | Twist

@@ -13,10 +13,8 @@ combinatorial in the weight multiset and need no cohomology beyond this.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .breps import WeightMultiset, build_rep
-from .fieldops import InvariantError
+from .fieldops import Frozen, InvariantError, Record, set_field
 from .weights import A2, Located, OutsideLocus, RootDatum, Singular, Weight, check_bound
 
 
@@ -198,13 +196,14 @@ def psupp(rep: WeightMultiset, i: int, l: int) -> WeightMultiset:
 UNKNOWN = "?"
 
 
-@dataclass(frozen=True)
-class TableRow:
-    family: str
-    j: int
-    rep_text: str
-    # cohomology claims per degree 0..3; GrothendieckElement or UNKNOWN
-    claims: tuple
+class TableRow(Frozen):
+    __slots__ = ("family", "j", "rep_text", "claims")
+    def __init__(self, family: str, j: int, rep_text: str, claims: tuple):
+        set_field(self, "family", family)
+        set_field(self, "j", j)
+        set_field(self, "rep_text", rep_text)
+        # cohomology claims per degree 0..3; GrothendieckElement or UNKNOWN
+        set_field(self, "claims", claims)
 
     def alternating_sum(self) -> GrothendieckElement | None:
         """sum_i (-1)^i H^i of the claims; None when the row has an UNKNOWN."""
@@ -216,11 +215,12 @@ class TableRow:
         return total
 
 
-@dataclass(frozen=True)
-class CohomologyTable:
-    name: str
-    l_min: int
-    rows: tuple[TableRow, ...]
+class CohomologyTable(Frozen):
+    __slots__ = ("name", "l_min", "rows")
+    def __init__(self, name: str, l_min: int, rows: tuple[TableRow, ...]):
+        set_field(self, "name", name)
+        set_field(self, "l_min", l_min)
+        set_field(self, "rows", rows)
 
 
 MAX_DEGREE = 3  # dim G/B for SL3
@@ -303,14 +303,12 @@ def parse_tables(text: str) -> dict[str, CohomologyTable]:
     return tables
 
 
-@dataclass
-class TableCheck:
-    check_id: str
-    passed: bool
-    skipped: bool = False
-    expected: str = ""
-    actual: str = ""
-    note: str = ""
+class TableCheck(Record):
+    __slots__ = ("check_id", "passed", "skipped", "expected", "actual", "note")
+    def __init__(self, check_id: str, passed: bool, skipped: bool = False, expected: str = "",
+                 actual: str = "", note: str = ""):
+        self.check_id, self.passed, self.skipped = check_id, passed, skipped
+        self.expected, self.actual, self.note = expected, actual, note
 
 
 def verify_table(table: CohomologyTable, l: int) -> list[TableCheck]:

@@ -35,13 +35,12 @@ store, `_memo`, keyed by (function name, *positional arguments);
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import wraps
 
 from . import breps, bwb
-from .fieldops import (ZZ, field_of, mat_add, mat_det, mat_mul, mat_sub, mat_trace,
-                       span_rank)
+from .fieldops import (ZZ, Frozen, Record, field_of, mat_add, mat_det, mat_mul, mat_sub,
+                       mat_trace, set_field, span_rank)
 from .polyalg import (GradedDims, IdealBasis, PolyRing, groebner, hilbert_function,
                       homogenize_by_elimination, leading_staircase, normal_form,
                       normal_form_mod_unit, quotient_invariant_factors, snf)
@@ -56,18 +55,17 @@ class UnsupportedCase(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class IdealCase:
+class IdealCase(Frozen):
     """Descriptor: which named ideal, over which characteristic."""
 
-    tag: str
-    char: int = 0
-
-    def __post_init__(self):
-        if self.tag not in CASE_TAGS:
-            raise UnsupportedCase(f"unknown case tag {self.tag!r}")
-        if self.tag.startswith("gl") and self.char in (2, 3):
+    __slots__ = ("tag", "char")
+    def __init__(self, tag: str, char: int = 0):
+        if tag not in CASE_TAGS:
+            raise UnsupportedCase(f"unknown case tag {tag!r}")
+        if tag.startswith("gl") and char in (2, 3):
             raise UnsupportedCase("gl cases need characteristic 0 or l > 3")
+        set_field(self, "tag", tag)
+        set_field(self, "char", char)
 
 
 # -- the per-run store ----------------------------------------------------------------
@@ -136,11 +134,10 @@ def _var_matrix(ring, prefix: str, n: int, traceless: bool):
     return m
 
 
-@dataclass
-class CaseData:
-    ring: PolyRing
-    gens: list
-    mats: dict
+class CaseData(Record):
+    __slots__ = ("ring", "gens", "mats")
+    def __init__(self, ring: PolyRing, gens: list, mats: dict):
+        self.ring, self.gens, self.mats = ring, gens, mats
 
 
 @_memoized
@@ -284,13 +281,13 @@ def case_hilbert(case: IdealCase, bound: int) -> GradedDims:
 # -- randomized parametrization containment ------------------------------------------
 
 
-@dataclass
-class ParamReport:
-    trials: int
-    seed: int
-    failures: list
-    control_detected: bool
-    bound_exponent: int  # failure probability <= 10^-bound_exponent
+class ParamReport(Record):
+    __slots__ = ("trials", "seed", "failures", "control_detected", "bound_exponent")
+    def __init__(self, trials: int, seed: int, failures: list, control_detected: bool,
+                 bound_exponent: int):
+        self.trials, self.seed, self.failures = trials, seed, failures
+        self.control_detected = control_detected
+        self.bound_exponent = bound_exponent  # failure probability <= 10^-bound_exponent
 
     @property
     def passed(self) -> bool:
@@ -488,11 +485,10 @@ def case_points(case: IdealCase, trials: int, seed: int) -> ParamReport:
 # -- Hilbert-function bridge to the character side ------------------------------------
 
 
-@dataclass
-class HilbertCross:
-    bound: int
-    groebner_dims: GradedDims
-    character_dims: GradedDims
+class HilbertCross(Record):
+    __slots__ = ("bound", "groebner_dims", "character_dims")
+    def __init__(self, bound: int, groebner_dims: GradedDims, character_dims: GradedDims):
+        self.bound, self.groebner_dims, self.character_dims = bound, groebner_dims, character_dims
 
     @property
     def passed(self) -> bool:
@@ -525,14 +521,13 @@ def hilbert_cross_check(case: IdealCase, bound: int) -> HilbertCross:
 # -- the degree-3 span and its integer invariant factors -------------------------------
 
 
-@dataclass
-class Span17Report:
-    ambient: str
-    char: int
-    rank: int
-    quotient_free_rank: int
-    quotient_torsion: list
-    snf_primes: set
+class Span17Report(Record):
+    __slots__ = ("ambient", "char", "rank", "quotient_free_rank", "quotient_torsion", "snf_primes")
+    def __init__(self, ambient: str, char: int, rank: int, quotient_free_rank: int,
+                 quotient_torsion: list, snf_primes: set):
+        self.ambient, self.char, self.rank = ambient, char, rank
+        self.quotient_free_rank, self.quotient_torsion = quotient_free_rank, quotient_torsion
+        self.snf_primes = snf_primes
 
     @property
     def passed(self) -> bool:
@@ -655,12 +650,12 @@ def multiplicity(lam: Weight) -> int:
 # -- gl-case cross checks ----------------------------------------------------------
 
 
-@dataclass
-class SpecializationReport:
-    tag: str
-    char: int
-    forward_ok: bool  # specialized gl generators lie in the target ideal
-    backward_ok: bool  # target generators lie in the specialized gl ideal
+class SpecializationReport(Record):
+    __slots__ = ("tag", "char", "forward_ok", "backward_ok")
+    def __init__(self, tag: str, char: int, forward_ok: bool, backward_ok: bool):
+        self.tag, self.char = tag, char
+        self.forward_ok = forward_ok  # specialized gl generators lie in the target ideal
+        self.backward_ok = backward_ok  # target generators lie in the specialized gl ideal
 
     @property
     def passed(self) -> bool:
@@ -710,11 +705,10 @@ def gl_specialization_check(tag: str, char: int = 5) -> SpecializationReport:
     return SpecializationReport(tag, char, forward, backward)
 
 
-@dataclass
-class ChartReport:
-    tag: str
-    checked: int
-    nonvanishing: list
+class ChartReport(Record):
+    __slots__ = ("tag", "checked", "nonvanishing")
+    def __init__(self, tag: str, checked: int, nonvanishing: list):
+        self.tag, self.checked, self.nonvanishing = tag, checked, nonvanishing
 
     @property
     def passed(self) -> bool:
@@ -762,8 +756,7 @@ def chart_symbolic_check(tag: str) -> ChartReport:
 # -- the commuting-nilpotent chart equation ----------------------------------------
 
 
-@dataclass
-class CnReport:
+class CnReport(Record):
     """Outcome of expanding (Phi0 + M) N - q N (Phi0 + M) on the chart.
 
     raw is the single nonzero entry (n = 3); normalized is its form after the
@@ -773,13 +766,13 @@ class CnReport:
     the upper entries a, b, c of M and d, e, f of N.
     """
 
-    n: int
-    ring: object
-    entries: list
-    principal: bool
-    generator_text: str
-    normalized_text: str
-    passed: bool
+    __slots__ = ("n", "ring", "entries", "principal", "generator_text", "normalized_text",
+                 "passed")
+    def __init__(self, n: int, ring: object, entries: list, principal: bool,
+                 generator_text: str, normalized_text: str, passed: bool):
+        self.n, self.ring, self.entries, self.principal = n, ring, entries, principal
+        self.generator_text, self.normalized_text = generator_text, normalized_text
+        self.passed = passed
 
 
 def cn_ideal_reduction(q=None, n: int = 3, char=0) -> CnReport:
@@ -858,13 +851,13 @@ def case_cn_reduction(case: IdealCase):
 # -- the commutator layer over the nilpotent-pair ring ---------------------------------
 
 
-@dataclass
-class CommutatorLayerReport:
-    char: int
-    bound: int
-    new_generators_degree2: int
-    hf_quotient: GradedDims
-    character_dims: tuple
+class CommutatorLayerReport(Record):
+    __slots__ = ("char", "bound", "new_generators_degree2", "hf_quotient", "character_dims")
+    def __init__(self, char: int, bound: int, new_generators_degree2: int,
+                 hf_quotient: GradedDims, character_dims: tuple):
+        self.char, self.bound = char, bound
+        self.new_generators_degree2 = new_generators_degree2
+        self.hf_quotient, self.character_dims = hf_quotient, character_dims
 
     @property
     def passed(self) -> bool:

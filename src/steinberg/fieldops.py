@@ -18,6 +18,12 @@ The dense matrix helpers `mat_mul`, `mat_add`, `mat_sub`, `mat_trace` and
 `add`, `sub` and `mul`, such as a field above, the integers `ZZ` or a
 polynomial ring.  `mat_mul` and `mat_det` are straight-line for n = 2 and 3,
 with the same order of ring operations as the general formulas.
+
+`Record` and `Frozen` are the bases of the library's record classes.  A
+record names its fields in `__slots__` and writes out its own `__init__`; the
+base gives it equality with records of its class and a `Name(field=value)`
+repr.  A `Frozen` record hashes by its fields, and its `__init__` writes each
+field through `set_field`: any later assignment raises `AttributeError`.
 """
 
 from __future__ import annotations
@@ -34,6 +40,49 @@ class InvariantError(ValueError):
 
     Raised instead of `assert`, so that the check also runs under `python -O`.
     """
+
+
+class Record:
+    """Mutable and unhashable; equality and repr read the fields in `_shown`,
+    all of `__slots__` unless the class names fewer."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        shown = cls._shown = cls.__dict__.get("_shown", cls.__slots__)
+        # _key(record): the tuple of its shown fields, which attrgetter builds
+        # in C when there are at least two
+        cls._key = operator.attrgetter(*shown) if len(shown) > 1 else \
+            staticmethod(lambda record: tuple([getattr(record, name) for name in shown]))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key(self) == self._key(other)
+        return NotImplemented
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._shown)
+        return f"{type(self).__qualname__}({fields})"
+
+
+class Frozen(Record):
+    """Immutable and hashable by its fields."""
+
+    __slots__ = ()
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"field {name!r} of a {type(self).__name__} is read-only")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return type(self), tuple([getattr(self, name) for name in self.__slots__])
+
+
+set_field = object.__setattr__  # the one write of a Frozen field, in its __init__
 
 
 class RationalField:

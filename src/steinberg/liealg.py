@@ -30,14 +30,14 @@ from __future__ import annotations
 import functools
 import itertools
 from bisect import bisect_left
-from dataclasses import dataclass
 from fractions import Fraction
 from types import MappingProxyType
 
 from . import breps
 from .breps import Atom, Dual, FAtom, RepExpr, Sum, SymPow, Tensor, Twist, Wedge, WeightMultiset, parse_rep
-from .fieldops import (Echelon, InvariantError, apply_op, field_of, mat_mul, mat_sub, span_coords,
-                       span_rank, vec_iadd_scaled, vec_scale, vec_sub)
+from .fieldops import (Echelon, Frozen, InvariantError, Record, apply_op, field_of, mat_mul,
+                       mat_sub, set_field, span_coords, span_rank, vec_iadd_scaled, vec_scale,
+                       vec_sub)
 from .weights import A2, Located, Weight
 
 # negatives of the positive roots: the weight shifts of the lowering operators
@@ -65,18 +65,19 @@ class UnknownAtomError(ValueError):
     """The expression uses an atom without a stored explicit action."""
 
 
-@dataclass(frozen=True)
-class BasedRep:
+class BasedRep(Frozen):
     """Finite B-representation with a weight basis and lowering operators.
 
     ops maps 'ea', 'eb', 'er' to column-major sparse matrices: ops[name][j]
     is the image of basis vector j as a {index: coeff} dict.
     """
 
-    fld: object
-    labels: tuple[str, ...]
-    weights: tuple[Weight, ...]
-    ops: dict
+    __slots__ = ("fld", "labels", "weights", "ops")
+    def __init__(self, fld, labels: tuple[str, ...], weights: tuple[Weight, ...], ops: dict):
+        set_field(self, "fld", fld)
+        set_field(self, "labels", labels)
+        set_field(self, "weights", weights)
+        set_field(self, "ops", ops)
 
     @property
     def dim(self) -> int:
@@ -354,17 +355,18 @@ W1_WEIGHTS = frozenset(
 W2_EXTRA_WEIGHTS = frozenset({(-2, -2), A2.add(NEG_RHO, NEG_ALPHA), A2.add(NEG_RHO, NEG_BETA)})
 
 
-@dataclass(frozen=True)
-class QuotientRep:
+class QuotientRep(Frozen):
     """V = W2/W1 as a BasedRep, with the ambient Lambda^2 b (x) Lambda^2 b.
 
     W1 and W2 are spans of weight-basis vectors, so V is a coordinate
     subquotient: coords[k] is the ambient index of the k-th basis vector.
     """
 
-    ambient: BasedRep
-    rep: BasedRep
-    coords: tuple[int, ...]
+    __slots__ = ("ambient", "rep", "coords")
+    def __init__(self, ambient: BasedRep, rep: BasedRep, coords: tuple[int, ...]):
+        set_field(self, "ambient", ambient)
+        set_field(self, "rep", rep)
+        set_field(self, "coords", coords)
 
     def project(self, v: dict) -> dict:
         """The image in V of a vector of W2: its W1 coordinates drop out."""
@@ -515,12 +517,10 @@ def pure_tensor_vector(big: BasedRep, t: PureTensor) -> dict:
     return {il * 10 + ir: fld.of(sign)}
 
 
-@dataclass
-class IdentityResult:
-    name: str
-    passed: bool
-    unit: object = None
-    detail: str = ""
+class IdentityResult(Record):
+    __slots__ = ("name", "passed", "unit", "detail")
+    def __init__(self, name: str, passed: bool, unit: object = None, detail: str = ""):
+        self.name, self.passed, self.unit, self.detail = name, passed, unit, detail
 
 
 def identity_suite(char=0, corrupt: str | None = None) -> list[IdentityResult]:
@@ -562,12 +562,11 @@ def identity_suite(char=0, corrupt: str | None = None) -> list[IdentityResult]:
     return results
 
 
-@dataclass
-class SpanReport:
-    dim_target: int
-    rank_joint: int
-    rank_alpha: int
-    rank_beta: int
+class SpanReport(Record):
+    __slots__ = ("dim_target", "rank_joint", "rank_alpha", "rank_beta")
+    def __init__(self, dim_target: int, rank_joint: int, rank_alpha: int, rank_beta: int):
+        self.dim_target, self.rank_joint = dim_target, rank_joint
+        self.rank_alpha, self.rank_beta = rank_alpha, rank_beta
 
     @property
     def passed(self) -> bool:
@@ -595,11 +594,10 @@ def span_check(char=0) -> SpanReport:
 # -- Lemma-style extension test ---------------------------------------------------
 
 
-@dataclass
-class ExtendCertificate:
-    ok: bool
-    reason: str = ""
-    chain: tuple = ()
+class ExtendCertificate(Record):
+    __slots__ = ("ok", "reason", "chain")
+    def __init__(self, ok: bool, reason: str = "", chain: tuple = ()):
+        self.ok, self.reason, self.chain = ok, reason, chain
 
 
 def p_extend_check(rep: BasedRep, l: int, chain_root: str = "a") -> ExtendCertificate:
@@ -638,12 +636,11 @@ def p_extend_check(rep: BasedRep, l: int, chain_root: str = "a") -> ExtendCertif
     return ExtendCertificate(False, f"no chain generator of pairing {n - 1}")
 
 
-@dataclass
-class CampaignEntry:
-    check_id: str
-    passed: bool
-    expected: str
-    actual: str
+class CampaignEntry(Record):
+    __slots__ = ("check_id", "passed", "expected", "actual")
+    def __init__(self, check_id: str, passed: bool, expected: str, actual: str):
+        self.check_id, self.passed = check_id, passed
+        self.expected, self.actual = expected, actual
 
 
 def wedge4_campaign(char=0) -> list[CampaignEntry]:

@@ -92,12 +92,12 @@ from __future__ import annotations
 
 import heapq
 import operator
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate
 from math import comb, gcd, lcm
 
-from .fieldops import Echelon, InvariantError, field_of, vec_iadd_scaled, vec_scale, vec_sub
+from .fieldops import (Echelon, Frozen, InvariantError, Record, field_of, set_field,
+                       vec_iadd_scaled, vec_scale, vec_sub)
 
 Monomial = tuple[int, ...]
 Poly = dict
@@ -312,22 +312,20 @@ class TruncationError(ValueError):
     """Operation needs Groebner data beyond the computed bound."""
 
 
-@dataclass
-class GroebnerStats:
+class GroebnerStats(Record):
     """Work counters of one `groebner` run: S-pairs popped, those skipped by
     the coprime criterion and by the chain criterion, and those whose
     S-polynomial reduced to zero.  Pairs are counted, not reduction steps,
     so the counts cost nothing inside the reduction loop.  A basis read off
     its guide treated no pair: every counter is 0."""
 
-    pairs: int = 0
-    coprime_skips: int = 0
-    chain_skips: int = 0
-    zero_reductions: int = 0
+    __slots__ = ("pairs", "coprime_skips", "chain_skips", "zero_reductions")
+    def __init__(self, pairs: int, coprime_skips: int, chain_skips: int, zero_reductions: int):
+        self.pairs, self.coprime_skips = pairs, coprime_skips
+        self.chain_skips, self.zero_reductions = chain_skips, zero_reductions
 
 
-@dataclass
-class IdealBasis:
+class IdealBasis(Record):
     """Generators plus (optionally) Groebner data and minimal generator counts.
 
     gb_bound is None for a complete basis and an integer when S-pairs above
@@ -341,16 +339,17 @@ class IdealBasis:
     report reads them.  divisors is, over Q, the lcm of the integers the run
     divided by: a run over GF(l) reads its basis off this one when l does
     not divide it (see the module docstring).  It is None over GF(p).
+    gb_lead, stats and divisors take no part in equality or repr.
     """
 
-    ring: PolyRing
-    gens: list
-    gb: list | None = None
-    gb_bound: int | None = None
-    mingens: dict | None = None
-    gb_lead: list | None = field(default=None, repr=False, compare=False)
-    stats: GroebnerStats | None = field(default=None, repr=False, compare=False)
-    divisors: int | None = field(default=None, repr=False, compare=False)
+    __slots__ = ("ring", "gens", "gb", "gb_bound", "mingens", "gb_lead", "stats", "divisors")
+    _shown = __slots__[:5]
+    def __init__(self, ring: PolyRing, gens: list, gb: list | None = None,
+                 gb_bound: int | None = None, mingens: dict | None = None,
+                 gb_lead: list | None = None, stats: GroebnerStats | None = None,
+                 divisors: int | None = None):
+        self.ring, self.gens, self.gb, self.gb_bound = ring, gens, gb, gb_bound
+        self.mingens, self.gb_lead, self.stats, self.divisors = mingens, gb_lead, stats, divisors
 
     def require_gb(self):
         if self.gb is None:
@@ -442,7 +441,7 @@ class _GBWorker:
         cap = _CAP if bound is None else min(bound, _CAP)
         self.limit = (cap + 1) << self.pk.top
         self.treated: list[set[int]] = []  # [i]: the j whose pair with i is treated
-        self.stats = GroebnerStats()
+        self.stats = GroebnerStats(0, 0, 0, 0)
         self.divisors = 1  # over Q, see IdealBasis.divisors; 1 over GF(p)
 
     def record(self, *ints: int) -> None:
@@ -720,7 +719,8 @@ def _lift(ideal: IdealBasis, bound, guide: IdealBasis) -> IdealBasis | None:
         inv = pow(g[lm], -1, l)
         lead.append((lm, mask, {m: r for m, c in g.items() if (r := c * inv % l)}))
     return IdealBasis(ring, list(ideal.gens), gb=[g for _, _, g in lead], gb_bound=bound,
-                      mingens=dict(guide.mingens), gb_lead=lead, stats=GroebnerStats())
+                      mingens=dict(guide.mingens), gb_lead=lead,
+                      stats=GroebnerStats(0, 0, 0, 0))
 
 
 def _reduced_basis(worker: _GBWorker) -> list:
@@ -836,15 +836,14 @@ def normal_form_mod_unit(ring: PolyRing, p: Poly, x: str, y: str) -> Poly:
 # -- graded dimension data -----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GradedDims:
+class GradedDims(Frozen):
     """Degree-indexed dimensions d_0 .. d_D."""
 
-    dims: tuple[int, ...]
-
-    def __post_init__(self):
-        if any(d < 0 for d in self.dims):
+    __slots__ = ("dims",)
+    def __init__(self, dims: tuple[int, ...]):
+        if any(d < 0 for d in dims):
             raise ValueError("negative graded dimension")
+        set_field(self, "dims", dims)
 
     def __getitem__(self, k: int) -> int:
         return self.dims[k]

@@ -12,11 +12,10 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from dataclasses import dataclass
 from importlib import resources
 
 from . import __version__
-from .fieldops import InvariantError
+from .fieldops import InvariantError, Record
 
 PASS = "pass"
 FAIL = "fail"
@@ -24,13 +23,12 @@ SKIPPED = "skipped"
 NOT_DECIDABLE = "not-decidable"
 
 
-@dataclass
-class CheckEntry:
-    check_id: str
-    status: str
-    expected: str = ""
-    actual: str = ""
-    paper_anchor: str = ""
+class CheckEntry(Record):
+    __slots__ = ("check_id", "status", "expected", "actual", "paper_anchor")
+    def __init__(self, check_id: str, status: str, expected: str = "", actual: str = "",
+                 paper_anchor: str = ""):
+        self.check_id, self.status, self.expected = check_id, status, expected
+        self.actual, self.paper_anchor = actual, paper_anchor
 
 
 class Emitter:
@@ -69,13 +67,11 @@ def load_data_text(name: str) -> str:
     return (resources.files("steinberg") / "data" / name).read_text(encoding="utf-8")
 
 
-@dataclass
-class Report:
-    entries: list[CheckEntry]
-    seed: int = 0
-
-    def __post_init__(self):
-        self.entries = sorted(self.entries, key=lambda e: e.check_id)
+class Report(Record):
+    __slots__ = ("entries", "seed")
+    def __init__(self, entries: list[CheckEntry], seed: int = 0):
+        self.entries = sorted(entries, key=lambda e: e.check_id)
+        self.seed = seed
         # merged from two processes, a repeated id would make the order matter
         for a, b in zip(self.entries, self.entries[1:]):
             if a.check_id == b.check_id:

@@ -26,24 +26,25 @@ Everything here is immutable and uses exact integer arithmetic only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from functools import total_ordering
 
-from .fieldops import ZZ, InvariantError, is_prime, mat_mul
+from .fieldops import ZZ, Frozen, InvariantError, is_prime, mat_mul, set_field
 
 Weight = tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class WeylElement:
+class WeylElement(Frozen):
     """An element of the Weyl group, stored with its length and action matrix.
 
     The matrix acts on column vectors of fundamental-weight coordinates:
     (w.matrix @ lam) is the ordinary (undotted) action.
     """
 
-    name: str
-    length: int
-    matrix: tuple[tuple[int, ...], ...]
+    __slots__ = ("name", "length", "matrix")
+    def __init__(self, name: str, length: int, matrix: tuple[tuple[int, ...], ...]):
+        set_field(self, "name", name)
+        set_field(self, "length", length)
+        set_field(self, "matrix", matrix)
 
     def act(self, lam: Weight) -> Weight:
         return tuple(sum(row[j] * lam[j] for j in range(len(lam))) for row in self.matrix)
@@ -262,21 +263,22 @@ class RootDatum:
         return Located(w, lam)
 
 
-@dataclass(frozen=True)
-class Singular:
-    pass
+class Singular(Frozen):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Located:
-    w: WeylElement
-    lam: Weight
+class Located(Frozen):
+    __slots__ = ("w", "lam")
+    def __init__(self, w: WeylElement, lam: Weight):
+        set_field(self, "w", w)
+        set_field(self, "lam", lam)
 
 
-@dataclass(frozen=True)
-class OutsideLocus:
-    w: WeylElement
-    lam: Weight
+class OutsideLocus(Frozen):
+    __slots__ = ("w", "lam")
+    def __init__(self, w: WeylElement, lam: Weight):
+        set_field(self, "w", w)
+        set_field(self, "lam", lam)
 
 
 def check_bound(l: int) -> None:
@@ -311,16 +313,21 @@ _check_named_weights()
 # -- divisor class group of the special fibre (n = 3) ------------------------
 
 
-@dataclass(frozen=True, order=True)
-class ClassGroupElement:
-    """Element of X*(T) / <3(L1 + L3)> = Z x Z/3."""
+@total_ordering
+class ClassGroupElement(Frozen):
+    """Element of X*(T) / <3(L1 + L3)> = Z x Z/3, ordered by (free, torsion)."""
 
-    free_part: int
-    torsion_part: int  # residue mod 3, normalized to {0, 1, 2}
-
-    def __post_init__(self):
-        if not 0 <= self.torsion_part < 3:
+    __slots__ = ("free_part", "torsion_part")
+    def __init__(self, free_part: int, torsion_part: int):
+        if not 0 <= torsion_part < 3:  # residue mod 3, normalized to {0, 1, 2}
             raise ValueError("torsion part must be reduced mod 3")
+        set_field(self, "free_part", free_part)
+        set_field(self, "torsion_part", torsion_part)
+
+    def __lt__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key(self) < self._key(other)
+        return NotImplemented
 
     def __str__(self) -> str:
         return f"({self.free_part}, {self.torsion_part} mod 3)"

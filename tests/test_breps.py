@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from steinberg.breps import (Atom, Dual, FAtom, RepParseError, Sum, SymPow, Tensor, Twist, Wedge,
                              WeightMultiset, build_rep, irreducible_multiset, parse_rep)
+from steinberg.liealg import build_based_rep
 from steinberg.weights import A1, A2
 
 
@@ -204,3 +205,27 @@ def test_wedge_and_sym_match_enumeration(ms, j):
     assert ms.wedge(j).dimension == comb(ms.dimension, j)
     if ms.dimension:
         assert ms.sym(j).dimension == comb(ms.dimension + j - 1, j)
+
+
+def test_rep_expressions_compare_by_class_and_fields():
+    a, b = Atom("b"), Atom("g/b")
+    assert Sum(a, b) == Sum(Atom("b"), Atom("g/b")) and hash(Sum(a, b)) == hash(Sum(a, b))
+    assert Sum(a, b) != Tensor(a, b) and Tensor(a, b) != Sum(a, b)
+    assert Wedge(2, a) != SymPow(2, a) and Dual(a) != Twist((0, 0), a) and a != b
+    assert len({Sum(a, b), Tensor(a, b), Sum(a, b), Wedge(2, a), SymPow(2, a)}) == 4
+    expr = parse_rep("tw(1,-1)(wedge^2(b) * (g/b + dual(F(1,0))))")
+    assert expr == parse_rep("tw(1,-1)(wedge^2(b)*(g/b+dual(F(1,0))))")
+    assert repr(expr) == ("Twist(shift=(1, -1), arg=Tensor(left=Wedge(power=2, arg=Atom(name='b')), "
+                          "right=Sum(left=Atom(name='g/b'), right=Dual(arg=FAtom(highest=(1, 0))))))")
+
+
+def test_rep_expressions_and_based_reps_are_immutable():
+    model = build_based_rep("b")
+    for record, name in ((Sum(Atom("b"), Atom("n")), "left"), (Wedge(2, Atom("b")), "power"),
+                         (model, "weights"), (model, "ops")):
+        before = getattr(record, name)
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
+        with pytest.raises(AttributeError):
+            delattr(record, name)
+        assert getattr(record, name) is before

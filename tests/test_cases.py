@@ -1,4 +1,3 @@
-import dataclasses
 import os
 import random
 from collections import Counter
@@ -13,7 +12,7 @@ from steinberg.cases import (EVAL_PRIME, IdealCase, UnsupportedCase, build_case,
                              gl_specialization_check, hilbert_cross_check, make_ideal,
                              multiplicity, parametrization_check, span17_check)
 from steinberg.fieldops import field_of
-from steinberg.polyalg import (GroebnerStats, PolyRing, TruncationError, groebner,
+from steinberg.polyalg import (GroebnerStats, IdealBasis, PolyRing, TruncationError, groebner,
                                hilbert_function, min_gen_degrees)
 from steinberg.report import FAIL, Emitter
 
@@ -400,7 +399,7 @@ def test_verify_all_reads_every_guided_case_basis_off_its_char0_basis(groebner_c
         ideal = make_ideal(IdealCase(tag, l))
         guided, unguided = groebner(ideal, bound, guide=guide), groebner(ideal, bound)
         assert guided == unguided and guided.gb_lead == unguided.gb_lead
-        assert guided.stats == GroebnerStats(), (tag, l, bound)
+        assert guided.stats == GroebnerStats(0, 0, 0, 0), (tag, l, bound)
         counts[tag, l, bound] = len(guided.gb)
     assert counts == {("n2", 5, 6): 6, ("n3-z", 5, 5): 112, ("n3-z", 7, 5): 112,
                       ("n3-x", 5, None): 53, ("n3-x", 7, None): 53}
@@ -468,8 +467,9 @@ def test_a_faulty_char0_basis_fails_the_hilbert_cross_check(monkeypatch):
         if ideal.ring.domain.characteristic:
             return basis
         k = next(k for k, (lm, _, _) in enumerate(basis.gb_lead) if sum(lm) == 5)
-        return dataclasses.replace(basis, gb=basis.gb[:k] + basis.gb[k + 1:],
-                                   gb_lead=basis.gb_lead[:k] + basis.gb_lead[k + 1:])
+        return IdealBasis(basis.ring, basis.gens, basis.gb[:k] + basis.gb[k + 1:],
+                          basis.gb_bound, basis.mingens,
+                          basis.gb_lead[:k] + basis.gb_lead[k + 1:], basis.stats, basis.divisors)
 
     monkeypatch.setattr(cases, "groebner", faulty)
     cases.clear_case_memo()

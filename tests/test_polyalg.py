@@ -842,7 +842,7 @@ def test_groebner_stats_count_pairs_criteria_and_degrees():
     R6 = ring6()
     af_cd = R6.from_text("1*a*f - 1*c*d")
     hypersurface = groebner(IdealBasis(R6, [af_cd]), None).stats
-    assert hypersurface == polyalg.GroebnerStats()
+    assert hypersurface == polyalg.GroebnerStats(0, 0, 0, 0)
     nonregular = groebner(IdealBasis(R6, [af_cd, R6.from_text("1*a*c"),
                                           R6.from_text("1*d*f")]), None).stats
     assert nonregular == polyalg.GroebnerStats(pairs=10, coprime_skips=3, chain_skips=0,
@@ -981,7 +981,7 @@ def test_guided_basis_equals_the_unguided_one(data, l, bound):
     # exactly when l divides nothing the run over Q recorded; otherwise the
     # run is the unguided one
     read = q.divisors % l != 0
-    assert guided.stats == (polyalg.GroebnerStats() if read else unguided.stats)
+    assert guided.stats == (polyalg.GroebnerStats(0, 0, 0, 0) if read else unguided.stats)
     # upper semicontinuity over Z_(l): HF over GF(l) never below HF over Q
     assert all(a >= b for a, b in zip(hilbert_function(unguided, bound).dims,
                                       hilbert_function(q, bound).dims))
@@ -1004,7 +1004,7 @@ def test_guided_n3z_bases_equal_the_unguided_ones(n3z_q5, l):
     _assert_same_basis(guided, unguided)
     # l divides no recorded integer: the basis is read off the Q run whole,
     # and the unguided run over GF(l) retraces the Q run pair for pair
-    assert guided.stats == polyalg.GroebnerStats() and len(guided.gb) == 112
+    assert guided.stats == polyalg.GroebnerStats(0, 0, 0, 0) and len(guided.gb) == 112
     assert unguided.stats == n3z_q5.stats == polyalg.GroebnerStats(
         pairs=994, coprime_skips=65, chain_skips=490, zero_reductions=366)
 
@@ -1128,14 +1128,14 @@ def test_complete_n3z_bases_are_read_off_the_complete_q_basis(n3z_q, l):
     guided, unguided = groebner(ideal, None, guide=n3z_q), groebner(ideal, None)
     _assert_same_basis(guided, unguided)
     assert guided.gb_bound is None and len(guided.gb) == 138
-    assert guided.stats == polyalg.GroebnerStats() and unguided.stats.pairs == 9453
+    assert guided.stats == polyalg.GroebnerStats(0, 0, 0, 0) and unguided.stats.pairs == 9453
 
 
 def test_a_lucky_prime_reads_the_basis_off_the_q_run():
     q = groebner(make_ideal(IdealCase("n2", 0)), 6)
     ideal = make_ideal(IdealCase("n2", 5))
     lifted = groebner(ideal, 6, guide=q)
-    assert lifted.stats == polyalg.GroebnerStats()
+    assert lifted.stats == polyalg.GroebnerStats(0, 0, 0, 0)
     _assert_same_basis(lifted, groebner(ideal, 6))
 
 
@@ -1178,7 +1178,7 @@ def test_a_generator_vanishing_mod_l_is_read_off_when_the_record_allows():
     q, guided, unguided = _runs_mod(5, ("1*x^2 - 1*y*z", "1*x*y - 1*z^2",
                                         "5*x^3 - 5*x*y*z"), 4)
     assert q.divisors % 5 != 0 and unguided.stats.pairs > 0
-    assert guided.stats == polyalg.GroebnerStats()
+    assert guided.stats == polyalg.GroebnerStats(0, 0, 0, 0)
     _assert_same_basis(guided, unguided)
 
 
@@ -1238,3 +1238,36 @@ def test_a_bounded_run_is_the_unbounded_one_through_its_bound(data, char, bound)
     assert cut.gb_lead == [t for t in full.gb_lead if sum(t[0]) <= bound]
     assert cut.gb == [g for (lm, _, _), g in zip(full.gb_lead, full.gb) if sum(lm) <= bound]
     assert cut.mingens == {d: k for d, k in full.mingens.items() if d <= bound}
+
+
+def test_case_and_dims_records_keep_their_values():
+    case = IdealCase("n3-z", 5)
+    assert case == IdealCase("n3-z", 5) and hash(case) == hash(IdealCase("n3-z", 5))
+    assert case != IdealCase("n3-z", 7) and IdealCase("n2") == IdealCase("n2", 0)
+    assert repr(case) == "IdealCase(tag='n3-z', char=5)"
+    with pytest.raises(cases.UnsupportedCase):
+        IdealCase("n4")
+    with pytest.raises(cases.UnsupportedCase):
+        IdealCase("gl-n2", 3)
+    dims = GradedDims((1, 7, 25))
+    assert dims == GradedDims((1, 7, 25)) and hash(dims) == hash(GradedDims((1, 7, 25)))
+    assert str(dims) == "[1, 7, 25]" and repr(dims) == "GradedDims(dims=(1, 7, 25))"
+    with pytest.raises(ValueError, match="negative"):
+        GradedDims((1, -1))
+    for record, name in ((case, "char"), (dims, "dims")):
+        with pytest.raises(AttributeError):
+            setattr(record, name, 0)
+    assert case.char == 5 and dims.dims == (1, 7, 25)
+
+
+def test_ideal_basis_equality_ignores_its_run_data():
+    R = ring6()
+    basis = groebner(IdealBasis(R, [R.from_text("1*a*f - 1*c*d"), R.from_text("1*a*c")]), None)
+    bare = IdealBasis(basis.ring, basis.gens, basis.gb, basis.gb_bound, basis.mingens)
+    assert bare == basis and basis.gb_lead and basis.stats.pairs
+    assert repr(bare) == repr(basis) and "gb_lead" not in repr(basis)
+    assert IdealBasis(R, basis.gens, basis.gb[1:], None, basis.mingens) != basis
+    with pytest.raises(TypeError):
+        hash(basis)
+    bare.gb_bound = 3  # mutable
+    assert bare != basis

@@ -10,6 +10,7 @@ counts as set when some call of a function or method of that name passes it.
 
 import ast
 import inspect
+import re
 from pathlib import Path
 
 from steinberg import cases
@@ -132,8 +133,8 @@ def test_every_defaulted_parameter_is_set_by_some_call():
 
 COUNTERS = "work counters pinned by the Groebner tests, for ROADMAP item 11's profile"
 
-# Dataclass fields kept although only the tests read them, as
-# (class, field): reason.
+# Record fields kept although only the tests read them, as (class, field):
+# reason.
 FIELDS_ALLOWED = {
     ("TableCheck", "note"): "why a BWB table cell failed, asserted by the table tests",
     ("ExtendCertificate", "chain"): "the certified chain, asserted by the extension tests",
@@ -142,11 +143,38 @@ FIELDS_ALLOWED = {
     ("GroebnerStats", "zero_reductions"): COUNTERS,
 }
 
+# Every record class of the library: a subclass of fieldops.Record or Frozen.
+RECORDS = {
+    "weights": {"WeylElement", "Singular", "Located", "OutsideLocus", "ClassGroupElement"},
+    "breps": {"Atom", "FAtom", "Tensor", "Sum", "Wedge", "SymPow", "Dual", "Twist"},
+    "bwb": {"TableRow", "CohomologyTable", "TableCheck"},
+    "liealg": {"BasedRep", "QuotientRep", "IdentityResult", "SpanReport", "ExtendCertificate",
+               "CampaignEntry"},
+    "polyalg": {"GroebnerStats", "IdealBasis", "GradedDims"},
+    "cases": {"IdealCase", "CaseData", "ParamReport", "HilbertCross", "Span17Report",
+              "SpecializationReport", "ChartReport", "CnReport", "CommutatorLayerReport"},
+    "report": {"CheckEntry", "Report"},
+}
 
-def test_every_dataclass_field_is_read_outside_the_tests():
-    """A dataclass field that nothing in the library or the benchmark reads
-    as an attribute is data no check and no report reads: it goes.  The
-    sweep is by name, so it is coarse: any attribute of the same name read
+
+def _record_fields(tree):
+    """(class, field, line) of every field of every record class in tree:
+    the names in the `__slots__` of a class based on Record or Frozen."""
+    for cls in ast.walk(tree):
+        if isinstance(cls, ast.ClassDef) and cls.name != "Frozen" and any(
+                isinstance(b, ast.Name) and b.id in ("Record", "Frozen") for b in cls.bases):
+            yield cls.name, None, cls.lineno
+            for stmt in cls.body:
+                if isinstance(stmt, ast.Assign) and \
+                        [t.id for t in stmt.targets if isinstance(t, ast.Name)] == ["__slots__"]:
+                    for elt in stmt.value.elts:
+                        yield cls.name, elt.value, stmt.lineno
+
+
+def test_every_record_field_is_read_outside_the_tests():
+    """A record field that nothing in the library or the benchmark reads as
+    an attribute is data no check and no report reads: it goes.  The sweep
+    is by name, so it is coarse: any attribute of the same name read
     anywhere in the library or the benchmark counts.  An assignment, plain
     or augmented, is no read."""
     library = sorted((ROOT / "src" / "steinberg").glob("*.py"))
@@ -155,21 +183,38 @@ def test_every_dataclass_field_is_read_outside_the_tests():
              for path in library + bench}
     named = {node.attr for tree in trees.values() for node in ast.walk(tree)
              if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
-    unread = {}
+    found, unread = {}, {}
     for path in library:
-        for cls in ast.walk(trees[path]):
-            if not isinstance(cls, ast.ClassDef) or not any(
-                    isinstance(d, ast.Name) and d.id == "dataclass"
-                    for d in (getattr(d, "func", d) for d in cls.decorator_list)):
-                continue
-            for stmt in cls.body:
-                if isinstance(stmt, ast.AnnAssign) and stmt.target.id not in named:
-                    unread[cls.name, stmt.target.id] = f"{path.name}:{stmt.lineno}"
+        for cls, name, line in _record_fields(trees[path]):
+            found.setdefault(path.stem, set()).add(cls)
+            if name is not None and name not in named:
+                unread[cls, name] = f"{path.name}:{line}"
+    assert found == RECORDS
     stale = sorted(set(FIELDS_ALLOWED) - set(unread))
     assert not stale, f"allowed but read outside the tests, or gone: {stale}"
     fields = sorted(f"{where} {cls}.{name}" for (cls, name), where in unread.items()
                     if (cls, name) not in FIELDS_ALLOWED)
     assert not fields, fields
+
+
+def test_no_code_generated_at_import():
+    """The library writes its classes out in its source: nothing in it
+    generates code (exec, eval, compile) or builds a class from a list of
+    fields (dataclass, namedtuple, NamedTuple)."""
+    word = re.compile(r"\b(exec|eval|compile)\(|dataclass|namedtuple|NamedTuple")
+    sites = sorted(f"{path.name}:{k} {hit.group()}"
+                   for path in sorted((ROOT / "src" / "steinberg").glob("*.py"))
+                   for k, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+                   for hit in word.finditer(line))
+    assert not sites, sites
+
+
+def test_importing_the_cli_loads_no_code_generator(run_python):
+    """A fresh interpreter that imports the CLI and the campaigns has loaded
+    neither dataclasses nor inspect."""
+    done = run_python("-c", "import sys, steinberg.cli, steinberg.campaigns; "
+                            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    assert done.stdout == "[]\n", done.stderr
 
 
 # Functions memoized with functools.lru_cache, as (module, function): reason.

@@ -1,5 +1,6 @@
 """The report model: canonical order and one entry per check id."""
 
+import pickle
 from functools import lru_cache
 
 import pytest
@@ -34,3 +35,15 @@ def test_the_report_does_not_depend_on_the_order_of_its_entries(data):
     assert len(again.entries) == 291
     assert again.to_json() == first.to_json()
     assert again.to_markdown() == first.to_markdown()
+
+
+def test_check_entries_survive_the_helper_pipe():
+    entries = list(_run_entries())
+    back = pickle.loads(pickle.dumps(entries, pickle.HIGHEST_PROTOCOL))
+    assert back == entries and back is not entries
+    assert [repr(e) for e in back] == [repr(e) for e in entries]
+    assert CheckEntry("a", "pass", "x") != CheckEntry("a", "pass", "y")
+    assert repr(CheckEntry("a", "pass", "x")) == ("CheckEntry(check_id='a', status='pass', "
+                                                  "expected='x', actual='', paper_anchor='')")
+    with pytest.raises(TypeError):
+        hash(entries[0])

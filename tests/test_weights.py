@@ -8,8 +8,8 @@ from steinberg.breps import WeightMultiset
 from steinberg.bwb import GrothendieckElement, NotBWBGood, bwb_good, euler_char, psupp
 from steinberg.fieldops import PrimeField, is_prime
 from steinberg.weights import (A1, A2, ALPHA, BETA, L1, L2, L3, RHO, ClassGroupElement,
-                               Located, OutsideLocus, Singular, check_bound, class_reduce,
-                               iota, self_dual_classes)
+                               Located, OutsideLocus, Singular, WeylElement, check_bound,
+                               class_reduce, iota, self_dual_classes)
 
 
 def element(datum, name):
@@ -187,9 +187,8 @@ def test_self_dual_classes():
 def test_corrupted_tables_raise_without_assert(run_python):
     # the table checks raise InvariantError, so they also run under -O
     script = (
-        "from dataclasses import replace\n"
         "from steinberg.fieldops import InvariantError\n"
-        "from steinberg.weights import RootDatum\n"
+        "from steinberg.weights import RootDatum, WeylElement\n"
         "def corrupt(name, edit, probe):\n"
         "    d = RootDatum(2)\n"
         "    edit(d)\n"
@@ -198,7 +197,8 @@ def test_corrupted_tables_raise_without_assert(run_python):
         "    except InvariantError:\n"
         "        print(name, 'raised')\n"
         "def lengthen_sa(d):\n"
-        "    d.weyl = tuple(replace(w, length=2) if w.name == 'sa' else w for w in d.weyl)\n"
+        "    d.weyl = tuple(WeylElement(w.name, 2, w.matrix) if w.name == 'sa' else w\n"
+        "                   for w in d.weyl)\n"
         "def shift_rho(d):\n"
         "    d.rho = (1, 2)\n"
         "def swap_chambers(d):\n"
@@ -359,3 +359,44 @@ def test_psupp_matches_brute_force(inputs):
         else:
             with pytest.raises(NotBWBGood):
                 psupp(weights, i, l)
+
+
+def test_weight_records_compare_by_class_and_fields():
+    w = element(A2, "sa")
+    copy = WeylElement(w.name, w.length, w.matrix)
+    assert copy == w and hash(copy) == hash(w) and copy is not w
+    assert WeylElement(w.name, 2, w.matrix) != w
+    lam = (1, 2)
+    assert Located(w, lam) == Located(copy, lam)
+    assert hash(Located(w, lam)) == hash(Located(copy, lam))
+    assert Located(w, lam) != OutsideLocus(w, lam) and OutsideLocus(w, lam) != Located(w, lam)
+    assert len({Located(w, lam), OutsideLocus(w, lam), Singular(), Singular()}) == 3
+    assert repr(A2.locate((3, -9), 5)) == "OutsideLocus(w=W(sb.sa), lam=(3, 3))"
+    assert repr(Located(element(A2, "e"), (0, 0))) == "Located(w=W(e), lam=(0, 0))"
+    assert repr(Singular()) == "Singular()"
+
+
+def test_weight_records_are_immutable():
+    w = element(A2, "sa")
+    for record, name in ((w, "length"), (Located(w, (0, 0)), "lam"),
+                         (ClassGroupElement(1, 2), "torsion_part")):
+        with pytest.raises(AttributeError):
+            setattr(record, name, 0)
+        with pytest.raises(AttributeError):
+            delattr(record, name)
+    assert w.length == 1
+
+
+def test_class_group_elements_are_ordered_by_free_then_torsion_part():
+    a, b, c = ClassGroupElement(0, 2), ClassGroupElement(1, 0), ClassGroupElement(1, 1)
+    assert a < b < c and c > b > a and a <= a and c >= c and not b < a
+    assert sorted([c, a, b]) == [a, b, c] and max(a, b, c) is c
+    with pytest.raises(TypeError):
+        a < (0, 2)
+    with pytest.raises(TypeError):
+        a >= 0
+    assert a != (0, 2) and str(c) == "(1, 1 mod 3)"
+    assert repr(c) == "ClassGroupElement(free_part=1, torsion_part=1)"
+    for torsion in (3, -1):
+        with pytest.raises(ValueError, match="reduced mod 3"):
+            ClassGroupElement(0, torsion)
