@@ -21,10 +21,10 @@ from .fieldops import Frozen, set_field
 from .weights import A2, RootDatum, Weight
 
 
-class WeightMultiset:
+class WeightMultiset(Frozen):
     """Finite multiset of weights; canonical (sorted) and immutable."""
 
-    __slots__ = ("items", "_hash")
+    __slots__ = ("items",)
 
     def __init__(self, data):
         if isinstance(data, dict):
@@ -37,17 +37,11 @@ class WeightMultiset:
         items = tuple(sorted((w, m) for w, m in pairs if m != 0))
         if any(m < 0 for _, m in items):
             raise ValueError("negative multiplicity")
-        object.__setattr__(self, "items", items)
-        object.__setattr__(self, "_hash", hash(items))
+        set_field(self, "items", items)
 
-    def __setattr__(self, *a):  # pragma: no cover
-        raise AttributeError("WeightMultiset is immutable")
-
-    def __eq__(self, other):
-        return isinstance(other, WeightMultiset) and self.items == other.items
-
-    def __hash__(self):
-        return self._hash
+    def __reduce__(self):
+        # __init__ reads a list as weights, a dict as weight: multiplicity
+        return WeightMultiset, (dict(self.items),)
 
     def __iter__(self):
         return iter(self.items)

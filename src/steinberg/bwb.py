@@ -14,7 +14,7 @@ combinatorial in the weight multiset and need no cohomology beyond this.
 from __future__ import annotations
 
 from .breps import WeightMultiset, build_rep
-from .fieldops import Frozen, InvariantError, Record, set_field
+from .fieldops import Frozen, InvariantError, set_field
 from .weights import A2, Located, OutsideLocus, RootDatum, Singular, Weight, check_bound
 
 
@@ -30,7 +30,7 @@ class NotBWBGood(Exception):
         self.witnesses = witnesses
 
 
-class GrothendieckElement:
+class GrothendieckElement(Frozen):
     """Formal integer combination of dominant weights, sum of c_lam [V(lam)]."""
 
     __slots__ = ("terms",)
@@ -43,9 +43,7 @@ class GrothendieckElement:
                 raise ValueError(f"non-dominant weight {lam} in a Grothendieck class")
             if c:
                 acc[lam] = acc.get(lam, 0) + c
-        self.terms: tuple[tuple[Weight, int], ...] = tuple(
-            sorted((lam, c) for lam, c in acc.items() if c)
-        )
+        set_field(self, "terms", tuple(sorted((lam, c) for lam, c in acc.items() if c)))
 
     @classmethod
     def of(cls, lam: Weight) -> "GrothendieckElement":
@@ -54,12 +52,6 @@ class GrothendieckElement:
     @classmethod
     def zero(cls) -> "GrothendieckElement":
         return cls()
-
-    def __eq__(self, other):
-        return isinstance(other, GrothendieckElement) and self.terms == other.terms
-
-    def __hash__(self):
-        return hash(self.terms)
 
     def __bool__(self):
         return bool(self.terms)
@@ -303,57 +295,36 @@ def parse_tables(text: str) -> dict[str, CohomologyTable]:
     return tables
 
 
-class TableCheck(Record):
-    __slots__ = ("check_id", "passed", "skipped", "expected", "actual", "note")
-    def __init__(self, check_id: str, passed: bool, skipped: bool = False, expected: str = "",
-                 actual: str = "", note: str = ""):
-        self.check_id, self.passed, self.skipped = check_id, passed, skipped
-        self.expected, self.actual, self.note = expected, actual, note
-
-
-def verify_table(table: CohomologyTable, l: int) -> list[TableCheck]:
-    """Consistency checks for a claimed cohomology table at characteristic l.
+def verify_table(em, table: CohomologyTable, l: int) -> None:
+    """Consistency checks for a claimed cohomology table at characteristic l,
+    added to the Emitter em under bwb.l<l>.<table>.<family>.j<j>.
 
     Per entry: (a) a vanishing psupp forces a vanishing claim; (b) claimed
     multiplicities are bounded by psupp multiplicities; per row: (c) the
     alternating sum of known claims equals the Euler characteristic.  Rows
-    with unknown entries skip (c); unknown entries skip (a) and (b).
+    with unknown entries skip (c); unknown entries skip (a) and (b).  An
+    empty psupp bounds every multiplicity by 0, so (b) covers (a).
     """
-    out: list[TableCheck] = []
+    anchor = table.name if table.name in ("tab1", "tab2") else "calc1-2"
     for row in table.rows:
         rep = build_rep(row.rep_text)
-        rid = f"{table.name}.{row.family}.j{row.j}"
+        rid = f"bwb.l{l}.{table.name}.{row.family}.j{row.j}"
         good, witnesses = bwb_good(rep, l)
         if not good:
-            out.append(TableCheck(f"{rid}.bwb-good", False, expected="all weights in locus",
-                                  actual=f"witnesses {witnesses}"))
+            em.add(f"{rid}.bwb-good", False, "all weights in locus", f"witnesses {witnesses}",
+                   anchor)
             continue
-        for i in range(MAX_DEGREE + 1):
-            claim = row.claims[i]
+        for i, claim in enumerate(row.claims):
             if claim == UNKNOWN:
-                out.append(TableCheck(f"{rid}.i{i}", True, skipped=True, note="marked unknown"))
+                em.add(f"{rid}.i{i}", True, anchor=anchor, skipped=True)
                 continue
             support = psupp(rep, i, l)
-            ok = True
-            detail = ""
-            if support.dimension == 0 and claim:
-                ok = False
-                detail = "psupp empty but claim nonzero"
-            else:
-                for lam, c in claim.terms:
-                    if c < 0 or c > support.multiplicity(lam):
-                        ok = False
-                        detail = f"claimed {c}x[V{lam}] exceeds psupp bound {support.multiplicity(lam)}"
-                        break
-            out.append(TableCheck(f"{rid}.i{i}", ok,
-                                  expected=f"claims within psupp^{i} = {support}",
-                                  actual=_print_claim(claim) if claim != UNKNOWN else UNKNOWN,
-                                  note=detail))
+            ok = all(0 <= c <= support.multiplicity(lam) for lam, c in claim.terms)
+            em.add(f"{rid}.i{i}", ok, f"claims within psupp^{i} = {support}",
+                   _print_claim(claim), anchor)
         total = row.alternating_sum()
         if total is None:
-            out.append(TableCheck(f"{rid}.chi", True, skipped=True, note="row has unknown entries"))
+            em.add(f"{rid}.chi", True, anchor=anchor, skipped=True)
         else:
             chi = euler_char(rep)
-            out.append(TableCheck(f"{rid}.chi", total == chi,
-                                  expected=str(chi), actual=str(total)))
-    return out
+            em.add(f"{rid}.chi", total == chi, chi, total, anchor)

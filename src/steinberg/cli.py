@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from pathlib import Path
 
 from . import bwb, campaigns
 from .breps import RepParseError, build_rep
@@ -80,16 +81,20 @@ def build_parser() -> argparse.ArgumentParser:
     compute = sub.add_parser("compute").add_subparsers(dest="computation", required=True)
     p = compute.add_parser("chi")
     p.add_argument("--rep", required=True)
+    p.set_defaults(run=lambda a: str(bwb.euler_char(build_rep(a.rep))))
     p = compute.add_parser("psupp")
     p.add_argument("--rep", required=True)
     p.add_argument("--i", type=int, required=True)
     p.add_argument("--l", type=int, required=True)
+    p.set_defaults(run=lambda a: campaigns.fmt_multiset(bwb.psupp(build_rep(a.rep), a.i, a.l)))
     p = compute.add_parser("hilbert")
     p.add_argument("--case", dest="case_tag", choices=CASE_TAGS, required=True)
     p.add_argument("--degree-bound", type=_int_at_least(0), required=True)
     p.add_argument("--char", type=int, default=0)
+    p.set_defaults(run=lambda a: str(case_hilbert(IdealCase(a.case_tag, a.char), a.degree_bound)))
     p = compute.add_parser("snf")
     p.add_argument("--file", required=True)
+    p.set_defaults(run=lambda a: str(snf(int_rows(Path(a.file).read_text(encoding="utf-8")))))
     return top
 
 
@@ -107,35 +112,15 @@ def _verify(args) -> int:
     return report.exit_code
 
 
-def _compute(args) -> int:
-    if args.computation == "chi":
-        rep = build_rep(args.rep)
-        sys.stdout.write(str(bwb.euler_char(rep)) + "\n")
-        return 0
-    if args.computation == "psupp":
-        rep = build_rep(args.rep)
-        ms = bwb.psupp(rep, args.i, args.l)
-        sys.stdout.write(campaigns.fmt_multiset(ms) + "\n")
-        return 0
-    if args.computation == "hilbert":
-        case = IdealCase(args.case_tag, args.char)
-        sys.stdout.write(str(case_hilbert(case, args.degree_bound)) + "\n")
-        return 0
-    if args.computation == "snf":
-        with open(args.file, "r", encoding="utf-8") as fh:
-            rows = int_rows(fh.read())
-        sys.stdout.write("[" + ", ".join(str(d) for d in snf(rows)) + "]\n")
-        return 0
-    raise AssertionError
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         if args.command == "verify":
             return _verify(args)
-        return _compute(args)
+        # a computation prints one line
+        sys.stdout.write(args.run(args) + "\n")
+        return 0
     except RepParseError as e:
         sys.stderr.write(f"steinberg: bad rep expression: {e}\n")
         return 2

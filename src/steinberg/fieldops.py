@@ -73,7 +73,7 @@ class Frozen(Record):
     def __hash__(self):
         return hash(self._key(self))
 
-    def __setattr__(self, name, value=None):
+    def __setattr__(self, name, *value):  # no value for a deletion
         raise AttributeError(f"field {name!r} of a {type(self).__name__} is read-only")
 
     __delattr__ = __setattr__
@@ -167,8 +167,9 @@ class PrimeField:
 _GF_CACHE: dict[int, PrimeField] = {}
 QQ = RationalField()
 
-# The integers, as a coefficient ring of the dense matrix helpers only.
-ZZ = SimpleNamespace(add=operator.add, sub=operator.sub, mul=operator.mul)
+# The integers, as a coefficient ring of the dense matrix helpers and of
+# vec_iadd_scaled.
+ZZ = SimpleNamespace(add=operator.add, sub=operator.sub, mul=operator.mul, zero=0)
 
 
 def field_of(char) -> RationalField | PrimeField:

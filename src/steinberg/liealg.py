@@ -517,49 +517,32 @@ def pure_tensor_vector(big: BasedRep, t: PureTensor) -> dict:
     return {il * 10 + ir: fld.of(sign)}
 
 
-class IdentityResult(Record):
-    __slots__ = ("name", "passed", "unit", "detail")
-    def __init__(self, name: str, passed: bool, unit: object = None, detail: str = ""):
-        self.name, self.passed, self.unit, self.detail = name, passed, unit, detail
-
-
-def identity_suite(char=0, corrupt: str | None = None) -> list[IdentityResult]:
-    """Check the 17 displayed weight -2rho identities in V = W2/W1.
+def identity_suite(em, char=0) -> None:
+    """Check the 17 displayed weight -2rho identities in V = W2/W1, added to
+    the Emitter em under identities.c<char>.<identity>.
 
     Each identity is accepted up to a recorded global unit in {1, -1} (the
     basis sign conventions are not pinned by the source of the identities).
-    `corrupt` doubles the bracket coefficient of the named identity, as a
-    negative control.
     """
     check_char(char)
     quo = wedge4_quotient(char)
     big = quo.ambient
     fld = big.fld
-    results = []
     for name, lsign, lhs, op, coeff, bracket, extra in identity_variants():
-        cval = fld.of(coeff)
-        if corrupt is not None and name == corrupt:
-            cval = fld.mul(cval, fld.of(2))
         lvec = vec_scale(fld, pure_tensor_vector(big, lhs), fld.of(lsign))
         bvec: dict = {}
         for c, t in bracket:
             vec_iadd_scaled(fld, bvec, pure_tensor_vector(big, t), fld.of(c))
-        rvec = vec_scale(fld, big.act(op, bvec), cval)
+        rvec = vec_scale(fld, big.act(op, bvec), fld.of(coeff))
         for c, t in extra:
             vec_iadd_scaled(fld, rvec, pure_tensor_vector(big, t), fld.of(c))
         lq = quo.project(lvec)
         rq = quo.project(rvec)
-        unit = None
-        for u in (fld.one, fld.neg(fld.one)):
-            if lq == vec_scale(fld, rq, u):
-                unit = u
-                break
-        if unit is None:
-            results.append(IdentityResult(name, False, None,
-                                          f"no unit in {{1,-1}} matches: lhs={lq} rhs={rq}"))
-        else:
-            results.append(IdentityResult(name, True, unit))
-    return results
+        unit = next((u for u in (fld.one, fld.neg(fld.one)) if lq == vec_scale(fld, rq, u)),
+                    None)
+        em.add(f"identities.c{char}.{name}", unit is not None, "identity up to a unit",
+               f"no unit in {{1,-1}} matches: lhs={lq} rhs={rq}" if unit is None
+               else f"unit {unit}", "calc:wedge4")
 
 
 class SpanReport(Record):
@@ -636,26 +619,19 @@ def p_extend_check(rep: BasedRep, l: int, chain_root: str = "a") -> ExtendCertif
     return ExtendCertificate(False, f"no chain generator of pairing {n - 1}")
 
 
-class CampaignEntry(Record):
-    __slots__ = ("check_id", "passed", "expected", "actual")
-    def __init__(self, check_id: str, passed: bool, expected: str, actual: str):
-        self.check_id, self.passed = check_id, passed
-        self.expected, self.actual = expected, actual
-
-
-def wedge4_campaign(char=0) -> list[CampaignEntry]:
+def wedge4_campaign(em, char=0) -> None:
     """Mechanizable checks behind the vanishing of H^3 on the wedge-square
-    tensor square: the V^beta / V^alpha chain decompositions, the extension
-    certificates after the unit twist, the 17-dimensional span equality, and
-    the coinvariant 3-chains with the coefficient-2 lowering identity."""
+    tensor square, added to the Emitter em under identities.c<char>.wedge4:
+    the V^beta / V^alpha chain decompositions, the extension certificates
+    after the unit twist, the 17-dimensional span equality, and the
+    coinvariant 3-chains with the coefficient-2 lowering identity."""
     l = 7 if char == 0 else char
-    entries: list[CampaignEntry] = []
     quo = wedge4_quotient(char)
     big, V = quo.ambient, quo.rep
     fld = big.fld
 
     def add(check_id, passed, expected, actual):
-        entries.append(CampaignEntry(check_id, bool(passed), str(expected), str(actual)))
+        em.add(f"identities.c{char}.{check_id}", passed, expected, actual, "calc:wedge4")
 
     # multiplicity two in degree -3rho (drives the g-isotypic bound)
     m3 = len(big.indices_of_weight((-3, -3)))
@@ -669,10 +645,10 @@ def wedge4_campaign(char=0) -> list[CampaignEntry]:
     direct = span_rank(fld, [{i: fld.one} for i in idx_rb] + imgs)
     add("wedge4.vbeta-shape", gen.rank == direct,
         "V^beta = V_{-rho-beta} + e_a V_{-rho-beta}", f"rank {gen.rank} vs {direct}")
-    entries.append(_two_chains_entry("wedge4.vbeta-chains", V, w_rb, "ea", (1, 0), l))
+    add("wedge4.vbeta-chains", *_two_chains_check(V, w_rb, "ea", (1, 0), l))
     # V^alpha inside V / V^beta, with the roles of the two directions swapped
-    entries.append(_two_chains_entry("wedge4.valpha-chains", quotient_rep(V, gen),
-                                     A2.add(NEG_RHO, NEG_ALPHA), "eb", (0, 1), l))
+    add("wedge4.valpha-chains", *_two_chains_check(quotient_rep(V, gen),
+                                                  A2.add(NEG_RHO, NEG_ALPHA), "eb", (0, 1), l))
 
     # span equality: V_{-2rho} = e_a V_{-rho-beta} + e_b V_{-rho-alpha}
     sr = span_check(char)
@@ -726,13 +702,12 @@ def wedge4_campaign(char=0) -> list[CampaignEntry]:
     covered = all(joint.contains({i: fld.one}) for i in big.indices_of_weight((-3, -3)))
     add("wedge4.minus3rho-covered", covered,
         "both -3rho basis vectors inside the generated pair", "covered" if covered else "missing")
-    return entries
 
 
-def _two_chains_entry(check_id: str, rep: BasedRep, top: Weight, op: str, shift: Weight,
-                      l: int) -> CampaignEntry:
-    """Every 2-chain v, op v extends after the twist by shift, for v the
-    chain tops: the weight-top basis vectors whose op-images are independent."""
+def _two_chains_check(rep: BasedRep, top: Weight, op: str, shift: Weight, l: int):
+    """(passed, expected, actual): every 2-chain v, op v extends after the
+    twist by shift, for v the chain tops: the weight-top basis vectors whose
+    op-images are independent."""
     fld = rep.fld
     ech = Echelon(fld)
     tops = [{i: fld.one} for i in rep.indices_of_weight(top)
@@ -740,9 +715,8 @@ def _two_chains_entry(check_id: str, rep: BasedRep, top: Weight, op: str, shift:
     root = {"ea": "a", "eb": "b"}[op]
     ok = all(p_extend_check(twist_rep(restrict_to_span(rep, [v, rep.act(op, v)]), shift), l,
                             chain_root=root).ok for v in tops)
-    return CampaignEntry(check_id, ok,
-                         f"{len(tops)} two-chains extend after tw({shift[0]},{shift[1]})",
-                         "all certified" if ok else "failure")
+    return (ok, f"{len(tops)} two-chains extend after tw({shift[0]},{shift[1]})",
+            "all certified" if ok else "failure")
 
 
 def restrict_to_span(rep: BasedRep, vectors: list[dict]) -> BasedRep:

@@ -96,7 +96,7 @@ from fractions import Fraction
 from itertools import accumulate
 from math import comb, gcd, lcm
 
-from .fieldops import (Echelon, Frozen, InvariantError, Record, field_of, set_field,
+from .fieldops import (ZZ, Echelon, Frozen, InvariantError, Record, field_of, set_field,
                        vec_iadd_scaled, vec_scale, vec_sub)
 
 Monomial = tuple[int, ...]
@@ -1038,13 +1038,7 @@ def snf(rows: list[list[int]]) -> list[int]:
                 continue
             x = r.get(c)
             if x is not None:
-                q = x // p
-                for j, y in prow.items():
-                    z = r.get(j, 0) - q * y
-                    if z:
-                        r[j] = z
-                    else:
-                        del r[j]
+                vec_iadd_scaled(ZZ, r, prow, -(x // p))
                 restart = restart or c in r
             if r:
                 rest.append(r)

@@ -32,7 +32,7 @@ class CheckEntry(Record):
 
 
 class Emitter:
-    """Collects entries."""
+    """The one collector of check entries: every check calls add."""
 
     def __init__(self):
         self.entries: list[CheckEntry] = []

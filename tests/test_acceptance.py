@@ -89,8 +89,9 @@ def test_criterion_03_lie_algebra_identities():
     start = time.monotonic()
     ok = True
     for char in (0, 5, 7, 11):
-        results = identity_suite(char)
-        ok = ok and len(results) == 17 and all(r.passed for r in results)
+        em = Emitter()
+        identity_suite(em, char)
+        ok = ok and len(em.entries) == 17 and all(e.status == "pass" for e in em.entries)
     sr = span_check(0)
     ok = ok and sr.dim_target == 17 and sr.rank_joint == 17
     big = liealg.build_based_rep("wedge^2(b)*wedge^2(b)", 0)

@@ -1,4 +1,5 @@
 import hashlib
+import pickle
 import random
 
 import pytest
@@ -7,7 +8,7 @@ from steinberg.breps import WeightMultiset, build_rep
 from steinberg.bwb import (GrothendieckElement, NotBWBGood, NotDecidable, bwb_good, euler_char,
                            line_cohomology, parse_tables, psupp, serialize_table,
                            serialize_tables, verify_table, weyl_dim)
-from steinberg.report import load_data_text
+from steinberg.report import Emitter, load_data_text
 from steinberg.weights import A1, A2
 
 G = GrothendieckElement
@@ -145,12 +146,33 @@ def test_bwb_good_witnesses():
         psupp(build_rep("g/b*(g/b)"), 0, 5)
 
 
+def test_multisets_and_classes_pickle_and_are_immutable():
+    ms = build_rep("wedge^2(b)*b")
+    chi = euler_char(ms)
+    assert max(m for _, m in ms) > 1 and len(chi.terms) == 2
+    for value, name in ((ms, "items"), (chi, "terms")):
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            back = pickle.loads(pickle.dumps(value, protocol))
+            assert type(back) is type(value) and back == value and hash(back) == hash(value)
+            assert repr(back) == repr(value)
+        before = getattr(value, name)
+        with pytest.raises(AttributeError):
+            setattr(value, name, ())
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+        assert getattr(value, name) is before
+
+
 def test_tables_pass():
     tables = parse_tables(load_data_text("tables.txt"))
     for l in (5, 7):
         for table in tables.values():
-            for check in verify_table(table, l):
-                assert check.skipped or check.passed, check
+            em = Emitter()
+            verify_table(em, table, l)
+            assert em.entries
+            for e in em.entries:
+                assert e.check_id.startswith(f"bwb.l{l}.{table.name}."), e
+                assert e.status in ("pass", "skipped"), e
 
 
 def test_table_perturbation_fails_psupp_bound():
@@ -163,8 +185,14 @@ def test_table_perturbation_fails_psupp_bound():
     claims[0] = G.of((1, 1))
     rows[2] = type(j2)(j2.family, j2.j, j2.rep_text, tuple(claims))
     bad = type(tab1)(tab1.name, tab1.l_min, tuple(rows))
-    failures = [c for c in verify_table(bad, 5) if not c.passed and not c.skipped]
-    assert any("exceeds psupp bound" in c.note for c in failures)
+    em = Emitter()
+    verify_table(em, bad, 5)
+    failures = {e.check_id: e for e in em.entries if e.status == "fail"}
+    rid = f"bwb.l5.tab1.{j2.family}.j{j2.j}"
+    # the claim breaks the psupp^0 bound, and with it the row's alternating sum
+    assert sorted(failures) == [f"{rid}.chi", f"{rid}.i0"]
+    assert failures[f"{rid}.i0"].actual == "1*V(1,1)"
+    assert failures[f"{rid}.i0"].expected == "claims within psupp^0 = {(0, 0):1}"
 
 
 def test_table_serialization_round_trip():

@@ -94,16 +94,33 @@ def test_operator_weight_shifts():
 
 def test_identity_suite_fields():
     for char in (0, 5):
-        results = identity_suite(char)
-        assert len(results) == 17
-        assert all(r.passed for r in results)
-        assert all(r.unit == field_of(char).one for r in results)
+        em = Emitter()
+        identity_suite(em, char)
+        assert len(em.entries) == 17
+        assert len({e.check_id for e in em.entries}) == 17
+        for e in em.entries:
+            assert e.check_id.startswith(f"identities.c{char}.id"), e
+            assert e.status == "pass", e
+            assert e.actual == f"unit {field_of(char).one}", e
+            assert (e.expected, e.paper_anchor) == ("identity up to a unit", "calc:wedge4")
 
 
-def test_identity_suite_negative_control():
-    results = identity_suite(0, corrupt="id2")
-    failed = [r for r in results if not r.passed]
-    assert failed and failed[0].name == "id2"
+def test_identity_suite_negative_control(monkeypatch):
+    # id2 with its bracket coefficient doubled fails in all four variants
+    base = [row if row[0] != "id2" else row[:3] + (2 * row[3],) + row[4:]
+            for row in liealg._BASE_IDENTITIES]
+    assert base != liealg._BASE_IDENTITIES
+    monkeypatch.setattr(liealg, "_BASE_IDENTITIES", base)
+    for char in (0, 5):
+        em = Emitter()
+        identity_suite(em, char)
+        pre = f"identities.c{char}."
+        failed = sorted(e.check_id for e in em.entries if e.status == "fail")
+        assert failed == [pre + name for name in ("id2", "id2.conj", "id2.swap", "id2.swap.conj")]
+        assert sum(e.status == "pass" for e in em.entries) == 13
+        for e in em.entries:
+            if e.status == "fail":
+                assert e.actual.startswith("no unit in {1,-1} matches: lhs="), e
 
 
 def test_span_check():
@@ -178,8 +195,12 @@ def test_p_extend_check():
 
 def test_wedge4_campaign_passes():
     for char in (0, 5):
-        entries = wedge4_campaign(char)
-        assert all(e.passed for e in entries), [e for e in entries if not e.passed]
+        em = Emitter()
+        wedge4_campaign(em, char)
+        assert em.entries
+        assert all(e.check_id.startswith(f"identities.c{char}.wedge4.") for e in em.entries)
+        assert all(e.status == "pass" for e in em.entries), \
+            [e for e in em.entries if e.status != "pass"]
 
 
 def test_quotient_weights():

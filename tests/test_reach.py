@@ -55,7 +55,6 @@ def test_every_library_function_is_named_outside_the_tests():
 # Defaulted parameters kept although no call in the library or the benchmark
 # sets them, as (function, parameter): reason.
 UNSET_ALLOWED = {
-    ("identity_suite", "corrupt"): "the negative control of the identity tests",
     ("main", "argv"): "the command-line entry point, called with argv by the tests",
     ("add", "not_decidable"): "the status ROADMAP item 2 gives the undecidable BWB rows",
 }
@@ -136,7 +135,6 @@ COUNTERS = "work counters pinned by the Groebner tests, for ROADMAP item 11's pr
 # Record fields kept although only the tests read them, as (class, field):
 # reason.
 FIELDS_ALLOWED = {
-    ("TableCheck", "note"): "why a BWB table cell failed, asserted by the table tests",
     ("ExtendCertificate", "chain"): "the certified chain, asserted by the extension tests",
     ("GroebnerStats", "coprime_skips"): COUNTERS,
     ("GroebnerStats", "chain_skips"): COUNTERS,
@@ -146,10 +144,10 @@ FIELDS_ALLOWED = {
 # Every record class of the library: a subclass of fieldops.Record or Frozen.
 RECORDS = {
     "weights": {"WeylElement", "Singular", "Located", "OutsideLocus", "ClassGroupElement"},
-    "breps": {"Atom", "FAtom", "Tensor", "Sum", "Wedge", "SymPow", "Dual", "Twist"},
-    "bwb": {"TableRow", "CohomologyTable", "TableCheck"},
-    "liealg": {"BasedRep", "QuotientRep", "IdentityResult", "SpanReport", "ExtendCertificate",
-               "CampaignEntry"},
+    "breps": {"WeightMultiset", "Atom", "FAtom", "Tensor", "Sum", "Wedge", "SymPow", "Dual",
+              "Twist"},
+    "bwb": {"GrothendieckElement", "TableRow", "CohomologyTable"},
+    "liealg": {"BasedRep", "QuotientRep", "SpanReport", "ExtendCertificate"},
     "polyalg": {"GroebnerStats", "IdealBasis", "GradedDims"},
     "cases": {"IdealCase", "CaseData", "ParamReport", "HilbertCross", "Span17Report",
               "SpecializationReport", "ChartReport", "CnReport", "CommutatorLayerReport"},
