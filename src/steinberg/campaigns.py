@@ -72,14 +72,13 @@ def bwb_tables_campaign(em: Emitter, l: int) -> None:
         em.add(f"{pre}.good.gbxgb", (not good2) and fmt_multiset(wit) == "{(2,2)}",
                "False with witness {(2,2)}", f"{good2} witness {fmt_multiset(wit)}", anchor="calc1")
     # line cohomology examples
-    h = bwb.line_cohomology((0, 0), l)
-    em.add(f"{pre}.line.trivial", h == {0: bwb.GrothendieckElement.of((0, 0))},
-           "{0: [V(0,0)]}", str({k: str(v) for k, v in h.items()}), anchor="thm:BWB")
-    em.add(f"{pre}.line.singular", bwb.line_cohomology((-1, -1), l) == {}, "{}", "{}",
-           anchor="thm:BWB")
-    h2 = bwb.line_cohomology((-2, 1), l)
-    em.add(f"{pre}.line.salpha", h2 == {1: bwb.GrothendieckElement.of((0, 0))},
-           "{1: [V(0,0)]}", str({k: str(v) for k, v in h2.items()}), anchor="thm:BWB")
+    trivial = bwb.GrothendieckElement.of((0, 0))
+    for name, mu, want, text in (("trivial", (0, 0), {0: trivial}, "{0: [V(0,0)]}"),
+                                 ("singular", (-1, -1), {}, "{}"),
+                                 ("salpha", (-2, 1), {1: trivial}, "{1: [V(0,0)]}")):
+        h = bwb.line_cohomology(mu, l)
+        em.add(f"{pre}.line.{name}", h == want, text, str({k: str(v) for k, v in h.items()}),
+               anchor="thm:BWB")
 
 
 # -- identities / span ---------------------------------------------------------------
@@ -92,16 +91,12 @@ def identities_campaign(em: Emitter, char: int) -> None:
 
 def span_campaign(em: Emitter, char: int) -> None:
     pre = f"span.c{char}"
-    rep = liealg.span_check(char)
-    em.add(f"{pre}.rep-side", rep.passed and rep.dim_target == 17,
-           "dim V_(-2rho) = 17 with span equality",
-           f"dim {rep.dim_target}, joint rank {rep.rank_joint}, "
-           f"single ranks {rep.rank_alpha}/{rep.rank_beta}", anchor="calc:wedge4")
-    for ambient, r in span17_check(char).items():
-        em.add(f"{pre}.groebner-side.{ambient}", r.passed,
-               "rank 17, invariant-factor primes within {2}",
-               f"rank {r.rank}, free {r.quotient_free_rank}, torsion {r.quotient_torsion}, "
-               f"snf primes {sorted(r.snf_primes)}", anchor="thm:Z-ideal-sl3")
+    dim, joint, ra, rb = liealg.span_check(char)
+    em.add(f"{pre}.rep-side", joint == dim == 17, "dim V_(-2rho) = 17 with span equality",
+           f"dim {dim}, joint rank {joint}, single ranks {ra}/{rb}", anchor="calc:wedge4")
+    for ambient, (passed, expected, actual) in span17_check(char).items():
+        em.add(f"{pre}.groebner-side.{ambient}", passed, expected, actual,
+               anchor="thm:Z-ideal-sl3")
 
 
 # -- per-case ideal campaigns ----------------------------------------------------------
@@ -131,15 +126,13 @@ def ideal_campaign(em: Emitter, tag: str, char: int, bound: int, trials: int, se
     if tag in ("n2", "n3-z"):
         gb = case_basis(case, bound)
         mg = min_gen_degrees(gb, min(bound, 5))
-    if tag == "n2":
-        em.add(f"{pre}.mingens", tuple(mg.dims) == (0, 0, 6, 0, 0, 0)[: len(mg.dims)],
-               "6 minimal generators, all in degree 2", str(mg), anchor=anchor)
-        hc = hilbert_cross_check(case, bound)
-        em.add(f"{pre}.hilbert-cross", hc.passed,
-               f"section counts {hc.character_dims}", str(hc.groebner_dims), anchor=anchor)
-    elif tag == "n3-z":
-        em.add(f"{pre}.mingens", tuple(mg.dims) == (0, 0, 3, 36, 0, 0)[: len(mg.dims)],
-               "(0, 0, 3, 36, 0, 0)", str(mg), anchor=anchor)
+        dims, text = {"n2": ((0, 0, 6, 0, 0, 0), "6 minimal generators, all in degree 2"),
+                      "n3-z": ((0, 0, 3, 36, 0, 0), "(0, 0, 3, 36, 0, 0)")}[tag]
+        em.add(f"{pre}.mingens", tuple(mg.dims) == dims[: len(mg.dims)], text, str(mg),
+               anchor=anchor)
+        passed, expected, actual = hilbert_cross_check(case, bound)
+        em.add(f"{pre}.hilbert-cross", passed, expected, actual, anchor=anchor)
+    if tag == "n3-z":
         data = build_case(case)
         ring, M, N = data.ring, data.mats["M"], data.mats["N"]
         bad = 0
@@ -151,32 +144,21 @@ def ideal_campaign(em: Emitter, tag: str, char: int, bound: int, trials: int, se
                         bad += 1
         em.add(f"{pre}.mnm-normal-forms", bad == 0,
                "all 18 entries of MNM and NMN reduce to 0", f"{bad} nonzero", anchor=anchor)
-        hc = hilbert_cross_check(case, bound)
-        em.add(f"{pre}.hilbert-cross", hc.passed,
-               f"section counts {hc.character_dims}", str(hc.groebner_dims), anchor=anchor)
         if char == 0:
             dims0 = case_hilbert(case, bound)
             same = all(case_hilbert(IdealCase(tag, l), bound).dims == dims0.dims for l in (5, 7))
             em.add(f"{pre}.flatness", same,
                    "graded dimensions agree over Q, F5, F7", str(dims0), anchor="lem:ZYproperties")
     elif tag == "n3-x":
-        cl = commutator_layer_check(char if char else 5, min(bound, 5))
-        em.add(f"{pre}.commutator-layer", cl.passed,
-               f"8 new degree-2 generators; quotient dimensions {cl.character_dims}",
-               f"{cl.new_generators_degree2} new; {cl.hf_quotient}", anchor=anchor)
-        em.add(f"{pre}.containment", _containment_dictionary(char if char else 5),
-               "n3-z maps into n3-x; together with traces and commutators they generate it",
-               "mutual normal forms vanish", anchor=anchor)
+        passed, expected, actual = commutator_layer_check(char if char else 5, min(bound, 5))
+        em.add(f"{pre}.commutator-layer", passed, expected, actual, anchor=anchor)
+        passed, expected, actual = _containment_dictionary(char if char else 5)
+        em.add(f"{pre}.containment", passed, expected, actual, anchor=anchor)
     if tag.startswith("gl"):
-        spec = gl_specialization_check(tag, char if char else 7)
-        em.add(f"{pre}.q1-specialization", spec.passed,
-               "ideal equals the nilpotent-side ideal after Phi = I+M, Sigma = I+N",
-               f"forward {spec.forward_ok}, backward {spec.backward_ok}", anchor=anchor)
-        chart = chart_symbolic_check(tag)
-        em.add(f"{pre}.chart-symbolic", chart.passed,
-               f"all {chart.checked} generators vanish on the chart",
-               "all reduce to 0" if chart.passed else f"nonzero at {chart.nonvanishing}",
-               anchor=anchor)
+        passed, expected, actual = gl_specialization_check(tag, char if char else 7)
+        em.add(f"{pre}.q1-specialization", passed, expected, actual, anchor=anchor)
+        passed, expected, actual = chart_symbolic_check(tag)
+        em.add(f"{pre}.chart-symbolic", passed, expected, actual, anchor=anchor)
     # vanishing on the parametrized points is a characteristic-free identity:
     # evaluate the char-0 generator list modulo the fixed 31-bit prime, with a
     # fresh generic q per trial for the gl cases; one run serves every char
@@ -186,7 +168,9 @@ def ideal_campaign(em: Emitter, tag: str, char: int, bound: int, trials: int, se
            f"failures {len(pr.failures)}, control detected {pr.control_detected}", anchor=anchor)
 
 
-def _containment_dictionary(char: int) -> bool:
+def _containment_dictionary(char: int) -> tuple[bool, str, str]:
+    """(passed, expected, actual): the n3-z generators, mapped into the n3-x
+    ring, with the traces and the commutator entries generate the n3-x ideal."""
     zcase = build_case(IdealCase("n3-z", char))
     xcase = build_case(IdealCase("n3-x", char))
     ring = xcase.ring
@@ -199,7 +183,10 @@ def _containment_dictionary(char: int) -> bool:
     ga = groebner(IdealBasis(ring, mapped + traces + comm), 3)
     forward = all(not normal_form(g, gx) for g in mapped + traces + comm)
     backward = all(not normal_form(g, ga) for g in xcase.gens)
-    return forward and backward
+    return (forward and backward,
+            "n3-z maps into n3-x; together with traces and commutators they generate it",
+            "mutual normal forms vanish" if forward and backward
+            else f"forward {forward}, backward {backward}")
 
 
 # -- dimensions, multiplicities, class group --------------------------------------------

@@ -24,7 +24,8 @@ gl_specialization_check, a random q in each parametrized point).
 The verification campaigns pair the Groebner side against independent
 oracles: pseudorandom parametrized points (Schwartz-Zippel bounded), the
 character-level section counts of the flag-variety bundles, and integer
-invariant factors for the degree-3 span.
+invariant factors for the degree-3 span.  A check behind one report entry
+returns (passed, expected, actual), the texts the campaign adds as they are.
 
 Cases, the cnil reduction, bases, Hilbert functions (per case and per
 staircase), points reports and span lattices are memoized in one per-run
@@ -485,16 +486,6 @@ def case_points(case: IdealCase, trials: int, seed: int) -> ParamReport:
 # -- Hilbert-function bridge to the character side ------------------------------------
 
 
-class HilbertCross(Record):
-    __slots__ = ("bound", "groebner_dims", "character_dims")
-    def __init__(self, bound: int, groebner_dims: GradedDims, character_dims: GradedDims):
-        self.bound, self.groebner_dims, self.character_dims = bound, groebner_dims, character_dims
-
-    @property
-    def passed(self) -> bool:
-        return self.groebner_dims.dims == self.character_dims.dims
-
-
 def character_section_dims(tag: str, bound: int, twist: Weight | None = None) -> GradedDims:
     """Degree-k section counts of the relevant bundle on the flag variety, by
     Euler characteristics of sym^k((g/b) + (g/b)) (optionally twisted)."""
@@ -508,31 +499,18 @@ def character_section_dims(tag: str, bound: int, twist: Weight | None = None) ->
     return GradedDims(tuple(dims))
 
 
-def hilbert_cross_check(case: IdealCase, bound: int) -> HilbertCross:
-    """dim (S/I)_k from the truncated Groebner basis versus the character side."""
+def hilbert_cross_check(case: IdealCase, bound: int) -> tuple[bool, str, str]:
+    """(passed, expected, actual): dim (S/I)_k from the truncated Groebner
+    basis versus the character side."""
     if case.tag not in ("n2", "n3-z"):
         raise UnsupportedCase("hilbert cross check covers n2 and n3-z")
     if case.char not in (0,) and case.char < 5:
         raise UnsupportedCase("needs characteristic 0 or l >= 5")
-    return HilbertCross(bound, case_hilbert(case, bound),
-                        character_section_dims(case.tag, bound))
+    got, want = case_hilbert(case, bound), character_section_dims(case.tag, bound)
+    return got.dims == want.dims, f"section counts {want}", str(got)
 
 
 # -- the degree-3 span and its integer invariant factors -------------------------------
-
-
-class Span17Report(Record):
-    __slots__ = ("ambient", "char", "rank", "quotient_free_rank", "quotient_torsion", "snf_primes")
-    def __init__(self, ambient: str, char: int, rank: int, quotient_free_rank: int,
-                 quotient_torsion: list, snf_primes: set):
-        self.ambient, self.char, self.rank = ambient, char, rank
-        self.quotient_free_rank, self.quotient_torsion = quotient_free_rank, quotient_torsion
-        self.snf_primes = snf_primes
-
-    @property
-    def passed(self) -> bool:
-        all_primes = self.snf_primes | _prime_divisors(self.quotient_torsion)
-        return self.quotient_free_rank == 17 and all_primes <= {2} and self.rank == 17
 
 
 def _prime_divisors(factors) -> set:
@@ -610,16 +588,18 @@ def span_lattice(ambient: str):
 
 
 def span17_check(char: int = 0) -> dict:
-    """Rank of the span of the M^2N and NM^2 entries modulo the listed
-    degree-3 reducers, in both ambients, plus the invariant factors of the
-    integer quotient lattice."""
+    """Per ambient, (passed, expected, actual): rank of the span of the M^2N
+    and NM^2 entries modulo the listed degree-3 reducers, plus the invariant
+    factors of the integer quotient lattice."""
     out = {}
     for ambient in ("traceless", "full-matrix"):
         a_part, b_part, free, torsion, factors = span_lattice(ambient)
-        rk_all = _field_rank(char, a_part + b_part)
-        rk_red = _field_rank(char, b_part)
-        out[ambient] = Span17Report(ambient, char, rk_all - rk_red, free, list(torsion),
-                                    _prime_divisors(factors))
+        rank = _field_rank(char, a_part + b_part) - _field_rank(char, b_part)
+        primes = _prime_divisors(factors)
+        out[ambient] = (free == 17 and primes | _prime_divisors(torsion) <= {2} and rank == 17,
+                        "rank 17, invariant-factor primes within {2}",
+                        f"rank {rank}, free {free}, torsion {list(torsion)}, "
+                        f"snf primes {sorted(primes)}")
     return out
 
 
@@ -650,25 +630,14 @@ def multiplicity(lam: Weight) -> int:
 # -- gl-case cross checks ----------------------------------------------------------
 
 
-class SpecializationReport(Record):
-    __slots__ = ("tag", "char", "forward_ok", "backward_ok")
-    def __init__(self, tag: str, char: int, forward_ok: bool, backward_ok: bool):
-        self.tag, self.char = tag, char
-        self.forward_ok = forward_ok  # specialized gl generators lie in the target ideal
-        self.backward_ok = backward_ok  # target generators lie in the specialized gl ideal
-
-    @property
-    def passed(self) -> bool:
-        return self.forward_ok and self.backward_ok
-
-
-def gl_specialization_check(tag: str, char: int = 5) -> SpecializationReport:
-    """At q = 1 the gl-case ideal, written with Phi = I + M, Sigma = I + N and
-    the inverse variables set to 1, coincides with the nilpotent-side ideal
-    (n2 with trace generators, resp. n3-x).  Both containments are certified
-    by mutual normal-form reduction against bases complete through the
-    generators' degrees; for gl-n3 that is the complete n3-x basis, which
-    the commutator layer and the containment dictionary read too."""
+def gl_specialization_check(tag: str, char: int = 5) -> tuple[bool, str, str]:
+    """(passed, expected, actual): at q = 1 the gl-case ideal, written with
+    Phi = I + M, Sigma = I + N and the inverse variables set to 1, coincides
+    with the nilpotent-side ideal (n2 with trace generators, resp. n3-x).
+    Both containments are certified by mutual normal-form reduction against
+    bases complete through the generators' degrees; for gl-n3 that is the
+    complete n3-x basis, which the commutator layer and the containment
+    dictionary read too."""
     if tag not in ("gl-n2", "gl-n3"):
         raise UnsupportedCase(tag)
     n = 2 if tag == "gl-n2" else 3
@@ -700,23 +669,18 @@ def gl_specialization_check(tag: str, char: int = 5) -> SpecializationReport:
     g_spec = groebner(IdealBasis(target_ring, spec_homog), bound)
     g_target = (groebner(IdealBasis(target_ring, list(target_gens)), bound) if n == 2
                 else case_basis(IdealCase("n3-x", char), None))
+    # forward: the specialized gl generators lie in the target ideal;
+    # backward: the target generators lie in the specialized gl ideal
     forward = all(not normal_form(g, g_target) for g in specialized)
     backward = all(not normal_form(g, g_spec) for g in target_gens)
-    return SpecializationReport(tag, char, forward, backward)
+    return (forward and backward,
+            "ideal equals the nilpotent-side ideal after Phi = I+M, Sigma = I+N",
+            f"forward {forward}, backward {backward}")
 
 
-class ChartReport(Record):
-    __slots__ = ("tag", "checked", "nonvanishing")
-    def __init__(self, tag: str, checked: int, nonvanishing: list):
-        self.tag, self.checked, self.nonvanishing = tag, checked, nonvanishing
-
-    @property
-    def passed(self) -> bool:
-        return not self.nonvanishing
-
-
-def chart_symbolic_check(tag: str) -> ChartReport:
-    """Fully expanded verification on the standard chart.
+def chart_symbolic_check(tag: str) -> tuple[bool, str, str]:
+    """(passed, expected, actual): fully expanded verification on the
+    standard chart.
 
     For gl-n2 / gl-n3: Phi = diag(q^{n-1}, ..., 1) exactly and N the free
     allowed-position nilpotent (x E12 [+ y E23]), Sigma the truncated
@@ -750,7 +714,8 @@ def chart_symbolic_check(tag: str) -> ChartReport:
         val = gl.ring.substitute(g, images, chart)
         if normal_form_mod_unit(chart, val, "q", "r"):
             bad.append(k)
-    return ChartReport(tag, len(gl.gens), bad)
+    return (not bad, f"all {len(gl.gens)} generators vanish on the chart",
+            f"nonzero at {bad}" if bad else "all reduce to 0")
 
 
 # -- the commuting-nilpotent chart equation ----------------------------------------
@@ -851,22 +816,9 @@ def case_cn_reduction(case: IdealCase):
 # -- the commutator layer over the nilpotent-pair ring ---------------------------------
 
 
-class CommutatorLayerReport(Record):
-    __slots__ = ("char", "bound", "new_generators_degree2", "hf_quotient", "character_dims")
-    def __init__(self, char: int, bound: int, new_generators_degree2: int,
-                 hf_quotient: GradedDims, character_dims: tuple):
-        self.char, self.bound = char, bound
-        self.new_generators_degree2 = new_generators_degree2
-        self.hf_quotient, self.character_dims = hf_quotient, character_dims
-
-    @property
-    def passed(self) -> bool:
-        return (self.new_generators_degree2 == 8
-                and tuple(self.hf_quotient.dims) == self.character_dims)
-
-
-def commutator_layer_check(char: int = 5, bound: int = 5) -> CommutatorLayerReport:
-    """The ideal of the reduced fibre over the nilpotent-pair ring.
+def commutator_layer_check(char: int = 5, bound: int = 5) -> tuple[bool, str, str]:
+    """(passed, expected, actual) for the ideal of the reduced fibre over the
+    nilpotent-pair ring.
 
     Degreewise, dim (S/J)_k must equal the section count of the structure
     sheaf minus that of its rho-twist shifted by two (the ideal sheaf of the
@@ -880,4 +832,5 @@ def commutator_layer_check(char: int = 5, bound: int = 5) -> CommutatorLayerRepo
     tw = character_section_dims("n3-z", bound, twist=(1, 1))
     expected = tuple(base[k] - (tw[k - 2] if k >= 2 else 0) for k in range(bound + 1))
     new2 = base[2] - expected[2] if len(expected) > 2 else 0
-    return CommutatorLayerReport(char, bound, new2, hfJ, expected)
+    return (new2 == 8 and tuple(hfJ.dims) == expected,
+            f"8 new degree-2 generators; quotient dimensions {expected}", f"{new2} new; {hfJ}")

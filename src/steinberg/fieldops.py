@@ -52,8 +52,13 @@ class Record:
         shown = cls._shown = cls.__dict__.get("_shown", cls.__slots__)
         # _key(record): the tuple of its shown fields, which attrgetter builds
         # in C when there are at least two
-        cls._key = operator.attrgetter(*shown) if len(shown) > 1 else \
-            staticmethod(lambda record: tuple([getattr(record, name) for name in shown]))
+        if len(shown) > 1:
+            cls._key = operator.attrgetter(*shown)
+        elif shown:
+            name, = shown
+            cls._key = staticmethod(lambda record: (getattr(record, name),))
+        else:
+            cls._key = staticmethod(lambda record: ())
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:

@@ -545,19 +545,9 @@ def identity_suite(em, char=0) -> None:
                else f"unit {unit}", "calc:wedge4")
 
 
-class SpanReport(Record):
-    __slots__ = ("dim_target", "rank_joint", "rank_alpha", "rank_beta")
-    def __init__(self, dim_target: int, rank_joint: int, rank_alpha: int, rank_beta: int):
-        self.dim_target, self.rank_joint = dim_target, rank_joint
-        self.rank_alpha, self.rank_beta = rank_alpha, rank_beta
-
-    @property
-    def passed(self) -> bool:
-        return self.rank_joint == self.dim_target
-
-
-def span_check(char=0) -> SpanReport:
-    """dim V_{-2rho} versus the joint image e_a V_{-rho-beta} + e_b V_{-rho-alpha}."""
+def span_check(char=0) -> tuple[int, int, int, int]:
+    """dim V_{-2rho} versus the joint image e_a V_{-rho-beta} + e_b V_{-rho-alpha}:
+    (dim V_{-2rho}, joint rank, rank of the e_a image, rank of the e_b image)."""
     check_char(char)
     quo = wedge4_quotient(char)
     V = quo.rep
@@ -571,7 +561,7 @@ def span_check(char=0) -> SpanReport:
     ra = span_rank(fld, img_a)
     rb = span_rank(fld, img_b)
     rj = span_rank(fld, img_a + img_b)
-    return SpanReport(dim_target, rj, ra, rb)
+    return dim_target, rj, ra, rb
 
 
 # -- Lemma-style extension test ---------------------------------------------------
@@ -651,10 +641,9 @@ def wedge4_campaign(em, char=0) -> None:
                                                   A2.add(NEG_RHO, NEG_ALPHA), "eb", (0, 1), l))
 
     # span equality: V_{-2rho} = e_a V_{-rho-beta} + e_b V_{-rho-alpha}
-    sr = span_check(char)
-    add("wedge4.span17", sr.passed and sr.dim_target == 17,
-        "dim 17 with span equality",
-        f"dim {sr.dim_target}, joint {sr.rank_joint}, single {sr.rank_alpha}/{sr.rank_beta}")
+    dim, joint, ra, rb = span_check(char)
+    add("wedge4.span17", joint == dim == 17, "dim 17 with span equality",
+        f"dim {dim}, joint {joint}, single {ra}/{rb}")
 
     # the generated subrep at mu = -2beta-rho and its U_P-coinvariants
     v = pure_tensor_vector(big, (("fr", "fb"), ("fb", "ta")))

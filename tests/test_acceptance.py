@@ -92,8 +92,8 @@ def test_criterion_03_lie_algebra_identities():
         em = Emitter()
         identity_suite(em, char)
         ok = ok and len(em.entries) == 17 and all(e.status == "pass" for e in em.entries)
-    sr = span_check(0)
-    ok = ok and sr.dim_target == 17 and sr.rank_joint == 17
+    dim, joint, _, _ = span_check(0)
+    ok = ok and dim == 17 and joint == 17
     big = liealg.build_based_rep("wedge^2(b)*wedge^2(b)", 0)
     ok = ok and big.weight_multiset().multiplicity((-3, -3)) == 2
     fld = big.fld
@@ -114,8 +114,8 @@ def test_criterion_04_n2_presentation():
     for char in (0, 5):
         gb = groebner(make_ideal(IdealCase("n2", char)), 5)
         ok = ok and min_gen_degrees(gb, 5).dims == (0, 0, 6, 0, 0, 0)
-    hc = hilbert_cross_check(IdealCase("n2", 5), 6)
-    ok = ok and hc.passed
+    passed, _, _ = hilbert_cross_check(IdealCase("n2", 5), 6)
+    ok = ok and passed
     elapsed = time.monotonic() - start
     report(4, ok and elapsed < 60, f"6 generators in degree 2; cross check to 6; {elapsed:.2f}s")
 
@@ -135,8 +135,8 @@ def test_criterion_05_n3_presentation():
             ring, M, N = data.ring, data.mats["M"], data.mats["N"]
             mnm = mat_mul(ring, mat_mul(ring, M, N), M)
             ok = ok and all(not normal_form(mnm[i][j], gb) for i in range(3) for j in range(3))
-    hc = hilbert_cross_check(IdealCase("n3-z", 5), 5)
-    ok = ok and hc.passed
+    passed, _, _ = hilbert_cross_check(IdealCase("n3-z", 5), 5)
+    ok = ok and passed
     ok = ok and dims_by_char[0] == dims_by_char[5] == dims_by_char[7]
     elapsed = time.monotonic() - start
     report(5, ok and elapsed < 300,
@@ -145,8 +145,8 @@ def test_criterion_05_n3_presentation():
 
 def test_criterion_06_commutator_layer():
     start = time.monotonic()
-    rep = commutator_layer_check(5, 5)
-    ok = rep.passed and rep.new_generators_degree2 == 8
+    passed, _, actual = commutator_layer_check(5, 5)
+    ok = passed and actual.startswith("8 new; ")
     elapsed = time.monotonic() - start
     report(6, ok and elapsed < 60, f"8 degree-2 generators over the pair ring; {elapsed:.2f}s")
 
@@ -155,9 +155,8 @@ def test_criterion_07_span17_and_invariant_factors():
     start = time.monotonic()
     ok = True
     for char in (0, 5):
-        r = span17_check(char)["traceless"]
-        ok = ok and r.rank == 17 and r.passed
-        ok = ok and (r.snf_primes | set()) <= {2}
+        passed, _, actual = span17_check(char)["traceless"]
+        ok = ok and passed and actual == "rank 17, free 17, torsion [], snf primes [2]"
     elapsed = time.monotonic() - start
     report(7, ok and elapsed < 60, f"rank 17 over Q and F5; snf primes within {{2}}; {elapsed:.2f}s")
 

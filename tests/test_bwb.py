@@ -4,11 +4,12 @@ import random
 
 import pytest
 
+from steinberg import bwb, campaigns
 from steinberg.breps import WeightMultiset, build_rep
 from steinberg.bwb import (GrothendieckElement, NotBWBGood, NotDecidable, bwb_good, euler_char,
                            line_cohomology, parse_tables, psupp, serialize_table,
                            serialize_tables, verify_table, weyl_dim)
-from steinberg.report import Emitter, load_data_text
+from steinberg.report import FAIL, Emitter, load_data_text
 from steinberg.weights import A1, A2
 
 G = GrothendieckElement
@@ -31,6 +32,20 @@ def test_line_cohomology_examples():
     assert line_cohomology((-2, 1), 5) == {1: G.of((0, 0))}
     # degree from the length of the locating element, checked against Bott
     assert line_cohomology((-2, -2), 0) == {3: G.of((0, 0))}
+
+
+def test_line_singular_entry_prints_the_computed_cohomology(monkeypatch):
+    # the entry's actual text is the cohomology computed, not its expectation
+    computed = bwb.line_cohomology
+
+    def faulty(mu, l):
+        return {0: G.of((0, 0))} if mu == (-1, -1) else computed(mu, l)
+
+    monkeypatch.setattr(bwb, "line_cohomology", faulty)
+    em = Emitter()
+    campaigns.bwb_tables_campaign(em, 5)
+    entry = next(e for e in em.entries if e.check_id == "bwb.l5.line.singular")
+    assert (entry.status, entry.expected, entry.actual) == (FAIL, "{}", "{0: '[V(0,0)]'}")
 
 
 def test_line_cohomology_decidability():

@@ -55,9 +55,10 @@ def test_n2_presentation():
     for char in (0, 5):
         gb = groebner(make_ideal(IdealCase("n2", char)), 5)
         assert min_gen_degrees(gb, 5).dims == (0, 0, 6, 0, 0, 0)
-    hc = hilbert_cross_check(IdealCase("n2", 5), 6)
-    assert hc.passed
-    assert hc.character_dims[1] == 6
+    passed, expected, actual = hilbert_cross_check(IdealCase("n2", 5), 6)
+    assert passed
+    assert expected == "section counts [1, 6, 15, 28, 45, 66, 91]"
+    assert actual == "[1, 6, 15, 28, 45, 66, 91]"
 
 
 def test_n3z_presentation_low_degree():
@@ -96,12 +97,10 @@ def test_parametrization_reproducible():
 def test_span17():
     reports = span17_check(0)
     for ambient in ("traceless", "full-matrix"):
-        r = reports[ambient]
-        assert r.rank == 17 and r.quotient_free_rank == 17
-        assert r.quotient_torsion == []
-        assert r.snf_primes == {2}
-    f5 = span17_check(5)["traceless"]
-    assert f5.rank == 17 and f5.passed
+        passed, _, actual = reports[ambient]
+        assert passed and actual == "rank 17, free 17, torsion [], snf primes [2]"
+    passed, _, actual = span17_check(5)["traceless"]
+    assert passed and actual.startswith("rank 17, ")
 
 
 def test_span_lattices_are_free_of_rank_17_with_invariant_factors_1_and_2():
@@ -132,22 +131,24 @@ def test_multiplicities():
 
 
 def test_gl_specialization_small():
-    rep = gl_specialization_check("gl-n2", 5)
-    assert rep.passed
+    passed, _, actual = gl_specialization_check("gl-n2", 5)
+    assert passed and actual == "forward True, backward True"
 
 
 def test_chart_symbolic():
-    for tag in ("gl-n2", "gl-n3"):
-        assert chart_symbolic_check(tag).passed
+    for tag, count in (("gl-n2", 11), ("gl-n3", 36)):
+        assert chart_symbolic_check(tag) == (
+            True, f"all {count} generators vanish on the chart", "all reduce to 0")
     for tag in ("n2", "cnil"):
         with pytest.raises(UnsupportedCase):
             chart_symbolic_check(tag)
 
 
 def test_commutator_layer_quick():
-    rep = commutator_layer_check(5, 3)
-    assert rep.new_generators_degree2 == 8
-    assert rep.hf_quotient.dims == rep.character_dims
+    passed, expected, actual = commutator_layer_check(5, 3)
+    assert passed
+    assert expected == "8 new degree-2 generators; quotient dimensions (1, 16, 125, 638)"
+    assert actual == "8 new; [1, 16, 125, 638]"
 
 
 def test_gl_ideal_members_vanish_on_unipotent_pairs():
@@ -280,8 +281,8 @@ def test_n3z_flatness_reuses_the_c5_and_c7_bases(groebner_calls):
 
 
 def test_n3x_basis_is_shared_by_containment_and_specialization(groebner_calls):
-    assert campaigns._containment_dictionary(5)
-    assert gl_specialization_check("gl-n3", 5).passed
+    assert campaigns._containment_dictionary(5)[0]
+    assert gl_specialization_check("gl-n3", 5)[0]
     # one complete basis over GF(5), read off the complete basis over Q
     n3x, n3x_q = (make_ideal(IdealCase("n3-x", char)).gens for char in (5, 0))
     assert [(bound, guide.gens) for gens, bound, guide in groebner_calls
@@ -481,6 +482,76 @@ def test_a_faulty_char0_basis_fails_the_hilbert_cross_check(monkeypatch):
         assert status["ideal.n3-z.c0.hilbert-cross"] == FAIL
     finally:
         cases.clear_case_memo()
+
+
+def test_containment_entry_prints_the_computed_results(monkeypatch):
+    # with every normal form nonzero, the entry names both failed directions
+    monkeypatch.setattr(campaigns, "normal_form", lambda poly, basis: poly)
+    em = Emitter()
+    campaigns.ideal_campaign(em, "n3-x", 5, 3, trials=5, seed=0)
+    entry = next(e for e in em.entries if e.check_id == "ideal.n3-x.c5.containment")
+    assert (entry.status, entry.actual) == (FAIL, "forward False, backward False")
+
+
+def _faulty_case(monkeypatch, tag, change):
+    """Patch cases.build_case so that the case `tag` reads its generator list
+    through change(ring, gens); the memoized original is left as it is."""
+    built = cases.build_case
+
+    def faulty(case):
+        data = built(case)
+        if case.tag != tag:
+            return data
+        return cases.CaseData(data.ring, change(data.ring, list(data.gens)), data.mats)
+
+    monkeypatch.setattr(cases, "build_case", faulty)
+
+
+def test_a_changed_gl_coefficient_fails_the_specialization_check(monkeypatch):
+    def change(ring, gens):
+        # det Phi - q, with the coefficient of f12*f21 doubled
+        mono, = ring.mul(ring.var("f12"), ring.var("f21"))
+        gens[5] = ring.add(gens[5], {mono: gens[5][mono]})
+        return gens
+
+    _faulty_case(monkeypatch, "gl-n2", change)
+    assert gl_specialization_check("gl-n2", 5)[::2] == (False, "forward False, backward True")
+
+
+@pytest.mark.parametrize("tag, k", [("gl-n2", 3), ("gl-n3", 0)])
+def test_a_generator_plus_a_constant_fails_the_chart_check(monkeypatch, tag, k):
+    def change(ring, gens):
+        gens[k] = ring.add(gens[k], ring.const(1))
+        return gens
+
+    _faulty_case(monkeypatch, tag, change)
+    passed, _, actual = chart_symbolic_check(tag)
+    assert not passed and actual == f"nonzero at [{k}]"
+
+
+def test_a_dropped_basis_element_fails_the_commutator_layer_check(monkeypatch):
+    complete = cases.case_basis
+
+    def faulty(case, bound):
+        basis = complete(case, bound)
+        if (case.tag, bound) != ("n3-x", None):
+            return basis
+        k = next(k for k, (lm, _, _) in enumerate(basis.gb_lead) if sum(lm) == 3)
+        return IdealBasis(basis.ring, basis.gens, basis.gb[:k] + basis.gb[k + 1:],
+                          basis.gb_bound, basis.mingens,
+                          basis.gb_lead[:k] + basis.gb_lead[k + 1:], basis.stats, basis.divisors)
+
+    monkeypatch.setattr(cases, "case_basis", faulty)
+    passed, _, actual = commutator_layer_check(5, 3)
+    assert not passed and actual != "8 new; [1, 16, 125, 638]"
+
+
+def test_an_invariant_factor_of_3_fails_the_span17_check(monkeypatch):
+    lattice = cases.span_lattice
+    monkeypatch.setattr(cases, "span_lattice", lambda ambient: (
+        *lattice(ambient)[:4], lattice(ambient)[4] + (3,)))
+    for passed, _, actual in span17_check(0).values():
+        assert not passed and actual == "rank 17, free 17, torsion [], snf primes [2, 3]"
 
 
 def test_cnil_points_draw_no_conjugating_matrix(monkeypatch):

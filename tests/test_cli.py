@@ -257,6 +257,12 @@ OTHER_OUTPUT_SHA256 = {
         "f6812bb98bd59026909710b7c504dbfdfb18e68968791076b141cc5c748c9fec",
     "verify dims --format json":
         "489aca23167e9271caa2ee1f12a0269485a96c357e069c19e785b123894803bc",
+    # the n2 and n3-z branches of the ideal campaign at bounds `verify all`
+    # does not use
+    "verify ideal --case n2 --char 7 --degree-bound 4 --format json":
+        "4041155f1c1ac72974452a325fb47a40ab777bea8921418ac8afec1fd2aa2338",
+    "verify ideal --case n3-z --char 0 --degree-bound 3 --trials 5 --format json":
+        "503233457c2e425176cca6b0802710c60b53bd37a80c686cf2c96ae6d631aec9",
     # bases over GF(2) and GF(3), where a char-0 generator vanishes mod l:
     # read off the char-0 basis at n3-z mod 3 to bound 2, unguided in the
     # other two, whose char-0 runs record l

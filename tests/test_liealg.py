@@ -124,10 +124,10 @@ def test_identity_suite_negative_control(monkeypatch):
 
 
 def test_span_check():
-    rep = span_check(0)
-    assert rep.dim_target == 17
-    assert rep.rank_joint == 17
-    assert rep.rank_alpha < 17 and rep.rank_beta < 17
+    dim, joint, rank_alpha, rank_beta = span_check(0)
+    assert dim == 17
+    assert joint == 17
+    assert rank_alpha < 17 and rank_beta < 17
 
 
 def test_span_single_image_rank_oracle_f7():
@@ -140,8 +140,8 @@ def test_span_single_image_rank_oracle_f7():
         img = V.act("ea", {i: V.fld.one})
         cols.append([img.get(k, 0) for k in range(V.dim)])
     rank = _rank_mod(cols, 7)
-    rep = span_check(7)
-    assert rep.rank_alpha == rank < 17
+    _, _, rank_alpha, _ = span_check(7)
+    assert rank_alpha == rank < 17
 
 
 def _rank_mod(rows, p):

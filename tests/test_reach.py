@@ -147,10 +147,9 @@ RECORDS = {
     "breps": {"WeightMultiset", "Atom", "FAtom", "Tensor", "Sum", "Wedge", "SymPow", "Dual",
               "Twist"},
     "bwb": {"GrothendieckElement", "TableRow", "CohomologyTable"},
-    "liealg": {"BasedRep", "QuotientRep", "SpanReport", "ExtendCertificate"},
+    "liealg": {"BasedRep", "QuotientRep", "ExtendCertificate"},
     "polyalg": {"GroebnerStats", "IdealBasis", "GradedDims"},
-    "cases": {"IdealCase", "CaseData", "ParamReport", "HilbertCross", "Span17Report",
-              "SpecializationReport", "ChartReport", "CnReport", "CommutatorLayerReport"},
+    "cases": {"IdealCase", "CaseData", "ParamReport", "CnReport"},
     "report": {"CheckEntry", "Report"},
 }
 
