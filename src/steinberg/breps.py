@@ -9,7 +9,11 @@ expression language naming the standard constructions:
                 dual(.),  tw(a,b)(.)         (twist by a character)
 
 ASCII input also accepts the unicode aliases ``⊗`` and ``⊕``.  Parsing is
-whitespace-insensitive.
+whitespace-insensitive, and integers are ASCII digits.
+
+``F(a,b)`` is read off a count of Gelfand-Tsetlin patterns (see
+:func:`irreducible_multiset`); the Kostant multiplicity formula it replaced
+is kept as the independent oracle in ``tests/test_breps.py``.
 """
 
 from __future__ import annotations
@@ -81,6 +85,8 @@ class WeightMultiset(Frozen):
         multiplicity m."""
         if j < 0:
             raise ValueError("wedge power must be nonnegative")
+        if j > self.dimension:
+            return WeightMultiset({})
         return self._power(j, lambda m, a: comb(m, a))
 
     def sym(self, k: int) -> "WeightMultiset":
@@ -224,7 +230,8 @@ class _Parser:
         start = self.pos
         if self.peek() == "-":
             self.pos += 1
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        # ASCII digits only: str.isdigit also accepts superscripts, which int() refuses
+        while self.pos < len(self.text) and "0" <= self.text[self.pos] <= "9":
             self.pos += 1
         if self.pos == start or self.text[start:self.pos] == "-":
             self.error("expected integer")
@@ -328,54 +335,36 @@ def _atom_multiset(name: str, datum: RootDatum) -> WeightMultiset:
     raise RepParseError(f"unknown atom {name!r}", 0)
 
 
-def _kostant_partition(v: Weight, datum: RootDatum) -> int:
-    """Number of ways to write v as a nonnegative sum of positive roots."""
-    if datum.rank == 1:
-        (a,) = v
-        return 1 if a >= 0 and a % 2 == 0 else 0
-    # v = x*alpha + y*beta; each rho in the sum trades one alpha and one beta
-    v1, v2 = v
-    if (v1 + 2 * v2) % 3 != 0:
-        return 0
-    x = (2 * v1 + v2) // 3
-    y = (v1 + 2 * v2) // 3
-    if (2 * v1 + v2) % 3 != 0 or x < 0 or y < 0:
-        return 0
-    return min(x, y) + 1
-
-
 def irreducible_multiset(highest: Weight, datum: RootDatum) -> WeightMultiset:
-    """Weight multiset of V(highest) via the Kostant multiplicity formula."""
+    """Weight multiset of V(highest), by counting Gelfand-Tsetlin patterns
+    (Gelfand and Tsetlin, Dokl. Akad. Nauk SSSR 71, 1950).
+
+    In rank 1, V(a) has the weights a, a-2, ..., -a, each once.  In rank 2,
+    V(a,b) is the GL3 module of the partition (a+b, b, 0).  Its basis is the
+    patterns with that top row, a middle row (p, q) and a bottom entry r,
+    interlacing: a+b >= p >= b >= q >= 0 and p >= r >= q.  A pattern has
+    epsilon-weight (r, s-r, a+2b-s) with s = p + q, so fundamental
+    coordinates (2r - s, 2s - r - a - 2b).  For fixed (r, s), q = s - p, and
+    the conditions on p read max(b, s-b, r, s-r) <= p <= min(a+b, s), which
+    counts the multiplicity.
+    """
     if len(highest) != datum.rank:
         raise ValueError(f"weight {highest} has wrong rank for this datum")
     if not datum.dominant(highest):
         raise ValueError(f"F({highest}): highest weight must be dominant")
-    acc: dict[Weight, int] = {}
-    rho = datum.rho
-    # the signed w(highest + rho), once per highest weight
-    images = [(w.act(datum.add(highest, rho)), (-1) ** w.length) for w in datum.weyl]
-    # candidate weights lie under highest in the root order
-    for mu in _weights_under(highest, datum):
-        mu_rho = tuple(map(add, mu, rho))
-        mult = 0
-        for img, sign in images:
-            mult += sign * _kostant_partition(tuple(x - y for x, y in zip(img, mu_rho)), datum)
-        if mult:
-            acc[mu] = mult
-    return WeightMultiset(acc)
-
-
-def _weights_under(highest: Weight, datum: RootDatum) -> list[Weight]:
     if datum.rank == 1:
         (a,) = highest
-        return [(a - 2 * k,) for k in range(a + 1)]
-    out = []
+        return WeightMultiset({(a - 2 * k,): 1 for k in range(a + 1)})
     a, b = highest
-    # mu = highest - x*alpha - y*beta with x, y >= 0 bounded by the hull
-    for x in range(a + b + 1):
-        for y in range(a + b + 1):
-            out.append((a - 2 * x + y, b + x - 2 * y))
-    return out
+    top, size = a + b, a + 2 * b
+    acc: dict[Weight, int] = {}
+    for s in range(b, size + 1):
+        lo, hi = max(b, s - b), min(top, s)
+        for r in range(s - hi, hi + 1):
+            mult = hi - max(lo, r, s - r) + 1
+            if mult > 0:
+                acc[(2 * r - s, 2 * s - r - size)] = mult
+    return WeightMultiset(acc)
 
 
 def build_rep(expr: RepExpr | str, datum: RootDatum = A2) -> WeightMultiset:

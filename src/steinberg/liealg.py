@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-from bisect import bisect_left
 from fractions import Fraction
 from types import MappingProxyType
 
@@ -213,8 +212,11 @@ def tensor_rep(a: BasedRep, b: BasedRep) -> BasedRep:
 
 
 def wedge_rep(a: BasedRep, j: int) -> BasedRep:
-    combos = list(itertools.combinations(range(a.dim), j))
-    index = {c: k for k, c in enumerate(combos)}
+    # itertools.combinations allocates j indices before it finds none
+    combos = list(itertools.combinations(range(a.dim), j)) if j <= a.dim else []
+    # a j-subset is the bitmask of its members
+    masks = [sum(1 << i for i in c) for c in combos]
+    index = {mask: k for k, mask in enumerate(masks)}
     labels = tuple("^".join(a.labels[i] for i in c) if c else "1" for c in combos)
     aw = a.weights
     weights = tuple((sum(aw[i][0] for i in c), sum(aw[i][1] for i in c)) for c in combos)
@@ -223,18 +225,19 @@ def wedge_rep(a: BasedRep, j: int) -> BasedRep:
     for name in ("ea", "eb", "er"):
         cols = []
         acols = a.ops[name]
-        for c in combos:
+        for c, mask in zip(combos, masks):
             col: dict = {}
             for slot, i in enumerate(c):
-                rest = c[:slot] + c[slot + 1:]
+                # slot is the number of members of rest below i
+                rest = mask ^ (1 << i)
                 for m, coeff in acols[i].items():
-                    # moving slot to the front and sorting m into rest at pos
-                    # gives the sign (-1)^(slot + pos); a repeat gives 0
-                    pos = bisect_left(rest, m)
-                    if pos < len(rest) and rest[pos] == m:
+                    # moving slot to the front and sorting m into rest gives
+                    # the sign (-1)^(slot + members of rest below m); a repeat
+                    # gives 0
+                    if rest >> m & 1:
                         continue
-                    k = index[rest[:pos] + (m,) + rest[pos:]]
-                    col[k] = neg(coeff) if (slot + pos) & 1 else coeff
+                    odd = (slot + (rest & ((1 << m) - 1)).bit_count()) & 1
+                    col[index[rest | 1 << m]] = neg(coeff) if odd else coeff
             cols.append(col)
         ops[name] = tuple(cols)
     rep = BasedRep(a.fld, labels, weights, ops)

@@ -109,6 +109,56 @@ def test_irreducible_multisets():
         irreducible_multiset((-1, 0), A2)
 
 
+# -- Kostant's multiplicity formula: the oracle for the Gelfand-Tsetlin count --
+
+
+def _kostant_partition(v, datum):
+    """Number of ways to write v as a nonnegative sum of positive roots."""
+    if datum.rank == 1:
+        (a,) = v
+        return 1 if a >= 0 and a % 2 == 0 else 0
+    # v = x*alpha + y*beta; each rho in the sum trades one alpha and one beta
+    v1, v2 = v
+    if (2 * v1 + v2) % 3 or (v1 + 2 * v2) % 3:
+        return 0
+    x, y = (2 * v1 + v2) // 3, (v1 + 2 * v2) // 3
+    return min(x, y) + 1 if x >= 0 and y >= 0 else 0
+
+
+def _weights_under(highest, datum):
+    """highest - x*alpha - y*beta (x, y >= 0) over a box holding every weight
+    of V(highest)."""
+    if datum.rank == 1:
+        (a,) = highest
+        return [(a - 2 * k,) for k in range(a + 1)]
+    a, b = highest
+    return [(a - 2 * x + y, b + x - 2 * y) for x in range(a + b + 1) for y in range(a + b + 1)]
+
+
+def kostant_multiset(highest, datum):
+    """mult(mu) = sum over w in W of (-1)^l(w) P(w(highest + rho) - (mu + rho))."""
+    rho = datum.rho
+    images = [(w.act(datum.add(highest, rho)), (-1) ** w.length) for w in datum.weyl]
+    acc = {}
+    for mu in _weights_under(highest, datum):
+        mu_rho = datum.add(mu, rho)
+        acc[mu] = sum(sign * _kostant_partition(tuple(x - y for x, y in zip(img, mu_rho)), datum)
+                      for img, sign in images)
+    return WeightMultiset(acc)
+
+
+def test_gelfand_tsetlin_count_matches_kostant_and_weyl():
+    for a in range(13):
+        for b in range(13):
+            got = irreducible_multiset((a, b), A2)
+            assert got.items == kostant_multiset((a, b), A2).items, (a, b)
+            assert got.dimension == (a + 1) * (b + 1) * (a + b + 2) // 2
+    for a in range(25):
+        got = irreducible_multiset((a,), A1)
+        assert got.items == kostant_multiset((a,), A1).items, a
+        assert got.dimension == a + 1
+
+
 def test_sl2_atoms():
     assert build_rep("b", A1) == WeightMultiset([(0,), (-2,)])
     assert build_rep("g/b", A1) == WeightMultiset([(2,)])
@@ -166,6 +216,33 @@ def test_parser_errors_carry_position():
         parse_rep("q")
     with pytest.raises(RepParseError):
         parse_rep("b + ")
+
+
+def test_parser_reads_ascii_digits_only():
+    # str.isdigit accepts the superscript two; int() does not
+    for text, position in (("F(²,0)", 2), ("wedge^²(b)", 6), ("F(1,-²)", 5)):
+        with pytest.raises(RepParseError, match="expected integer") as info:
+            parse_rep(text)
+        assert info.value.position == position, text
+    assert parse_rep("wedge^10(F(12,3))") == Wedge(10, FAtom((12, 3)))
+
+
+def test_a_wedge_power_above_the_dimension_is_zero_at_once(run_python):
+    # under 512 MB of address space, a construction that walks the 10^9
+    # layers of the power, or allocates 10^9 subset indices, fails with
+    # MemoryError instead of filling the host
+    script = (
+        "import resource\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (1 << 29, 1 << 29))\n"
+        "from steinberg.breps import build_rep\n"
+        "from steinberg.liealg import build_based_rep\n"
+        "print(build_rep('wedge^1000000000(b)'), build_rep('wedge^6(b)'))\n"
+        "print(build_rep('wedge^5(b)'), build_rep('wedge^1000000000(b)*g').dimension)\n"
+        "for char in (0, 5):\n"
+        "    print(build_based_rep('wedge^1000000000(b)', char).dim)\n"
+    )
+    done = run_python("-c", script)
+    assert done.stdout.splitlines() == ["{} {}", "{(-2, -2):1} 0", "0", "0"], done.stderr
 
 
 def test_associativity_printing():

@@ -518,6 +518,24 @@ def test_a_changed_gl_coefficient_fails_the_specialization_check(monkeypatch):
     assert gl_specialization_check("gl-n2", 5)[::2] == (False, "forward False, backward True")
 
 
+@pytest.mark.parametrize("g, c", [(0, 0), (1, 1), (2, 2)])
+def test_gl_generators_that_do_not_homogenize_fail_the_specialization_entry(monkeypatch, g, c):
+    """A doubled coefficient that breaks homogenization by constant
+    elimination is a failed entry, not an error that stops the campaign."""
+    def change(ring, gens):
+        mono = list(gens[g])[c]
+        gens[g] = ring.add(gens[g], {mono: gens[g][mono]})
+        return gens
+
+    _faulty_case(monkeypatch, "gl-n2", change)
+    reason = "does not homogenize: generators do not homogenize by constant elimination"
+    assert gl_specialization_check("gl-n2", 5)[::2] == (False, reason)
+    em = Emitter()
+    campaigns.ideal_campaign(em, "gl-n2", 5, 4, trials=5, seed=0)
+    entry = next(e for e in em.entries if e.check_id == "ideal.gl-n2.c5.q1-specialization")
+    assert (entry.status, entry.actual) == (FAIL, reason)
+
+
 @pytest.mark.parametrize("tag, k", [("gl-n2", 3), ("gl-n3", 0)])
 def test_a_generator_plus_a_constant_fails_the_chart_check(monkeypatch, tag, k):
     def change(ring, gens):

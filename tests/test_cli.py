@@ -73,6 +73,12 @@ def test_malformed_rep_exits_2():
     assert "position" in err
 
 
+def test_a_non_ascii_digit_exits_2_with_its_position():
+    code, out, err = run_cli(["compute", "chi", "--rep", "F(²,0)"])
+    assert (code, out) == (2, "")
+    assert err.strip() == "steinberg: bad rep expression: expected integer (at position 2)"
+
+
 def test_usage_errors_exit_2():
     for argv, message in (
         (["verify", "ideal", "--case", "nope"], "invalid choice"),

@@ -1,5 +1,6 @@
 import itertools
 import random
+from bisect import bisect_left
 
 import pytest
 
@@ -472,6 +473,42 @@ def test_tensor_and_wedge_satisfy_leibniz():
                         text, char, name, j)
                     if char:
                         assert all(type(x) is int and 0 < x < char for x in got.values())
+
+
+def _tuple_wedge_columns(a, j, name):
+    """Reference for wedge_rep's columns on sorted index tuples: moving the
+    acted-on slot to the front and sorting m into the rest at pos gives the
+    sign (-1)^(slot + pos); a repeat gives 0."""
+    combos = list(itertools.combinations(range(a.dim), j))
+    index = {c: k for k, c in enumerate(combos)}
+    cols = []
+    for c in combos:
+        col = {}
+        for slot, i in enumerate(c):
+            rest = c[:slot] + c[slot + 1:]
+            for m, coeff in a.ops[name][i].items():
+                pos = bisect_left(rest, m)
+                if pos < len(rest) and rest[pos] == m:
+                    continue
+                k = index[rest[:pos] + (m,) + rest[pos:]]
+                col[k] = a.fld.neg(coeff) if (slot + pos) & 1 else coeff
+        cols.append(col)
+    return combos, cols
+
+
+@pytest.mark.parametrize("char", [0, 5])
+def test_bitmask_wedge_matches_the_tuple_reference(char):
+    # same columns, same entries, written in the same order
+    for text in ("b", "b*b", "b + b", "wedge^2(b)"):
+        base = build_based_rep(text, char)
+        for j in range(5):
+            model = liealg.wedge_rep(base, j)
+            for name in ("ea", "eb", "er"):
+                combos, cols = _tuple_wedge_columns(base, j, name)
+                assert [list(col.items()) for col in model.ops[name]] == \
+                    [list(col.items()) for col in cols], (text, j, name)
+            assert model.labels == tuple("^".join(base.labels[i] for i in c) or "1"
+                                         for c in combos)
 
 
 def test_a_weight_preserving_operator_is_rejected_by_the_grading_check(run_python):
