@@ -22,7 +22,7 @@ from math import comb
 from operator import add
 
 from .fieldops import Frozen, set_field
-from .weights import A2, RootDatum, Weight
+from .weights import A1, A2, RootDatum, Weight
 
 
 class WeightMultiset(Frozen):
@@ -38,10 +38,11 @@ class WeightMultiset(Frozen):
             for w in data:
                 acc[w] = acc.get(w, 0) + 1
             pairs = acc.items()
-        items = tuple(sorted((w, m) for w, m in pairs if m != 0))
-        if any(m < 0 for _, m in items):
-            raise ValueError("negative multiplicity")
-        set_field(self, "items", items)
+        items = sorted([(w, m) for w, m in pairs if m])
+        for _, m in items:
+            if m < 0:
+                raise ValueError("negative multiplicity")
+        set_field(self, "items", tuple(items))
 
     def __reduce__(self):
         # __init__ reads a list as weights, a dict as weight: multiplicity
@@ -317,22 +318,17 @@ def parse_rep(text: str) -> RepExpr:
 # -- atoms and evaluation ------------------------------------------------------
 
 
-def _atom_multiset(name: str, datum: RootDatum) -> WeightMultiset:
-    zero = (0,) * datum.rank
-    neg_roots = []
-    shifted = [datum.simple_roots[0]]
-    if datum.rank == 2:
-        shifted = [datum.simple_roots[0], datum.simple_roots[1], datum.rho]
-    neg_roots = [tuple(-x for x in r) for r in shifted]
-    if name == "n":
-        return WeightMultiset(neg_roots)
-    if name == "b":
-        return WeightMultiset(neg_roots + [zero] * datum.rank)
-    if name == "g/b":
-        return WeightMultiset(shifted)
-    if name == "g":
-        return WeightMultiset(neg_roots + shifted + [zero] * datum.rank)
-    raise RepParseError(f"unknown atom {name!r}", 0)
+def _atom_table(datum: RootDatum) -> dict[str, WeightMultiset]:
+    # n has the negative roots, b adds the torus, g/b has the positive roots
+    pos = list(datum.simple_roots) + ([datum.rho] if datum.rank == 2 else [])
+    neg = [datum.neg(r) for r in pos]
+    torus = [(0,) * datum.rank] * datum.rank
+    return {"n": WeightMultiset(neg), "b": WeightMultiset(neg + torus),
+            "g/b": WeightMultiset(pos), "g": WeightMultiset(neg + pos + torus)}
+
+
+# built once per rank and shared by every expression: a multiset is immutable
+_ATOMS = {datum.rank: _atom_table(datum) for datum in (A1, A2)}
 
 
 def irreducible_multiset(highest: Weight, datum: RootDatum) -> WeightMultiset:
@@ -372,7 +368,10 @@ def build_rep(expr: RepExpr | str, datum: RootDatum = A2) -> WeightMultiset:
     if isinstance(expr, str):
         expr = parse_rep(expr)
     if isinstance(expr, Atom):
-        return _atom_multiset(expr.name, datum)
+        atom = _ATOMS[datum.rank].get(expr.name)
+        if atom is None:
+            raise ValueError(f"unknown atom {expr.name!r}")
+        return atom
     if isinstance(expr, FAtom):
         return irreducible_multiset(expr.highest, datum)
     if isinstance(expr, Tensor):
@@ -387,7 +386,7 @@ def build_rep(expr: RepExpr | str, datum: RootDatum = A2) -> WeightMultiset:
         return build_rep(expr.arg, datum).dual()
     if isinstance(expr, Twist):
         if len(expr.shift) != datum.rank:
-            raise RepParseError(f"twist {expr.shift} has wrong rank", 0)
+            raise ValueError(f"twist {expr.shift} has wrong rank for this datum")
         return build_rep(expr.arg, datum).twist(expr.shift)
     raise TypeError(f"not a rep expression: {expr!r}")
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from .breps import WeightMultiset, build_rep
 from .fieldops import Frozen, InvariantError, set_field
-from .weights import A2, Located, OutsideLocus, RootDatum, Singular, Weight, check_bound
+from .weights import A2, RootDatum, Weight, check_bound
 
 
 class NotDecidable(Exception):
@@ -125,25 +125,21 @@ def line_cohomology(mu: Weight, l: int) -> dict[int, GrothendieckElement]:
     l = 0 is Bott's theorem.  For prime l the answer is asserted only when
     <mu + rho, kappa_vee> = 0 for a simple kappa (characteristic-free
     vanishing) or the dot orbit of mu meets the closed bottom alcove;
-    otherwise NotDecidable is raised.
+    otherwise NotDecidable is raised.  Everything is read off
+    (top, length, lam) = A2.place(mu): mu is singular iff lam is None, and in
+    the locus iff top <= l.
     """
-    res = A2.locate(mu, l)
-    if isinstance(res, Singular):
-        if l == 0:
-            return {}
-        shifted = A2.add(mu, A2.rho)
-        simple = A2.positive_coroots[: A2.rank]
-        if any(A2.pairing(shifted, c) == 0 for c in simple):
-            return {}
-        # singular only for a non-simple wall: decidable only inside the locus
-        if A2.in_bwb_locus(mu, l):
+    check_bound(l)
+    top, length, lam = A2.place(mu)
+    if lam is None:
+        # mu + rho on a simple wall (<mu, kappa_vee> = -1) vanishes in every
+        # characteristic; on the rho wall alone, only inside the locus
+        if l == 0 or mu[0] == -1 or mu[1] == -1 or top <= l:
             return {}
         raise NotDecidable(f"singular weight {mu} outside the bounded region at l={l}")
-    if isinstance(res, OutsideLocus):
+    if l > 0 and top > l:
         raise NotDecidable(f"regular weight {mu} outside the bounded region at l={l}")
-    if not isinstance(res, Located):
-        raise InvariantError(f"locate({mu}, {l}) returned {res}")
-    return {res.w.length: GrothendieckElement.of(res.lam)}
+    return {length: GrothendieckElement.of(lam)}
 
 
 def bwb_good(rep: WeightMultiset, l: int) -> tuple[bool, WeightMultiset]:

@@ -129,7 +129,12 @@ class RationalField:
 
 def is_prime(n: int) -> bool:
     """Trial division up to the square root."""
-    return n >= 2 and all(n % d for d in range(2, isqrt(n) + 1))
+    if n < 2:
+        return False
+    for d in range(2, isqrt(n) + 1):
+        if n % d == 0:
+            return False
+    return True
 
 
 class PrimeField:

@@ -97,9 +97,11 @@ class BasedRep(Frozen):
         weights = self.weights
         for name, cols in self.ops.items():
             s0, s1 = OP_WEIGHTS[name]
-            targets = [(w0 + s0, w1 + s1) for w0, w1 in weights]
             for j, col in enumerate(cols):
-                target = targets[j]
+                if not col:
+                    continue
+                w0, w1 = weights[j]
+                target = (w0 + s0, w1 + s1)
                 for i in col:
                     if weights[i] != target:
                         raise InvariantError(f"{name} breaks the weight grading at {self.labels[j]}")
@@ -196,13 +198,15 @@ def tensor_rep(a: BasedRep, b: BasedRep) -> BasedRep:
     ops = {}
     for name in ("ea", "eb", "er"):
         cols = []
-        bcols = b.ops[name]
-        for i, acol in enumerate(a.ops[name]):
+        # each factor column as an item list, a's rows already scaled by nb
+        acols = [[(i2 * nb, c) for i2, c in col.items()] for col in a.ops[name]]
+        bcols = [list(col.items()) for col in b.ops[name]]
+        for i, acol in enumerate(acols):
             base = i * nb
             for j, bcol in enumerate(bcols):
                 # e(x (x) y) = e(x) (x) y + x (x) e(y), each entry written once
-                col = {i2 * nb + j: c for i2, c in acol.items()}
-                for j2, c in bcol.items():
+                col = {off + j: c for off, c in acol}
+                for j2, c in bcol:
                     col[base + j2] = c
                 cols.append(col)
         ops[name] = tuple(cols)
@@ -218,26 +222,29 @@ def wedge_rep(a: BasedRep, j: int) -> BasedRep:
     masks = [sum(1 << i for i in c) for c in combos]
     index = {mask: k for k, mask in enumerate(masks)}
     labels = tuple("^".join(a.labels[i] for i in c) if c else "1" for c in combos)
-    aw = a.weights
-    weights = tuple((sum(aw[i][0] for i in c), sum(aw[i][1] for i in c)) for c in combos)
+    w0 = [w[0] for w in a.weights].__getitem__
+    w1 = [w[1] for w in a.weights].__getitem__
+    weights = tuple((sum(map(w0, c)), sum(map(w1, c))) for c in combos)
     neg = a.fld.neg
     ops = {}
     for name in ("ea", "eb", "er"):
         cols = []
-        acols = a.ops[name]
+        # per factor column, each entry m as (bit of m, bits below m, coeff, -coeff)
+        terms = [[(1 << m, (1 << m) - 1, coeff, neg(coeff)) for m, coeff in acol.items()]
+                 for acol in a.ops[name]]
         for c, mask in zip(combos, masks):
             col: dict = {}
             for slot, i in enumerate(c):
                 # slot is the number of members of rest below i
                 rest = mask ^ (1 << i)
-                for m, coeff in acols[i].items():
+                for bit, below, coeff, ncoeff in terms[i]:
                     # moving slot to the front and sorting m into rest gives
                     # the sign (-1)^(slot + members of rest below m); a repeat
                     # gives 0
-                    if rest >> m & 1:
+                    if rest & bit:
                         continue
-                    odd = (slot + (rest & ((1 << m) - 1)).bit_count()) & 1
-                    col[index[rest | 1 << m]] = neg(coeff) if odd else coeff
+                    odd = (slot + (rest & below).bit_count()) & 1
+                    col[index[rest | bit]] = ncoeff if odd else coeff
             cols.append(col)
         ops[name] = tuple(cols)
     rep = BasedRep(a.fld, labels, weights, ops)

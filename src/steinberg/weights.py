@@ -53,11 +53,6 @@ class WeylElement(Frozen):
         return f"W({self.name})"
 
 
-def _pad(v: tuple) -> tuple[int, int]:
-    """A row or linear form of rank <= 2 as a coefficient pair."""
-    return (v[0], v[1] if len(v) > 1 else 0)
-
-
 class RootDatum:
     """Rank-1 or rank-2 (type A) root datum with its full Weyl group.
 
@@ -96,7 +91,7 @@ class RootDatum:
                 WeylElement("sb", 1, ((1, 1), (0, -1))),
             )
         self.weyl = self._generate(refl)
-        self._coroots = tuple(_pad(c) for c in self.positive_coroots)
+        self._coroots = tuple((c[0], c[1] if rank == 2 else 0) for c in self.positive_coroots)
         # the signs of the pairings of mu + rho with the positive coroots name
         # the chamber of a regular mu; w . 0 lies in the chamber of w
         zero = (0,) * rank
@@ -235,11 +230,6 @@ class RootDatum:
             return hi - lo, -1, None
         mid = s + x1 - hi - lo
         return hi - lo, (x0 < 0) + (x1 < 0) + (s < 0), (hi - mid - 1, mid - lo - 1)
-
-    def in_bwb_locus(self, mu: Weight, l: int) -> bool:
-        """Membership in the union of dot translates of Cbar(l): some w has
-        every pairing of w^{-1}(mu + rho) with a positive coroot in [0, l]."""
-        return self.place(mu)[0] <= l
 
     def locate(self, mu: Weight, l: int):
         """Place mu relative to the dot-Weyl chambers and the bound l.

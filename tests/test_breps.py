@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from steinberg import breps
 from steinberg.breps import (Atom, Dual, FAtom, RepParseError, Sum, SymPow, Tensor, Twist, Wedge,
                              WeightMultiset, build_rep, irreducible_multiset, parse_rep)
 from steinberg.liealg import build_based_rep
@@ -164,6 +165,48 @@ def test_sl2_atoms():
     assert build_rep("g/b", A1) == WeightMultiset([(2,)])
     assert build_rep("F(3)", A1) == WeightMultiset([(3,), (1,), (-1,), (-3,)])
     assert build_rep("sym^2(g/b + g/b)", A1).dimension == 3
+
+
+def _per_call_atom(name, datum):
+    """The atoms as they were built on every call, before the import-time
+    table: the oracle for it."""
+    zero = (0,) * datum.rank
+    shifted = [datum.simple_roots[0]]
+    if datum.rank == 2:
+        shifted = [datum.simple_roots[0], datum.simple_roots[1], datum.rho]
+    neg_roots = [tuple(-x for x in r) for r in shifted]
+    return {"n": WeightMultiset(neg_roots),
+            "b": WeightMultiset(neg_roots + [zero] * datum.rank),
+            "g/b": WeightMultiset(shifted),
+            "g": WeightMultiset(neg_roots + shifted + [zero] * datum.rank)}[name]
+
+
+def test_atom_tables_match_the_per_call_construction():
+    assert sorted(breps._ATOMS) == [1, 2]
+    for datum in (A1, A2):
+        assert sorted(breps._ATOMS[datum.rank]) == ["b", "g", "g/b", "n"]
+        for name in ("b", "n", "g", "g/b"):
+            assert breps._ATOMS[datum.rank][name] == _per_call_atom(name, datum), (datum, name)
+            assert build_rep(name, datum) is breps._ATOMS[datum.rank][name]
+    # negative control: the comparison tells the ranks and the atoms apart
+    assert breps._ATOMS[2]["b"] != _per_call_atom("b", A1)
+    assert breps._ATOMS[2]["g/b"] != _per_call_atom("n", A2)
+
+
+def test_rank_and_atom_errors_name_no_position():
+    # the parse tree keeps no positions, so these are plain ValueErrors
+    for text, message in (("tw(1)(b)", "twist (1,) has wrong rank for this datum"),
+                          ("tw(1,2,3)(b*b)", "twist (1, 2, 3) has wrong rank for this datum")):
+        with pytest.raises(ValueError) as info:
+            build_rep(text)
+        assert type(info.value) is ValueError and str(info.value) == message
+    with pytest.raises(ValueError) as info:
+        build_rep("tw(1,0)(b)", A1)
+    assert type(info.value) is ValueError and "wrong rank" in str(info.value)
+    for datum in (A1, A2):
+        with pytest.raises(ValueError) as info:
+            build_rep(Atom("h"), datum)
+        assert type(info.value) is ValueError and str(info.value) == "unknown atom 'h'"
 
 
 def test_twist_and_dual():

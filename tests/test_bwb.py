@@ -1,4 +1,5 @@
 import hashlib
+import inspect
 import pickle
 import random
 
@@ -10,7 +11,7 @@ from steinberg.bwb import (GrothendieckElement, NotBWBGood, NotDecidable, bwb_go
                            line_cohomology, parse_tables, psupp, serialize_table,
                            serialize_tables, verify_table, weyl_dim)
 from steinberg.report import FAIL, Emitter, load_data_text
-from steinberg.weights import A1, A2
+from steinberg.weights import A1, A2, Located, OutsideLocus, Singular
 
 G = GrothendieckElement
 
@@ -58,6 +59,60 @@ def test_line_cohomology_decidability():
     with pytest.raises(NotDecidable):
         line_cohomology((6, -8), 5)  # mu + rho = (7, -7)
     assert line_cohomology((6, -8), 0) == {}
+
+
+def _locate_line_cohomology(mu, l):
+    """line_cohomology as it read locate's records, before it read place:
+    the oracle.  The locus test is by brute force over the Weyl group."""
+    res = A2.locate(mu, l)
+    if isinstance(res, Singular):
+        if l == 0:
+            return {}
+        shifted = A2.add(mu, A2.rho)
+        if any(A2.pairing(shifted, c) == 0 for c in A2.positive_coroots[:A2.rank]):
+            return {}
+        if any(all(0 <= A2.pairing(w.act(shifted), c) <= l for c in A2.positive_coroots)
+               for w in A2.weyl):
+            return {}
+        raise NotDecidable(f"singular weight {mu} outside the bounded region at l={l}")
+    if isinstance(res, OutsideLocus):
+        raise NotDecidable(f"regular weight {mu} outside the bounded region at l={l}")
+    assert isinstance(res, Located)
+    return {res.w.length: G.of(res.lam)}
+
+
+def _line_disagreements(line):
+    """(mu, l) where line gives another dict or NotDecidable message than
+    the oracle, over mu in [-3l-3, 3l+3]^2."""
+    def outcome(fn, mu, l):
+        try:
+            return fn(mu, l)
+        except NotDecidable as e:
+            return str(e)
+
+    out = []
+    for l in (0, 2, 3, 5, 7, 11):
+        r = 3 * l + 3
+        for a in range(-r, r + 1):
+            for b in range(-r, r + 1):
+                if outcome(line, (a, b), l) != outcome(_locate_line_cohomology, (a, b), l):
+                    out.append(((a, b), l))
+    return out
+
+
+def test_line_cohomology_from_place_matches_the_locate_reading():
+    assert _line_disagreements(line_cohomology) == []
+    for l in (4, 9, -5):
+        with pytest.raises(ValueError, match="l must be 0 or a prime"):
+            line_cohomology((0, 0), l)
+    # negative control: a simple-wall test that reads mu[0] == 0 for
+    # mu[0] == -1 must fail the comparison
+    source = inspect.getsource(bwb.line_cohomology)
+    assert source.count("mu[0] == -1") == 1
+    namespace = {}
+    exec(source.replace("mu[0] == -1", "mu[0] == 0"), vars(bwb).copy(), namespace)
+    wrong = _line_disagreements(namespace["line_cohomology"])
+    assert ((-1, 10), 5) in wrong and all(mu[0] == -1 for mu, _ in wrong)
 
 
 def test_euler_char_paper_values():

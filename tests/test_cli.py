@@ -79,6 +79,13 @@ def test_a_non_ascii_digit_exits_2_with_its_position():
     assert err.strip() == "steinberg: bad rep expression: expected integer (at position 2)"
 
 
+def test_a_twist_of_the_wrong_rank_exits_2_without_a_position():
+    code, out, err = run_cli(["compute", "chi", "--rep", "tw(1)(b)"])
+    assert (code, out) == (2, "")
+    assert err.strip() == "steinberg: twist (1,) has wrong rank for this datum"
+    assert "position" not in err
+
+
 def test_usage_errors_exit_2():
     for argv, message in (
         (["verify", "ideal", "--case", "nope"], "invalid choice"),

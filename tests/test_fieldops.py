@@ -1,6 +1,8 @@
 """The representation of Q (an int where the value is integral, a Fraction
-elsewhere) and the straight-line 2x2/3x3 matrix helpers of fieldops."""
+elsewhere), the straight-line 2x2/3x3 matrix helpers of fieldops and its
+primality test."""
 
+import inspect
 import os
 import random
 from fractions import Fraction
@@ -11,9 +13,9 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from steinberg import campaigns, cases, polyalg
+from steinberg import campaigns, cases, fieldops, polyalg
 from steinberg.cases import CASE_TAGS, IdealCase, build_case, make_ideal
-from steinberg.fieldops import QQ, ZZ, RationalField, field_of, mat_det, mat_mul
+from steinberg.fieldops import QQ, ZZ, RationalField, field_of, is_prime, mat_det, mat_mul
 from steinberg.polyalg import PolyRing
 from steinberg.report import Emitter
 
@@ -188,3 +190,20 @@ def test_inv_mod_is_the_inverse_mod_eval_prime():
             want = sympy.Matrix(g).inv_mod(p).tolist()
             assert ginv == want
     assert cases._inv_mod([[2, 0], [0, 1]]) == [[(p + 1) // 2, 0], [0, 1]]
+
+
+def _primality_disagreements(test):
+    ns = list(range(-20, 20001)) + [2 ** 31 - 1, 46337 ** 2]
+    return [n for n in ns if test(n) != sympy.isprime(n)]
+
+
+def test_is_prime_agrees_with_sympy():
+    assert _primality_disagreements(is_prime) == []
+    # negative control: a trial bound one short of the square root calls
+    # the squares of primes prime, 46337^2 among them
+    source = inspect.getsource(fieldops.is_prime)
+    assert source.count("isqrt(n) + 1") == 1
+    namespace = {}
+    exec(source.replace("isqrt(n) + 1", "isqrt(n)"), vars(fieldops).copy(), namespace)
+    wrong = _primality_disagreements(namespace["is_prime"])
+    assert 4 in wrong and 46337 ** 2 in wrong and 2 ** 31 - 1 not in wrong

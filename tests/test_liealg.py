@@ -511,6 +511,47 @@ def test_bitmask_wedge_matches_the_tuple_reference(char):
                                          for c in combos)
 
 
+def _tuple_tensor(a, b):
+    """Reference for tensor_rep on index pairs (i, j): e(x (x) y) is e(x) (x) y
+    then x (x) e(y), each entry written once.  Returns labels, weights and
+    each operator's columns as item lists."""
+    pairs = [(i, j) for i in range(a.dim) for j in range(b.dim)]
+    index = {p: k for k, p in enumerate(pairs)}
+    labels = tuple(f"{a.labels[i]}(x){b.labels[j]}" for i, j in pairs)
+    weights = tuple(tuple(x + y for x, y in zip(a.weights[i], b.weights[j])) for i, j in pairs)
+    ops = {}
+    for name in ("ea", "eb", "er"):
+        cols = []
+        for i, j in pairs:
+            col = {index[i2, j]: c for i2, c in a.ops[name][i].items()}
+            for j2, c in b.ops[name][j].items():
+                col[index[i, j2]] = c
+            cols.append(list(col.items()))
+        ops[name] = cols
+    return labels, weights, ops
+
+
+def _tensor_as_reference(model):
+    return model.labels, model.weights, {name: [list(col.items()) for col in model.ops[name]]
+                                         for name in ("ea", "eb", "er")}
+
+
+@pytest.mark.parametrize("char", [0, 7])
+def test_tensor_matches_the_tuple_reference(char):
+    # same labels, weights and columns, entries written in the same order
+    for left, right in (("b", "b"), ("b", "b + b"), ("wedge^2(b)", "b")):
+        a, b = build_based_rep(left, char), build_based_rep(right, char)
+        model = liealg.tensor_rep(a, b)
+        want = _tuple_tensor(a, b)
+        assert _tensor_as_reference(model) == want, (left, right)
+        # negative control: the same entries in another order differ
+        flipped = BasedRep(model.fld, model.labels, model.weights,
+                           {name: tuple(dict(reversed(col.items())) for col in cols)
+                            for name, cols in model.ops.items()})
+        assert flipped.ops == model.ops
+        assert _tensor_as_reference(flipped) != want, (left, right)
+
+
 def test_a_weight_preserving_operator_is_rejected_by_the_grading_check(run_python):
     # ea maps each of x, y to a multiple of itself: the model breaks the
     # grading, so tensor and wedge columns meet on their own basis vector.  In

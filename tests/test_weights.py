@@ -119,12 +119,13 @@ def test_one_primality_rule_for_fields_and_bounds():
 
 
 def test_bwb_locus_membership():
-    assert A2.in_bwb_locus((0, 0), 5)
-    assert A2.in_bwb_locus((-2, 1), 5)
-    assert not A2.in_bwb_locus((5, 5), 5)
+    # mu is in the BWB locus at l iff place(mu)[0] <= l
+    assert A2.place((0, 0))[0] <= 5
+    assert A2.place((-2, 1))[0] <= 5
+    assert not A2.place((5, 5))[0] <= 5
     # 2rho is outside for l = 5, inside for l = 7
-    assert not A2.in_bwb_locus((2, 2), 5)
-    assert A2.in_bwb_locus((2, 2), 7)
+    assert not A2.place((2, 2))[0] <= 5
+    assert A2.place((2, 2))[0] <= 7
 
 
 def test_sl2_datum():
@@ -326,7 +327,7 @@ def test_weyl_tables_match_brute_force(datum, coords, l):
     for w in datum.weyl:
         assert datum.dot_action(w, mu) == _ref_dot(datum, w, mu)
     assert datum.locate(mu, l) == _ref_locate(datum, mu, l)
-    assert datum.in_bwb_locus(mu, l) == any(_ref_in_cbar(datum, lam, l)
+    assert (datum.place(mu)[0] <= l) == any(_ref_in_cbar(datum, lam, l)
                                             for _, lam in _ref_preimages(datum, mu))
     assert datum.in_cbar(mu, l) == _ref_in_cbar(datum, mu, l)
     assert datum.place(mu) == _ref_place(datum, mu)
