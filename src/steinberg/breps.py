@@ -14,15 +14,86 @@ whitespace-insensitive, and integers are ASCII digits.
 ``F(a,b)`` is read off a count of Gelfand-Tsetlin patterns (see
 :func:`irreducible_multiset`); the Kostant multiplicity formula it replaced
 is kept as the independent oracle in ``tests/test_breps.py``.
+
+``tensor``, ``wedge`` and ``sym`` add weights as packed ints: (a, b) is
+a 2^s + b and (a,) is a.  The width s is picked per construction so that each
+coordinate of the result lies in [-2^(s-1), 2^(s-1)): s = bit_length(bound) +
+1, where bound is the sum of the largest input coordinates (tensor) or j times
+the largest (a j-th power).  Int order is then tuple order, so the result is
+sorted as ints and decoded once into ``items``, which stay tuples: a packed
+int depends on its construction's width, the tuple does not.
 """
 
 from __future__ import annotations
 
 from math import comb
-from operator import add
 
 from .fieldops import Frozen, set_field
 from .weights import A1, A2, RootDatum, Weight
+
+
+# -- packed weights ------------------------------------------------------------
+
+
+def _bound(items) -> int:
+    """The largest absolute value of a coordinate of the weights in items."""
+    return max((abs(x) for w, _ in items for x in w), default=0)
+
+
+def _width(bound: int) -> int:
+    """The field width s that holds every coordinate x with |x| <= bound:
+    -2^(s-1) <= x < 2^(s-1)."""
+    return bound.bit_length() + 1
+
+
+def _pack(items, rank: int, s: int) -> list[tuple[int, int]]:
+    """(packed weight, multiplicity) for each item: (x0, ..., xk) becomes
+    the int x0 2^(ks) + ... + xk, so packing is additive and, for weights
+    whose lower fields fit in s bits, keeps the order of the tuples."""
+    if rank == 2:
+        try:
+            return [((a << s) + b, m) for (a, b), m in items]
+        except ValueError:  # a weight of another length fails to unpack
+            raise ValueError("weights of different ranks") from None
+    packed = []
+    for w, m in items:
+        if len(w) != rank:
+            raise ValueError("weights of different ranks")
+        v = 0
+        for x in w:
+            v = (v << s) + x
+        packed.append((v, m))
+    return packed
+
+
+def _unpack(acc: dict[int, int], rank: int, s: int) -> "WeightMultiset":
+    """The multiset of the packed weight: multiplicity pairs in acc, all
+    multiplicities positive, decoded once, in sorted order.  Adding 2^(s-1)
+    to each field below the first makes it nonnegative, so that it reads off
+    with a mask and a shift."""
+    pairs = sorted(acc.items())
+    half, mask = 1 << (s - 1), (1 << s) - 1
+    if rank == 2:
+        items = []
+        for v, m in pairs:
+            t = v + half
+            items.append(((t >> s, (t & mask) - half), m))
+    elif rank == 0:
+        items = [((), m) for _, m in pairs]
+    else:
+        offset = sum(half << (i * s) for i in range(rank - 1))
+        items = []
+        for v, m in pairs:
+            t = v + offset
+            w = []
+            for _ in range(rank - 1):
+                w.append((t & mask) - half)
+                t >>= s
+            w.append(t)
+            items.append((tuple(reversed(w)), m))
+    ms = WeightMultiset.__new__(WeightMultiset)
+    set_field(ms, "items", tuple(items))
+    return ms
 
 
 class WeightMultiset(Frozen):
@@ -74,12 +145,18 @@ class WeightMultiset(Frozen):
         return WeightMultiset(acc)
 
     def tensor(self, other: "WeightMultiset") -> "WeightMultiset":
-        acc: dict[Weight, int] = {}
-        for w1, m1 in self.items:
-            for w2, m2 in other.items:
-                key = tuple(a + b for a, b in zip(w1, w2))
-                acc[key] = acc.get(key, 0) + m1 * m2
-        return WeightMultiset(acc)
+        if not self.items or not other.items:
+            return WeightMultiset({})
+        rank = self._rank()
+        s = _width(_bound(self.items) + _bound(other.items))
+        right = _pack(other.items, rank, s)
+        acc: dict[int, int] = {}
+        get = acc.get
+        for v1, m1 in _pack(self.items, rank, s):
+            for v2, m2 in right:
+                key = v1 + v2
+                acc[key] = get(key, 0) + m1 * m2
+        return _unpack(acc, rank, s)
 
     def wedge(self, j: int) -> "WeightMultiset":
         """The t^j coefficient of prod (1 + t x^w)^m over the weights w of
@@ -101,28 +178,32 @@ class WeightMultiset(Frozen):
         """The t^j coefficient of prod over (w, m) of sum_a coeff(m, a) t^a x^{a w}
         (Macdonald, Symmetric Functions and Hall Polynomials, I.2).
 
-        layers[k] holds the t^k coefficient of the product so far; folding in
-        one factor updates the layers from the top down, so each reads the
-        lower layers before they change.
+        layers[k] holds the t^k coefficient of the product so far, on packed
+        weights; folding in one factor updates the layers from the top down,
+        so each reads the lower layers before they change.  A weight of the
+        result is a sum of j weights of self, which bounds the width.
         """
-        layers: list[dict] = [{(0,) * self._rank(): 1}] + [{} for _ in range(j)]
-        for w, m in self.items:
+        rank = self._rank()
+        s = _width(j * _bound(self.items))
+        layers: list[dict[int, int]] = [{0: 1}] + [{} for _ in range(j)]
+        for w, m in _pack(self.items, rank, s):
             # the factor's terms c t^a x^{a w}, a >= 1, up to the first c = 0
             terms = []
             for a in range(1, j + 1):
                 c = coeff(m, a)
                 if not c:
                     break
-                terms.append((a, c, tuple(a * x for x in w)))
+                terms.append((a, c, a * w))
             for k in range(j, 0, -1):
                 acc = layers[k]
+                get = acc.get
                 for a, c, shift in terms:
                     if a > k:
                         break
                     for v, n in layers[k - a].items():
-                        key = tuple(map(add, v, shift))
-                        acc[key] = acc.get(key, 0) + c * n
-        return WeightMultiset(layers[j])
+                        key = v + shift
+                        acc[key] = get(key, 0) + c * n
+        return _unpack(layers[j], rank, s)
 
     def dual(self) -> "WeightMultiset":
         return WeightMultiset({tuple(-x for x in w): m for w, m in self.items})
@@ -201,42 +282,50 @@ class RepParseError(ValueError):
         self.position = position
 
 
-_TOKEN_ALIASES = {"⊗": "*", "⊕": "+"}
+# each alias is one character, so positions in the mapped text are positions
+# in the input
+_TOKEN_ALIASES = str.maketrans({"⊗": "*", "⊕": "+"})
 
 
 class _Parser:
+    """Recursive descent over the text; pos always rests on the start of the
+    next token (or the end), because every consumed token skips the
+    whitespace after it."""
+
     def __init__(self, text: str):
-        self.text = "".join(_TOKEN_ALIASES.get(c, c) for c in text)
+        self.text = text.translate(_TOKEN_ALIASES)
         self.pos = 0
+        self.skip_ws()
 
     def error(self, msg: str):
         raise RepParseError(msg, self.pos)
 
     def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
+        text, pos = self.text, self.pos
+        while pos < len(text) and text[pos].isspace():
+            pos += 1
+        self.pos = pos
 
     def peek(self) -> str:
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
+        return self.text[self.pos:self.pos + 1]
 
     def eat(self, s: str):
-        self.skip_ws()
         if not self.text.startswith(s, self.pos):
             self.error(f"expected {s!r}")
         self.pos += len(s)
+        self.skip_ws()
 
     def integer(self) -> int:
-        self.skip_ws()
-        start = self.pos
-        if self.peek() == "-":
-            self.pos += 1
+        text, start = self.text, self.pos
+        pos = start + 1 if text.startswith("-", start) else start
         # ASCII digits only: str.isdigit also accepts superscripts, which int() refuses
-        while self.pos < len(self.text) and "0" <= self.text[self.pos] <= "9":
-            self.pos += 1
-        if self.pos == start or self.text[start:self.pos] == "-":
+        while pos < len(text) and "0" <= text[pos] <= "9":
+            pos += 1
+        self.pos = pos
+        if pos == start or text[start:pos] == "-":
             self.error("expected integer")
-        return int(self.text[start:self.pos])
+        self.skip_ws()
+        return int(text[start:pos])
 
     def int_tuple(self) -> tuple[int, ...]:
         self.eat("(")
@@ -249,7 +338,6 @@ class _Parser:
 
     def parse(self) -> RepExpr:
         e = self.sum_expr()
-        self.skip_ws()
         if self.pos != len(self.text):
             self.error(f"trailing input {self.text[self.pos:]!r}")
         return e
@@ -269,7 +357,6 @@ class _Parser:
         return e
 
     def factor(self) -> RepExpr:
-        self.skip_ws()
         text, pos = self.text, self.pos
         if text.startswith("(", pos):
             self.eat("(")

@@ -108,12 +108,13 @@ def euler_char(rep: WeightMultiset, datum: RootDatum = A2) -> GrothendieckElemen
     """chi(V) = sum over weights of (-1)^{l(w)} [V(w . mu)], zero on walls.
 
     Characteristic independent and total: this is the Weyl/Bott algorithm in
-    the Grothendieck group.
+    the Grothendieck group.  Like `bwb_good` and `psupp`, it reads the
+    placement table before it calls `place`.
     """
-    place = datum.place
+    placed, place = datum.placements.get, datum.place
     terms = []
     for mu, mult in rep:
-        _, length, lam = place(mu)
+        _, length, lam = placed(mu) or place(mu)
         if lam is not None:
             terms.append((lam, -mult if length & 1 else mult))
     return GrothendieckElement(terms)
@@ -148,8 +149,8 @@ def bwb_good(rep: WeightMultiset, l: int) -> tuple[bool, WeightMultiset]:
     Raises ValueError unless l is 0 or a prime, as `locate` does.
     """
     check_bound(l)
-    place = A2.place
-    bad = {mu: mult for mu, mult in rep if place(mu)[0] > l}
+    placed, place = A2.placements.get, A2.place
+    bad = {mu: mult for mu, mult in rep if (placed(mu) or place(mu))[0] > l}
     return (not bad, WeightMultiset(bad))
 
 
@@ -165,11 +166,11 @@ def psupp(rep: WeightMultiset, i: int, l: int) -> WeightMultiset:
     check_bound(l)
     if not 0 <= i <= A2.weyl[-1].length:
         raise ValueError(f"degree i must lie in 0..{A2.weyl[-1].length}, got {i}")
-    place = A2.place
+    placed, place = A2.placements.get, A2.place
     acc: dict[Weight, int] = {}
     bad: dict[Weight, int] = {}
     for mu, mult in rep:
-        top, length, lam = place(mu)
+        top, length, lam = placed(mu) or place(mu)
         if top > l:
             bad[mu] = mult
         elif length == i:

@@ -27,7 +27,6 @@ weight-preserving entry of the result, which the grading check rejects.
 
 from __future__ import annotations
 
-import functools
 import itertools
 from fractions import Fraction
 from types import MappingProxyType
@@ -132,15 +131,21 @@ _B_LABELS = ("ta", "tb", "fa", "fb", "fr")
 _B_WEIGHTS = ((0, 0), (0, 0), NEG_ALPHA, NEG_BETA, NEG_RHO)
 
 
-@functools.lru_cache(maxsize=None)
+# characteristic -> borel_rep(char), filled on first use
+_BOREL_REPS: dict = {}
+
+
 def borel_rep(char=0) -> BasedRep:
     """The 5-dimensional Borel subalgebra as a representation of itself.
 
     A constant of the field, built once per characteristic and shared by
     every model built from it, so its operators are read-only mappings:
-    derived constructions copy or re-index the columns.  Characteristic 3
-    raises CharacteristicError on every call (lru_cache keeps no exceptions).
+    derived constructions share, copy or re-index the columns and never
+    write to them.  Characteristic 3 raises CharacteristicError on every
+    call: an exception is never stored.
     """
+    if char in _BOREL_REPS:
+        return _BOREL_REPS[char]
     fld = field_of(char)
     z, o = fld.zero, fld.one
     fa = [[z, z, z], [z, z, o], [z, z, z]]  # E23
@@ -185,6 +190,7 @@ def borel_rep(char=0) -> BasedRep:
     if rep.bracket_constant() != fld.neg(fld.one):
         raise InvariantError(f"[e_a, e_b] = {rep.bracket_constant()} * e_r over {fld.name}, "
                              "not the recorded unit -1")
+    _BOREL_REPS[char] = rep
     return rep
 
 
@@ -258,7 +264,8 @@ def sum_rep(a: BasedRep, b: BasedRep) -> BasedRep:
     weights = a.weights + b.weights
     ops = {}
     for name in ("ea", "eb", "er"):
-        cols = [dict(c) for c in a.ops[name]]
+        # the left summand's columns are shared, as twist_rep shares ops
+        cols = list(a.ops[name])
         cols += [{i + a.dim: v for i, v in c.items()} for c in b.ops[name]]
         ops[name] = tuple(cols)
     return BasedRep(fld, labels, weights, ops)
@@ -390,7 +397,10 @@ class QuotientRep(Frozen):
         return out
 
 
-@functools.lru_cache(maxsize=None)
+# characteristic -> wedge4_quotient(char), filled on first use
+_WEDGE4_QUOTIENTS: dict = {}
+
+
 def wedge4_quotient(char=0) -> QuotientRep:
     """V = W2/W1 inside Lambda^2 b (x) Lambda^2 b, the subquotient carrying
     the 17-dimensional weight space in degree -2rho.
@@ -398,8 +408,10 @@ def wedge4_quotient(char=0) -> QuotientRep:
     Its basis is the ambient coordinates of weight in W2_EXTRA_WEIGHTS, and
     its columns are the ambient columns with the W1 coordinates removed.
     Built once per characteristic and shared by the identity, span and chain
-    checks: do not mutate it.
+    checks: do not mutate it.  A raised error is never stored.
     """
+    if char in _WEDGE4_QUOTIENTS:
+        return _WEDGE4_QUOTIENTS[char]
     big = build_based_rep("wedge^2(b)*wedge^2(b)", char)
     w1 = {i for i, w in enumerate(big.weights) if w in W1_WEIGHTS}
     coords = tuple(i for i, w in enumerate(big.weights) if w in W2_EXTRA_WEIGHTS)
@@ -418,7 +430,8 @@ def wedge4_quotient(char=0) -> QuotientRep:
     small = BasedRep(big.fld, tuple(big.labels[c] for c in coords),
                      tuple(big.weights[c] for c in coords), ops)
     small.check_grading()
-    return QuotientRep(big, small, coords)
+    quo = _WEDGE4_QUOTIENTS[char] = QuotientRep(big, small, coords)
+    return quo
 
 
 # -- displayed identities in V = W2/W1 --------------------------------------------

@@ -32,6 +32,9 @@ from .fieldops import ZZ, Frozen, InvariantError, is_prime, mat_mul, set_field
 
 Weight = tuple[int, ...]
 
+# the most weights a root datum's placement table holds
+PLACEMENTS_CAP = 8192
+
 
 class WeylElement(Frozen):
     """An element of the Weyl group, stored with its length and action matrix.
@@ -70,6 +73,10 @@ class RootDatum:
     element of each chamber, keyed by the signs of those pairings.  `place`
     reads a weight's chamber, length and alcove bound off the sorted
     epsilon-coordinates of mu + rho, and `locate` adds the Weyl element.
+    `place` keeps its answers in `placements`, a plain dict of at most
+    PLACEMENTS_CAP weights: like the chamber table it holds a pure function
+    of the weight, so the passes of `bwb` over one multiset place each
+    weight once.
     """
 
     def __init__(self, rank: int):
@@ -95,6 +102,8 @@ class RootDatum:
         # the signs of the pairings of mu + rho with the positive coroots name
         # the chamber of a regular mu; w . 0 lies in the chamber of w
         zero = (0,) * rank
+        # weight -> place(weight), filled by place up to PLACEMENTS_CAP weights
+        self.placements: dict[Weight, tuple[int, int, Weight | None]] = {}
         self._chamber = {self._signs(self.dot_action(w, zero)): w for w in self.weyl}
         self._check_tables()
 
@@ -199,6 +208,16 @@ class RootDatum:
         return all(0 <= p * x0 + q * x1 <= l for p, q in self._coroots)
 
     def place(self, mu: Weight) -> tuple[int, int, Weight | None]:
+        """(top, length, lam): where mu lies among the dot-Weyl chambers,
+        from the placement table when mu is in it (see `_place`)."""
+        got = self.placements.get(mu)
+        if got is None:
+            got = self._place(mu)
+            if len(self.placements) < PLACEMENTS_CAP:
+                self.placements[mu] = got
+        return got
+
+    def _place(self, mu: Weight) -> tuple[int, int, Weight | None]:
         """(top, length, lam): where mu lies among the dot-Weyl chambers.
 
         top = <x, theta_vee> for the dominant element x of the W-orbit of
@@ -271,8 +290,17 @@ class OutsideLocus(Frozen):
         set_field(self, "lam", lam)
 
 
+# 0 and the primes below 100: the bounds check_bound passes without trial
+# division
+_SMALL_BOUNDS = frozenset({0, 2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59,
+                           61, 67, 71, 73, 79, 83, 89, 97})
+
+
 def check_bound(l: int) -> None:
     """Raise ValueError unless l is 0 (no bound) or a prime."""
+    # an int only: 5.0 hashes like 5 but is no bound
+    if type(l) is int and l in _SMALL_BOUNDS:
+        return
     if l != 0 and not is_prime(l):
         raise ValueError(f"l must be 0 or a prime, got {l}")
 

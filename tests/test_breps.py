@@ -1,6 +1,7 @@
 import itertools
 import random
 from math import comb
+from operator import add
 
 import pytest
 from hypothesis import given, settings
@@ -261,6 +262,26 @@ def test_parser_errors_carry_position():
         parse_rep("b + ")
 
 
+def test_aliases_and_spaces_keep_error_positions():
+    # each alias is one character, and whitespace is skipped once per token
+    for aliased in ("b ⊗ ⊕ n", "  wedge^2( b ⊕ b ) ⊗", "b ⊗\t( n ⊕ g/b", "tw(1, 2) ( b ⊗ q )",
+                    "F( 1 ,-x) ⊕ b", "dual ( b ⊕ n ) ⊗ ⊗ b", "b ⊗ n  )"):
+        ascii_form = aliased.replace("⊗", "*").replace("⊕", "+")
+        with pytest.raises(RepParseError) as got:
+            parse_rep(aliased)
+        with pytest.raises(RepParseError) as expected:
+            parse_rep(ascii_form)
+        assert got.value.position == expected.value.position, aliased
+        assert str(got.value) == str(expected.value), aliased
+    # the positions are those of the offending token in the input
+    with pytest.raises(RepParseError) as info:
+        parse_rep("b ⊗ ⊕ n")
+    assert info.value.position == 4
+    with pytest.raises(RepParseError) as info:
+        parse_rep("  b ⊗  (n ⊕ g")
+    assert info.value.position == 13
+
+
 def test_parser_reads_ascii_digits_only():
     # str.isdigit accepts the superscript two; int() does not
     for text, position in (("F(²,0)", 2), ("wedge^²(b)", 6), ("F(1,-²)", 5)):
@@ -325,6 +346,115 @@ def test_wedge_and_sym_match_enumeration(ms, j):
     assert ms.wedge(j).dimension == comb(ms.dimension, j)
     if ms.dimension:
         assert ms.sym(j).dimension == comb(ms.dimension + j - 1, j)
+
+
+# -- packed constructions against tuple arithmetic ------------------------------
+# The references are the tuple-based constructions the packed ones replaced.
+
+
+def _tuple_tensor(x, y):
+    acc = {}
+    for w1, m1 in x:
+        for w2, m2 in y:
+            key = tuple(a + b for a, b in zip(w1, w2))
+            acc[key] = acc.get(key, 0) + m1 * m2
+    return WeightMultiset(acc)
+
+
+def _tuple_power(ms, j, coeff):
+    rank = len(ms.items[0][0]) if ms.items else 0
+    layers = [{(0,) * rank: 1}] + [{} for _ in range(j)]
+    for w, m in ms:
+        terms = []
+        for a in range(1, j + 1):
+            c = coeff(m, a)
+            if not c:
+                break
+            terms.append((a, c, tuple(a * x for x in w)))
+        for k in range(j, 0, -1):
+            for a, c, shift in terms:
+                if a > k:
+                    break
+                for v, n in layers[k - a].items():
+                    key = tuple(map(add, v, shift))
+                    layers[k][key] = layers[k].get(key, 0) + c * n
+    return WeightMultiset(layers[j])
+
+
+def _tuple_wedge(ms, j):
+    if j > ms.dimension:
+        return WeightMultiset({})
+    return _tuple_power(ms, j, lambda m, a: comb(m, a))
+
+
+def _tuple_sym(ms, k):
+    return _tuple_power(ms, k, lambda m, a: comb(m + a - 1, a))
+
+
+_BIG = 10 ** 12
+
+
+@st.composite
+def _multiset_pairs(draw):
+    """Two multisets of one rank (0 to 3) and a twist of that rank, with
+    coordinates near 0 or near +-10^12."""
+    rank = draw(st.sampled_from([0, 1, 2, 3]))
+    coord = st.one_of(st.integers(-4, 4), st.integers(-4, 4).map(lambda x: x + _BIG),
+                      st.integers(-4, 4).map(lambda x: x - _BIG))
+    small = st.tuples(*[st.integers(-4, 4)] * rank)
+    def multiset(weight):
+        return st.dictionaries(weight, st.integers(1, 3), max_size=4).map(WeightMultiset)
+    x = draw(multiset(st.tuples(*[coord] * rank)))
+    y = draw(multiset(small))
+    shift = draw(st.tuples(*[st.sampled_from([-_BIG, -1, 0, 2, _BIG])] * rank))
+    return x, y, shift
+
+
+@settings(max_examples=300, deadline=None)
+@given(_multiset_pairs(), st.integers(0, 3))
+def test_packed_constructions_match_tuple_arithmetic(pair, j):
+    x, y, shift = pair
+    # items, not ==: the order of the decoded tuple is part of the result
+    assert x.tensor(y).items == _tuple_tensor(x, y).items
+    assert y.tensor(x).items == _tuple_tensor(y, x).items
+    for ms in (x, y, y.twist(shift)):
+        assert ms.wedge(j).items == _tuple_wedge(ms, j).items
+        assert ms.sym(j).items == _tuple_sym(ms, j).items
+    assert x.twist(shift).items == WeightMultiset(
+        {tuple(a + b for a, b in zip(w, shift)): m for w, m in x}).items
+    assert x.dual().items == WeightMultiset({tuple(-a for a in w): m for w, m in x}).items
+    assert y.twist(shift).tensor(x.dual()).items == \
+        _tuple_tensor(y.twist(shift), x.dual()).items
+
+
+def test_rank_zero_and_the_width_rule():
+    empty = WeightMultiset({})
+    assert empty.wedge(0).items == (((), 1),) and empty.sym(0).items == (((), 1),)
+    assert empty.wedge(1).items == () and empty.sym(2).items == ()
+    assert WeightMultiset({(): 2}).sym(3).items == (((), 4),)
+    assert WeightMultiset({(): 2}).tensor(WeightMultiset({(): 3})).items == (((), 6),)
+    # every coordinate at the edge of its field, for bounds around 2^k
+    for bound in (0, 1, 2, 3, 4, 7, 8, 2 ** 40 - 1, 2 ** 40):
+        ms = WeightMultiset({(bound, -bound): 1, (-bound, bound): 2, (0, bound): 1})
+        assert ms.tensor(ms).items == _tuple_tensor(ms, ms).items, bound
+        assert ms.sym(2).items == _tuple_sym(ms, 2).items, bound
+    twisted = build_rep("tw(1000000000000,0)(b)*b")
+    b = build_rep("b")
+    assert twisted.items == _tuple_tensor(b.twist((_BIG, 0)), b).items
+    assert twisted.dimension == 25 and twisted.multiplicity((_BIG, 0)) == 4
+    # negative control: one bit less than the rule picks folds the lower field
+    pair = WeightMultiset({(0, 3): 1}).tensor(WeightMultiset({(0, 4): 1}))
+    s = breps._width(7)
+    assert pair.items == (((0, 7), 1),)
+    assert breps._unpack({7: 1}, 2, s).items == (((0, 7), 1),)
+    assert breps._unpack({7: 1}, 2, s - 1).items != (((0, 7), 1),)
+
+
+def test_mixed_ranks_are_refused():
+    with pytest.raises(ValueError, match="different ranks"):
+        build_rep("b").tensor(build_rep("b", A1))
+    with pytest.raises(ValueError, match="different ranks"):
+        WeightMultiset({(1,): 1, (1, 2): 1}).wedge(2)
 
 
 def test_rep_expressions_compare_by_class_and_fields():

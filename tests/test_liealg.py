@@ -53,21 +53,53 @@ def test_characteristic_three_rejected():
         build_based_rep("wedge^2(b)", 3)
 
 
-def test_borel_atom_is_shared_and_never_mutated():
+def test_borel_atom_is_shared_and_never_mutated(monkeypatch):
     for char in (0, 5, 7, 11):
         atom = borel_rep(char)
-        assert borel_rep(char) is atom
+        assert borel_rep(char) is atom and liealg._BOREL_REPS[char] is atom
         for expr in ("b*b", "wedge^2(b)", "tw(1,0)(b)", "b + b"):
             build_based_rep(expr, char)
-        fresh = borel_rep.__wrapped__(char)
+        with monkeypatch.context() as m:
+            m.setattr(liealg, "_BOREL_REPS", {})
+            fresh = borel_rep(char)
         assert atom is not fresh and atom.ops == fresh.ops
         assert (atom.labels, atom.weights) == (fresh.labels, fresh.weights)
         with pytest.raises(TypeError):
             atom.ops["ea"][2][0] = atom.fld.one
-    # exceptions are not cached: characteristic 3 fails on every call
+    # exceptions are not stored: characteristic 3 fails on every call
     for _ in range(3):
         with pytest.raises(CharacteristicError):
             borel_rep(3)
+        with pytest.raises(CharacteristicError):
+            wedge4_quotient(3)
+    assert 3 not in liealg._BOREL_REPS and 3 not in liealg._WEDGE4_QUOTIENTS
+
+
+def _columns(rep):
+    """A deep snapshot of rep's operator columns."""
+    return {name: [dict(col) for col in cols] for name, cols in rep.ops.items()}
+
+
+@pytest.mark.parametrize("char", [0, 7])
+def test_constructions_leave_their_factors_columns_alone(char):
+    factors = [build_based_rep(text, char) for text in ("b", "wedge^2(b)", "b*b", "b + b",
+                                                         "tw(1,-1)(b)")]
+    before = [_columns(f) for f in factors]
+    for x, y in itertools.product(factors, repeat=2):
+        liealg.tensor_rep(x, y)
+        liealg.wedge_rep(x, 2)
+        total = liealg.sum_rep(x, y)
+        twist_rep(x, (2, 0))
+        # the sum shares the left summand's columns
+        for name in ("ea", "eb", "er"):
+            assert all(total.ops[name][j] is x.ops[name][j] for j in range(x.dim))
+        assert total.weight_multiset() == x.weight_multiset().add(y.weight_multiset())
+    assert [_columns(f) for f in factors] == before
+    # negative control: the snapshot sees a write to a column
+    cols = factors[2].ops["ea"]
+    j = next(k for k, col in enumerate(cols) if col)
+    cols[j][next(iter(cols[j]))] = factors[2].fld.zero
+    assert _columns(factors[2]) != before[2]
 
 
 def test_unknown_atom_rejected():
@@ -265,7 +297,8 @@ def test_wedge4_quotient_stability_checks_run_under_optimize(run_python):
         "for drop in ((-3, -3), (-5, 1)):\n"
         "    liealg.W1_WEIGHTS = full - {drop}\n"
         "    try:\n"
-        "        liealg.wedge4_quotient.__wrapped__(0)\n"
+        "        liealg._WEDGE4_QUOTIENTS.clear()\n"
+        "        liealg.wedge4_quotient(0)\n"
         "        print('built')\n"
         "    except InvariantError as e:\n"
         "        print('raised', e)\n"
@@ -287,7 +320,7 @@ def test_identity_span_and_chain_checks_share_one_model_per_characteristic(monke
         return build(expr, char)
 
     monkeypatch.setattr(liealg, "build_based_rep", counting)
-    wedge4_quotient.cache_clear()
+    monkeypatch.setattr(liealg, "_WEDGE4_QUOTIENTS", {})
     em = Emitter()
     for char in (0, 5, 7):
         campaigns.identities_campaign(em, char)

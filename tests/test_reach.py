@@ -214,15 +214,6 @@ def test_importing_the_cli_loads_no_code_generator(run_python):
     assert done.stdout == "[]\n", done.stderr
 
 
-# Functions memoized with functools.lru_cache, as (module, function): reason.
-# Run data (cases, bases, reports) goes in the one per-run store of cases,
-# which clear_case_memo empties and whose functions a tracer can wrap.
-LRU_CACHE_ALLOWED = {
-    ("liealg", "borel_rep"): "the Borel atom of one characteristic, a constant",
-    ("liealg", "wedge4_quotient"): "the wedge-square model of one characteristic, a constant",
-}
-
-
 def _lru_cache_refs(node):
     """How many times node, or anything inside it, names lru_cache."""
     return sum(isinstance(n, ast.Name) and n.id == "lru_cache"
@@ -230,27 +221,16 @@ def _lru_cache_refs(node):
                for n in ast.walk(node))
 
 
-def test_lru_cache_only_on_per_characteristic_constants():
+def test_no_lru_cache_in_the_library():
     """An lru_cache outlives the run, is not emptied with the per-run store
     and is no plain function, so a tracer that wraps plain functions misses
-    it.  Only the allowed constants use one, as a decorator; every function
-    cases memoizes is a plain function."""
-    cached, stray = set(), []
-    for path in sorted((ROOT / "src" / "steinberg").glob("*.py")):
-        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
-        as_decorator = 0
-        for node in ast.walk(tree):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                refs = sum(_lru_cache_refs(d) for d in node.decorator_list)
-                if refs:
-                    cached.add((path.stem, node.name))
-                as_decorator += refs
-        if _lru_cache_refs(tree) != as_decorator:
-            stray.append(path.name)
-    assert not stray, f"lru_cache used other than as a decorator: {stray}"
-    stale = sorted(set(LRU_CACHE_ALLOWED) - cached)
-    assert not stale, f"allowed but not cached, or gone: {stale}"
-    assert sorted(cached - set(LRU_CACHE_ALLOWED)) == []
+    it.  The library uses none: run data goes in the one per-run store of
+    cases, which clear_case_memo empties, and a per-characteristic constant
+    in a plain dict of its module.  Every function cases memoizes is a plain
+    function."""
+    sites = [path.name for path in sorted((ROOT / "src" / "steinberg").glob("*.py"))
+             if _lru_cache_refs(ast.parse(path.read_text(encoding="utf-8"), str(path)))]
+    assert not sites, f"lru_cache used in {sites}"
     tree = ast.parse((ROOT / "src" / "steinberg" / "cases.py").read_text(encoding="utf-8"))
     memoized = [node.name for node in tree.body
                 if isinstance(node, ast.FunctionDef) and node.decorator_list]

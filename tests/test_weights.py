@@ -1,15 +1,17 @@
+import itertools
 import random
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from steinberg.breps import WeightMultiset
 from steinberg.bwb import GrothendieckElement, NotBWBGood, bwb_good, euler_char, psupp
 from steinberg.fieldops import PrimeField, is_prime
-from steinberg.weights import (A1, A2, ALPHA, BETA, L1, L2, L3, RHO, ClassGroupElement,
-                               Located, OutsideLocus, Singular, WeylElement, check_bound,
-                               class_reduce, iota, self_dual_classes)
+from steinberg.weights import (_SMALL_BOUNDS, A1, A2, ALPHA, BETA, L1, L2, L3, PLACEMENTS_CAP,
+                               RHO, ClassGroupElement, Located, OutsideLocus, RootDatum, Singular,
+                               WeylElement, check_bound, class_reduce, iota, self_dual_classes)
 
 
 def element(datum, name):
@@ -116,6 +118,18 @@ def test_one_primality_rule_for_fields_and_bounds():
                 assert prime, n
     with pytest.raises(ValueError, match="not prime"):
         PrimeField(91)
+
+
+def test_small_bounds_are_zero_and_the_primes_below_100():
+    primes = sorted(_SMALL_BOUNDS - {0})
+    assert 0 in _SMALL_BOUNDS
+    assert all(is_prime(p) for p in primes)
+    assert primes == list(sympy.primerange(2, 100))
+    for l in _SMALL_BOUNDS:
+        check_bound(l)
+    # the set answers for ints only: 5.0 hashes like 5 and still fails as before
+    with pytest.raises(TypeError):
+        check_bound(5.0)
 
 
 def test_bwb_locus_membership():
@@ -360,6 +374,39 @@ def test_psupp_matches_brute_force(inputs):
         else:
             with pytest.raises(NotBWBGood):
                 psupp(weights, i, l)
+
+
+def test_placement_table_matches_the_direct_computation():
+    for rank, radius in ((1, 200), (2, 30)):
+        datum = RootDatum(rank)
+        for mu in itertools.product(range(-radius, radius + 1), repeat=rank):
+            got = datum.place(mu)
+            assert got == datum._place(mu) == _ref_place(datum, mu), mu
+            # the second call reads the table
+            assert datum.placements[mu] is got and datum.place(mu) is got
+
+
+def test_placement_table_stops_at_its_cap():
+    datum = RootDatum(2)
+    mus = [(k, -k) for k in range(PLACEMENTS_CAP + 500)]
+    for mu in mus:
+        assert datum.place(mu) == datum._place(mu)
+    assert len(datum.placements) == PLACEMENTS_CAP
+    # past the cap, a weight is placed without being stored
+    assert mus[-1] not in datum.placements
+    assert datum.place(mus[-1]) == _ref_place(datum, mus[-1])
+    assert len(datum.placements) == PLACEMENTS_CAP
+
+
+def test_the_bwb_loops_read_the_placement_table(monkeypatch):
+    # negative control: a wrong entry for (9, 9), which lies outside the
+    # locus at l = 5, changes every answer read off it
+    rep = WeightMultiset([(9, 9)])
+    assert not bwb_good(rep, 5)[0] and euler_char(rep) == GrothendieckElement.of((9, 9))
+    monkeypatch.setitem(A2.placements, (9, 9), (0, 1, (0, 0)))
+    assert bwb_good(rep, 5)[0]
+    assert euler_char(rep) == GrothendieckElement([((0, 0), -1)])
+    assert psupp(rep, 1, 5) == WeightMultiset([(0, 0)])
 
 
 def test_weight_records_compare_by_class_and_fields():
