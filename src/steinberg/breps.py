@@ -93,13 +93,20 @@ def _unpack(acc: dict[int, int], rank: int, s: int) -> "WeightMultiset":
             items.append((tuple(reversed(w)), m))
     ms = WeightMultiset.__new__(WeightMultiset)
     set_field(ms, "items", tuple(items))
+    set_field(ms, "bott", None)
     return ms
 
 
 class WeightMultiset(Frozen):
-    """Finite multiset of weights; canonical (sorted) and immutable."""
+    """Finite multiset of weights; canonical (sorted) and immutable.
 
-    __slots__ = ("items",)
+    `bott` is None until `bwb` first reads the multiset and stores there its
+    Bott summary, a pure function of `items`; it takes no part in equality,
+    hashing or pickling.
+    """
+
+    __slots__ = ("items", "bott")
+    _shown = ("items",)
 
     def __init__(self, data):
         if isinstance(data, dict):
@@ -114,6 +121,7 @@ class WeightMultiset(Frozen):
             if m < 0:
                 raise ValueError("negative multiplicity")
         set_field(self, "items", tuple(items))
+        set_field(self, "bott", None)
 
     def __reduce__(self):
         # __init__ reads a list as weights, a dict as weight: multiplicity

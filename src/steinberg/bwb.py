@@ -9,6 +9,10 @@ guessed.
 
 Euler characteristics, potential supports (psupp) and the table verifier are
 combinatorial in the weight multiset and need no cohomology beyond this.
+Each multiset is placed once: its Bott summary (the largest alcove bound,
+chi and the per-degree sums, none depending on l) is read off one pass over
+its weights and kept in the multiset, and `euler_char`, `bwb_good` and
+`psupp` answer from it.  l = 0 is characteristic zero throughout.
 """
 
 from __future__ import annotations
@@ -104,20 +108,50 @@ def weyl_dim(lam: Weight, datum: RootDatum = A2) -> int:
     return num // den
 
 
+def _bott(rep: WeightMultiset, datum: RootDatum) -> tuple:
+    """(datum, top, chi, degrees): the Bott summary of rep over datum, read
+    off one pass over its weights and kept in `rep.bott`.
+
+    top is the largest `place(mu)[0]`, so rep lies in the BWB locus at a
+    prime l iff top <= l; chi is the Euler characteristic; degrees[i] sums
+    the regular mu of length i at their dominant lam, as a dict that psupp
+    copies into a multiset.  None of these depends on l.  A summary over
+    another datum is replaced, not reused.
+    """
+    got = rep.bott
+    if got is not None and got[0] is datum:
+        return got
+    placed, place = datum.placements.get, datum.place
+    top_max = 0
+    degrees: list[dict[Weight, int]] = [{} for _ in range(datum.weyl[-1].length + 1)]
+    for mu, mult in rep:
+        top, length, lam = placed(mu) or place(mu)
+        if top > top_max:
+            top_max = top
+        if lam is not None:
+            acc = degrees[length]
+            acc[lam] = acc.get(lam, 0) + mult
+    # chi = sum_i (-1)^i psupp^i, summed over every degree
+    chi = GrothendieckElement([(lam, -m if i & 1 else m)
+                               for i, acc in enumerate(degrees) for lam, m in acc.items()])
+    got = (datum, top_max, chi, degrees)
+    set_field(rep, "bott", got)
+    return got
+
+
+def _witnesses(rep: WeightMultiset, l: int) -> WeightMultiset:
+    """The weights of rep outside the BWB locus at the prime l."""
+    placed, place = A2.placements.get, A2.place
+    return WeightMultiset({mu: mult for mu, mult in rep if (placed(mu) or place(mu))[0] > l})
+
+
 def euler_char(rep: WeightMultiset, datum: RootDatum = A2) -> GrothendieckElement:
     """chi(V) = sum over weights of (-1)^{l(w)} [V(w . mu)], zero on walls.
 
     Characteristic independent and total: this is the Weyl/Bott algorithm in
-    the Grothendieck group.  Like `bwb_good` and `psupp`, it reads the
-    placement table before it calls `place`.
+    the Grothendieck group, read from the Bott summary of rep.
     """
-    placed, place = datum.placements.get, datum.place
-    terms = []
-    for mu, mult in rep:
-        _, length, lam = placed(mu) or place(mu)
-        if lam is not None:
-            terms.append((lam, -mult if length & 1 else mult))
-    return GrothendieckElement(terms)
+    return _bott(rep, datum)[2]
 
 
 def line_cohomology(mu: Weight, l: int) -> dict[int, GrothendieckElement]:
@@ -146,38 +180,32 @@ def line_cohomology(mu: Weight, l: int) -> dict[int, GrothendieckElement]:
 def bwb_good(rep: WeightMultiset, l: int) -> tuple[bool, WeightMultiset]:
     """Whether every weight lies in the BWB locus; witnesses on failure.
 
-    Raises ValueError unless l is 0 or a prime, as `locate` does.
+    l = 0 is characteristic zero, where Bott's theorem holds for every
+    weight.  Raises ValueError unless l is 0 or a prime, as `locate` does.
+    Only a failing l makes a second pass over the weights, for witnesses.
     """
     check_bound(l)
-    placed, place = A2.placements.get, A2.place
-    bad = {mu: mult for mu, mult in rep if (placed(mu) or place(mu))[0] > l}
-    return (not bad, WeightMultiset(bad))
+    if l and _bott(rep, A2)[1] > l:
+        return False, _witnesses(rep, l)
+    return True, WeightMultiset({})
 
 
 def psupp(rep: WeightMultiset, i: int, l: int) -> WeightMultiset:
     """Potential support in cohomological degree i for a BWB-good multiset.
 
     The multiplicity of a dominant lam in the bounded region is the sum of
-    the multiplicities of w . lam over all w of length i.  One pass over the
-    weights both checks the locus and sums the regular mu of length i.
-    Raises ValueError for an l that `locate` rejects or an i outside
-    0..max l(w), and NotBWBGood when a weight leaves the locus.
+    the multiplicities of w . lam over all w of length i, read from the Bott
+    summary of rep.  Raises ValueError for an l that `locate` rejects or an
+    i outside 0..max l(w), and NotBWBGood when a weight leaves the locus
+    (never at l = 0).
     """
     check_bound(l)
     if not 0 <= i <= A2.weyl[-1].length:
         raise ValueError(f"degree i must lie in 0..{A2.weyl[-1].length}, got {i}")
-    placed, place = A2.placements.get, A2.place
-    acc: dict[Weight, int] = {}
-    bad: dict[Weight, int] = {}
-    for mu, mult in rep:
-        top, length, lam = placed(mu) or place(mu)
-        if top > l:
-            bad[mu] = mult
-        elif length == i:
-            acc[lam] = acc.get(lam, 0) + mult
-    if bad:
-        raise NotBWBGood(WeightMultiset(bad))
-    return WeightMultiset(acc)
+    _, top, _, degrees = _bott(rep, A2)
+    if l and top > l:
+        raise NotBWBGood(_witnesses(rep, l))
+    return WeightMultiset(degrees[i])
 
 
 # -- claimed cohomology tables -------------------------------------------------

@@ -28,11 +28,13 @@ weight-preserving entry of the result, which the grading check rejects.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from fractions import Fraction
+from functools import partial
 from types import MappingProxyType
 
 from . import breps
-from .breps import Atom, Dual, FAtom, RepExpr, Sum, SymPow, Tensor, Twist, Wedge, WeightMultiset, parse_rep
+from .breps import Atom, Dual, FAtom, RepExpr, Sum, SymPow, Tensor, Twist, Wedge, parse_rep
 from .fieldops import (Echelon, Frozen, InvariantError, Record, apply_op, field_of, mat_mul,
                        mat_sub, set_field, span_coords, span_rank, vec_iadd_scaled, vec_scale,
                        vec_sub)
@@ -67,22 +69,31 @@ class BasedRep(Frozen):
     """Finite B-representation with a weight basis and lowering operators.
 
     ops maps 'ea', 'eb', 'er' to column-major sparse matrices: ops[name][j]
-    is the image of basis vector j as a {index: coeff} dict.
+    is the image of basis vector j as a {index: coeff} dict.  labels is a
+    tuple of basis names, or a recipe (a partial of no arguments) that the
+    first read of `labels` calls and replaces by the tuple it returns: the
+    derived constructions name their basis only when something reads it.
     """
 
-    __slots__ = ("fld", "labels", "weights", "ops")
-    def __init__(self, fld, labels: tuple[str, ...], weights: tuple[Weight, ...], ops: dict):
+    __slots__ = ("fld", "_labels", "weights", "ops")
+    _shown = ("fld", "labels", "weights", "ops")
+    def __init__(self, fld, labels, weights: tuple[Weight, ...], ops: dict):
         set_field(self, "fld", fld)
-        set_field(self, "labels", labels)
+        set_field(self, "_labels", labels)
         set_field(self, "weights", weights)
         set_field(self, "ops", ops)
 
     @property
-    def dim(self) -> int:
-        return len(self.labels)
+    def labels(self) -> tuple[str, ...]:
+        labels = self._labels
+        if not isinstance(labels, tuple):
+            labels = labels()
+            set_field(self, "_labels", labels)
+        return labels
 
-    def weight_multiset(self) -> WeightMultiset:
-        return WeightMultiset(self.weights)
+    @property
+    def dim(self) -> int:
+        return len(self.weights)
 
     def act(self, op: str, v: dict) -> dict:
         """Exact image of v under e_{-alpha} ('ea'), e_{-beta} ('eb') or
@@ -197,8 +208,28 @@ def borel_rep(char=0) -> BasedRep:
 # -- derived constructions ------------------------------------------------------
 
 
+def _read(labels) -> tuple[str, ...]:
+    """The labels a `BasedRep` labels field stands for: the tuple itself, or
+    what its recipe returns."""
+    return labels if isinstance(labels, tuple) else labels()
+
+
+def _tensor_labels(left, right) -> tuple[str, ...]:
+    right = _read(right)
+    return tuple(f"{la}(x){lb}" for la in _read(left) for lb in right)
+
+
+def _wedge_labels(labels, j: int) -> tuple[str, ...]:
+    labels = _read(labels)
+    return tuple("^".join(labels[i] for i in c) if c else "1"
+                 for c in itertools.combinations(range(len(labels)), j))
+
+
+def _sum_labels(left, right) -> tuple[str, ...]:
+    return tuple(f"l.{x}" for x in _read(left)) + tuple(f"r.{x}" for x in _read(right))
+
+
 def tensor_rep(a: BasedRep, b: BasedRep) -> BasedRep:
-    labels = tuple(f"{la}(x){lb}" for la in a.labels for lb in b.labels)
     weights = tuple((wa[0] + wb[0], wa[1] + wb[1]) for wa in a.weights for wb in b.weights)
     nb = b.dim
     ops = {}
@@ -211,39 +242,44 @@ def tensor_rep(a: BasedRep, b: BasedRep) -> BasedRep:
             base = i * nb
             for j, bcol in enumerate(bcols):
                 # e(x (x) y) = e(x) (x) y + x (x) e(y), each entry written once
-                col = {off + j: c for off, c in acol}
+                col = {off + j: c for off, c in acol} if acol else {}
                 for j2, c in bcol:
                     col[base + j2] = c
                 cols.append(col)
         ops[name] = tuple(cols)
-    rep = BasedRep(a.fld, labels, weights, ops)
+    rep = BasedRep(a.fld, partial(_tensor_labels, a._labels, b._labels), weights, ops)
     rep.check_grading()
     return rep
 
 
 def wedge_rep(a: BasedRep, j: int) -> BasedRep:
+    n = a.dim
     # itertools.combinations allocates j indices before it finds none
-    combos = list(itertools.combinations(range(a.dim), j)) if j <= a.dim else []
+    combos = list(itertools.combinations(range(n), j)) if j <= n else []
     # a j-subset is the bitmask of its members
-    masks = [sum(1 << i for i in c) for c in combos]
+    bits = [1 << i for i in range(n)]
+    masks = [sum(map(bits.__getitem__, c)) for c in combos]
     index = {mask: k for k, mask in enumerate(masks)}
-    labels = tuple("^".join(a.labels[i] for i in c) if c else "1" for c in combos)
     w0 = [w[0] for w in a.weights].__getitem__
     w1 = [w[1] for w in a.weights].__getitem__
     weights = tuple((sum(map(w0, c)), sum(map(w1, c))) for c in combos)
     neg = a.fld.neg
-    ops = {}
-    for name in ("ea", "eb", "er"):
-        cols = []
-        # per factor column, each entry m as (bit of m, bits below m, coeff, -coeff)
-        terms = [[(1 << m, (1 << m) - 1, coeff, neg(coeff)) for m, coeff in acol.items()]
-                 for acol in a.ops[name]]
-        for c, mask in zip(combos, masks):
-            col: dict = {}
-            for slot, i in enumerate(c):
-                # slot is the number of members of rest below i
-                rest = mask ^ (1 << i)
-                for bit, below, coeff, ncoeff in terms[i]:
+    # per factor basis vector, the operators k (0, 1, 2 for ea, eb, er) with
+    # a nonzero column on it, each entry m as (bit of m, bits below m, coeff,
+    # -coeff)
+    terms = [[(k, [(1 << m, (1 << m) - 1, coeff, neg(coeff)) for m, coeff in col.items()])
+              for k, col in enumerate(cols) if col]
+             for cols in zip(a.ops["ea"], a.ops["eb"], a.ops["er"])]
+    ea, eb, er = [], [], []
+    # one sweep over the j-subsets writes the columns of all three operators
+    for c, mask in zip(combos, masks):
+        cols = ({}, {}, {})
+        for slot, i in enumerate(c):
+            # slot is the number of members of rest below i
+            rest = mask ^ bits[i]
+            for k, entries in terms[i]:
+                col = cols[k]
+                for bit, below, coeff, ncoeff in entries:
                     # moving slot to the front and sorting m into rest gives
                     # the sign (-1)^(slot + members of rest below m); a repeat
                     # gives 0
@@ -251,29 +287,30 @@ def wedge_rep(a: BasedRep, j: int) -> BasedRep:
                         continue
                     odd = (slot + (rest & below).bit_count()) & 1
                     col[index[rest | bit]] = ncoeff if odd else coeff
-            cols.append(col)
-        ops[name] = tuple(cols)
-    rep = BasedRep(a.fld, labels, weights, ops)
+        ea.append(cols[0])
+        eb.append(cols[1])
+        er.append(cols[2])
+    ops = {"ea": tuple(ea), "eb": tuple(eb), "er": tuple(er)}
+    rep = BasedRep(a.fld, partial(_wedge_labels, a._labels, j), weights, ops)
     rep.check_grading()
     return rep
 
 
 def sum_rep(a: BasedRep, b: BasedRep) -> BasedRep:
-    fld = a.fld
-    labels = tuple(f"l.{x}" for x in a.labels) + tuple(f"r.{x}" for x in b.labels)
-    weights = a.weights + b.weights
+    n = a.dim
     ops = {}
     for name in ("ea", "eb", "er"):
         # the left summand's columns are shared, as twist_rep shares ops
         cols = list(a.ops[name])
-        cols += [{i + a.dim: v for i, v in c.items()} for c in b.ops[name]]
+        cols += [{i + n: v for i, v in c.items()} if c else {} for c in b.ops[name]]
         ops[name] = tuple(cols)
-    return BasedRep(fld, labels, weights, ops)
+    return BasedRep(a.fld, partial(_sum_labels, a._labels, b._labels), a.weights + b.weights,
+                    ops)
 
 
 def twist_rep(a: BasedRep, shift: Weight) -> BasedRep:
     weights = tuple(A2.add(w, shift) for w in a.weights)
-    return BasedRep(a.fld, a.labels, weights, a.ops)
+    return BasedRep(a.fld, a._labels, weights, a.ops)
 
 
 def build_based_rep(expr: RepExpr | str, char=0) -> BasedRep:
@@ -305,7 +342,7 @@ def build_based_rep(expr: RepExpr | str, char=0) -> BasedRep:
 
     rep = go(expr)
     # the explicit model must agree with the character-level computation
-    if rep.weight_multiset() != breps.build_rep(expr):
+    if dict(Counter(rep.weights)) != dict(breps.build_rep(expr).items):
         raise InvariantError(f"the model of {expr} does not have the weights of its character")
     return rep
 

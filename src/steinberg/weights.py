@@ -75,8 +75,8 @@ class RootDatum:
     epsilon-coordinates of mu + rho, and `locate` adds the Weyl element.
     `place` keeps its answers in `placements`, a plain dict of at most
     PLACEMENTS_CAP weights: like the chamber table it holds a pure function
-    of the weight, so the passes of `bwb` over one multiset place each
-    weight once.
+    of the weight, so a weight that many multisets share is placed once.
+    `bwb` reads the table in its one pass per multiset, the Bott summary.
     """
 
     def __init__(self, rank: int):

@@ -2,8 +2,11 @@ import hashlib
 import inspect
 import pickle
 import random
+from collections import Counter
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from steinberg import bwb, campaigns
 from steinberg.breps import WeightMultiset, build_rep
@@ -214,6 +217,142 @@ def test_bwb_good_witnesses():
     assert ok
     with pytest.raises(NotBWBGood):
         psupp(build_rep("g/b*(g/b)"), 0, 5)
+
+
+def test_l_0_is_characteristic_zero_for_bwb_good_and_psupp():
+    # Bott's theorem holds for every weight, as in locate and line_cohomology
+    b = build_rep("b")
+    assert bwb_good(b, 0) == (True, WeightMultiset({}))
+    assert psupp(b, 0, 0) == psupp(b, 1, 0) == WeightMultiset({(0, 0): 2})
+    # (40, -90) is s_a s_b . (47, 40), with top 89; (-1, -1) is singular
+    far = WeightMultiset({(40, -90): 3, (-1, -1): 1})
+    assert bwb_good(far, 0)[0] and bwb_good(far, 89)[0] and not bwb_good(far, 83)[0]
+    assert psupp(far, 2, 0) == WeightMultiset({(47, 40): 3})
+    assert euler_char(far) == G.of((47, 40)).scale(3)
+
+
+# -- the Bott summary against a per-weight oracle ---------------------------------
+
+_BOUNDS = (0, 2, 3, 5, 7, 11)
+
+
+def _oracle(weights, l):
+    """(chi, witnesses, psupp^0..3) of weights at l, with each weight placed
+    by A2._place, past the placement table and the multiset's summary."""
+    terms, bad, supports = [], {}, [{} for _ in range(4)]
+    for mu, mult in weights:
+        top, length, lam = A2._place(mu)
+        if l and top > l:
+            bad[mu] = mult
+        if lam is not None:
+            terms.append((lam, (-1) ** length * mult))
+            supports[length][lam] = supports[length].get(lam, 0) + mult
+    return G(terms), WeightMultiset(bad), [WeightMultiset(acc) for acc in supports]
+
+
+def _ask(weights, query):
+    """The answer of one query on weights: chi, bwb_good at l, or psupp^i at
+    l, with a NotBWBGood as ("raises", witnesses)."""
+    kind, l, i = query
+    if kind == "chi":
+        return euler_char(weights)
+    if kind == "good":
+        return bwb_good(weights, l)
+    try:
+        return psupp(weights, i, l)
+    except NotBWBGood as e:
+        return "raises", e.witnesses
+
+
+def _expected(weights, query):
+    kind, l, i = query
+    chi, bad, supports = _oracle(weights, l)
+    if kind == "chi":
+        return chi
+    if kind == "good":
+        return not bad.items, bad
+    return ("raises", bad) if bad.items else supports[i]
+
+
+_QUERIES = st.lists(st.tuples(st.sampled_from(["chi", "good", "psupp"]),
+                              st.sampled_from(_BOUNDS), st.integers(0, 3)),
+                    min_size=1, max_size=12)
+_COORD = st.integers(-14, 14)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.dictionaries(st.tuples(_COORD, _COORD), st.integers(1, 3), max_size=8), _QUERIES)
+@example({(-5, 1): 1, (1, -5): 2, (0, 0): 1}, [("psupp", 11, 0), ("psupp", 5, 0), ("good", 5, 0)])
+def test_the_bott_summary_matches_a_per_weight_oracle_in_any_order(counts, queries):
+    # one object answers every query, whichever l comes first
+    weights = WeightMultiset(counts)
+    for query in queries:
+        assert _ask(weights, query) == _expected(weights, query), query
+
+
+def test_a_failing_l_after_a_passing_one_raises_with_the_same_witnesses():
+    rep = build_rep("wedge^2(b)*b")
+    assert psupp(rep, 2, 11) == WeightMultiset({(0, 0): 14, (1, 1): 2})
+    for l in (3, 2, 3):
+        good, witnesses = bwb_good(rep, l)
+        with pytest.raises(NotBWBGood) as raised:
+            psupp(rep, 2, l)
+        assert not good and raised.value.witnesses == witnesses == _oracle(rep, l)[1]
+    assert witnesses == WeightMultiset({(-5, 1): 1, (1, -5): 1})
+    assert psupp(rep, 2, 5) == psupp(build_rep("wedge^2(b)*b"), 2, 5)
+
+
+class _CountingDict(dict):
+    """A placement table that counts its lookups and stores per weight."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.lookups, self.stores = Counter(), Counter()
+
+    def get(self, key, default=None):
+        self.lookups[key] += 1
+        return super().get(key, default)
+
+    def __getitem__(self, key):
+        self.lookups[key] += 1
+        return super().__getitem__(key)
+
+    def __contains__(self, key):
+        self.lookups[key] += 1
+        return super().__contains__(key)
+
+    def __setitem__(self, key, value):
+        self.stores[key] += 1
+        super().__setitem__(key, value)
+
+
+def _six_queries(rep, l):
+    euler_char(rep)
+    assert bwb_good(rep, l)[0]
+    return [psupp(rep, i, l) for i in range(4)]
+
+
+def test_the_bwb_queries_place_each_weight_once(monkeypatch):
+    # one euler_char, one bwb_good and four psupp calls on one multiset: with
+    # every weight in the table, each distinct weight is looked up once
+    rep = build_rep("wedge^2(b)*b")
+    weights = [mu for mu, _ in rep]
+    table = _CountingDict({mu: A2._place(mu) for mu in weights})
+    monkeypatch.setattr(A2, "placements", table)
+    supports = _six_queries(rep, 5)
+    assert table.lookups == Counter(weights) and not table.stores
+    assert supports == _oracle(rep, 5)[2]
+    # from an empty table, each weight is placed and stored once
+    table = _CountingDict()
+    monkeypatch.setattr(A2, "placements", table)
+    fresh = build_rep("wedge^2(b)*b")
+    assert fresh is not rep and _six_queries(fresh, 5) == supports
+    assert table.stores == Counter(weights) and set(table.lookups) == set(weights)
+    # a second multiset with the same weights has a summary of its own, read
+    # with one lookup per weight of the now full table
+    cold = Counter(table.lookups)
+    euler_char(build_rep("wedge^2(b)*b"))
+    assert table.lookups - cold == Counter(weights)
 
 
 def test_multisets_and_classes_pickle_and_are_immutable():

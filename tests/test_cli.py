@@ -34,6 +34,29 @@ def test_compute_psupp():
     assert code == 0 and out.strip() == "{(0,0)^14 (1,1)^2}"
 
 
+def test_compute_psupp_at_l_0_is_characteristic_zero():
+    code, out, err = run_cli(["compute", "psupp", "--rep", "b", "--i", "1", "--l", "0"])
+    assert (code, out.strip(), err) == (0, "{(0,0)^2}", "")
+
+
+def test_verify_bwb_tables_reports_weights_outside_the_locus():
+    # at l = 3, wedge^2(b)*b leaves the locus: its psupp spot checks fail on
+    # the witnesses, and the report is printed
+    code, out, err = run_cli(["verify", "bwb-tables", "--l", "3", "--format", "json"])
+    assert code == 1 and err == ""
+    entries = {e["check_id"]: e for e in json.loads(out)["entries"]}
+    for i in range(4):
+        entry = entries[f"bwb.l3.psupp.w2bxb.i{i}"]
+        assert entry["status"] == "fail"
+        assert entry["actual"] == "witnesses {(-5, 1):1, (1, -5):1}"
+    # at l = 0 every weight is in the locus
+    code, out, err = run_cli(["verify", "bwb-tables", "--l", "0", "--format", "json"])
+    assert code == 0 and err == ""
+    entries = {e["check_id"]: e for e in json.loads(out)["entries"]}
+    assert entries["bwb.l0.psupp.w2bxb.i2"]["status"] == "pass"
+    assert {e["status"] for e in entries.values()} == {"pass", "skipped"}
+
+
 def test_compute_psupp_rejects_bad_l_and_degree():
     # l = 4 is not a prime, and SL3 has no Weyl element of length 7 or -1
     for l, i in ((4, 2), (5, 7), (5, -1)):

@@ -4,7 +4,7 @@ from bisect import bisect_left
 
 import pytest
 
-from steinberg import campaigns, liealg
+from steinberg import breps, campaigns, liealg
 from steinberg.fieldops import (InvariantError, field_of, mat_det, mat_mul, span_coords,
                                 span_rank, vec_iadd_scaled)
 from steinberg.cases import cn_ideal_reduction
@@ -13,8 +13,13 @@ from steinberg.liealg import (W1_WEIGHTS, W2_EXTRA_WEIGHTS, BasedRep, Characteri
                               p_extend_check, pure_tensor_vector, quotient_rep, restrict_to_span,
                               span_check, subspace_span, twist_rep, wedge4_campaign,
                               wedge4_quotient)
-from steinberg.breps import build_rep
+from steinberg.breps import WeightMultiset, build_rep
 from steinberg.report import Emitter
+
+
+def weight_multiset(rep):
+    """The weights of a model as a multiset, to compare with a character."""
+    return WeightMultiset(rep.weights)
 
 
 def basis_vector(rep, label):
@@ -93,7 +98,7 @@ def test_constructions_leave_their_factors_columns_alone(char):
         # the sum shares the left summand's columns
         for name in ("ea", "eb", "er"):
             assert all(total.ops[name][j] is x.ops[name][j] for j in range(x.dim))
-        assert total.weight_multiset() == x.weight_multiset().add(y.weight_multiset())
+        assert weight_multiset(total) == weight_multiset(x).add(weight_multiset(y))
     assert [_columns(f) for f in factors] == before
     # negative control: the snapshot sees a write to a column
     cols = factors[2].ops["ea"]
@@ -112,7 +117,7 @@ def test_unknown_atom_rejected():
 def test_based_rep_matches_character_level():
     for expr in ("b", "wedge^2(b)", "b*b", "wedge^2(b)*wedge^2(b)", "tw(1,0)(b)", "b + b"):
         rep = build_based_rep(expr, 0)
-        assert rep.weight_multiset() == build_rep(expr)
+        assert weight_multiset(rep) == build_rep(expr)
     assert build_based_rep("wedge^2(b)*wedge^2(b)", 0).dim == 100
 
 
@@ -238,7 +243,7 @@ def test_wedge4_campaign_passes():
 
 def test_quotient_weights():
     quo = wedge4_quotient(0)
-    ms = quo.rep.weight_multiset()
+    ms = weight_multiset(quo.rep)
     assert ms.multiplicity((-2, -2)) == 17
     assert ms.multiplicity((0, -3)) == 14
     assert ms.multiplicity((-3, 0)) == 14
@@ -360,9 +365,9 @@ def test_restrict_to_span_round_trip():
     b = borel_rep(0)
     sub = restrict_to_span(b, [basis_vector(b, label) for label in ("fa", "fb", "fr")])
     assert sub.dim == 3
-    assert sub.weight_multiset().multiplicity((-1, -1)) == 1
+    assert weight_multiset(sub).multiplicity((-1, -1)) == 1
     tw = twist_rep(sub, (1, 1))
-    assert tw.weight_multiset().multiplicity((0, 0)) == 1
+    assert weight_multiset(tw).multiplicity((0, 0)) == 1
 
 
 def test_restrict_to_span_rejects_dependent_and_unstable_spans():
@@ -542,6 +547,59 @@ def test_bitmask_wedge_matches_the_tuple_reference(char):
                     [list(col.items()) for col in cols], (text, j, name)
             assert model.labels == tuple("^".join(base.labels[i] for i in c) or "1"
                                          for c in combos)
+
+
+def _eager_labels(expr):
+    """The basis names of the model of a parsed expression, by the formulas
+    the constructors once applied eagerly."""
+    if isinstance(expr, breps.Atom):
+        return liealg._B_LABELS
+    if isinstance(expr, breps.Tensor):
+        return tuple(f"{la}(x){lb}" for la in _eager_labels(expr.left)
+                     for lb in _eager_labels(expr.right))
+    if isinstance(expr, breps.Sum):
+        return tuple(f"l.{x}" for x in _eager_labels(expr.left)) + \
+            tuple(f"r.{x}" for x in _eager_labels(expr.right))
+    if isinstance(expr, breps.Wedge):
+        base = _eager_labels(expr.arg)
+        return tuple("^".join(base[i] for i in c) if c else "1"
+                     for c in itertools.combinations(range(len(base)), expr.power))
+    assert isinstance(expr, breps.Twist)
+    return _eager_labels(expr.arg)
+
+
+_NESTED = ("wedge^2(b*b) + tw(1,0)(b)", "tw(0,2)(wedge^2(b + b)) * b", "wedge^3(tw(1,-1)(b) + b)",
+           "wedge^0(b) + wedge^6(b)", "b * wedge^2(tw(2,0)(b) * b)", "tw(1,1)(tw(-1,0)(b * b))")
+
+
+@pytest.mark.parametrize("text", _NESTED)
+def test_labels_of_nested_models_match_the_eager_formulas(text):
+    rep = build_based_rep(text, 7)
+    assert rep.dim == len(rep.weights)
+    want = _eager_labels(breps.parse_rep(text))
+    assert rep.labels == want and len(want) == rep.dim
+    # the first read replaces the recipe: later reads return the same tuple
+    assert rep.labels is rep.labels and rep._labels is rep.labels
+
+
+def test_a_mutated_column_is_rejected_naming_its_label():
+    # a factor column that breaks the grading: the product's grading check
+    # raises with the name of the product basis vector, read from the recipe
+    for make, build in ((lambda x: liealg.tensor_rep(x, borel_rep(0)), "tensor"),
+                        (lambda x: liealg.wedge_rep(x, 2), "wedge")):
+        x = build_based_rep("b * b", 0)
+        bad = next(j for j, col in enumerate(x.ops["eb"]) if col)
+        x.ops["eb"][bad][bad] = x.fld.one
+        with pytest.raises(InvariantError, match="eb breaks the weight grading at ") as raised:
+            make(x)
+        # the first column that breaks is the first one built on column bad
+        names = x.labels
+        if build == "tensor":
+            want = f"{names[bad]}(x){liealg._B_LABELS[0]}"
+        else:
+            first = min(c for c in itertools.combinations(range(len(names)), 2) if bad in c)
+            want = "^".join(names[i] for i in first)
+        assert str(raised.value).endswith(f" at {want}"), (build, str(raised.value))
 
 
 def _tuple_tensor(a, b):

@@ -317,10 +317,11 @@ def _ref_euler_char(datum, weights):
 
 
 def _ref_psupp(datum, weights, i, l):
+    # l = 0 is characteristic zero: no alcove bounds lam
     acc = {}
     for mu, mult in weights:
         for w, lam in _ref_preimages(datum, mu):
-            if w.length == i and _ref_in_c0(datum, lam, l):
+            if w.length == i and (_ref_in_c0(datum, lam, l) if l else min(lam) >= 0):
                 acc[lam] = acc.get(lam, 0) + mult
     return WeightMultiset(acc)
 
@@ -365,8 +366,8 @@ def test_psupp_matches_brute_force(inputs):
     assert euler_char(weights, datum) == _ref_euler_char(datum, weights)
     if datum is not A2:
         return  # bwb_good and psupp are the SL3 rules
-    good = all(any(_ref_in_cbar(datum, lam, l) for _, lam in _ref_preimages(datum, mu))
-               for mu, _ in weights)
+    good = l == 0 or all(any(_ref_in_cbar(datum, lam, l) for _, lam in _ref_preimages(datum, mu))
+                         for mu, _ in weights)
     assert bwb_good(weights, l)[0] == good
     for i in range(max(w.length for w in datum.weyl) + 1):
         if good:
@@ -401,12 +402,19 @@ def test_placement_table_stops_at_its_cap():
 def test_the_bwb_loops_read_the_placement_table(monkeypatch):
     # negative control: a wrong entry for (9, 9), which lies outside the
     # locus at l = 5, changes every answer read off it
-    rep = WeightMultiset([(9, 9)])
-    assert not bwb_good(rep, 5)[0] and euler_char(rep) == GrothendieckElement.of((9, 9))
+    before = WeightMultiset([(9, 9)])
+    assert not bwb_good(before, 5)[0] and euler_char(before) == GrothendieckElement.of((9, 9))
     monkeypatch.setitem(A2.placements, (9, 9), (0, 1, (0, 0)))
+    # a multiset is summarised once, so a fresh one reads the patched entry
+    rep = WeightMultiset([(9, 9)])
     assert bwb_good(rep, 5)[0]
     assert euler_char(rep) == GrothendieckElement([((0, 0), -1)])
     assert psupp(rep, 1, 5) == WeightMultiset([(0, 0)])
+    # and the one summarised before the patch keeps its answers
+    assert not bwb_good(before, 5)[0]
+    assert euler_char(before) == GrothendieckElement.of((9, 9))
+    with pytest.raises(NotBWBGood):
+        psupp(before, 1, 5)
 
 
 def test_weight_records_compare_by_class_and_fields():
