@@ -22,10 +22,22 @@ coordinate of the result lies in [-2^(s-1), 2^(s-1)): s = bit_length(bound) +
 the largest (a j-th power).  Int order is then tuple order, so the result is
 sorted as ints and decoded once into ``items``, which stay tuples: a packed
 int depends on its construction's width, the tuple does not.
+
+``build_rep(text)`` keeps what it evaluates in ``store``, a plain dict from
+(text, datum rank) to (parse tree, weight multiset) of at most ``STORE_CAP``
+entries, cleared when full, so the text just built is always present.  A text
+that fails to parse or evaluate is never stored: it raises on every call, with
+the same message.  A stored multiset is shared by every caller asking its
+text; it is immutable, and it keeps the Bott summary ``bwb`` stores in it, so
+a text asked again is not summarised again.  ``liealg.build_based_rep`` reads
+the store for the tree it models and the character it checks the model
+against.  ``parse_rep`` stays the plain parser, and a tree passed to
+``build_rep`` is evaluated on every call.
 """
 
 from __future__ import annotations
 
+import operator
 from math import comb
 
 from .fieldops import Frozen, set_field
@@ -214,10 +226,10 @@ class WeightMultiset(Frozen):
         return _unpack(layers[j], rank, s)
 
     def dual(self) -> "WeightMultiset":
-        return WeightMultiset({tuple(-x for x in w): m for w, m in self.items})
+        return WeightMultiset({tuple(map(operator.neg, w)): m for w, m in self.items})
 
     def twist(self, lam: Weight) -> "WeightMultiset":
-        return WeightMultiset({tuple(a + b for a, b in zip(w, lam)): m for w, m in self.items})
+        return WeightMultiset({tuple(map(operator.add, w, lam)): m for w, m in self.items})
 
     def _rank(self) -> int:
         return len(self.items[0][0]) if self.items else 0
@@ -458,10 +470,45 @@ def irreducible_multiset(highest: Weight, datum: RootDatum) -> WeightMultiset:
     return WeightMultiset(acc)
 
 
+# the most texts the store holds
+STORE_CAP = 256
+
+# (text, datum rank) -> (parse tree, weight multiset), filled by stored_rep
+store: dict[tuple[str, int], tuple[RepExpr, WeightMultiset]] = {}
+
+
+def stored_tree(text: str, datum: RootDatum) -> RepExpr:
+    """The parse tree of text: the stored one, or else parsed, not stored."""
+    entry = store.get((text, datum.rank))
+    return entry[0] if entry is not None else parse_rep(text)
+
+
+def stored_rep(text: str, datum: RootDatum,
+               tree: RepExpr | None = None) -> tuple[RepExpr, WeightMultiset]:
+    """The parse tree and weight multiset of text, from the store, or else
+    evaluated and stored; tree, when given, is text's parse tree.  A full
+    store is cleared first.  A text that fails raises before it is stored."""
+    key = (text, datum.rank)
+    entry = store.get(key)
+    if entry is None:
+        if tree is None:
+            tree = parse_rep(text)
+        entry = (tree, _evaluate(tree, datum))
+        if len(store) >= STORE_CAP:
+            store.clear()
+        store[key] = entry
+    return entry
+
+
 def build_rep(expr: RepExpr | str, datum: RootDatum = A2) -> WeightMultiset:
-    """Evaluate a rep expression to its weight multiset."""
+    """Evaluate a rep expression to its weight multiset; a text goes through
+    the store (see the module docstring), a tree is evaluated afresh."""
     if isinstance(expr, str):
-        expr = parse_rep(expr)
+        return stored_rep(expr, datum)[1]
+    return _evaluate(expr, datum)
+
+
+def _evaluate(expr: RepExpr, datum: RootDatum) -> WeightMultiset:
     if isinstance(expr, Atom):
         atom = _ATOMS[datum.rank].get(expr.name)
         if atom is None:
@@ -470,18 +517,17 @@ def build_rep(expr: RepExpr | str, datum: RootDatum = A2) -> WeightMultiset:
     if isinstance(expr, FAtom):
         return irreducible_multiset(expr.highest, datum)
     if isinstance(expr, Tensor):
-        return build_rep(expr.left, datum).tensor(build_rep(expr.right, datum))
+        return _evaluate(expr.left, datum).tensor(_evaluate(expr.right, datum))
     if isinstance(expr, Sum):
-        return build_rep(expr.left, datum).add(build_rep(expr.right, datum))
+        return _evaluate(expr.left, datum).add(_evaluate(expr.right, datum))
     if isinstance(expr, Wedge):
-        return build_rep(expr.arg, datum).wedge(expr.power)
+        return _evaluate(expr.arg, datum).wedge(expr.power)
     if isinstance(expr, SymPow):
-        return build_rep(expr.arg, datum).sym(expr.power)
+        return _evaluate(expr.arg, datum).sym(expr.power)
     if isinstance(expr, Dual):
-        return build_rep(expr.arg, datum).dual()
+        return _evaluate(expr.arg, datum).dual()
     if isinstance(expr, Twist):
         if len(expr.shift) != datum.rank:
             raise ValueError(f"twist {expr.shift} has wrong rank for this datum")
-        return build_rep(expr.arg, datum).twist(expr.shift)
+        return _evaluate(expr.arg, datum).twist(expr.shift)
     raise TypeError(f"not a rep expression: {expr!r}")
-

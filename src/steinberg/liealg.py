@@ -34,7 +34,7 @@ from functools import partial
 from types import MappingProxyType
 
 from . import breps
-from .breps import Atom, Dual, FAtom, RepExpr, Sum, SymPow, Tensor, Twist, Wedge, parse_rep
+from .breps import Atom, Dual, FAtom, RepExpr, Sum, SymPow, Tensor, Twist, Wedge
 from .fieldops import (Echelon, Frozen, InvariantError, Record, apply_op, field_of, mat_mul,
                        mat_sub, set_field, span_coords, span_rank, vec_iadd_scaled, vec_scale,
                        vec_sub)
@@ -319,9 +319,18 @@ def build_based_rep(expr: RepExpr | str, char=0) -> BasedRep:
     Supports b and its wedge/tensor/sum/twist closures; other atoms have no
     stored action and raise UnknownAtomError.  Characteristic 3 raises
     CharacteristicError (no t-basis).
+
+    A text is read through the ``breps`` store, keyed by (text, rank 2) and
+    holding at most ``breps.STORE_CAP`` texts, cleared when full: a text that
+    ``breps.build_rep`` has evaluated is neither parsed nor evaluated again,
+    and its model is checked against the stored character, which ``breps``
+    computed on its own.  The store keeps no failure, so a text that fails to
+    parse or to evaluate raises on every call.  The model is built before the
+    character, so the model's errors come first.
     """
-    if isinstance(expr, str):
-        expr = parse_rep(expr)
+    text = expr if isinstance(expr, str) else None
+    if text is not None:
+        expr = breps.stored_tree(text, A2)
 
     def go(e: RepExpr) -> BasedRep:
         if isinstance(e, Atom):
@@ -342,7 +351,8 @@ def build_based_rep(expr: RepExpr | str, char=0) -> BasedRep:
 
     rep = go(expr)
     # the explicit model must agree with the character-level computation
-    if dict(Counter(rep.weights)) != dict(breps.build_rep(expr).items):
+    character = breps.build_rep(expr) if text is None else breps.stored_rep(text, A2, expr)[1]
+    if dict(Counter(rep.weights)) != dict(character.items):
         raise InvariantError(f"the model of {expr} does not have the weights of its character")
     return rep
 

@@ -26,6 +26,7 @@ Everything here is immutable and uses exact integer arithmetic only.
 
 from __future__ import annotations
 
+import operator
 from functools import total_ordering
 
 from .fieldops import ZZ, Frozen, InvariantError, is_prime, mat_mul, set_field
@@ -172,15 +173,15 @@ class RootDatum:
 
     @staticmethod
     def add(a: Weight, b: Weight) -> Weight:
-        return tuple(x + y for x, y in zip(a, b))
+        return tuple(map(operator.add, a, b))
 
     @staticmethod
     def sub(a: Weight, b: Weight) -> Weight:
-        return tuple(x - y for x, y in zip(a, b))
+        return tuple(map(operator.sub, a, b))
 
     @staticmethod
     def neg(a: Weight) -> Weight:
-        return tuple(-x for x in a)
+        return tuple(map(operator.neg, a))
 
     def dominant(self, lam: Weight) -> bool:
         return all(x >= 0 for x in lam)

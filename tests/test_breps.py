@@ -7,10 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from steinberg import breps
+from steinberg import breps, liealg
 from steinberg.breps import (Atom, Dual, FAtom, RepParseError, Sum, SymPow, Tensor, Twist, Wedge,
                              WeightMultiset, build_rep, irreducible_multiset, parse_rep)
-from steinberg.liealg import build_based_rep
+from steinberg.fieldops import InvariantError
+from steinberg.liealg import UnknownAtomError, build_based_rep
 from steinberg.weights import A1, A2
 
 
@@ -479,3 +480,103 @@ def test_rep_expressions_and_based_reps_are_immutable():
         with pytest.raises(AttributeError):
             delattr(record, name)
         assert getattr(record, name) is before
+
+
+# -- the store of texts ----------------------------------------------------------
+
+
+@pytest.fixture
+def counted(monkeypatch):
+    """An empty store, and per call counts of parse_rep and of evaluations of
+    a whole tree (nested subexpressions are not counted)."""
+    monkeypatch.setattr(breps, "store", {})
+    calls = {"parse": 0, "evaluate": 0}
+    parse, evaluate, depth = breps.parse_rep, breps._evaluate, []
+
+    def counting_parse(text):
+        calls["parse"] += 1
+        return parse(text)
+
+    def counting_evaluate(expr, datum):
+        calls["evaluate"] += not depth
+        depth.append(expr)
+        try:
+            return evaluate(expr, datum)
+        finally:
+            depth.pop()
+
+    monkeypatch.setattr(breps, "parse_rep", counting_parse)
+    monkeypatch.setattr(breps, "_evaluate", counting_evaluate)
+    return calls
+
+
+def test_each_text_is_parsed_and_evaluated_once_per_rank(counted):
+    for text in ("wedge^2(b)*b", "tw(1,0)(b) + b"):
+        rep = build_rep(text)
+        assert counted == {"parse": 1, "evaluate": 1}
+        assert build_rep(text) is rep and build_rep(text, A2) is rep
+        for char in (0, 5):
+            model = build_based_rep(text, char)
+            assert WeightMultiset(model.weights) == rep
+        assert counted == {"parse": 1, "evaluate": 1}
+        assert breps.store[text, 2] == (parse_rep(text), rep)
+        counted.update(parse=0, evaluate=0)
+    # the model of a text not yet stored parses and evaluates it once
+    model = build_based_rep("b*b", 7)
+    assert counted == {"parse": 1, "evaluate": 1}
+    assert build_rep("b*b") == WeightMultiset(model.weights)
+    assert counted == {"parse": 1, "evaluate": 1}
+    # each rank has an entry of its own
+    assert build_rep("wedge^2(b)", A1) != build_rep("wedge^2(b)")
+    assert counted == {"parse": 3, "evaluate": 3}
+    # a tree is evaluated on every call and not stored
+    tree, size = parse_rep("sym^2(g)"), len(breps.store)
+    assert build_rep(tree) == build_rep(tree) and build_rep(tree) is not build_rep(tree)
+    assert counted["evaluate"] == 7 and len(breps.store) == size
+
+
+def test_a_failing_text_raises_on_every_call_and_is_not_stored(counted):
+    for call, text, error in (
+            (build_rep, "wedge^2(b", RepParseError),
+            (build_rep, "b + ", RepParseError),
+            (build_rep, "tw(1)(b)", ValueError),
+            (lambda text: build_rep(text, A1), "F(1,0)", ValueError),
+            (build_based_rep, "b**b", RepParseError),
+            (build_based_rep, "tw(1)(b)", ValueError),
+            (build_based_rep, "g", UnknownAtomError),
+            (build_based_rep, "F(1,-1)", UnknownAtomError)):
+        raised = []
+        for _ in range(2):
+            with pytest.raises(error) as info:
+                call(text)
+            raised.append((type(info.value), str(info.value),
+                           getattr(info.value, "position", None)))
+        assert raised[0] == raised[1], text
+        assert not any(key[0] == text for key in breps.store), text
+    # every call parsed its text; the three characters that fail were
+    # evaluated on each call, while "g" and "F(1,-1)" fail in the model, first
+    assert counted == {"parse": 16, "evaluate": 6}
+
+
+def test_a_full_store_is_cleared_and_keeps_the_last_text(monkeypatch):
+    monkeypatch.setattr(breps, "store", {})
+    texts = [f"tw({i},0)(b)" for i in range(breps.STORE_CAP + 1)]
+    for k, text in enumerate(texts):
+        rep = build_rep(text)
+        assert len(breps.store) <= breps.STORE_CAP and breps.store[text, 2][1] is rep
+        if k == breps.STORE_CAP - 1:
+            assert len(breps.store) == breps.STORE_CAP
+    assert list(breps.store) == [(texts[-1], 2)]
+
+
+def test_a_stored_character_still_catches_a_broken_model(monkeypatch):
+    # twisting keeps the weights of its argument: the model of a text whose
+    # character is already stored must still disagree with that character
+    monkeypatch.setattr(breps, "store", {})
+    monkeypatch.setattr(liealg, "twist_rep", lambda a, shift: a)
+    for text in ("tw(1,0)(b)", "tw(0,-2)(b) + b", "wedge^2(tw(1,1)(b))"):
+        rep = build_rep(text)
+        for char in (0, 5):
+            with pytest.raises(InvariantError, match="does not have the weights"):
+                build_based_rep(text, char)
+        assert breps.store[text, 2][1] is rep
