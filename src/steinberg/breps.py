@@ -31,8 +31,8 @@ the same message.  A stored multiset is shared by every caller asking its
 text; it is immutable, and it keeps the Bott summary ``bwb`` stores in it, so
 a text asked again is not summarised again.  ``liealg.build_based_rep`` reads
 the store for the tree it models and the character it checks the model
-against.  ``parse_rep`` stays the plain parser, and a tree passed to
-``build_rep`` is evaluated on every call.
+against.  ``parse_rep`` stays the plain parser; a text nested too deeply for
+the interpreter's stack is a parse error.
 """
 
 from __future__ import annotations
@@ -419,7 +419,11 @@ class _Parser:
 
 
 def parse_rep(text: str) -> RepExpr:
-    return _Parser(text).parse()
+    parser = _Parser(text)
+    try:
+        return parser.parse()
+    except RecursionError:
+        raise RepParseError("expression nested too deeply", parser.pos) from None
 
 
 # -- atoms and evaluation ------------------------------------------------------
@@ -493,41 +497,38 @@ def stored_rep(text: str, datum: RootDatum,
     if entry is None:
         if tree is None:
             tree = parse_rep(text)
-        entry = (tree, _evaluate(tree, datum))
+        try:
+            entry = (tree, _evaluate(tree, datum))
+        except RecursionError:
+            raise ValueError("expression nested too deeply") from None
         if len(store) >= STORE_CAP:
             store.clear()
         store[key] = entry
     return entry
 
 
-def build_rep(expr: RepExpr | str, datum: RootDatum = A2) -> WeightMultiset:
-    """Evaluate a rep expression to its weight multiset; a text goes through
-    the store (see the module docstring), a tree is evaluated afresh."""
-    if isinstance(expr, str):
-        return stored_rep(expr, datum)[1]
-    return _evaluate(expr, datum)
+def build_rep(text: str, datum: RootDatum = A2) -> WeightMultiset:
+    """The weight multiset of a rep text, read through the store."""
+    return stored_rep(text, datum)[1]
 
 
 def _evaluate(expr: RepExpr, datum: RootDatum) -> WeightMultiset:
     if isinstance(expr, Atom):
-        atom = _ATOMS[datum.rank].get(expr.name)
-        if atom is None:
-            raise ValueError(f"unknown atom {expr.name!r}")
-        return atom
+        return _ATOMS[datum.rank][expr.name]
     if isinstance(expr, FAtom):
         return irreducible_multiset(expr.highest, datum)
     if isinstance(expr, Tensor):
         return _evaluate(expr.left, datum).tensor(_evaluate(expr.right, datum))
     if isinstance(expr, Sum):
         return _evaluate(expr.left, datum).add(_evaluate(expr.right, datum))
-    if isinstance(expr, Wedge):
-        return _evaluate(expr.arg, datum).wedge(expr.power)
-    if isinstance(expr, SymPow):
-        return _evaluate(expr.arg, datum).sym(expr.power)
+    if isinstance(expr, (Wedge, SymPow)):
+        arg = _evaluate(expr.arg, datum)
+        if not expr.power:
+            # trivial, also for a zero arg, whose rank the multiset cannot tell
+            return WeightMultiset({(0,) * datum.rank: 1})
+        return arg.wedge(expr.power) if isinstance(expr, Wedge) else arg.sym(expr.power)
     if isinstance(expr, Dual):
         return _evaluate(expr.arg, datum).dual()
-    if isinstance(expr, Twist):
-        if len(expr.shift) != datum.rank:
-            raise ValueError(f"twist {expr.shift} has wrong rank for this datum")
-        return _evaluate(expr.arg, datum).twist(expr.shift)
-    raise TypeError(f"not a rep expression: {expr!r}")
+    if len(expr.shift) != datum.rank:
+        raise ValueError(f"twist {expr.shift} has wrong rank for this datum")
+    return _evaluate(expr.arg, datum).twist(expr.shift)

@@ -30,11 +30,10 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from fractions import Fraction
-from functools import partial
 from types import MappingProxyType
 
 from . import breps
-from .breps import Atom, Dual, FAtom, RepExpr, Sum, SymPow, Tensor, Twist, Wedge
+from .breps import Atom, RepExpr, Sum, Tensor, Twist, Wedge
 from .fieldops import (Echelon, Frozen, InvariantError, Record, apply_op, field_of, mat_mul,
                        mat_sub, set_field, span_coords, span_rank, vec_iadd_scaled, vec_scale,
                        vec_sub)
@@ -69,27 +68,15 @@ class BasedRep(Frozen):
     """Finite B-representation with a weight basis and lowering operators.
 
     ops maps 'ea', 'eb', 'er' to column-major sparse matrices: ops[name][j]
-    is the image of basis vector j as a {index: coeff} dict.  labels is a
-    tuple of basis names, or a recipe (a partial of no arguments) that the
-    first read of `labels` calls and replaces by the tuple it returns: the
-    derived constructions name their basis only when something reads it.
+    is the image of basis vector j as a {index: coeff} dict.  A basis vector
+    is named by its index and its weight.
     """
 
-    __slots__ = ("fld", "_labels", "weights", "ops")
-    _shown = ("fld", "labels", "weights", "ops")
-    def __init__(self, fld, labels, weights: tuple[Weight, ...], ops: dict):
+    __slots__ = ("fld", "weights", "ops")
+    def __init__(self, fld, weights: tuple[Weight, ...], ops: dict):
         set_field(self, "fld", fld)
-        set_field(self, "_labels", labels)
         set_field(self, "weights", weights)
         set_field(self, "ops", ops)
-
-    @property
-    def labels(self) -> tuple[str, ...]:
-        labels = self._labels
-        if not isinstance(labels, tuple):
-            labels = labels()
-            set_field(self, "_labels", labels)
-        return labels
 
     @property
     def dim(self) -> int:
@@ -114,7 +101,8 @@ class BasedRep(Frozen):
                 target = (w0 + s0, w1 + s1)
                 for i in col:
                     if weights[i] != target:
-                        raise InvariantError(f"{name} breaks the weight grading at {self.labels[j]}")
+                        raise InvariantError(f"{name} breaks the weight grading at basis vector "
+                                             f"{j} of weight {weights[j]}")
 
     def bracket_constant(self) -> object:
         """The unit c with [e_a, e_b] = c * e_r, recorded for reproducibility."""
@@ -196,7 +184,7 @@ def borel_rep(char=0) -> BasedRep:
         ops[name] = tuple(MappingProxyType(coords_of(mat_sub(fld, mat_mul(fld, gen, bv),
                                                              mat_mul(fld, bv, gen))))
                           for bv in basis)
-    rep = BasedRep(fld, _B_LABELS, _B_WEIGHTS, MappingProxyType(ops))
+    rep = BasedRep(fld, _B_WEIGHTS, MappingProxyType(ops))
     rep.check_grading()
     if rep.bracket_constant() != fld.neg(fld.one):
         raise InvariantError(f"[e_a, e_b] = {rep.bracket_constant()} * e_r over {fld.name}, "
@@ -206,27 +194,6 @@ def borel_rep(char=0) -> BasedRep:
 
 
 # -- derived constructions ------------------------------------------------------
-
-
-def _read(labels) -> tuple[str, ...]:
-    """The labels a `BasedRep` labels field stands for: the tuple itself, or
-    what its recipe returns."""
-    return labels if isinstance(labels, tuple) else labels()
-
-
-def _tensor_labels(left, right) -> tuple[str, ...]:
-    right = _read(right)
-    return tuple(f"{la}(x){lb}" for la in _read(left) for lb in right)
-
-
-def _wedge_labels(labels, j: int) -> tuple[str, ...]:
-    labels = _read(labels)
-    return tuple("^".join(labels[i] for i in c) if c else "1"
-                 for c in itertools.combinations(range(len(labels)), j))
-
-
-def _sum_labels(left, right) -> tuple[str, ...]:
-    return tuple(f"l.{x}" for x in _read(left)) + tuple(f"r.{x}" for x in _read(right))
 
 
 def tensor_rep(a: BasedRep, b: BasedRep) -> BasedRep:
@@ -247,7 +214,7 @@ def tensor_rep(a: BasedRep, b: BasedRep) -> BasedRep:
                     col[base + j2] = c
                 cols.append(col)
         ops[name] = tuple(cols)
-    rep = BasedRep(a.fld, partial(_tensor_labels, a._labels, b._labels), weights, ops)
+    rep = BasedRep(a.fld, weights, ops)
     rep.check_grading()
     return rep
 
@@ -291,7 +258,7 @@ def wedge_rep(a: BasedRep, j: int) -> BasedRep:
         eb.append(cols[1])
         er.append(cols[2])
     ops = {"ea": tuple(ea), "eb": tuple(eb), "er": tuple(er)}
-    rep = BasedRep(a.fld, partial(_wedge_labels, a._labels, j), weights, ops)
+    rep = BasedRep(a.fld, weights, ops)
     rep.check_grading()
     return rep
 
@@ -304,33 +271,28 @@ def sum_rep(a: BasedRep, b: BasedRep) -> BasedRep:
         cols = list(a.ops[name])
         cols += [{i + n: v for i, v in c.items()} if c else {} for c in b.ops[name]]
         ops[name] = tuple(cols)
-    return BasedRep(a.fld, partial(_sum_labels, a._labels, b._labels), a.weights + b.weights,
-                    ops)
+    return BasedRep(a.fld, a.weights + b.weights, ops)
 
 
 def twist_rep(a: BasedRep, shift: Weight) -> BasedRep:
     weights = tuple(A2.add(w, shift) for w in a.weights)
-    return BasedRep(a.fld, a._labels, weights, a.ops)
+    return BasedRep(a.fld, weights, a.ops)
 
 
-def build_based_rep(expr: RepExpr | str, char=0) -> BasedRep:
-    """Explicit model of a rep expression built from the Borel atom.
+def build_based_rep(text: str, char=0) -> BasedRep:
+    """Explicit model of a rep text built from the Borel atom.
 
     Supports b and its wedge/tensor/sum/twist closures; other atoms have no
     stored action and raise UnknownAtomError.  Characteristic 3 raises
     CharacteristicError (no t-basis).
 
-    A text is read through the ``breps`` store, keyed by (text, rank 2) and
-    holding at most ``breps.STORE_CAP`` texts, cleared when full: a text that
-    ``breps.build_rep`` has evaluated is neither parsed nor evaluated again,
-    and its model is checked against the stored character, which ``breps``
-    computed on its own.  The store keeps no failure, so a text that fails to
-    parse or to evaluate raises on every call.  The model is built before the
-    character, so the model's errors come first.
+    The tree and the character come from the ``breps`` store (see its module
+    docstring): a text that ``breps.build_rep`` has evaluated is neither
+    parsed nor evaluated again, and the model is checked against the character
+    ``breps`` computed on its own.  A text that fails raises on every call.
+    The model is built before the character, so its errors come first.
     """
-    text = expr if isinstance(expr, str) else None
-    if text is not None:
-        expr = breps.stored_tree(text, A2)
+    tree = breps.stored_tree(text, A2)
 
     def go(e: RepExpr) -> BasedRep:
         if isinstance(e, Atom):
@@ -345,15 +307,13 @@ def build_based_rep(expr: RepExpr | str, char=0) -> BasedRep:
             return wedge_rep(go(e.arg), e.power)
         if isinstance(e, Twist):
             return twist_rep(go(e.arg), e.shift)
-        if isinstance(e, (FAtom, SymPow, Dual)):
-            raise UnknownAtomError(f"no explicit action stored for {type(e).__name__}")
-        raise TypeError(f"not a rep expression: {e!r}")
+        raise UnknownAtomError(f"no explicit action stored for {type(e).__name__}")
 
-    rep = go(expr)
+    rep = go(tree)
     # the explicit model must agree with the character-level computation
-    character = breps.build_rep(expr) if text is None else breps.stored_rep(text, A2, expr)[1]
+    character = breps.stored_rep(text, A2, tree)[1]
     if dict(Counter(rep.weights)) != dict(character.items):
-        raise InvariantError(f"the model of {expr} does not have the weights of its character")
+        raise InvariantError(f"the model of {tree} does not have the weights of its character")
     return rep
 
 
@@ -389,7 +349,6 @@ def quotient_rep(rep: BasedRep, sub: Echelon) -> BasedRep:
                 raise InvariantError(f"subspace not operator-stable: {op} moves row {piv} out")
     coords = tuple(i for i in range(rep.dim) if i not in sub.rows)
     pos = {c: k for k, c in enumerate(coords)}
-    labels = tuple(rep.labels[c] for c in coords)
     weights = tuple(rep.weights[c] for c in coords)
     ops = {}
     for op in ("ea", "eb", "er"):
@@ -398,7 +357,7 @@ def quotient_rep(rep: BasedRep, sub: Echelon) -> BasedRep:
             img = sub.reduce(rep.act(op, {c: fld.one}))
             cols.append({pos[i]: x for i, x in img.items()})
         ops[op] = tuple(cols)
-    q = BasedRep(fld, labels, weights, ops)
+    q = BasedRep(fld, weights, ops)
     q.check_grading()
     return q
 
@@ -474,8 +433,7 @@ def wedge4_quotient(char=0) -> QuotientRep:
             if not cols[c].keys() <= w2:
                 raise InvariantError(f"W2 not stable modulo W1: {op} moves coordinate {c} out")
         ops[op] = tuple({pos[i]: x for i, x in cols[c].items() if i in pos} for c in coords)
-    small = BasedRep(big.fld, tuple(big.labels[c] for c in coords),
-                     tuple(big.weights[c] for c in coords), ops)
+    small = BasedRep(big.fld, tuple(big.weights[c] for c in coords), ops)
     small.check_grading()
     quo = _WEDGE4_QUOTIENTS[char] = QuotientRep(big, small, coords)
     return quo
@@ -659,7 +617,8 @@ def p_extend_check(rep: BasedRep, l: int, chain_root: str = "a") -> ExtendCertif
     for opname in zero_ops:
         for j in range(n):
             if rep.ops[opname][j]:
-                return ExtendCertificate(False, f"{opname} acts nonzero on {rep.labels[j]}")
+                return ExtendCertificate(False, f"{opname} acts nonzero on basis vector {j} "
+                                                f"of weight {rep.weights[j]}")
     for j in range(n):
         if rep.weights[j][coord] != n - 1:
             continue
@@ -798,6 +757,6 @@ def restrict_to_span(rep: BasedRep, vectors: list[dict]) -> BasedRep:
                 raise ValueError("span is not operator stable")
             cols.append(c)
         ops[op] = tuple(cols)
-    out = BasedRep(fld, tuple(f"v{k}" for k in range(len(vecs))), tuple(weights), ops)
+    out = BasedRep(fld, tuple(weights), ops)
     out.check_grading()
     return out

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from steinberg import bwb, campaigns
-from steinberg.breps import WeightMultiset, build_rep, parse_rep
+from steinberg.breps import WeightMultiset, build_rep
 from steinberg.bwb import (GrothendieckElement, NotBWBGood, NotDecidable, bwb_good, euler_char,
                            line_cohomology, parse_tables, psupp, serialize_table,
                            serialize_tables, verify_table, weyl_dim)
@@ -334,12 +334,10 @@ def _six_queries(rep, l):
 
 def test_the_bwb_queries_place_each_weight_once(monkeypatch):
     # one euler_char, one bwb_good and four psupp calls on one multiset: with
-    # every weight in the table, each distinct weight is looked up once.  A
-    # tree is evaluated afresh on every build_rep, so no multiset here has a
-    # summary yet; the text would return the stored multiset, which an
-    # earlier test may have summarised
-    tree = parse_rep("wedge^2(b)*b")
-    rep = build_rep(tree)
+    # every weight in the table, each distinct weight is looked up once.  Each
+    # multiset here is a fresh copy, with no summary yet; the text returns the
+    # stored multiset, which an earlier test may have summarised
+    rep = WeightMultiset(dict(build_rep("wedge^2(b)*b").items))
     weights = [mu for mu, _ in rep]
     table = _CountingDict({mu: A2._place(mu) for mu in weights})
     monkeypatch.setattr(A2, "placements", table)
@@ -349,13 +347,13 @@ def test_the_bwb_queries_place_each_weight_once(monkeypatch):
     # from an empty table, each weight is placed and stored once
     table = _CountingDict()
     monkeypatch.setattr(A2, "placements", table)
-    fresh = build_rep(tree)
+    fresh = WeightMultiset(dict(rep.items))
     assert fresh is not rep and _six_queries(fresh, 5) == supports
     assert table.stores == Counter(weights) and set(table.lookups) == set(weights)
     # a second multiset with the same weights has a summary of its own, read
     # with one lookup per weight of the now full table
     cold = Counter(table.lookups)
-    euler_char(build_rep(tree))
+    euler_char(WeightMultiset(dict(rep.items)))
     assert table.lookups - cold == Counter(weights)
 
 

@@ -494,8 +494,9 @@ def test_containment_entry_prints_the_computed_results(monkeypatch):
 
 
 def _faulty_case(monkeypatch, tag, change):
-    """Patch cases.build_case so that the case `tag` reads its generator list
-    through change(ring, gens); the memoized original is left as it is."""
+    """Patch build_case in cases and campaigns so that the case `tag` reads
+    its generator list through change(ring, gens); the memoized original is
+    left as it is."""
     built = cases.build_case
 
     def faulty(case):
@@ -505,6 +506,7 @@ def _faulty_case(monkeypatch, tag, change):
         return cases.CaseData(data.ring, change(data.ring, list(data.gens)), data.mats)
 
     monkeypatch.setattr(cases, "build_case", faulty)
+    monkeypatch.setattr(campaigns, "build_case", faulty)
 
 
 def test_a_changed_gl_coefficient_fails_the_specialization_check(monkeypatch):
@@ -534,6 +536,38 @@ def test_gl_generators_that_do_not_homogenize_fail_the_specialization_entry(monk
     campaigns.ideal_campaign(em, "gl-n2", 5, 4, trials=5, seed=0)
     entry = next(e for e in em.entries if e.check_id == "ideal.gl-n2.c5.q1-specialization")
     assert (entry.status, entry.actual) == (FAIL, reason)
+
+
+# (char, degree bound) of each case's ideal_campaign in verify_all; the first
+# of them for n2 and n3-z
+_SWEEP_RUNS = {"n2": (0, 6), "n3-z": (0, 5), "gl-n2": (5, 4), "cnil": (0, 4), "n3-x": (5, 5)}
+
+
+@pytest.mark.parametrize("tag", list(_SWEEP_RUNS))
+def test_a_doubled_generator_coefficient_fails_an_entry(monkeypatch, tag):
+    """A sample of the generator sweep: doubling the first coefficient of
+    generator 0, n//2 or n-1 of the n generators (only 0 for n3-x, where
+    n//2 takes seconds) adds a fail entry to the case's campaign, and
+    nothing raises.  cnil has one generator, and only its points entry
+    fails."""
+    char, bound = _SWEEP_RUNS[tag]
+    n = len(build_case(IdealCase(tag, 0)).gens)
+    for g in [0] if tag == "n3-x" else sorted({0, n // 2, n - 1}):
+        def change(ring, gens):
+            mono = next(iter(gens[g]))
+            gens[g] = ring.add(gens[g], {mono: gens[g][mono]})
+            return gens
+
+        with monkeypatch.context() as m:
+            # a memo of its own, dropped with the mutated bases and points
+            m.setattr(cases, "_memo", {})
+            _faulty_case(m, tag, change)
+            em = Emitter()
+            campaigns.ideal_campaign(em, tag, char, bound, trials=5, seed=0)
+        failed = [e.check_id for e in em.entries if e.status == FAIL]
+        assert failed, (tag, g)
+        if tag == "cnil":
+            assert failed == ["ideal.cnil.c0.points"]
 
 
 @pytest.mark.parametrize("tag, k", [("gl-n2", 3), ("gl-n3", 0)])

@@ -109,6 +109,46 @@ def test_a_twist_of_the_wrong_rank_exits_2_without_a_position():
     assert "position" not in err
 
 
+def test_the_zeroth_power_of_a_zero_rep_is_trivial():
+    for text in ("wedge^0(wedge^9(b))", "sym^0(wedge^9(b))"):
+        assert run_cli(["compute", "chi", "--rep", text]) == (0, "[V(0,0)]\n", "")
+    # a product with it is the other factor
+    assert run_cli(["compute", "chi", "--rep", "wedge^0(wedge^9(b))*b"]) == \
+        run_cli(["compute", "chi", "--rep", "b"])
+
+
+def _compute(run_python, argv, text):
+    """`steinberg compute <argv> --rep text` in a fresh interpreter, where an
+    uncaught exception prints a traceback to stderr."""
+    return run_python("-m", "steinberg.cli", "compute", *argv, "--rep", text)
+
+
+DEEP_REPS = ("(" * 1000 + "b" + ")" * 1000, "dual(" * 1000 + "b" + ")" * 1000)
+
+
+@pytest.mark.parametrize("argv", [["chi"], ["psupp", "--i", "1", "--l", "5"]])
+def test_a_rep_nested_too_deeply_exits_2(run_python, argv):
+    for text in DEEP_REPS:
+        done = _compute(run_python, argv, text)
+        assert (done.returncode, done.stdout) == (2, ""), done.stderr
+        assert done.stderr.startswith("steinberg: bad rep expression: expression nested too deeply")
+        assert "Traceback" not in done.stderr
+
+
+def test_malformed_rep_input_gives_no_traceback(run_python):
+    # hostile but bounded: no huge power, since sym^k allocates k layers
+    hostile = DEEP_REPS + (
+        "wedge^0(wedge^9(b))", "sym^0(wedge^9(b))*b",
+        "+".join(["b"] * 2000),  # nested 2000 deep once parsed
+        "tw(1)(b)", "tw(1,2,3)(b*b)", "F(1)", "F(1,2,3)",
+        "wedge^-1(b)", "sym^-2(b)", "wedge^2(sym^-1(g))",
+        "(b", "b)", "wedge^2(b", "((b)*b", "dual(b))", ")(")
+    for text in hostile:
+        done = _compute(run_python, ["chi"], text)
+        assert done.returncode in (0, 1, 2), (text[:40], done.stderr[-300:])
+        assert "Traceback" not in done.stderr, (text[:40], done.stderr[-300:])
+
+
 def test_usage_errors_exit_2():
     for argv, message in (
         (["verify", "ideal", "--case", "nope"], "invalid choice"),
