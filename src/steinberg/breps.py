@@ -23,16 +23,18 @@ the largest (a j-th power).  Int order is then tuple order, so the result is
 sorted as ints and decoded once into ``items``, which stay tuples: a packed
 int depends on its construction's width, the tuple does not.
 
-``build_rep(text)`` keeps what it evaluates in ``store``, a plain dict from
-(text, datum rank) to (parse tree, weight multiset) of at most ``STORE_CAP``
-entries, cleared when full, so the text just built is always present.  A text
-that fails to parse or evaluate is never stored: it raises on every call, with
-the same message.  A stored multiset is shared by every caller asking its
-text; it is immutable, and it keeps the Bott summary ``bwb`` stores in it, so
-a text asked again is not summarised again.  ``liealg.build_based_rep`` reads
-the store for the tree it models and the character it checks the model
-against.  ``parse_rep`` stays the plain parser; a text nested too deeply for
-the interpreter's stack is a parse error.
+``parse_rep(text, builder)`` hands each construction to a builder as soon as
+its operands are read: ``build_rep`` builds weight multisets,
+``liealg.build_based_rep`` explicit models.  A text nested too deeply for the
+interpreter's stack is a parse error.
+
+``build_rep(text)`` keeps what it builds in ``store``, a plain dict from
+(text, datum rank) to weight multiset of at most ``STORE_CAP`` entries,
+cleared when full, so the text just built is always present.  A text that
+fails to parse or build is never stored: it raises on every call, with the
+same message.  A stored multiset is shared by every caller asking its text;
+it is immutable, and it keeps the Bott summary ``bwb`` stores in it, so a
+text asked again is not summarised again.
 """
 
 from __future__ import annotations
@@ -235,63 +237,7 @@ class WeightMultiset(Frozen):
         return len(self.items[0][0]) if self.items else 0
 
 
-# -- expression trees ---------------------------------------------------------
-
-
-class Atom(Frozen):
-    __slots__ = ("name",)
-    def __init__(self, name: str):  # 'b', 'n', 'g', 'g/b'
-        set_field(self, "name", name)
-
-
-class FAtom(Frozen):
-    __slots__ = ("highest",)
-    def __init__(self, highest: Weight):
-        set_field(self, "highest", highest)
-
-
-class Tensor(Frozen):
-    __slots__ = ("left", "right")
-    def __init__(self, left: RepExpr, right: RepExpr):
-        set_field(self, "left", left)
-        set_field(self, "right", right)
-
-
-class Sum(Frozen):
-    __slots__ = ("left", "right")
-    def __init__(self, left: RepExpr, right: RepExpr):
-        set_field(self, "left", left)
-        set_field(self, "right", right)
-
-
-class Wedge(Frozen):
-    __slots__ = ("power", "arg")
-    def __init__(self, power: int, arg: RepExpr):
-        set_field(self, "power", power)
-        set_field(self, "arg", arg)
-
-
-class SymPow(Frozen):
-    __slots__ = ("power", "arg")
-    def __init__(self, power: int, arg: RepExpr):
-        set_field(self, "power", power)
-        set_field(self, "arg", arg)
-
-
-class Dual(Frozen):
-    __slots__ = ("arg",)
-    def __init__(self, arg: RepExpr):
-        set_field(self, "arg", arg)
-
-
-class Twist(Frozen):
-    __slots__ = ("shift", "arg")
-    def __init__(self, shift: Weight, arg: RepExpr):
-        set_field(self, "shift", shift)
-        set_field(self, "arg", arg)
-
-
-RepExpr = Atom | FAtom | Tensor | Sum | Wedge | SymPow | Dual | Twist
+# -- parsing -------------------------------------------------------------------
 
 
 class RepParseError(ValueError):
@@ -308,13 +254,15 @@ _TOKEN_ALIASES = str.maketrans({"⊗": "*", "⊕": "+"})
 
 
 class _Parser:
-    """Recursive descent over the text; pos always rests on the start of the
-    next token (or the end), because every consumed token skips the
+    """Recursive descent over the text, handing each construction to the
+    builder as soon as its operands are read; pos always rests on the start
+    of the next token (or the end), because every consumed token skips the
     whitespace after it."""
 
-    def __init__(self, text: str):
+    def __init__(self, text: str, builder):
         self.text = text.translate(_TOKEN_ALIASES)
         self.pos = 0
+        self.build = builder
         self.skip_ws()
 
     def error(self, msg: str):
@@ -356,77 +304,75 @@ class _Parser:
         self.eat(")")
         return tuple(vals)
 
-    def parse(self) -> RepExpr:
+    def parse(self):
         e = self.sum_expr()
         if self.pos != len(self.text):
             self.error(f"trailing input {self.text[self.pos:]!r}")
         return e
 
-    def sum_expr(self) -> RepExpr:
+    def sum_expr(self):
         e = self.tensor_expr()
         while self.peek() == "+":
             self.eat("+")
-            e = Sum(e, self.tensor_expr())
+            e = self.build.add(e, self.tensor_expr())
         return e
 
-    def tensor_expr(self) -> RepExpr:
+    def tensor_expr(self):
         e = self.factor()
         while self.peek() == "*":
             self.eat("*")
-            e = Tensor(e, self.factor())
+            e = self.build.tensor(e, self.factor())
         return e
 
-    def factor(self) -> RepExpr:
-        text, pos = self.text, self.pos
+    def argument(self):
+        self.eat("(")
+        e = self.sum_expr()
+        self.eat(")")
+        return e
+
+    def factor(self):
+        text, pos, build = self.text, self.pos, self.build
         if text.startswith("(", pos):
-            self.eat("(")
-            e = self.sum_expr()
-            self.eat(")")
-            return e
-        for kw, cls in (("wedge^", Wedge), ("sym^", SymPow)):
+            return self.argument()
+        for kw in ("wedge^", "sym^"):
             if text.startswith(kw, pos):
                 self.eat(kw)
                 power = self.integer()
-                self.eat("(")
-                arg = self.sum_expr()
-                self.eat(")")
-                return cls(power, arg)
+                arg = self.argument()
+                return build.wedge(arg, power) if kw == "wedge^" else build.sym(arg, power)
         for kw in ("twist", "tw"):
             if text.startswith(kw, pos):
                 self.eat(kw)
                 shift = self.int_tuple()
-                self.eat("(")
-                arg = self.sum_expr()
-                self.eat(")")
-                return Twist(shift, arg)
+                return build.twist(self.argument(), shift)
         if text.startswith("dual", pos):
             self.eat("dual")
-            self.eat("(")
-            arg = self.sum_expr()
-            self.eat(")")
-            return Dual(arg)
+            return build.dual(self.argument())
         if text.startswith("F", pos):
             self.eat("F")
-            return FAtom(self.int_tuple())
-        if text.startswith("g/b", pos):
-            self.eat("g/b")
-            return Atom("g/b")
-        for name in ("b", "n", "g"):
+            return build.irreducible(self.int_tuple())
+        for name in ("g/b", "b", "n", "g"):
             if text.startswith(name, pos):
                 self.eat(name)
-                return Atom(name)
+                return build.atom(name)
         self.error("expected an atom or operator")
 
 
-def parse_rep(text: str) -> RepExpr:
-    parser = _Parser(text)
+def parse_rep(text: str, builder):
+    """What builder makes of text.  The parser calls builder.atom(name),
+    builder.irreducible(highest), builder.tensor(x, y), builder.add(x, y),
+    builder.wedge(x, j), builder.sym(x, k), builder.dual(x) and
+    builder.twist(x, shift) as soon as their operands are read, so an error
+    that a construction raises comes before a syntax error later in the
+    text."""
+    parser = _Parser(text, builder)
     try:
         return parser.parse()
     except RecursionError:
         raise RepParseError("expression nested too deeply", parser.pos) from None
 
 
-# -- atoms and evaluation ------------------------------------------------------
+# -- atoms and characters --------------------------------------------------------
 
 
 def _atom_table(datum: RootDatum) -> dict[str, WeightMultiset]:
@@ -477,58 +423,49 @@ def irreducible_multiset(highest: Weight, datum: RootDatum) -> WeightMultiset:
 # the most texts the store holds
 STORE_CAP = 256
 
-# (text, datum rank) -> (parse tree, weight multiset), filled by stored_rep
-store: dict[tuple[str, int], tuple[RepExpr, WeightMultiset]] = {}
-
-
-def stored_tree(text: str, datum: RootDatum) -> RepExpr:
-    """The parse tree of text: the stored one, or else parsed, not stored."""
-    entry = store.get((text, datum.rank))
-    return entry[0] if entry is not None else parse_rep(text)
-
-
-def stored_rep(text: str, datum: RootDatum,
-               tree: RepExpr | None = None) -> tuple[RepExpr, WeightMultiset]:
-    """The parse tree and weight multiset of text, from the store, or else
-    evaluated and stored; tree, when given, is text's parse tree.  A full
-    store is cleared first.  A text that fails raises before it is stored."""
-    key = (text, datum.rank)
-    entry = store.get(key)
-    if entry is None:
-        if tree is None:
-            tree = parse_rep(text)
-        try:
-            entry = (tree, _evaluate(tree, datum))
-        except RecursionError:
-            raise ValueError("expression nested too deeply") from None
-        if len(store) >= STORE_CAP:
-            store.clear()
-        store[key] = entry
-    return entry
+# (text, datum rank) -> weight multiset, filled by build_rep
+store: dict[tuple[str, int], WeightMultiset] = {}
 
 
 def build_rep(text: str, datum: RootDatum = A2) -> WeightMultiset:
-    """The weight multiset of a rep text, read through the store."""
-    return stored_rep(text, datum)[1]
+    """The weight multiset of a rep text, from the store, or else built and
+    stored.  A full store is cleared first.  A text that fails raises before
+    it is stored."""
+    key = (text, datum.rank)
+    rep = store.get(key)
+    if rep is None:
+        rep = parse_rep(text, _Characters(datum))
+        if len(store) >= STORE_CAP:
+            store.clear()
+        store[key] = rep
+    return rep
 
 
-def _evaluate(expr: RepExpr, datum: RootDatum) -> WeightMultiset:
-    if isinstance(expr, Atom):
-        return _ATOMS[datum.rank][expr.name]
-    if isinstance(expr, FAtom):
-        return irreducible_multiset(expr.highest, datum)
-    if isinstance(expr, Tensor):
-        return _evaluate(expr.left, datum).tensor(_evaluate(expr.right, datum))
-    if isinstance(expr, Sum):
-        return _evaluate(expr.left, datum).add(_evaluate(expr.right, datum))
-    if isinstance(expr, (Wedge, SymPow)):
-        arg = _evaluate(expr.arg, datum)
-        if not expr.power:
-            # trivial, also for a zero arg, whose rank the multiset cannot tell
-            return WeightMultiset({(0,) * datum.rank: 1})
-        return arg.wedge(expr.power) if isinstance(expr, Wedge) else arg.sym(expr.power)
-    if isinstance(expr, Dual):
-        return _evaluate(expr.arg, datum).dual()
-    if len(expr.shift) != datum.rank:
-        raise ValueError(f"twist {expr.shift} has wrong rank for this datum")
-    return _evaluate(expr.arg, datum).twist(expr.shift)
+class _Characters:
+    """The builder of weight multisets over a root datum."""
+
+    def __init__(self, datum: RootDatum):
+        self.datum = datum
+
+    def atom(self, name: str) -> WeightMultiset:
+        return _ATOMS[self.datum.rank][name]
+
+    def irreducible(self, highest: Weight) -> WeightMultiset:
+        return irreducible_multiset(highest, self.datum)
+
+    tensor = staticmethod(WeightMultiset.tensor)
+    add = staticmethod(WeightMultiset.add)
+    dual = staticmethod(WeightMultiset.dual)
+
+    # a zeroth power is trivial, also of a zero multiset, whose rank the
+    # multiset cannot tell
+    def wedge(self, x: WeightMultiset, j: int) -> WeightMultiset:
+        return x.wedge(j) if j else WeightMultiset({(0,) * self.datum.rank: 1})
+
+    def sym(self, x: WeightMultiset, k: int) -> WeightMultiset:
+        return x.sym(k) if k else WeightMultiset({(0,) * self.datum.rank: 1})
+
+    def twist(self, x: WeightMultiset, shift: Weight) -> WeightMultiset:
+        if len(shift) != self.datum.rank:
+            raise ValueError(f"twist {shift} has wrong rank for this datum")
+        return x.twist(shift)

@@ -27,8 +27,6 @@ from .weights import A2, ClassGroupElement, class_reduce, iota, self_dual_classe
 
 
 def fmt_multiset(ms: WeightMultiset) -> str:
-    if ms.dimension == 0:
-        return "{}"
     parts = []
     for w, m in ms:
         coord = "(" + ",".join(str(x) for x in w) + ")"

@@ -283,10 +283,9 @@ def case_hilbert(case: IdealCase, bound: int) -> GradedDims:
 
 
 class ParamReport(Record):
-    __slots__ = ("trials", "seed", "failures", "control_detected", "bound_exponent")
-    def __init__(self, trials: int, seed: int, failures: list, control_detected: bool,
-                 bound_exponent: int):
-        self.trials, self.seed, self.failures = trials, seed, failures
+    __slots__ = ("trials", "failures", "control_detected", "bound_exponent")
+    def __init__(self, trials: int, failures: list, control_detected: bool, bound_exponent: int):
+        self.trials, self.failures = trials, failures
         self.control_detected = control_detected
         self.bound_exponent = bound_exponent  # failure probability <= 10^-bound_exponent
 
@@ -473,7 +472,7 @@ def parametrization_check(case: IdealCase, trials: int = 200, seed: int = 0) -> 
             control_hit = True
     # (100 / EVAL_PRIME)^trials <= 10^-exponent
     exponent = len(str((EVAL_PRIME // 100) ** trials)) - 1
-    return ParamReport(trials, seed, failures, control_hit, exponent)
+    return ParamReport(trials, failures, control_hit, exponent)
 
 
 @_memoized
@@ -734,11 +733,10 @@ class CnReport(Record):
     the upper entries a, b, c of M and d, e, f of N.
     """
 
-    __slots__ = ("n", "ring", "entries", "principal", "generator_text", "normalized_text",
-                 "passed")
-    def __init__(self, n: int, ring: object, entries: list, principal: bool,
-                 generator_text: str, normalized_text: str, passed: bool):
-        self.n, self.ring, self.entries, self.principal = n, ring, entries, principal
+    __slots__ = ("ring", "entries", "principal", "generator_text", "normalized_text", "passed")
+    def __init__(self, ring: object, entries: list, principal: bool, generator_text: str,
+                 normalized_text: str, passed: bool):
+        self.ring, self.entries, self.principal = ring, entries, principal
         self.generator_text, self.normalized_text = generator_text, normalized_text
         self.passed = passed
 
@@ -777,7 +775,7 @@ def cn_ideal_reduction(q=None, n: int = 3, char=0) -> CnReport:
                 entries.append(((i, j), e))
     principal = len(entries) <= 1
     if n == 2:
-        return CnReport(n, ring, entries, principal, "0", "0", not entries)
+        return CnReport(ring, entries, principal, "0", "0", not entries)
     gen_text = norm_text = ""
     passed = False
     if principal and entries:
@@ -805,7 +803,7 @@ def cn_ideal_reduction(q=None, n: int = 3, char=0) -> CnReport:
             expect = sym.substitute(sym.from_text("q^2*e - 1*q*e + a*f - 1*q*d*c"),
                                     {"q": ring.const(q)}, ring)
             passed = gen == expect
-    return CnReport(n, ring, entries, principal, gen_text, norm_text, passed)
+    return CnReport(ring, entries, principal, gen_text, norm_text, passed)
 
 
 @_memoized

@@ -228,7 +228,15 @@ def apply_op(field, op_cols, v: dict) -> dict:
 
 
 class Echelon:
-    """Row echelon basis of a subspace; pivots at least nonzero index."""
+    """Row echelon basis of a subspace: each row has a pivot, its least
+    nonzero index, with coefficient 1, and no two rows share one.  Older
+    rows are not reduced against a new pivot: ranks, pivots, normal forms
+    and coordinates are the same for every echelon basis of the span.
+
+    `reduce` terminates: eliminating pivot p adds only indices above p, so
+    by induction from the least pivot each pivot is eliminated finitely
+    often.
+    """
 
     def __init__(self, field):
         self.field = field
@@ -259,12 +267,7 @@ class Echelon:
             return False
         piv = min(r)
         inv = f.inv(r[piv])
-        row = {i: f.mul(inv, c) for i, c in r.items()}
-        # keep older rows fully reduced against the new pivot
-        for p, old in list(self.rows.items()):
-            if piv in old:
-                vec_iadd_scaled(f, old, row, f.neg(old[piv]))
-        self.rows[piv] = row
+        self.rows[piv] = {i: f.mul(inv, c) for i, c in r.items()}
         return True
 
     def contains(self, v: dict) -> bool:

@@ -33,7 +33,6 @@ from fractions import Fraction
 from types import MappingProxyType
 
 from . import breps
-from .breps import Atom, RepExpr, Sum, Tensor, Twist, Wedge
 from .fieldops import (Echelon, Frozen, InvariantError, Record, apply_op, field_of, mat_mul,
                        mat_sub, set_field, span_coords, span_rank, vec_iadd_scaled, vec_scale,
                        vec_sub)
@@ -279,41 +278,47 @@ def twist_rep(a: BasedRep, shift: Weight) -> BasedRep:
     return BasedRep(a.fld, weights, a.ops)
 
 
+class _Models:
+    """The builder of explicit models from the Borel atom in a
+    characteristic."""
+
+    def __init__(self, char):
+        self.char = char
+        # read per model, so that a rebound module function (a tracer's
+        # wrapper, a test's patch) is the one called
+        self.tensor, self.add, self.wedge, self.twist = tensor_rep, sum_rep, wedge_rep, twist_rep
+
+    def atom(self, name: str) -> BasedRep:
+        if name != "b":
+            raise UnknownAtomError(f"no explicit action stored for atom {name!r}")
+        return borel_rep(self.char)
+
+    def irreducible(self, highest):
+        raise UnknownAtomError("no explicit action stored for FAtom")
+
+    def sym(self, x, k):
+        raise UnknownAtomError("no explicit action stored for SymPow")
+
+    def dual(self, x):
+        raise UnknownAtomError("no explicit action stored for Dual")
+
+
 def build_based_rep(text: str, char=0) -> BasedRep:
     """Explicit model of a rep text built from the Borel atom.
 
-    Supports b and its wedge/tensor/sum/twist closures; other atoms have no
-    stored action and raise UnknownAtomError.  Characteristic 3 raises
-    CharacteristicError (no t-basis).
+    Supports b and its wedge/tensor/sum/twist closures; other atoms, F, sym
+    and dual have no stored action and raise UnknownAtomError.
+    Characteristic 3 raises CharacteristicError (no t-basis).
 
-    The tree and the character come from the ``breps`` store (see its module
-    docstring): a text that ``breps.build_rep`` has evaluated is neither
-    parsed nor evaluated again, and the model is checked against the character
-    ``breps`` computed on its own.  A text that fails raises on every call.
-    The model is built before the character, so its errors come first.
+    The model is checked against the character ``breps.build_rep`` computes
+    on its own, read through its store.  The model is built before the
+    character, so its errors come first; a text that fails raises on every
+    call.
     """
-    tree = breps.stored_tree(text, A2)
-
-    def go(e: RepExpr) -> BasedRep:
-        if isinstance(e, Atom):
-            if e.name != "b":
-                raise UnknownAtomError(f"no explicit action stored for atom {e.name!r}")
-            return borel_rep(char)
-        if isinstance(e, Tensor):
-            return tensor_rep(go(e.left), go(e.right))
-        if isinstance(e, Sum):
-            return sum_rep(go(e.left), go(e.right))
-        if isinstance(e, Wedge):
-            return wedge_rep(go(e.arg), e.power)
-        if isinstance(e, Twist):
-            return twist_rep(go(e.arg), e.shift)
-        raise UnknownAtomError(f"no explicit action stored for {type(e).__name__}")
-
-    rep = go(tree)
+    rep = breps.parse_rep(text, _Models(char))
     # the explicit model must agree with the character-level computation
-    character = breps.stored_rep(text, A2, tree)[1]
-    if dict(Counter(rep.weights)) != dict(character.items):
-        raise InvariantError(f"the model of {tree} does not have the weights of its character")
+    if dict(Counter(rep.weights)) != dict(breps.build_rep(text).items):
+        raise InvariantError(f"the model of {text!r} does not have the weights of its character")
     return rep
 
 
@@ -689,27 +694,26 @@ def wedge4_campaign(em, char=0) -> None:
         span = subspace_span(big, [vec], close_under_ops=True)
         basisvecs = [dict(r) for _, r in sorted(span.rows.items())]
         sub = restrict_to_span(big, basisvecs)
-        killed = []
-        for bv in basisvecs:
-            killed.append(big.act("eb", bv))
-            killed.append(big.act("er", bv))
-        ksp = subspace_span(big, [kv for kv in killed if kv])
-        # coinvariants: quotient of the span by e_b-, e_r-images, whose
-        # coordinates in the span are the columns of sub's operators
-        co = quotient_rep(sub, subspace_span(sub, [sub.ops[op][k] for k in range(sub.dim)
-                                                   for op in ("eb", "er") if sub.ops[op][k]]))
+        # coinvariants: quotient of the span by the kernel of the coinvariant
+        # map, spanned by the e_b- and e_r-images, whose coordinates in the
+        # span are the columns of sub's operators
+        kernel = subspace_span(sub, [sub.ops[op][k] for k in range(sub.dim)
+                                     for op in ("eb", "er") if sub.ops[op][k]])
+        co = quotient_rep(sub, kernel)
         cert = p_extend_check(twist_rep(co, (1, 0)), l, chain_root="a")
         add(f"wedge4.coinvariants({tag})", cert.ok and co.dim == 3,
             "3-dimensional chain rep extending after tw(1,0)",
             f"dim {co.dim}, certificate {'ok' if cert.ok else cert.reason}")
         tilde_entries.append(span)
         # degree -3rho part of the kernel of the coinvariant map has no
-        # length-3 potential support
+        # length-3 potential support.  The kernel's rows are weight vectors,
+        # each of its pivot's weight; at l > 0, Located puts lam in the
+        # closed bottom alcove, since <lam + rho, theta_vee> = top <= l.
         bad = []
-        for piv, row in sorted(ksp.rows.items()):
-            mu = big.weights[piv]
+        for piv in sorted(kernel.rows):
+            mu = sub.weights[piv]
             loc = A2.locate(mu, l)
-            if isinstance(loc, Located) and loc.w.length == 3 and A2.in_cbar(loc.lam, l):
+            if isinstance(loc, Located) and loc.w.length == 3:
                 bad.append(mu)
         add(f"wedge4.kernel-psupp3({tag})", not bad, "empty", str(bad) if bad else "empty")
 

@@ -27,7 +27,6 @@ Everything here is immutable and uses exact integer arithmetic only.
 from __future__ import annotations
 
 import operator
-from functools import total_ordering
 
 from .fieldops import ZZ, Frozen, InvariantError, is_prime, mat_mul, set_field
 
@@ -203,11 +202,6 @@ class RootDatum:
 
     # -- the bounded alcove region -------------------------------------------
 
-    def in_cbar(self, lam: Weight, l: int) -> bool:
-        """Membership in the closed bottom alcove Cbar(l)."""
-        x0, x1 = self._shift(lam)
-        return all(0 <= p * x0 + q * x1 <= l for p, q in self._coroots)
-
     def place(self, mu: Weight) -> tuple[int, int, Weight | None]:
         """(top, length, lam): where mu lies among the dot-Weyl chambers,
         from the placement table when mu is in it (see `_place`)."""
@@ -332,9 +326,8 @@ _check_named_weights()
 # -- divisor class group of the special fibre (n = 3) ------------------------
 
 
-@total_ordering
 class ClassGroupElement(Frozen):
-    """Element of X*(T) / <3(L1 + L3)> = Z x Z/3, ordered by (free, torsion)."""
+    """Element of X*(T) / <3(L1 + L3)> = Z x Z/3."""
 
     __slots__ = ("free_part", "torsion_part")
     def __init__(self, free_part: int, torsion_part: int):
@@ -342,11 +335,6 @@ class ClassGroupElement(Frozen):
             raise ValueError("torsion part must be reduced mod 3")
         set_field(self, "free_part", free_part)
         set_field(self, "torsion_part", torsion_part)
-
-    def __lt__(self, other):
-        if other.__class__ is self.__class__:
-            return self._key(self) < self._key(other)
-        return NotImplemented
 
     def __str__(self) -> str:
         return f"({self.free_part}, {self.torsion_part} mod 3)"

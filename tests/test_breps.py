@@ -8,30 +8,43 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from steinberg import breps, liealg
-from steinberg.breps import (Atom, Dual, FAtom, RepParseError, Sum, SymPow, Tensor, Twist, Wedge,
-                             WeightMultiset, build_rep, irreducible_multiset, parse_rep)
+from steinberg.breps import RepParseError, WeightMultiset, build_rep, irreducible_multiset, parse_rep
 from steinberg.fieldops import InvariantError
 from steinberg.liealg import UnknownAtomError, borel_rep, build_based_rep
 from steinberg.weights import A1, A2
 
 
-def print_rep(e, level=0) -> str:
-    """A printer with the fewest parentheses the parser needs: level 0 is a
-    sum context, 1 a tensor context, 2 the right operand of a tensor."""
-    if isinstance(e, Atom):
-        return e.name
-    if isinstance(e, FAtom):
-        return "F(" + ",".join(map(str, e.highest)) + ")"
-    if isinstance(e, Sum):
-        s = print_rep(e.left, 0) + " + " + print_rep(e.right, 1)
-        return "(" + s + ")" if level >= 1 else s
-    if isinstance(e, Tensor):
-        s = print_rep(e.left, 1) + "*" + print_rep(e.right, 2)
-        return "(" + s + ")" if level >= 2 else s
-    if isinstance(e, Twist):
-        return "tw(" + ",".join(map(str, e.shift)) + ")(" + print_rep(e.arg) + ")"
-    head = {Wedge: "wedge^{}", SymPow: "sym^{}", Dual: "dual"}[type(e)]
-    return head.format(getattr(e, "power", "")) + "(" + print_rep(e.arg) + ")"
+class _Text:
+    """A builder that writes each construction out fully parenthesised."""
+
+    def atom(self, name):
+        return name
+
+    def irreducible(self, highest):
+        return "F(" + ",".join(map(str, highest)) + ")"
+
+    def tensor(self, x, y):
+        return f"({x}*{y})"
+
+    def add(self, x, y):
+        return f"({x}+{y})"
+
+    def wedge(self, x, j):
+        return f"wedge^{j}({x})"
+
+    def sym(self, x, k):
+        return f"sym^{k}({x})"
+
+    def dual(self, x):
+        return f"dual({x})"
+
+    def twist(self, x, shift):
+        return "tw(" + ",".join(map(str, shift)) + f")({x})"
+
+
+def canon(text) -> str:
+    """The text as the parser reads it, fully parenthesised."""
+    return parse_rep(text, _Text())
 
 
 def borel_weights_by_conjugation():
@@ -196,7 +209,8 @@ def test_atom_tables_match_the_per_call_construction():
 
 
 def test_rank_and_atom_errors_name_no_position():
-    # the parse tree keeps no positions, so these are plain ValueErrors
+    # a construction's error is a plain ValueError, raised when the
+    # construction is applied: before a syntax error later in the text
     for text, message in (("tw(1)(b)", "twist (1,) has wrong rank for this datum"),
                           ("tw(1,2,3)(b*b)", "twist (1, 2, 3) has wrong rank for this datum"),
                           ("F(1)", "weight (1,) has wrong rank for this datum")):
@@ -206,6 +220,13 @@ def test_rank_and_atom_errors_name_no_position():
     with pytest.raises(ValueError) as info:
         build_rep("tw(1,0)(b)", A1)
     assert type(info.value) is ValueError and "wrong rank" in str(info.value)
+    with pytest.raises(ValueError) as info:
+        build_rep("b + tw(1)(b) + ")
+    assert type(info.value) is ValueError and "wrong rank" in str(info.value)
+    with pytest.raises(UnknownAtomError, match="atom 'g'"):
+        build_based_rep("b*g*(b")
+    with pytest.raises(RepParseError):
+        build_based_rep("b*b*(b")
 
 
 def test_the_zeroth_power_of_a_zero_rep_is_trivial():
@@ -230,48 +251,50 @@ def test_twist_and_dual():
     assert b.dual().dual() == b
 
 
-def _random_expr(rng, depth):
+def _random_texts(rng, depth, level=0):
+    """A random expression as (the text with the fewest parentheses the
+    parser needs, the text fully parenthesised): level 0 is a sum context, 1
+    a tensor context, 2 the right operand of a tensor."""
     if depth == 0:
-        return rng.choice(["b", "n", "g", "g/b", "F(1,0)", "F(2,2)"])
+        atom = rng.choice(["b", "n", "g", "g/b", "F(1,0)", "F(2,2)"])
+        return atom, atom
     op = rng.randrange(6)
-    if op == 0:
-        return f"({_random_expr(rng, depth - 1)} + {_random_expr(rng, depth - 1)})"
-    if op == 1:
-        return f"{_random_expr(rng, depth - 1)}*{_random_expr(rng, depth - 1)}"
-    if op == 2:
-        return f"wedge^{rng.randrange(4)}({_random_expr(rng, depth - 1)})"
-    if op == 3:
-        return f"sym^{rng.randrange(3)}({_random_expr(rng, depth - 1)})"
-    if op == 4:
-        return f"dual({_random_expr(rng, depth - 1)})"
-    return f"tw({rng.randrange(-2, 3)},{rng.randrange(-2, 3)})({_random_expr(rng, depth - 1)})"
+    if op < 2:
+        (x, full_x), (y, full_y) = (_random_texts(rng, depth - 1, op + k) for k in (0, 1))
+        sign = "+*"[op]
+        text = f"{x} {sign} {y}" if op == 0 else f"{x}*{y}"
+        return ("(" + text + ")" if level > op else text), f"({full_x}{sign}{full_y})"
+    arg, full_arg = _random_texts(rng, depth - 1)
+    head = (f"wedge^{rng.randrange(4)}", f"sym^{rng.randrange(3)}", "dual",
+            f"tw({rng.randrange(-2, 3)},{rng.randrange(-2, 3)})")[op - 2]
+    return f"{head}({arg})", f"{head}({full_arg})"
 
 
 def test_parser_round_trip():
     rng = random.Random(17)
-    for _ in range(60):
-        text = _random_expr(rng, rng.randrange(1, 3))
-        tree = parse_rep(text)
-        assert parse_rep(print_rep(tree)) == tree
+    for _ in range(100):
+        text, full = _random_texts(rng, rng.randrange(1, 4))
+        assert canon(text) == full, text
+        assert canon(full) == full
 
 
 def test_parser_aliases_and_whitespace():
-    assert parse_rep("b ⊗ b") == parse_rep("b*b")
-    assert parse_rep("b ⊕ n") == parse_rep("b+n")
-    assert parse_rep("  wedge^2( b + b )  ") == parse_rep("wedge^2(b+b)")
-    assert parse_rep("twist(1,2)(b)") == parse_rep("tw(1,2)(b)")
+    assert canon("b ⊗ b") == canon("b*b") == "(b*b)"
+    assert canon("b ⊕ n") == canon("b+n") == "(b+n)"
+    assert canon("  wedge^2( b + b )  ") == canon("wedge^2(b+b)") == "wedge^2((b+b))"
+    assert canon("twist(1,2)(b)") == canon("tw(1,2)(b)") == "tw(1,2)(b)"
 
 
 def test_parser_errors_carry_position():
     with pytest.raises(RepParseError) as info:
-        parse_rep("wedge^2(b")
+        canon("wedge^2(b")
     assert "position" in str(info.value)
     with pytest.raises(RepParseError):
-        parse_rep("b**b")
+        canon("b**b")
     with pytest.raises(RepParseError):
-        parse_rep("q")
+        canon("q")
     with pytest.raises(RepParseError):
-        parse_rep("b + ")
+        canon("b + ")
 
 
 def test_aliases_and_spaces_keep_error_positions():
@@ -280,17 +303,17 @@ def test_aliases_and_spaces_keep_error_positions():
                     "F( 1 ,-x) ⊕ b", "dual ( b ⊕ n ) ⊗ ⊗ b", "b ⊗ n  )"):
         ascii_form = aliased.replace("⊗", "*").replace("⊕", "+")
         with pytest.raises(RepParseError) as got:
-            parse_rep(aliased)
+            canon(aliased)
         with pytest.raises(RepParseError) as expected:
-            parse_rep(ascii_form)
+            canon(ascii_form)
         assert got.value.position == expected.value.position, aliased
         assert str(got.value) == str(expected.value), aliased
     # the positions are those of the offending token in the input
     with pytest.raises(RepParseError) as info:
-        parse_rep("b ⊗ ⊕ n")
+        canon("b ⊗ ⊕ n")
     assert info.value.position == 4
     with pytest.raises(RepParseError) as info:
-        parse_rep("  b ⊗  (n ⊕ g")
+        canon("  b ⊗  (n ⊕ g")
     assert info.value.position == 13
 
 
@@ -298,9 +321,9 @@ def test_parser_reads_ascii_digits_only():
     # str.isdigit accepts the superscript two; int() does not
     for text, position in (("F(²,0)", 2), ("wedge^²(b)", 6), ("F(1,-²)", 5)):
         with pytest.raises(RepParseError, match="expected integer") as info:
-            parse_rep(text)
+            canon(text)
         assert info.value.position == position, text
-    assert parse_rep("wedge^10(F(12,3))") == Wedge(10, FAtom((12, 3)))
+    assert canon("wedge^10(F(12,3))") == "wedge^10(F(12,3))"
 
 
 def test_a_wedge_power_above_the_dimension_is_zero_at_once(run_python):
@@ -322,8 +345,9 @@ def test_a_wedge_power_above_the_dimension_is_zero_at_once(run_python):
 
 
 def test_associativity_printing():
-    left = parse_rep("b*(b*b)")
-    assert parse_rep(print_rep(left)) == left
+    assert canon("b*(b*b)") == "(b*(b*b))"
+    assert canon("b*b*b") == canon("(b*b)*b") == "((b*b)*b)"
+    assert canon("b + n*g + g/b*b*n") == "((b+(n*g))+((g/b*b)*n))"
     assert build_rep("b*(b*b)") == build_rep("(b*b)*b")
 
 
@@ -469,28 +493,15 @@ def test_mixed_ranks_are_refused():
         WeightMultiset({(1,): 1, (1, 2): 1}).wedge(2)
 
 
-def test_rep_expressions_compare_by_class_and_fields():
-    a, b = Atom("b"), Atom("g/b")
-    assert Sum(a, b) == Sum(Atom("b"), Atom("g/b")) and hash(Sum(a, b)) == hash(Sum(a, b))
-    assert Sum(a, b) != Tensor(a, b) and Tensor(a, b) != Sum(a, b)
-    assert Wedge(2, a) != SymPow(2, a) and Dual(a) != Twist((0, 0), a) and a != b
-    assert len({Sum(a, b), Tensor(a, b), Sum(a, b), Wedge(2, a), SymPow(2, a)}) == 4
-    expr = parse_rep("tw(1,-1)(wedge^2(b) * (g/b + dual(F(1,0))))")
-    assert expr == parse_rep("tw(1,-1)(wedge^2(b)*(g/b+dual(F(1,0))))")
-    assert repr(expr) == ("Twist(shift=(1, -1), arg=Tensor(left=Wedge(power=2, arg=Atom(name='b')), "
-                          "right=Sum(left=Atom(name='g/b'), right=Dual(arg=FAtom(highest=(1, 0))))))")
-
-
-def test_rep_expressions_and_based_reps_are_immutable():
+def test_based_reps_are_immutable():
     model = build_based_rep("b")
-    for record, name in ((Sum(Atom("b"), Atom("n")), "left"), (Wedge(2, Atom("b")), "power"),
-                         (model, "weights"), (model, "ops")):
-        before = getattr(record, name)
+    for name in ("weights", "ops"):
+        before = getattr(model, name)
         with pytest.raises(AttributeError):
-            setattr(record, name, None)
+            setattr(model, name, None)
         with pytest.raises(AttributeError):
-            delattr(record, name)
-        assert getattr(record, name) is before
+            delattr(model, name)
+        assert getattr(model, name) is before
 
 
 # -- the store of texts ----------------------------------------------------------
@@ -498,48 +509,40 @@ def test_rep_expressions_and_based_reps_are_immutable():
 
 @pytest.fixture
 def counted(monkeypatch):
-    """An empty store, and per call counts of parse_rep and of evaluations of
-    a whole tree (nested subexpressions are not counted)."""
+    """An empty store, and per call counts of parse_rep into characters and
+    into Lie models."""
     monkeypatch.setattr(breps, "store", {})
-    calls = {"parse": 0, "evaluate": 0}
-    parse, evaluate, depth = breps.parse_rep, breps._evaluate, []
+    calls = {"characters": 0, "models": 0}
+    parse = breps.parse_rep
 
-    def counting_parse(text):
-        calls["parse"] += 1
-        return parse(text)
-
-    def counting_evaluate(expr, datum):
-        calls["evaluate"] += not depth
-        depth.append(expr)
-        try:
-            return evaluate(expr, datum)
-        finally:
-            depth.pop()
+    def counting_parse(text, builder):
+        calls["characters" if isinstance(builder, breps._Characters) else "models"] += 1
+        return parse(text, builder)
 
     monkeypatch.setattr(breps, "parse_rep", counting_parse)
-    monkeypatch.setattr(breps, "_evaluate", counting_evaluate)
     return calls
 
 
 def test_each_text_is_parsed_and_evaluated_once_per_rank(counted):
     for text in ("wedge^2(b)*b", "tw(1,0)(b) + b"):
         rep = build_rep(text)
-        assert counted == {"parse": 1, "evaluate": 1}
+        assert counted == {"characters": 1, "models": 0}
         assert build_rep(text) is rep and build_rep(text, A2) is rep
         for char in (0, 5):
             model = build_based_rep(text, char)
             assert WeightMultiset(model.weights) == rep
-        assert counted == {"parse": 1, "evaluate": 1}
-        assert breps.store[text, 2] == (parse_rep(text), rep)
-        counted.update(parse=0, evaluate=0)
-    # the model of a text not yet stored parses and evaluates it once
+        # each model parses its text, and reads its character from the store
+        assert counted == {"characters": 1, "models": 2}
+        assert breps.store[text, 2] is rep
+        counted.update(characters=0, models=0)
+    # the model of a text not yet stored builds and stores its character
     model = build_based_rep("b*b", 7)
-    assert counted == {"parse": 1, "evaluate": 1}
-    assert build_rep("b*b") == WeightMultiset(model.weights)
-    assert counted == {"parse": 1, "evaluate": 1}
+    assert counted == {"characters": 1, "models": 1}
+    assert build_rep("b*b") is breps.store["b*b", 2] == WeightMultiset(model.weights)
+    assert counted == {"characters": 1, "models": 1}
     # each rank has an entry of its own
     assert build_rep("wedge^2(b)", A1) != build_rep("wedge^2(b)")
-    assert counted == {"parse": 3, "evaluate": 3}
+    assert counted == {"characters": 3, "models": 1}
 
 
 def test_a_failing_text_raises_on_every_call_and_is_not_stored(counted):
@@ -560,9 +563,9 @@ def test_a_failing_text_raises_on_every_call_and_is_not_stored(counted):
                            getattr(info.value, "position", None)))
         assert raised[0] == raised[1], text
         assert not any(key[0] == text for key in breps.store), text
-    # every call parsed its text; the three characters that fail were
-    # evaluated on each call, while "g" and "F(1,-1)" fail in the model, first
-    assert counted == {"parse": 16, "evaluate": 6}
+    # every call parsed its text; of the models, only that of "tw(1)(b)"
+    # was built, and its character then failed
+    assert counted == {"characters": 10, "models": 8}
 
 
 def test_a_full_store_is_cleared_and_keeps_the_last_text(monkeypatch):
@@ -570,7 +573,7 @@ def test_a_full_store_is_cleared_and_keeps_the_last_text(monkeypatch):
     texts = [f"tw({i},0)(b)" for i in range(breps.STORE_CAP + 1)]
     for k, text in enumerate(texts):
         rep = build_rep(text)
-        assert len(breps.store) <= breps.STORE_CAP and breps.store[text, 2][1] is rep
+        assert len(breps.store) <= breps.STORE_CAP and breps.store[text, 2] is rep
         if k == breps.STORE_CAP - 1:
             assert len(breps.store) == breps.STORE_CAP
     assert list(breps.store) == [(texts[-1], 2)]
@@ -586,4 +589,4 @@ def test_a_stored_character_still_catches_a_broken_model(monkeypatch):
         for char in (0, 5):
             with pytest.raises(InvariantError, match="does not have the weights"):
                 build_based_rep(text, char)
-        assert breps.store[text, 2][1] is rep
+        assert breps.store[text, 2] is rep

@@ -15,6 +15,7 @@ from steinberg.liealg import (W1_WEIGHTS, W2_EXTRA_WEIGHTS, BasedRep, Characteri
                               wedge4_quotient)
 from steinberg.breps import WeightMultiset, build_rep
 from steinberg.report import Emitter
+from steinberg.weights import Located
 
 
 def weight_multiset(rep):
@@ -119,6 +120,14 @@ def test_based_rep_matches_character_level():
         rep = build_based_rep(expr, 0)
         assert weight_multiset(rep) == build_rep(expr)
     assert build_based_rep("wedge^2(b)*wedge^2(b)", 0).dim == 100
+
+
+def test_a_wide_flat_sum_is_modelled():
+    # a sum is built in a loop, however many terms it has
+    text = " + ".join(["b"] * 1200)
+    for char in (0, 5):
+        rep = build_based_rep(text, char)
+        assert rep.dim == 6000 and weight_multiset(rep) == build_rep(text)
 
 
 def test_operator_weight_shifts():
@@ -239,6 +248,24 @@ def test_wedge4_campaign_passes():
         assert all(e.check_id.startswith(f"identities.c{char}.wedge4.") for e in em.entries)
         assert all(e.status == "pass" for e in em.entries), \
             [e for e in em.entries if e.status != "pass"]
+
+
+def test_a_length_three_kernel_weight_fails_kernel_psupp3(monkeypatch):
+    # negative control: the campaign locates the kernel weights, v's first;
+    # one of them placed at length 3 inside the alcove must fail the entry
+    datum = liealg.A2
+    locate, asked = datum.locate, []
+    monkeypatch.setattr(datum, "locate", lambda mu, l: asked.append(mu) or locate(mu, l))
+    wedge4_campaign(Emitter(), 7)
+    bad = asked[0]
+    w0 = next(w for w in datum.weyl if w.length == 3)
+    monkeypatch.setattr(datum, "locate",
+                        lambda mu, l: Located(w0, (0, 0)) if mu == bad else locate(mu, l))
+    em = Emitter()
+    wedge4_campaign(em, 7)
+    entry = next(e for e in em.entries if e.check_id == "identities.c7.wedge4.kernel-psupp3(v)")
+    assert entry.status == "fail" and str(bad) in entry.actual, entry
+    assert all(e.status == "pass" for e in em.entries if "kernel-psupp3" not in e.check_id)
 
 
 def test_quotient_weights():
