@@ -160,10 +160,12 @@ class WeightMultiset(Frozen):
 
     # -- constructions -----------------------------------------------------
 
-    def add(self, other: "WeightMultiset") -> "WeightMultiset":
+    def add(self, *others: "WeightMultiset") -> "WeightMultiset":
+        """The sum of self and others, in one pass however many summands."""
         acc = dict(self.items)
-        for w, m in other.items:
-            acc[w] = acc.get(w, 0) + m
+        for other in others:
+            for w, m in other.items:
+                acc[w] = acc.get(w, 0) + m
         return WeightMultiset(acc)
 
     def tensor(self, other: "WeightMultiset") -> "WeightMultiset":
@@ -311,11 +313,12 @@ class _Parser:
         return e
 
     def sum_expr(self):
-        e = self.tensor_expr()
+        # a + chain goes to the builder once, as all of its summands
+        terms = [self.tensor_expr()]
         while self.peek() == "+":
             self.eat("+")
-            e = self.build.add(e, self.tensor_expr())
-        return e
+            terms.append(self.tensor_expr())
+        return self.build.sum(*terms) if len(terms) > 1 else terms[0]
 
     def tensor_expr(self):
         e = self.factor()
@@ -360,11 +363,11 @@ class _Parser:
 
 def parse_rep(text: str, builder):
     """What builder makes of text.  The parser calls builder.atom(name),
-    builder.irreducible(highest), builder.tensor(x, y), builder.add(x, y),
-    builder.wedge(x, j), builder.sym(x, k), builder.dual(x) and
-    builder.twist(x, shift) as soon as their operands are read, so an error
-    that a construction raises comes before a syntax error later in the
-    text."""
+    builder.irreducible(highest), builder.tensor(x, y), builder.sum(x, y,
+    ...) (once per + chain, with all of its summands), builder.wedge(x, j),
+    builder.sym(x, k), builder.dual(x) and builder.twist(x, shift) as soon as
+    their operands are read, so an error that a construction raises comes
+    before a syntax error later in the text."""
     parser = _Parser(text, builder)
     try:
         return parser.parse()
@@ -454,7 +457,7 @@ class _Characters:
         return irreducible_multiset(highest, self.datum)
 
     tensor = staticmethod(WeightMultiset.tensor)
-    add = staticmethod(WeightMultiset.add)
+    sum = staticmethod(WeightMultiset.add)
     dual = staticmethod(WeightMultiset.dual)
 
     # a zeroth power is trivial, also of a zero multiset, whose rank the

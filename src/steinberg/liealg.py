@@ -19,10 +19,12 @@ exactly in characteristic 3.
 
 Derived representations (wedge powers, tensor products, twists, subquotients)
 carry the three lowering operators functorially; every constructor checks
-the weight grading.  A tensor or wedge column writes each entry once, a
-factor's entry or its negation: two of its terms could meet only through a
-weight-preserving entry of a factor, and the term written there is then a
-weight-preserving entry of the result, which the grading check rejects.
+the weight grading, and the atom and the models solved by elimination
+(`quotient_rep`, `restrict_to_span`) the brackets, the recorded unit among
+them (`BasedRep.check_bracket`).  A tensor or wedge column writes each entry
+once, a factor's entry or its negation: two of its terms could meet only
+through a weight-preserving entry of a factor, and the term written there is
+then a weight-preserving entry of the result, which the grading check rejects.
 """
 
 from __future__ import annotations
@@ -34,8 +36,7 @@ from types import MappingProxyType
 
 from . import breps
 from .fieldops import (Echelon, Frozen, InvariantError, Record, apply_op, field_of, mat_mul,
-                       mat_sub, set_field, span_coords, span_rank, vec_iadd_scaled, vec_scale,
-                       vec_sub)
+                       mat_sub, set_field, span_coords, span_rank, vec_iadd_scaled, vec_scale)
 from .weights import A2, Located, Weight
 
 # negatives of the positive roots: the weight shifts of the lowering operators
@@ -103,24 +104,22 @@ class BasedRep(Frozen):
                         raise InvariantError(f"{name} breaks the weight grading at basis vector "
                                              f"{j} of weight {weights[j]}")
 
-    def bracket_constant(self) -> object:
-        """The unit c with [e_a, e_b] = c * e_r, recorded for reproducibility."""
-        f = self.fld
-        for j in range(self.dim):
-            ej = {j: f.one}
-            lhs = vec_sub(f, self.act("ea", self.act("eb", ej)), self.act("eb", self.act("ea", ej)))
-            rhs = self.act("er", ej)
-            if rhs:
-                i = min(rhs)
-                if i not in lhs:
-                    return None
-                c = f.mul(lhs[i], f.inv(rhs[i]))
-                if vec_sub(f, lhs, vec_scale(f, rhs, c)):
-                    return None
-                return c
-            if lhs:
-                return None
-        return f.one
+    def check_bracket(self) -> None:
+        """Raise unless [e_a, e_b] = -e_r (the recorded unit) and [e_a, e_r] =
+        [e_b, e_r] = 0 on every basis vector: with the grading, the brackets
+        that make the model a representation of b."""
+        f, ops = self.fld, self.ops
+        minus = f.neg(f.one)
+        for j, w in enumerate(self.weights):
+            for x, y, z in (("ea", "eb", "er"), ("ea", "er", None), ("eb", "er", None)):
+                # [x, y] v + z v, for v basis vector j
+                v = apply_op(f, ops[x], ops[y][j])
+                vec_iadd_scaled(f, v, apply_op(f, ops[y], ops[x][j]), minus)
+                if z:
+                    vec_iadd_scaled(f, v, ops[z][j], f.one)
+                if v:
+                    raise InvariantError(f"[{x}, {y}] is not {'-' + z if z else 0} at basis "
+                                         f"vector {j} of weight {w}")
 
 
 # -- the Borel atom -----------------------------------------------------------
@@ -180,14 +179,13 @@ def borel_rep(char=0) -> BasedRep:
     ops = {}
     for name, gen in (("ea", fa), ("eb", fb), ("er", fr)):
         # read-only columns: every caller gets this same object
-        ops[name] = tuple(MappingProxyType(coords_of(mat_sub(fld, mat_mul(fld, gen, bv),
-                                                             mat_mul(fld, bv, gen))))
+        # through fld.of, so that the integral entries over Q are ints
+        ops[name] = tuple(MappingProxyType({i: fld.of(x) for i, x in coords_of(
+            mat_sub(fld, mat_mul(fld, gen, bv), mat_mul(fld, bv, gen))).items()})
                           for bv in basis)
     rep = BasedRep(fld, _B_WEIGHTS, MappingProxyType(ops))
     rep.check_grading()
-    if rep.bracket_constant() != fld.neg(fld.one):
-        raise InvariantError(f"[e_a, e_b] = {rep.bracket_constant()} * e_r over {fld.name}, "
-                             "not the recorded unit -1")
+    rep.check_bracket()
     _BOREL_REPS[char] = rep
     return rep
 
@@ -262,15 +260,17 @@ def wedge_rep(a: BasedRep, j: int) -> BasedRep:
     return rep
 
 
-def sum_rep(a: BasedRep, b: BasedRep) -> BasedRep:
-    n = a.dim
+def sum_rep(a: BasedRep, *rest: BasedRep) -> BasedRep:
+    """The direct sum of a and rest, in one pass however many summands."""
     ops = {}
     for name in ("ea", "eb", "er"):
-        # the left summand's columns are shared, as twist_rep shares ops
+        # the first summand's columns are shared, as twist_rep shares ops
         cols = list(a.ops[name])
-        cols += [{i + n: v for i, v in c.items()} if c else {} for c in b.ops[name]]
+        for b in rest:
+            n = len(cols)
+            cols += [{i + n: v for i, v in c.items()} if c else {} for c in b.ops[name]]
         ops[name] = tuple(cols)
-    return BasedRep(a.fld, a.weights + b.weights, ops)
+    return BasedRep(a.fld, tuple(w for b in (a, *rest) for w in b.weights), ops)
 
 
 def twist_rep(a: BasedRep, shift: Weight) -> BasedRep:
@@ -286,7 +286,7 @@ class _Models:
         self.char = char
         # read per model, so that a rebound module function (a tracer's
         # wrapper, a test's patch) is the one called
-        self.tensor, self.add, self.wedge, self.twist = tensor_rep, sum_rep, wedge_rep, twist_rep
+        self.tensor, self.sum, self.wedge, self.twist = tensor_rep, sum_rep, wedge_rep, twist_rep
 
     def atom(self, name: str) -> BasedRep:
         if name != "b":
@@ -294,13 +294,13 @@ class _Models:
         return borel_rep(self.char)
 
     def irreducible(self, highest):
-        raise UnknownAtomError("no explicit action stored for FAtom")
+        raise UnknownAtomError("no explicit action stored for F(a,b)")
 
     def sym(self, x, k):
-        raise UnknownAtomError("no explicit action stored for SymPow")
+        raise UnknownAtomError("no explicit action stored for sym^k")
 
     def dual(self, x):
-        raise UnknownAtomError("no explicit action stored for Dual")
+        raise UnknownAtomError("no explicit action stored for dual")
 
 
 def build_based_rep(text: str, char=0) -> BasedRep:
@@ -364,6 +364,7 @@ def quotient_rep(rep: BasedRep, sub: Echelon) -> BasedRep:
         ops[op] = tuple(cols)
     q = BasedRep(fld, weights, ops)
     q.check_grading()
+    q.check_bracket()
     return q
 
 
@@ -416,31 +417,22 @@ def wedge4_quotient(char=0) -> QuotientRep:
     """V = W2/W1 inside Lambda^2 b (x) Lambda^2 b, the subquotient carrying
     the 17-dimensional weight space in degree -2rho.
 
-    Its basis is the ambient coordinates of weight in W2_EXTRA_WEIGHTS, and
-    its columns are the ambient columns with the W1 coordinates removed.
-    Built once per characteristic and shared by the identity, span and chain
-    checks: do not mutate it.  A raised error is never stored.
+    The quotient by the W1 coordinates (quotient_rep checks that W1 is
+    stable), restricted to its coordinates of weight in W2_EXTRA_WEIGHTS
+    (restrict_to_span checks that W2 is stable modulo W1).  Built once per
+    characteristic and shared by the identity, span and chain checks: do not
+    mutate it.  A raised error is never stored.
     """
     if char in _WEDGE4_QUOTIENTS:
         return _WEDGE4_QUOTIENTS[char]
     big = build_based_rep("wedge^2(b)*wedge^2(b)", char)
-    w1 = {i for i, w in enumerate(big.weights) if w in W1_WEIGHTS}
-    coords = tuple(i for i, w in enumerate(big.weights) if w in W2_EXTRA_WEIGHTS)
-    pos = {c: k for k, c in enumerate(coords)}
-    for op, cols in big.ops.items():
-        for c in w1:
-            if not cols[c].keys() <= w1:
-                raise InvariantError(f"W1 not operator-stable: {op} moves coordinate {c} out")
-    w2 = w1 | pos.keys()
-    ops = {}
-    for op, cols in big.ops.items():
-        for c in coords:
-            if not cols[c].keys() <= w2:
-                raise InvariantError(f"W2 not stable modulo W1: {op} moves coordinate {c} out")
-        ops[op] = tuple({pos[i]: x for i, x in cols[c].items() if i in pos} for c in coords)
-    small = BasedRep(big.fld, tuple(big.weights[c] for c in coords), ops)
-    small.check_grading()
-    quo = _WEDGE4_QUOTIENTS[char] = QuotientRep(big, small, coords)
+    one = big.fld.one
+    w1 = subspace_span(big, [{i: one} for i, w in enumerate(big.weights) if w in W1_WEIGHTS])
+    # the quotient's basis, as ambient coordinates
+    rest = [i for i in range(big.dim) if i not in w1.rows]
+    keep = [k for k, i in enumerate(rest) if big.weights[i] in W2_EXTRA_WEIGHTS]
+    small = restrict_to_span(quotient_rep(big, w1), [{k: one} for k in keep])
+    quo = _WEDGE4_QUOTIENTS[char] = QuotientRep(big, small, tuple(rest[k] for k in keep))
     return quo
 
 
@@ -742,7 +734,8 @@ def _two_chains_check(rep: BasedRep, top: Weight, op: str, shift: Weight, l: int
 
 
 def restrict_to_span(rep: BasedRep, vectors: list[dict]) -> BasedRep:
-    """The span of weight-homogeneous vectors as a BasedRep (must be stable)."""
+    """The span of independent weight-homogeneous vectors as a BasedRep: an
+    unstable span raises InvariantError."""
     fld = rep.fld
     vecs = list(vectors)
     weights = []
@@ -755,12 +748,13 @@ def restrict_to_span(rep: BasedRep, vectors: list[dict]) -> BasedRep:
     ops = {}
     for op in ("ea", "eb", "er"):
         cols = []
-        for v in vecs:
+        for k, v in enumerate(vecs):
             c = coords(rep.act(op, v))
             if c is None:
-                raise ValueError("span is not operator stable")
+                raise InvariantError(f"span is not operator stable: {op} moves vector {k} out")
             cols.append(c)
         ops[op] = tuple(cols)
     out = BasedRep(fld, tuple(weights), ops)
     out.check_grading()
+    out.check_bracket()
     return out

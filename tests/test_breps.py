@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 from math import comb
@@ -26,8 +27,9 @@ class _Text:
     def tensor(self, x, y):
         return f"({x}*{y})"
 
-    def add(self, x, y):
-        return f"({x}+{y})"
+    def sum(self, *summands):
+        # a + chain comes as all of its summands, which associate to the left
+        return functools.reduce(lambda x, y: f"({x}+{y})", summands)
 
     def wedge(self, x, j):
         return f"wedge^{j}({x})"

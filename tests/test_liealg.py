@@ -45,11 +45,19 @@ def test_borel_action_table():
     assert b.act("ea", basis_vector(b, "fb")) == minus_fr
 
 
-def test_bracket_constant_stable():
+def test_check_bracket_accepts_the_atom():
     for char in (0, 5, 7, 11):
-        rep = borel_rep(char)
-        fld = field_of(char)
-        assert rep.bracket_constant() == fld.neg(fld.one)
+        borel_rep(char).check_bracket()
+    # on t_alpha: e_a e_b t_a = 0, e_b e_a t_a = f_r and e_r t_a = f_r, so
+    # [e_a, e_b] = -e_r there, the recorded unit
+    b = borel_rep(0)
+    assert b.act("eb", b.act("ea", basis_vector(b, "ta"))) == basis_vector(b, "fr")
+    assert b.act("er", basis_vector(b, "ta")) == basis_vector(b, "fr")
+    # the atom's columns are written through the field, so that over Q its
+    # integral entries, and those of the models built from it, are ints
+    for rep in (b, build_based_rep("wedge^2(b)*wedge^2(b)", 0)):
+        assert all(type(x) is int for cols in rep.ops.values() for col in cols
+                   for x in col.values())
 
 
 def test_characteristic_three_rejected():
@@ -86,6 +94,95 @@ def _columns(rep):
     return {name: [dict(col) for col in cols] for name, cols in rep.ops.items()}
 
 
+# Each grading-preserving single-entry corruption of the Borel atom (add 1 or
+# 2 to an entry that the grading allows), made where borel_rep builds its
+# model: prints the outcome of each, then restores the module.
+_CORRUPT_THE_ATOM = """
+from steinberg import liealg
+from steinberg.fieldops import InvariantError
+
+real, stored = liealg.BasedRep, dict(liealg._BOREL_REPS)
+
+
+def corrupt(op, j, i, d):
+    def build(fld, weights, ops):
+        cols = [dict(col) for col in ops[op]]
+        x = fld.add(cols[j].get(i, fld.zero), fld.of(d))
+        cols[j][i] = x
+        if x == fld.zero:
+            del cols[j][i]
+        return real(fld, weights, {**ops, op: tuple(cols)})
+    return build
+
+
+try:
+    for char in (0, 5, 7):
+        atom = liealg.borel_rep(char)
+        for op, (s0, s1) in liealg.OP_WEIGHTS.items():
+            for j, (w0, w1) in enumerate(atom.weights):
+                for i in atom.indices_of_weight((w0 + s0, w1 + s1)):
+                    for d in (1, 2):
+                        liealg.BasedRep = corrupt(op, j, i, d)
+                        liealg._BOREL_REPS.clear()
+                        try:
+                            liealg.borel_rep(char)
+                            print('built', char, op, j, i, d)
+                        except InvariantError as e:
+                            print('raised', char, str(e).split(' at ')[0])
+                        liealg.BasedRep = real
+finally:
+    liealg.BasedRep = real
+    liealg._BOREL_REPS.clear()
+    liealg._BOREL_REPS.update(stored)
+"""
+
+
+# 8 entries of the atom's columns keep the grading (3 of ea, 3 of eb, 2 of
+# er), each corrupted by 1 and by 2: every one breaks [e_a, e_b] = -e_r
+_ATOM_CORRUPTIONS_RAISED = [f"raised {char} [ea, eb] is not -er" for char in (0, 5, 7)
+                            for _ in range(16)]
+
+
+def test_every_grading_preserving_atom_corruption_breaks_the_bracket(capsys):
+    exec(_CORRUPT_THE_ATOM, {})
+    assert capsys.readouterr().out.splitlines() == _ATOM_CORRUPTIONS_RAISED
+    # the script restores the stored atoms
+    assert liealg._BOREL_REPS[0] is borel_rep(0)
+
+
+def test_atom_corruptions_raise_under_optimize(run_python):
+    done = run_python("-O", "-c", _CORRUPT_THE_ATOM)
+    assert done.stdout.splitlines() == _ATOM_CORRUPTIONS_RAISED, done.stderr
+
+
+def test_solved_models_check_their_brackets():
+    # a model that keeps the grading but not the bracket: quotient_rep and
+    # restrict_to_span reject it, also when the subspace is everything or 0
+    b = borel_rep(7)
+    ea = [dict(col) for col in b.ops["ea"]]
+    ea[0] = {}  # e_a t_alpha = 0 instead of f_alpha
+    bad = BasedRep(b.fld, b.weights, {**b.ops, "ea": tuple(ea)})
+    bad.check_grading()
+    with pytest.raises(InvariantError, match=r"^\[ea, eb\] is not -er at basis vector 0 "):
+        quotient_rep(bad, subspace_span(bad, []))
+    with pytest.raises(InvariantError, match=r"^\[ea, eb\] is not -er at basis vector 0 "):
+        restrict_to_span(bad, [{i: b.fld.one} for i in range(b.dim)])
+
+
+def test_check_bracket_reads_e_r_against_e_a_and_e_b():
+    # v0 -> v1 -> v2 -> v3 with [e_a, e_b] = -e_r on every basis vector, but
+    # [x, e_r] v0 = +-2 v3 for x the operator that starts the chain
+    for x, y, weights in (("ea", "eb", ((0, 0), (-2, 1), (-1, -1), (-3, 0))),
+                          ("eb", "ea", ((0, 0), (1, -2), (-1, -1), (0, -3)))):
+        sign = 1 if x == "ea" else -1
+        ops = {x: ({1: 1}, {}, {3: 1}, {}), y: ({}, {2: 1}, {}, {}),
+               "er": ({2: sign}, {3: -sign}, {}, {})}
+        rep = BasedRep(field_of(0), weights, ops)
+        rep.check_grading()
+        with pytest.raises(InvariantError, match=rf"^\[{x}, er\] is not 0 at basis vector 0 "):
+            rep.check_bracket()
+
+
 @pytest.mark.parametrize("char", [0, 7])
 def test_constructions_leave_their_factors_columns_alone(char):
     factors = [build_based_rep(text, char) for text in ("b", "wedge^2(b)", "b*b", "b + b",
@@ -111,8 +208,11 @@ def test_constructions_leave_their_factors_columns_alone(char):
 def test_unknown_atom_rejected():
     with pytest.raises(UnknownAtomError):
         build_based_rep("g")
-    with pytest.raises(UnknownAtomError):
-        build_based_rep("sym^2(b)")
+    # the messages name the construction
+    for text, name in (("F(1,0)", "F(a,b)"), ("sym^2(b)", "sym^k"), ("dual(b) + b", "dual")):
+        with pytest.raises(UnknownAtomError) as raised:
+            build_based_rep(text)
+        assert str(raised.value) == f"no explicit action stored for {name}"
 
 
 def test_based_rep_matches_character_level():
@@ -122,12 +222,21 @@ def test_based_rep_matches_character_level():
     assert build_based_rep("wedge^2(b)*wedge^2(b)", 0).dim == 100
 
 
-def test_a_wide_flat_sum_is_modelled():
-    # a sum is built in a loop, however many terms it has
-    text = " + ".join(["b"] * 1200)
+def test_a_wide_flat_sum_is_modelled(monkeypatch):
+    # a + chain is one sum of all of its terms, however many there are
+    calls = []
+    sum_rep, add = liealg.sum_rep, WeightMultiset.add
+    monkeypatch.setattr(liealg, "sum_rep", lambda *terms: calls.append(("model", len(terms)))
+                        or sum_rep(*terms))
+    monkeypatch.setattr(breps._Characters, "sum", staticmethod(
+        lambda *terms: calls.append(("character", len(terms))) or add(*terms)))
+    monkeypatch.setattr(breps, "store", {})
+    text = " + ".join(["b"] * 2400)
     for char in (0, 5):
         rep = build_based_rep(text, char)
-        assert rep.dim == 6000 and weight_multiset(rep) == build_rep(text)
+        assert rep.dim == 12000 and weight_multiset(rep) == build_rep(text)
+    # the character is built once, then read from the store
+    assert calls == [("model", 2400), ("character", 2400), ("model", 2400)]
 
 
 def test_operator_weight_shifts():
@@ -277,29 +386,30 @@ def test_quotient_weights():
     assert ms.dimension == 45
 
 
-def _wedge4_quotient_by_echelon(char):
-    """V = W2/W1 by the general route: the quotient of the ambient by the
-    echelon span of the W1 coordinates, restricted to its W2 part.  Returns
-    the ambient, the W1 echelon, V's ambient coordinates and V."""
+def _wedge4_quotient_by_coordinates(char):
+    """V = W2/W1 read off the coordinates: W1 and W2 are spans of
+    weight-basis vectors, so V's basis is the ambient coordinates of weight in
+    W2_EXTRA_WEIGHTS, and its columns are the ambient columns with the W1
+    coordinates dropped.  Returns the ambient, V's ambient coordinates and V."""
     big = build_based_rep("wedge^2(b)*wedge^2(b)", char)
-    w1 = subspace_span(big, [{i: big.fld.one} for i, w in enumerate(big.weights)
-                             if w in W1_WEIGHTS])
-    q = quotient_rep(big, w1)
-    q_coords = [i for i in range(big.dim) if i not in w1.rows]
-    keep = [k for k, c in enumerate(q_coords) if big.weights[c] in W1_WEIGHTS | W2_EXTRA_WEIGHTS]
-    pos = {k: t for t, k in enumerate(keep)}
+    w1 = {i for i, w in enumerate(big.weights) if w in W1_WEIGHTS}
+    coords = tuple(i for i, w in enumerate(big.weights) if w in W2_EXTRA_WEIGHTS)
+    pos = {c: k for k, c in enumerate(coords)}
     ops = {}
-    for op in ("ea", "eb", "er"):
-        # W2 is stable modulo W1: no column leaves the kept part
-        assert all(i in pos for k in keep for i in q.ops[op][k])
-        ops[op] = tuple({pos[i]: x for i, x in q.ops[op][k].items()} for k in keep)
-    small = BasedRep(big.fld, tuple(q.weights[k] for k in keep), ops)
-    return big, w1, tuple(q_coords[k] for k in keep), small
+    for op, cols in big.ops.items():
+        # W1 is stable, and W2 is stable modulo W1
+        assert all(cols[c].keys() <= w1 for c in w1)
+        assert all(cols[c].keys() <= w1 | pos.keys() for c in coords)
+        ops[op] = tuple({pos[i]: x for i, x in cols[c].items() if i in pos} for c in coords)
+    return big, coords, BasedRep(big.fld, tuple(big.weights[c] for c in coords), ops)
 
 
 @pytest.mark.parametrize("char", [0, 5, 7])
 def test_wedge4_quotient_matches_the_echelon_route(char):
-    big, w1, coords, oracle = _wedge4_quotient_by_echelon(char)
+    # the library solves V by elimination; the oracle reads it off coordinates
+    big, coords, oracle = _wedge4_quotient_by_coordinates(char)
+    w1 = subspace_span(big, [{i: big.fld.one} for i, w in enumerate(big.weights)
+                             if w in W1_WEIGHTS])
     quo = wedge4_quotient(char)
     assert quo.coords == coords
     assert quo.rep.weights == oracle.weights
@@ -337,8 +447,9 @@ def test_wedge4_quotient_stability_checks_run_under_optimize(run_python):
     done = run_python("-O", "-c", script)
     lines = done.stdout.splitlines()
     assert len(lines) == 2, done.stderr
-    assert lines[0].startswith("raised W1 not operator-stable")
-    assert lines[1].startswith("raised W2 not stable modulo W1")
+    # quotient_rep finds W1 unstable, restrict_to_span W2 unstable modulo W1
+    assert lines[0].startswith("raised subspace not operator-stable: ea moves row ")
+    assert lines[1].startswith("raised span is not operator stable: ea moves vector ")
 
 
 def test_identity_span_and_chain_checks_share_one_model_per_characteristic(monkeypatch):
@@ -402,7 +513,7 @@ def test_restrict_to_span_rejects_dependent_and_unstable_spans():
     with pytest.raises(ValueError, match="independent"):
         restrict_to_span(b, [fa, fa])
     # e_a f_b = -f_r leaves the span of f_b
-    with pytest.raises(ValueError, match="operator stable"):
+    with pytest.raises(InvariantError, match="operator stable: ea moves vector 0 out"):
         restrict_to_span(b, [fb])
 
 
