@@ -12,8 +12,10 @@ only when built with bound None), and the input generators surviving
 reduction at each degree are counted, which yields the graded minimal
 generator counts of the ideal as a byproduct.
 Everything is deterministic for a fixed input order.
-The one inhomogeneous ideal the certifier reduces by, (x*y - 1) for the
-Laurent ring of a chart, has `normal_form_mod_unit` as its direct rule.
+The one inhomogeneous ideal the certifier reduces by, (q*r - 1) for the
+Laurent ring of a chart, is built with its Groebner data by `unit_basis`,
+and `normal_form` reduces by it like any other basis: the reference
+reducer takes its terms by degree first.
 
 Inside the Groebner worker every monomial is one Python int (`_Packing`):
 7-bit fields, each with a guard bit above it, hold the exponents of the
@@ -819,18 +821,15 @@ def normal_form(p: Poly, ideal: IdealBasis) -> Poly:
     return w.normal_form(p)
 
 
-def normal_form_mod_unit(ring: PolyRing, p: Poly, x: str, y: str) -> Poly:
-    """The remainder of p modulo x*y - 1.  The single generator is its own
-    Groebner basis with degrevlex leading term x*y, so the remainder is the
-    sum over the terms of p with each x^a y^b turned into x^(a-k) y^(b-k),
-    k = min(a, b)."""
-    i, j = ring.names.index(x), ring.names.index(y)
-    out: Poly = {}
-    for m, c in p.items():
-        k = min(m[i], m[j])
-        m = tuple(e - k if v in (i, j) else e for v, e in enumerate(m))
-        vec_iadd_scaled(ring.domain, out, {m: c}, ring.domain.one)
-    return out
+def unit_basis(ring: PolyRing) -> IdealBasis:
+    """(q*r - 1), the ideal of the Laurent ring of a chart, with its Groebner
+    data: the one generator is its own basis, with degrevlex leading term
+    q*r, so `normal_form` by it turns each q^a r^b into q^(a-k) r^(b-k),
+    k = min(a, b).  The generator is monic with integer coefficients (over
+    GF(p), residues), so it is its own basis form."""
+    g = ring.sub(ring.mul(ring.var("q"), ring.var("r")), ring.const(1))
+    lm = ring.lm(g)
+    return IdealBasis(ring, [g], gb=[g], gb_lead=[(lm, _mask(lm), g)])
 
 
 # -- graded dimension data -----------------------------------------------------

@@ -1,3 +1,4 @@
+import itertools
 import os
 import random
 from collections import Counter
@@ -11,7 +12,7 @@ from steinberg.cases import (EVAL_PRIME, IdealCase, UnsupportedCase, build_case,
                              character_section_dims, commutator_layer_check,
                              gl_specialization_check, hilbert_cross_check, make_ideal,
                              multiplicity, parametrization_check, span17_check)
-from steinberg.fieldops import field_of
+from steinberg.fieldops import Echelon, field_of, mat_mul
 from steinberg.polyalg import (GroebnerStats, IdealBasis, PolyRing, TruncationError, groebner,
                                hilbert_function, min_gen_degrees)
 from steinberg.report import FAIL, Emitter
@@ -158,6 +159,106 @@ def test_gl_ideal_members_vanish_on_unipotent_pairs():
              "s11": 1, "s12": 0, "s21": 0, "s22": 1, "u": 1, "v": 1}
     vals = [point[nm] for nm in data.ring.names]
     assert all(_eval_poly(g, vals) == 0 for g in data.gens)
+
+
+@pytest.mark.parametrize("char", [0, 5])
+def test_mat_e2_is_the_sum_of_the_principal_2x2_minors(char):
+    ring = PolyRing(cases._matrix_names("a", 3, False), char)
+    a = cases._var_matrix(ring, "a", 3, False)
+    minors = ring.zero()
+    for i, j in itertools.combinations(range(3), 2):
+        minors = ring.add(minors, ring.sub(ring.mul(a[i][i], a[j][j]),
+                                           ring.mul(a[i][j], a[j][i])))
+    assert cases.mat_e2(ring, a) == minors
+
+
+# -- conjugation covariance and the points slice, exact over Q -------------------------
+#
+# The variety of n2, n3-z and n3-x is the closure of G.S, G = SL_n acting by
+# conjugation and S the slice that _point_for_case draws from.  SL_n is
+# generated by the root subgroups u = I + t E_ij: when every t^k coefficient
+# of g(u X u^-1) lies in the span of the generators, the ideal is G-stable,
+# and when every generator also vanishes on S, it vanishes on G.S.  The gl
+# chart check leans on the same covariance.
+
+# n, the matrices conjugated together (variable prefixes) and whether they
+# are traceless; the gl cases fix q, u and v.
+_CONJUGATED = {"n2": (2, "mn", True), "n3-z": (3, "mn", True), "n3-x": (3, "mn", False),
+               "gl-n2": (2, "fs", False), "gl-n3": (3, "fs", False)}
+
+
+def _covariance_failures(tag, gens):
+    """(i, j, generator index, k) for each t^k coefficient, k >= 1, of a
+    generator at u X u^-1, u = I + t E_ij, that lies outside the span of
+    gens.  The polynomials are those of the case's ring over Q."""
+    n, prefixes, traceless = _CONJUGATED[tag]
+    ring = build_case(IdealCase(tag)).ring
+    span = Echelon(ring.domain)
+    for g in gens:
+        span.insert(g)
+    T = PolyRing(ring.names + ("t",), 0)
+    failures = []
+    for i, j in itertools.permutations(range(n), 2):
+        u = cases.mat_identity_poly(T, n, T.const(1))
+        uinv = cases.mat_identity_poly(T, n, T.const(1))
+        u[i][j], uinv[i][j] = T.var("t"), T.scale(T.var("t"), -1)
+        images = {}
+        for prefix in prefixes:
+            X = mat_mul(T, mat_mul(T, u, cases._var_matrix(T, prefix, n, traceless)), uinv)
+            images.update({f"{prefix}{a + 1}{b + 1}": X[a][b]
+                           for a in range(n) for b in range(n)})
+        for k, g in enumerate(gens):
+            coeffs = {}
+            for m, c in ring.substitute(g, images, T).items():
+                if m[-1]:
+                    coeffs.setdefault(m[-1], {})[m[:-1]] = c
+            failures += [(i, j, k, e) for e, c in sorted(coeffs.items())
+                         if not span.contains(c)]
+    return failures
+
+
+def _slice_failures(tag, gens):
+    """The indices of gens that do not vanish identically on the slice of
+    the case's points: the strictly upper pairs for n2 and n3-z, and
+    (0, a, b; 0, 0, ta; 0, 0, 0), (0, d, e; 0, 0, td; 0, 0, 0) for n3-x."""
+    ring = build_case(IdealCase(tag)).ring
+    if tag == "n3-x":
+        S = PolyRing(("a", "b", "d", "e", "t"), 0)
+        a, b, d, e, t = map(S.var, S.names)
+        upper = {"m12": a, "m13": b, "m23": S.mul(t, a), "n12": d, "n13": e, "n23": S.mul(t, d)}
+    else:
+        S = ring
+        upper = {nm: S.var(nm) for nm in ring.names if nm[1] < nm[2]}
+    images = {nm: upper.get(nm, S.zero()) for nm in ring.names}
+    return [k for k, g in enumerate(gens) if ring.substitute(g, images, S)]
+
+
+@pytest.mark.parametrize("tag", list(_CONJUGATED))
+def test_each_root_subgroup_maps_the_generators_into_their_span(tag):
+    assert _covariance_failures(tag, build_case(IdealCase(tag)).gens) == []
+
+
+@pytest.mark.parametrize("tag", ["n2", "n3-z", "n3-x"])
+def test_the_generators_vanish_on_the_points_slice(tag):
+    assert _slice_failures(tag, build_case(IdealCase(tag)).gens) == []
+
+
+def test_a_doubled_coefficient_breaks_covariance():
+    data = build_case(IdealCase("n3-z"))
+    gens = list(data.gens)
+    g = gens[5]  # the (1, 1) entry of M^2 N
+    mono = data.ring.lm(g)
+    gens[5] = data.ring.add(g, {mono: g[mono]})
+    assert _covariance_failures("n3-z", gens)
+
+
+def test_the_entries_of_mn_are_covariant_but_fail_the_slice():
+    data = build_case(IdealCase("n3-z"))
+    MN = mat_mul(data.ring, data.mats["M"], data.mats["N"])
+    gens = data.gens + [MN[a][b] for a in range(3) for b in range(3)]
+    assert _covariance_failures("n3-z", gens) == []
+    # on the slice MN is m12 n23 at (1, 3) and 0 elsewhere
+    assert _slice_failures("n3-z", gens) == [len(data.gens) + 2]
 
 
 @pytest.mark.parametrize("tag", cases.CASE_TAGS)

@@ -210,12 +210,12 @@ def _laurent_inputs(draw):
 
 @settings(max_examples=80, deadline=None)
 @given(_laurent_inputs())
-def test_normal_form_mod_unit_matches_sympy(data):
+def test_unit_basis_remainders_match_sympy(data):
     sympy = pytest.importorskip("sympy")
     char, names, terms = data
     R = PolyRing(names, char)
     p = {m: R.domain.of(c) for m, c in terms.items() if R.domain.of(c) != R.domain.zero}
-    got = polyalg.normal_form_mod_unit(R, p, "q", "r")
+    got = normal_form(p, polyalg.unit_basis(R))
     syms = sympy.symbols(names)
     q, r = syms[names.index("q")], syms[names.index("r")]
     expr = sum(sympy.Rational(c.numerator, c.denominator) *

@@ -14,6 +14,7 @@ import re
 from pathlib import Path
 
 from steinberg import cases
+from steinberg.report import Emitter
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -93,11 +94,27 @@ def _calls(tree):
 def _sets(call, params, name, offset):
     """Whether a call passes the parameter `name` of a function whose
     positional parameters are `params`, the first `offset` of them bound
-    before the call (self or cls)."""
-    if any(isinstance(a, ast.Starred) for a in call.args) or \
-            any(k.arg is None or k.arg == name for k in call.keywords):
+    before the call (self or cls): by an explicit keyword, or by a
+    positional argument before the first starred one.  What a * or **
+    argument unpacks cannot be read off the call, so it sets nothing."""
+    if any(k.arg == name for k in call.keywords):
         return True
-    return name in params[offset:offset + len(call.args)]
+    plain = next((k for k, a in enumerate(call.args) if isinstance(a, ast.Starred)),
+                 len(call.args))
+    return name in params[offset:offset + plain]
+
+
+def test_a_starred_call_sets_only_what_it_spells_out():
+    params = list(inspect.signature(Emitter.add).parameters)
+
+    def sets(text):
+        return _sets(ast.parse(text, mode="eval").body, params, "not_decidable", 1)
+
+    assert not sets("x.add(*terms)")
+    assert not sets("x.add(*terms, **options)")
+    assert not sets("x.add('id', True, *rest)")
+    assert sets("x.add(*terms, not_decidable=True)")
+    assert sets("x.add('id', True, '', '', '', False, True, *rest)")
 
 
 def test_every_defaulted_parameter_is_set_by_some_call():
