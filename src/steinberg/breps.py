@@ -16,12 +16,13 @@ whitespace-insensitive, and integers are ASCII digits.
 is kept as the independent oracle in ``tests/test_breps.py``.
 
 ``tensor``, ``wedge`` and ``sym`` add weights as packed ints: (a, b) is
-a 2^s + b and (a,) is a.  The width s is picked per construction so that each
-coordinate of the result lies in [-2^(s-1), 2^(s-1)): s = bit_length(bound) +
-1, where bound is the sum of the largest input coordinates (tensor) or j times
-the largest (a j-th power).  Int order is then tuple order, so the result is
-sorted as ints and decoded once into ``items``, which stay tuples: a packed
-int depends on its construction's width, the tuple does not.
+a 2^s + b, (a,) is a and () is 0; they refuse weights of a higher rank.  The
+width s is picked per construction so that each coordinate of the result lies
+in [-2^(s-1), 2^(s-1)): s = bit_length(bound) + 1, where bound is the sum of
+the largest input coordinates (tensor) or j times the largest (a j-th power).
+Int order is then tuple order, so the result is sorted as ints and decoded
+once into ``items``, which stay tuples: a packed int depends on its
+construction's width, the tuple does not.
 
 ``parse_rep(text, builder)`` hands each construction to a builder as soon as
 its operands are read: ``build_rep`` builds weight multisets,
@@ -61,30 +62,27 @@ def _width(bound: int) -> int:
 
 
 def _pack(items, rank: int, s: int) -> list[tuple[int, int]]:
-    """(packed weight, multiplicity) for each item: (x0, ..., xk) becomes
-    the int x0 2^(ks) + ... + xk, so packing is additive and, for weights
-    whose lower fields fit in s bits, keeps the order of the tuples."""
-    if rank == 2:
-        try:
+    """(packed weight, multiplicity) for each item: (a, b) becomes the int
+    a 2^s + b, (a,) becomes a and () becomes 0, so packing is additive and,
+    for weights whose lower field fits in s bits, keeps the order of the
+    tuples.  Root data have ranks 0 to 2 only; a higher rank is refused."""
+    try:
+        if rank == 2:
             return [((a << s) + b, m) for (a, b), m in items]
-        except ValueError:  # a weight of another length fails to unpack
-            raise ValueError("weights of different ranks") from None
-    packed = []
-    for w, m in items:
-        if len(w) != rank:
-            raise ValueError("weights of different ranks")
-        v = 0
-        for x in w:
-            v = (v << s) + x
-        packed.append((v, m))
-    return packed
+        if rank == 1:
+            return [(a, m) for (a,), m in items]
+        if rank == 0:
+            return [(0, m) for (), m in items]
+    except ValueError:  # a weight of another length fails to unpack
+        raise ValueError("weights of different ranks") from None
+    raise ValueError(f"weights of rank {rank}: packed weights have rank 0, 1 or 2")
 
 
 def _unpack(acc: dict[int, int], rank: int, s: int) -> "WeightMultiset":
     """The multiset of the packed weight: multiplicity pairs in acc, all
     multiplicities positive, decoded once, in sorted order.  Adding 2^(s-1)
-    to each field below the first makes it nonnegative, so that it reads off
-    with a mask and a shift."""
+    to the lower field of a rank-2 weight makes it nonnegative, so that it
+    reads off with a mask and a shift."""
     pairs = sorted(acc.items())
     half, mask = 1 << (s - 1), (1 << s) - 1
     if rank == 2:
@@ -92,19 +90,10 @@ def _unpack(acc: dict[int, int], rank: int, s: int) -> "WeightMultiset":
         for v, m in pairs:
             t = v + half
             items.append(((t >> s, (t & mask) - half), m))
-    elif rank == 0:
-        items = [((), m) for _, m in pairs]
+    elif rank == 1:
+        items = [((v,), m) for v, m in pairs]
     else:
-        offset = sum(half << (i * s) for i in range(rank - 1))
-        items = []
-        for v, m in pairs:
-            t = v + offset
-            w = []
-            for _ in range(rank - 1):
-                w.append((t & mask) - half)
-                t >>= s
-            w.append(t)
-            items.append((tuple(reversed(w)), m))
+        items = [((), m) for _, m in pairs]
     ms = WeightMultiset.__new__(WeightMultiset)
     set_field(ms, "items", tuple(items))
     set_field(ms, "bott", None)

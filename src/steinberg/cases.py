@@ -10,11 +10,11 @@ the last diagonal entry of each matrix and write it as minus the others).
             tr N^2, tr M^3, tr N^3 and all entries of M^2N, N^2M, NM^2, MN^2.
     n3-x    full 3x3 pairs; the n3-z traces plus tr M, tr N and the entries
             of MN - NM, with only M^2N and MN^2 among the cubic products.
-    gl-n2   (Phi, Sigma) in GL2 x GL2 with inverse-determinant variables u, v:
-            commutation with Sigma^q expanded through (Sigma-I)^2 = 0, the
-            two characteristic polynomials, and tr(Phi(Sigma-I)).
-    gl-n3   the 3x3 analogue, with Sigma^q = I + q(Sigma-I) + C(q,2)(Sigma-I)^2
-            and the two extra cubic matrix relations.
+    gl-n2   (Phi, Sigma) in GLn x GLn, n = 2 or 3, with inverse-determinant
+    gl-n3   variables u, v, from one construction: Phi Sigma = Sigma^q Phi with
+            Sigma^q = sum_{k<n} C(q,k)(Sigma-I)^k, the characteristic
+            polynomials e_k(Phi) = e_k(1, q, ..., q^(n-1)) and e_k(Sigma) =
+            C(n,k), tr(Phi(Sigma-I)), and for n = 3 two extra cubic relations.
     cnil    the commuting-nilpotent chart equation (see cn_ideal_reduction).
 
 In the gl and cnil cases q is a variable of the ring, the first one; a
@@ -38,6 +38,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from functools import wraps
+from math import comb
 
 from . import breps, bwb
 from .fieldops import (ZZ, Frozen, Record, field_of, mat_add, mat_det, mat_mul, mat_sub,
@@ -179,51 +180,38 @@ def build_case(case: IdealCase) -> CaseData:
             gens += [prod[i][j] for i in range(3) for j in range(3)]
         return CaseData(ring, gens, {"M": M, "N": N})
     if tag in ("gl-n2", "gl-n3"):
-        n = 2 if tag == "gl-n2" else 3
+        n = int(tag[-1])
         names = ["q"] + _matrix_names("f", n, False) + _matrix_names("s", n, False) + ["u", "v"]
         ring = PolyRing(names, case.char)
         Phi = _var_matrix(ring, "f", n, False)
         Sigma = _var_matrix(ring, "s", n, False)
-
-        def qp(k):
-            return ring.pow(ring.var("q"), k)
-
-        qpoly = qp(1)
+        q = ring.var("q")
         one = mat_identity_poly(ring, n, ring.const(1))
         Nmat = mat_sub(ring, Sigma, one)
-        gens = []
-        if n == 2:
-            sigma_q = mat_add(ring, one, mat_scale_poly(ring, Nmat, qpoly))
-            comm = mat_sub(ring, mat_mul(ring, Phi, Sigma), mat_mul(ring, sigma_q, Phi))
-            gens += [comm[i][j] for i in range(n) for j in range(n)]
-            gens.append(ring.sub(mat_trace(ring, Phi), ring.add(ring.const(1), qp(1))))
-            gens.append(ring.sub(mat_det(ring, Phi), qp(1)))
-            gens.append(ring.sub(mat_trace(ring, Sigma), ring.const(2)))
-            gens.append(ring.sub(mat_det(ring, Sigma), ring.const(1)))
-            gens.append(mat_trace(ring, mat_mul(ring, Phi, Nmat)))
-        else:
-            # Sigma^q = I + q(Sigma - I) + C(q,2)(Sigma - I)^2; needs 1/2
-            N2 = mat_mul(ring, Nmat, Nmat)
-            cq2 = ring.scale(ring.mul(qpoly, ring.sub(qpoly, ring.const(1))), Fraction(1, 2))
-            sigma_q = mat_add(ring, one, mat_add(ring, mat_scale_poly(ring, Nmat, qpoly),
-                                                 mat_scale_poly(ring, N2, cq2)))
-            comm = mat_sub(ring, mat_mul(ring, Phi, Sigma), mat_mul(ring, sigma_q, Phi))
-            gens += [comm[i][j] for i in range(n) for j in range(n)]
-            gens.append(ring.sub(mat_trace(ring, Phi),
-                                 ring.add(ring.add(ring.const(1), qp(1)), qp(2))))
-            gens.append(ring.sub(mat_e2(ring, Phi),
-                                 ring.add(ring.add(qp(1), qp(2)), qp(3))))
-            gens.append(ring.sub(mat_det(ring, Phi), qp(3)))
-            gens.append(ring.sub(mat_trace(ring, Sigma), ring.const(3)))
-            gens.append(ring.sub(mat_e2(ring, Sigma), ring.const(3)))
-            gens.append(ring.sub(mat_det(ring, Sigma), ring.const(1)))
-            gens.append(mat_trace(ring, mat_mul(ring, Phi, Nmat)))
-            phi_q2 = mat_sub(ring, Phi, mat_identity_poly(ring, n, qp(2)))
-            phi_q1 = mat_sub(ring, Phi, mat_identity_poly(ring, n, qp(1)))
-            rel1 = mat_mul(ring, phi_q2, N2)
-            rel2 = mat_mul(ring, mat_mul(ring, phi_q2, phi_q1), Nmat)
-            gens += [rel1[i][j] for i in range(n) for j in range(n)]
-            gens += [rel2[i][j] for i in range(n) for j in range(n)]
+        # Sigma^q = sum_{k<n} C(q, k) (Sigma - I)^k, as (Sigma - I)^n = 0;
+        # C(q, k) = C(q, k-1) (q - k + 1) / k needs 1/k
+        binom, power, sigma_q = ring.const(1), one, one
+        for k in range(1, n):
+            binom = ring.scale(ring.mul(binom, ring.sub(q, ring.const(k - 1))), Fraction(1, k))
+            power = mat_mul(ring, power, Nmat)
+            sigma_q = mat_add(ring, sigma_q, mat_scale_poly(ring, power, binom))
+        comm = mat_sub(ring, mat_mul(ring, Phi, Sigma), mat_mul(ring, sigma_q, Phi))
+        gens = [comm[i][j] for i in range(n) for j in range(n)]
+        # e_k(Phi) = e_k(1, q, ..., q^(n-1)), the t^k coefficient of
+        # prod_{i<n} (1 + q^i t), and e_k(Sigma) = C(n, k)
+        eq = [ring.const(1)]
+        for i in range(n):
+            eq = [ring.add(a, ring.mul(b, ring.pow(q, i))) for a, b in zip(eq + [{}], [{}] + eq)]
+        elementary = [mat_trace, mat_e2][:n - 1] + [mat_det]
+        for mat, rhs in ((Phi, eq), (Sigma, [ring.const(comb(n, k)) for k in range(n + 1)])):
+            gens += [ring.sub(e(ring, mat), rhs[k]) for k, e in enumerate(elementary, 1)]
+        gens.append(mat_trace(ring, mat_mul(ring, Phi, Nmat)))
+        if n == 3:  # (Phi - q^2)(Sigma - I)^2 = 0 = (Phi - q^2)(Phi - q)(Sigma - I)
+            phi_q2 = mat_sub(ring, Phi, mat_identity_poly(ring, n, ring.pow(q, 2)))
+            phi_q1 = mat_sub(ring, Phi, mat_identity_poly(ring, n, q))
+            for rel in (mat_mul(ring, phi_q2, power),
+                        mat_mul(ring, mat_mul(ring, phi_q2, phi_q1), Nmat)):
+                gens += [rel[i][j] for i in range(n) for j in range(n)]
         gens.append(ring.sub(ring.mul(ring.var("u"), mat_det(ring, Phi)), ring.const(1)))
         gens.append(ring.sub(ring.mul(ring.var("v"), mat_det(ring, Sigma)), ring.const(1)))
         # sums and products of Fractions stay Fractions when integral (see
@@ -254,12 +242,13 @@ def make_ideal(case: IdealCase) -> IdealBasis:
 @_memoized
 def case_basis(case: IdealCase, bound: int | None) -> IdealBasis:
     """Groebner basis of the named case up to `bound`, computed once per
-    (case, bound).  A basis over GF(l) is guided by the char-0 basis of the
-    same (tag, bound), which is built first when the store lacks it: the
-    run reads its basis off that one when l divides nothing it recorded,
-    and runs unguided otherwise (see polyalg.groebner).  So the order of the
-    campaigns asking for bases does not change the work."""
-    guide = case_basis(IdealCase(case.tag), bound) if case.char else None
+    (case, bound).  A basis over GF(l), l >= 5, is guided by the char-0
+    basis of the same (tag, bound), which is built first when the store
+    lacks it: the run reads its basis off that one when l divides nothing it
+    recorded, and runs unguided otherwise (see polyalg.groebner).  So the
+    order of the campaigns asking for bases does not change the work.  At
+    l = 2 and 3 no guide is built: the Q runs of n3-z and n3-x record 24."""
+    guide = case_basis(IdealCase(case.tag), bound) if case.char >= 5 else None
     return groebner(make_ideal(case), bound, guide=guide)
 
 

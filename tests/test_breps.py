@@ -434,9 +434,9 @@ _BIG = 10 ** 12
 
 @st.composite
 def _multiset_pairs(draw):
-    """Two multisets of one rank (0 to 3) and a twist of that rank, with
+    """Two multisets of one rank (0 to 2) and a twist of that rank, with
     coordinates near 0 or near +-10^12."""
-    rank = draw(st.sampled_from([0, 1, 2, 3]))
+    rank = draw(st.sampled_from([0, 1, 2]))
     coord = st.one_of(st.integers(-4, 4), st.integers(-4, 4).map(lambda x: x + _BIG),
                       st.integers(-4, 4).map(lambda x: x - _BIG))
     small = st.tuples(*[st.integers(-4, 4)] * rank)
@@ -493,6 +493,16 @@ def test_mixed_ranks_are_refused():
         build_rep("b").tensor(build_rep("b", A1))
     with pytest.raises(ValueError, match="different ranks"):
         WeightMultiset({(1,): 1, (1, 2): 1}).wedge(2)
+
+
+def test_ranks_above_two_are_refused():
+    ms = WeightMultiset({(1, 0, 0): 1, (0, 1, 0): 2})
+    for construct in (lambda: ms.tensor(ms), lambda: ms.wedge(2), lambda: ms.sym(2)):
+        with pytest.raises(ValueError, match="weights of rank 3"):
+            construct()
+    # ranks 0 to 2 are packed
+    for w in ((), (1,), (1, 2)):
+        assert WeightMultiset({w: 2}).sym(2).items == _tuple_sym(WeightMultiset({w: 2}), 2).items
 
 
 def test_based_reps_are_immutable():

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import os
 import random
@@ -39,6 +40,37 @@ def test_case_descriptors():
         IdealCase("bogus")
     with pytest.raises(UnsupportedCase):
         IdealCase("gl-n3", 3)
+
+
+# sha256 of every case's generator list at chars 0, 5, 7 and 11: each term
+# in the order of its generator's dict, as monomial, coefficient type and
+# coefficient.  Recorded before the gl cases were built from one formula.
+GENERATORS_SHA256 = "8e8a251b984aa8b7139c3be2ed73c9efcdf55f744279c24516c1e469703635cb"
+
+
+def test_generator_lists_are_pinned():
+    h = hashlib.sha256()
+    for tag in cases.CASE_TAGS:
+        for char in (0, 5, 7, 11):
+            for g in build_case(IdealCase(tag, char)).gens:
+                terms = [(m, type(c).__name__, c) for m, c in g.items()]
+                h.update(repr(terms).encode() + b";")
+            h.update(b"|")
+    assert h.hexdigest() == GENERATORS_SHA256
+
+
+@pytest.mark.parametrize("tag, char, line", [
+    ("n3-z", 2, "[1, 16, 135, 764, 3239, 11048]"), ("n3-z", 3, "[1, 16, 133, 734, 3034, 10162]"),
+    ("n3-x", 2, "[1, 16, 127, 654, 2510, 7814]"), ("n3-x", 3, "[1, 16, 125, 640, 2454, 7646]"),
+    ("n2", 3, "[1, 6, 15, 28, 45, 66]")])
+def test_no_char_0_guide_below_five(groebner_calls, capsys, tag, char, line):
+    """At l = 2 and 3 a case basis runs unguided (the Q runs of n3-z and
+    n3-x record 24): one groebner call, and the line printed when the
+    char-0 guide was built first."""
+    argv = ["compute", "hilbert", "--case", tag, "--char", str(char), "--degree-bound", "5"]
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out == line + "\n"
+    assert [guide for _, _, guide in groebner_calls] == [None]
 
 
 def test_generator_counts():
@@ -510,13 +542,14 @@ def test_verify_all_reads_every_guided_case_basis_off_its_char0_basis(groebner_c
 
 def test_a_char0_basis_that_records_l_guides_no_read(groebner_calls, capsys):
     """Over GF(2) the n2 commutator entries with coefficient 2 vanish in
-    degree 2, the top generator degree.  The basis over Q is built first as
-    the guide; its record names 2, so nothing is read off it and the run
-    over GF(2) is the unguided one."""
+    degree 2, the top generator degree.  case_basis builds no guide at
+    l = 2; the basis over Q, given as the guide, records 2, so nothing is
+    read off it and the run over GF(2) is the unguided one."""
     argv = ["compute", "hilbert", "--case", "n2", "--char", "2", "--degree-bound", "3"]
     assert cli.main(argv) == 0 and capsys.readouterr().out == "[1, 6, 18, 38]\n"
-    [(q_bound, no_guide), (bound, guide)] = [(bound, guide) for _, bound, guide in groebner_calls]
-    assert (q_bound, no_guide, bound) == (3, None, 3) and guide.divisors % 2 == 0
+    assert [(bound, guide) for _, bound, guide in groebner_calls] == [(3, None)]
+    guide = cases.case_basis(IdealCase("n2"), 3)
+    assert guide.divisors % 2 == 0
     ideal = make_ideal(IdealCase("n2", 2))
     assert polyalg._lift(ideal, 3, guide) is None
     basis, unguided = groebner(ideal, 3, guide=guide), groebner(ideal, 3)
@@ -527,11 +560,11 @@ def test_a_char0_basis_that_records_l_guides_no_read(groebner_calls, capsys):
                                             ("n3-z", 3, False), ("n3-x", 2, True),
                                             ("n3-x", 3, True)])
 def test_a_case_basis_over_gf2_or_gf3_is_the_unguided_run(groebner_calls, tag, l, intact):
-    """The real cases whose bases over GF(l) at bound 4 are not read off:
-    each is guided by the char-0 basis, whose run records l (n2 records 2,
-    n3-z 12 and n3-x 24), so the guide is set aside, whether a char-0
-    generator vanishes mod l (n2, n3-z) or every one stays intact (n3-x).
-    The basis is the unguided run's, work counters included."""
+    """The real cases whose bases over GF(l) at bound 4 could not be read
+    off: the char-0 run records l (n2 records 2, n3-z 12 and n3-x 24),
+    whether a char-0 generator vanishes mod l (n2, n3-z) or every one stays
+    intact (n3-x).  So case_basis builds no guide at l = 2 and 3, and the
+    basis is the unguided run's, work counters included."""
     ideal = make_ideal(IdealCase(tag, l))
     of = ideal.ring.domain.of
     assert all(any(of(c) for c in g.values())
@@ -540,19 +573,22 @@ def test_a_case_basis_over_gf2_or_gf3_is_the_unguided_run(groebner_calls, tag, l
     assert basis == unguided and basis.gb_lead == unguided.gb_lead
     assert basis.stats == unguided.stats and unguided.stats.pairs > 0
     guides = [guide for gens, _, guide in groebner_calls if gens == ideal.gens]
-    assert len(guides) == 1 and guides[0].divisors % l == 0
+    assert guides == [None]
+    assert cases.case_basis(IdealCase(tag), 4).divisors % l == 0
 
 
 @pytest.mark.parametrize("tag, l", [(tag, l) for tag in ("n2", "n3-z", "n3-x") for l in (2, 3)])
 def test_small_prime_case_bases_equal_the_unguided_runs(tag, l):
     """The oracle grid of the lift at the primes where the read-off decision
     goes both ways: at every bound through 5, and complete for n2 and n3-x,
-    the case basis over GF(l), guided by the char-0 basis, equals the
-    unguided run on the case's own generators over GF(l)."""
+    the basis over GF(l) guided by the char-0 case basis equals the unguided
+    run on the case's own generators over GF(l).  case_basis builds no guide
+    at these primes, so the guide is passed here."""
     for bound in [*range(6), *([None] if tag != "n3-z" else [])]:
         cases.clear_case_memo()
         ideal = make_ideal(IdealCase(tag, l))
-        basis, unguided = cases.case_basis(IdealCase(tag, l), bound), groebner(ideal, bound)
+        guide = cases.case_basis(IdealCase(tag), bound)
+        basis, unguided = groebner(ideal, bound, guide=guide), groebner(ideal, bound)
         assert basis == unguided, (bound, "gb, gb_bound, mingens")
         assert basis.gb_lead == unguided.gb_lead, bound
     cases.clear_case_memo()
@@ -641,7 +677,8 @@ def test_gl_generators_that_do_not_homogenize_fail_the_specialization_entry(monk
 
 # (char, degree bound) of each case's ideal_campaign in verify_all; the first
 # of them for n2 and n3-z
-_SWEEP_RUNS = {"n2": (0, 6), "n3-z": (0, 5), "gl-n2": (5, 4), "cnil": (0, 4), "n3-x": (5, 5)}
+_SWEEP_RUNS = {"n2": (0, 6), "n3-z": (0, 5), "gl-n2": (5, 4), "gl-n3": (5, 4), "cnil": (0, 4),
+               "n3-x": (5, 5)}
 
 
 @pytest.mark.parametrize("tag", list(_SWEEP_RUNS))
