@@ -21,7 +21,7 @@ from .cases import (IdealCase, build_case, case_basis, case_cn_reduction, case_h
                     commutator_layer_check, gl_specialization_check, hilbert_cross_check,
                     multiplicity, span17_check)
 from .fieldops import mat_mul, mat_sub, mat_trace
-from .polyalg import IdealBasis, PolyRing, groebner, krull_dim, min_gen_degrees, normal_form
+from .polyalg import IdealBasis, groebner, krull_dim, min_gen_degrees, normal_form
 from .report import Emitter, load_data_text
 from .weights import A2, ClassGroupElement, class_reduce, iota, self_dual_classes
 
@@ -196,15 +196,16 @@ def dims_campaign(em: Emitter) -> None:
     char = 7
     pre = f"dims.c{char}"
     anchor = "lem:YtoF"
-    R6 = PolyRing(("a", "b", "c", "d", "e", "f"), char)
-    af_cd = R6.sub(R6.mul(R6.var("a"), R6.var("f")), R6.mul(R6.var("c"), R6.var("d")))
+    # the q = 1 chart equation a*f - c*d of the ideal.cnil q1 checks, in a..f
+    chart = cn_ideal_reduction(1, 3, char)
+    hypersurface = [e for _, e in chart.entries]
+    a, c, d, f = (chart.ring.var(x) for x in "acdf")
     cases = [
-        ("hypersurface", [af_cd], 5),
-        ("nonregular-locus", [af_cd, R6.mul(R6.var("a"), R6.var("c")),
-                              R6.mul(R6.var("d"), R6.var("f"))], 4),
+        ("hypersurface", hypersurface, 5),
+        ("nonregular-locus", hypersurface + [chart.ring.mul(a, c), chart.ring.mul(d, f)], 4),
     ]
     for name, gens, expected in cases:
-        g = groebner(IdealBasis(R6, gens), None)
+        g = groebner(IdealBasis(chart.ring, gens), None)
         dim = krull_dim(g)
         em.add(f"{pre}.{name}", dim == expected, expected, dim, anchor=anchor)
     fibre = IdealCase("n3-x", char)

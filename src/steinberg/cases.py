@@ -1,8 +1,9 @@
 """The named ideals of the Steinberg-component computations and their checks.
 
-Six cases are modelled.  The ambient rings use degrevlex with the entries of
-M row-major first, then the entries of N row-major (traceless ambients drop
-the last diagonal entry of each matrix and write it as minus the others).
+Six cases are modelled.  n2, n3-z and n3-x are built on one matrix pair
+(`_matrix_pair`, `_pair_gens`), whose ring uses degrevlex with the entries
+of M row-major first, then the entries of N row-major (traceless ambients
+drop the last diagonal entry of each matrix and write it as minus the others).
 
     n2      pairs of traceless 2x2 matrices; generators det M, det N,
             tr(MN), entries of MN - NM.
@@ -134,6 +135,39 @@ def _var_matrix(ring, prefix: str, n: int, traceless: bool):
     return m
 
 
+def _entries(*mats) -> list:
+    """The nonzero entries of the matrices, row-major, one matrix after another."""
+    return [x for a in mats for row in a for x in row if x]
+
+
+def _matrix_pair(n: int, traceless: bool, char: int):
+    """(ring, M, N): the ring of a pair of n x n matrices, traceless or full,
+    and the two matrices of its variables."""
+    ring = PolyRing(_matrix_names("m", n, traceless) + _matrix_names("n", n, traceless), char)
+    return ring, _var_matrix(ring, "m", n, traceless), _var_matrix(ring, "n", n, traceless)
+
+
+def _pair_gens(tag: str, ring, M, N) -> list:
+    """The generator list of the pair case n2, n3-z or n3-x in M and N."""
+    def tr(a):
+        return mat_trace(ring, a)
+
+    def comm():  # the entries of MN - NM; n3-z has none
+        return _entries(mat_sub(ring, MN, mat_mul(ring, N, M)))
+
+    MN = mat_mul(ring, M, N)
+    if tag == "n2":
+        return [mat_det(ring, M), mat_det(ring, N), tr(MN)] + comm()
+    M2, N2 = mat_mul(ring, M, M), mat_mul(ring, N, N)
+    traces = [tr(M2), tr(MN), tr(N2)]
+    cubics = [tr(mat_mul(ring, M2, M)), tr(mat_mul(ring, N2, N))]
+    if tag == "n3-z":
+        return traces + cubics + _entries(mat_mul(ring, M2, N), mat_mul(ring, N2, M),
+                                          mat_mul(ring, N, M2), mat_mul(ring, M, N2))
+    return ([tr(M), tr(N)] + traces + comm() + cubics
+            + _entries(mat_mul(ring, M2, N), mat_mul(ring, M, N2)))
+
+
 class CaseData(Record):
     __slots__ = ("ring", "gens", "mats")
     def __init__(self, ring: PolyRing, gens: list, mats: dict):
@@ -147,38 +181,9 @@ def build_case(case: IdealCase) -> CaseData:
     if tag == "cnil":
         rep = case_cn_reduction(case)
         return CaseData(rep.ring, [e for _, e in rep.entries], {})
-    if tag == "n2":
-        ring = PolyRing(_matrix_names("m", 2, True) + _matrix_names("n", 2, True), case.char)
-        M = _var_matrix(ring, "m", 2, True)
-        N = _var_matrix(ring, "n", 2, True)
-        comm = mat_sub(ring, mat_mul(ring, M, N), mat_mul(ring, N, M))
-        gens = [mat_det(ring, M), mat_det(ring, N), mat_trace(ring, mat_mul(ring, M, N))]
-        gens += [comm[i][j] for i in range(2) for j in range(2) if comm[i][j]]
-        return CaseData(ring, gens, {"M": M, "N": N})
-    if tag == "n3-z":
-        ring = PolyRing(_matrix_names("m", 3, True) + _matrix_names("n", 3, True), case.char)
-        M = _var_matrix(ring, "m", 3, True)
-        N = _var_matrix(ring, "n", 3, True)
-        M2, N2 = mat_mul(ring, M, M), mat_mul(ring, N, N)
-        gens = [mat_trace(ring, M2), mat_trace(ring, mat_mul(ring, M, N)), mat_trace(ring, N2),
-                mat_trace(ring, mat_mul(ring, M2, M)), mat_trace(ring, mat_mul(ring, N2, N))]
-        for prod in (mat_mul(ring, M2, N), mat_mul(ring, N2, M),
-                     mat_mul(ring, N, M2), mat_mul(ring, M, N2)):
-            gens += [prod[i][j] for i in range(3) for j in range(3)]
-        return CaseData(ring, gens, {"M": M, "N": N})
-    if tag == "n3-x":
-        ring = PolyRing(_matrix_names("m", 3, False) + _matrix_names("n", 3, False), case.char)
-        M = _var_matrix(ring, "m", 3, False)
-        N = _var_matrix(ring, "n", 3, False)
-        M2, N2 = mat_mul(ring, M, M), mat_mul(ring, N, N)
-        comm = mat_sub(ring, mat_mul(ring, M, N), mat_mul(ring, N, M))
-        gens = [mat_trace(ring, M), mat_trace(ring, N),
-                mat_trace(ring, M2), mat_trace(ring, mat_mul(ring, M, N)), mat_trace(ring, N2)]
-        gens += [comm[i][j] for i in range(3) for j in range(3)]
-        gens += [mat_trace(ring, mat_mul(ring, M2, M)), mat_trace(ring, mat_mul(ring, N2, N))]
-        for prod in (mat_mul(ring, M2, N), mat_mul(ring, M, N2)):
-            gens += [prod[i][j] for i in range(3) for j in range(3)]
-        return CaseData(ring, gens, {"M": M, "N": N})
+    if tag in ("n2", "n3-z", "n3-x"):
+        ring, M, N = _matrix_pair(2 if tag == "n2" else 3, tag != "n3-x", case.char)
+        return CaseData(ring, _pair_gens(tag, ring, M, N), {"M": M, "N": N})
     if tag in ("gl-n2", "gl-n3"):
         n = int(tag[-1])
         names = ["q"] + _matrix_names("f", n, False) + _matrix_names("s", n, False) + ["u", "v"]
@@ -196,7 +201,7 @@ def build_case(case: IdealCase) -> CaseData:
             power = mat_mul(ring, power, Nmat)
             sigma_q = mat_add(ring, sigma_q, mat_scale_poly(ring, power, binom))
         comm = mat_sub(ring, mat_mul(ring, Phi, Sigma), mat_mul(ring, sigma_q, Phi))
-        gens = [comm[i][j] for i in range(n) for j in range(n)]
+        gens = _entries(comm)
         # e_k(Phi) = e_k(1, q, ..., q^(n-1)), the t^k coefficient of
         # prod_{i<n} (1 + q^i t), and e_k(Sigma) = C(n, k)
         eq = [ring.const(1)]
@@ -209,9 +214,8 @@ def build_case(case: IdealCase) -> CaseData:
         if n == 3:  # (Phi - q^2)(Sigma - I)^2 = 0 = (Phi - q^2)(Phi - q)(Sigma - I)
             phi_q2 = mat_sub(ring, Phi, mat_identity_poly(ring, n, ring.pow(q, 2)))
             phi_q1 = mat_sub(ring, Phi, mat_identity_poly(ring, n, q))
-            for rel in (mat_mul(ring, phi_q2, power),
-                        mat_mul(ring, mat_mul(ring, phi_q2, phi_q1), Nmat)):
-                gens += [rel[i][j] for i in range(n) for j in range(n)]
+            gens += _entries(mat_mul(ring, phi_q2, power),
+                             mat_mul(ring, mat_mul(ring, phi_q2, phi_q1), Nmat))
         gens.append(ring.sub(ring.mul(ring.var("u"), mat_det(ring, Phi)), ring.const(1)))
         gens.append(ring.sub(ring.mul(ring.var("v"), mat_det(ring, Sigma)), ring.const(1)))
         # sums and products of Fractions stay Fractions when integral (see
@@ -553,17 +557,13 @@ def span_lattice(ambient: str):
     data = build_case(_SPAN_CASES[ambient])
     ring, M, N = data.ring, data.mats["M"], data.mats["N"]
     M2 = mat_mul(ring, M, M)
-    span_polys = []
-    for prod in (mat_mul(ring, M2, N), mat_mul(ring, N, M2)):
-        span_polys += [prod[i][j] for i in range(3) for j in range(3)]
+    span_polys = _entries(mat_mul(ring, M2, N), mat_mul(ring, N, M2))
     trmn = mat_trace(ring, mat_mul(ring, M, N))
     trm2 = mat_trace(ring, M2)
-    reducers = []
-    reducers += [ring.mul(M[i][j], trmn) for i in range(3) for j in range(3) if M[i][j]]
-    reducers += [ring.mul(N[i][j], trm2) for i in range(3) for j in range(3) if N[i][j]]
+    reducers = [ring.mul(x, trmn) for x in _entries(M)] + [ring.mul(x, trm2) for x in _entries(N)]
     if ambient == "full-matrix":
         trm_sq = ring.mul(mat_trace(ring, M), mat_trace(ring, M))
-        reducers += [ring.mul(N[i][j], trm_sq) for i in range(3) for j in range(3) if N[i][j]]
+        reducers += [ring.mul(x, trm_sq) for x in _entries(N)]
     arow = _degree3_rows(ring, span_polys + reducers)
     a_part = arow[: len(span_polys)]
     b_part = arow[len(span_polys):]
@@ -629,15 +629,10 @@ def gl_specialization_check(tag: str, char: int = 5) -> tuple[bool, str, str]:
         raise UnsupportedCase(tag)
     n = 2 if tag == "gl-n2" else 3
     gl = build_case(IdealCase(tag, char))
-    if n == 2:
-        target_ring = PolyRing(_matrix_names("m", 2, False) + _matrix_names("n", 2, False), char)
-        M = _var_matrix(target_ring, "m", 2, False)
-        N = _var_matrix(target_ring, "n", 2, False)
-        comm = mat_sub(target_ring, mat_mul(target_ring, M, N), mat_mul(target_ring, N, M))
-        target_gens = [mat_trace(target_ring, M), mat_trace(target_ring, N),
-                       mat_det(target_ring, M), mat_det(target_ring, N),
-                       mat_trace(target_ring, mat_mul(target_ring, M, N))]
-        target_gens += [comm[i][j] for i in range(2) for j in range(2) if comm[i][j]]
+    if n == 2:  # n2's generators on a full pair, after tr M and tr N
+        target_ring, M, N = _matrix_pair(2, False, char)
+        target_gens = ([mat_trace(target_ring, M), mat_trace(target_ring, N)]
+                       + _pair_gens("n2", target_ring, M, N))
     else:
         target = build_case(IdealCase("n3-x", char))
         target_ring, target_gens = target.ring, target.gens

@@ -168,6 +168,24 @@ def test_gl_specialization_small():
     assert passed and actual == "forward True, backward True"
 
 
+# the gl-n2 target of gl_specialization_check, as it was built by hand
+_GL_N2_TARGET = ["m11 + m22", "n11 + n22", "m11*m22 - m12*m21", "n11*n22 - n12*n21",
+                 "m11*n11 + m12*n21 + m21*n12 + m22*n22", "m12*n21 - m21*n12",
+                 "m11*n12 + m12*n22 - m12*n11 - m22*n12",
+                 "m21*n11 + m22*n21 - m11*n21 - m21*n22", "m21*n12 - m12*n21"]
+
+
+@pytest.mark.parametrize("char", [5, 7])
+def test_gl_n2_specialization_target_is_the_hand_built_list(groebner_calls, char):
+    """tr M, tr N, det M, det N, tr MN and the entries of MN - NM on a full
+    2x2 pair: the ideal of the check's second groebner run, after the
+    specialized gl generators."""
+    assert gl_specialization_check("gl-n2", char)[0]
+    (_, _, _), (target, _, _) = groebner_calls
+    ring = PolyRing(cases._matrix_names("m", 2, False) + cases._matrix_names("n", 2, False), char)
+    assert target == [ring.from_text(t) for t in _GL_N2_TARGET]
+
+
 def test_chart_symbolic():
     for tag, count in (("gl-n2", 11), ("gl-n3", 36)):
         assert chart_symbolic_check(tag) == (
@@ -655,6 +673,21 @@ def test_a_changed_gl_coefficient_fails_the_specialization_check(monkeypatch):
 
     _faulty_case(monkeypatch, "gl-n2", change)
     assert gl_specialization_check("gl-n2", 5)[::2] == (False, "forward False, backward True")
+
+
+def test_the_dims_hypersurface_is_read_off_the_chart_equation(monkeypatch):
+    """With the q = 1 chart equation replaced by the unit generator, both
+    six-variable dims ideals are the unit ideal, of Krull dimension -1."""
+    def unit(q, n, char):
+        rep = cases.cn_ideal_reduction(q, n, char)
+        return cases.CnReport(rep.ring, [((0, 2), rep.ring.const(1))], True, "1", "1", False)
+
+    monkeypatch.setattr(campaigns, "cn_ideal_reduction", unit)
+    em = Emitter()
+    campaigns.dims_campaign(em)
+    got = {e.check_id: (e.status, e.actual) for e in em.entries}
+    for name in ("hypersurface", "nonregular-locus"):
+        assert got[f"dims.c7.{name}"] == (FAIL, "-1")
 
 
 @pytest.mark.parametrize("g, c", [(0, 0), (1, 1), (2, 2)])

@@ -6,18 +6,27 @@ generator list through a patched `build_case`.  Each mutation runs one
 `verify all` (seed 0, 5 trials) on a memo of its own.  The report's ids that
 no mutation turns to fail are printed (`pytest -s`): checks that no input
 mutation here reaches.
+
+The census of table mutants is a ratchet: `mutation_census.json` records,
+for every χ-preserving two-cell change of a known table row at l = 5, the
+ids that `bwb.verify_table` fails on it, or "survived".
 """
 
+import json
 import shutil
+from itertools import combinations
 from pathlib import Path
 
 import pytest
 
-from steinberg import campaigns, cases
+from steinberg import bwb, campaigns, cases
+from steinberg.breps import build_rep
+from steinberg.bwb import CohomologyTable, GrothendieckElement, TableRow
 from steinberg.fieldops import mat_add, mat_mul, mat_sub
 from steinberg.report import FAIL, Emitter
 
 DATA = Path(cases.__file__).parent / "data"
+CENSUS = Path(__file__).with_name("mutation_census.json")
 
 
 def _edit_data(m, tmp, name, edits):
@@ -131,3 +140,62 @@ def test_print_the_ids_no_mutation_flips(matrix):
     print(f"\n{len(unflipped)} of {len(ids)} `verify all` ids flipped by no mutation:")
     print("\n".join(unflipped))
     assert flipped < ids
+
+
+# -- the census of table mutants ------------------------------------------------------
+
+# weights each row is mutated in, besides those of its psupp^0..3
+_CENSUS_WEIGHTS = {(0, 0), (1, 0), (0, 1), (1, 1), (2, 2)}
+
+
+def _table_mutants(l=5):
+    """name -> one-row CohomologyTable, for each row of tables.txt with no
+    `?` cell: one λ changed by ±1 in two degrees i < j, with the same sign
+    when j - i is odd and opposite signs when it is even (so the alternating
+    sum is unchanged), and no multiplicity negative.  λ ranges over the
+    weights of psupp^0..3 of the row and _CENSUS_WEIGHTS."""
+    tables = bwb.parse_tables((DATA / "tables.txt").read_text())
+    for table in tables.values():
+        for row in table.rows:
+            if bwb.UNKNOWN in row.claims:
+                continue
+            rep = build_rep(row.rep_text)
+            weights = {w for i in range(4) for w, _ in bwb.psupp(rep, i, l)} | _CENSUS_WEIGHTS
+            for lam in sorted(weights):
+                for i, j in combinations(range(4), 2):
+                    for s in (1, -1):
+                        t = s if (j - i) % 2 else -s
+                        claims = list(row.claims)
+                        claims[i] += GrothendieckElement([(lam, s)])
+                        claims[j] += GrothendieckElement([(lam, t)])
+                        if any(c < 0 for k in (i, j) for _, c in claims[k].terms):
+                            continue
+                        name = (f"{table.name}.{row.family}.j{row.j} V({lam[0]},{lam[1]}) "
+                                f"i{i}{s:+d} i{j}{t:+d}")
+                        mutant = TableRow(row.family, row.j, row.rep_text, tuple(claims))
+                        yield name, CohomologyTable(table.name, table.l_min, (mutant,))
+
+
+def table_census(l=5) -> dict:
+    """mutant name -> the ids verify_table fails on it at l, or "survived"."""
+    out = {}
+    for name, table in _table_mutants(l):
+        em = Emitter()
+        bwb.verify_table(em, table, l)
+        out[name] = [e.check_id for e in em.entries if e.status == FAIL] or "survived"
+    return out
+
+
+def test_table_mutants_against_the_census():
+    """A mutant not listed must be killed; a listed survivor must survive; a
+    listed killed mutant must still fail each of its listed ids."""
+    listed, got = json.loads(CENSUS.read_text()), table_census()
+    assert not set(listed) - set(got), f"no such mutants: {sorted(set(listed) - set(got))}"
+    new = [m for m, ids in got.items() if ids == "survived" and listed.get(m) != "survived"]
+    assert not new, f"new survivors, the table checks lost power: {new}"
+    killed = [m for m, ids in listed.items() if ids == "survived" and got[m] != "survived"]
+    assert not killed, f"listed survivors now killed; delete their entries from {CENSUS.name}: " \
+                       f"{killed}"
+    weaker = {m: sorted(set(ids) - set(got[m])) for m, ids in listed.items()
+              if ids != "survived" and not set(ids) <= set(got[m])}
+    assert not weaker, f"listed ids that pass now, the table checks lost power: {weaker}"
