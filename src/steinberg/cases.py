@@ -636,13 +636,13 @@ def gl_specialization_check(tag: str, char: int = 5) -> tuple[bool, str, str]:
     else:
         target = build_case(IdealCase("n3-x", char))
         target_ring, target_gens = target.ring, target.gens
-    # substitute q = 1, f_ij -> delta_ij + m_ij, s_ij -> delta_ij + n_ij, u = v = 1
+        M, N = target.mats["M"], target.mats["N"]
+    # substitute q = u = v = 1, Phi = I + M, Sigma = I + N
+    one = mat_identity_poly(target_ring, n, target_ring.const(1))
     images = {nm: target_ring.const(1) for nm in ("q", "u", "v")}
-    for i in range(n):
-        for j in range(n):
-            delta = target_ring.const(1 if i == j else 0)
-            images[f"f{i + 1}{j + 1}"] = target_ring.add(delta, target_ring.var(f"m{i + 1}{j + 1}"))
-            images[f"s{i + 1}{j + 1}"] = target_ring.add(delta, target_ring.var(f"n{i + 1}{j + 1}"))
+    for prefix, mat in (("f", M), ("s", N)):
+        images.update(zip(_matrix_names(prefix, n, False),
+                          _entries(mat_add(target_ring, one, mat))))
     specialized = [gl.ring.substitute(g, images, target_ring) for g in gl.gens]
     specialized = [g for g in specialized if g]
     bound = max(max((target_ring.degree(g) for g in specialized), default=0),
@@ -690,11 +690,11 @@ def chart_symbolic_check(tag: str) -> tuple[bool, str, str]:
     sigma = mat_add(chart, mat_identity_poly(chart, n, chart.const(1)), nil)
     if n == 3:
         sigma = mat_add(chart, sigma, mat_scale_poly(chart, nil2, chart.const(Fraction(1, 2))))
+    phi = [[chart.pow(q, n - 1 - i) if i == j else chart.zero() for j in range(n)]
+           for i in range(n)]
     images = {"q": q, "u": chart.pow(r, n * (n - 1) // 2), "v": chart.const(1)}
-    for i in range(n):
-        for j in range(n):
-            images[f"f{i + 1}{j + 1}"] = chart.pow(q, n - 1 - i) if i == j else chart.zero()
-            images[f"s{i + 1}{j + 1}"] = sigma[i][j]
+    for prefix, mat in (("f", phi), ("s", sigma)):  # zeros too: every name needs an image
+        images.update(zip(_matrix_names(prefix, n, False), (x for row in mat for x in row)))
     unit = unit_basis(chart)
     bad = []
     for k, g in enumerate(gl.gens):

@@ -681,7 +681,7 @@ def wedge4_campaign(em, char=0) -> None:
     add("wedge4.ea-squared", unit is not None, "2 (fr^fb)(x)(fr^fa) up to a unit",
         f"coefficient 2, unit {unit}" if unit is not None else f"{ea2} vs {target2}")
 
-    tilde_entries = []
+    tilde_basis = []
     for tag, vec in (("v", v), ("v'", vp)):
         span = subspace_span(big, [vec], close_under_ops=True)
         basisvecs = [dict(r) for _, r in sorted(span.rows.items())]
@@ -696,7 +696,7 @@ def wedge4_campaign(em, char=0) -> None:
         add(f"wedge4.coinvariants({tag})", cert.ok and co.dim == 3,
             "3-dimensional chain rep extending after tw(1,0)",
             f"dim {co.dim}, certificate {'ok' if cert.ok else cert.reason}")
-        tilde_entries.append(span)
+        tilde_basis += basisvecs
         # degree -3rho part of the kernel of the coinvariant map has no
         # length-3 potential support.  The kernel's rows are weight vectors,
         # each of its pivot's weight; at l > 0, Located puts lam in the
@@ -709,10 +709,7 @@ def wedge4_campaign(em, char=0) -> None:
                 bad.append(mu)
         add(f"wedge4.kernel-psupp3({tag})", not bad, "empty", str(bad) if bad else "empty")
 
-    joint = Echelon(fld)
-    for sp in tilde_entries:
-        for _, row in sorted(sp.rows.items()):
-            joint.insert(dict(row))
+    joint = subspace_span(big, tilde_basis)
     covered = all(joint.contains({i: fld.one}) for i in big.indices_of_weight((-3, -3)))
     add("wedge4.minus3rho-covered", covered,
         "both -3rho basis vectors inside the generated pair", "covered" if covered else "missing")

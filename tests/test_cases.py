@@ -690,6 +690,26 @@ def test_the_dims_hypersurface_is_read_off_the_chart_equation(monkeypatch):
         assert got[f"dims.c7.{name}"] == (FAIL, "-1")
 
 
+def test_the_dims_ideals_fail_with_their_chart_reduction(monkeypatch):
+    """The l = 7 chart equation doubled spans the same ideal, so the Krull
+    dimensions 5 and 4 hold; its reduction no longer matches a*f - c*d, and
+    both dims ideals fail with it."""
+    def doubled(q, n, char):
+        rep = cases.cn_ideal_reduction(q, n, char)
+        (pos, gen), = rep.entries
+        gen = rep.ring.scale(gen, 2)
+        text = rep.ring.to_text(gen)
+        return cases.CnReport(rep.ring, [(pos, gen)], True, text, text,
+                              gen == rep.ring.from_text("a*f - 1*d*c"))
+
+    monkeypatch.setattr(campaigns, "cn_ideal_reduction", doubled)
+    em = Emitter()
+    campaigns.dims_campaign(em)
+    got = {e.check_id: (e.status, e.actual) for e in em.entries}
+    assert got["dims.c7.hypersurface"] == (FAIL, "5")
+    assert got["dims.c7.nonregular-locus"] == (FAIL, "4")
+
+
 @pytest.mark.parametrize("g, c", [(0, 0), (1, 1), (2, 2)])
 def test_gl_generators_that_do_not_homogenize_fail_the_specialization_entry(monkeypatch, g, c):
     """A doubled coefficient that breaks homogenization by constant

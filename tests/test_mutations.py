@@ -7,9 +7,17 @@ generator list through a patched `build_case`.  Each mutation runs one
 no mutation turns to fail are printed (`pytest -s`): checks that no input
 mutation here reaches.
 
-The census of table mutants is a ratchet: `mutation_census.json` records,
-for every χ-preserving two-cell change of a known table row at l = 5, the
-ids that `bwb.verify_table` fails on it, or "survived".
+The census is a ratchet: `mutation_census.json` records, family by family,
+the ids each mutant fails, or "survived":
+- tables: every χ-preserving two-cell change of a known table row at l = 5,
+  through `bwb.verify_table`;
+- multiplicities: every value of multiplicities.txt ±1, through
+  `campaigns.multiplicities_campaign`;
+- generators: every coefficient of a case's generator list doubled, and
+  negated, through `campaigns.ideal_campaign` at each (case, char, bound) of
+  `verify all`.  n3-z, n3-x and gl-n3 take about half an hour, so they are
+  marked `slow` (deselected by default; `pytest -m slow` runs them) and
+  their entries list the survivors only.
 """
 
 import json
@@ -176,26 +184,112 @@ def _table_mutants(l=5):
                         yield name, CohomologyTable(table.name, table.l_min, (mutant,))
 
 
+def _failed(em):
+    return [e.check_id for e in em.entries if e.status == FAIL] or "survived"
+
+
 def table_census(l=5) -> dict:
     """mutant name -> the ids verify_table fails on it at l, or "survived"."""
     out = {}
     for name, table in _table_mutants(l):
         em = Emitter()
         bwb.verify_table(em, table, l)
-        out[name] = [e.check_id for e in em.entries if e.status == FAIL] or "survived"
+        out[name] = _failed(em)
     return out
 
 
-def test_table_mutants_against_the_census():
+def _against_the_census(listed, got):
     """A mutant not listed must be killed; a listed survivor must survive; a
     listed killed mutant must still fail each of its listed ids."""
-    listed, got = json.loads(CENSUS.read_text()), table_census()
     assert not set(listed) - set(got), f"no such mutants: {sorted(set(listed) - set(got))}"
     new = [m for m, ids in got.items() if ids == "survived" and listed.get(m) != "survived"]
-    assert not new, f"new survivors, the table checks lost power: {new}"
+    assert not new, f"new survivors, the checks lost power: {new}"
     killed = [m for m, ids in listed.items() if ids == "survived" and got[m] != "survived"]
     assert not killed, f"listed survivors now killed; delete their entries from {CENSUS.name}: " \
                        f"{killed}"
     weaker = {m: sorted(set(ids) - set(got[m])) for m, ids in listed.items()
               if ids != "survived" and not set(ids) <= set(got[m])}
-    assert not weaker, f"listed ids that pass now, the table checks lost power: {weaker}"
+    assert not weaker, f"listed ids that pass now, the checks lost power: {weaker}"
+
+
+def _listed(family):
+    return json.loads(CENSUS.read_text())[family]
+
+
+def test_table_mutants_against_the_census():
+    _against_the_census(_listed("tables"), table_census())
+
+
+# -- the census of multiplicities.txt values --------------------------------------------
+
+
+def _multiplicity_mutants():
+    """name -> the (old, new) edit of the line of multiplicities.txt that
+    moves its value by ±1."""
+    for line in (DATA / "multiplicities.txt").read_text().splitlines():
+        if line and not line.startswith("#"):
+            _, name, value = line.split()
+            for s in (1, -1):
+                yield f"{name} {s:+d}", (line, line.removesuffix(value) + str(int(value) + s))
+
+
+def multiplicity_census(tmp) -> dict:
+    """mutant name -> the ids multiplicities_campaign fails on it, or "survived"."""
+    out = {}
+    for name, edit in _multiplicity_mutants():
+        with pytest.MonkeyPatch.context() as m:
+            _edit_data(m, tmp, "multiplicities.txt", [edit])
+            em = Emitter()
+            campaigns.multiplicities_campaign(em)
+        out[name] = _failed(em)
+    return out
+
+
+def test_multiplicity_mutants_against_the_census(tmp_path):
+    _against_the_census(_listed("multiplicities"), multiplicity_census(tmp_path))
+
+
+# -- the census of generator coefficients -----------------------------------------------
+
+
+def _scale_term(k, mono, factor):
+    """change(ring, gens) for _edit_case: the term mono of generator k times
+    factor."""
+    def change(ring, gens):
+        gens[k] = ring.add(gens[k], ring.scale({mono: gens[k][mono]}, factor - 1))
+        return gens
+    return change
+
+
+def generator_census(tag, char, bound) -> dict:
+    """mutant name -> the ids ideal_campaign (5 trials, seed 0) fails with one
+    coefficient of the case's generator list at char doubled or negated, or
+    "survived".  Each mutant runs on an empty case memo."""
+    data = cases.build_case(cases.IdealCase(tag, char))
+    out = {}
+    try:
+        for k, gen in enumerate(data.gens):
+            for mono in gen:
+                term = data.ring.to_text({mono: 1}).removeprefix("1*")
+                for factor, how in ((2, "x2"), (-1, "neg")):
+                    with pytest.MonkeyPatch.context() as m:
+                        _edit_case(m, tag, _scale_term(k, mono, factor))
+                        cases.clear_case_memo()
+                        em = Emitter()
+                        campaigns.ideal_campaign(em, tag, char, bound, 5, 0)
+                    out[f"g{k} {term} {how}"] = _failed(em)
+    finally:
+        cases.clear_case_memo()
+    return out
+
+
+@pytest.mark.parametrize("tag, char, bound", [
+    ("n2", 0, 6), ("n2", 5, 6), ("gl-n2", 5, 4), ("cnil", 0, 4),
+    *(pytest.param(*run, marks=pytest.mark.slow)
+      for run in (("n3-z", 0, 5), ("n3-z", 5, 5), ("n3-z", 7, 5), ("n3-x", 5, 5), ("gl-n3", 5, 4))),
+])
+def test_generator_mutants_against_the_census(tag, char, bound):
+    """No mutant raises: a wrong generator list is a failed check, not an
+    error that stops `verify all`."""
+    _against_the_census(_listed("generators")[f"{tag}.c{char}"],
+                        generator_census(tag, char, bound))
