@@ -8,12 +8,6 @@ liealg.wedge4_campaign) call em.add themselves where they decide each check.
 
 from __future__ import annotations
 
-import os
-import pickle
-import signal
-import threading
-from contextlib import suppress
-
 from . import bwb, liealg
 from .breps import WeightMultiset, build_rep
 from .cases import (IdealCase, _entries, build_case, case_basis, case_cn_reduction,
@@ -21,6 +15,7 @@ from .cases import (IdealCase, _entries, build_case, case_basis, case_cn_reducti
                     cn_ideal_reduction, commutator_layer_check, gl_specialization_check,
                     hilbert_cross_check, multiplicity, span17_check)
 from .fieldops import mat_mul, mat_sub, mat_trace
+from .helper import forked
 from .polyalg import IdealBasis, groebner, krull_dim, min_gen_degrees, normal_form
 from .report import Emitter, load_data_text
 from .weights import A2, ClassGroupElement, class_reduce, iota, self_dual_classes
@@ -278,36 +273,10 @@ def _run(em: Emitter, calls) -> None:
         campaign(em, *args)
 
 
-def _start_helper(calls):
-    """(pid, read end of its pipe) of one forked helper that runs calls into
-    its own Emitter and writes the entries once, pickled, to the pipe; None
-    without os.fork, with fewer than 2 CPUs in the affinity set, with other
-    threads alive (forking them is unsafe), or when the fork fails.  The
-    helper ends in os._exit on every path: it never returns into the
-    caller's stack, runs no atexit handler, flushes no inherited stdio."""
-    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
-            and len(os.sched_getaffinity(0)) >= 2 and threading.active_count() == 1):
-        return None
-    read, write = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(read)
-        os.close(write)
-        return None
-    if not pid:
-        status = 1
-        try:
-            os.close(read)
-            em = Emitter()
-            _run(em, calls)
-            with open(write, "wb") as out:
-                pickle.dump(em.entries, out, pickle.HIGHEST_PROTOCOL)
-            status = 0
-        finally:
-            os._exit(status)
-    os.close(write)
-    return pid, open(read, "rb")
+def _entries_of(calls) -> list:
+    em = Emitter()
+    _run(em, calls)
+    return em.entries
 
 
 def verify_all(em: Emitter, seed: int = 0, trials: int = 200) -> None:
@@ -316,7 +285,8 @@ def verify_all(em: Emitter, seed: int = 0, trials: int = 200) -> None:
     sorts them by check id.  Each process has its own per-run store, so a
     campaign may go on either list: the split balances the two sides' times.
     When no helper is forked, or it dies or its pipe ends early, the caller
-    runs the helper's whole list itself."""
+    runs the helper's whole list itself.  With a helper forked, neither
+    process splits a Groebner degree (see `helper`)."""
     helper_calls = [
         (ideal_campaign, "n3-x", 5, 5, trials, seed),
         (ideal_campaign, "gl-n3", 5, 4, trials, seed),
@@ -335,29 +305,19 @@ def verify_all(em: Emitter, seed: int = 0, trials: int = 200) -> None:
         (ideal_campaign, "cnil", 0, 4, trials, seed),
         (multiplicities_campaign,), (classgroup_campaign,),
     ]
-    helper = None
     # the per-case memo lives for one run: its bases are freed on return
     try:
-        helper = _start_helper(helper_calls)
-        _run(em, calls)
-        entries = None
-        if helper:
-            pid, pipe = helper
-            with pipe, suppress(EOFError, pickle.UnpicklingError):
-                entries = pickle.load(pipe)
-            os.waitpid(pid, 0)
-            helper = None
-        if entries is None:
-            _run(em, helper_calls)
-        else:
-            em.entries.extend(entries)
+        with forked(lambda: _entries_of(helper_calls)) as join:
+            _run(em, calls)
+            entries = join() if join else None
+            # inside the block: a caller whose helper died splits no Groebner
+            # degree of the helper's list, as the helper would not have
+            if entries is None:
+                _run(em, helper_calls)
+            else:
+                em.entries.extend(entries)
     finally:
         clear_case_memo()
-        if helper:
-            pid, pipe = helper
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-            pipe.close()
 
 
 def tables_markdown() -> str:

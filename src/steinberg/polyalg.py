@@ -40,6 +40,31 @@ integer one divided by the tracked scale, once, at the end.
 Each degree is interreduced at its end, before the pairs of the next
 degree start from its forms, so the run ends with the reduced basis.
 
+Each degree's S-pairs are first selected, then reduced.  `select` pops
+them in heap order, marks each treated, and keeps those the coprime and
+chain criteria leave; it needs no remainder, since an element entered in
+degree d has no pair of lcm degree d.  The kept pairs t = 0, 1, ... are
+then reduced in order, each by the basis and the remainders before it.
+Let v_t be pair t's S-polynomial reduced by the elements of lower degree
+alone, each monomial by its first divisor: a linear map.  Pair t adds an
+element exactly when v_t is not in the span of v_0, ..., v_{t-1}, and the
+element's lm is the one lm that span gains.
+
+From `_SPLIT_PAIRS` kept pairs on, when `helper.forked` forks a child, the
+child reduces the second half of them: each pair by the basis and the
+child's remainders before it, which enter as reducers of their own lms
+only.  It sends back the basis forms of its nonzero remainders, and its
+record.  The parent reduces the first half as one process would, then each
+child form, in order, by the basis as it stands, and adds those that do
+not reduce to zero.  The form of pair t is v_t minus a combination of the
+earlier v_s of the child's half, and the basis spans v_0, ..., v_{t-1}: so
+the form reduces to zero exactly when pair t would have, and otherwise to
+an element with the same lm.  The elements enter in the same order with
+the same lms, the interreduction gives the same forms, and the next degree
+starts from the same state.  So `gb`, `gb_lead`, `mingens` and the work
+counters are those of one process.  A process that is one side of a split,
+as `verify_all`'s two are, forks no child (see `helper`).
+
 A run over Q records the integers it divided by (`IdealBasis.divisors`, as
 their lcm): the content `_basis_form` divides out and the leading
 coefficient it keeps, each time an element is entered and each time its
@@ -53,7 +78,12 @@ l: a coefficient that is 0 mod l is a step the GF(l) run skips, a
 reduction to zero stays one, and a nonzero remainder stays nonzero mod l
 with the same leading monomial.  So the whole run over GF(l) is the run
 over Q mod l step for step, with the same pairs skipped and reduced, and
-its basis is the basis over Q mod l, each element made monic.
+its basis is the basis over Q mod l, each element made monic.  A split
+degree keeps this: over Q the record is the lcm of both processes'
+records, every multiplier in either divides a leading coefficient one of
+them recorded, so a run over GF(l) split the same way mirrors the run over
+Q step for step, and the reduced basis over GF(l) does not depend on
+whether its run was split.
 
 A generator g over Q that vanishes mod l is no exception.  The run
 reduces s*g, where s, the lcm of g's denominators, is an l-unit, so every
@@ -94,12 +124,14 @@ from __future__ import annotations
 
 import heapq
 import operator
+from contextlib import nullcontext
 from fractions import Fraction
 from itertools import accumulate
 from math import comb, gcd, lcm
 
 from .fieldops import (ZZ, Echelon, Frozen, InvariantError, Record, field_of, set_field,
                        vec_iadd_scaled, vec_scale, vec_sub)
+from .helper import forked
 
 Monomial = tuple[int, ...]
 Poly = dict
@@ -319,12 +351,17 @@ class GroebnerStats(Record):
     the coprime criterion and by the chain criterion, and those whose
     S-polynomial reduced to zero.  Pairs are counted, not reduction steps,
     so the counts cost nothing inside the reduction loop.  A basis read off
-    its guide treated no pair: every counter is 0."""
+    its guide treated no pair: every counter is 0.  split_degrees counts the
+    degrees whose pairs were reduced on two processes; it takes no part in
+    equality or repr, since the split leaves the other counters as they
+    are."""
 
-    __slots__ = ("pairs", "coprime_skips", "chain_skips", "zero_reductions")
+    __slots__ = ("pairs", "coprime_skips", "chain_skips", "zero_reductions", "split_degrees")
+    _shown = __slots__[:4]
     def __init__(self, pairs: int, coprime_skips: int, chain_skips: int, zero_reductions: int):
         self.pairs, self.coprime_skips = pairs, coprime_skips
         self.chain_skips, self.zero_reductions = chain_skips, zero_reductions
+        self.split_degrees = 0
 
 
 class IdealBasis(Record):
@@ -409,6 +446,15 @@ class _Packing:
 
     def unpack(self, x: int) -> Monomial:
         return tuple(x.to_bytes(self.n + 1, "little")[:self.n])
+
+
+# The fewest kept pairs of one degree that are split between two processes.
+# A fork and join of a no-op take 1.5 to 2.1 ms in a process holding the
+# n3-z bases (2-core x86_64, Python 3.11).  In the complete n3-x run over Q
+# (medians of two batches), degree 6 keeps 32 pairs: 8.1 and 6.1 ms
+# unsplit, 6.5 and 5.6 ms split; degree 3 keeps 22: 1.7 and 1.3 ms
+# unsplit, 4.3 and 3.9 ms split.
+_SPLIT_PAIRS = 32
 
 
 class _GBWorker:
@@ -589,29 +635,74 @@ class _GBWorker:
         d = lm >> self.pk.top
         self.below = {e: low for e, low in self.below.items() if e <= d}
 
-    def pop_pairs_up_to(self, dmax):
-        """Yield pairs of lcm degree <= dmax in deterministic order."""
-        limit = (dmax + 1) << self.pk.top
-        while self.pairs and self.pairs[0][0] < limit:
-            yield heapq.heappop(self.pairs)
+    def select(self, d: int) -> list:
+        """Pop the pairs of lcm degree d in heap order, marking each treated,
+        and return those that Buchberger's coprime and chain criteria leave
+        to reduce.  A pair of degree d is never built while degree d runs,
+        so the selection needs no remainder."""
+        limit = (d + 1) << self.pk.top
+        pairs, lms, treated, stats = self.pairs, self.lms, self.treated, self.stats
+        kept = []
+        while pairs and pairs[0][0] < limit:
+            l, i, j = heapq.heappop(pairs)
+            treated[i].add(j)
+            treated[j].add(i)
+            stats.pairs += 1
+            if l == lms[i] + lms[j]:
+                stats.coprime_skips += 1
+            elif self.chain_skip(i, j, l):
+                stats.chain_skips += 1
+            else:
+                kept.append((l, i, j))
+        return kept
 
-    def treat(self, l: int, i: int, j: int) -> None:
-        """Skip the pair (i, j) with lcm l by Buchberger's coprime or chain
-        criterion, or add the remainder of its S-polynomial when nonzero."""
-        self.treated[i].add(j)
-        self.treated[j].add(i)
-        stats = self.stats
-        stats.pairs += 1
-        if l == self.lms[i] + self.lms[j]:
-            stats.coprime_skips += 1
-        elif self.chain_skip(i, j, l):
-            stats.chain_skips += 1
-        else:
+    def reduce_pairs(self, pairs: list) -> None:
+        """Add the nonzero remainder of each pair's S-polynomial, in order,
+        each reduced by the basis with the ones before it.  From
+        `_SPLIT_PAIRS` pairs on, a forked child reduces the second half (see
+        the module docstring)."""
+        half = len(pairs) // 2 if len(pairs) >= _SPLIT_PAIRS else 0
+        sent = None
+        with forked(lambda: self.side(pairs[half:])) if half else nullcontext() as join:
+            if join:
+                for l, i, j in pairs[:half]:
+                    self.add_remainder(self.spoly(i, j, l))
+                sent = join()
+        if sent is None:  # no child, or it died: the rest is reduced here
+            for l, i, j in pairs[half if join else 0:]:
+                self.add_remainder(self.spoly(i, j, l))
+            return
+        forms, divisors = sent
+        self.record(divisors)
+        self.stats.split_degrees += 1
+        self.stats.zero_reductions += len(pairs) - half - len(forms)
+        # no lm of lower degree divides a monomial of a remainder
+        first = self.lms_below(pairs[0][0] >> self.pk.top)[1]
+        for form in forms:
+            first.update(zip(form, form))
+        for form in forms:
+            self.add_remainder(form)
+
+    def side(self, pairs: list) -> tuple[list, int]:
+        """A forked child's half of a split: the basis form of each pair's
+        nonzero remainder by the basis and the forms before it, which enter
+        as reducers of their own lms only; and the run's record."""
+        forms = []
+        for l, i, j in pairs:
             r = self.reduce(self.spoly(i, j, l))
             if r:
-                self.add_element(r)
-            else:
-                stats.zero_reductions += 1
+                lm = min(r)
+                self.enter(lm, self.basis_form(r, lm))
+                forms.append(self.lead[lm])
+        return forms, self.divisors
+
+    def add_remainder(self, h: Poly) -> None:
+        """Reduce h, which is consumed, and add the remainder when nonzero."""
+        r = self.reduce(h)
+        if r:
+            self.add_element(r)
+        else:
+            self.stats.zero_reductions += 1
 
     def spoly(self, i: int, j: int, l: int) -> Poly:
         """An integer multiple of the S-polynomial of elements i and j; its
@@ -671,8 +762,7 @@ def groebner(ideal: IdealBasis, bound=None, guide: IdealBasis | None = None) -> 
             break
         start = len(worker.lms)
         # S-pairs of this degree first: they never contribute minimal generators
-        for l, i, j in worker.pop_pairs_up_to(d):
-            worker.treat(l, i, j)
+        worker.reduce_pairs(worker.select(d))
         for h in by_degree.get(d, ()):
             r = worker.reduce(h)
             if r:

@@ -17,7 +17,10 @@ the ids each mutant fails, or "survived":
   negated, through `campaigns.ideal_campaign` at each (case, char, bound) of
   `verify all`.  n3-z, n3-x and gl-n3 take about half an hour, so they are
   marked `slow` (deselected by default; `pytest -m slow` runs them) and
-  their entries list the survivors only.
+  their entries list the survivors only;
+- python-values: every coefficient of `liealg._BASE_IDENTITIES` (an
+  identity's coeff and each coefficient of its bracket and extra terms)
+  negated, and doubled, through `campaigns.identities_campaign` over Q.
 """
 
 import json
@@ -27,7 +30,7 @@ from pathlib import Path
 
 import pytest
 
-from steinberg import bwb, campaigns, cases
+from steinberg import bwb, campaigns, cases, liealg
 from steinberg.breps import build_rep
 from steinberg.bwb import CohomologyTable, GrothendieckElement, TableRow
 from steinberg.fieldops import mat_add, mat_mul, mat_sub
@@ -293,3 +296,46 @@ def test_generator_mutants_against_the_census(tag, char, bound):
     error that stops `verify all`."""
     _against_the_census(_listed("generators")[f"{tag}.c{char}"],
                         generator_census(tag, char, bound))
+
+
+# -- the census of Python values: the coefficients of the base identities ----------------
+
+
+def _scaled(terms, t, factor):
+    return [(c * factor if s == t else c, term) for s, (c, term) in enumerate(terms)]
+
+
+def _identity_mutants():
+    """name -> `liealg._BASE_IDENTITIES` with one coefficient negated or
+    doubled: an identity's coeff, or the coefficient of one of its bracket
+    or extra terms."""
+    base = liealg._BASE_IDENTITIES
+    for k, (name, lhs, op, coeff, bracket, extra) in enumerate(base):
+        for factor, how in ((-1, "neg"), (2, "x2")):
+            rows = [("coeff", (name, lhs, op, coeff * factor, bracket, extra))]
+            rows += [(f"bracket{t}", (name, lhs, op, coeff, _scaled(bracket, t, factor), extra))
+                     for t in range(len(bracket))]
+            rows += [(f"extra{t}", (name, lhs, op, coeff, bracket, _scaled(extra, t, factor)))
+                     for t in range(len(extra))]
+            for site, row in rows:
+                yield f"{name} {site} {how}", base[:k] + [row] + base[k + 1:]
+
+
+def python_value_census() -> dict:
+    """mutant name -> the ids identities_campaign fails over Q with one
+    coefficient of the base identities changed, or "survived"."""
+    out = {}
+    for name, identities in _identity_mutants():
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(liealg, "_BASE_IDENTITIES", identities)
+            em = Emitter()
+            campaigns.identities_campaign(em, 0)
+        out[name] = _failed(em)
+    return out
+
+
+def test_python_value_mutants_against_the_census():
+    """An identity is checked up to a unit in {1, -1}, so negating the whole
+    right-hand side survives: the coeff of an identity without extra terms,
+    or its one bracket coefficient when it has no other."""
+    _against_the_census(_listed("python-values"), python_value_census())

@@ -156,6 +156,8 @@ FIELDS_ALLOWED = {
     ("GroebnerStats", "coprime_skips"): COUNTERS,
     ("GroebnerStats", "chain_skips"): COUNTERS,
     ("GroebnerStats", "zero_reductions"): COUNTERS,
+    ("GroebnerStats", "split_degrees"): "the degrees reduced on two processes, asserted by "
+                                        "the split tests",
 }
 
 # Every record class of the library: a subclass of fieldops.Record or Frozen.
