@@ -10,9 +10,9 @@ from __future__ import annotations
 
 from . import bwb, liealg
 from .breps import WeightMultiset, build_rep
-from .cases import (IdealCase, _entries, build_case, case_basis, case_cn_reduction,
-                    case_hilbert, case_points, chart_symbolic_check, clear_case_memo,
-                    cn_ideal_reduction, commutator_layer_check, gl_specialization_check,
+from .cases import (IdealCase, _entries, build_case, case_basis, case_hilbert, case_points,
+                    chart_symbolic_check, clear_case_memo, cn_chart, cnil_q1, cnil_q1_check,
+                    cnil_symbolic_check, commutator_layer_check, gl_specialization_check,
                     hilbert_cross_check, multiplicity, span17_check)
 from .fieldops import mat_mul, mat_sub, mat_trace
 from .helper import forked
@@ -31,6 +31,13 @@ def fmt_multiset(ms: WeightMultiset) -> str:
 
 # -- bwb tables ---------------------------------------------------------------------
 
+# The values of calc1 and calc2 that bwb_tables_campaign states directly: the
+# Euler characteristics of b (x) b and wedge^2(b) (x) b, and psupp^0..3 of
+# wedge^2(b) (x) b.
+CHI_BXB = "-[V(0,0)]"
+CHI_W2BXB = "2[V(1,1)] + [V(0,0)]"
+PSUPP_W2BXB = ("{(0,0)^2}", "{(0,0)^10}", "{(0,0)^14 (1,1)^2}", "{(0,0)^5}")
+
 
 def bwb_tables_campaign(em: Emitter, l: int) -> None:
     tables = bwb.parse_tables(load_data_text("tables.txt"))
@@ -43,22 +50,20 @@ def bwb_tables_campaign(em: Emitter, l: int) -> None:
                   if (total := row.alternating_sum()) is not None)
     em.add(f"{pre}.chi.rows", rows_ok, "alternating sums equal chi", str(rows_ok), anchor="tab1")
     # Euler characteristic spot values
-    chi_bxb = bwb.euler_char(build_rep("b*b"))
-    em.add(f"{pre}.chi.bxb", str(chi_bxb) == "-[V(0,0)]", "-[V(0,0)]", str(chi_bxb), anchor="calc1")
-    chi_w2 = bwb.euler_char(build_rep("wedge^2(b)*b"))
-    em.add(f"{pre}.chi.w2bxb", str(chi_w2) == "2[V(1,1)] + [V(0,0)]",
-           "2[V(1,1)] + [V(0,0)] (sign of the second term corrected)", str(chi_w2),
-           anchor="calc2")
+    chi_bxb = str(bwb.euler_char(build_rep("b*b")))
+    em.add(f"{pre}.chi.bxb", chi_bxb == CHI_BXB, CHI_BXB, chi_bxb, anchor="calc1")
+    chi_w2 = str(bwb.euler_char(build_rep("wedge^2(b)*b")))
+    em.add(f"{pre}.chi.w2bxb", chi_w2 == CHI_W2BXB,
+           CHI_W2BXB + " (sign of the second term corrected)", chi_w2, anchor="calc2")
     # psupp exactness for wedge^2(b) (x) b
-    expected_psupp = ["{(0,0)^2}", "{(0,0)^10}", "{(0,0)^14 (1,1)^2}", "{(0,0)^5}"]
     rep = build_rep("wedge^2(b)*b")
     good, witnesses = bwb.bwb_good(rep, l)
     for i in range(4):
         # outside the locus psupp is undefined: the check fails on the witnesses
         got = fmt_multiset(bwb.psupp(rep, i, l)) if good else f"witnesses {witnesses}"
         note = " (count corrected from 7)" if i == 3 else ""
-        em.add(f"{pre}.psupp.w2bxb.i{i}", got == expected_psupp[i],
-               expected_psupp[i] + note, got, anchor="calc2")
+        em.add(f"{pre}.psupp.w2bxb.i{i}", got == PSUPP_W2BXB[i], PSUPP_W2BXB[i] + note, got,
+               anchor="calc2")
     # BWB-good examples
     good, _ = bwb.bwb_good(build_rep("b*b"), l)
     em.add(f"{pre}.good.bxb", good, "True", str(good), anchor="calc1")
@@ -106,18 +111,13 @@ def ideal_campaign(em: Emitter, tag: str, char: int, bound: int, trials: int, se
     }[tag]
 
     if tag == "cnil":
-        rep = case_cn_reduction(IdealCase(tag, 0))
-        em.add(f"{pre}.symbolic", rep.principal and rep.passed,
-               "single generator; normalized form q^2*e - e + a*f - d*c",
-               f"raw {rep.generator_text}; normalized {rep.normalized_text}", anchor=anchor)
-        rep1 = cn_ideal_reduction(1, 3, char)
-        em.add(f"{pre}.q1", rep1.passed, "a*f - c*d", rep1.generator_text, anchor=anchor)
-        rep5 = cn_ideal_reduction(1, 3, 5)
-        em.add(f"{pre}.q1-f5", rep5.passed, "a*f - c*d over GF(5)", rep5.generator_text,
-               anchor=anchor)
-        rep2 = cn_ideal_reduction(1, 2, char)
-        em.add(f"{pre}.n2", rep2.passed and not rep2.entries, "zero ideal", str(rep2.entries),
-               anchor=anchor)
+        passed, expected, actual = cnil_symbolic_check()
+        em.add(f"{pre}.symbolic", passed, expected, actual, anchor=anchor)
+        for name, c, over in (("q1", char, ""), ("q1-f5", 5, " over GF(5)")):
+            passed, expected, actual = cnil_q1_check(*cnil_q1(c))
+            em.add(f"{pre}.{name}", passed, expected + over, actual, anchor=anchor)
+        _, entries = cn_chart(2, char)
+        em.add(f"{pre}.n2", not entries, "zero ideal", str(entries), anchor=anchor)
     if tag in ("n2", "n3-z"):
         gb = case_basis(case, bound)
         mg = min_gen_degrees(gb, min(bound, 5))
@@ -169,7 +169,7 @@ def _containment_dictionary(char: int) -> tuple[bool, str, str]:
     M, N = xcase.mats["M"], xcase.mats["N"]
     comm = _entries(mat_sub(ring, mat_mul(ring, M, N), mat_mul(ring, N, M)))
     traces = [mat_trace(ring, M), mat_trace(ring, N)]
-    gx = case_basis(IdealCase("n3-x", char), None)
+    gx = case_basis(IdealCase("n3-x", char), 3)
     ga = groebner(IdealBasis(ring, mapped + traces + comm), 3)
     forward = all(not normal_form(g, gx) for g in mapped + traces + comm)
     backward = all(not normal_form(g, ga) for g in xcase.gens)
@@ -186,19 +186,18 @@ def dims_campaign(em: Emitter) -> None:
     char = 7
     pre = f"dims.c{char}"
     anchor = "lem:YtoF"
-    # the q = 1 chart equation a*f - c*d of the ideal.cnil q1 checks, in a..f;
-    # both ideals rest on it, so they pass only with its reduction
-    chart = cn_ideal_reduction(1, 3, char)
-    hypersurface = [e for _, e in chart.entries]
-    a, c, d, f = (chart.ring.var(x) for x in "acdf")
+    # the cnil generator at q = 1, a*f - c*d as the ideal.cnil q1 checks read
+    # it; both ideals rest on it, so they pass only when it is a*f - c*d
+    ring, hypersurface = cnil_q1(char)
+    chart_passed, _, _ = cnil_q1_check(ring, hypersurface)
+    a, c, d, f = (ring.var(x) for x in "acdf")
     cases = [
         ("hypersurface", hypersurface, 5),
-        ("nonregular-locus", hypersurface + [chart.ring.mul(a, c), chart.ring.mul(d, f)], 4),
+        ("nonregular-locus", hypersurface + [ring.mul(a, c), ring.mul(d, f)], 4),
     ]
     for name, gens, expected in cases:
-        g = groebner(IdealBasis(chart.ring, gens), None)
-        dim = krull_dim(g)
-        em.add(f"{pre}.{name}", dim == expected and chart.passed, expected, dim, anchor=anchor)
+        dim = krull_dim(groebner(IdealBasis(ring, gens), None))
+        em.add(f"{pre}.{name}", dim == expected and chart_passed, expected, dim, anchor=anchor)
     fibre = IdealCase("n3-x", char)
     data = build_case(fibre)
     ring, M, N = data.ring, data.mats["M"], data.mats["N"]
@@ -287,9 +286,11 @@ def verify_all(em: Emitter, seed: int = 0, trials: int = 200) -> None:
     When no helper is forked, or it dies or its pipe ends early, the caller
     runs the helper's whole list itself.  With a helper forked, neither
     process splits a Groebner degree (see `helper`)."""
+    # gl-n3 before n3-x: its q = 1 check builds the complete n3-x basis, off
+    # which the n3-x checks read their bounded ones
     helper_calls = [
-        (ideal_campaign, "n3-x", 5, 5, trials, seed),
         (ideal_campaign, "gl-n3", 5, 4, trials, seed),
+        (ideal_campaign, "n3-x", 5, 5, trials, seed),
         (dims_campaign,),
     ]
     calls = [

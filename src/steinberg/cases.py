@@ -16,11 +16,16 @@ drop the last diagonal entry of each matrix and write it as minus the others).
             Sigma^q = sum_{k<n} C(q,k)(Sigma-I)^k, the characteristic
             polynomials e_k(Phi) = e_k(1, q, ..., q^(n-1)) and e_k(Sigma) =
             C(n,k), tr(Phi(Sigma-I)), and for n = 3 two extra cubic relations.
-    cnil    the commuting-nilpotent chart equation (see cn_ideal_reduction).
+    cnil    the commuting-nilpotent chart equation (q^2 - q)e + af - q dc,
+            the one entry of the n = 3 chart (`cn_chart`).
 
 In the gl and cnil cases q is a variable of the ring, the first one; a
 check that needs a value of q substitutes it (q = 1 in
-gl_specialization_check, a random q in each parametrized point).
+gl_specialization_check and `cnil_q1`, a random q in each parametrized
+point).  Every cnil check reads the cnil generator list: the symbolic one
+normalizes its generator, the q = 1 ones (and the hypersurface of
+dims_campaign) its image at q = r = 1, and the n = 2 one reads the n = 2
+chart, which has no entries.
 
 The verification campaigns pair the Groebner side against independent
 oracles: pseudorandom parametrized points (Schwartz-Zippel bounded), the
@@ -28,10 +33,11 @@ character-level section counts of the flag-variety bundles, and integer
 invariant factors for the degree-3 span.  A check behind one report entry
 returns (passed, expected, actual), the texts the campaign adds as they are.
 
-Cases, the cnil reduction, bases, Hilbert functions (per case and per
-staircase), points reports and span lattices are memoized in one per-run
-store, `_memo`, keyed by (function name, *positional arguments);
-`clear_case_memo` empties it at the end of a `verify_all`.
+Cases, bases, Hilbert functions (per case and per staircase), points
+reports and span lattices are memoized in one per-run store, `_memo`, keyed
+by (function name, *positional arguments); `clear_case_memo` empties it at
+the end of a `verify_all`.  A bounded basis is read off a stored basis of
+the same case with a larger bound, or none, when there is one.
 """
 
 from __future__ import annotations
@@ -46,7 +52,7 @@ from .fieldops import (ZZ, Frozen, Record, field_of, mat_add, mat_det, mat_mul, 
                        mat_trace, set_field, span_rank)
 from .polyalg import (GradedDims, IdealBasis, PolyRing, groebner, hilbert_function,
                       homogenize_by_elimination, leading_staircase, normal_form,
-                      quotient_invariant_factors, snf, unit_basis)
+                      quotient_invariant_factors, snf, truncate, unit_basis)
 from .weights import A1, A2, Weight
 
 CASE_TAGS = ("n2", "n3-z", "n3-x", "gl-n2", "gl-n3", "cnil")
@@ -94,8 +100,8 @@ def _memoized(fn):
 
 
 def clear_case_memo() -> None:
-    """Drop every memoized case, cnil reduction, basis, Hilbert function
-    (per case and per staircase), points report and span lattice."""
+    """Drop every memoized case, basis, Hilbert function (per case and per
+    staircase), points report and span lattice."""
     _memo.clear()
 
 
@@ -179,8 +185,7 @@ def build_case(case: IdealCase) -> CaseData:
     """Ring, generators and matrices of the named case, built once per case."""
     tag = case.tag
     if tag == "cnil":
-        rep = case_cn_reduction(case)
-        return CaseData(rep.ring, [e for _, e in rep.entries], {})
+        return CaseData(*cn_chart(3, case.char), {})
     if tag in ("n2", "n3-z", "n3-x"):
         ring, M, N = _matrix_pair(2 if tag == "n2" else 3, tag != "n3-x", case.char)
         return CaseData(ring, _pair_gens(tag, ring, M, N), {"M": M, "N": N})
@@ -246,12 +251,19 @@ def make_ideal(case: IdealCase) -> IdealBasis:
 @_memoized
 def case_basis(case: IdealCase, bound: int | None) -> IdealBasis:
     """Groebner basis of the named case up to `bound`, computed once per
-    (case, bound).  A basis over GF(l), l >= 5, is guided by the char-0
-    basis of the same (tag, bound), which is built first when the store
-    lacks it: the run reads its basis off that one when l divides nothing it
-    recorded, and runs unguided otherwise (see polyalg.groebner).  So the
-    order of the campaigns asking for bases does not change the work.  At
-    l = 2 and 3 no guide is built: the Q runs of n3-z and n3-x record 24."""
+    (case, bound).  A bounded request that finds a basis of the same case
+    with a larger bound, or none, in the store is answered by truncating it
+    (polyalg.truncate).  Otherwise a basis over GF(l), l >= 5, is guided by
+    the char-0 basis of the same (tag, bound), which is got first in the
+    same way: the run reads its basis off that one when l divides nothing
+    it recorded, and runs unguided otherwise (see polyalg.groebner).  At l =
+    2 and 3 no guide is built: the Q runs of n3-z and n3-x record 24.  So
+    the order of the requests matters: asked first, the complete basis
+    serves every bound; asked after a bounded one, it is a second run."""
+    if bound is not None:
+        for key, basis in _memo.items():
+            if key[:2] == ("case_basis", case) and (key[2] is None or key[2] > bound):
+                return truncate(basis, bound)
     guide = case_basis(IdealCase(case.tag), bound) if case.char >= 5 else None
     return groebner(make_ideal(case), bound, guide=guide)
 
@@ -622,9 +634,9 @@ def gl_specialization_check(tag: str, char: int = 5) -> tuple[bool, str, str]:
     with the nilpotent-side ideal (n2 with trace generators, resp. n3-x).
     Both containments are certified by mutual normal-form reduction against
     bases complete through the generators' degrees; for gl-n3 that is the
-    complete n3-x basis, which the commutator layer and the containment
-    dictionary read too.  Specialized generators that do not homogenize by
-    constant elimination fail the check."""
+    complete n3-x basis, off which `verify_all`'s commutator layer and
+    containment dictionary read their bounded ones.  Specialized generators
+    that do not homogenize by constant elimination fail the check."""
     if tag not in ("gl-n2", "gl-n3"):
         raise UnsupportedCase(tag)
     n = 2 if tag == "gl-n2" else 3
@@ -708,90 +720,59 @@ def chart_symbolic_check(tag: str) -> tuple[bool, str, str]:
 # -- the commuting-nilpotent chart equation ----------------------------------------
 
 
-class CnReport(Record):
-    """Outcome of expanding (Phi0 + M) N - q N (Phi0 + M) on the chart.
-
-    raw is the single nonzero entry (n = 3); normalized is its form after the
-    recorded unit substitution e -> (q+1)/q * e, c -> c/q, which matches the
-    usual presentation (q^2-1)e + af - dc.  For n = 2 the entry list is empty.
-    The entries are polynomials of ring: q, r = 1/q (symbolic q only), then
-    the upper entries a, b, c of M and d, e, f of N.
-    """
-
-    __slots__ = ("ring", "entries", "principal", "generator_text", "normalized_text", "passed")
-    def __init__(self, ring: object, entries: list, principal: bool, generator_text: str,
-                 normalized_text: str, passed: bool):
-        self.ring, self.entries, self.principal = ring, entries, principal
-        self.generator_text, self.normalized_text = generator_text, normalized_text
-        self.passed = passed
-
-
-def cn_ideal_reduction(q=None, n: int = 3, char=0) -> CnReport:
+def cn_chart(n: int, char: int) -> tuple:
+    """(ring, entries): the nonzero entries, row-major, of (Phi0 + M) N -
+    q N (Phi0 + M) on the chart Phi0 = diag(q^(n-1), ..., 1), M and N
+    strictly upper triangular.  The ring is q, r = 1/q, then the upper
+    entries a, b, c of M and d, e, f of N (a and d for n = 2).  For n = 3 the
+    one entry (q^2 - q)e + af - q dc is the cnil generator; for n = 2 there
+    is none."""
     if n not in (2, 3):
         raise ValueError("only n = 2 and n = 3 are modelled")
-    upper = {2: [("a", 0, 1)], 3: [("a", 0, 1), ("b", 0, 2), ("c", 1, 2)]}[n]
-    upper_n = {2: [("d", 0, 1)], 3: [("d", 0, 1), ("e", 0, 2), ("f", 1, 2)]}[n]
-    names = [nm for nm, _, _ in upper] + [nm for nm, _, _ in upper_n]
-    symbolic = q is None
-    ring = PolyRing((["q", "r"] if symbolic else []) + names, char)
-    qv = ring.var("q") if symbolic else ring.const(q)
-
-    phi = _zeros(ring, n)
-    nm_mat = _zeros(ring, n)
-    for i in range(n):
-        phi[i][i] = ring.pow(qv, n - 1 - i)
-    for nm, i, j in upper:
-        phi[i][j] = ring.var(nm)
-    for nm, i, j in upper_n:
-        nm_mat[i][j] = ring.var(nm)
-
-    pn = mat_mul(ring, phi, nm_mat)
-    np_ = mat_mul(ring, nm_mat, phi)
-    entries = []
-    for i in range(n):
-        for j in range(n):
-            e = ring.sub(pn[i][j], ring.mul(qv, np_[i][j]))
-            if e:
-                entries.append(((i, j), e))
-    principal = len(entries) <= 1
-    if n == 2:
-        return CnReport(ring, entries, principal, "0", "0", not entries)
-    gen_text = norm_text = ""
-    passed = False
-    if principal and entries:
-        gen = entries[0][1]
-        gen_text = ring.to_text(gen)
-        if symbolic:
-            # normalize by the unit rescaling in the Laurent ring Q[q, r]/(qr - 1)
-            subbed = ring.substitute(
-                gen,
-                {
-                    "e": ring.mul(ring.add(ring.var("q"), ring.const(1)),
-                                  ring.mul(ring.var("r"), ring.var("e"))),
-                    "c": ring.mul(ring.var("r"), ring.var("c")),
-                },
-                ring,
-            )
-            norm = normal_form(subbed, unit_basis(ring))
-            norm_text = ring.to_text(norm)
-            expect = ring.from_text("q^2*e - 1*e + a*f - 1*d*c")
-            passed = norm == expect
-        else:
-            norm_text = gen_text
-            # (q^2 - q)e + af - q dc, specialised at the numeric q
-            sym = PolyRing(["q"] + names, 0)
-            expect = sym.substitute(sym.from_text("q^2*e - 1*q*e + a*f - 1*q*d*c"),
-                                    {"q": ring.const(q)}, ring)
-            passed = gen == expect
-    return CnReport(ring, entries, principal, gen_text, norm_text, passed)
+    spots = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    ring = PolyRing(["q", "r", *"abc"[:len(spots)], *"def"[:len(spots)]], char)
+    q = ring.var("q")
+    phi = [[ring.pow(q, n - 1 - i) if i == j else ring.zero() for j in range(n)]
+           for i in range(n)]
+    nil = _zeros(ring, n)
+    for (i, j), a, d in zip(spots, "abc", "def"):
+        phi[i][j], nil[i][j] = ring.var(a), ring.var(d)
+    q_nphi = [[ring.mul(q, x) for x in row] for row in mat_mul(ring, nil, phi)]
+    return ring, _entries(mat_sub(ring, mat_mul(ring, phi, nil), q_nphi))
 
 
-@_memoized
-def case_cn_reduction(case: IdealCase):
-    """The symbolic cn_ideal_reduction(None, 3, case.char) of a cnil case,
-    computed once per case: the cnil generators and the symbolic check read
-    the same report."""
-    return cn_ideal_reduction(None, 3, case.char)
+def cnil_symbolic_check() -> tuple[bool, str, str]:
+    """(passed, expected, actual): the cnil generator list over Q is one
+    generator, and the recorded unit rescaling e -> (q+1)/q * e, c -> c/q
+    turns it into the usual presentation (q^2-1)e + af - dc in the Laurent
+    ring Q[q, r]/(qr - 1)."""
+    data = build_case(IdealCase("cnil"))
+    ring, q, r = data.ring, data.ring.var("q"), data.ring.var("r")
+    expected = "single generator; normalized form q^2*e - e + a*f - d*c"
+    if len(data.gens) != 1:
+        return False, expected, f"{len(data.gens)} generators"
+    gen, = data.gens
+    units = {"e": ring.mul(ring.add(q, ring.const(1)), ring.mul(r, ring.var("e"))),
+             "c": ring.mul(r, ring.var("c"))}
+    norm = normal_form(ring.substitute(gen, units, ring), unit_basis(ring))
+    return (norm == ring.from_text("q^2*e - 1*e + a*f - 1*d*c"), expected,
+            f"raw {ring.to_text(gen)}; normalized {ring.to_text(norm)}")
+
+
+def cnil_q1(char: int) -> tuple:
+    """(ring, images): the cnil generator list over char at q = r = 1, in
+    the ring a..f of the chart's matrix entries."""
+    data = build_case(IdealCase("cnil", char))
+    ring = PolyRing(data.ring.names[2:], char)
+    one = ring.const(1)
+    return ring, [data.ring.substitute(g, {"q": one, "r": one}, ring) for g in data.gens]
+
+
+def cnil_q1_check(ring, images) -> tuple[bool, str, str]:
+    """(passed, expected, actual): the images of `cnil_q1` are the one
+    generator af - cd."""
+    return (images == [ring.from_text("a*f - 1*c*d")], "a*f - c*d",
+            "; ".join(map(ring.to_text, images)))
 
 
 # -- the commutator layer over the nilpotent-pair ring ---------------------------------
@@ -805,10 +786,9 @@ def commutator_layer_check(char: int = 5, bound: int = 5) -> tuple[bool, str, st
     sheaf minus that of its rho-twist shifted by two (the ideal sheaf of the
     commuting locus is the rho-twist, generated in degree 2); the degree-2
     difference counts the commutator entries, 8 new generators.  The
-    Hilbert function is read through `bound` off the complete n3-x basis.
+    Hilbert function is read off the n3-x basis through `bound`.
     """
-    gJ = case_basis(IdealCase("n3-x", char), None)
-    hfJ = hilbert_function(gJ, bound)
+    hfJ = hilbert_function(case_basis(IdealCase("n3-x", char), bound), bound)
     base = character_section_dims("n3-z", bound)
     tw = character_section_dims("n3-z", bound, twist=(1, 1))
     expected = tuple(base[k] - (tw[k - 2] if k >= 2 else 0) for k in range(bound + 1))

@@ -815,6 +815,21 @@ def _lift(ideal: IdealBasis, bound, guide: IdealBasis) -> IdealBasis | None:
                       stats=GroebnerStats(0, 0, 0, 0))
 
 
+def truncate(basis: IdealBasis, bound: int) -> IdealBasis:
+    """basis, complete or with a larger bound, through degree `bound`: its
+    elements and minimal generator counts up to that degree, which are
+    those of a run with that bound (the generators are homogeneous).  The
+    divisor record stays the whole run's: a prime that divides none of it
+    is lucky for the whole run, so for its part through `bound` too.  The
+    counters are 0, as for a basis read off a guide."""
+    if basis.gb_bound is not None and basis.gb_bound < bound:
+        raise TruncationError(f"bound {bound} exceeds Groebner truncation {basis.gb_bound}")
+    keep = [k for k, (lm, _, _) in enumerate(basis.gb_lead) if sum(lm) <= bound]
+    return IdealBasis(basis.ring, list(basis.gens), [basis.gb[k] for k in keep], bound,
+                      {d: c for d, c in basis.mingens.items() if d <= bound},
+                      [basis.gb_lead[k] for k in keep], GroebnerStats(0, 0, 0, 0), basis.divisors)
+
+
 def _reduced_basis(worker: _GBWorker) -> list:
     """The reduced basis as gb_lead triples (lm, mask, basis form) in tuple
     form, sorted by lm.  Each degree was interreduced at its end, and a lm

@@ -432,13 +432,39 @@ def test_n3z_flatness_reuses_the_c5_and_c7_bases(groebner_calls):
 
 
 def test_n3x_basis_is_shared_by_containment_and_specialization(groebner_calls):
-    assert campaigns._containment_dictionary(5)[0]
+    # in verify_all's order: the gl-n3 q = 1 check first, then the n3-x checks
     assert gl_specialization_check("gl-n3", 5)[0]
-    # one complete basis over GF(5), read off the complete basis over Q
+    assert commutator_layer_check(5, 5)[0]
+    assert campaigns._containment_dictionary(5)[0]
+    # one complete basis over GF(5), read off the complete basis over Q; the
+    # bounded bases of the layer and the dictionary are truncations of it
     n3x, n3x_q = (make_ideal(IdealCase("n3-x", char)).gens for char in (5, 0))
     assert [(bound, guide.gens) for gens, bound, guide in groebner_calls
             if gens == n3x] == [(None, n3x_q)]
     assert [bound for gens, bound, _ in groebner_calls if gens == n3x_q] == [None]
+    # over Q the truncations keep the complete run's divisor record (24)
+    for char, bound in itertools.product((0, 5), (3, 5)):
+        complete = cases.case_basis(IdealCase("n3-x", char), None)
+        basis = cases.case_basis(IdealCase("n3-x", char), bound)
+        assert basis.gb_bound == bound and basis.divisors == complete.divisors
+        assert basis.gb == [g for g in complete.gb if complete.ring.degree(g) <= bound]
+        assert basis.stats == GroebnerStats(0, 0, 0, 0)
+    # n3-x over Q and GF(5), the specialized gl-n3 ideal, the dictionary's image ideal
+    assert len(groebner_calls) == 4
+
+
+def test_a_bounded_n3x_campaign_builds_no_complete_basis(groebner_calls):
+    """`verify ideal --case n3-x` alone, on an empty memo: the commutator
+    layer asks for bound 5 and the containment dictionary for bound 3, which
+    is read off it, so no complete n3-x basis is built or stored."""
+    em = Emitter()
+    campaigns.ideal_campaign(em, "n3-x", 5, 5, trials=5, seed=0)
+    assert all(e.status != FAIL for e in em.entries)
+    # one run over GF(5), guided by one over Q, both with bound 5
+    n3x = [make_ideal(IdealCase("n3-x", char)).gens for char in (0, 5)]
+    assert [bound for gens, bound, _ in groebner_calls if gens in n3x] == [5, 5]
+    assert {key[1:] for key in cases._memo if key[0] == "case_basis"} == {
+        (IdealCase("n3-x"), 5), (IdealCase("n3-x", 5), 3), (IdealCase("n3-x", 5), 5)}
 
 
 def test_verify_all_runs_each_points_check_once_and_frees_its_memo(points_calls, two_cpus):
@@ -500,8 +526,8 @@ def test_verify_all_builds_each_case_once_and_frees_its_memo(monkeypatch, shared
     # the n2 bases over Q and GF(5) share one staircase, and so do the n3-z
     # bases over Q, GF(5) and GF(7): one Hilbert function of each
     assert Counter(key[0] for key in {key for _, key in misses}) == {
-        "build_case": 13, "case_basis": 8, "case_points": 6, "case_hilbert": 5,
-        "hilbert_function": 2, "span_lattice": 2, "case_cn_reduction": 1}
+        "build_case": 15, "case_basis": 10, "case_points": 6, "case_hilbert": 5,
+        "hilbert_function": 2, "span_lattice": 2}
     assert all(e.status != FAIL for e in em.entries)
     assert not cases._memo
 
@@ -511,10 +537,11 @@ def _gens_key(gens):
 
 
 def test_verify_all_builds_each_groebner_basis_once(groebner_calls, two_cpus):
-    # with the helper forked: no basis is built in both processes
+    # with the helper forked: no basis is built in both processes, and the
+    # bounded n3-x bases are read off the complete one, so the count is the
+    # one before those reads were bounded
     em = Emitter()
     campaigns.verify_all(em, seed=0, trials=5)
-    # the cnil symbolic check and the cnil points check read one reduction
     inputs = {(_gens_key(gens), bound) for gens, bound, _ in groebner_calls}
     assert len(groebner_calls) == len(inputs) == 15
     assert all(e.status != FAIL for e in em.entries)
@@ -676,13 +703,13 @@ def test_a_changed_gl_coefficient_fails_the_specialization_check(monkeypatch):
 
 
 def test_the_dims_hypersurface_is_read_off_the_chart_equation(monkeypatch):
-    """With the q = 1 chart equation replaced by the unit generator, both
+    """With the q = 1 cnil generator replaced by the unit generator, both
     six-variable dims ideals are the unit ideal, of Krull dimension -1."""
-    def unit(q, n, char):
-        rep = cases.cn_ideal_reduction(q, n, char)
-        return cases.CnReport(rep.ring, [((0, 2), rep.ring.const(1))], True, "1", "1", False)
+    def unit(char):
+        ring, _ = cases.cnil_q1(char)
+        return ring, [ring.const(1)]
 
-    monkeypatch.setattr(campaigns, "cn_ideal_reduction", unit)
+    monkeypatch.setattr(campaigns, "cnil_q1", unit)
     em = Emitter()
     campaigns.dims_campaign(em)
     got = {e.check_id: (e.status, e.actual) for e in em.entries}
@@ -691,23 +718,21 @@ def test_the_dims_hypersurface_is_read_off_the_chart_equation(monkeypatch):
 
 
 def test_the_dims_ideals_fail_with_their_chart_reduction(monkeypatch):
-    """The l = 7 chart equation doubled spans the same ideal, so the Krull
-    dimensions 5 and 4 hold; its reduction no longer matches a*f - c*d, and
-    both dims ideals fail with it."""
-    def doubled(q, n, char):
-        rep = cases.cn_ideal_reduction(q, n, char)
-        (pos, gen), = rep.entries
-        gen = rep.ring.scale(gen, 2)
-        text = rep.ring.to_text(gen)
-        return cases.CnReport(rep.ring, [(pos, gen)], True, text, text,
-                              gen == rep.ring.from_text("a*f - 1*d*c"))
+    """The l = 7 q = 1 cnil generator doubled spans the same ideal, so the
+    Krull dimensions 5 and 4 hold; it is no longer a*f - c*d, and both dims
+    ideals fail with it, as the q1 entry does."""
+    def doubled(char):
+        ring, images = cases.cnil_q1(char)
+        return ring, [ring.scale(g, 2) for g in images]
 
-    monkeypatch.setattr(campaigns, "cn_ideal_reduction", doubled)
+    monkeypatch.setattr(campaigns, "cnil_q1", doubled)
     em = Emitter()
     campaigns.dims_campaign(em)
+    campaigns.ideal_campaign(em, "cnil", 7, 4, trials=5, seed=0)
     got = {e.check_id: (e.status, e.actual) for e in em.entries}
     assert got["dims.c7.hypersurface"] == (FAIL, "5")
     assert got["dims.c7.nonregular-locus"] == (FAIL, "4")
+    assert got["ideal.cnil.c7.q1"] == (FAIL, "5*c*d + 2*a*f")
 
 
 @pytest.mark.parametrize("g, c", [(0, 0), (1, 1), (2, 2)])
@@ -739,8 +764,8 @@ def test_a_doubled_generator_coefficient_fails_an_entry(monkeypatch, tag):
     """A sample of the generator sweep: doubling the first coefficient of
     generator 0, n//2 or n-1 of the n generators (only 0 for n3-x, where
     n//2 takes seconds) adds a fail entry to the case's campaign, and
-    nothing raises.  cnil has one generator, and only its points entry
-    fails."""
+    nothing raises.  cnil has one generator: its q = 1 entries fail with
+    its points entry."""
     char, bound = _SWEEP_RUNS[tag]
     n = len(build_case(IdealCase(tag, 0)).gens)
     for g in [0] if tag == "n3-x" else sorted({0, n // 2, n - 1}):
@@ -757,8 +782,9 @@ def test_a_doubled_generator_coefficient_fails_an_entry(monkeypatch, tag):
             campaigns.ideal_campaign(em, tag, char, bound, trials=5, seed=0)
         failed = [e.check_id for e in em.entries if e.status == FAIL]
         assert failed, (tag, g)
-        if tag == "cnil":
-            assert failed == ["ideal.cnil.c0.points"]
+        if tag == "cnil":  # an exact check fails, not only the sampled one
+            assert {"ideal.cnil.c0.q1", "ideal.cnil.c0.q1-f5",
+                    "ideal.cnil.c0.points"} <= set(failed), failed
 
 
 @pytest.mark.parametrize("tag, k", [("gl-n2", 3), ("gl-n3", 0)])
@@ -777,7 +803,7 @@ def test_a_dropped_basis_element_fails_the_commutator_layer_check(monkeypatch):
 
     def faulty(case, bound):
         basis = complete(case, bound)
-        if (case.tag, bound) != ("n3-x", None):
+        if case.tag != "n3-x":
             return basis
         k = next(k for k, (lm, _, _) in enumerate(basis.gb_lead) if sum(lm) == 3)
         return IdealBasis(basis.ring, basis.gens, basis.gb[:k] + basis.gb[k + 1:],

@@ -1,13 +1,15 @@
 import itertools
 import random
 from bisect import bisect_left
+from fractions import Fraction
 
 import pytest
 
 from steinberg import breps, campaigns, liealg
 from steinberg.fieldops import (InvariantError, field_of, mat_det, mat_mul, span_coords,
                                 span_rank, vec_iadd_scaled)
-from steinberg.cases import cn_ideal_reduction
+from steinberg.cases import IdealCase, build_case, cn_chart, cnil_symbolic_check
+from steinberg.polyalg import PolyRing
 from steinberg.liealg import (W1_WEIGHTS, W2_EXTRA_WEIGHTS, BasedRep, CharacteristicError,
                               UnknownAtomError, borel_rep, build_based_rep, identity_suite,
                               p_extend_check, pure_tensor_vector, quotient_rep, restrict_to_span,
@@ -473,29 +475,55 @@ def test_identity_span_and_chain_checks_share_one_model_per_characteristic(monke
 
 
 def test_cn_ideal_reduction_symbolic():
-    rep = cn_ideal_reduction(None)
-    assert rep.principal and len(rep.entries) == 1
-    assert rep.entries[0][0] == (0, 2)
-    # raw entry as the chart produces it, before the recorded unit rescaling
-    assert rep.generator_text == "-1*q*c*d + 1*q^2*e - 1*q*e + 1*a*f"
-    assert rep.normalized_text == "1*q^2*e - 1*c*d + 1*a*f - 1*e"
-    assert rep.passed
+    data = build_case(IdealCase("cnil"))
+    # the chart's one entry, before the recorded unit rescaling
+    assert [data.ring.to_text(g) for g in data.gens] == ["-1*q*c*d + 1*q^2*e - 1*q*e + 1*a*f"]
+    assert cnil_symbolic_check() == (
+        True, "single generator; normalized form q^2*e - e + a*f - d*c",
+        "raw -1*q*c*d + 1*q^2*e - 1*q*e + 1*a*f; normalized 1*q^2*e - 1*c*d + 1*a*f - 1*e")
+
+
+def _numeric_chart(n, q, char):
+    """The oracle: the nonzero entries of (Phi0 + M) N - q N (Phi0 + M) with
+    the number q, in the ring of the matrix entries alone, by explicit sums
+    over the matrix products."""
+    spots = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    ring = PolyRing([*"abc"[:len(spots)], *"def"[:len(spots)]], char)
+    qc = ring.const(q)
+    phi = [[ring.const(q ** (n - 1 - i)) if i == j else {} for j in range(n)] for i in range(n)]
+    nil = [[{} for _ in range(n)] for _ in range(n)]
+    for (i, j), a, d in zip(spots, "abc", "def"):
+        phi[i][j], nil[i][j] = ring.var(a), ring.var(d)
+    out = []
+    for i in range(n):
+        for j in range(n):
+            entry = {}
+            for k in range(n):
+                entry = ring.add(entry, ring.mul(phi[i][k], nil[k][j]))
+                entry = ring.sub(entry, ring.mul(qc, ring.mul(nil[i][k], phi[k][j])))
+            if entry:
+                out.append(entry)
+    return ring, out
 
 
 def test_cn_ideal_reduction_specializations():
-    rep = cn_ideal_reduction(1, 3, 5)
-    assert rep.passed and rep.principal
-    rep0 = cn_ideal_reduction(1, 3, 0)
-    assert rep0.generator_text == "-1*c*d + 1*a*f"
-    rep2 = cn_ideal_reduction(1, 2, 5)
-    assert rep2.passed and not rep2.entries
-    rep2s = cn_ideal_reduction(None, 2, 0)
-    assert rep2s.passed and not rep2s.entries
-    # numeric q != 1 is compared with (q^2 - q)e + af - q dc at that q
-    for q, char, text in ((2, 0, "-2*c*d + 1*a*f + 2*e"), (3, 0, "-3*c*d + 1*a*f + 6*e"),
-                          (2, 5, "3*c*d + 1*a*f + 2*e")):
-        rq = cn_ideal_reduction(q, 3, char)
-        assert rq.passed and rq.generator_text == text
+    """The symbolic chart at q = 1, 2, 3 (r = 1/q) over Q, F5 and F7 against
+    the chart built with that number q; the n = 2 chart has no entries."""
+    for char in (0, 5, 7):
+        for n in (2, 3):
+            src, entries = cn_chart(n, char)
+            for q in (1, 2, 3):
+                ring, want = _numeric_chart(n, q, char)
+                images = {"q": ring.const(q), "r": ring.const(Fraction(1, q))}
+                assert [src.substitute(e, images, ring) for e in entries] == want, (n, q, char)
+                assert len(want) == n - 2
+    texts = {}
+    for q, char in ((1, 0), (1, 5), (1, 7), (2, 0), (3, 0), (2, 5)):
+        ring, (gen,) = _numeric_chart(3, q, char)
+        texts[q, char] = ring.to_text(gen)
+    assert texts == {(1, 0): "-1*c*d + 1*a*f", (1, 5): "4*c*d + 1*a*f", (1, 7): "6*c*d + 1*a*f",
+                     (2, 0): "-2*c*d + 1*a*f + 2*e", (3, 0): "-3*c*d + 1*a*f + 6*e",
+                     (2, 5): "3*c*d + 1*a*f + 2*e"}
 
 
 def test_restrict_to_span_round_trip():
@@ -569,13 +597,11 @@ def test_matrix_helpers_mod_p_match_integer_formulas():
 
 
 def test_symbolic_generator_specializes_at_q_one():
-    from steinberg.polyalg import PolyRing
-
-    rep = cn_ideal_reduction(None)
+    gen, = build_case(IdealCase("cnil")).gens
     src = PolyRing(("q", "r", "a", "b", "c", "d", "e", "f"), 0)
     dst = PolyRing(("a", "b", "c", "d", "e", "f"), 0)
     images = {"q": dst.const(1), "r": dst.const(1)}
-    specialized = src.substitute(rep.entries[0][1], images, dst)
+    specialized = src.substitute(gen, images, dst)
     assert specialized == dst.from_text("1*a*f - 1*c*d")
 
 

@@ -15,15 +15,19 @@ the ids each mutant fails, or "survived":
   `campaigns.multiplicities_campaign`;
 - generators: every coefficient of a case's generator list doubled, and
   negated, through `campaigns.ideal_campaign` at each (case, char, bound) of
-  `verify all`.  n3-z, n3-x and gl-n3 take about half an hour, so they are
+  `verify all`.  n3-z, n3-x and gl-n3 take about seven minutes, so they are
   marked `slow` (deselected by default; `pytest -m slow` runs them) and
   their entries list the survivors only;
 - python-values: every coefficient of `liealg._BASE_IDENTITIES` (an
   identity's coeff and each coefficient of its bracket and extra terms)
-  negated, and doubled, through `campaigns.identities_campaign` over Q.
+  negated, and doubled, through `campaigns.identities_campaign` over Q; and
+  every multiplicity of the spot values of `campaigns.bwb_tables_campaign`
+  (`CHI_BXB`, `CHI_W2BXB`, each cell of `PSUPP_W2BXB`) moved by ±1, through
+  that campaign at l = 5.
 """
 
 import json
+import re
 import shutil
 from itertools import combinations
 from pathlib import Path
@@ -321,15 +325,59 @@ def _identity_mutants():
                 yield f"{name} {site} {how}", base[:k] + [row] + base[k + 1:]
 
 
+_TERM = re.compile(r"(-?\d*)\[V\((\d+),(\d+)\)\]|\((\d+),(\d+)\)(?:\^(\d+))?")
+
+
+def _terms(text):
+    """[(weight, multiplicity)] of a Grothendieck text such as
+    "2[V(1,1)] + [V(0,0)]", or of a multiset text such as "{(0,0)^14 (1,1)^2}"."""
+    out = []
+    for c, a, b, ma, mb, e in _TERM.findall(text):
+        if a:
+            out.append(((int(a), int(b)), -1 if c == "-" else int(c or 1)))
+        else:
+            out.append(((int(ma), int(mb)), int(e or 1)))
+    return out
+
+
+def _value_mutants():
+    """name -> (constant of campaigns, its mutated value): each multiplicity
+    of the spot χ values and of each psupp cell of wedge^2(b) (x) b moved
+    by ±1, a multiplicity 0 dropping its term."""
+    for const, i in (("CHI_BXB", None), ("CHI_W2BXB", None),
+                     *(("PSUPP_W2BXB", i) for i in range(4))):
+        text = getattr(campaigns, const) if i is None else campaigns.PSUPP_W2BXB[i]
+        terms = _terms(text)
+        for t, (w, c) in enumerate(terms):
+            for s in (1, -1):
+                moved = [(v, c + s if u == t else c) for u, (v, c) in enumerate(terms)]
+                moved = [(v, c) for v, c in moved if c]
+                if i is None:
+                    value = str(GrothendieckElement(moved))
+                else:
+                    cells = list(campaigns.PSUPP_W2BXB)
+                    cells[i] = campaigns.fmt_multiset(moved)
+                    value = tuple(cells)
+                cell = const if i is None else f"{const}[{i}]"
+                yield f"{cell} V({w[0]},{w[1]}) {s:+d}", (const, value)
+
+
 def python_value_census() -> dict:
     """mutant name -> the ids identities_campaign fails over Q with one
-    coefficient of the base identities changed, or "survived"."""
+    coefficient of the base identities changed, or bwb_tables_campaign at
+    l = 5 with one spot value changed, or "survived"."""
     out = {}
     for name, identities in _identity_mutants():
         with pytest.MonkeyPatch.context() as m:
             m.setattr(liealg, "_BASE_IDENTITIES", identities)
             em = Emitter()
             campaigns.identities_campaign(em, 0)
+        out[name] = _failed(em)
+    for name, (const, value) in _value_mutants():
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(campaigns, const, value)
+            em = Emitter()
+            campaigns.bwb_tables_campaign(em, 5)
         out[name] = _failed(em)
     return out
 

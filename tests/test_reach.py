@@ -167,7 +167,7 @@ RECORDS = {
     "bwb": {"GrothendieckElement", "TableRow", "CohomologyTable"},
     "liealg": {"BasedRep", "QuotientRep", "ExtendCertificate"},
     "polyalg": {"GroebnerStats", "IdealBasis", "GradedDims"},
-    "cases": {"IdealCase", "CaseData", "ParamReport", "CnReport"},
+    "cases": {"IdealCase", "CaseData", "ParamReport"},
     "report": {"CheckEntry", "Report"},
 }
 
