@@ -11,9 +11,9 @@ from __future__ import annotations
 from . import bwb, liealg
 from .breps import WeightMultiset, build_rep
 from .cases import (IdealCase, _entries, build_case, case_basis, case_hilbert, case_points,
-                    chart_symbolic_check, clear_case_memo, cn_chart, cnil_q1, cnil_q1_check,
-                    cnil_symbolic_check, commutator_layer_check, gl_specialization_check,
-                    hilbert_cross_check, multiplicity, span17_check)
+                    chart_symbolic_check, clear_case_memo, cn_chart, cn_upper, cnil_q1,
+                    cnil_q1_check, cnil_symbolic_check, commutator_layer_check,
+                    gl_specialization_check, hilbert_cross_check, multiplicity, span17_check)
 from .fieldops import mat_mul, mat_sub, mat_trace
 from .helper import forked
 from .polyalg import IdealBasis, groebner, krull_dim, min_gen_degrees, normal_form
@@ -190,10 +190,11 @@ def dims_campaign(em: Emitter) -> None:
     # it; both ideals rest on it, so they pass only when it is a*f - c*d
     ring, hypersurface = cnil_q1(char)
     chart_passed, _, _ = cnil_q1_check(ring, hypersurface)
-    a, c, d, f = (ring.var(x) for x in "acdf")
+    # the products a*c and d*f: the nonzero entries of M^2 and N^2 on the chart
+    M, N = cn_upper(ring, 3)
     cases = [
         ("hypersurface", hypersurface, 5),
-        ("nonregular-locus", hypersurface + [ring.mul(a, c), ring.mul(d, f)], 4),
+        ("nonregular-locus", hypersurface + _entries(mat_mul(ring, M, M), mat_mul(ring, N, N)), 4),
     ]
     for name, gens, expected in cases:
         dim = krull_dim(groebner(IdealBasis(ring, gens), None))

@@ -424,15 +424,13 @@ def _point_for_case(case: IdealCase, rng, slots) -> list[int]:
         ginv = _inv_mod(g)
         diag = [[pow(q, n - 1 - i, p) if i == j else 0 for j in range(n)] for i in range(n)]
         phi = _conj(g, ginv, diag)
-        if n == 2:
-            nil = [[0, rng.randrange(p)], [0, 0]]
-        else:
-            nil = [[0, rng.randrange(p), 0], [0, 0, rng.randrange(p)], [0, 0, 0]]
+        nil = [[rng.randrange(p) if j == i + 1 else 0 for j in range(n)] for i in range(n)]
         N = _conj(g, ginv, nil)
         inv2 = pow(2, -1, p)
+        # Sigma = I + N + N^2/2; for n = 2, N^2 is 0 mod p
         N2 = mat_mul(ZZ, N, N)
-        sigma = [[(int(i == j) + N[i][j] + (N2[i][j] * inv2 if n == 3 else 0)) % p
-                  for j in range(n)] for i in range(n)]
+        sigma = [[(int(i == j) + N[i][j] + N2[i][j] * inv2) % p for j in range(n)]
+                 for i in range(n)]
         vals = {"q": [[q]], "u": [[pow(q, -(n * (n - 1) // 2), p)]], "v": [[1]],
                 "f": phi, "s": sigma}
     else:
@@ -536,21 +534,17 @@ def _degree3_rows(ring, polys):
     if any(sum(m) != 3 for m in monos):
         raise ValueError("degree-3 rows need homogeneous cubic polynomials")
     index = {m: i for i, m in enumerate(monos)}
-    rows = []
     for p in polys:
-        row = [0] * len(monos)
-        for m, c in p.items():
+        for c in p.values():
             if Fraction(c).denominator != 1:
                 raise ValueError(f"non-integral coefficient {c} in a degree-3 row")
-            row[index[m]] = int(c)
-        rows.append(row)
-    return rows
+    return [{index[m]: int(c) for m, c in p.items()} for p in polys]
 
 
 def _field_rank(char, int_rows) -> int:
     fld = field_of(char)
     of, zero = fld.of, fld.zero
-    return span_rank(fld, ({i: y for i, x in enumerate(row) if x and (y := of(x)) != zero}
+    return span_rank(fld, ({i: y for i, x in row.items() if (y := of(x)) != zero}
                            for row in int_rows))
 
 
@@ -563,8 +557,8 @@ def span_lattice(ambient: str):
     """The integer side of span17_check in one ambient, built once per
     ambient: it does not depend on the characteristic.  The polynomials are
     built over Q from the matrices of the ambient's case, whose coefficients
-    are integers.  Returns the degree-3 rows of the span entries and of the
-    reducers, the free rank and torsion of the quotient lattice, and the
+    are integers.  Returns the sparse degree-3 rows of the span entries and
+    of the reducers, the free rank and torsion of the quotient lattice, and the
     invariant factors of all rows, as tuples."""
     data = build_case(_SPAN_CASES[ambient])
     ring, M, N = data.ring, data.mats["M"], data.mats["N"]
@@ -581,8 +575,7 @@ def span_lattice(ambient: str):
     b_part = arow[len(span_polys):]
     free, torsion = quotient_invariant_factors(a_part, b_part)
     factors = snf(arow)
-    return (tuple(map(tuple, a_part)), tuple(map(tuple, b_part)), free, tuple(torsion),
-            tuple(factors))
+    return tuple(a_part), tuple(b_part), free, tuple(torsion), tuple(factors)
 
 
 def span17_check(char: int = 0) -> dict:
@@ -695,13 +688,12 @@ def chart_symbolic_check(tag: str) -> tuple[bool, str, str]:
     q = chart.var("q")
     r = chart.var("r")
     nil = _zeros(chart, n)
-    nil[0][1] = chart.var("x")
-    if n == 3:
-        nil[1][2] = chart.var("y")
-    nil2 = mat_mul(chart, nil, nil)
-    sigma = mat_add(chart, mat_identity_poly(chart, n, chart.const(1)), nil)
-    if n == 3:
-        sigma = mat_add(chart, sigma, mat_scale_poly(chart, nil2, chart.const(Fraction(1, 2))))
+    for i, name in enumerate(names[2:]):
+        nil[i][i + 1] = chart.var(name)
+    # Sigma = I + N + N^2/2, and N^2 = 0 for n = 2
+    half_nil2 = mat_scale_poly(chart, mat_mul(chart, nil, nil), chart.const(Fraction(1, 2)))
+    sigma = mat_add(chart, mat_add(chart, mat_identity_poly(chart, n, chart.const(1)), nil),
+                    half_nil2)
     phi = [[chart.pow(q, n - 1 - i) if i == j else chart.zero() for j in range(n)]
            for i in range(n)]
     images = {"q": q, "u": chart.pow(r, n * (n - 1) // 2), "v": chart.const(1)}
@@ -720,23 +712,30 @@ def chart_symbolic_check(tag: str) -> tuple[bool, str, str]:
 # -- the commuting-nilpotent chart equation ----------------------------------------
 
 
+def cn_upper(ring, n: int) -> tuple:
+    """(M, N): the strictly upper n x n matrices of the cnil chart, with the
+    ring's variables a, b, c and d, e, f at the spots (i, j), i < j,
+    row-major."""
+    M, N = _zeros(ring, n), _zeros(ring, n)
+    spots = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    for (i, j), a, d in zip(spots, "abc", "def"):
+        M[i][j], N[i][j] = ring.var(a), ring.var(d)
+    return M, N
+
+
 def cn_chart(n: int, char: int) -> tuple:
     """(ring, entries): the nonzero entries, row-major, of (Phi0 + M) N -
-    q N (Phi0 + M) on the chart Phi0 = diag(q^(n-1), ..., 1), M and N
-    strictly upper triangular.  The ring is q, r = 1/q, then the upper
-    entries a, b, c of M and d, e, f of N (a and d for n = 2).  For n = 3 the
-    one entry (q^2 - q)e + af - q dc is the cnil generator; for n = 2 there
-    is none."""
+    q N (Phi0 + M) on the chart Phi0 = diag(q^(n-1), ..., 1), with M and N
+    from `cn_upper`.  The ring is q, r = 1/q, then the upper entries a, b, c
+    of M and d, e, f of N (a and d for n = 2).  For n = 3 the one entry
+    (q^2 - q)e + af - q dc is the cnil generator; for n = 2 there is none."""
     if n not in (2, 3):
         raise ValueError("only n = 2 and n = 3 are modelled")
-    spots = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    ring = PolyRing(["q", "r", *"abc"[:len(spots)], *"def"[:len(spots)]], char)
+    upper = n * (n - 1) // 2
+    ring = PolyRing(["q", "r", *"abc"[:upper], *"def"[:upper]], char)
     q = ring.var("q")
-    phi = [[ring.pow(q, n - 1 - i) if i == j else ring.zero() for j in range(n)]
-           for i in range(n)]
-    nil = _zeros(ring, n)
-    for (i, j), a, d in zip(spots, "abc", "def"):
-        phi[i][j], nil[i][j] = ring.var(a), ring.var(d)
+    M, nil = cn_upper(ring, n)
+    phi = [[ring.pow(q, n - 1 - i) if i == j else M[i][j] for j in range(n)] for i in range(n)]
     q_nphi = [[ring.mul(q, x) for x in row] for row in mat_mul(ring, nil, phi)]
     return ring, _entries(mat_sub(ring, mat_mul(ring, phi, nil), q_nphi))
 

@@ -6,7 +6,10 @@ reduction and every choice of complement deterministic.  `span_coords` is the
 one solver for coordinates in the span of independent vectors.  The `vec_*`
 helpers are the sparse arithmetic of vectors and polynomials alike: a
 polynomial is a vector indexed by monomials, and `PolyRing` adds, subtracts
-and scales through them.
+and scales through them.  Over the integers `ZZ` they update the library's
+one integer vector format, the sparse rows {column: nonzero int} of
+`polyalg`'s Smith and Hermite forms, in which `cases` writes its degree-3
+span rows.
 
 An element of Q is an `int` when it is integral and a `Fraction` otherwise:
 `QQ.of` and `QQ.inv` return that form, and sums and products follow Python's

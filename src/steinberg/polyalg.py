@@ -1101,30 +1101,28 @@ def homogenize_by_elimination(ring: PolyRing, gens: list) -> list:
 # -- integer matrices: Smith/Hermite normal forms --------------------------------
 
 
-def int_rows(text: str) -> list[list[int]]:
-    """Rows of an integer matrix written one a line, blank lines and lines
-    starting with # skipped; ValueError on a non-integer or ragged row."""
-    rows = []
-    for line in text.splitlines():
-        line = line.strip()
-        if line and not line.startswith("#"):
-            rows.append([int(tok) for tok in line.split()])
-    if rows and any(len(r) != len(rows[0]) for r in rows):
+def int_rows(text: str) -> list[dict[int, int]]:
+    """Sparse rows {column: nonzero entry} of an integer matrix written one
+    row a line, blank lines and lines starting with # skipped; ValueError on
+    a non-integer or ragged row."""
+    dense = [[int(tok) for tok in line.split()] for line in map(str.strip, text.splitlines())
+             if line and not line.startswith("#")]
+    if len({len(r) for r in dense}) > 1:
         raise ValueError("ragged matrix")
-    return rows
+    return [{j: x for j, x in enumerate(r) if x} for r in dense]
 
 
-def snf(rows: list[list[int]]) -> list[int]:
-    """Invariant factors d_1 | d_2 | ... (positive, divisibility chain).
+def snf(rows: list[dict[int, int]]) -> list[int]:
+    """Invariant factors d_1 | d_2 | ... (positive, divisibility chain) of
+    sparse rows {column: nonzero entry}, which it copies before reducing.
 
-    Runs on sparse rows {column: nonzero entry}.  Each pivot is an entry of
-    least absolute value among the nonzeros.  Row operations clear its
-    column; as the column is then zero off the pivot, a column operation
-    changes the pivot row only, and clearing that row leaves the pivot
-    alone in its row and column.  A nonzero remainder is smaller than the
-    pivot, so the search restarts from it.  The diagonal this leaves is
-    brought into divisibility order by diag(a, b) ~ diag(gcd, lcm)."""
-    live = [r for r in ({j: x for j, x in enumerate(row) if x} for row in rows) if r]
+    Each pivot is an entry of least absolute value among the nonzeros.  Row
+    operations clear its column; as the column is then zero off the pivot, a
+    column operation changes the pivot row only, and clearing that row leaves
+    the pivot alone in its row and column.  A nonzero remainder is smaller
+    than the pivot, so the search restarts from it.  The diagonal this leaves
+    is brought into divisibility order by diag(a, b) ~ diag(gcd, lcm)."""
+    live = [dict(r) for r in rows if r]
     diagonal = []
     while live:
         least = None
@@ -1166,66 +1164,52 @@ def snf(rows: list[list[int]]) -> list[int]:
     return diagonal
 
 
-def hnf_rowspace(rows: list[list[int]]) -> list[list[int]]:
-    """Echelon basis of the integer row space (strictly increasing pivots)."""
-    a = [list(r) for r in rows if any(r)]
-    if not a:
-        return []
-    n = len(a[0])
-    out: list[list[int]] = []
-    for col in range(n):
-        live = [r for r in a if r[col] != 0]
-        if not live:
-            continue
+def hnf_rowspace(rows: list[dict[int, int]]) -> list[dict[int, int]]:
+    """Echelon basis of the integer row space of sparse rows, as new sparse
+    rows: the pivots, each row's least column, strictly increase, and each
+    pivot entry is positive."""
+    a = [dict(r) for r in rows if r]
+    out = []
+    while a:
+        col = min(min(r) for r in a)
+        live = [r for r in a if col in r]
         while len(live) > 1:
             live.sort(key=lambda r: abs(r[col]))
             p = live[0]
             for r in live[1:]:
-                q = r[col] // p[col]
-                if q:
-                    for j in range(col, n):
-                        r[j] -= q * p[j]
-            live = [r for r in live if r[col] != 0]
+                vec_iadd_scaled(ZZ, r, p, -(r[col] // p[col]))
+            live = [r for r in live if col in r]
         pivot = live[0]
-        if pivot[col] < 0:
-            for j in range(n):
-                pivot[j] = -pivot[j]
-        out.append(pivot)
-        a = [r for r in a if r is not pivot and any(r)]
+        out.append(pivot if pivot[col] > 0 else vec_scale(ZZ, pivot, -1))
+        a = [r for r in a if r is not pivot and r]
     return out
 
 
-def quotient_invariant_factors(gens: list[list[int]], sub: list[list[int]]) -> tuple[int, list[int]]:
+def quotient_invariant_factors(gens: list[dict[int, int]],
+                               sub: list[dict[int, int]]) -> tuple[int, list[int]]:
     """Structure of (rowspace(gens + sub) / rowspace(sub)) as an abelian group.
 
     Returns (free_rank, torsion invariant factors > 1).
     """
-    big = hnf_rowspace([list(r) for r in gens] + [list(r) for r in sub])
-    basis = [[(j, x) for j, x in enumerate(b) if x] for b in big]
-    coords = []
-    for row in sub:
-        c = _int_coords(row, basis)
-        if c is None:
-            raise InvariantError("sub not inside the big lattice")
-        coords.append(c)
+    big = hnf_rowspace([*gens, *sub])
+    coords = [_int_coords(row, big) for row in sub]
+    if None in coords:
+        raise InvariantError("sub not inside the big lattice")
     invs = snf(coords)
     return (len(big) - len(invs), [d for d in invs if d > 1])
 
 
-def _int_coords(row: list[int], basis: list[list[tuple[int, int]]]):
-    """Integer coordinates of row in an echelon integer basis, or None.  Each
-    basis row is given by its nonzero (column, entry) pairs, lead first."""
-    rem = list(row)
-    coords = []
-    for support in basis:
-        lead, a = support[0]
-        q, r = divmod(rem[lead], a)
-        if r:
-            return None
-        coords.append(q)
-        if q:
-            for j, x in support:
-                rem[j] -= q * x
-    if any(rem):
-        return None
-    return coords
+def _int_coords(row: dict[int, int], basis: list[dict[int, int]]):
+    """Sparse integer coordinates {k: c_k} of row in an echelon integer basis
+    (pivots strictly increasing, each row's lead its least column), or None
+    when row is off the basis's lattice."""
+    rem, coords = dict(row), {}
+    for k, b in enumerate(basis):
+        lead = min(b)
+        if lead in rem:
+            q, r = divmod(rem[lead], b[lead])
+            if r:
+                return None
+            coords[k] = q
+            vec_iadd_scaled(ZZ, rem, b, -q)
+    return None if rem else coords

@@ -231,6 +231,29 @@ def test_l_0_is_characteristic_zero_for_bwb_good_and_psupp():
     assert euler_char(far) == G.of((47, 40)).scale(3)
 
 
+def _serre_mismatches(psupp_of):
+    """The (k, i, l) at which psupp^i(wedge^(5-k) b) is not psupp^(3-i)(wedge^k b)
+    dualized, V(a, b)* = V(b, a).  wedge^5 b = det b has weight -2 rho, so
+    wedge^(5-k) b = (wedge^k b)* (x) omega, and Serre duality on the
+    three-dimensional G/B (Hartshorne III.7.7, Jantzen II.4.2) gives
+    H^i(wedge^(5-k) b) = H^(3-i)(wedge^k b)*."""
+    bad = []
+    for l in (0, 5, 7):
+        for k in range(6):
+            low, high = build_rep(f"wedge^{k}(b)"), build_rep(f"wedge^{5 - k}(b)")
+            for i in range(4):
+                dual = WeightMultiset({(b, a): m for (a, b), m in psupp_of(low, 3 - i, l)})
+                if psupp_of(high, i, l) != dual:
+                    bad.append((k, i, l))
+    return bad
+
+
+def test_psupp_satisfies_serre_duality_between_complementary_wedges_of_b():
+    assert _serre_mismatches(psupp) == []
+    # control: a psupp that reads the next degree breaks the duality
+    assert _serre_mismatches(lambda rep, i, l: psupp(rep, (i + 1) % 4, l))
+
+
 # -- the Bott summary against a per-weight oracle ---------------------------------
 
 _BOUNDS = (0, 2, 3, 5, 7, 11)

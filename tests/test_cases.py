@@ -151,7 +151,8 @@ def test_field_rank_matches_sympy_on_the_span_rows(ambient):
 
     a_part, b_part, *_ = cases.span_lattice(ambient)
     for rows in (a_part + b_part, b_part):
-        matrix = sympy.Matrix([list(r) for r in rows])
+        cols = 1 + max(j for r in rows for j in r)
+        matrix = sympy.Matrix([[r.get(j, 0) for j in range(cols)] for r in rows])
         assert cases._field_rank(0, rows) == matrix.rank()
         gf5 = DomainMatrix.from_Matrix(matrix).convert_to(sympy.GF(5))
         assert cases._field_rank(5, rows) == gf5.rank()
@@ -371,7 +372,7 @@ def test_multiplicity_euler_characteristic_oracle():
 
 def test_degree3_rows_rejects_non_integral_and_non_cubic():
     ring = PolyRing(("x", "y"), 0)
-    assert cases._degree3_rows(ring, [{(3, 0): 2, (1, 2): -1}]) == [[-1, 2]]
+    assert cases._degree3_rows(ring, [{(3, 0): 2, (1, 2): -1}]) == [{0: -1, 1: 2}]
     with pytest.raises(ValueError, match="non-integral"):
         cases._degree3_rows(ring, [{(3, 0): Fraction(1, 2)}])
     with pytest.raises(ValueError, match="cubic"):
@@ -733,6 +734,21 @@ def test_the_dims_ideals_fail_with_their_chart_reduction(monkeypatch):
     assert got["dims.c7.hypersurface"] == (FAIL, "5")
     assert got["dims.c7.nonregular-locus"] == (FAIL, "4")
     assert got["ideal.cnil.c7.q1"] == (FAIL, "5*c*d + 2*a*f")
+
+
+def test_the_nonregular_locus_products_are_read_off_the_chart(monkeypatch):
+    """The products a*c and d*f are the nonzero entries of M^2 and N^2 of
+    the chart; a chart of 2 x 2 matrices, whose squares vanish, adds none,
+    and the locus is the hypersurface, of Krull dimension 5."""
+    ring, _ = cases.cnil_q1(7)
+    M, N = cases.cn_upper(ring, 3)
+    assert cases._entries(mat_mul(ring, M, M), mat_mul(ring, N, N)) == \
+        [ring.from_text("a*c"), ring.from_text("d*f")]
+    monkeypatch.setattr(campaigns, "cn_upper", lambda ring, n: cases.cn_upper(ring, 2))
+    em = Emitter()
+    campaigns.dims_campaign(em)
+    got = {e.check_id: (e.status, e.actual) for e in em.entries}
+    assert got["dims.c7.nonregular-locus"] == (FAIL, "5")
 
 
 @pytest.mark.parametrize("g, c", [(0, 0), (1, 1), (2, 2)])

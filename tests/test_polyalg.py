@@ -230,10 +230,23 @@ def test_unit_basis_remainders_match_sympy(data):
     assert got == want
 
 
+def _sparse(row):
+    """The sparse row {column: nonzero entry} of a dense integer row."""
+    return {j: x for j, x in enumerate(row) if x}
+
+
+def _dense(rows, cols):
+    return [[r.get(j, 0) for j in range(cols)] for r in rows]
+
+
 def test_snf_examples():
-    assert snf([[1, 0, 0], [0, 1, 0], [0, 0, 1]]) == [1, 1, 1]
-    assert snf([[2, 0], [0, 4]]) == [2, 4]
-    assert snf([[0, 0], [0, 0]]) == []
+    assert snf([{0: 1}, {1: 1}, {2: 1}]) == [1, 1, 1]
+    assert snf([{0: 2}, {1: 4}]) == [2, 4]
+    assert snf([{}, {}]) == []
+    # snf reduces copies: its input rows are left as they were
+    rows = [{0: 2, 1: 4, 2: 4}, {0: -6, 1: 6, 2: 12}, {0: 10, 1: 4, 2: 16}]
+    kept = [dict(r) for r in rows]
+    assert snf(rows) == [2, 2, 156] and rows == kept
 
 
 def test_snf_divisibility_and_minor_gcd_oracle():
@@ -244,7 +257,7 @@ def test_snf_divisibility_and_minor_gcd_oracle():
         rows = rng.randrange(1, 4)
         cols = rng.randrange(1, 4)
         a = [[rng.randrange(-6, 7) for _ in range(cols)] for _ in range(rows)]
-        invs = snf([list(r) for r in a])
+        invs = snf([_sparse(r) for r in a])
         for x, y in zip(invs, invs[1:]):
             assert y % x == 0
         # product of the first k invariant factors = gcd of all k x k minors
@@ -264,26 +277,29 @@ def test_snf_divisibility_and_minor_gcd_oracle():
 
 @st.composite
 def sparse_wide_matrices(draw):
-    """Up to 8 x 16 with at most 30% nonzeros in each row, entries in -3..3,
-    zero and duplicate rows allowed: the shape of the degree-3 span rows."""
+    """(columns, sparse rows): up to 8 x 16 with at most 30% nonzeros in each
+    row, entries in -3..3, zero and duplicate rows allowed: the shape of the
+    degree-3 span rows."""
     n = draw(st.integers(1, 16))
     row = st.dictionaries(st.integers(0, n - 1), st.sampled_from((-3, -2, -1, 1, 2, 3)),
-                          max_size=3 * n // 10).map(lambda r: [r.get(j, 0) for j in range(n)])
+                          max_size=3 * n // 10)
     distinct = draw(st.lists(row, min_size=1, max_size=8))
     picks = draw(st.lists(st.integers(0, len(distinct) - 1), min_size=1, max_size=8))
-    return [list(distinct[i]) for i in picks]
+    return n, [dict(distinct[i]) for i in picks]
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.one_of(
     st.integers(1, 5).flatmap(lambda cols: st.lists(
-        st.lists(st.integers(-9, 9), min_size=cols, max_size=cols), min_size=1, max_size=5)),
+        st.lists(st.integers(-9, 9), min_size=cols, max_size=cols), min_size=1, max_size=5)
+        .map(lambda rows: (cols, [_sparse(r) for r in rows]))),
     sparse_wide_matrices()))
-def test_snf_matches_sympy(rows):
+def test_snf_matches_sympy(shape):
     sympy = pytest.importorskip("sympy")
     from sympy.matrices.normalforms import smith_normal_form
 
-    want = smith_normal_form(sympy.Matrix(rows), domain=sympy.ZZ)
+    cols, rows = shape
+    want = smith_normal_form(sympy.Matrix(_dense(rows, cols)), domain=sympy.ZZ)
     diagonal = [abs(int(want[i, i])) for i in range(min(want.shape))]
     assert snf(rows) == [d for d in diagonal if d]
 
@@ -295,7 +311,7 @@ def test_snf_keeps_its_entries_small_on_a_dense_matrix():
             [1, 0, 0, 4, -3, 9, 0, 7, -8], [3, -4, 2, 7, -4, 3, -9, 0, 9],
             [-4, -2, 0, 0, 8, 7, 9, -1, -9], [7, 0, 8, -8, 2, -3, 0, 2, -9],
             [1, -9, 0, 8, -7, 0, 0, 0, -7], [-9, -1, -6, 0, 0, -4, -4, 0, 1]]
-    assert snf(rows) == [1] * 7 + [2]
+    assert snf([_sparse(r) for r in rows]) == [1] * 7 + [2]
 
 
 def _det_int(m):
@@ -310,18 +326,25 @@ def _det_int(m):
 
 
 def test_hnf_and_quotient_invariants():
-    basis = hnf_rowspace([[2, 4, 4], [-6, 6, 12], [10, 4, 16]])
-    # echelon with strictly increasing pivots
-    leads = [next(j for j, x in enumerate(r) if x) for r in basis]
-    assert leads == sorted(leads) and len(set(leads)) == len(leads)
-    free, torsion = quotient_invariant_factors([[1, 0], [0, 1]], [[2, 0]])
+    rows = [{0: 2, 1: 4, 2: 4}, {0: -6, 1: 6, 2: 12}, {0: 10, 1: 4, 2: 16}]
+    kept = [dict(r) for r in rows]
+    basis = hnf_rowspace(rows)
+    assert rows == kept
+    # echelon with strictly increasing pivots, each positive, spanning the
+    # same lattice: every row has integer coordinates, and the invariants agree
+    leads = [min(r) for r in basis]
+    assert leads == sorted(set(leads)) and all(r[j] > 0 for r, j in zip(basis, leads))
+    assert all(polyalg._int_coords(r, basis) is not None for r in rows)
+    assert snf(basis) == snf(rows) == [2, 2, 156]
+    assert polyalg._int_coords({0: 1}, basis) is None
+    free, torsion = quotient_invariant_factors([{0: 1}, {1: 1}], [{0: 2}])
     assert (free, torsion) == (1, [2])
-    free, torsion = quotient_invariant_factors([[1, 0]], [])
+    free, torsion = quotient_invariant_factors([{0: 1}], [])
     assert (free, torsion) == (1, [])
     # empty and all-zero lattices take the general path
     assert quotient_invariant_factors([], []) == (0, [])
-    assert quotient_invariant_factors([[0, 0]], [[0, 0]]) == (0, [])
-    assert quotient_invariant_factors([[2, 4]], [[0, 0]]) == (1, [])
+    assert quotient_invariant_factors([{}], [{}]) == (0, [])
+    assert quotient_invariant_factors([{0: 2, 1: 4}], [{}]) == (1, [])
 
 
 def test_text_round_trip():
@@ -336,9 +359,9 @@ def test_text_round_trip():
 
 
 def test_int_matrix_text_round_trip():
-    rows = [[1, -2, 3], [0, 5, -6]]
+    rows = [[1, -2, 3], [0, 5, -6], [0, 0, 0]]
     text = "# a comment\n" + "\n".join(" ".join(map(str, r)) for r in rows) + "\n\n"
-    assert int_rows(text) == rows
+    assert int_rows(text) == [{0: 1, 1: -2, 2: 3}, {1: 5, 2: -6}, {}]
     with pytest.raises(ValueError, match="ragged"):
         int_rows("1 2\n3\n")
     with pytest.raises(ValueError):
@@ -594,15 +617,15 @@ def test_quotient_rejects_sub_outside_the_lattice(monkeypatch, run_python):
     # an echelon basis that misses a row of sub must be caught by an error,
     # not by an assert that python -O strips
     def faulty(rows):
-        return [[2, 0], [0, 1]]
+        return [{0: 2}, {1: 1}]
 
     monkeypatch.setattr(polyalg, "hnf_rowspace", faulty)
     with pytest.raises(InvariantError, match="sub not inside the big lattice"):
-        quotient_invariant_factors([[1, 0], [0, 1]], [[1, 0]])
+        quotient_invariant_factors([{0: 1}, {1: 1}], [{0: 1}])
     script = ("from steinberg import polyalg\n"
-              "polyalg.hnf_rowspace = lambda rows: [[2, 0], [0, 1]]\n"
+              "polyalg.hnf_rowspace = lambda rows: [{0: 2}, {1: 1}]\n"
               "try:\n"
-              "    polyalg.quotient_invariant_factors([[1, 0], [0, 1]], [[1, 0]])\n"
+              "    polyalg.quotient_invariant_factors([{0: 1}, {1: 1}], [{0: 1}])\n"
               "except polyalg.InvariantError as e:\n"
               "    print(type(e).__name__, e)\n")
     done = run_python("-O", "-c", script)
